@@ -78,18 +78,10 @@ def jarzynski_from_characteristic(
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     if isinstance(g, WorkHistogram):
-        hist = g
-        w = hist.w_values
-        kernel = np.exp(-beta * (w - w.min()))
-        raw = float((kernel * hist.density).sum() * hist.bin_width)
-        if raw <= 0.0:
-            raise DegenerateMean(f"histogram average of exp(-beta W) = {raw}")
-        bias = math.exp(0.5 * (beta * hist.broadening) ** 2)
-        mean = raw / bias
-        var = float(((kernel * hist.error * hist.bin_width) ** 2).sum()) / bias**2
-        return w.min() - math.log(mean) / beta, math.sqrt(var) / (beta * mean)
-
-    hist = spectra_mod.invert(g, broadening=broadening)
+        hist, cov = g, None
+    else:
+        hist = spectra_mod.invert(g, broadening=broadening)
+        cov = g.quadrature_covariance()
     w = hist.w_values
     w0 = w.min()
     kernel = np.exp(-beta * (w - w0)) * hist.bin_width
@@ -100,7 +92,6 @@ def jarzynski_from_characteristic(
     mean = raw / bias
     est = w0 - math.log(mean) / beta
 
-    cov = g.quadrature_covariance()
     if cov is not None:
         # raw = c . [Re G; Im G] exactly: assemble the coefficients of the
         # inversion followed by the kernel sum.

@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -63,6 +63,13 @@ def _parse_float_list(token: str) -> tuple[float, ...]:
     return tuple(_parse_number(t) for t in token.split(",") if t.strip())
 
 
+def _parse_int(token: str) -> int:
+    value = _parse_number(token)
+    if not value.is_integer():
+        raise ValueError(f"not an integer: {token.strip()!r}")
+    return int(value)
+
+
 def _parse_bool(token: str) -> bool:
     t = token.strip().lower()
     if t in ("true", "yes", "1", "on"):
@@ -81,7 +88,6 @@ class RunConfig:
     xi_0: float = 0.0
     centers: tuple[float, ...] = (0.2, 0.4, 0.67, 0.5, 0.5, 0.15, 0.3, 0.75)
     signs: tuple[float, ...] = (1.0, -1.0, 1.0, -1.0)
-    anisotropic_saddle: bool = False
     beta_list: tuple[float, ...] = (2.0**-12,)
     hbar_list: tuple[float, ...] = (1.0,)
     n_samples: int = 90_000
@@ -112,7 +118,6 @@ class RunConfig:
             sigma=self.sigma,
             xi_f=self.xi_f,
             xi_0=self.xi_0,
-            anisotropic_saddle=self.anisotropic_saddle,
         )
 
     def resolved_workers(self) -> int:
@@ -127,21 +132,20 @@ _CONVERTERS = {
     "xi_0": _parse_number,
     "centers": _parse_float_list,
     "signs": _parse_float_list,
-    "anisotropic_saddle": _parse_bool,
     "beta_list": _parse_float_list,
     "hbar_list": _parse_float_list,
-    "n_samples": lambda t: int(_parse_number(t)),
-    "n_classical": lambda t: int(_parse_number(t)),
-    "u_points": lambda t: int(_parse_number(t)),
+    "n_samples": _parse_int,
+    "n_classical": _parse_int,
+    "u_points": _parse_int,
     "pad_frac": _parse_number,
     "broadening_bins": _parse_number,
-    "seed": lambda t: int(_parse_number(t)),
-    "workers": lambda t: int(_parse_number(t)),
+    "seed": _parse_int,
+    "workers": _parse_int,
     "out_dir": str,
-    "max_bounces": lambda t: int(_parse_number(t)),
+    "max_bounces": _parse_int,
     "quantum_h": _parse_number,
-    "quantum_n_initial": lambda t: int(_parse_number(t)),
-    "quantum_n_final": lambda t: int(_parse_number(t)),
+    "quantum_n_initial": _parse_int,
+    "quantum_n_final": _parse_int,
     "dump_ensemble": _parse_bool,
 }
 
@@ -222,13 +226,21 @@ def validate_config(text: str) -> RunConfig:
     return _check_ranges(RunConfig(**data, explicit_keys=tuple(sorted(data))))
 
 
+def _convert(conv, raw: str, source: str):
+    """Apply a converter to a value from outside the file, naming its source."""
+    try:
+        return conv(raw)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{source}: bad value {raw!r}: {exc}") from exc
+
+
 def apply_env_overrides(cfg: RunConfig, environ=None) -> RunConfig:
     environ = os.environ if environ is None else environ
     updates = {}
     for name, conv in _CONVERTERS.items():
-        raw = environ.get(ENV_PREFIX + name.upper())
-        if raw is not None:
-            updates[name] = conv(raw)
+        var = ENV_PREFIX + name.upper()
+        if var in environ:
+            updates[name] = _convert(conv, environ[var], var)
     if not updates:
         return cfg
     explicit = tuple(sorted(set(cfg.explicit_keys) | set(updates)))
@@ -263,46 +275,47 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_characteristic_csv(path, grid: CharacteristicGrid, manifest_hash: str) -> None:
+def _write_table(path, manifest_hash: str, columns: dict, meta: dict | None = None) -> None:
+    """CSV of equal-length numeric columns under the manifest-hash line.
+
+    Cells are ``repr(float)``, so values round-trip exactly; ``meta``, when
+    given, is written to the ``<path>.meta.json`` sidecar.
+    """
     with open(path, "w") as fh:
         fh.write(f"# manifest_sha256={manifest_hash}\n")
-        fh.write("u,re_g,im_g,stderr_re,stderr_im\n")
-        for i in range(grid.u_values.size):
-            fh.write(
-                ",".join(
-                    (
-                        _fmt(grid.u_values[i]),
-                        _fmt(grid.g_values[i].real),
-                        _fmt(grid.g_values[i].imag),
-                        _fmt(grid.stderr_re[i]),
-                        _fmt(grid.stderr_im[i]),
-                    )
-                )
-                + "\n"
-            )
+        fh.write(",".join(columns) + "\n")
+        rows = zip(*(map(_fmt, col) for col in columns.values()))
+        fh.writelines(",".join(row) + "\n" for row in rows)
+    if meta is not None:
+        with open(str(path) + ".meta.json", "w") as fh:
+            json.dump(meta, fh, indent=2, sort_keys=True)
+
+
+def write_characteristic_csv(path, grid: CharacteristicGrid, manifest_hash: str) -> None:
+    u = grid.u_values
+    columns = {
+        "u": u,
+        "re_g": grid.g_values.real,
+        "im_g": grid.g_values.imag,
+        "stderr_re": grid.stderr_re,
+        "stderr_im": grid.stderr_im,
+    }
     meta = {
         "n_samples": grid.n_samples,
         "n_failed": grid.n_failed,
         "beta": grid.beta,
         "hbar": grid.hbar,
         "w_center": grid.w_center,
-        "du": float(grid.u_values[1] - grid.u_values[0]) if grid.u_values.size > 1 else 0.0,
-        "n_u": int(grid.u_values.size),
+        "du": float(u[1] - u[0]) if u.size > 1 else 0.0,
+        "n_u": int(u.size),
         "manifest_sha256": manifest_hash,
         **grid.metadata,
     }
-    with open(str(path) + ".meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+    _write_table(path, manifest_hash, columns, meta)
 
 
 def write_histogram_csv(path, hist: WorkHistogram, manifest_hash: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# manifest_sha256={manifest_hash}\n")
-        fh.write("w,density,error\n")
-        for i in range(hist.w_values.size):
-            fh.write(
-                f"{_fmt(hist.w_values[i])},{_fmt(hist.density[i])},{_fmt(hist.error[i])}\n"
-            )
+    columns = {"w": hist.w_values, "density": hist.density, "error": hist.error}
     meta = {
         "broadening": hist.broadening,
         "bin_width": hist.bin_width,
@@ -311,8 +324,7 @@ def write_histogram_csv(path, hist: WorkHistogram, manifest_hash: str) -> None:
         "manifest_sha256": manifest_hash,
         "provenance": hist.metadata,
     }
-    with open(str(path) + ".meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+    _write_table(path, manifest_hash, columns, meta)
 
 
 def read_histogram_csv(path) -> WorkHistogram:
@@ -345,7 +357,8 @@ def _write_json(path, payload) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Scenario runners
+# Runners: each takes (cfg, out_dir, manifest_hash), writes its files into
+# out_dir and returns {"files": [...]} plus an optional "report".
 
 
 def _beta_tag(beta: float) -> str:
@@ -357,6 +370,30 @@ def _beta_tag(beta: float) -> str:
 
 def _hbar_tag(hbar: float) -> str:
     return f"{hbar:g}".replace(".", "p")
+
+
+def _path_in(out_dir: str, files: list):
+    """Path maker for one runner: joins a name onto out_dir and records it."""
+
+    def path(name: str) -> str:
+        p = os.path.join(out_dir, name)
+        files.append(p)
+        return p
+
+    return path
+
+
+def _broadened_grid(cfg, grid):
+    """Dual W grid of a u plan (or grid) and the broadening_bins smoothing width."""
+    w_values, dw = spectra.dual_w_grid(grid.u_values, grid.w_center)
+    return w_values, cfg.broadening_bins * dw
+
+
+def _solve_quench(cfg, geom, pot, hbar):
+    """Quantum spectra on the configured grid; a state count of 0 keeps all."""
+    n0 = cfg.quantum_n_initial or None
+    nf = cfg.quantum_n_final or None
+    return quantum.solve_quench(geom, pot, hbar, cfg.quantum_h, n0, nf)
 
 
 def _semiclassical_pair(cfg, geom, pot, plan, beta, hbar, collect_covariance=False):
@@ -371,8 +408,7 @@ def _semiclassical_pair(cfg, geom, pot, plan, beta, hbar, collect_covariance=Fal
         max_bounces=cfg.max_bounces,
         collect_covariance=collect_covariance,
     )
-    w_values, dw = spectra.dual_w_grid(grid.u_values, grid.w_center)
-    eps = cfg.broadening_bins * dw
+    _, eps = _broadened_grid(cfg, grid)
     hist = spectra.invert(grid, broadening=eps)
     return ens, grid, hist
 
@@ -381,12 +417,9 @@ def _scenario_u_points(cfg, fallback):
     return cfg.u_points if "u_points" in cfg.explicit_keys else fallback
 
 
-def _classical_histogram(cfg, geom, pot, plan, beta, n=None):
-    sample = classical.sample_classical_work(
-        geom, pot, beta, n or cfg.n_classical, cfg.seed
-    )
-    w_values, dw = spectra.dual_w_grid(plan.u_values, plan.w_center)
-    eps = cfg.broadening_bins * dw
+def _classical_histogram(cfg, geom, pot, plan, beta):
+    sample = classical.sample_classical_work(geom, pot, beta, cfg.n_classical, cfg.seed)
+    w_values, eps = _broadened_grid(cfg, plan)
     hist = spectra.spikes_to_histogram(
         sample.values,
         np.full(sample.n, 1.0 / sample.n),
@@ -396,6 +429,73 @@ def _classical_histogram(cfg, geom, pot, plan, beta, n=None):
         metadata={"beta": beta, "source": "classical_mc"},
     )
     return sample, hist
+
+
+def run_semiclassical(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
+    """One (beta, hbar): semiclassical G(u) and its inverted work distribution."""
+    geom, pot = cfg.geometry(), cfg.potential()
+    plan = plan_u_grid(geom, pot, cfg.seed, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
+    ens, grid, hist = _semiclassical_pair(
+        cfg, geom, pot, plan, cfg.beta_list[0], cfg.hbar_list[0]
+    )
+    files = []
+    path = _path_in(out_dir, files)
+    if cfg.dump_ensemble:
+        sampler.ensemble_to_csv(ens, path("ensemble.csv"))
+    write_characteristic_csv(path("semiclassical_g.csv"), grid, manifest_hash)
+    write_histogram_csv(path("semiclassical_workdist.csv"), hist, manifest_hash)
+    return {"files": files}
+
+
+def run_classical(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
+    """One beta: classical work sample, its histogram and the free energy."""
+    geom, pot = cfg.geometry(), cfg.potential()
+    beta = cfg.beta_list[0]
+    plan = plan_u_grid(geom, pot, cfg.seed, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
+    sample, hist = _classical_histogram(cfg, geom, pot, plan, beta)
+    files = []
+    path = _path_in(out_dir, files)
+    write_histogram_csv(path("classical_workdist.csv"), hist, manifest_hash)
+    if cfg.dump_ensemble:
+        _write_table(path("work_samples.csv"), manifest_hash, {"w": sample.values})
+    ref = classical.classical_free_energy_difference(geom, pot, beta)
+    est, se = analysis.jarzynski_from_samples(sample.values, beta)
+    report = {
+        "beta": beta,
+        "delta_f_quadrature": ref,
+        "delta_f_mc": est,
+        "stderr_mc": se,
+        "manifest_sha256": manifest_hash,
+    }
+    _write_json(path("classical_report.json"), report)
+    return {"files": files, "report": report}
+
+
+def run_quantum(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
+    """One (beta, hbar): grid spectra, quantum P(W), G(u) and the free-energy identity."""
+    geom, pot = cfg.geometry(), cfg.potential()
+    beta, hbar = cfg.beta_list[0], cfg.hbar_list[0]
+    files = []
+    path = _path_in(out_dir, files)
+    spec = _solve_quench(cfg, geom, pot, hbar)
+    quantum.save_spectra(path("spectra.bin"), spec)
+    files.extend(quantum.export_spectra_csv(out_dir, spec))
+    lo, hi = quantum.spike_support(spec, beta, mass_tol=1e-10)
+    plan = plan_from_window(lo, hi, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
+    w_values, eps = _broadened_grid(cfg, plan)
+    hist = quantum.quantum_work_distribution(spec, beta, w_values, eps)
+    grid = quantum.quantum_characteristic(spec, beta, plan)
+    write_histogram_csv(path("quantum_workdist.csv"), hist, manifest_hash)
+    write_characteristic_csv(path("quantum_g.csv"), grid, manifest_hash)
+    lhs, rhs = quantum.quantum_jarzynski(spec, beta)
+    report = {
+        "beta": beta,
+        "jarzynski_lhs": lhs,
+        "jarzynski_rhs": rhs,
+        "manifest_sha256": manifest_hash,
+    }
+    _write_json(path("quantum_report.json"), report)
+    return {"files": files, "report": report}
 
 
 def run_fig4(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
@@ -412,16 +512,13 @@ def run_fig4(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
     )
 
     files = []
+    path = _path_in(out_dir, files)
     _, clhist = _classical_histogram(cfg, geom, pot, plan, beta)
-    path = os.path.join(out_dir, "classical_workdist.csv")
-    write_histogram_csv(path, clhist, manifest_hash)
-    files.append(path)
+    write_histogram_csv(path("classical_workdist.csv"), clhist, manifest_hash)
 
     ens = sampler.sample_ensemble(geom, beta, cfg.n_samples, cfg.seed)
     if cfg.dump_ensemble:
-        p = os.path.join(out_dir, "ensemble.csv")
-        sampler.ensemble_to_csv(ens, p)
-        files.append(p)
+        sampler.ensemble_to_csv(ens, path("ensemble.csv"))
     table = []
     for hbar in hbars:
         grid = semiclassical_characteristic(
@@ -429,11 +526,8 @@ def run_fig4(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
         )
         hist = spectra.invert(grid, broadening=clhist.broadening)
         tag = _hbar_tag(hbar)
-        p1 = os.path.join(out_dir, f"semiclassical_g_hbar{tag}.csv")
-        p2 = os.path.join(out_dir, f"semiclassical_workdist_hbar{tag}.csv")
-        write_characteristic_csv(p1, grid, manifest_hash)
-        write_histogram_csv(p2, hist, manifest_hash)
-        files.extend([p1, p2])
+        write_characteristic_csv(path(f"semiclassical_g_hbar{tag}.csv"), grid, manifest_hash)
+        write_histogram_csv(path(f"semiclassical_workdist_hbar{tag}.csv"), hist, manifest_hash)
         cmp = analysis.compare_histograms(hist, clhist)
         table.append({"hbar": hbar, **cmp})
 
@@ -443,9 +537,7 @@ def run_fig4(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
         "broadening": clhist.broadening,
         "manifest_sha256": manifest_hash,
     }
-    rp = os.path.join(out_dir, "fig4_report.json")
-    _write_json(rp, report)
-    files.append(rp)
+    _write_json(path("fig4_report.json"), report)
     return {"files": files, "report": report}
 
 
@@ -483,17 +575,13 @@ def run_fig3(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
             }
         )
 
-    path = os.path.join(out_dir, "jarzynski_sweep.csv")
-    with open(path, "w") as fh:
-        fh.write(f"# manifest_sha256={manifest_hash}\n")
-        cols = list(rows[0].keys())
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row[c]) for c in cols) + "\n")
-    rp = os.path.join(out_dir, "fig3_report.json")
+    files = []
+    path = _path_in(out_dir, files)
+    columns = {c: [row[c] for row in rows] for c in rows[0]}
+    _write_table(path("jarzynski_sweep.csv"), manifest_hash, columns)
     report = {"hbar": hbar, "rows": rows, "manifest_sha256": manifest_hash}
-    _write_json(rp, report)
-    return {"files": [path, rp], "report": report}
+    _write_json(path("fig3_report.json"), report)
+    return {"files": files, "report": report}
 
 
 _TRUNCATION_CAVEAT = (
@@ -513,15 +601,13 @@ def run_fig2(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
         else (2.0**-6, 2.0**-8, 2.0**-10, 2.0**-12)
     )
     hbar = cfg.hbar_list[0]
-    n0 = cfg.quantum_n_initial or None
-    nf = cfg.quantum_n_final or None
-    spec = quantum.solve_quench(geom, pot, hbar, cfg.quantum_h, n0, nf)
-    sp = os.path.join(out_dir, "spectra.bin")
-    quantum.save_spectra(sp, spec)
-    files = [sp]
+    files = []
+    path = _path_in(out_dir, files)
+    spec = _solve_quench(cfg, geom, pot, hbar)
+    quantum.save_spectra(path("spectra.bin"), spec)
 
     base_plan = plan_u_grid(geom, pot, cfg.seed, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
-    w_all, _ = spectra.dual_w_grid(base_plan.u_values, base_plan.w_center)
+    w_all, _ = _broadened_grid(cfg, base_plan)
 
     rows = []
     warnings = []
@@ -535,28 +621,21 @@ def run_fig2(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
         lo = min(w_all[0], lo_q)
         hi = max(w_all[-1], hi_q)
         plan = plan_from_window(lo, hi, n_u=cfg.u_points, pad_frac=0.05)
-        w_values, dw = spectra.dual_w_grid(plan.u_values, plan.w_center)
-        eps = cfg.broadening_bins * dw
+        w_values, eps = _broadened_grid(cfg, plan)
 
         grid_sc = semiclassical_characteristic(
             ens, plan, hbar, geom, pot, workers=cfg.resolved_workers(), max_bounces=cfg.max_bounces
         )
         hist_sc = spectra.invert(grid_sc, broadening=eps)
-        p1 = os.path.join(out_dir, f"semiclassical_g_beta{tag}.csv")
-        p2 = os.path.join(out_dir, f"semiclassical_workdist_beta{tag}.csv")
-        write_characteristic_csv(p1, grid_sc, manifest_hash)
-        write_histogram_csv(p2, hist_sc, manifest_hash)
-        files.extend([p1, p2])
+        write_characteristic_csv(path(f"semiclassical_g_beta{tag}.csv"), grid_sc, manifest_hash)
+        write_histogram_csv(path(f"semiclassical_workdist_beta{tag}.csv"), hist_sc, manifest_hash)
 
         row = {"beta": beta}
         try:
             hist_q = quantum.quantum_work_distribution(spec, beta, w_values, eps)
             grid_q = quantum.quantum_characteristic(spec, beta, plan)
-            p3 = os.path.join(out_dir, f"quantum_g_beta{tag}.csv")
-            p4 = os.path.join(out_dir, f"quantum_workdist_beta{tag}.csv")
-            write_characteristic_csv(p3, grid_q, manifest_hash)
-            write_histogram_csv(p4, hist_q, manifest_hash)
-            files.extend([p3, p4])
+            write_characteristic_csv(path(f"quantum_g_beta{tag}.csv"), grid_q, manifest_hash)
+            write_histogram_csv(path(f"quantum_workdist_beta{tag}.csv"), hist_q, manifest_hash)
             row.update(analysis.compare_histograms(hist_q, hist_sc))
         except quantum.TruncationDominates as exc:
             msg = f"beta={beta:g}: {exc}; {_TRUNCATION_CAVEAT}"
@@ -570,29 +649,36 @@ def run_fig2(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
         "warnings": warnings,
         "manifest_sha256": manifest_hash,
     }
-    rp = os.path.join(out_dir, "fig2_report.json")
-    _write_json(rp, report)
-    files.append(rp)
+    _write_json(path("fig2_report.json"), report)
     return {"files": files, "report": report}
 
 
 _SCENARIOS = {"fig2": run_fig2, "fig3": run_fig3, "fig4": run_fig4}
+# Run subcommands that write straight into out_dir; jarzynski is fig3 there.
+_COMMANDS = {
+    "semiclassical": run_semiclassical,
+    "classical": run_classical,
+    "quantum": run_quantum,
+    "jarzynski": run_fig3,
+}
 
 
-def run_scenario(cfg: RunConfig, scenario: str) -> dict:
-    """Execute one named scenario; writes artifacts plus a manifest JSON."""
-    if scenario not in _SCENARIOS:
-        raise ValueError(f"unknown scenario {scenario!r}; pick one of {sorted(_SCENARIOS)}")
-    manifest = config_manifest(cfg, scenario)
-    out_dir = os.path.join(cfg.out_dir, scenario)
+def _execute(cfg: RunConfig, name: str, runner, out_dir: str) -> dict:
+    """The one run path: manifest, output directory, runner, manifest.json."""
+    manifest = config_manifest(cfg, name)
     os.makedirs(out_dir, exist_ok=True)
-    mh = manifest["config_sha256"]
-    result = _SCENARIOS[scenario](cfg, out_dir, mh)
+    result = runner(cfg, out_dir, manifest["config_sha256"])
     mp = os.path.join(out_dir, "manifest.json")
     _write_json(mp, manifest)
     result["files"].append(mp)
-    result["manifest"] = manifest
-    return result
+    return {"out_dir": out_dir, "manifest": manifest, **result}
+
+
+def run_scenario(cfg: RunConfig, scenario: str) -> dict:
+    """Execute one named scenario into out_dir/<scenario>, manifest included."""
+    if scenario not in _SCENARIOS:
+        raise ValueError(f"unknown scenario {scenario!r}; pick one of {sorted(_SCENARIOS)}")
+    return _execute(cfg, scenario, _SCENARIOS[scenario], os.path.join(cfg.out_dir, scenario))
 
 
 # ---------------------------------------------------------------------------
@@ -613,116 +699,24 @@ def _load_config(args) -> RunConfig:
         overrides["workers"] = args.workers
     if args.out is not None:
         overrides["out_dir"] = args.out
-    if getattr(args, "beta", None) is not None:
-        overrides["beta_list"] = (_parse_number(args.beta),)
-    if getattr(args, "hbar", None) is not None:
-        overrides["hbar_list"] = (_parse_number(args.hbar),)
+    for flag in ("beta", "hbar"):
+        raw = getattr(args, flag)
+        if raw is not None:
+            overrides[f"{flag}_list"] = (_convert(_parse_number, raw, f"--{flag}"),)
     if not overrides:
         return cfg
     explicit = tuple(sorted(set(cfg.explicit_keys) | set(overrides)))
     return _check_ranges(replace(cfg, explicit_keys=explicit, **overrides))
 
 
-def _cmd_semiclassical(args) -> dict:
+def _cmd_run(args) -> dict:
     cfg = _load_config(args)
-    geom, pot = cfg.geometry(), cfg.potential()
-    beta, hbar = cfg.beta_list[0], cfg.hbar_list[0]
-    manifest = config_manifest(cfg, "semiclassical")
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    plan = plan_u_grid(geom, pot, cfg.seed, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
-    ens, grid, hist = _semiclassical_pair(cfg, geom, pot, plan, beta, hbar)
-    if cfg.dump_ensemble:
-        sampler.ensemble_to_csv(ens, os.path.join(cfg.out_dir, "ensemble.csv"))
-    write_characteristic_csv(
-        os.path.join(cfg.out_dir, "semiclassical_g.csv"), grid, manifest["config_sha256"]
-    )
-    write_histogram_csv(
-        os.path.join(cfg.out_dir, "semiclassical_workdist.csv"),
-        hist,
-        manifest["config_sha256"],
-    )
-    _write_json(os.path.join(cfg.out_dir, "manifest.json"), manifest)
-    return {"out_dir": cfg.out_dir}
-
-
-def _cmd_classical(args) -> dict:
-    cfg = _load_config(args)
-    geom, pot = cfg.geometry(), cfg.potential()
-    beta = cfg.beta_list[0]
-    manifest = config_manifest(cfg, "classical")
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    plan = plan_u_grid(geom, pot, cfg.seed, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
-    sample, hist = _classical_histogram(cfg, geom, pot, plan, beta)
-    write_histogram_csv(
-        os.path.join(cfg.out_dir, "classical_workdist.csv"), hist, manifest["config_sha256"]
-    )
-    if cfg.dump_ensemble:
-        with open(os.path.join(cfg.out_dir, "work_samples.csv"), "w") as fh:
-            fh.write(f"# manifest_sha256={manifest['config_sha256']}\n")
-            fh.write("w\n")
-            for v in sample.values:
-                fh.write(f"{float(v)!r}\n")
-    ref = classical.classical_free_energy_difference(geom, pot, beta)
-    est, se = analysis.jarzynski_from_samples(sample.values, beta)
-    _write_json(
-        os.path.join(cfg.out_dir, "classical_report.json"),
-        {
-            "beta": beta,
-            "delta_f_quadrature": ref,
-            "delta_f_mc": est,
-            "stderr_mc": se,
-            "manifest_sha256": manifest["config_sha256"],
-        },
-    )
-    _write_json(os.path.join(cfg.out_dir, "manifest.json"), manifest)
-    return {"out_dir": cfg.out_dir}
-
-
-def _cmd_quantum(args) -> dict:
-    cfg = _load_config(args)
-    geom, pot = cfg.geometry(), cfg.potential()
-    beta, hbar = cfg.beta_list[0], cfg.hbar_list[0]
-    manifest = config_manifest(cfg, "quantum")
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    n0 = cfg.quantum_n_initial or None
-    nf = cfg.quantum_n_final or None
-    spec = quantum.solve_quench(geom, pot, hbar, cfg.quantum_h, n0, nf)
-    quantum.save_spectra(os.path.join(cfg.out_dir, "spectra.bin"), spec)
-    quantum.export_spectra_csv(cfg.out_dir, spec)
-    lo, hi = quantum.spike_support(spec, beta, mass_tol=1e-10)
-    plan = plan_from_window(lo, hi, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
-    w_values, dw = spectra.dual_w_grid(plan.u_values, plan.w_center)
-    eps = cfg.broadening_bins * dw
-    hist = quantum.quantum_work_distribution(spec, beta, w_values, eps)
-    grid = quantum.quantum_characteristic(spec, beta, plan)
-    write_histogram_csv(
-        os.path.join(cfg.out_dir, "quantum_workdist.csv"), hist, manifest["config_sha256"]
-    )
-    write_characteristic_csv(
-        os.path.join(cfg.out_dir, "quantum_g.csv"), grid, manifest["config_sha256"]
-    )
-    lhs, rhs = quantum.quantum_jarzynski(spec, beta)
-    _write_json(
-        os.path.join(cfg.out_dir, "quantum_report.json"),
-        {
-            "beta": beta,
-            "jarzynski_lhs": lhs,
-            "jarzynski_rhs": rhs,
-            "manifest_sha256": manifest["config_sha256"],
-        },
-    )
-    _write_json(os.path.join(cfg.out_dir, "manifest.json"), manifest)
-    return {"out_dir": cfg.out_dir}
-
-
-def _cmd_jarzynski(args) -> dict:
-    cfg = _load_config(args)
-    manifest = config_manifest(cfg, "jarzynski")
-    out_dir = cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    result = run_fig3(cfg, out_dir, manifest["config_sha256"])
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
-    return {"out_dir": out_dir, "report": result["report"]}
+    if args.command == "scenario":
+        result = run_scenario(cfg, args.name)
+    else:
+        result = _execute(cfg, args.command, _COMMANDS[args.command], cfg.out_dir)
+    del result["manifest"]
+    return result
 
 
 def _cmd_compare(args) -> dict:
@@ -736,12 +730,6 @@ def _cmd_compare(args) -> dict:
     return report
 
 
-def _cmd_scenario(args) -> dict:
-    cfg = _load_config(args)
-    result = run_scenario(cfg, args.name)
-    return {"files": result["files"]}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chaowork",
@@ -749,30 +737,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, beta_hbar=True):
+    def common(p):
         p.add_argument("--config", help="path to a key = value configuration file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--workers", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
-        if beta_hbar:
-            p.add_argument("--beta", default=None, help="inverse temperature (accepts 2^-12)")
-            p.add_argument("--hbar", default=None)
+        p.add_argument("--beta", default=None, help="inverse temperature (accepts 2^-12)")
+        p.add_argument("--hbar", default=None)
+        p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("semiclassical", help="characteristic function + work distribution")
-    common(p)
-    p.set_defaults(func=_cmd_semiclassical)
-
-    p = sub.add_parser("classical", help="classical work sample and free energy")
-    common(p)
-    p.set_defaults(func=_cmd_classical)
-
-    p = sub.add_parser("quantum", help="grid oracle: spectra and work distribution")
-    common(p)
-    p.set_defaults(func=_cmd_quantum)
-
-    p = sub.add_parser("jarzynski", help="free-energy sweep over temperatures")
-    common(p)
-    p.set_defaults(func=_cmd_jarzynski)
+    for name, help_text in (
+        ("semiclassical", "characteristic function + work distribution"),
+        ("classical", "classical work sample and free energy"),
+        ("quantum", "grid oracle: spectra and work distribution"),
+        ("jarzynski", "free-energy sweep over temperatures (scenario fig3 into --out)"),
+    ):
+        common(sub.add_parser(name, help=help_text))
 
     p = sub.add_parser("compare", help="L1 distance between two histogram CSVs")
     p.add_argument("first")
@@ -783,7 +763,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scenario", help="run a canned experiment")
     p.add_argument("name", choices=sorted(_SCENARIOS))
     common(p)
-    p.set_defaults(func=_cmd_scenario)
 
     return parser
 

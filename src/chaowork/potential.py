@@ -36,9 +36,6 @@ class QuenchPotential:
     sigma: float = 0.1
     xi_f: float = 85.0
     xi_0: float = 0.0
-    # Literal saddle form exp(-[(x-xc)^2 - (y-yc)^2]/(2 sigma^2)); kept only
-    # for sensitivity checks, integrals fall back to quadrature.
-    anisotropic_saddle: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "centers", np.asarray(self.centers, dtype=float))
@@ -66,10 +63,7 @@ def evaluate(pot: QuenchPotential, q) -> float | np.ndarray:
     dx = q[..., None, 0] - pot.centers[:, 0]
     dy = q[..., None, 1] - pot.centers[:, 1]
     inv = 1.0 / (2.0 * pot.sigma * pot.sigma)
-    if pot.anisotropic_saddle:
-        arg = (dx * dx - dy * dy) * inv
-    else:
-        arg = (dx * dx + dy * dy) * inv
+    arg = (dx * dx + dy * dy) * inv
     vals = np.exp(-arg) @ pot.signs
     return float(vals) if scalar else vals
 
@@ -180,14 +174,13 @@ def segment_integral(
     """Integral of V(q0 + direction * speed * tau) for tau in [0, duration].
 
     ``method`` is "closed" (default, exact per Gaussian) or "simpson"
-    (composite quadrature cross-check).  The saddle variant always uses
-    quadrature since its line integral can diverge.
+    (composite quadrature cross-check).
     """
     if duration < 0.0:
         raise ValueError("duration must be nonnegative")
     if speed <= 0.0 and not duration >= 0.0:
         raise ValueError("speed must be positive")
-    if pot.anisotropic_saddle or method == "simpson":
+    if method == "simpson":
         return _segment_simpson(pot, q0, direction, speed, duration)
     if method != "closed":
         raise ValueError(f"unknown method {method!r}")

@@ -23,7 +23,7 @@ from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
 from . import geometry, spectra
-from .characteristic import CharacteristicGrid
+from .characteristic import CharacteristicGrid, _resolve_grid
 from .geometry import BilliardGeometry
 from .potential import QuenchPotential, evaluate
 from .spectra import WorkHistogram
@@ -280,20 +280,13 @@ def quantum_characteristic(
     spec: QuenchSpectra,
     beta: float,
     u_grid,
-    w_center: float = 0.0,
 ) -> CharacteristicGrid:
     """Exact G(u): thermally weighted transition phases exp(i u (E_f - E_0)).
 
     Fourier pair of the unbroadened work distribution; deterministic, so the
     stored standard errors are zero.
     """
-    from .characteristic import UGridPlan
-
-    if isinstance(u_grid, UGridPlan):
-        u = np.asarray(u_grid.u_values, dtype=float)
-        w_center = u_grid.w_center
-    else:
-        u = np.asarray(u_grid, dtype=float)
+    u, w_center = _resolve_grid(u_grid)
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     check_truncation(spec.e0, beta)

@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import os
+from dataclasses import fields
 
 import pytest
 
-from chaowork import cli
+from chaowork import classical, cli
 from chaowork.cli import (
     ParseError,
     RangeError,
+    RunConfig,
     apply_env_overrides,
     run_scenario,
     validate_config,
@@ -51,10 +55,21 @@ class TestValidateConfig:
         assert "beta_list" in str(e.value)
 
     def test_unknown_key_named_in_error(self):
-        with pytest.raises(ParseError) as e:
-            validate_config("sigma_y = 0.2")
-        assert "sigma_y" in str(e.value)
-        assert "line 1" in str(e.value)
+        # anisotropic_saddle was once accepted but ignored by the engine.
+        for key, value in (("sigma_y", "0.2"), ("anisotropic_saddle", "true")):
+            with pytest.raises(ParseError) as e:
+                validate_config(f"{key} = {value}")
+            assert key in str(e.value)
+            assert "line 1" in str(e.value)
+
+    def test_integer_keys_reject_fractions(self):
+        int_keys = [f.name for f in fields(RunConfig) if f.type == "int"]
+        assert "n_samples" in int_keys and "seed" in int_keys
+        for key in int_keys:
+            with pytest.raises(ParseError) as e:
+                validate_config(f"{key} = 1000.7")
+            assert key in str(e.value)
+        assert validate_config("n_samples = 2^10").n_samples == 1024
 
     def test_power_of_two_tokens(self):
         cfg = validate_config("beta_list = 2^-12, 2^-6")
@@ -95,6 +110,13 @@ class TestEnvOverrides:
         cfg = validate_config("")
         with pytest.raises(RangeError):
             apply_env_overrides(cfg, {"CHAOWORK_BETA_LIST": "-2"})
+
+    def test_bad_env_value_names_variable(self):
+        cfg = validate_config("")
+        for var, raw in (("CHAOWORK_SEED", "abc"), ("CHAOWORK_N_SAMPLES", "1000.7")):
+            with pytest.raises(ValueError) as e:
+                apply_env_overrides(cfg, {var: raw})
+            assert var in str(e.value)
 
 
 @pytest.fixture(scope="module")
@@ -243,6 +265,12 @@ class TestSubcommands:
         assert payload["error"] == "RangeError"
         assert "beta_list" in payload["message"]
 
+    def test_bad_flag_value_named(self, capsys):
+        for flag in ("--beta", "--hbar"):
+            assert self.run_main(["classical", flag, "abc"]) == 1
+            payload = json.loads(capsys.readouterr().err.strip())
+            assert flag in payload["message"]
+
     def test_seed_flag_changes_manifest(self, tmp_path):
         cfgp = tmp_path / "c.cfg"
         cfgp.write_text(tiny_text(n_samples="300", hbar_list="1.0"))
@@ -263,3 +291,67 @@ class TestSubcommands:
         m2 = json.loads((tmp_path / "s2" / "manifest.json").read_text())
         assert m1["config_sha256"] != m2["config_sha256"]
         assert m1["seed"] == 1 and m2["seed"] == 2
+
+
+_CMD_CONFIG = tiny_text(n_samples="400", hbar_list="1.0", dump_ensemble="true")
+# Quantum needs a temperature its full grid spectrum covers; the flag leaves
+# the shared config (and so the hash the other commands embed) alone.
+_RUN_COMMANDS = {
+    "semiclassical": ["semiclassical"],
+    "classical": ["classical"],
+    "quantum": ["quantum", "--beta", "0.3"],
+    "jarzynski": ["jarzynski"],
+    "fig3": ["scenario", "fig3"],
+}
+
+
+@pytest.fixture(scope="module")
+def command_runs(tmp_path_factory):
+    """Every run subcommand once at one tiny config: (out_dir, stdout JSON)."""
+    root = tmp_path_factory.mktemp("commands")
+    cfgp = root / "c.cfg"
+    cfgp.write_text(_CMD_CONFIG)
+    runs = {}
+    for name, argv in _RUN_COMMANDS.items():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            rc = cli.main([*argv, "--config", str(cfgp), "--out", str(root / name)])
+        assert rc == 0, name
+        # A scenario writes into its own subdirectory of --out.
+        out_dir = root / name / "fig3" if argv[0] == "scenario" else root / name
+        runs[name] = (str(out_dir), json.loads(buf.getvalue()))
+    return runs
+
+
+class TestRunCommands:
+    def test_stdout_names_out_dir_and_written_files(self, command_runs):
+        for name, (out_dir, printed) in command_runs.items():
+            assert printed["out_dir"] == out_dir, name
+            assert all(os.path.dirname(p) == out_dir for p in printed["files"]), name
+            listed = {os.path.basename(p) for p in printed["files"]}
+            # Sidecars travel with their CSV and are not listed separately.
+            written = {f for f in os.listdir(out_dir) if not f.endswith(".meta.json")}
+            assert listed == written, name
+            assert "manifest.json" in listed, name
+
+    def test_work_samples_dumped(self, command_runs):
+        out_dir, _ = command_runs["classical"]
+        with open(os.path.join(out_dir, "work_samples.csv")) as fh:
+            lines = fh.read().splitlines()
+        with open(os.path.join(out_dir, "manifest.json")) as fh:
+            mh = json.load(fh)["config_sha256"]
+        assert lines[:2] == [f"# manifest_sha256={mh}", "w"]
+        cfg = validate_config(_CMD_CONFIG)
+        sample = classical.sample_classical_work(
+            cfg.geometry(), cfg.potential(), cfg.beta_list[0], cfg.n_classical, cfg.seed
+        )
+        assert [float(v) for v in lines[2:]] == sample.values.tolist()
+
+    def test_jarzynski_is_scenario_fig3(self, command_runs):
+        jz_dir, jz = command_runs["jarzynski"]
+        fig3_dir, _ = command_runs["fig3"]
+        for name in ("jarzynski_sweep.csv", "fig3_report.json"):
+            with open(os.path.join(jz_dir, name), "rb") as a:
+                with open(os.path.join(fig3_dir, name), "rb") as b:
+                    assert a.read() == b.read(), name
+        assert [r["beta"] for r in jz["report"]["rows"]] == [2.0**-8]

@@ -148,22 +148,6 @@ class TestSegmentIntegral:
             segment_integral(pot, (0.3, 0.3), (1.0, 0.0), 1.0, -0.1)
 
 
-class TestSaddleVariant:
-    def test_saddle_changes_values(self):
-        iso = default_potential()
-        saddle = QuenchPotential(anisotropic_saddle=True)
-        q = (0.25, 0.5)
-        assert evaluate(iso, q) != evaluate(saddle, q)
-
-    def test_saddle_integral_uses_quadrature(self):
-        saddle = QuenchPotential(anisotropic_saddle=True)
-        v = segment_integral(saddle, (0.2, 0.4), (1.0, 0.0), 1.0, 0.1)
-        ref = quad(
-            lambda t: evaluate(saddle, (0.2 + t, 0.4)), 0.0, 0.1, epsabs=1e-12, epsrel=1e-12
-        )[0]
-        assert v == pytest.approx(ref, rel=1e-8)
-
-
 class TestValidation:
     def test_sigma_must_be_positive(self):
         with pytest.raises(ValueError):
