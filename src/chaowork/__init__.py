@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 from .geometry import BilliardGeometry
 from .potential import QuenchPotential, default_potential
-from .sampler import PhasePoint, ThermalEnsemble, sample_ensemble
+from .sampler import ThermalEnsemble, sample_ensemble
 from .characteristic import CharacteristicGrid, plan_u_grid, semiclassical_characteristic
 from .spectra import WorkHistogram, invert
 
@@ -17,7 +17,6 @@ __all__ = [
     "BilliardGeometry",
     "QuenchPotential",
     "default_potential",
-    "PhasePoint",
     "ThermalEnsemble",
     "sample_ensemble",
     "CharacteristicGrid",

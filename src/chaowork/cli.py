@@ -64,6 +64,11 @@ def _parse_float_list(token: str) -> tuple[float, ...]:
 
 
 def _parse_int(token: str) -> int:
+    """Integer literal exactly (any size), or an integral number like 2^10, 1e6."""
+    try:
+        return int(token)
+    except ValueError:
+        pass
     value = _parse_number(token)
     if not value.is_integer():
         raise ValueError(f"not an integer: {token.strip()!r}")
@@ -291,6 +296,11 @@ def _write_table(path, manifest_hash: str, columns: dict, meta: dict | None = No
             json.dump(meta, fh, indent=2, sort_keys=True)
 
 
+def _write_ensemble_csv(path, ens, manifest_hash: str) -> None:
+    columns = {"qx": ens.qs[:, 0], "qy": ens.qs[:, 1], "px": ens.ps[:, 0], "py": ens.ps[:, 1]}
+    _write_table(path, manifest_hash, columns)
+
+
 def write_characteristic_csv(path, grid: CharacteristicGrid, manifest_hash: str) -> None:
     u = grid.u_values
     columns = {
@@ -441,7 +451,7 @@ def run_semiclassical(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
     files = []
     path = _path_in(out_dir, files)
     if cfg.dump_ensemble:
-        sampler.ensemble_to_csv(ens, path("ensemble.csv"))
+        _write_ensemble_csv(path("ensemble.csv"), ens, manifest_hash)
     write_characteristic_csv(path("semiclassical_g.csv"), grid, manifest_hash)
     write_histogram_csv(path("semiclassical_workdist.csv"), hist, manifest_hash)
     return {"files": files}
@@ -479,7 +489,7 @@ def run_quantum(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
     path = _path_in(out_dir, files)
     spec = _solve_quench(cfg, geom, pot, hbar)
     quantum.save_spectra(path("spectra.bin"), spec)
-    files.extend(quantum.export_spectra_csv(out_dir, spec))
+    files.extend(quantum.export_spectra_csv(out_dir, spec, manifest_hash))
     lo, hi = quantum.spike_support(spec, beta, mass_tol=1e-10)
     plan = plan_from_window(lo, hi, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
     w_values, eps = _broadened_grid(cfg, plan)
@@ -518,7 +528,7 @@ def run_fig4(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
 
     ens = sampler.sample_ensemble(geom, beta, cfg.n_samples, cfg.seed)
     if cfg.dump_ensemble:
-        sampler.ensemble_to_csv(ens, path("ensemble.csv"))
+        _write_ensemble_csv(path("ensemble.csv"), ens, manifest_hash)
     table = []
     for hbar in hbars:
         grid = semiclassical_characteristic(

@@ -1,23 +1,22 @@
-"""Desymmetrized stadium billiard: containment, ray tracing, specular reflection.
+"""Desymmetrized stadium billiard: containment and batched ray tracing.
 
 Placement convention: the quarter stadium is the rectangle [0, l] x [0, r]
 joined to the quarter disk of radius r centered at (l, 0), so the bounding
 box is [0, l + r] x [0, r].  Walls: bottom (y = 0, 0 <= x <= l + r), left
 (x = 0, 0 <= y <= r), top (y = r, 0 <= x <= l) and the arc
 ((x - l)^2 + y^2 = r^2, x >= l, y >= 0).  All operations are pure functions
-of immutable data and safe to share across workers.
+of immutable data and safe to share across workers.  The scalar one-ray
+``first_hit``/``reflect`` used as test references live in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 # Wall-coincidence tolerance and minimum accepted flight length (length units).
 TOL_GEOM = 1e-10
@@ -25,26 +24,6 @@ TOL_GEOM = 1e-10
 TOL_GRAZING = 1e-12
 # Post-reflection push along the inward normal, to avoid re-detecting the wall.
 WALL_NUDGE = 1e-12
-
-
-class GeometryError(Exception):
-    pass
-
-
-class NoHit(GeometryError):
-    """No forward boundary intersection: origin outside or degenerate ray."""
-
-
-class AmbiguousCorner(GeometryError):
-    """Two walls intersected within TOL_GEOM of each other (strict mode only).
-
-    The default policy resolves corners by reflecting about the angle-bisector
-    normal; this error is raised only when ``strict_corners`` is requested.
-    """
-
-
-class GrazingRay(GeometryError):
-    """Incoming direction nearly tangent to the wall (strict mode only)."""
 
 
 class Wall(IntEnum):
@@ -79,15 +58,6 @@ class BilliardGeometry:
         return area(self)
 
 
-@dataclass(frozen=True)
-class BoundaryHit:
-    point: np.ndarray
-    path_length: float
-    inward_normal: np.ndarray
-    wall_id: Wall
-    corner: bool = False
-
-
 def area(geom: BilliardGeometry) -> float:
     """Closed-form area l*r + pi*r^2/4."""
     return geom.l * geom.r + math.pi * geom.r * geom.r / 4.0
@@ -116,17 +86,6 @@ def contains_many(geom: BilliardGeometry, qs: np.ndarray) -> np.ndarray:
     dx = x - geom.l
     in_cap = dx * dx + y * y <= geom.r * geom.r
     return inside_band & ((x <= geom.l) | in_cap)
-
-
-def contains_with_tol(geom: BilliardGeometry, q, tol: float = TOL_GEOM) -> bool:
-    """Membership in the region dilated by ``tol`` (for invariant checks)."""
-    x, y = float(q[0]), float(q[1])
-    if x < -tol or y < -tol or y > geom.r + tol:
-        return False
-    if x <= geom.l + tol:
-        return True
-    dx = x - geom.l
-    return math.hypot(dx, y) <= geom.r + tol
 
 
 # Inward normals of the flat walls, by Wall index.
@@ -214,52 +173,3 @@ def first_hit_arrays(
     normals /= safe[:, None]
 
     return t_min, normals, wall, ok, corner
-
-
-def first_hit(
-    geom: BilliardGeometry, origin, direction, strict_corners: bool = False
-) -> BoundaryHit:
-    """Nearest boundary intersection of a single interior ray.
-
-    Raises NoHit when no forward intersection exists and AmbiguousCorner when
-    ``strict_corners`` is set and two walls coincide within TOL_GEOM.
-    """
-    origin = np.asarray(origin, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    if not contains_with_tol(geom, origin):
-        raise NoHit(f"ray origin {origin} lies outside the billiard")
-    if abs(math.hypot(direction[0], direction[1]) - 1.0) > 1e-12:
-        raise ValueError("direction must be a unit vector")
-    t, normals, wall, ok, corner = first_hit_arrays(
-        geom, origin[None, :], direction[None, :]
-    )
-    if not ok[0]:
-        raise NoHit(f"no boundary intersection from {origin} along {direction}")
-    if corner[0] and strict_corners:
-        raise AmbiguousCorner(f"two walls within {TOL_GEOM} at t={t[0]}")
-    return BoundaryHit(
-        point=origin + t[0] * direction,
-        path_length=float(t[0]),
-        inward_normal=normals[0],
-        wall_id=Wall(int(wall[0])),
-        corner=bool(corner[0]),
-    )
-
-
-def reflect(direction, inward_normal, strict: bool = False) -> np.ndarray:
-    """Specular reflection d - 2 (d.n) n of an incoming unit direction.
-
-    Grazing rays (|d.n| < TOL_GRAZING) are reflected anyway with a logged
-    warning unless ``strict`` is set; Monte Carlo robustness beats per-ray
-    exactness here.
-    """
-    d = np.asarray(direction, dtype=float)
-    n = np.asarray(inward_normal, dtype=float)
-    dn = float(d @ n)
-    if dn >= 0.0:
-        raise ValueError(f"direction must point into the wall (d.n={dn})")
-    if -dn < TOL_GRAZING:
-        if strict:
-            raise GrazingRay(f"|d.n|={-dn} below {TOL_GRAZING}")
-        logger.warning("grazing reflection with |d.n|=%.3e; reflecting anyway", -dn)
-    return d - 2.0 * dn * n

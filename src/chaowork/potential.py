@@ -2,10 +2,11 @@
 
 ``evaluate`` returns the unit-amplitude signed sum V(q); the full
 perturbation is xi * V(q), and the energy jump of a sudden quench is
-(xi_f - xi_0) * V(q).  ``segment_integral`` integrates V along a straight
-constant-speed flight in closed form (1D error-function integral times the
-transverse Gaussian factor), which is both exact and fast; a composite
-Simpson fallback is kept as a cross-check path.
+(xi_f - xi_0) * V(q).  ``segment_constants(...).integral`` integrates V
+along a batch of straight constant-speed flights in closed form (1D
+error-function integral times the transverse Gaussian factor), which is both
+exact and fast.  The scalar ``segment_integral`` and the composite Simpson
+oracle it is checked against live in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -18,10 +19,6 @@ from scipy.special import erf
 
 DEFAULT_CENTERS = ((0.2, 0.4), (0.67, 0.5), (0.5, 0.15), (0.3, 0.75))
 DEFAULT_SIGNS = (1.0, -1.0, 1.0, -1.0)
-
-# A bump farther than this many sigmas from the whole segment contributes
-# below 1e-13 and is skipped.
-CUTOFF_SIGMAS = 8.0
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
@@ -76,18 +73,7 @@ class _SegmentConstants:
     amp_i * exp(-(s (tau - tau_star_i))^2 / (2 sigma^2)).
     """
 
-    __slots__ = (
-        "b2",
-        "speed",
-        "amp",
-        "tau_star",
-        "alpha",
-        "pref",
-        "erf_lo",
-        "sigma",
-        "signs",
-        "still",
-    )
+    __slots__ = ("amp", "tau_star", "alpha", "pref", "erf_lo", "signs", "still")
 
     def __init__(self, pot: QuenchPotential, q0, direction, speed):
         q0 = np.atleast_2d(np.asarray(q0, dtype=float))
@@ -98,34 +84,21 @@ class _SegmentConstants:
         d0y = q0[:, None, 1] - pot.centers[:, 1]
         proj = d0x * direction[:, None, 0] + d0y * direction[:, None, 1]
         d0sq = d0x * d0x + d0y * d0y
-        self.b2 = np.maximum(d0sq - proj * proj, 0.0)
+        b2 = np.maximum(d0sq - proj * proj, 0.0)
         self.still = speed <= 0.0
         s_safe = np.where(self.still, 1.0, speed)
-        self.speed = s_safe
         self.tau_star = -proj / s_safe[:, None]
-        self.amp = np.exp(-self.b2 / (2.0 * sigma * sigma))
+        self.amp = np.exp(-b2 / (2.0 * sigma * sigma))
         self.alpha = (s_safe / (sigma * _SQRT2))[:, None]
         self.pref = (sigma * _SQRT_HALF_PI / s_safe)[:, None]
         self.erf_lo = erf(self.alpha * self.tau_star)
-        self.sigma = sigma
         self.signs = pot.signs
-        # Stationary rows: integral is V(q0) * T; stash V(q0) in amp and the
-        # true squared center distance in b2.
+        # Stationary rows: the integral is V(q0) * T; stash V(q0) in amp.
         if self.still.any():
             v0 = np.exp(-d0sq / (2.0 * sigma * sigma))
             self.amp[self.still] = v0[self.still]
-            self.b2[self.still] = d0sq[self.still]
 
-    def cutoff_mask(self, duration) -> np.ndarray:
-        """Bumps whose nearest approach over [0, duration] is within range."""
-        duration = np.asarray(duration, dtype=float)
-        t_near = np.clip(self.tau_star, 0.0, duration[:, None])
-        along = self.speed[:, None] * (t_near - self.tau_star)
-        dist2 = self.b2 + along * along
-        dist2 = np.where(self.still[:, None], self.b2, dist2)
-        return dist2 <= (CUTOFF_SIGMAS * self.sigma) ** 2
-
-    def integral(self, duration, mask: np.ndarray | None = None) -> np.ndarray:
+    def integral(self, duration) -> np.ndarray:
         """Integral of V over [0, duration] for each row; duration is (n,)."""
         duration = np.asarray(duration, dtype=float)
         up = erf(self.alpha * (duration[:, None] - self.tau_star))
@@ -133,20 +106,15 @@ class _SegmentConstants:
         if self.still.any():
             flat = self.amp * duration[:, None]
             per_bump = np.where(self.still[:, None], flat, per_bump)
-        if mask is not None:
-            per_bump = np.where(mask, per_bump, 0.0)
         return per_bump @ self.signs
 
     def select(self, rows: np.ndarray) -> "_SegmentConstants":
         out = object.__new__(_SegmentConstants)
-        out.b2 = self.b2[rows]
-        out.speed = self.speed[rows]
         out.amp = self.amp[rows]
         out.tau_star = self.tau_star[rows]
         out.alpha = self.alpha[rows]
         out.pref = self.pref[rows]
         out.erf_lo = self.erf_lo[rows]
-        out.sigma = self.sigma
         out.signs = self.signs
         out.still = self.still[rows]
         return out
@@ -155,67 +123,3 @@ class _SegmentConstants:
 def segment_constants(pot, q0s, directions, speeds) -> _SegmentConstants:
     """Batch closed-form setup shared by full and partial segment integrals."""
     return _SegmentConstants(pot, q0s, directions, speeds)
-
-
-def segment_integral_batch(pot, q0s, directions, speeds, durations) -> np.ndarray:
-    cst = _SegmentConstants(pot, q0s, directions, speeds)
-    durations = np.atleast_1d(durations)
-    return cst.integral(durations, cst.cutoff_mask(durations))
-
-
-def segment_integral(
-    pot: QuenchPotential,
-    q0,
-    direction,
-    speed: float,
-    duration: float,
-    method: str = "closed",
-) -> float:
-    """Integral of V(q0 + direction * speed * tau) for tau in [0, duration].
-
-    ``method`` is "closed" (default, exact per Gaussian) or "simpson"
-    (composite quadrature cross-check).
-    """
-    if duration < 0.0:
-        raise ValueError("duration must be nonnegative")
-    if speed <= 0.0 and not duration >= 0.0:
-        raise ValueError("speed must be positive")
-    if method == "simpson":
-        return _segment_simpson(pot, q0, direction, speed, duration)
-    if method != "closed":
-        raise ValueError(f"unknown method {method!r}")
-    out = segment_integral_batch(
-        pot,
-        np.asarray(q0, dtype=float)[None, :],
-        np.asarray(direction, dtype=float)[None, :],
-        np.array([speed], dtype=float),
-        np.array([duration], dtype=float),
-    )
-    return float(out[0])
-
-
-def _segment_simpson(pot, q0, direction, speed, duration, step=None) -> float:
-    """Composite Simpson along the path; step is measured in path length.
-
-    The default step sigma/100 keeps the quadrature error comfortably below
-    the 1e-8 relative agreement required of the fallback.
-    """
-    if duration == 0.0:
-        return 0.0
-    q0 = np.asarray(q0, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    if step is None:
-        step = pot.sigma / 100.0
-    path_len = speed * duration
-    if path_len == 0.0:
-        return float(evaluate(pot, q0)) * duration
-    n = max(2, int(math.ceil(path_len / step)))
-    n += n % 2  # Simpson needs an even interval count
-    tau = np.linspace(0.0, duration, n + 1)
-    pts = q0[None, :] + direction[None, :] * (speed * tau)[:, None]
-    vals = evaluate(pot, pts)
-    h = duration / n
-    weights = np.ones(n + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    return float(h / 3.0 * (weights @ vals))

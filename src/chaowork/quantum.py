@@ -426,21 +426,26 @@ def load_spectra(path) -> QuenchSpectra:
     )
 
 
-def export_spectra_csv(directory, spec: QuenchSpectra) -> list[str]:
-    """CSV export of the eigenvalues and the transition matrix."""
+def export_spectra_csv(directory, spec: QuenchSpectra, manifest_hash: str) -> list[str]:
+    """CSV export of the eigenvalues and the transition matrix.
+
+    Each file starts with the ``# manifest_sha256=`` line, like every CSV a
+    run writes.
+    """
     import os
 
+    head = f"# manifest_sha256={manifest_hash}\n"
     paths = []
     for name, arr in (("eigenvalues_initial", spec.e0), ("eigenvalues_final", spec.ef)):
         p = os.path.join(directory, f"{name}.csv")
         with open(p, "w") as fh:
-            fh.write("index,energy\n")
+            fh.write(head + "index,energy\n")
             for i, e in enumerate(arr):
                 fh.write(f"{i},{float(e)!r}\n")
         paths.append(p)
     p = os.path.join(directory, "transition.csv")
     with open(p, "w") as fh:
-        fh.write(",".join(f"n{j}" for j in range(spec.ef.size)) + "\n")
+        fh.write(head + ",".join(f"n{j}" for j in range(spec.ef.size)) + "\n")
         for row in spec.transition:
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
     paths.append(p)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -39,12 +38,6 @@ class RejectionStall(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PhasePoint:
-    q: np.ndarray
-    p: np.ndarray
-
-
-@dataclass(frozen=True)
 class ThermalEnsemble:
     """Struct-of-arrays container for n phase points at inverse temperature beta."""
 
@@ -56,14 +49,6 @@ class ThermalEnsemble:
     def __len__(self) -> int:
         return self.qs.shape[0]
 
-    def __getitem__(self, i: int) -> PhasePoint:
-        return PhasePoint(q=self.qs[i].copy(), p=self.ps[i].copy())
-
-    @property
-    def points(self) -> Iterator[PhasePoint]:
-        for i in range(len(self)):
-            yield self[i]
-
 
 def block_generator(seed: int, stream: int, block: int) -> np.random.Generator:
     """Counter-based generator for one fixed-size block of one stream."""
@@ -71,22 +56,10 @@ def block_generator(seed: int, stream: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def sample_position(geom: BilliardGeometry, rng: np.random.Generator) -> np.ndarray:
-    """One position uniform over the billiard, by bounding-box rejection."""
-    w, h = geom.bounding_box
-    for _ in range(_MAX_PROPOSALS):
-        q = rng.random(2)
-        q[0] *= w
-        q[1] *= h
-        if geometry.contains(geom, q):
-            return q
-    raise RejectionStall(f"no acceptance in {_MAX_PROPOSALS} proposals")
-
-
 def sample_positions(
     geom: BilliardGeometry, rng: np.random.Generator, n: int
 ) -> np.ndarray:
-    """Vectorized uniform positions; same acceptance rule as sample_position."""
+    """n positions uniform over the billiard, by bounding-box rejection."""
     w, h = geom.bounding_box
     out = np.empty((n, 2))
     filled = 0
@@ -170,12 +143,3 @@ def sample_shell(
         ps[block:hi, 0] = pmag * np.cos(theta)
         ps[block:hi, 1] = pmag * np.sin(theta)
     return qs, ps
-
-
-def ensemble_to_csv(ens: ThermalEnsemble, path) -> None:
-    """Audit dump, columns qx,qy,px,py."""
-    with open(path, "w") as fh:
-        fh.write("qx,qy,px,py\n")
-        for i in range(len(ens)):
-            row = (ens.qs[i, 0], ens.qs[i, 1], ens.ps[i, 0], ens.ps[i, 1])
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")

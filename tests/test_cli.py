@@ -4,9 +4,10 @@ import json
 import os
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
-from chaowork import classical, cli
+from chaowork import classical, cli, sampler
 from chaowork.cli import (
     ParseError,
     RangeError,
@@ -35,6 +36,7 @@ def tiny_text(**overrides):
 
 
 TINY = tiny_text()
+BIG_SEED = 12345678901234567890
 
 
 class TestValidateConfig:
@@ -70,6 +72,9 @@ class TestValidateConfig:
                 validate_config(f"{key} = 1000.7")
             assert key in str(e.value)
         assert validate_config("n_samples = 2^10").n_samples == 1024
+        assert validate_config("n_samples = 1e6").n_samples == 1_000_000
+        # Above 2^53 a float round trip would change the seed.
+        assert validate_config(f"seed = {BIG_SEED}").seed == BIG_SEED
 
     def test_power_of_two_tokens(self):
         cfg = validate_config("beta_list = 2^-12, 2^-6")
@@ -101,9 +106,9 @@ class TestValidateConfig:
 class TestEnvOverrides:
     def test_env_overrides_file(self):
         cfg = validate_config("sigma = 0.2")
-        out = apply_env_overrides(cfg, {"CHAOWORK_SIGMA": "0.3", "CHAOWORK_SEED": "9"})
+        out = apply_env_overrides(cfg, {"CHAOWORK_SIGMA": "0.3", "CHAOWORK_SEED": str(BIG_SEED)})
         assert out.sigma == 0.3
-        assert out.seed == 9
+        assert out.seed == BIG_SEED
         assert set(out.explicit_keys) == {"sigma", "seed"}
 
     def test_env_range_checked(self):
@@ -346,6 +351,25 @@ class TestRunCommands:
             cfg.geometry(), cfg.potential(), cfg.beta_list[0], cfg.n_classical, cfg.seed
         )
         assert [float(v) for v in lines[2:]] == sample.values.tolist()
+
+    def test_ensemble_dumped(self, command_runs):
+        out_dir, _ = command_runs["semiclassical"]
+        path = os.path.join(out_dir, "ensemble.csv")
+        data = np.genfromtxt(path, delimiter=",", names=True, skip_header=1)
+        cfg = validate_config(_CMD_CONFIG)
+        ens = sampler.sample_ensemble(cfg.geometry(), cfg.beta_list[0], cfg.n_samples, cfg.seed)
+        assert np.array_equal(np.column_stack([data["qx"], data["qy"]]), ens.qs)
+        assert np.array_equal(np.column_stack([data["px"], data["py"]]), ens.ps)
+
+    def test_every_csv_starts_with_manifest_hash(self, command_runs):
+        for name, (out_dir, printed) in command_runs.items():
+            with open(os.path.join(out_dir, "manifest.json")) as fh:
+                head = f"# manifest_sha256={json.load(fh)['config_sha256']}\n"
+            csvs = [p for p in printed["files"] if p.endswith(".csv")]
+            assert csvs, name
+            for p in csvs:
+                with open(p) as fh:
+                    assert fh.readline() == head, p
 
     def test_jarzynski_is_scenario_fig3(self, command_runs):
         jz_dir, jz = command_runs["jarzynski"]

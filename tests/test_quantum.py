@@ -298,7 +298,7 @@ class TestPersistence:
     def test_csv_export(self, geom, tmp_path):
         pot0 = QuenchPotential(xi_f=0.0)
         spec = solve_quench(geom, pot0, hbar=1.0, h=0.08, n_initial=12, n_final=12)
-        paths = quantum.export_spectra_csv(tmp_path, spec)
+        paths = quantum.export_spectra_csv(tmp_path, spec, "abc")
         assert len(paths) == 3
-        data = np.genfromtxt(paths[0], delimiter=",", names=True)
+        data = np.genfromtxt(paths[0], delimiter=",", names=True, skip_header=1)
         np.testing.assert_allclose(data["energy"], spec.e0)

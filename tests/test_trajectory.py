@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from chaowork import geometry, potential, sampler, trajectory
-from chaowork.sampler import PhasePoint
-from chaowork.trajectory import checkpoint_action_integrals, propagate, action_difference
+from chaowork import geometry, potential, sampler
+from chaowork.trajectory import checkpoint_action_integrals
+
+import reference
+from reference import PhasePoint, action_difference, propagate
 
 
 def random_interior_state(geom, rng, pscale=1.0):
@@ -27,8 +29,8 @@ def march_endpoint(geom, x0, t, step=1e-5):
     for _ in range(n_steps):
         nq = q + d * step
         if not geometry.contains(geom, nq):
-            hit = geometry.first_hit(geom, q, d)
-            d = geometry.reflect(d, hit.inward_normal)
+            hit = reference.first_hit(geom, q, d)
+            d = reference.reflect(d, hit.inward_normal)
             d /= np.hypot(d[0], d[1])
             nq = q + d * step
         q = nq
@@ -80,9 +82,9 @@ class TestPropagate:
         x0 = random_interior_state(geom, rng, pscale=8.0)
         _, segs = propagate(x0, 1.0, geom)
         for s in segs:
-            assert geometry.contains_with_tol(geom, s.start)
+            assert reference.contains_with_tol(geom, s.start)
             endpt = s.start + s.direction * s.speed * s.duration
-            assert geometry.contains_with_tol(geom, endpt)
+            assert reference.contains_with_tol(geom, endpt)
 
     def test_reversibility_short_times(self, geom, rng):
         # Forward t, flip momentum, forward t again returns to the start
@@ -97,7 +99,7 @@ class TestPropagate:
 
     def test_bounce_limit(self, geom):
         x0 = PhasePoint(q=np.array([0.5, 0.5]), p=np.array([0.0, 50.0]))
-        with pytest.raises(trajectory.BounceLimitExceeded):
+        with pytest.raises(reference.BounceLimitExceeded):
             propagate(x0, 10.0, geom, max_bounces=5)
 
 
@@ -120,7 +122,7 @@ class TestActionDifference:
             _, segs = propagate(x0, t, geom)
             ref = 0.0
             for s in segs:
-                ref += potential._segment_simpson(
+                ref += reference._segment_simpson(
                     pot, s.start, s.direction, s.speed, s.duration, step=pot.sigma / 50.0
                 )
             ref *= pot.delta_xi
@@ -144,8 +146,27 @@ class TestCheckpointEngine:
         assert not failed.any()
         for i in range(len(ens)):
             for k, t in enumerate(times):
-                ref = action_difference(ens[i], float(t), geom, pot) / pot.delta_xi
+                x0 = reference.phase_point(ens, i)
+                ref = action_difference(x0, float(t), geom, pot) / pot.delta_xi
                 assert integrals[i, k] == pytest.approx(ref, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "q0,p0,t",
+        [
+            ((1.9, 0.1), (0.0, 0.05), 0.3),
+            ((0.3, 0.3), (0.5, 0.2), 0.2),
+            ((1.2, 0.9), (0.3, -0.1), 0.4),
+        ],
+    )
+    def test_no_bounce_flight_is_the_closed_form(self, geom, pot, q0, p0, t):
+        # No wall within t: the engine's value is exactly one closed-form call.
+        qs, ps = np.array([q0]), np.array([p0])
+        pmag = np.hypot(ps[:, 0], ps[:, 1])
+        assert reference.first_hit(geom, q0, ps[0] / pmag[0]).path_length > 2.0 * pmag[0] * t
+        integrals, failed = checkpoint_action_integrals(qs, ps, np.array([t]), geom, pot)
+        assert not failed.any()
+        cst = potential.segment_constants(pot, qs, ps / pmag[:, None], 2.0 * pmag)
+        assert integrals[0, 0] == cst.integral(np.array([t]))[0]
 
     def test_zero_column_at_time_zero(self, geom, pot):
         ens = sampler.sample_ensemble(geom, 1.0, 16, seed=2)
