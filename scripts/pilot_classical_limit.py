@@ -46,9 +46,12 @@ def main() -> int:
     )
     ens = sampler.sample_ensemble(geom, beta, n_sc, args.seed)
 
+    hbars = (1.0, 0.5, 0.1, 0.01)
+    grids = characteristic.semiclassical_characteristic(
+        [characteristic.Request(ens, plan, h) for h in hbars], geom, pot
+    )
     prev = None
-    for hbar in (1.0, 0.5, 0.1, 0.01):
-        g = characteristic.semiclassical_characteristic(ens, plan, hbar, geom, pot)
+    for hbar, g in zip(hbars, grids):
         h = spectra.invert(g, broadening=eps)
         l1 = analysis.l1_distance(h, ch)
         err = analysis.l1_distance_error(h, ch)

@@ -10,7 +10,12 @@ __version__ = "0.1.0"
 from .geometry import BilliardGeometry
 from .potential import QuenchPotential, default_potential
 from .sampler import ThermalEnsemble, sample_ensemble
-from .characteristic import CharacteristicGrid, plan_u_grid, semiclassical_characteristic
+from .characteristic import (
+    CharacteristicGrid,
+    Request,
+    plan_u_grid,
+    semiclassical_characteristic,
+)
 from .spectra import WorkHistogram, invert
 
 __all__ = [
@@ -20,6 +25,7 @@ __all__ = [
     "ThermalEnsemble",
     "sample_ensemble",
     "CharacteristicGrid",
+    "Request",
     "plan_u_grid",
     "semiclassical_characteristic",
     "WorkHistogram",

@@ -51,11 +51,16 @@ def sample_classical_work(
 ) -> ClassicalWorkSample:
     """n work values from Boltzmann-drawn phase points.
 
-    Momenta are drawn for interface uniformity but provably do not enter W
-    for a quench.
+    W depends on the position alone, so only positions are drawn: the same
+    ones ``sampler.sample_ensemble`` draws for (n, seed) at any beta.  The
+    values therefore do not depend on ``beta``, which is kept as a label.
     """
-    ens = sampler.sample_ensemble(geom, beta, n, seed)
-    w = pot.delta_xi * evaluate(pot, ens.qs)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if not beta > 0.0:
+        raise ValueError(f"beta must be positive, got {beta}")
+    qs = sampler._ensemble_positions(geom, n, seed)
+    w = pot.delta_xi * evaluate(pot, qs)
     return ClassicalWorkSample(values=w, beta=float(beta), seed=int(seed))
 
 

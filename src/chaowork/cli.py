@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__, analysis, classical, quantum, sampler, spectra
 from .characteristic import (
     CharacteristicGrid,
+    Request,
     plan_from_window,
     plan_u_grid,
     semiclassical_characteristic,
@@ -406,21 +407,11 @@ def _solve_quench(cfg, geom, pot, hbar):
     return quantum.solve_quench(geom, pot, hbar, cfg.quantum_h, n0, nf)
 
 
-def _semiclassical_pair(cfg, geom, pot, plan, beta, hbar, collect_covariance=False):
-    ens = sampler.sample_ensemble(geom, beta, cfg.n_samples, cfg.seed)
-    grid = semiclassical_characteristic(
-        ens,
-        plan,
-        hbar,
-        geom,
-        pot,
-        workers=cfg.resolved_workers(),
-        max_bounces=cfg.max_bounces,
-        collect_covariance=collect_covariance,
+def _semiclassical_grids(cfg, geom, pot, requests):
+    """Every request in one engine call, so requests that share rays share traces."""
+    return semiclassical_characteristic(
+        requests, geom, pot, workers=cfg.resolved_workers(), max_bounces=cfg.max_bounces
     )
-    _, eps = _broadened_grid(cfg, grid)
-    hist = spectra.invert(grid, broadening=eps)
-    return ens, grid, hist
 
 
 def _scenario_u_points(cfg, fallback):
@@ -445,9 +436,10 @@ def run_semiclassical(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
     """One (beta, hbar): semiclassical G(u) and its inverted work distribution."""
     geom, pot = cfg.geometry(), cfg.potential()
     plan = plan_u_grid(geom, pot, cfg.seed, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
-    ens, grid, hist = _semiclassical_pair(
-        cfg, geom, pot, plan, cfg.beta_list[0], cfg.hbar_list[0]
-    )
+    ens = sampler.sample_ensemble(geom, cfg.beta_list[0], cfg.n_samples, cfg.seed)
+    [grid] = _semiclassical_grids(cfg, geom, pot, [Request(ens, plan, cfg.hbar_list[0])])
+    _, eps = _broadened_grid(cfg, grid)
+    hist = spectra.invert(grid, broadening=eps)
     files = []
     path = _path_in(out_dir, files)
     if cfg.dump_ensemble:
@@ -529,11 +521,9 @@ def run_fig4(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
     ens = sampler.sample_ensemble(geom, beta, cfg.n_samples, cfg.seed)
     if cfg.dump_ensemble:
         _write_ensemble_csv(path("ensemble.csv"), ens, manifest_hash)
+    grids = _semiclassical_grids(cfg, geom, pot, [Request(ens, plan, h) for h in hbars])
     table = []
-    for hbar in hbars:
-        grid = semiclassical_characteristic(
-            ens, plan, hbar, geom, pot, workers=cfg.resolved_workers(), max_bounces=cfg.max_bounces
-        )
+    for hbar, grid in zip(hbars, grids):
         hist = spectra.invert(grid, broadening=clhist.broadening)
         tag = _hbar_tag(hbar)
         write_characteristic_csv(path(f"semiclassical_g_hbar{tag}.csv"), grid, manifest_hash)
@@ -565,14 +555,22 @@ def run_fig3(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
         geom, pot, cfg.seed, n_u=_scenario_u_points(cfg, 64), pad_frac=cfg.pad_frac
     )
 
-    rows = []
-    for beta in betas:
-        ref = classical.classical_free_energy_difference(geom, pot, beta)
-        sample, _ = _classical_histogram(cfg, geom, pot, plan, beta)
-        est_mc, se_mc = analysis.jarzynski_from_samples(sample.values, beta)
-        _, grid, hist = _semiclassical_pair(
-            cfg, geom, pot, plan, beta, hbar, collect_covariance=True
+    # The classical work does not depend on beta, so one sample serves every row.
+    sample = classical.sample_classical_work(geom, pot, betas[0], cfg.n_classical, cfg.seed)
+    requests = [
+        Request(
+            sampler.sample_ensemble(geom, beta, cfg.n_samples, cfg.seed),
+            plan,
+            hbar,
+            collect_covariance=True,
         )
+        for beta in betas
+    ]
+    grids = _semiclassical_grids(cfg, geom, pot, requests)
+    rows = []
+    for beta, grid in zip(betas, grids):
+        ref = classical.classical_free_energy_difference(geom, pot, beta)
+        est_mc, se_mc = analysis.jarzynski_from_samples(sample.values, beta)
         est_sc, se_sc = analysis.jarzynski_from_characteristic(grid, beta)
         rows.append(
             {
@@ -619,10 +617,8 @@ def run_fig2(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
     base_plan = plan_u_grid(geom, pot, cfg.seed, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
     w_all, _ = _broadened_grid(cfg, base_plan)
 
-    rows = []
-    warnings = []
+    requests = []
     for beta in betas:
-        tag = _beta_tag(beta)
         ens = sampler.sample_ensemble(geom, beta, cfg.n_samples, cfg.seed)
         try:
             lo_q, hi_q = quantum.spike_support(spec, beta, mass_tol=1e-10)
@@ -631,11 +627,15 @@ def run_fig2(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
         lo = min(w_all[0], lo_q)
         hi = max(w_all[-1], hi_q)
         plan = plan_from_window(lo, hi, n_u=cfg.u_points, pad_frac=0.05)
-        w_values, eps = _broadened_grid(cfg, plan)
+        requests.append(Request(ens, plan, hbar))
+    grids = _semiclassical_grids(cfg, geom, pot, requests)
 
-        grid_sc = semiclassical_characteristic(
-            ens, plan, hbar, geom, pot, workers=cfg.resolved_workers(), max_bounces=cfg.max_bounces
-        )
+    rows = []
+    warnings = []
+    for beta, req, grid_sc in zip(betas, requests, grids):
+        tag = _beta_tag(beta)
+        plan = req.u_grid
+        w_values, eps = _broadened_grid(cfg, plan)
         hist_sc = spectra.invert(grid_sc, broadening=eps)
         write_characteristic_csv(path(f"semiclassical_g_beta{tag}.csv"), grid_sc, manifest_hash)
         write_histogram_csv(path(f"semiclassical_workdist_beta{tag}.csv"), hist_sc, manifest_hash)

@@ -84,16 +84,22 @@ def sample_positions(
     return out
 
 
-def sample_momentum(
-    beta: float, rng: np.random.Generator, n: int | None = None
-) -> np.ndarray:
-    """Momenta with independent components of variance 1/(2 beta)."""
+def sample_momentum(beta: float, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n momenta with independent components of variance 1/(2 beta)."""
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     scale = math.sqrt(1.0 / (2.0 * beta))
-    if n is None:
-        return rng.normal(scale=scale, size=2)
     return rng.normal(scale=scale, size=(n, 2))
+
+
+def _ensemble_positions(geom: BilliardGeometry, n: int, seed: int) -> np.ndarray:
+    """The n positions of every ensemble drawn from seed, at any beta."""
+    qs = np.empty((n, 2))
+    for block in range(0, n, SAMPLE_BLOCK):
+        hi = min(block + SAMPLE_BLOCK, n)
+        rng = block_generator(seed, STREAM_POSITION, block // SAMPLE_BLOCK)
+        qs[block:hi] = sample_positions(geom, rng, hi - block)
+    return qs
 
 
 def sample_ensemble(
@@ -104,16 +110,12 @@ def sample_ensemble(
         raise ValueError(f"need n >= 1, got {n}")
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
-    qs = np.empty((n, 2))
+    qs = _ensemble_positions(geom, n, seed)
     ps = np.empty((n, 2))
     for block in range(0, n, SAMPLE_BLOCK):
         hi = min(block + SAMPLE_BLOCK, n)
-        b = block // SAMPLE_BLOCK
-        qs[block:hi] = sample_positions(
-            geom, block_generator(seed, STREAM_POSITION, b), hi - block
-        )
         ps[block:hi] = sample_momentum(
-            beta, block_generator(seed, STREAM_MOMENTUM, b), hi - block
+            beta, block_generator(seed, STREAM_MOMENTUM, block // SAMPLE_BLOCK), hi - block
         )
     return ThermalEnsemble(qs=qs, ps=ps, beta=float(beta), seed=int(seed))
 

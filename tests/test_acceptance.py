@@ -24,7 +24,12 @@ from chaowork import (
     sampler,
     spectra,
 )
-from chaowork.characteristic import plan_from_window, plan_u_grid, semiclassical_characteristic
+from chaowork.characteristic import (
+    Request,
+    plan_from_window,
+    plan_u_grid,
+    semiclassical_characteristic,
+)
 
 from reference import phase_point, propagate
 
@@ -71,9 +76,10 @@ def test_criterion_1_classical_limit_convergence(geom, pot):
 
     ens = sampler.sample_ensemble(geom, beta, 90_000, SEED)
     assert len(ens) >= 90_000
+    hbars = (1.0, 0.5, 0.1, 0.01)
+    grids = semiclassical_characteristic([Request(ens, plan, h) for h in hbars], geom, pot)
     table = []
-    for hbar in (1.0, 0.5, 0.1, 0.01):
-        g = semiclassical_characteristic(ens, plan, hbar, geom, pot)
+    for hbar, g in zip(hbars, grids):
         hist = spectra.invert(g, broadening=eps)
         table.append(
             (hbar, analysis.l1_distance(hist, ch), analysis.l1_distance_error(hist, ch))
@@ -117,15 +123,18 @@ def test_criterion_3_semiclassical_jarzynski_trend(geom, pot):
     """Semiclassical free-energy deviation shrinks as temperature grows."""
     t0 = time.time()
     plan = plan_u_grid(geom, pot, SEED, n_u=64)
+    betas = [2.0**-k for k in (7, 9, 11, 13)]
+    requests = [
+        Request(
+            sampler.sample_ensemble(geom, beta, 90_000, SEED), plan, 1.0, collect_covariance=True
+        )
+        for beta in betas
+    ]
+    grids = semiclassical_characteristic(requests, geom, pot)
     devs = []
     ses = []
-    for k in (7, 9, 11, 13):
-        beta = 2.0**-k
+    for beta, g in zip(betas, grids):
         ref = classical.classical_free_energy_difference(geom, pot, beta)
-        ens = sampler.sample_ensemble(geom, beta, 90_000, SEED)
-        g = semiclassical_characteristic(
-            ens, plan, 1.0, geom, pot, collect_covariance=True
-        )
         est, se = analysis.jarzynski_from_characteristic(g, beta)
         devs.append(abs(est - ref))
         ses.append(se)
@@ -241,18 +250,25 @@ def test_criterion_6_quantum_vs_semiclassical_trend(geom, pot):
     )
 
     betas = (2.0**-3, 2.0**-4, 2.0**-5)
+    tops = [quantum.check_truncation(spec.e0, beta) for beta in betas]  # raise if dominated
+    plans = []
+    for beta in betas:
+        lo_q, hi_q = quantum.spike_support(spec, beta, mass_tol=1e-9)
+        plans.append(
+            plan_from_window(min(lo_q, -110.0), max(hi_q, 110.0), n_u=64, pad_frac=0.1)
+        )
+    requests = [
+        Request(sampler.sample_ensemble(geom, beta, 90_000, SEED), plan, hbar)
+        for beta, plan in zip(betas, plans)
+    ]
+    grids = semiclassical_characteristic(requests, geom, pot)
     table = []
     ok = True
-    for beta in betas:
-        top = quantum.check_truncation(spec.e0, beta)  # raises if dominated
-        lo_q, hi_q = quantum.spike_support(spec, beta, mass_tol=1e-9)
-        plan = plan_from_window(min(lo_q, -110.0), max(hi_q, 110.0), n_u=64, pad_frac=0.1)
+    for beta, top, plan, g in zip(betas, tops, plans, grids):
         w_values, dw = spectra.dual_w_grid(plan.u_values, plan.w_center)
         eps = 2.0 * dw
         hq = quantum.quantum_work_distribution(spec, beta, w_values, eps)
         ok &= abs(hq.total_mass - 1.0) < 1e-6
-        ens = sampler.sample_ensemble(geom, beta, 90_000, SEED)
-        g = semiclassical_characteristic(ens, plan, hbar, geom, pot)
         hsc = spectra.invert(g, broadening=eps)
         table.append(
             (beta, analysis.l1_distance(hq, hsc), analysis.l1_distance_error(hq, hsc), top)
@@ -283,7 +299,7 @@ def test_criterion_7_universal_invariants(geom, pot, tmp_path):
     beta = 2.0**-8
     plan = plan_u_grid(geom, pot, SEED, n_u=64)
     ens = sampler.sample_ensemble(geom, beta, 5_000, SEED)
-    g_mc = semiclassical_characteristic(ens, plan, 1.0, geom, pot)
+    [g_mc] = semiclassical_characteristic([Request(ens, plan, 1.0)], geom, pot)
     ok &= g_mc.g_values[0] == 1.0 + 0.0j
     ok &= bool((np.abs(g_mc.g_values) <= 1.0 + 1e-12).all())
     notes.append("MC G(0)=1 exact")

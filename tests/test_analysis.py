@@ -85,7 +85,9 @@ class TestJarzynskiFromCharacteristic:
         beta = 2.0**-10
         ens = sampler.sample_ensemble(geom, beta, 30_000, seed=21)
         plan = characteristic.plan_u_grid(geom, pot, seed=21, n_u=512)
-        g = characteristic.semiclassical_characteristic(ens, plan, 0.02, geom, pot)
+        [g] = characteristic.semiclassical_characteristic(
+            [characteristic.Request(ens, plan, 0.02)], geom, pot
+        )
         est_hist, se_hist = jarzynski_from_characteristic(g, beta)
         w_direct = pot.delta_xi * potential.evaluate(pot, ens.qs)
         est_direct, se_direct = jarzynski_from_samples(w_direct, beta)
@@ -98,8 +100,8 @@ class TestJarzynskiFromCharacteristic:
         beta = 2.0**-9
         plan = characteristic.plan_u_grid(geom, pot, seed=99, n_u=64)
         ens = sampler.sample_ensemble(geom, beta, 4000, seed=99)
-        g = characteristic.semiclassical_characteristic(
-            ens, plan, 1.0, geom, pot, collect_covariance=True
+        [g] = characteristic.semiclassical_characteristic(
+            [characteristic.Request(ens, plan, 1.0, collect_covariance=True)], geom, pot
         )
         est_cov, se_cov = jarzynski_from_characteristic(g, beta)
         est_hist, se_hist = jarzynski_from_characteristic(spectra.invert(g), beta)

@@ -3,6 +3,7 @@ import pytest
 
 from chaowork import characteristic, geometry, potential, sampler
 from chaowork.characteristic import (
+    Request,
     plan_from_window,
     plan_u_grid,
     semiclassical_characteristic,
@@ -31,7 +32,8 @@ def pot_mod():
 @pytest.fixture(scope="module")
 def small_grid(geom_mod, pot_mod, plan):
     ens = sampler.sample_ensemble(geom_mod, BETA_COLD, 1000, seed=12345)
-    return semiclassical_characteristic(ens, plan, 1.0, geom_mod, pot_mod)
+    [g] = semiclassical_characteristic([Request(ens, plan, 1.0)], geom_mod, pot_mod)
+    return g
 
 
 class TestPlanner:
@@ -63,7 +65,7 @@ class TestSemiclassicalEstimator:
     def test_null_quench_gives_unity(self, geom_mod, plan):
         pot0 = QuenchPotential(xi_f=0.0, xi_0=0.0)
         ens = sampler.sample_ensemble(geom_mod, 1.0, 200, seed=4)
-        g = semiclassical_characteristic(ens, plan, 1.0, geom_mod, pot0)
+        [g] = semiclassical_characteristic([Request(ens, plan, 1.0)], geom_mod, pot0)
         assert np.array_equal(g.g_values, np.ones(512, dtype=complex))
 
     def test_modulus_bounded(self, small_grid):
@@ -73,8 +75,8 @@ class TestSemiclassicalEstimator:
         # Mirrored grids: G(-u) is the exact conjugate, bit for bit.
         ens = sampler.sample_ensemble(geom_mod, 2.0**-8, 300, seed=9)
         u = plan.u_values[:64]
-        g_pos = semiclassical_characteristic(ens, u, 1.0, geom_mod, pot_mod)
-        g_neg = semiclassical_characteristic(ens, -u[::-1], 1.0, geom_mod, pot_mod)
+        [g_pos] = semiclassical_characteristic([Request(ens, u, 1.0)], geom_mod, pot_mod)
+        [g_neg] = semiclassical_characteristic([Request(ens, -u[::-1], 1.0)], geom_mod, pot_mod)
         assert np.array_equal(g_neg.g_values, np.conj(g_pos.g_values)[::-1])
 
     def test_regression_pinned_values(self, small_grid):
@@ -96,7 +98,7 @@ class TestSemiclassicalEstimator:
         ses = {}
         for n in (1_000, 10_000, 100_000):
             ens = sampler.sample_ensemble(geom_mod, 2.0**-8, n, seed=31)
-            g = semiclassical_characteristic(ens, u, 1.0, geom_mod, pot_mod)
+            [g] = semiclassical_characteristic([Request(ens, u, 1.0)], geom_mod, pot_mod)
             ses[n] = np.median(g.stderr[4:])
         for a, b in ((1_000, 10_000), (10_000, 100_000)):
             ratio = ses[a] / ses[b]
@@ -104,11 +106,11 @@ class TestSemiclassicalEstimator:
 
     def test_worker_count_invariance(self, geom_mod, pot_mod, plan, small_grid):
         ens = sampler.sample_ensemble(geom_mod, BETA_COLD, 1000, seed=12345)
-        g2 = semiclassical_characteristic(
-            ens, plan, 1.0, geom_mod, pot_mod, workers=2, chunk_size=256
+        [g2] = semiclassical_characteristic(
+            [Request(ens, plan, 1.0)], geom_mod, pot_mod, workers=2, chunk_size=256
         )
-        g1 = semiclassical_characteristic(
-            ens, plan, 1.0, geom_mod, pot_mod, workers=1, chunk_size=256
+        [g1] = semiclassical_characteristic(
+            [Request(ens, plan, 1.0)], geom_mod, pot_mod, workers=1, chunk_size=256
         )
         assert np.array_equal(g1.g_values, g2.g_values)
         assert np.array_equal(g1.stderr_re, g2.stderr_re)
@@ -117,20 +119,20 @@ class TestSemiclassicalEstimator:
         ens = sampler.sample_ensemble(geom_mod, BETA_COLD, 100, seed=5)
         with pytest.raises(characteristic.ExcessiveFailures):
             semiclassical_characteristic(
-                ens, plan, 1.0, geom_mod, pot_mod, max_bounces=2
+                [Request(ens, plan, 1.0)], geom_mod, pot_mod, max_bounces=2
             )
 
     def test_grid_must_contain_zero(self, geom_mod, pot_mod):
         ens = sampler.sample_ensemble(geom_mod, 1.0, 50, seed=6)
         with pytest.raises(ValueError):
             semiclassical_characteristic(
-                ens, np.array([0.1, 0.2, 0.3]), 1.0, geom_mod, pot_mod
+                [Request(ens, np.array([0.1, 0.2, 0.3]), 1.0)], geom_mod, pot_mod
             )
 
     def test_hbar_must_be_positive(self, geom_mod, pot_mod, plan):
         ens = sampler.sample_ensemble(geom_mod, 1.0, 50, seed=6)
         with pytest.raises(ValueError):
-            semiclassical_characteristic(ens, plan, 0.0, geom_mod, pot_mod)
+            semiclassical_characteristic([Request(ens, plan, 0.0)], geom_mod, pot_mod)
 
 
 class TestShellEstimator:
@@ -170,8 +172,91 @@ class TestShellEstimator:
             beta, u, 1.0, geom_mod, pot_mod, energies, samples_per_shell=256, seed=17
         )
         ens = sampler.sample_ensemble(geom_mod, beta, 16_384, seed=18)
-        g_direct = semiclassical_characteristic(ens, u, 1.0, geom_mod, pot_mod)
+        [g_direct] = semiclassical_characteristic([Request(ens, u, 1.0)], geom_mod, pot_mod)
         diff = np.abs(g_shell.g_values - g_direct.g_values)
         combined = np.hypot(g_shell.stderr, g_direct.stderr)
         # Small floor absorbs the finite shell-spacing bias of the energy sum.
         assert (diff[1:] < 3.0 * combined[1:] + 3e-3).all()
+
+
+class TestSharedTraces:
+    """One call traces rays once for every request that shares them."""
+
+    @pytest.fixture(scope="class")
+    def requests(self, geom_mod, pot_mod):
+        # beta = 2^-8, 2^-10, 2^-12 at one seed share rays (momenta 2^k apart);
+        # 2^-11 (ratio sqrt 2) gets its own trace.
+        plan_a = plan_u_grid(geom_mod, pot_mod, seed=12345, n_u=64)
+        plan_b = plan_from_window(-150.0, 120.0, n_u=48)
+        ens = {k: sampler.sample_ensemble(geom_mod, 2.0**-k, 1000, 7) for k in (8, 10, 11, 12)}
+        reqs = [
+            Request(ens[k], plan, hbar, collect_covariance=plan is plan_a)
+            for k in (8, 10, 12)
+            for hbar in (0.5, 1.0)
+            for plan in (plan_a, plan_b)
+        ]
+        return reqs + [Request(ens[11], plan_a, 1.0, collect_covariance=True)]
+
+    @pytest.mark.parametrize("workers,chunk_size", [(1, characteristic.CHUNK_SIZE), (2, 256)])
+    def test_batch_matches_one_request_calls(
+        self, geom_mod, pot_mod, requests, workers, chunk_size
+    ):
+        kw = {"workers": workers, "chunk_size": chunk_size}
+        grids = semiclassical_characteristic(requests, geom_mod, pot_mod, **kw)
+        assert len(grids) == len(requests)
+        for req, g in zip(requests, grids):
+            [one] = semiclassical_characteristic([req], geom_mod, pot_mod, **kw)
+            assert np.array_equal(g.u_values, one.u_values)
+            assert np.array_equal(g.g_values, one.g_values)
+            assert np.array_equal(g.stderr_re, one.stderr_re)
+            assert np.array_equal(g.stderr_im, one.stderr_im)
+            assert (g.n_samples, g.n_failed) == (one.n_samples, one.n_failed)
+            assert (g.beta, g.hbar, g.w_center) == (one.beta, one.hbar, one.w_center)
+            if req.collect_covariance:
+                assert np.array_equal(g.second_moment, one.second_moment)
+            else:
+                assert g.second_moment is None and one.second_moment is None
+
+    def test_grouping_follows_the_arrays(self, geom_mod):
+        ens = [sampler.sample_ensemble(geom_mod, 2.0**-k, 50, seed=7) for k in (8, 11, 12, 10)]
+        other_seed = sampler.sample_ensemble(geom_mod, 2.0**-8, 50, seed=8)
+        groups = characteristic._share_traces([*ens, other_seed, ens[0]])
+        assert groups == [[(0, 0.25), (2, 1.0), (3, 0.5), (5, 0.25)], [(1, 1.0)], [(4, 1.0)]]
+
+    def test_failures_count_per_request(self, geom_mod, pot_mod):
+        # With a low bounce cap, rows that pass the cap only after the short
+        # request's last checkpoint fail for the long request alone.
+        ens = sampler.sample_ensemble(geom_mod, 2.0**-8, 400, seed=3)
+        short, long = np.linspace(0.0, 0.05, 5), np.linspace(0.0, 0.5, 9)
+        member = (1.0, pot_mod.delta_xi, False)
+
+        def sums(times):
+            args = (ens.qs, ens.ps, times, geom_mod, pot_mod, 2, [member] * len(times))
+            return characteristic._chunk_phase_sums(args)
+
+        s_short, s_long = sums([short, long])
+        [alone] = sums([short])
+        assert 0 < s_short[5] < s_long[5]
+        assert s_short[4:6] == alone[4:6]
+        for a, b in zip(s_short[:4], alone[:4]):
+            assert np.array_equal(a, b)
+
+    def test_bad_request_raises_before_tracing(self, geom_mod, pot_mod, plan, monkeypatch):
+        traced = []
+        monkeypatch.setattr(
+            characteristic.trajectory,
+            "checkpoint_action_integrals",
+            lambda *args: traced.append(args),
+        )
+        ens = sampler.sample_ensemble(geom_mod, 1.0, 50, seed=6)
+        good = Request(ens, plan, 1.0)
+        two_sided = np.concatenate([-plan.u_values[:0:-1], plan.u_values])
+        for bad in (
+            Request(ens, plan, 0.0),
+            Request(ens, np.array([0.1, 0.2, 0.3]), 1.0),
+            Request(ens, np.array([0.0, 0.1, 0.3]), 1.0),
+            Request(ens, two_sided, 1.0, collect_covariance=True),
+        ):
+            with pytest.raises(ValueError):
+                semiclassical_characteristic([good, good, bad], geom_mod, pot_mod)
+        assert traced == []

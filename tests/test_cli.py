@@ -379,3 +379,33 @@ class TestRunCommands:
                 with open(os.path.join(fig3_dir, name), "rb") as b:
                     assert a.read() == b.read(), name
         assert [r["beta"] for r in jz["report"]["rows"]] == [2.0**-8]
+
+    def test_fig4_matches_semiclassical_per_hbar(self, tmp_path):
+        # fig4 traces its hbar sweep once; each hbar's G must still be what the
+        # semiclassical command computes alone at that hbar and seed.
+        hbars = ("0.25", "0.5", "1.0")
+        cfgp = tmp_path / "c.cfg"
+        cfgp.write_text(tiny_text(n_samples="400", hbar_list=",".join(hbars)))
+
+        def body(path):
+            with open(path) as fh:
+                return fh.read().split("\n", 1)[1]
+
+        def meta(path):
+            with open(str(path) + ".meta.json") as fh:
+                m = json.load(fh)
+            del m["manifest_sha256"]
+            return m
+
+        argv = ["--config", str(cfgp), "--out", str(tmp_path / "f")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["scenario", "fig4", *argv]) == 0
+            for h in hbars:
+                out = str(tmp_path / f"s{h}")
+                assert cli.main(["semiclassical", *argv[:2], "--out", out, "--hbar", h]) == 0
+        for h in hbars:
+            tag = cli._hbar_tag(float(h))
+            shared = tmp_path / "f" / "fig4" / f"semiclassical_g_hbar{tag}.csv"
+            alone = tmp_path / f"s{h}" / "semiclassical_g.csv"
+            assert body(shared) == body(alone), h
+            assert meta(shared) == meta(alone), h

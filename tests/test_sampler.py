@@ -120,7 +120,7 @@ class TestSampleMomentum:
     def test_beta_validation(self):
         rng = sampler.block_generator(8, sampler.STREAM_MOMENTUM, 0)
         with pytest.raises(ValueError):
-            sampler.sample_momentum(0.0, rng)
+            sampler.sample_momentum(0.0, rng, 4)
 
 
 class TestSampleEnsemble:

@@ -95,7 +95,9 @@ class TestInvert:
         plan = characteristic.plan_u_grid(geom, pot, seed=77, n_u=256)
         ens = sampler.sample_ensemble(geom, 2.0**-10, 4000, seed=77)
         w_direct = pot.delta_xi * evaluate(pot, ens.qs)
-        g = characteristic.semiclassical_characteristic(ens, plan, 0.02, geom, pot)
+        [g] = characteristic.semiclassical_characteristic(
+            [characteristic.Request(ens, plan, 0.02)], geom, pot
+        )
         h = invert(g)
         se_mean = w_direct.std(ddof=1) / math.sqrt(w_direct.size)
         # hbar -> 0 route: first moment of P equals <W>; combine both errors.

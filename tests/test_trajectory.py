@@ -142,7 +142,7 @@ class TestCheckpointEngine:
     def test_matches_scalar_reference(self, geom, pot):
         ens = sampler.sample_ensemble(geom, 2.0**-6, 40, seed=21)
         times = np.linspace(0.0, 0.5, 7)
-        integrals, failed = checkpoint_action_integrals(ens.qs, ens.ps, times, geom, pot)
+        [integrals], failed = checkpoint_action_integrals(ens.qs, ens.ps, [times], geom, pot)
         assert not failed.any()
         for i in range(len(ens)):
             for k, t in enumerate(times):
@@ -163,15 +163,15 @@ class TestCheckpointEngine:
         qs, ps = np.array([q0]), np.array([p0])
         pmag = np.hypot(ps[:, 0], ps[:, 1])
         assert reference.first_hit(geom, q0, ps[0] / pmag[0]).path_length > 2.0 * pmag[0] * t
-        integrals, failed = checkpoint_action_integrals(qs, ps, np.array([t]), geom, pot)
+        [integrals], failed = checkpoint_action_integrals(qs, ps, [np.array([t])], geom, pot)
         assert not failed.any()
         cst = potential.segment_constants(pot, qs, ps / pmag[:, None], 2.0 * pmag)
         assert integrals[0, 0] == cst.integral(np.array([t]))[0]
 
     def test_zero_column_at_time_zero(self, geom, pot):
         ens = sampler.sample_ensemble(geom, 1.0, 16, seed=2)
-        integrals, _ = checkpoint_action_integrals(
-            ens.qs, ens.ps, np.array([0.0, 0.2]), geom, pot
+        [integrals], _ = checkpoint_action_integrals(
+            ens.qs, ens.ps, [np.array([0.0, 0.2])], geom, pot
         )
         assert np.array_equal(integrals[:, 0], np.zeros(16))
 
@@ -179,7 +179,7 @@ class TestCheckpointEngine:
         qs = np.array([[0.2, 0.4], [1.5, 0.3]])
         ps = np.zeros((2, 2))
         times = np.array([0.0, 1.0, 2.0])
-        integrals, failed = checkpoint_action_integrals(qs, ps, times, geom, pot)
+        [integrals], failed = checkpoint_action_integrals(qs, ps, [times], geom, pot)
         assert not failed.any()
         v = potential.evaluate(pot, qs)
         np.testing.assert_allclose(integrals, np.outer(v, times), rtol=1e-12, atol=1e-15)
@@ -188,7 +188,7 @@ class TestCheckpointEngine:
         # Production-cold momenta: thousands of bounces, still contained and finite.
         ens = sampler.sample_ensemble(geom, 2.0**-12, 64, seed=5)
         times = np.array([0.0, 1.0, 2.0])
-        integrals, failed = checkpoint_action_integrals(ens.qs, ens.ps, times, geom, pot)
+        [integrals], failed = checkpoint_action_integrals(ens.qs, ens.ps, [times], geom, pot)
         assert not failed.any()
         assert np.isfinite(integrals).all()
         # The running average of V along an ergodic path stays bounded by max|V|.
@@ -197,11 +197,11 @@ class TestCheckpointEngine:
     def test_bounce_cap_marks_failed(self, geom, pot):
         ens = sampler.sample_ensemble(geom, 2.0**-12, 8, seed=6)
         _, failed = checkpoint_action_integrals(
-            ens.qs, ens.ps, np.array([0.0, 5.0]), geom, pot, max_bounces=3
+            ens.qs, ens.ps, [np.array([0.0, 5.0])], geom, pot, max_bounces=3
         )
         assert failed.all()
 
     def test_monotone_time_grid_required(self, geom, pot):
         ens = sampler.sample_ensemble(geom, 1.0, 4, seed=7)
         with pytest.raises(ValueError):
-            checkpoint_action_integrals(ens.qs, ens.ps, np.array([0.5, 0.1]), geom, pot)
+            checkpoint_action_integrals(ens.qs, ens.ps, [np.array([0.5, 0.1])], geom, pot)
