@@ -1,0 +1,322 @@
+/* Compiled per-ray engine: ray tracing in the quarter stadium, specular
+ * reflection and the closed-form integral of V along each straight flight.
+ *
+ * Built and loaded by native.py with -ffp-contract=off, so no multiply-add
+ * is fused.  Every floating-point operation of the geometry (wall times,
+ * normals, reflection, normalisation, position update, wall nudge) mirrors
+ * in order the numpy expressions of geometry.first_hit_arrays and of the
+ * numpy engine kept in tests/reference.py, and hypot and sqrt are glibc's,
+ * as numpy's are: a ray's geometry is bit-identical to that engine's.  The
+ * integrals use scipy.special.erf itself, passed in as a function pointer,
+ * glibc's exp where numpy has its own, and a left fold over the bumps where
+ * numpy used a BLAS dot product, so they can differ from that engine's in
+ * the last digits.
+ */
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+
+typedef double (*erf_fn)(double, int);
+
+/* The quench potential: n signed Gaussian bumps of width sigma. */
+typedef struct {
+    double sigma;
+    double sqrt2;        /* sqrt(2) */
+    double sqrt_half_pi; /* sqrt(pi / 2) */
+    int64_t n;
+    const double *centers; /* (n, 2) */
+    const double *signs;   /* (n,) */
+    erf_fn erf;            /* scipy.special.erf; the int skips dispatch */
+} bumps_t;
+
+/* The quarter stadium and the tolerances of geometry.py. */
+typedef struct {
+    double r, l;
+    double tol_geom, tol_grazing, wall_nudge;
+} walls_t;
+
+/* Closed-form pieces of one flight q0 + d s tau; see potential.py.  For
+ * bump i the integrand is amp_i exp(-(s (tau - tau_star_i))^2 / (2 sigma^2)),
+ * and on a stationary flight amp_i is the bump's value at q0. */
+typedef struct {
+    int still;
+    double alpha, pref;
+    double *amp, *tau_star, *erf_lo; /* per bump */
+} segment_t;
+
+static void segment_setup(const bumps_t *v, double x, double y, double dx, double dy,
+                          double s, segment_t *g)
+{
+    const double sigma = v->sigma;
+    const double width = 2.0 * sigma * sigma;
+    const int still = s <= 0.0;
+    const double s_safe = still ? 1.0 : s;
+    g->still = still;
+    g->alpha = s_safe / (sigma * v->sqrt2);
+    g->pref = sigma * v->sqrt_half_pi / s_safe;
+    for (int64_t i = 0; i < v->n; i++) {
+        const double d0x = x - v->centers[2 * i];
+        const double d0y = y - v->centers[2 * i + 1];
+        const double proj = d0x * dx + d0y * dy;
+        const double d0sq = d0x * d0x + d0y * d0y;
+        if (still) {
+            g->amp[i] = exp(-d0sq / width);
+            continue;
+        }
+        double b2 = d0sq - proj * proj;
+        if (b2 < 0.0)
+            b2 = 0.0;
+        g->tau_star[i] = -proj / s_safe;
+        g->amp[i] = exp(-b2 / width);
+        g->erf_lo[i] = v->erf(g->alpha * g->tau_star[i], 0);
+    }
+}
+
+/* Integral of V over [0, duration] of a set-up flight. */
+static double segment_integral(const bumps_t *v, const segment_t *g, double duration)
+{
+    double sum = 0.0;
+    for (int64_t i = 0; i < v->n; i++) {
+        double per;
+        if (g->still)
+            per = g->amp[i] * duration;
+        else
+            per = g->amp[i] * g->pref *
+                  (v->erf(g->alpha * (duration - g->tau_star[i]), 0) + g->erf_lo[i]);
+        sum += per * v->signs[i];
+    }
+    return sum;
+}
+
+static int segment_alloc(const bumps_t *v, segment_t *g)
+{
+    double *buf = malloc(3 * (size_t)(v->n > 0 ? v->n : 1) * sizeof(double));
+    if (buf == NULL)
+        return -1;
+    g->amp = buf;
+    g->tau_star = buf + v->n;
+    g->erf_lo = buf + 2 * v->n;
+    return 0;
+}
+
+/* out[i] = integral of V over [0, dur[i]] along q0[i] + d[i] s[i] tau. */
+int segment_integrals(const bumps_t *v, int64_t n, const double *q0, const double *d,
+                      const double *s, const double *dur, double *out)
+{
+    segment_t g;
+    if (segment_alloc(v, &g) != 0)
+        return -1;
+    for (int64_t i = 0; i < n; i++) {
+        segment_setup(v, q0[2 * i], q0[2 * i + 1], d[2 * i], d[2 * i + 1], s[i], &g);
+        out[i] = segment_integral(v, &g, dur[i]);
+    }
+    free(g.amp);
+    return 0;
+}
+
+enum { ACTIVE, ENDING, DONE };
+
+typedef struct {
+    double t;      /* path length to the nearest wall, inf when none */
+    double nx, ny; /* inward unit normal, the bisector at corners */
+    int ok, corner;
+} hit_t;
+
+/* One ray of geometry.first_hit_arrays. */
+static void first_hit(const walls_t *w, double x, double y, double dx, double dy, hit_t *h)
+{
+    const double r = w->r, l = w->l, tol = w->tol_geom;
+    double times[4] = {INFINITY, INFINITY, INFINITY, INFINITY};
+
+    if (dy < 0.0) { /* bottom, y = 0 */
+        const double t = -y / dy;
+        const double xb = x + dx * t;
+        if (t > tol && xb >= -tol && xb <= l + r + tol)
+            times[0] = t;
+    }
+    if (dx < 0.0) { /* left, x = 0 */
+        const double t = -x / dx;
+        const double yl = y + dy * t;
+        if (t > tol && yl >= -tol && yl <= r + tol)
+            times[1] = t;
+    }
+    if (dy > 0.0) { /* top, y = r */
+        const double t = (r - y) / dy;
+        const double xt = x + dx * t;
+        if (t > tol && xt >= -tol && xt <= l + tol)
+            times[2] = t;
+    }
+    /* Arc: both roots are candidates; a crossing with x < l is interior. */
+    const double cx = x - l;
+    const double b = cx * dx + y * dy;
+    const double c = cx * cx + y * y - r * r;
+    const double disc = b * b - c;
+    const int has = disc >= 0.0;
+    const double sq = sqrt(has ? disc : 0.0);
+    const double roots[2] = {-b - sq, -b + sq};
+    for (int k = 0; k < 2; k++) {
+        const double root = roots[k];
+        const double hx = x + dx * root;
+        const double hy = y + dy * root;
+        if (has && root > tol && hx >= l - tol && hy >= -tol && root < times[3])
+            times[3] = root;
+    }
+
+    double t_min = times[0];
+    for (int k = 1; k < 4; k++)
+        if (times[k] < t_min)
+            t_min = times[k];
+    const int ok = isfinite(t_min);
+    int near[4], n_near = 0;
+    for (int k = 0; k < 4; k++) {
+        near[k] = times[k] <= t_min + tol;
+        n_near += near[k];
+    }
+
+    double nx = 0.0, ny = 0.0;
+    if (ok) {
+        static const double flat[3][2] = {{0.0, 1.0}, {1.0, 0.0}, {0.0, -1.0}};
+        for (int k = 0; k < 3; k++) {
+            if (near[k]) {
+                nx += flat[k][0];
+                ny += flat[k][1];
+            }
+        }
+        if (near[3]) {
+            const double hx = x + dx * times[3];
+            const double hy = y + dy * times[3];
+            nx += (l - hx) / r;
+            ny += -hy / r;
+        }
+    }
+    const double norm = sqrt(nx * nx + ny * ny);
+    const double safe = norm > 0.0 ? norm : 1.0;
+    h->t = t_min;
+    h->nx = nx / safe;
+    h->ny = ny / safe;
+    h->ok = ok;
+    h->corner = n_near >= 2;
+}
+
+/* Trace n rays and fill the checkpoints of n_req requests.
+ *
+ * Request k's checkpoints are times[offsets[k] .. offsets[k+1]), ascending
+ * and nonnegative; ray i's integral at checkpoint j goes to
+ * out[i * offsets[n_req] + j], which the caller zeroes.  Each ray flies to
+ * the latest end among the requests, keeping one running integral; a
+ * request's checkpoints read it on the segment that crosses them.  A ray
+ * fails for every request whose end it has not reached when it loses the
+ * boundary or passes max_bounces reflections: failed[k * n + i] is set.
+ * Per ray, segments[i] and bounces[i] count its flights and reflections;
+ * events[0] and events[1] add up the grazing and corner reflections.
+ * Returns 0, or -1 when working memory cannot be allocated. */
+int trace(const walls_t *w, const bumps_t *v, int64_t n, const double *qs, const double *ps,
+          int64_t n_req, const int64_t *offsets, const double *times, int64_t max_bounces,
+          double *out, uint8_t *failed, int64_t *segments, int64_t *bounces, int64_t *events)
+{
+    const int64_t width = offsets[n_req];
+    double t_end = 0.0;
+    for (int64_t k = 0; k < n_req; k++)
+        if (times[offsets[k + 1] - 1] > t_end)
+            t_end = times[offsets[k + 1] - 1];
+
+    segment_t g;
+    if (segment_alloc(v, &g) != 0)
+        return -1;
+    int64_t *next = malloc(2 * (size_t)n_req * sizeof(int64_t));
+    if (next == NULL) {
+        free(g.amp);
+        return -1;
+    }
+    int64_t *state = next + n_req; /* per request: ACTIVE, ENDING or DONE */
+
+    for (int64_t i = 0; i < n && t_end > 0.0; i++) {
+        double *row = out + i * width;
+        const double px = ps[2 * i], py = ps[2 * i + 1];
+        const double pmag = hypot(px, py);
+        const double s = 2.0 * pmag;
+        const int moving = s > 0.0;
+        double dx = moving ? px / pmag : 1.0;
+        double dy = moving ? py / pmag : 0.0;
+        double x = qs[2 * i], y = qs[2 * i + 1];
+        double elapsed = 0.0, acc = 0.0;
+        int64_t nseg = 0, nbounce = 0;
+        for (int64_t k = 0; k < n_req; k++) {
+            next[k] = offsets[k];
+            while (next[k] < offsets[k + 1] && times[next[k]] <= 0.0)
+                next[k]++;
+            state[k] = times[offsets[k + 1] - 1] > 0.0 ? ACTIVE : DONE;
+        }
+
+        for (;;) {
+            hit_t h = {INFINITY, 0.0, 0.0, 0, 0};
+            double t_wall = INFINITY;
+            int bad = 0;
+            nseg++;
+            if (s > 0.0) {
+                first_hit(w, x, y, dx, dy, &h);
+                t_wall = h.t / s;
+                bad = !h.ok;
+            }
+            const double remaining = t_end - elapsed;
+            const int finishing = t_wall >= remaining;
+            const double dur = bad ? 0.0 : (finishing ? remaining : t_wall);
+            const double t_new = finishing ? t_end : elapsed + dur;
+
+            segment_setup(v, x, y, dx, dy, s, &g);
+            for (int64_t k = 0; k < n_req; k++) {
+                if (state[k] != ACTIVE)
+                    continue;
+                const double end = times[offsets[k + 1] - 1];
+                const int fin = t_wall >= end - elapsed;
+                if (!bad) {
+                    const double t_stop = fin ? end : t_new;
+                    while (next[k] < offsets[k + 1] && times[next[k]] <= t_stop) {
+                        row[next[k]] = acc + segment_integral(v, &g, times[next[k]] - elapsed);
+                        next[k]++;
+                    }
+                }
+                if (fin)
+                    state[k] = ENDING;
+            }
+
+            acc = acc + segment_integral(v, &g, dur);
+            x = x + dx * (s * dur);
+            y = y + dy * (s * dur);
+            elapsed = t_new;
+
+            if (!finishing && !bad) {
+                const double dn = dx * h.nx + dy * h.ny;
+                events[0] += fabs(dn) < w->tol_grazing;
+                events[1] += h.corner;
+                dx = dx - 2.0 * dn * h.nx;
+                dy = dy - 2.0 * dn * h.ny;
+                const double norm = hypot(dx, dy);
+                dx /= norm;
+                dy /= norm;
+                x += w->wall_nudge * h.nx;
+                y += w->wall_nudge * h.ny;
+                nbounce++;
+            }
+
+            /* A lost boundary fails the ray for every request it has not
+             * finished.  The bounce cap fails it only for requests whose end
+             * lies beyond this segment: a trace to an end on this segment
+             * would not have bounced. */
+            const int over = nbounce > max_bounces;
+            for (int64_t k = 0; k < n_req; k++) {
+                if ((state[k] == ACTIVE && over) || (state[k] != DONE && bad))
+                    failed[k * n + i] = 1;
+                if (state[k] == ENDING)
+                    state[k] = DONE;
+            }
+            if (finishing || bad || over)
+                break;
+        }
+        segments[i] = nseg;
+        bounces[i] = nbounce;
+    }
+    free(next);
+    free(g.amp);
+    return 0;
+}

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import sampler, trajectory
+from . import native, sampler, trajectory
 from .geometry import BilliardGeometry
 from .potential import QuenchPotential, evaluate
 from .sampler import ThermalEnsemble
@@ -374,6 +374,9 @@ def semiclassical_characteristic(
             hi = min(lo + chunk_size, n)
             tasks.append((ens.qs[lo:hi], ens.ps[lo:hi], times, geom, pot, max_bounces, spec))
             owners.append([i for i, _ in members])
+    # Load (and on first use build) the engine before forking, so workers
+    # inherit it and never build it at the same time.
+    native.load()
     if workers > 1 and len(tasks) > 1:
         with multiprocessing.Pool(workers) as pool:
             results = pool.map(_chunk_phase_sums, tasks)
@@ -385,80 +388,3 @@ def semiclassical_characteristic(
         for i, s in zip(idx, sums):
             per_request[i].append(s)
     return [_reduce(req, grid, res) for req, grid, res in zip(requests, grids, per_request)]
-
-
-def shell_characteristic(
-    beta: float,
-    u_grid,
-    hbar: float,
-    geom: BilliardGeometry,
-    pot: QuenchPotential,
-    energies,
-    samples_per_shell: int,
-    seed: int,
-    workers: int = 1,
-    chunk_size: int = CHUNK_SIZE,
-    max_bounces: int = MAX_BOUNCES_DEFAULT,
-) -> CharacteristicGrid:
-    """Shell-resolved estimator: Boltzmann-weighted microcanonical averages.
-
-    Each listed energy is sampled uniformly on its shell (uniform position,
-    uniform momentum direction, |p| = sqrt(E)) and the per-shell phase
-    averages are combined with weights proportional to exp(-beta E).  The
-    flat weighting in E is valid here because the density of states of the
-    free billiard is constant.
-    """
-    energies = np.asarray(energies, dtype=float)
-    if energies.size == 0:
-        raise ValueError("need at least one shell energy")
-    if np.any(np.diff(energies) <= 0.0):
-        raise ValueError("shell energies must be strictly increasing")
-    if not hbar > 0.0:
-        raise ValueError(f"hbar must be positive, got {hbar}")
-    u, w_center = _resolve_grid(u_grid)
-    times, inverse, signs = _phase_times(u, hbar)
-
-    log_w = -beta * (energies - energies.min())
-    weights = np.exp(log_w)
-    wsum = weights.sum()
-
-    k = times.size
-    g_shell = np.zeros((energies.size, k), dtype=complex)
-    var_c = np.zeros((energies.size, k))
-    var_s = np.zeros((energies.size, k))
-    total_failed = 0
-    for m, energy in enumerate(energies):
-        qs, ps = sampler.sample_shell(geom, float(energy), samples_per_shell, seed, m)
-        [(c, s, c2, s2, ok, fail, _)] = _chunk_phase_sums(
-            (qs, ps, [times], geom, pot, max_bounces, [(1.0, pot.delta_xi / hbar, False)])
-        )
-        total_failed += fail
-        if fail > FAILURE_BUDGET * samples_per_shell:
-            raise ExcessiveFailures(f"shell {m}: {fail} of {samples_per_shell} failed")
-        mc = c / ok
-        ms = s / ok
-        g_shell[m] = mc + 1j * ms
-        if ok > 1:
-            var_c[m] = np.maximum(c2 - ok * mc * mc, 0.0) / (ok - 1) / ok
-            var_s[m] = np.maximum(s2 - ok * ms * ms, 0.0) / (ok - 1) / ok
-
-    g_mag = (weights @ g_shell) / wsum
-    se_c = np.sqrt((weights * weights) @ var_c) / wsum
-    se_s = np.sqrt((weights * weights) @ var_s) / wsum
-
-    g = g_mag.real[inverse] + 1j * (signs * g_mag.imag[inverse])
-    # Every phase is exactly 1 at zero time, so the weighted mean there is
-    # exactly 1; enforce it against summation-order rounding.
-    g[np.asarray(u) == 0.0] = 1.0 + 0.0j
-    return CharacteristicGrid(
-        u_values=u,
-        g_values=g,
-        stderr_re=se_c[inverse],
-        stderr_im=se_s[inverse],
-        n_samples=int(energies.size * samples_per_shell),
-        hbar=float(hbar),
-        beta=float(beta),
-        w_center=w_center,
-        n_failed=total_failed,
-        metadata={"seed": int(seed), "estimator": "shell", "n_shells": int(energies.size)},
-    )

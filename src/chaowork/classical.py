@@ -181,21 +181,3 @@ def potential_extrema(
                 vmin = min(vmin, v)
                 vmax = max(vmax, v)
     return vmin, vmax
-
-
-def shell_final_energy_sample(
-    geom: BilliardGeometry,
-    pot: QuenchPotential,
-    energy: float,
-    n: int,
-    seed: int,
-) -> np.ndarray:
-    """Post-quench energies of a microcanonical sample on one shell.
-
-    Validation helper (used by the tests): for a quench the conditional
-    final-energy distribution collapses to E_f = E_0 + (xi_f - xi_0) V(q),
-    so this histogram must match the direct work shortcut shifted by E_0.
-    """
-    qs, ps = sampler.sample_shell(geom, energy, n, seed)
-    kinetic = (ps * ps).sum(axis=1)
-    return kinetic + pot.xi_f * evaluate(pot, qs)

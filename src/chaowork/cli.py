@@ -6,7 +6,8 @@ which overrides the built-in defaults (the default system of the study:
 r = l = 1 billiard, four bumps of width 0.1, quench strength 0 -> 85).
 
 Every run writes a manifest JSON recording the canonical configuration, its
-SHA-256 hash, the seed and library versions; each CSV embeds that hash in a
+SHA-256 hash, the seed, library versions, the platform, the CPU count and
+the compiled engine's cache key; each CSV embeds that hash in a
 leading comment line so outputs can be audited after the fact.  Outputs are
 a pure function of (config, seed, workers): reruns are byte-identical.
 """
@@ -18,12 +19,14 @@ import hashlib
 import json
 import math
 import os
+import platform
 import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
+import scipy
 
-from . import __version__, analysis, classical, quantum, sampler, spectra
+from . import __version__, analysis, classical, native, quantum, sampler, spectra
 from .characteristic import (
     CharacteristicGrid,
     Request,
@@ -268,9 +271,21 @@ def config_manifest(cfg: RunConfig, scenario: str) -> dict:
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
             "chaowork": __version__,
+            "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}",
+            "cpu_count": os.cpu_count(),
+            "engine": _engine_key(),
         },
     }
+
+
+def _engine_key() -> str | None:
+    """Cache key of the compiled engine (none without a compiler); builds nothing."""
+    try:
+        return native.library_key()
+    except native.BuildError:
+        return None
 
 
 # ---------------------------------------------------------------------------

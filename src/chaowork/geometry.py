@@ -5,9 +5,14 @@ joined to the quarter disk of radius r centered at (l, 0), so the bounding
 box is [0, l + r] x [0, r].  Walls: bottom (y = 0, 0 <= x <= l + r), left
 (x = 0, 0 <= y <= r), top (y = r, 0 <= x <= l) and the arc
 ((x - l)^2 + y^2 = r^2, x >= l, y >= 0).  All operations are pure functions
-of immutable data and safe to share across workers.  The scalar one-ray
-``first_hit``/``reflect`` used as test references live in
-``tests/reference.py``.
+of immutable data and safe to share across workers.
+
+``first_hit_arrays`` is the numpy statement of the ray/wall intersection.
+The compiled engine (``_engine.c``) repeats its arithmetic operation for
+operation, for one ray at a time, so the two agree bit for bit; the numpy
+engine and the scalar one-ray ``first_hit``/``reflect`` built on it are the
+test references in ``tests/reference.py``.  The tolerances below are passed
+to the compiled engine, so each is defined here only.
 """
 
 from __future__ import annotations

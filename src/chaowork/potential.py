@@ -5,17 +5,23 @@ perturbation is xi * V(q), and the energy jump of a sudden quench is
 (xi_f - xi_0) * V(q).  ``segment_constants(...).integral`` integrates V
 along a batch of straight constant-speed flights in closed form (1D
 error-function integral times the transverse Gaussian factor), which is both
-exact and fast.  The scalar ``segment_integral`` and the composite Simpson
-oracle it is checked against live in ``tests/reference.py``.
+exact and fast.  The closed form is one routine of the compiled engine
+(``_engine.c``), which the engine calls for every segment and checkpoint:
+glibc ``exp``, scipy's own ``erf`` and a left fold over the bumps.  ``bumps``
+hands the potential to that code.  The scalar ``segment_integral``, the
+composite Simpson oracle it is checked against and the numpy closed form
+of the numpy engine live in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
+
+from . import native
 
 DEFAULT_CENTERS = ((0.2, 0.4), (0.67, 0.5), (0.5, 0.15), (0.3, 0.75))
 DEFAULT_SIGNS = (1.0, -1.0, 1.0, -1.0)
@@ -35,8 +41,8 @@ class QuenchPotential:
     xi_0: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "centers", np.asarray(self.centers, dtype=float))
-        object.__setattr__(self, "signs", np.asarray(self.signs, dtype=float))
+        object.__setattr__(self, "centers", np.ascontiguousarray(self.centers, dtype=float))
+        object.__setattr__(self, "signs", np.ascontiguousarray(self.signs, dtype=float))
         if self.centers.ndim != 2 or self.centers.shape[1] != 2:
             raise ValueError("centers must be an (n, 2) array")
         if self.signs.shape != (self.centers.shape[0],):
@@ -66,60 +72,62 @@ def evaluate(pot: QuenchPotential, q) -> float | np.ndarray:
 
 
 class _SegmentConstants:
-    """Per-(segment, bump) closed-form pieces reused for partial integrals.
+    """A batch of straight constant-speed flights, one per row.
 
-    A segment is q(tau) = q0 + d * s * tau for tau in [0, T].  For bump i,
-    the integrand is exp(-|q(tau) - c_i|^2 / (2 sigma^2)) =
-    amp_i * exp(-(s (tau - tau_star_i))^2 / (2 sigma^2)).
+    A flight is q(tau) = q0 + d * s * tau for tau >= 0.  For bump i the
+    integrand is exp(-|q(tau) - c_i|^2 / (2 sigma^2)) =
+    amp_i * exp(-(s (tau - tau_star_i))^2 / (2 sigma^2)), whose integral is
+    an error-function difference; a stationary flight (s = 0) integrates to
+    V(q0) * T.  ``integral`` evaluates this in the compiled engine's own
+    one-segment routine, so its value is bit for bit what the engine adds
+    for the same flight.
     """
 
-    __slots__ = ("amp", "tau_star", "alpha", "pref", "erf_lo", "signs", "still")
+    __slots__ = ("pot", "q0", "direction", "speed")
 
     def __init__(self, pot: QuenchPotential, q0, direction, speed):
         q0 = np.atleast_2d(np.asarray(q0, dtype=float))
-        direction = np.atleast_2d(np.asarray(direction, dtype=float))
-        speed = np.atleast_1d(np.asarray(speed, dtype=float))
-        sigma = pot.sigma
-        d0x = q0[:, None, 0] - pot.centers[:, 0]
-        d0y = q0[:, None, 1] - pot.centers[:, 1]
-        proj = d0x * direction[:, None, 0] + d0y * direction[:, None, 1]
-        d0sq = d0x * d0x + d0y * d0y
-        b2 = np.maximum(d0sq - proj * proj, 0.0)
-        self.still = speed <= 0.0
-        s_safe = np.where(self.still, 1.0, speed)
-        self.tau_star = -proj / s_safe[:, None]
-        self.amp = np.exp(-b2 / (2.0 * sigma * sigma))
-        self.alpha = (s_safe / (sigma * _SQRT2))[:, None]
-        self.pref = (sigma * _SQRT_HALF_PI / s_safe)[:, None]
-        self.erf_lo = erf(self.alpha * self.tau_star)
-        self.signs = pot.signs
-        # Stationary rows: the integral is V(q0) * T; stash V(q0) in amp.
-        if self.still.any():
-            v0 = np.exp(-d0sq / (2.0 * sigma * sigma))
-            self.amp[self.still] = v0[self.still]
+        if q0.ndim != 2 or q0.shape[1] != 2:
+            raise ValueError(f"flight origins must be (n, 2), got shape {q0.shape}")
+        n = q0.shape[0]
+        self.pot = pot
+        self.q0 = np.ascontiguousarray(q0)
+        self.direction = np.ascontiguousarray(np.broadcast_to(direction, (n, 2)), dtype=float)
+        self.speed = np.ascontiguousarray(np.broadcast_to(speed, (n,)), dtype=float)
 
     def integral(self, duration) -> np.ndarray:
         """Integral of V over [0, duration] for each row; duration is (n,)."""
-        duration = np.asarray(duration, dtype=float)
-        up = erf(self.alpha * (duration[:, None] - self.tau_star))
-        per_bump = self.amp * self.pref * (up + self.erf_lo)
-        if self.still.any():
-            flat = self.amp * duration[:, None]
-            per_bump = np.where(self.still[:, None], flat, per_bump)
-        return per_bump @ self.signs
-
-    def select(self, rows: np.ndarray) -> "_SegmentConstants":
-        out = object.__new__(_SegmentConstants)
-        out.amp = self.amp[rows]
-        out.tau_star = self.tau_star[rows]
-        out.alpha = self.alpha[rows]
-        out.pref = self.pref[rows]
-        out.erf_lo = self.erf_lo[rows]
-        out.signs = self.signs
-        out.still = self.still[rows]
+        n = self.q0.shape[0]
+        duration = np.ascontiguousarray(np.broadcast_to(duration, (n,)), dtype=float)
+        out = np.empty(n)
+        engine = native.load()
+        status = engine.lib.segment_integrals(
+            ctypes.byref(bumps(self.pot, engine)),
+            n,
+            native.pointer(self.q0),
+            native.pointer(self.direction),
+            native.pointer(self.speed),
+            native.pointer(duration),
+            native.pointer(out),
+        )
+        if status != 0:
+            raise MemoryError("segment_integrals could not allocate its working memory")
         return out
 
 
 def segment_constants(pot, q0s, directions, speeds) -> _SegmentConstants:
-    """Batch closed-form setup shared by full and partial segment integrals."""
+    """Batch of flights whose V integrals ``.integral(durations)`` gives."""
     return _SegmentConstants(pot, q0s, directions, speeds)
+
+
+def bumps(pot: QuenchPotential, engine: native.Engine) -> native.Bumps:
+    """The potential as the compiled engine reads it; ``pot`` must outlive it."""
+    return native.Bumps(
+        sigma=pot.sigma,
+        sqrt2=_SQRT2,
+        sqrt_half_pi=_SQRT_HALF_PI,
+        n=pot.centers.shape[0],
+        centers=native.pointer(pot.centers),
+        signs=native.pointer(pot.signs),
+        erf=engine.erf,
+    )

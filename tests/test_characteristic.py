@@ -7,9 +7,10 @@ from chaowork.characteristic import (
     plan_from_window,
     plan_u_grid,
     semiclassical_characteristic,
-    shell_characteristic,
 )
 from chaowork.potential import QuenchPotential
+
+from reference import shell_characteristic
 
 BETA_COLD = 2.0**-12
 

@@ -2,12 +2,14 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy
 
-from chaowork import classical, cli, sampler
+from chaowork import classical, cli, native, sampler
 from chaowork.cli import (
     ParseError,
     RangeError,
@@ -122,6 +124,30 @@ class TestEnvOverrides:
             with pytest.raises(ValueError) as e:
                 apply_env_overrides(cfg, {var: raw})
             assert var in str(e.value)
+
+
+class TestManifest:
+    def test_versions_describe_the_run_without_building(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the manifest started a process or a build")
+
+        monkeypatch.setattr(subprocess, "Popen", refuse)
+        monkeypatch.setattr(native, "build", refuse)
+        monkeypatch.setattr(native, "load", refuse)
+        m = cli.config_manifest(validate_config(TINY), "semiclassical")
+        v = m["versions"]
+        assert v["scipy"] == scipy.__version__
+        assert v["cpu_count"] == os.cpu_count()
+        assert v["engine"] == native.library_key()
+        assert v["platform"].startswith(os.uname().sysname)
+        # Versions stay out of the hash, which is the one of earlier releases.
+        assert m["config_sha256"] == (
+            "23db745eb1e7c44687feadde0fc536a5259d9eca26fb2383e53a28aebca252be"
+        )
+
+    def test_no_compiler_leaves_the_engine_unnamed(self, monkeypatch):
+        monkeypatch.setattr(native, "COMPILER", "chaowork-no-such-cc")
+        assert cli.config_manifest(validate_config(TINY), "quantum")["versions"]["engine"] is None
 
 
 @pytest.fixture(scope="module")

@@ -1,0 +1,97 @@
+"""Building, caching and loading the compiled engine."""
+
+import os
+import subprocess
+import sys
+import textwrap
+
+import numpy as np
+import pytest
+
+from chaowork import native, potential
+
+SRC = os.path.dirname(native.PACKAGE_DIR)
+
+
+def python(code: str, *args: str, **kw) -> subprocess.Popen:
+    path = [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.Popen([sys.executable, "-c", textwrap.dedent(code), *args], env=env, **kw)
+
+
+def test_missing_compiler_is_named(monkeypatch):
+    monkeypatch.setattr(native, "COMPILER", "chaowork-no-such-cc")
+    for call in (native.find_compiler, native.library_key, native.load.__wrapped__):
+        with pytest.raises(native.BuildError, match="chaowork-no-such-cc"):
+            call()
+
+
+def test_unwritable_cache_directory_is_named(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    with pytest.raises(native.BuildError, match=str(blocker)):
+        native.build(native.find_compiler(), native._source(), str(blocker / "engine.so"))
+
+
+def test_cache_key_follows_source_compiler_and_flags():
+    source, cc = native._source(), native.find_compiler()
+    key = native.cache_key(source, cc)
+    assert native.cache_key(source, cc, tuple(native.FLAGS)) == key == native.library_key()
+    assert native.cache_key(source + b"\n", cc) != key
+    assert native.cache_key(source, "/opt/other/cc") != key
+    assert native.cache_key(source, cc, native.FLAGS + ("-g",)) != key
+    assert native.cache_key(source, cc, ("-O3",) + native.FLAGS[1:]) != key
+
+
+def test_loaded_library_is_the_cached_build():
+    engine = native.load()
+    assert engine is native.load()
+    name = f"_engine.{native.library_key()}.so"
+    assert os.path.basename(engine.lib._name) == name
+    assert os.path.dirname(engine.lib._name) == native.CACHE_DIR
+
+
+def test_two_builds_at_once_leave_one_loadable_library(tmp_path):
+    target = tmp_path / "cache" / "_engine.test.so"
+    code = """
+        import sys
+        from chaowork import native
+        native.build(native.find_compiler(), native._source(), sys.argv[1])
+    """
+    procs = [python(code, str(target)) for _ in range(2)]
+    assert [p.wait(timeout=120) for p in procs] == [0, 0]
+    assert os.listdir(target.parent) == [target.name]
+    # Same source and flags as the cached build: bit-identical integrals.
+    engine = native.Engine(native.open_library(str(target)), native.load().erf)
+    pot = potential.default_potential()
+    q0, d = np.array([[0.3, 0.4]]), np.array([[0.6, 0.8]])
+    s, dur = np.array([3.0]), np.array([0.25])
+    out = np.empty(1)
+    status = engine.lib.segment_integrals(
+        potential.bumps(pot, engine),
+        1,
+        *(native.pointer(a) for a in (q0, d, s, dur, out)),
+    )
+    assert status == 0
+    assert out[0] == potential.segment_constants(pot, q0, d, s).integral(dur)[0]
+
+
+def test_quantum_run_neither_builds_nor_loads_the_engine(tmp_path):
+    cfg = tmp_path / "q.cfg"
+    cfg.write_text("quantum_h = 0.1\nu_points = 16\nbeta_list = 0.3\nworkers = 1\n")
+    code = """
+        import contextlib, io, sys
+        from chaowork import cli, native
+
+        def refuse(*args, **kwargs):
+            raise SystemExit("the engine was built or loaded")
+
+        native.build = native.load = native.open_library = refuse
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["quantum", "--config", sys.argv[1], "--out", sys.argv[2]])
+        assert "scipy.special.cython_special" not in sys.modules
+        sys.exit(code)
+    """
+    proc = python(code, str(cfg), str(tmp_path / "out"), stderr=subprocess.PIPE)
+    _, err = proc.communicate(timeout=300)
+    assert proc.returncode == 0, err.decode()

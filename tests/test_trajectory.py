@@ -1,7 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
 
-from chaowork import geometry, potential, sampler
+from chaowork import geometry, native, potential, sampler, trajectory
 from chaowork.trajectory import checkpoint_action_integrals
 
 import reference
@@ -205,3 +207,76 @@ class TestCheckpointEngine:
         ens = sampler.sample_ensemble(geom, 1.0, 4, seed=7)
         with pytest.raises(ValueError):
             checkpoint_action_integrals(ens.qs, ens.ps, [np.array([0.5, 0.1])], geom, pot)
+
+    @pytest.mark.parametrize(
+        "qs,ps,max_bounces",
+        [
+            (np.full((2, 3), 0.5), np.ones((2, 2)), 10),
+            (np.full((2, 2), 0.5), np.ones((3, 2)), 10),
+            (np.full((2, 2), 0.5), np.ones((2, 2)), -1),
+            (np.full((2, 2), 0.5), np.ones((2, 2)), 2**63),
+            (np.full((2, 2), 0.5), np.ones((2, 2)), 2.5),
+        ],
+    )
+    def test_malformed_input_never_reaches_the_engine(
+        self, geom, pot, monkeypatch, qs, ps, max_bounces
+    ):
+        def refuse():
+            raise AssertionError("the engine was loaded")
+
+        monkeypatch.setattr(native, "load", refuse)
+        with pytest.raises(ValueError):
+            checkpoint_action_integrals(
+                qs, ps, [np.array([0.0, 0.1])], geom, pot, max_bounces=max_bounces
+            )
+
+    def test_grazing_reflection_is_logged(self, geom, pot, caplog):
+        # Along the top wall into the arc's apex: d . n is exactly 0 there.
+        qs, ps = np.array([[0.5, 1.0]]), np.array([[1.0, 0.0]])
+        times = [np.array([0.0, 0.2, 0.2500005])]
+        with caplog.at_level(logging.WARNING, logger="chaowork.trajectory"):
+            checkpoint_action_integrals(qs, ps, times, geom, pot)
+        assert "1 grazing reflections encountered; reflected anyway" in caplog.text
+        _, _, counts = trajectory._trace(qs, ps, times, geom, pot, 100)
+        _, _, ref = reference.checkpoint_action_integrals_numpy(qs, ps, times, geom, pot, 100)
+        assert counts.grazing == ref.grazing == 1
+        assert np.array_equal(counts.segments, ref.segments)
+
+
+class TestAgainstNumpyEngine:
+    """The compiled engine against the numpy engine in reference.py.
+
+    The geometry is the same arithmetic in the same order, so flight and
+    bounce counts, event totals and failure flags agree exactly; the
+    integrals differ only in how the bump sum and exp round.
+    """
+
+    @pytest.mark.parametrize("max_bounces", [trajectory.MAX_BOUNCES_DEFAULT, 40])
+    @pytest.mark.parametrize("log2_beta", [-4, -8, -12])
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_bitwise_geometry(self, geom, pot, seed, log2_beta, max_bounces):
+        beta = 2.0**log2_beta
+        ens = sampler.sample_ensemble(geom, beta, 40, seed)
+        # Two stationary rows and one ray into the corner at the origin.
+        qs = np.vstack([ens.qs, [[0.5, 0.5]]])
+        ps = np.vstack([ens.ps, [[-1.0, -1.0]]])
+        ps[:2] = 0.0
+        end = 60.0 * np.sqrt(beta)  # about 70 bounces at every beta
+        times = [np.linspace(0.0, end, 17), np.linspace(0.0, end / 4, 9), np.zeros(2)]
+
+        got, failed, counts = trajectory._trace(qs, ps, times, geom, pot, max_bounces)
+        want, want_failed, ref = reference.checkpoint_action_integrals_numpy(
+            qs, ps, times, geom, pot, max_bounces
+        )
+        assert np.array_equal(failed, want_failed)
+        assert np.array_equal(counts.segments, ref.segments)
+        assert np.array_equal(counts.bounces, ref.bounces)
+        assert (counts.grazing, counts.corner) == (ref.grazing, ref.corner)
+        assert counts.corner >= 1
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
+        assert not failed[:, :2].any()
+        if max_bounces == 40:
+            assert 0 < failed[1].sum() < failed[0].sum() < failed.shape[1]
+        else:
+            assert not failed.any()
