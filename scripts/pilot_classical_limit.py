@@ -44,11 +44,11 @@ def main() -> int:
     ch = spectra.spikes_to_histogram(
         cs.values, np.full(cs.n, 1.0 / cs.n), w_values, eps, sample_count=cs.n
     )
-    ens = sampler.sample_ensemble(geom, beta, n_sc, args.seed)
+    ens = sampler.sample_ensemble(geom, n_sc, args.seed)
 
     hbars = (1.0, 0.5, 0.1, 0.01)
     grids = characteristic.semiclassical_characteristic(
-        [characteristic.Request(ens, plan, h) for h in hbars], geom, pot
+        ens, [characteristic.Request(beta, plan, h) for h in hbars], geom, pot
     )
     prev = None
     for hbar, g in zip(hbars, grids):

@@ -10,8 +10,6 @@ grids, which would be a silent source of spurious distance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -22,19 +20,6 @@ from .spectra import GridMismatch, WorkHistogram
 
 class DegenerateMean(RuntimeError):
     """Nonpositive mean of exp(-beta W): impossible for real W, data corrupt."""
-
-
-@dataclass(frozen=True)
-class JarzynskiReport:
-    beta: float
-    delta_f_estimate: float
-    delta_f_reference: float
-    stderr: float
-    method: Literal["semiclassical", "classical_mc", "quantum"]
-
-    @property
-    def deviation(self) -> float:
-        return abs(self.delta_f_estimate - self.delta_f_reference)
 
 
 def jarzynski_from_samples(values, beta: float) -> tuple[float, float]:

@@ -7,14 +7,15 @@ once to the largest checkpoint time with the running integral recorded at
 every u-grid time, so the cost is one trajectory per sample rather than one
 per (sample, u) pair.
 
-``semiclassical_characteristic`` takes a list of requests (ensemble, u grid,
-hbar) and traces each ray once for all requests that share it: ensembles
-with equal positions and momenta an exact power of two apart, which is what
-``sample_ensemble`` gives for one (seed, n) at temperatures 4^k apart.
-Free flight is scale-invariant, so a request at momentum c * p reads the
-trace at p at times c * u * hbar and divides by c; with c a power of two
-every step of that arithmetic is exact.  Each request gets the same numbers
-as a call with that request alone.
+``semiclassical_characteristic`` takes one ensemble and a list of requests
+(beta, u grid, hbar) and traces each ray of the ensemble once for all of
+them.  The ensemble holds unit-temperature momenta z, and the Boltzmann
+momenta at beta are c * z with c = sqrt(1/(2 beta)).  Free flight is
+scale-invariant: the ray at c * z reaches at time t the point the ray at z
+reaches at c * t, and its integral of V is the one along z divided by c.
+So the rays are traced at z, a request reads them at c * |u| * hbar and
+takes the phase delta_xi / (hbar * c) times the integral there.  Each
+request gets the same numbers as a call with that request alone.
 
 Reduction runs over fixed-size chunks in a fixed order, so results are
 bit-identical for any worker count.
@@ -163,28 +164,23 @@ def _phase_times(u: np.ndarray, hbar: float) -> tuple[np.ndarray, np.ndarray, np
 
 @dataclass(frozen=True)
 class Request:
-    """One G(u) to estimate: an ensemble, a u grid or plan, hbar, covariance flag.
+    """One G(u) to estimate: beta, a u grid or plan, hbar, covariance flag.
 
     ``collect_covariance`` additionally accumulates the second-moment matrix
     of the per-sample phase vector (quadratic in the grid size; needs a
     one-sided grid) for exact downstream error bars.
     """
 
-    ensemble: ThermalEnsemble
+    beta: float
     u_grid: UGridPlan | np.ndarray
     hbar: float
     collect_covariance: bool = False
 
 
-def _request_sums(integrals, failed, scale, coef, want_cov):
-    """Phase sums of one request over its good rows in a traced chunk.
-
-    The request's own integrals are the traced ones divided by ``scale``.
-    """
+def _request_sums(integrals, failed, coef, want_cov):
+    """Phase sums of one request over its good rows in a traced chunk."""
     good = ~failed
     phases = integrals[good]
-    if scale != 1.0:
-        phases /= scale
     phases *= coef
     c = np.cos(phases)
     s = np.sin(phases)
@@ -205,83 +201,45 @@ def _request_sums(integrals, failed, scale, coef, want_cov):
 
 
 def _chunk_phase_sums(args):
-    """Trace one chunk of a group once; phase sums for each member request.
+    """Trace one chunk of the ensemble once; phase sums for each request.
 
     Module-level so worker pools can pickle it.  ``times`` holds each
-    member's checkpoints in the traced frame and ``members`` its
-    (scale, delta_xi / hbar, want_cov); the result lists their sums in the
+    request's checkpoints on the unit-temperature rays and ``spec`` its
+    (delta_xi / (hbar * c), want_cov); the result lists their sums in the
     same order.
     """
-    (qs, ps, times, geom, pot, max_bounces, members) = args
+    (qs, z, times, geom, pot, max_bounces, spec) = args
     integrals, failed = trajectory.checkpoint_action_integrals(
-        qs, ps, times, geom, pot, max_bounces
+        qs, z, times, geom, pot, max_bounces
     )
-    return [_request_sums(i, f, *m) for i, f, m in zip(integrals, failed, members)]
-
-
-def _power_of_two_ratio(a: np.ndarray, b: np.ndarray) -> float | None:
-    """r with b == a * r exactly and r a positive power of two, else None."""
-    if a.shape != b.shape:
-        return None
-    i = int(np.argmax(np.abs(a)))
-    if a.flat[i] == 0.0:
-        return None if b.any() else 1.0
-    r = float(b.flat[i] / a.flat[i])
-    if not (math.isfinite(r) and r > 0.0 and math.frexp(r)[0] == 0.5):
-        return None
-    return r if np.array_equal(a * r, b) else None
-
-
-def _share_traces(ensembles) -> list[list[tuple[int, float]]]:
-    """Group ensembles whose rays coincide: equal positions, momenta 2^k apart.
-
-    Directions are then the same bits and a ray at momentum c * p is the ray
-    at p with time stretched by 1/c, so one trace serves the whole group.
-    Returns, per group, (ensemble index, momentum scale relative to the
-    group's fastest member) pairs in input order.
-    """
-    groups: list[list[tuple[int, float]]] = []
-    for i, ens in enumerate(ensembles):
-        for members in groups:
-            base = ensembles[members[0][0]]
-            r = None
-            if np.array_equal(base.qs, ens.qs):
-                r = _power_of_two_ratio(base.ps, ens.ps)
-            if r is not None:
-                members.append((i, r))
-                break
-        else:
-            groups.append([(i, 1.0)])
-    out = []
-    for members in groups:
-        fastest = max(r for _, r in members)
-        out.append([(i, r / fastest) for i, r in members])
-    return out
+    return [_request_sums(i, f, *m) for i, f, m in zip(integrals, failed, spec)]
 
 
 class _Grid(NamedTuple):
     u: np.ndarray
     w_center: float
-    times: np.ndarray  # distinct |u| * hbar, ascending
+    times: np.ndarray  # distinct |u| * hbar * c, ascending
     inverse: np.ndarray  # grid entry -> index into times
     signs: np.ndarray
+    scale: float  # c = sqrt(1 / (2 beta)), the momentum scale of the request
 
 
 def _prepare(req: Request) -> _Grid:
-    """Validated checkpoint grid of one request."""
+    """Validated checkpoint grid of one request on the unit-temperature rays."""
+    scale = sampler.momentum_scale(req.beta)
     if not req.hbar > 0.0:
         raise ValueError(f"hbar must be positive, got {req.hbar}")
     u, w_center = _resolve_grid(req.u_grid)
-    times, inverse, signs = _phase_times(u, req.hbar)
+    times, inverse, signs = _phase_times(u, req.hbar * scale)
     if req.collect_covariance and (u.size != times.size or np.any(u < 0.0)):
         raise ValueError("covariance collection needs a one-sided ascending grid")
-    return _Grid(u, w_center, times, inverse, signs)
+    return _Grid(u, w_center, times, inverse, signs, scale)
 
 
-def _reduce(req: Request, grid: _Grid, results) -> CharacteristicGrid:
+def _reduce(ens: ThermalEnsemble, req: Request, grid: _Grid, results) -> CharacteristicGrid:
     """Fixed-order reduction of one request's chunk sums into its G(u)."""
-    u, w_center, times, inverse, signs = grid
-    n = len(req.ensemble)
+    u, w_center, times, inverse, signs, _ = grid
+    n = len(ens)
     k = times.size
     sum_c = np.zeros(k)
     sum_s = np.zeros(k)
@@ -326,15 +284,16 @@ def _reduce(req: Request, grid: _Grid, results) -> CharacteristicGrid:
         stderr_im=se_s[inverse],
         n_samples=n_ok,
         hbar=float(req.hbar),
-        beta=float(req.ensemble.beta),
+        beta=float(req.beta),
         w_center=w_center,
         n_failed=n_failed,
-        metadata={"seed": req.ensemble.seed, "estimator": "boltzmann"},
+        metadata={"seed": ens.seed, "estimator": "boltzmann"},
         second_moment=moment,
     )
 
 
 def semiclassical_characteristic(
+    ens: ThermalEnsemble,
     requests,
     geom: BilliardGeometry,
     pot: QuenchPotential,
@@ -345,35 +304,27 @@ def semiclassical_characteristic(
     """Monte Carlo G(u) for each request: sample mean of the dephasing phases.
 
     Returns one grid per request, in order.  Every request is validated
-    before any ray is traced.  Requests whose ensembles share rays (see
-    ``_share_traces``) are traced once, to the latest checkpoint among them,
-    and each still gets the same chunks, sums and failure count as a call
-    with that request alone.  All chunks of all traces go through one worker
-    pool.  Errored samples are dropped and counted per request; a request
-    aborts with ExcessiveFailures if more than FAILURE_BUDGET of its samples
-    fail before its last checkpoint, since silent rejection would bias the
-    Boltzmann weighting.
+    before any ray is traced.  Each chunk of ``ens`` is traced once, at its
+    unit-temperature momenta, to the latest checkpoint of all requests, and
+    each request still gets the same chunks, sums and failure count as a
+    call with that request alone.  Errored samples are dropped and counted
+    per request; a request aborts with ExcessiveFailures if more than
+    FAILURE_BUDGET of its samples fail before its last checkpoint, since
+    silent rejection would bias the Boltzmann weighting.
     """
     requests = list(requests)
+    if not requests:
+        return []
     grids = [_prepare(req) for req in requests]
-    groups = _share_traces([req.ensemble for req in requests])
-
+    times = [grid.times for grid in grids]
+    spec = [
+        (pot.delta_xi / (req.hbar * grid.scale), req.collect_covariance)
+        for req, grid in zip(requests, grids)
+    ]
     tasks = []
-    owners = []  # request indices of each task's members, in member order
-    for members in groups:
-        ens = requests[next(i for i, scale in members if scale == 1.0)].ensemble
-        # A request at momentum scale c reaches its time t where the fastest
-        # member reaches c * t, exactly, since c is a power of two.
-        times = [grids[i].times * scale for i, scale in members]
-        spec = [
-            (scale, pot.delta_xi / requests[i].hbar, requests[i].collect_covariance)
-            for i, scale in members
-        ]
-        n = len(ens)
-        for lo in range(0, n, chunk_size):
-            hi = min(lo + chunk_size, n)
-            tasks.append((ens.qs[lo:hi], ens.ps[lo:hi], times, geom, pot, max_bounces, spec))
-            owners.append([i for i, _ in members])
+    for lo in range(0, len(ens), chunk_size):
+        hi = lo + chunk_size
+        tasks.append((ens.qs[lo:hi], ens.z[lo:hi], times, geom, pot, max_bounces, spec))
     # Load (and on first use build) the engine before forking, so workers
     # inherit it and never build it at the same time.
     native.load()
@@ -383,8 +334,7 @@ def semiclassical_characteristic(
     else:
         results = [_chunk_phase_sums(t) for t in tasks]
 
-    per_request = [[] for _ in requests]
-    for idx, sums in zip(owners, results):
-        for i, s in zip(idx, sums):
-            per_request[i].append(s)
-    return [_reduce(req, grid, res) for req, grid, res in zip(requests, grids, per_request)]
+    per_request = zip(*results)
+    return [
+        _reduce(ens, req, grid, sums) for req, grid, sums in zip(requests, grids, per_request)
+    ]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry, sampler
+from . import sampler
 from .geometry import BilliardGeometry
 from .potential import QuenchPotential, evaluate
 
@@ -52,8 +52,8 @@ def sample_classical_work(
     """n work values from Boltzmann-drawn phase points.
 
     W depends on the position alone, so only positions are drawn: the same
-    ones ``sampler.sample_ensemble`` draws for (n, seed) at any beta.  The
-    values therefore do not depend on ``beta``, which is kept as a label.
+    ones ``sampler.sample_ensemble`` draws for (n, seed).  The values
+    therefore do not depend on ``beta``, which is kept as a label.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -136,48 +136,3 @@ def classical_free_energy_difference(
     if not ratio > 0.0:
         raise QuadratureNonConvergence(f"nonpositive partition ratio {ratio}")
     return -math.log(ratio) / beta
-
-
-def density_of_states(geom: BilliardGeometry, energy: float) -> float:
-    """Phase-space density of states of the free billiard: pi * area.
-
-    For H = |p|^2 in a 2D domain of area A the shell measure
-    integral dq dp delta(E - |p|^2) equals pi A for every E > 0.
-    """
-    if not energy > 0.0:
-        raise ValueError(f"energy must be positive, got {energy}")
-    return math.pi * geometry.area(geom)
-
-
-def potential_extrema(
-    geom: BilliardGeometry, pot: QuenchPotential, scan_step: float | None = None
-) -> tuple[float, float]:
-    """min and max of V over the billiard by dense scan plus local polish."""
-    from scipy.optimize import minimize
-
-    step = pot.sigma / 20.0 if scan_step is None else scan_step
-    w, h = geom.bounding_box
-    xs = np.arange(0.5 * step, w, step)
-    ys = np.arange(0.5 * step, h, step)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    inside = geometry.contains_many(geom, pts)
-    pts = pts[inside]
-    vals = evaluate(pot, pts)
-    vmin = float(vals.min())
-    vmax = float(vals.max())
-    # Polish from the best grid points and from every bump center.
-    starts = [pts[vals.argmin()], pts[vals.argmax()], *pot.centers]
-    for q0 in starts:
-        for sign in (1.0, -1.0):
-            res = minimize(
-                lambda q: sign * evaluate(pot, q),
-                np.asarray(q0, dtype=float),
-                method="Nelder-Mead",
-                options={"xatol": 1e-10, "fatol": 1e-12},
-            )
-            if geometry.contains(geom, res.x):
-                v = float(evaluate(pot, res.x))
-                vmin = min(vmin, v)
-                vmax = max(vmax, v)
-    return vmin, vmax

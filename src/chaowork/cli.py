@@ -159,6 +159,17 @@ _CONVERTERS = {
 }
 
 
+def _beta_tag(beta: float) -> str:
+    e = math.log2(beta)
+    if abs(e - round(e)) < 1e-12:
+        return f"2e{int(round(e))}"
+    return f"{beta:g}".replace(".", "p")
+
+
+def _hbar_tag(hbar: float) -> str:
+    return f"{hbar:g}".replace(".", "p")
+
+
 def _check_ranges(cfg: RunConfig) -> RunConfig:
     def positive(key, value):
         if not (math.isfinite(value) and value > 0):
@@ -179,14 +190,16 @@ def _check_ranges(cfg: RunConfig) -> RunConfig:
         raise RangeError("centers", "needs an even, positive number of coordinates")
     if len(cfg.signs) != len(cfg.centers) // 2:
         raise RangeError("signs", "must list one sign per center")
-    if not cfg.beta_list:
-        raise RangeError("beta_list", "must not be empty")
-    for b in cfg.beta_list:
-        positive("beta_list", b)
-    if not cfg.hbar_list:
-        raise RangeError("hbar_list", "must not be empty")
-    for h in cfg.hbar_list:
-        positive("hbar_list", h)
+    # Scenarios name their per-beta and per-hbar files by these tags.
+    for key, tag in (("beta_list", _beta_tag), ("hbar_list", _hbar_tag)):
+        values = getattr(cfg, key)
+        if not values:
+            raise RangeError(key, "must not be empty")
+        for v in values:
+            positive(key, v)
+        tags = [tag(v) for v in values]
+        if len(set(tags)) < len(tags):
+            raise RangeError(key, f"entries must have distinct file tags, got {tags}")
     for key in ("n_samples", "n_classical", "u_points", "max_bounces"):
         if getattr(cfg, key) < 1:
             raise RangeError(key, f"must be >= 1, got {getattr(cfg, key)}")
@@ -312,8 +325,9 @@ def _write_table(path, manifest_hash: str, columns: dict, meta: dict | None = No
             json.dump(meta, fh, indent=2, sort_keys=True)
 
 
-def _write_ensemble_csv(path, ens, manifest_hash: str) -> None:
-    columns = {"qx": ens.qs[:, 0], "qy": ens.qs[:, 1], "px": ens.ps[:, 0], "py": ens.ps[:, 1]}
+def _write_ensemble_csv(path, ens, beta: float, manifest_hash: str) -> None:
+    ps = ens.momenta(beta)
+    columns = {"qx": ens.qs[:, 0], "qy": ens.qs[:, 1], "px": ps[:, 0], "py": ps[:, 1]}
     _write_table(path, manifest_hash, columns)
 
 
@@ -387,17 +401,6 @@ def _write_json(path, payload) -> None:
 # out_dir and returns {"files": [...]} plus an optional "report".
 
 
-def _beta_tag(beta: float) -> str:
-    e = math.log2(beta)
-    if abs(e - round(e)) < 1e-12:
-        return f"2e{int(round(e))}"
-    return f"{beta:g}".replace(".", "p")
-
-
-def _hbar_tag(hbar: float) -> str:
-    return f"{hbar:g}".replace(".", "p")
-
-
 def _path_in(out_dir: str, files: list):
     """Path maker for one runner: joins a name onto out_dir and records it."""
 
@@ -423,10 +426,12 @@ def _solve_quench(cfg, geom, pot, hbar):
 
 
 def _semiclassical_grids(cfg, geom, pot, requests):
-    """Every request in one engine call, so requests that share rays share traces."""
-    return semiclassical_characteristic(
-        requests, geom, pot, workers=cfg.resolved_workers(), max_bounces=cfg.max_bounces
+    """Every request in one engine call on the run's ensemble, so all share one trace."""
+    ens = sampler.sample_ensemble(geom, cfg.n_samples, cfg.seed)
+    grids = semiclassical_characteristic(
+        ens, requests, geom, pot, workers=cfg.resolved_workers(), max_bounces=cfg.max_bounces
     )
+    return ens, grids
 
 
 def _scenario_u_points(cfg, fallback):
@@ -451,14 +456,14 @@ def run_semiclassical(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
     """One (beta, hbar): semiclassical G(u) and its inverted work distribution."""
     geom, pot = cfg.geometry(), cfg.potential()
     plan = plan_u_grid(geom, pot, cfg.seed, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
-    ens = sampler.sample_ensemble(geom, cfg.beta_list[0], cfg.n_samples, cfg.seed)
-    [grid] = _semiclassical_grids(cfg, geom, pot, [Request(ens, plan, cfg.hbar_list[0])])
+    beta = cfg.beta_list[0]
+    ens, [grid] = _semiclassical_grids(cfg, geom, pot, [Request(beta, plan, cfg.hbar_list[0])])
     _, eps = _broadened_grid(cfg, grid)
     hist = spectra.invert(grid, broadening=eps)
     files = []
     path = _path_in(out_dir, files)
     if cfg.dump_ensemble:
-        _write_ensemble_csv(path("ensemble.csv"), ens, manifest_hash)
+        _write_ensemble_csv(path("ensemble.csv"), ens, beta, manifest_hash)
     write_characteristic_csv(path("semiclassical_g.csv"), grid, manifest_hash)
     write_histogram_csv(path("semiclassical_workdist.csv"), hist, manifest_hash)
     return {"files": files}
@@ -533,10 +538,9 @@ def run_fig4(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
     _, clhist = _classical_histogram(cfg, geom, pot, plan, beta)
     write_histogram_csv(path("classical_workdist.csv"), clhist, manifest_hash)
 
-    ens = sampler.sample_ensemble(geom, beta, cfg.n_samples, cfg.seed)
+    ens, grids = _semiclassical_grids(cfg, geom, pot, [Request(beta, plan, h) for h in hbars])
     if cfg.dump_ensemble:
-        _write_ensemble_csv(path("ensemble.csv"), ens, manifest_hash)
-    grids = _semiclassical_grids(cfg, geom, pot, [Request(ens, plan, h) for h in hbars])
+        _write_ensemble_csv(path("ensemble.csv"), ens, beta, manifest_hash)
     table = []
     for hbar, grid in zip(hbars, grids):
         hist = spectra.invert(grid, broadening=clhist.broadening)
@@ -572,16 +576,8 @@ def run_fig3(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
 
     # The classical work does not depend on beta, so one sample serves every row.
     sample = classical.sample_classical_work(geom, pot, betas[0], cfg.n_classical, cfg.seed)
-    requests = [
-        Request(
-            sampler.sample_ensemble(geom, beta, cfg.n_samples, cfg.seed),
-            plan,
-            hbar,
-            collect_covariance=True,
-        )
-        for beta in betas
-    ]
-    grids = _semiclassical_grids(cfg, geom, pot, requests)
+    requests = [Request(beta, plan, hbar, collect_covariance=True) for beta in betas]
+    _, grids = _semiclassical_grids(cfg, geom, pot, requests)
     rows = []
     for beta, grid in zip(betas, grids):
         ref = classical.classical_free_energy_difference(geom, pot, beta)
@@ -634,7 +630,6 @@ def run_fig2(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
 
     requests = []
     for beta in betas:
-        ens = sampler.sample_ensemble(geom, beta, cfg.n_samples, cfg.seed)
         try:
             lo_q, hi_q = quantum.spike_support(spec, beta, mass_tol=1e-10)
         except quantum.TruncationDominates:
@@ -642,8 +637,8 @@ def run_fig2(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
         lo = min(w_all[0], lo_q)
         hi = max(w_all[-1], hi_q)
         plan = plan_from_window(lo, hi, n_u=cfg.u_points, pad_frac=0.05)
-        requests.append(Request(ens, plan, hbar))
-    grids = _semiclassical_grids(cfg, geom, pot, requests)
+        requests.append(Request(beta, plan, hbar))
+    _, grids = _semiclassical_grids(cfg, geom, pot, requests)
 
     rows = []
     warnings = []

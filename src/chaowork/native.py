@@ -7,9 +7,10 @@ operation is the one the source spells out.  It is cached in the package's
 ``__pycache__`` directory under a name that hashes the C source, the
 resolved compiler path and the flags, and written to a temporary file in
 that directory first and renamed into place, so processes that build at
-the same time each leave a complete library.  A missing compiler, a failed
-build or a cache directory that cannot be written raises ``BuildError``
-naming it; there is no other engine to fall back on.
+the same time each leave a complete library.  A new build unlinks the
+libraries of other sources, flags or compilers from the cache.  A missing
+compiler, a failed build or a cache directory that cannot be written raises
+``BuildError`` naming it; there is no other engine to fall back on.
 
 ``load`` returns the library, with every argument type declared, plus the
 address of scipy's own ``erf`` (``scipy.special.cython_special``), which
@@ -18,8 +19,10 @@ the engine calls so that its error function is ``scipy.special.erf``.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
+import glob
 import hashlib
 import os
 import shutil
@@ -149,7 +152,19 @@ def load() -> Engine:
     path = os.path.join(CACHE_DIR, f"_engine.{cache_key(source, compiler)}.so")
     if not os.path.exists(path):
         build(compiler, source, path)
+        _remove_stale(path)
     return Engine(open_library(path), _scipy_erf())
+
+
+def _remove_stale(current: str) -> None:
+    """Unlink every engine library next to ``current`` but ``current`` itself.
+
+    Builds in flight are ``.build-*`` files, which the pattern leaves alone.
+    """
+    for path in glob.glob(os.path.join(os.path.dirname(current), "_engine.*.so")):
+        if path != current:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(path)
 
 
 def open_library(path: str) -> ctypes.CDLL:

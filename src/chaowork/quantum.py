@@ -325,50 +325,6 @@ def quantum_jarzynski(spec: QuenchSpectra, beta: float) -> tuple[float, float]:
     return lhs, rhs
 
 
-def weyl_level_spacing(geom: BilliardGeometry, hbar: float) -> float:
-    """Mean level spacing 4 pi hbar^2 / area for H = -hbar^2 Laplacian."""
-    return 4.0 * math.pi * hbar * hbar / geometry.area(geom)
-
-
-def supported_states(
-    geom: BilliardGeometry, h: float, points_per_wavelength: float = 5.0
-) -> int:
-    """How many low states a grid of spacing h resolves, by the
-    points-per-wavelength rule and the area law for the state count."""
-    return int(math.pi * geometry.area(geom) / (points_per_wavelength * h) ** 2)
-
-
-def plan_step_for_states(
-    geom: BilliardGeometry,
-    n_keep: int,
-    keep_ratio: float = 2.24,
-    points_per_wavelength: float = 5.0,
-) -> float:
-    """Grid spacing whose resolved-state count is keep_ratio * n_keep."""
-    target = keep_ratio * n_keep
-    return math.sqrt(math.pi * geometry.area(geom) / target) / points_per_wavelength
-
-
-def final_state_count(
-    geom: BilliardGeometry,
-    pot: QuenchPotential,
-    hbar: float,
-    e_max: float,
-    grid_n: int = 200,
-) -> int:
-    """Area-law estimate of quenched states below e_max (counts the wells)."""
-    w, hgt = geom.bounding_box
-    xs = np.linspace(0.0, w, grid_n)
-    ys = np.linspace(0.0, hgt, grid_n)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    inside = geometry.contains_many(geom, pts)
-    v = evaluate(pot, pts[inside])
-    cell = (w / grid_n) * (hgt / grid_n)
-    phase_area = np.maximum(e_max - pot.xi_f * v, 0.0).sum() * cell
-    return int(phase_area / (4.0 * math.pi * hbar * hbar))
-
-
 def spike_support(
     spec: QuenchSpectra, beta: float, mass_tol: float = 1e-12
 ) -> tuple[float, float]:
@@ -427,10 +383,11 @@ def load_spectra(path) -> QuenchSpectra:
 
 
 def export_spectra_csv(directory, spec: QuenchSpectra, manifest_hash: str) -> list[str]:
-    """CSV export of the eigenvalues and the transition matrix.
+    """CSV export of the eigenvalues; returns the paths written.
 
     Each file starts with the ``# manifest_sha256=`` line, like every CSV a
-    run writes.
+    run writes.  The transition matrix is in the ``save_spectra`` container
+    only (read it with ``load_spectra``).
     """
     import os
 
@@ -443,10 +400,4 @@ def export_spectra_csv(directory, spec: QuenchSpectra, manifest_hash: str) -> li
             for i, e in enumerate(arr):
                 fh.write(f"{i},{float(e)!r}\n")
         paths.append(p)
-    p = os.path.join(directory, "transition.csv")
-    with open(p, "w") as fh:
-        fh.write(head + ",".join(f"n{j}" for j in range(spec.ef.size)) + "\n")
-        for row in spec.transition:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
-    paths.append(p)
     return paths

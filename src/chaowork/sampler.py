@@ -2,7 +2,10 @@
 
 The unperturbed Hamiltonian is H = px^2 + py^2 (mass 1/2), so positions are
 uniform over the billiard (rejection from the bounding box) and momentum
-components are independent Gaussians with variance 1/(2 beta).
+components are independent Gaussians with variance 1/(2 beta).  An ensemble
+is drawn once, without a temperature: it holds the positions and the
+standard normals z, and the momenta at any beta are sqrt(1/(2 beta)) * z.
+So every beta shares the positions and the directions of one draw.
 
 Reproducibility discipline: draws are organized in fixed blocks of
 SAMPLE_BLOCK samples.  Block b of stream tag t uses the counter-based
@@ -37,17 +40,27 @@ class RejectionStall(RuntimeError):
     """Rejection sampling accepted nothing after the proposal budget."""
 
 
+def momentum_scale(beta: float) -> float:
+    """Standard deviation sqrt(1/(2 beta)) of each momentum component."""
+    if not beta > 0.0:
+        raise ValueError(f"beta must be positive, got {beta}")
+    return math.sqrt(1.0 / (2.0 * beta))
+
+
 @dataclass(frozen=True)
 class ThermalEnsemble:
-    """Struct-of-arrays container for n phase points at inverse temperature beta."""
+    """n positions and unit-temperature momenta z, struct of arrays."""
 
     qs: np.ndarray
-    ps: np.ndarray
-    beta: float
+    z: np.ndarray
     seed: int
 
     def __len__(self) -> int:
         return self.qs.shape[0]
+
+    def momenta(self, beta: float) -> np.ndarray:
+        """The Boltzmann momenta at inverse temperature beta."""
+        return momentum_scale(beta) * self.z
 
 
 def block_generator(seed: int, stream: int, block: int) -> np.random.Generator:
@@ -84,16 +97,8 @@ def sample_positions(
     return out
 
 
-def sample_momentum(beta: float, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n momenta with independent components of variance 1/(2 beta)."""
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    scale = math.sqrt(1.0 / (2.0 * beta))
-    return rng.normal(scale=scale, size=(n, 2))
-
-
 def _ensemble_positions(geom: BilliardGeometry, n: int, seed: int) -> np.ndarray:
-    """The n positions of every ensemble drawn from seed, at any beta."""
+    """The n positions of the ensemble drawn from seed."""
     qs = np.empty((n, 2))
     for block in range(0, n, SAMPLE_BLOCK):
         hi = min(block + SAMPLE_BLOCK, n)
@@ -102,19 +107,14 @@ def _ensemble_positions(geom: BilliardGeometry, n: int, seed: int) -> np.ndarray
     return qs
 
 
-def sample_ensemble(
-    geom: BilliardGeometry, beta: float, n: int, seed: int
-) -> ThermalEnsemble:
-    """n independent Boltzmann phase points, reproducible from seed alone."""
+def sample_ensemble(geom: BilliardGeometry, n: int, seed: int) -> ThermalEnsemble:
+    """n independent phase points for every beta, reproducible from seed alone."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
     qs = _ensemble_positions(geom, n, seed)
-    ps = np.empty((n, 2))
+    z = np.empty((n, 2))
     for block in range(0, n, SAMPLE_BLOCK):
         hi = min(block + SAMPLE_BLOCK, n)
-        ps[block:hi] = sample_momentum(
-            beta, block_generator(seed, STREAM_MOMENTUM, block // SAMPLE_BLOCK), hi - block
-        )
-    return ThermalEnsemble(qs=qs, ps=ps, beta=float(beta), seed=int(seed))
+        rng = block_generator(seed, STREAM_MOMENTUM, block // SAMPLE_BLOCK)
+        z[block:hi] = rng.standard_normal((hi - block, 2))
+    return ThermalEnsemble(qs=qs, z=z, seed=int(seed))

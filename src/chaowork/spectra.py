@@ -176,13 +176,6 @@ def invert(
     )
 
 
-def histogram_to_characteristic(hist: WorkHistogram, u_values: np.ndarray) -> np.ndarray:
-    """Forward transform G(u) = sum_j density_j exp(i u w_j) dw."""
-    u_values = np.asarray(u_values, dtype=float)
-    phase = np.outer(u_values, hist.w_values)
-    return hist.bin_width * ((np.cos(phase) + 1j * np.sin(phase)) @ hist.density)
-
-
 def bin_spikes(
     spike_w: np.ndarray,
     masses: np.ndarray,
@@ -254,24 +247,4 @@ def spikes_to_histogram(
         broadening=float(broadening),
         total_mass=float(density.sum() * dw),
         metadata=metadata or {},
-    )
-
-
-def rebin(hist: WorkHistogram, factor: int) -> WorkHistogram:
-    """Coarsen a histogram by an integer factor (presentation only)."""
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
-    n = (hist.w_values.size // factor) * factor
-    w = hist.w_values[:n].reshape(-1, factor).mean(axis=1)
-    d = hist.density[:n].reshape(-1, factor).mean(axis=1)
-    e = np.sqrt((hist.error[:n].reshape(-1, factor) ** 2).sum(axis=1)) / factor
-    return WorkHistogram(
-        w_values=w,
-        density=d,
-        error=e,
-        bin_width=hist.bin_width * factor,
-        broadening=hist.broadening,
-        total_mass=float(d.sum() * hist.bin_width * factor),
-        imag_residue=hist.imag_residue,
-        metadata=dict(hist.metadata),
     )

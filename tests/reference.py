@@ -15,7 +15,14 @@ readable paths:
   ``_segment_simpson``, the composite quadrature it is checked against;
 - ``sample_shell``, ``shell_final_energy_sample`` and
   ``shell_characteristic``: the shell-resolved (microcanonical) estimator,
-  a cross-check of the Boltzmann one.
+  a cross-check of the Boltzmann one;
+- ``density_of_states`` and ``potential_extrema``: the free billiard's
+  shell measure and the range of V;
+- ``histogram_to_characteristic`` (the forward transform ``invert`` is
+  checked against) and ``rebin``;
+- ``weyl_level_spacing``, ``supported_states``, ``plan_step_for_states``
+  and ``final_state_count``: area-law estimates that size the quantum
+  solve of acceptance criterion 6.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from chaowork.characteristic import (
 from chaowork.geometry import TOL_GEOM, WALL_NUDGE, BilliardGeometry, Wall
 from chaowork.potential import QuenchPotential
 from chaowork.sampler import ThermalEnsemble
+from chaowork.spectra import WorkHistogram
 from chaowork.trajectory import MAX_BOUNCES_DEFAULT, TraceCounts
 
 
@@ -56,9 +64,9 @@ class PhasePoint:
     p: np.ndarray
 
 
-def phase_point(ens: ThermalEnsemble, i: int) -> PhasePoint:
-    """Copy of the i-th phase point of an ensemble."""
-    return PhasePoint(q=ens.qs[i].copy(), p=ens.ps[i].copy())
+def phase_point(ens: ThermalEnsemble, beta: float, i: int) -> PhasePoint:
+    """Copy of the i-th phase point of an ensemble at inverse temperature beta."""
+    return PhasePoint(q=ens.qs[i].copy(), p=ens.momenta(beta)[i].copy())
 
 
 @dataclass(frozen=True)
@@ -526,7 +534,7 @@ def shell_characteristic(
     for m, energy in enumerate(energies):
         qs, ps = sample_shell(geom, float(energy), samples_per_shell, seed, m)
         [(c, s, c2, s2, ok, fail, _)] = _chunk_phase_sums(
-            (qs, ps, [times], geom, pot, max_bounces, [(1.0, pot.delta_xi / hbar, False)])
+            (qs, ps, [times], geom, pot, max_bounces, [(pot.delta_xi / hbar, False)])
         )
         total_failed += fail
         if fail > FAILURE_BUDGET * samples_per_shell:
@@ -558,3 +566,123 @@ def shell_characteristic(
         n_failed=total_failed,
         metadata={"seed": int(seed), "estimator": "shell", "n_shells": int(energies.size)},
     )
+
+
+# ---------------------------------------------------------------------------
+# Closed forms and planning helpers the tests size or check against
+
+
+def density_of_states(geom: BilliardGeometry, energy: float) -> float:
+    """Phase-space density of states of the free billiard: pi * area.
+
+    For H = |p|^2 in a 2D domain of area A the shell measure
+    integral dq dp delta(E - |p|^2) equals pi A for every E > 0.
+    """
+    if not energy > 0.0:
+        raise ValueError(f"energy must be positive, got {energy}")
+    return math.pi * geometry.area(geom)
+
+
+def potential_extrema(
+    geom: BilliardGeometry, pot: QuenchPotential, scan_step: float | None = None
+) -> tuple[float, float]:
+    """min and max of V over the billiard by dense scan plus local polish."""
+    from scipy.optimize import minimize
+
+    step = pot.sigma / 20.0 if scan_step is None else scan_step
+    w, h = geom.bounding_box
+    xs = np.arange(0.5 * step, w, step)
+    ys = np.arange(0.5 * step, h, step)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    inside = geometry.contains_many(geom, pts)
+    pts = pts[inside]
+    vals = potential.evaluate(pot, pts)
+    vmin = float(vals.min())
+    vmax = float(vals.max())
+    # Polish from the best grid points and from every bump center.
+    starts = [pts[vals.argmin()], pts[vals.argmax()], *pot.centers]
+    for q0 in starts:
+        for sign in (1.0, -1.0):
+            res = minimize(
+                lambda q: sign * potential.evaluate(pot, q),
+                np.asarray(q0, dtype=float),
+                method="Nelder-Mead",
+                options={"xatol": 1e-10, "fatol": 1e-12},
+            )
+            if geometry.contains(geom, res.x):
+                v = float(potential.evaluate(pot, res.x))
+                vmin = min(vmin, v)
+                vmax = max(vmax, v)
+    return vmin, vmax
+
+
+def histogram_to_characteristic(hist: WorkHistogram, u_values: np.ndarray) -> np.ndarray:
+    """Forward transform G(u) = sum_j density_j exp(i u w_j) dw."""
+    u_values = np.asarray(u_values, dtype=float)
+    phase = np.outer(u_values, hist.w_values)
+    return hist.bin_width * ((np.cos(phase) + 1j * np.sin(phase)) @ hist.density)
+
+
+def rebin(hist: WorkHistogram, factor: int) -> WorkHistogram:
+    """Coarsen a histogram by an integer factor (presentation only)."""
+    if factor < 1:
+        raise ValueError("factor must be >= 1")
+    n = (hist.w_values.size // factor) * factor
+    w = hist.w_values[:n].reshape(-1, factor).mean(axis=1)
+    d = hist.density[:n].reshape(-1, factor).mean(axis=1)
+    e = np.sqrt((hist.error[:n].reshape(-1, factor) ** 2).sum(axis=1)) / factor
+    return WorkHistogram(
+        w_values=w,
+        density=d,
+        error=e,
+        bin_width=hist.bin_width * factor,
+        broadening=hist.broadening,
+        total_mass=float(d.sum() * hist.bin_width * factor),
+        imag_residue=hist.imag_residue,
+        metadata=dict(hist.metadata),
+    )
+
+
+def weyl_level_spacing(geom: BilliardGeometry, hbar: float) -> float:
+    """Mean level spacing 4 pi hbar^2 / area for H = -hbar^2 Laplacian."""
+    return 4.0 * math.pi * hbar * hbar / geometry.area(geom)
+
+
+def supported_states(
+    geom: BilliardGeometry, h: float, points_per_wavelength: float = 5.0
+) -> int:
+    """How many low states a grid of spacing h resolves, by the
+    points-per-wavelength rule and the area law for the state count."""
+    return int(math.pi * geometry.area(geom) / (points_per_wavelength * h) ** 2)
+
+
+def plan_step_for_states(
+    geom: BilliardGeometry,
+    n_keep: int,
+    keep_ratio: float = 2.24,
+    points_per_wavelength: float = 5.0,
+) -> float:
+    """Grid spacing whose resolved-state count is keep_ratio * n_keep."""
+    target = keep_ratio * n_keep
+    return math.sqrt(math.pi * geometry.area(geom) / target) / points_per_wavelength
+
+
+def final_state_count(
+    geom: BilliardGeometry,
+    pot: QuenchPotential,
+    hbar: float,
+    e_max: float,
+    grid_n: int = 200,
+) -> int:
+    """Area-law estimate of quenched states below e_max (counts the wells)."""
+    w, hgt = geom.bounding_box
+    xs = np.linspace(0.0, w, grid_n)
+    ys = np.linspace(0.0, hgt, grid_n)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    inside = geometry.contains_many(geom, pts)
+    v = potential.evaluate(pot, pts[inside])
+    cell = (w / grid_n) * (hgt / grid_n)
+    phase_area = np.maximum(e_max - pot.xi_f * v, 0.0).sum() * cell
+    return int(phase_area / (4.0 * math.pi * hbar * hbar))

@@ -30,7 +30,15 @@ from chaowork.characteristic import (
     semiclassical_characteristic,
 )
 
-from reference import phase_point, propagate, shell_characteristic
+from reference import (
+    final_state_count,
+    phase_point,
+    plan_step_for_states,
+    propagate,
+    shell_characteristic,
+    supported_states,
+    weyl_level_spacing,
+)
 
 SEED = 20250808
 
@@ -73,10 +81,10 @@ def test_criterion_1_classical_limit_convergence(geom, pot):
         cs.values, np.full(cs.n, 1.0 / cs.n), w_values, eps, sample_count=cs.n
     )
 
-    ens = sampler.sample_ensemble(geom, beta, 90_000, SEED)
+    ens = sampler.sample_ensemble(geom, 90_000, SEED)
     assert len(ens) >= 90_000
     hbars = (1.0, 0.5, 0.1, 0.01)
-    grids = semiclassical_characteristic([Request(ens, plan, h) for h in hbars], geom, pot)
+    grids = semiclassical_characteristic(ens, [Request(beta, plan, h) for h in hbars], geom, pot)
     table = []
     for hbar, g in zip(hbars, grids):
         hist = spectra.invert(g, broadening=eps)
@@ -123,13 +131,9 @@ def test_criterion_3_semiclassical_jarzynski_trend(geom, pot):
     t0 = time.time()
     plan = plan_u_grid(geom, pot, SEED, n_u=64)
     betas = [2.0**-k for k in (7, 9, 11, 13)]
-    requests = [
-        Request(
-            sampler.sample_ensemble(geom, beta, 90_000, SEED), plan, 1.0, collect_covariance=True
-        )
-        for beta in betas
-    ]
-    grids = semiclassical_characteristic(requests, geom, pot)
+    ens = sampler.sample_ensemble(geom, 90_000, SEED)
+    requests = [Request(beta, plan, 1.0, collect_covariance=True) for beta in betas]
+    grids = semiclassical_characteristic(ens, requests, geom, pot)
     devs = []
     ses = []
     for beta, g in zip(betas, grids):
@@ -237,13 +241,13 @@ def test_criterion_6_quantum_vs_semiclassical_trend(geom, pot):
     """
     t0 = time.time()
     hbar = 0.5
-    h = quantum.plan_step_for_states(geom, CRIT6_N_INITIAL)
-    supported = quantum.supported_states(geom, h)
+    h = plan_step_for_states(geom, CRIT6_N_INITIAL)
+    supported = supported_states(geom, h)
     assert supported >= 300
     assert supported >= 2.2 * CRIT6_N_INITIAL
-    spacing = quantum.weyl_level_spacing(geom, hbar)
+    spacing = weyl_level_spacing(geom, hbar)
     e0_top = CRIT6_N_INITIAL * spacing
-    n_final = quantum.final_state_count(geom, pot, hbar, e0_top + CRIT6_W_PAD)
+    n_final = final_state_count(geom, pot, hbar, e0_top + CRIT6_W_PAD)
     spec = quantum.solve_quench(
         geom, pot, hbar, h, n_initial=CRIT6_N_INITIAL, n_final=n_final
     )
@@ -256,11 +260,9 @@ def test_criterion_6_quantum_vs_semiclassical_trend(geom, pot):
         plans.append(
             plan_from_window(min(lo_q, -110.0), max(hi_q, 110.0), n_u=64, pad_frac=0.1)
         )
-    requests = [
-        Request(sampler.sample_ensemble(geom, beta, 90_000, SEED), plan, hbar)
-        for beta, plan in zip(betas, plans)
-    ]
-    grids = semiclassical_characteristic(requests, geom, pot)
+    ens = sampler.sample_ensemble(geom, 90_000, SEED)
+    requests = [Request(beta, plan, hbar) for beta, plan in zip(betas, plans)]
+    grids = semiclassical_characteristic(ens, requests, geom, pot)
     table = []
     ok = True
     for beta, top, plan, g in zip(betas, tops, plans, grids):
@@ -297,8 +299,8 @@ def test_criterion_7_universal_invariants(geom, pot, tmp_path):
 
     beta = 2.0**-8
     plan = plan_u_grid(geom, pot, SEED, n_u=64)
-    ens = sampler.sample_ensemble(geom, beta, 5_000, SEED)
-    [g_mc] = semiclassical_characteristic([Request(ens, plan, 1.0)], geom, pot)
+    ens = sampler.sample_ensemble(geom, 5_000, SEED)
+    [g_mc] = semiclassical_characteristic(ens, [Request(beta, plan, 1.0)], geom, pot)
     ok &= g_mc.g_values[0] == 1.0 + 0.0j
     ok &= bool((np.abs(g_mc.g_values) <= 1.0 + 1e-12).all())
     notes.append("MC G(0)=1 exact")
@@ -334,7 +336,7 @@ def test_criterion_7_universal_invariants(geom, pot, tmp_path):
     # Energy conservation along real trajectories.
     worst = 0.0
     for i in range(50):
-        x0 = phase_point(ens, i)
+        x0 = phase_point(ens, beta, i)
         end, _ = propagate(x0, 2.0, geom)
         p0 = math.hypot(*x0.p)
         p1 = math.hypot(*end.p)

@@ -83,10 +83,10 @@ class TestJarzynskiFromCharacteristic:
         # At small hbar the inverted histogram estimates the same functional
         # as the direct classical sample average over the same ensemble.
         beta = 2.0**-10
-        ens = sampler.sample_ensemble(geom, beta, 30_000, seed=21)
+        ens = sampler.sample_ensemble(geom, 30_000, seed=21)
         plan = characteristic.plan_u_grid(geom, pot, seed=21, n_u=512)
         [g] = characteristic.semiclassical_characteristic(
-            [characteristic.Request(ens, plan, 0.02)], geom, pot
+            ens, [characteristic.Request(beta, plan, 0.02)], geom, pot
         )
         est_hist, se_hist = jarzynski_from_characteristic(g, beta)
         w_direct = pot.delta_xi * potential.evaluate(pot, ens.qs)
@@ -99,9 +99,9 @@ class TestJarzynskiFromCharacteristic:
         # its error must not exceed the independent-bin overestimate.
         beta = 2.0**-9
         plan = characteristic.plan_u_grid(geom, pot, seed=99, n_u=64)
-        ens = sampler.sample_ensemble(geom, beta, 4000, seed=99)
+        ens = sampler.sample_ensemble(geom, 4000, seed=99)
         [g] = characteristic.semiclassical_characteristic(
-            [characteristic.Request(ens, plan, 1.0, collect_covariance=True)], geom, pot
+            ens, [characteristic.Request(beta, plan, 1.0, collect_covariance=True)], geom, pot
         )
         est_cov, se_cov = jarzynski_from_characteristic(g, beta)
         est_hist, se_hist = jarzynski_from_characteristic(spectra.invert(g), beta)
@@ -184,13 +184,3 @@ class TestReport:
         rpt = analysis.compare_histograms(a, b)
         assert set(rpt) == {"l1", "l1_error", "mean_a", "mean_b", "mass_a", "mass_b"}
         assert 0.0 <= rpt["l1"] <= 2.0
-
-    def test_jarzynski_report_dataclass(self):
-        rpt = analysis.JarzynskiReport(
-            beta=0.5,
-            delta_f_estimate=1.0,
-            delta_f_reference=1.2,
-            stderr=0.05,
-            method="classical_mc",
-        )
-        assert rpt.deviation == pytest.approx(0.2)

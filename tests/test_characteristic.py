@@ -32,8 +32,8 @@ def pot_mod():
 
 @pytest.fixture(scope="module")
 def small_grid(geom_mod, pot_mod, plan):
-    ens = sampler.sample_ensemble(geom_mod, BETA_COLD, 1000, seed=12345)
-    [g] = semiclassical_characteristic([Request(ens, plan, 1.0)], geom_mod, pot_mod)
+    ens = sampler.sample_ensemble(geom_mod, 1000, seed=12345)
+    [g] = semiclassical_characteristic(ens, [Request(BETA_COLD, plan, 1.0)], geom_mod, pot_mod)
     return g
 
 
@@ -65,8 +65,8 @@ class TestSemiclassicalEstimator:
 
     def test_null_quench_gives_unity(self, geom_mod, plan):
         pot0 = QuenchPotential(xi_f=0.0, xi_0=0.0)
-        ens = sampler.sample_ensemble(geom_mod, 1.0, 200, seed=4)
-        [g] = semiclassical_characteristic([Request(ens, plan, 1.0)], geom_mod, pot0)
+        ens = sampler.sample_ensemble(geom_mod, 200, seed=4)
+        [g] = semiclassical_characteristic(ens, [Request(1.0, plan, 1.0)], geom_mod, pot0)
         assert np.array_equal(g.g_values, np.ones(512, dtype=complex))
 
     def test_modulus_bounded(self, small_grid):
@@ -74,21 +74,23 @@ class TestSemiclassicalEstimator:
 
     def test_hermitian_symmetry_bitwise(self, geom_mod, pot_mod, plan):
         # Mirrored grids: G(-u) is the exact conjugate, bit for bit.
-        ens = sampler.sample_ensemble(geom_mod, 2.0**-8, 300, seed=9)
+        ens = sampler.sample_ensemble(geom_mod, 300, seed=9)
         u = plan.u_values[:64]
-        [g_pos] = semiclassical_characteristic([Request(ens, u, 1.0)], geom_mod, pot_mod)
-        [g_neg] = semiclassical_characteristic([Request(ens, -u[::-1], 1.0)], geom_mod, pot_mod)
+        pos, neg = Request(2.0**-8, u, 1.0), Request(2.0**-8, -u[::-1], 1.0)
+        [g_pos] = semiclassical_characteristic(ens, [pos], geom_mod, pot_mod)
+        [g_neg] = semiclassical_characteristic(ens, [neg], geom_mod, pot_mod)
         assert np.array_equal(g_neg.g_values, np.conj(g_pos.g_values)[::-1])
 
     def test_regression_pinned_values(self, small_grid):
-        # Frozen from the first verified run (engine checked against the
-        # scalar propagator and the estimator invariants above).
+        # Frozen from a verified run (engine checked against the scalar
+        # propagator and the estimator invariants above); re-pinned when rays
+        # moved to unit-temperature momenta, which is statistically the same.
         expected = {
-            1: 0.9756632990215492 - 0.010342066877789225j,
-            8: 0.7954555728212291 - 0.054395925852936663j,
-            64: 0.23372070413414173 - 0.12503983026112117j,
-            256: -0.04175094833616338 - 0.02325373721160713j,
-            511: 0.0038097799504138 + 0.050649184899854705j,
+            1: 0.9756632990215492 - 0.01034206687778919j,
+            8: 0.7954558927867035 - 0.0544013795274016j,
+            64: 0.25997582269752373 - 0.09823258007650584j,
+            256: -0.004479054313858708 - 0.03489757033103968j,
+            511: -0.040806065248761327 + 0.016477482704834467j,
         }
         for k, val in expected.items():
             assert small_grid.g_values[k] == pytest.approx(val, abs=1e-12)
@@ -98,42 +100,43 @@ class TestSemiclassicalEstimator:
         u = np.arange(16) * 0.3
         ses = {}
         for n in (1_000, 10_000, 100_000):
-            ens = sampler.sample_ensemble(geom_mod, 2.0**-8, n, seed=31)
-            [g] = semiclassical_characteristic([Request(ens, u, 1.0)], geom_mod, pot_mod)
+            ens = sampler.sample_ensemble(geom_mod, n, seed=31)
+            [g] = semiclassical_characteristic(ens, [Request(2.0**-8, u, 1.0)], geom_mod, pot_mod)
             ses[n] = np.median(g.stderr[4:])
         for a, b in ((1_000, 10_000), (10_000, 100_000)):
             ratio = ses[a] / ses[b]
             assert ratio == pytest.approx(np.sqrt(10.0), rel=0.2)
 
     def test_worker_count_invariance(self, geom_mod, pot_mod, plan, small_grid):
-        ens = sampler.sample_ensemble(geom_mod, BETA_COLD, 1000, seed=12345)
+        ens = sampler.sample_ensemble(geom_mod, 1000, seed=12345)
+        req = Request(BETA_COLD, plan, 1.0)
         [g2] = semiclassical_characteristic(
-            [Request(ens, plan, 1.0)], geom_mod, pot_mod, workers=2, chunk_size=256
+            ens, [req], geom_mod, pot_mod, workers=2, chunk_size=256
         )
         [g1] = semiclassical_characteristic(
-            [Request(ens, plan, 1.0)], geom_mod, pot_mod, workers=1, chunk_size=256
+            ens, [req], geom_mod, pot_mod, workers=1, chunk_size=256
         )
         assert np.array_equal(g1.g_values, g2.g_values)
         assert np.array_equal(g1.stderr_re, g2.stderr_re)
 
     def test_failure_budget_enforced(self, geom_mod, pot_mod, plan):
-        ens = sampler.sample_ensemble(geom_mod, BETA_COLD, 100, seed=5)
+        ens = sampler.sample_ensemble(geom_mod, 100, seed=5)
         with pytest.raises(characteristic.ExcessiveFailures):
             semiclassical_characteristic(
-                [Request(ens, plan, 1.0)], geom_mod, pot_mod, max_bounces=2
+                ens, [Request(BETA_COLD, plan, 1.0)], geom_mod, pot_mod, max_bounces=2
             )
 
     def test_grid_must_contain_zero(self, geom_mod, pot_mod):
-        ens = sampler.sample_ensemble(geom_mod, 1.0, 50, seed=6)
+        ens = sampler.sample_ensemble(geom_mod, 50, seed=6)
         with pytest.raises(ValueError):
             semiclassical_characteristic(
-                [Request(ens, np.array([0.1, 0.2, 0.3]), 1.0)], geom_mod, pot_mod
+                ens, [Request(1.0, np.array([0.1, 0.2, 0.3]), 1.0)], geom_mod, pot_mod
             )
 
     def test_hbar_must_be_positive(self, geom_mod, pot_mod, plan):
-        ens = sampler.sample_ensemble(geom_mod, 1.0, 50, seed=6)
+        ens = sampler.sample_ensemble(geom_mod, 50, seed=6)
         with pytest.raises(ValueError):
-            semiclassical_characteristic([Request(ens, plan, 0.0)], geom_mod, pot_mod)
+            semiclassical_characteristic(ens, [Request(1.0, plan, 0.0)], geom_mod, pot_mod)
 
 
 class TestShellEstimator:
@@ -172,8 +175,8 @@ class TestShellEstimator:
         g_shell = shell_characteristic(
             beta, u, 1.0, geom_mod, pot_mod, energies, samples_per_shell=256, seed=17
         )
-        ens = sampler.sample_ensemble(geom_mod, beta, 16_384, seed=18)
-        [g_direct] = semiclassical_characteristic([Request(ens, u, 1.0)], geom_mod, pot_mod)
+        ens = sampler.sample_ensemble(geom_mod, 16_384, seed=18)
+        [g_direct] = semiclassical_characteristic(ens, [Request(beta, u, 1.0)], geom_mod, pot_mod)
         diff = np.abs(g_shell.g_values - g_direct.g_values)
         combined = np.hypot(g_shell.stderr, g_direct.stderr)
         # Small floor absorbs the finite shell-spacing bias of the energy sum.
@@ -181,32 +184,34 @@ class TestShellEstimator:
 
 
 class TestSharedTraces:
-    """One call traces rays once for every request that shares them."""
+    """One call traces each ray of the ensemble once for every request."""
+
+    @pytest.fixture(scope="module")
+    def ens(self, geom_mod):
+        return sampler.sample_ensemble(geom_mod, 1000, 7)
 
     @pytest.fixture(scope="class")
     def requests(self, geom_mod, pot_mod):
-        # beta = 2^-8, 2^-10, 2^-12 at one seed share rays (momenta 2^k apart);
-        # 2^-11 (ratio sqrt 2) gets its own trace.
         plan_a = plan_u_grid(geom_mod, pot_mod, seed=12345, n_u=64)
         plan_b = plan_from_window(-150.0, 120.0, n_u=48)
-        ens = {k: sampler.sample_ensemble(geom_mod, 2.0**-k, 1000, 7) for k in (8, 10, 11, 12)}
         reqs = [
-            Request(ens[k], plan, hbar, collect_covariance=plan is plan_a)
+            Request(2.0**-k, plan, hbar, collect_covariance=plan is plan_a)
             for k in (8, 10, 12)
             for hbar in (0.5, 1.0)
             for plan in (plan_a, plan_b)
         ]
-        return reqs + [Request(ens[11], plan_a, 1.0, collect_covariance=True)]
+        # Momenta sqrt 2 apart from the others: inside the same trace too.
+        return reqs + [Request(2.0**-11, plan_a, 1.0, collect_covariance=True)]
 
     @pytest.mark.parametrize("workers,chunk_size", [(1, characteristic.CHUNK_SIZE), (2, 256)])
     def test_batch_matches_one_request_calls(
-        self, geom_mod, pot_mod, requests, workers, chunk_size
+        self, geom_mod, pot_mod, ens, requests, workers, chunk_size
     ):
         kw = {"workers": workers, "chunk_size": chunk_size}
-        grids = semiclassical_characteristic(requests, geom_mod, pot_mod, **kw)
+        grids = semiclassical_characteristic(ens, requests, geom_mod, pot_mod, **kw)
         assert len(grids) == len(requests)
         for req, g in zip(requests, grids):
-            [one] = semiclassical_characteristic([req], geom_mod, pot_mod, **kw)
+            [one] = semiclassical_characteristic(ens, [req], geom_mod, pot_mod, **kw)
             assert np.array_equal(g.u_values, one.u_values)
             assert np.array_equal(g.g_values, one.g_values)
             assert np.array_equal(g.stderr_re, one.stderr_re)
@@ -218,21 +223,36 @@ class TestSharedTraces:
             else:
                 assert g.second_moment is None and one.second_moment is None
 
-    def test_grouping_follows_the_arrays(self, geom_mod):
-        ens = [sampler.sample_ensemble(geom_mod, 2.0**-k, 50, seed=7) for k in (8, 11, 12, 10)]
-        other_seed = sampler.sample_ensemble(geom_mod, 2.0**-8, 50, seed=8)
-        groups = characteristic._share_traces([*ens, other_seed, ens[0]])
-        assert groups == [[(0, 0.25), (2, 1.0), (3, 0.5), (5, 0.25)], [(1, 1.0)], [(4, 1.0)]]
+    def test_one_trace_per_chunk_for_any_beta(self, geom_mod, pot_mod, plan, monkeypatch):
+        # fig3's default betas, sqrt 2 ratios included: one engine call per
+        # chunk, on the ensemble's unit-temperature momenta.
+        ens = sampler.sample_ensemble(geom_mod, 600, seed=11)
+        engine = characteristic.trajectory.checkpoint_action_integrals
+        calls = []
+
+        def counted(qs, ps, times, *rest):
+            calls.append((qs, ps, len(times)))
+            return engine(qs, ps, times, *rest)
+
+        monkeypatch.setattr(characteristic.trajectory, "checkpoint_action_integrals", counted)
+        requests = [Request(2.0**-k, plan, 1.0) for k in range(7, 14)]
+        semiclassical_characteristic(ens, requests, geom_mod, pot_mod, chunk_size=256)
+        assert len(calls) == 3
+        for (qs, ps, n_requests), lo in zip(calls, (0, 256, 512)):
+            assert np.array_equal(qs, ens.qs[lo : lo + 256])
+            assert np.array_equal(ps, ens.z[lo : lo + 256])
+            assert n_requests == 7
 
     def test_failures_count_per_request(self, geom_mod, pot_mod):
         # With a low bounce cap, rows that pass the cap only after the short
         # request's last checkpoint fail for the long request alone.
-        ens = sampler.sample_ensemble(geom_mod, 2.0**-8, 400, seed=3)
+        ens = sampler.sample_ensemble(geom_mod, 400, seed=3)
         short, long = np.linspace(0.0, 0.05, 5), np.linspace(0.0, 0.5, 9)
-        member = (1.0, pot_mod.delta_xi, False)
+        member = (pot_mod.delta_xi, False)
 
         def sums(times):
-            args = (ens.qs, ens.ps, times, geom_mod, pot_mod, 2, [member] * len(times))
+            ps = ens.momenta(2.0**-8)
+            args = (ens.qs, ps, times, geom_mod, pot_mod, 2, [member] * len(times))
             return characteristic._chunk_phase_sums(args)
 
         s_short, s_long = sums([short, long])
@@ -249,15 +269,16 @@ class TestSharedTraces:
             "checkpoint_action_integrals",
             lambda *args: traced.append(args),
         )
-        ens = sampler.sample_ensemble(geom_mod, 1.0, 50, seed=6)
-        good = Request(ens, plan, 1.0)
+        ens = sampler.sample_ensemble(geom_mod, 50, seed=6)
+        good = Request(1.0, plan, 1.0)
         two_sided = np.concatenate([-plan.u_values[:0:-1], plan.u_values])
         for bad in (
-            Request(ens, plan, 0.0),
-            Request(ens, np.array([0.1, 0.2, 0.3]), 1.0),
-            Request(ens, np.array([0.0, 0.1, 0.3]), 1.0),
-            Request(ens, two_sided, 1.0, collect_covariance=True),
+            Request(0.0, plan, 1.0),
+            Request(1.0, plan, 0.0),
+            Request(1.0, np.array([0.1, 0.2, 0.3]), 1.0),
+            Request(1.0, np.array([0.0, 0.1, 0.3]), 1.0),
+            Request(1.0, two_sided, 1.0, collect_covariance=True),
         ):
             with pytest.raises(ValueError):
-                semiclassical_characteristic([good, good, bad], geom_mod, pot_mod)
+                semiclassical_characteristic(ens, [good, good, bad], geom_mod, pot_mod)
         assert traced == []

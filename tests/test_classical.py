@@ -7,14 +7,17 @@ from scipy import stats
 from chaowork import classical, geometry, sampler
 from chaowork.classical import (
     classical_free_energy_difference,
-    density_of_states,
     partition_ratio,
-    potential_extrema,
     sample_classical_work,
 )
 from chaowork.potential import QuenchPotential, evaluate
 
-from reference import sample_shell, shell_final_energy_sample
+from reference import (
+    density_of_states,
+    potential_extrema,
+    sample_shell,
+    shell_final_energy_sample,
+)
 
 
 class TestSampleClassicalWork:
@@ -33,7 +36,7 @@ class TestSampleClassicalWork:
 
     def test_momentum_does_not_enter(self, geom, pot):
         s = sample_classical_work(geom, pot, 0.5, 300, seed=4)
-        ens = sampler.sample_ensemble(geom, 0.5, 300, seed=4)
+        ens = sampler.sample_ensemble(geom, 300, seed=4)
         np.testing.assert_array_equal(s.values, pot.delta_xi * evaluate(pot, ens.qs))
 
     def test_support_bound(self, geom, pot):

