@@ -11,6 +11,10 @@
  * glibc's exp where numpy has its own, and a left fold over the bumps where
  * numpy used a BLAS dot product, so they can differ from that engine's in
  * the last digits.
+ *
+ * A trace reads one ascending array of checkpoint times, the union of the
+ * times of every request that shares the rays, so a time two requests share
+ * is filled once.
  */
 #include <math.h>
 #include <stdint.h>
@@ -114,8 +118,6 @@ int segment_integrals(const bumps_t *v, int64_t n, const double *q0, const doubl
     return 0;
 }
 
-enum { ACTIVE, ENDING, DONE };
-
 typedef struct {
     double t;      /* path length to the nearest wall, inf when none */
     double nx, ny; /* inward unit normal, the bisector at corners */
@@ -198,40 +200,37 @@ static void first_hit(const walls_t *w, double x, double y, double dx, double dy
     h->corner = n_near >= 2;
 }
 
-/* Trace n rays and fill the checkpoints of n_req requests.
+/* Trace n rays and fill their checkpoints.
  *
- * Request k's checkpoints are times[offsets[k] .. offsets[k+1]), ascending
- * and nonnegative; ray i's integral at checkpoint j goes to
- * out[i * offsets[n_req] + j], which the caller zeroes.  Each ray flies to
- * the latest end among the requests, keeping one running integral; a
- * request's checkpoints read it on the segment that crosses them.  A ray
- * fails for every request whose end it has not reached when it loses the
- * boundary or passes max_bounces reflections: failed[k * n + i] is set.
- * Per ray, segments[i] and bounces[i] count its flights and reflections;
- * events[0] and events[1] add up the grazing and corner reflections.
- * Returns 0, or -1 when working memory cannot be allocated. */
+ * times[0 .. m) is ascending and nonnegative; ray i's integral at times[j]
+ * goes to out[i * m + j].  Checkpoints at t <= 0 read 0.0.  Each ray keeps
+ * one running integral and one cursor, and each segment fills every
+ * checkpoint up to its end.  The ray stops at the last checkpoint, when it
+ * loses the boundary or when it passes max_bounces reflections; the
+ * checkpoints it did not reach keep what the caller put there (NaN), so a
+ * ray that stopped early reads NaN at times[m - 1].  Per ray, segments[i]
+ * and bounces[i] count its flights and reflections; events[0] and
+ * events[1] add up the grazing and corner reflections.  Returns 0, or -1
+ * when working memory cannot be allocated. */
 int trace(const walls_t *w, const bumps_t *v, int64_t n, const double *qs, const double *ps,
-          int64_t n_req, const int64_t *offsets, const double *times, int64_t max_bounces,
-          double *out, uint8_t *failed, int64_t *segments, int64_t *bounces, int64_t *events)
+          int64_t m, const double *times, int64_t max_bounces, double *out,
+          int64_t *segments, int64_t *bounces, int64_t *events)
 {
-    const int64_t width = offsets[n_req];
-    double t_end = 0.0;
-    for (int64_t k = 0; k < n_req; k++)
-        if (times[offsets[k + 1] - 1] > t_end)
-            t_end = times[offsets[k + 1] - 1];
+    const double t_end = times[m - 1];
+    int64_t first = 0; /* checkpoints before it are at t = 0 */
+    while (first < m && times[first] <= 0.0)
+        first++;
 
     segment_t g;
     if (segment_alloc(v, &g) != 0)
         return -1;
-    int64_t *next = malloc(2 * (size_t)n_req * sizeof(int64_t));
-    if (next == NULL) {
-        free(g.amp);
-        return -1;
-    }
-    int64_t *state = next + n_req; /* per request: ACTIVE, ENDING or DONE */
 
-    for (int64_t i = 0; i < n && t_end > 0.0; i++) {
-        double *row = out + i * width;
+    for (int64_t i = 0; i < n; i++) {
+        double *row = out + i * m;
+        for (int64_t j = 0; j < first; j++)
+            row[j] = 0.0;
+        if (t_end <= 0.0)
+            continue;
         const double px = ps[2 * i], py = ps[2 * i + 1];
         const double pmag = hypot(px, py);
         const double s = 2.0 * pmag;
@@ -240,13 +239,7 @@ int trace(const walls_t *w, const bumps_t *v, int64_t n, const double *qs, const
         double dy = moving ? py / pmag : 0.0;
         double x = qs[2 * i], y = qs[2 * i + 1];
         double elapsed = 0.0, acc = 0.0;
-        int64_t nseg = 0, nbounce = 0;
-        for (int64_t k = 0; k < n_req; k++) {
-            next[k] = offsets[k];
-            while (next[k] < offsets[k + 1] && times[next[k]] <= 0.0)
-                next[k]++;
-            state[k] = times[offsets[k + 1] - 1] > 0.0 ? ACTIVE : DONE;
-        }
+        int64_t next = first, nseg = 0, nbounce = 0;
 
         for (;;) {
             hit_t h = {INFINITY, 0.0, 0.0, 0, 0};
@@ -264,20 +257,9 @@ int trace(const walls_t *w, const bumps_t *v, int64_t n, const double *qs, const
             const double t_new = finishing ? t_end : elapsed + dur;
 
             segment_setup(v, x, y, dx, dy, s, &g);
-            for (int64_t k = 0; k < n_req; k++) {
-                if (state[k] != ACTIVE)
-                    continue;
-                const double end = times[offsets[k + 1] - 1];
-                const int fin = t_wall >= end - elapsed;
-                if (!bad) {
-                    const double t_stop = fin ? end : t_new;
-                    while (next[k] < offsets[k + 1] && times[next[k]] <= t_stop) {
-                        row[next[k]] = acc + segment_integral(v, &g, times[next[k]] - elapsed);
-                        next[k]++;
-                    }
-                }
-                if (fin)
-                    state[k] = ENDING;
+            while (!bad && next < m && times[next] <= t_new) {
+                row[next] = acc + segment_integral(v, &g, times[next] - elapsed);
+                next++;
             }
 
             acc = acc + segment_integral(v, &g, dur);
@@ -298,25 +280,12 @@ int trace(const walls_t *w, const bumps_t *v, int64_t n, const double *qs, const
                 y += w->wall_nudge * h.ny;
                 nbounce++;
             }
-
-            /* A lost boundary fails the ray for every request it has not
-             * finished.  The bounce cap fails it only for requests whose end
-             * lies beyond this segment: a trace to an end on this segment
-             * would not have bounced. */
-            const int over = nbounce > max_bounces;
-            for (int64_t k = 0; k < n_req; k++) {
-                if ((state[k] == ACTIVE && over) || (state[k] != DONE && bad))
-                    failed[k * n + i] = 1;
-                if (state[k] == ENDING)
-                    state[k] = DONE;
-            }
-            if (finishing || bad || over)
+            if (finishing || bad || nbounce > max_bounces)
                 break;
         }
         segments[i] = nseg;
         bounces[i] = nbounce;
     }
-    free(next);
     free(g.amp);
     return 0;
 }

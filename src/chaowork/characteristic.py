@@ -14,8 +14,12 @@ momenta at beta are c * z with c = sqrt(1/(2 beta)).  Free flight is
 scale-invariant: the ray at c * z reaches at time t the point the ray at z
 reaches at c * t, and its integral of V is the one along z divided by c.
 So the rays are traced at z, a request reads them at c * |u| * hbar and
-takes the phase delta_xi / (hbar * c) times the integral there.  Each
-request gets the same numbers as a call with that request alone.
+takes the phase delta_xi / (hbar * c) times the integral there.  The engine
+gets one ascending array, the union of every request's times, and each
+request reads its own columns of it; a ray that stops before a request's
+last checkpoint (lost boundary, bounce cap) is a failed sample of that
+request only.  Each request gets the same numbers as a call with that
+request alone.
 
 Reduction runs over fixed-size chunks in a fixed order, so results are
 bit-identical for any worker count.
@@ -177,10 +181,14 @@ class Request:
     collect_covariance: bool = False
 
 
-def _request_sums(integrals, failed, coef, want_cov):
-    """Phase sums of one request over its good rows in a traced chunk."""
+def _request_sums(integrals, columns, coef, want_cov):
+    """Phase sums of one request over its good rows in a traced chunk.
+
+    A row is good when the ray reached the request's last checkpoint.
+    """
+    failed = np.isnan(integrals[:, columns[-1]])
     good = ~failed
-    phases = integrals[good]
+    phases = integrals[np.ix_(good, columns)]
     phases *= coef
     c = np.cos(phases)
     s = np.sin(phases)
@@ -203,16 +211,15 @@ def _request_sums(integrals, failed, coef, want_cov):
 def _chunk_phase_sums(args):
     """Trace one chunk of the ensemble once; phase sums for each request.
 
-    Module-level so worker pools can pickle it.  ``times`` holds each
-    request's checkpoints on the unit-temperature rays and ``spec`` its
-    (delta_xi / (hbar * c), want_cov); the result lists their sums in the
+    Module-level so worker pools can pickle it.  ``times`` is the ascending
+    union of every request's checkpoints on the unit-temperature rays, and
+    ``spec`` holds per request (the columns of its own times in ``times``,
+    delta_xi / (hbar * c), want_cov); the result lists their sums in the
     same order.
     """
     (qs, z, times, geom, pot, max_bounces, spec) = args
-    integrals, failed = trajectory.checkpoint_action_integrals(
-        qs, z, times, geom, pot, max_bounces
-    )
-    return [_request_sums(i, f, *m) for i, f, m in zip(integrals, failed, spec)]
+    integrals, _ = trajectory.checkpoint_action_integrals(qs, z, times, geom, pot, max_bounces)
+    return [_request_sums(integrals, *m) for m in spec]
 
 
 class _Grid(NamedTuple):
@@ -305,8 +312,9 @@ def semiclassical_characteristic(
 
     Returns one grid per request, in order.  Every request is validated
     before any ray is traced.  Each chunk of ``ens`` is traced once, at its
-    unit-temperature momenta, to the latest checkpoint of all requests, and
-    each request still gets the same chunks, sums and failure count as a
+    unit-temperature momenta, through the union of all requests' checkpoint
+    times, so a time two requests share is filled once; each request reads
+    its own columns and gets the same chunks, sums and failure count as a
     call with that request alone.  Errored samples are dropped and counted
     per request; a request aborts with ExcessiveFailures if more than
     FAILURE_BUDGET of its samples fail before its last checkpoint, since
@@ -316,9 +324,13 @@ def semiclassical_characteristic(
     if not requests:
         return []
     grids = [_prepare(req) for req in requests]
-    times = [grid.times for grid in grids]
+    times = np.unique(np.concatenate([grid.times for grid in grids]))
     spec = [
-        (pot.delta_xi / (req.hbar * grid.scale), req.collect_covariance)
+        (
+            np.searchsorted(times, grid.times),
+            pot.delta_xi / (req.hbar * grid.scale),
+            req.collect_covariance,
+        )
         for req, grid in zip(requests, grids)
     ]
     tasks = []

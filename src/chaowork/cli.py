@@ -368,14 +368,26 @@ def write_histogram_csv(path, hist: WorkHistogram, manifest_hash: str) -> None:
 
 
 def read_histogram_csv(path) -> WorkHistogram:
+    """A histogram written by ``write_histogram_csv``, with its sidecar.
+
+    Every data row must be three numeric fields; ValueError names the file
+    and line of the first that is not.
+    """
     rows = []
     with open(path) as fh:
-        for line in fh:
-            if line.startswith("#") or line.startswith("w,"):
+        for lineno, line in enumerate(fh, start=1):
+            if line.startswith("#") or line.startswith("w,") or not line.strip():
                 continue
-            parts = line.strip().split(",")
-            if len(parts) == 3:
-                rows.append([float(p) for p in parts])
+            try:
+                w, density, error = map(float, line.split(","))
+            except ValueError:
+                raise ValueError(
+                    f"{path}, line {lineno}: expected three numeric fields w,density,error,"
+                    f" got {line.strip()!r}"
+                ) from None
+            rows.append((w, density, error))
+    if not rows:
+        raise ValueError(f"{path}: no histogram rows")
     arr = np.asarray(rows)
     with open(str(path) + ".meta.json") as fh:
         meta = json.load(fh)
@@ -500,6 +512,7 @@ def run_quantum(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
     files = []
     path = _path_in(out_dir, files)
     spec = _solve_quench(cfg, geom, pot, hbar)
+    quantum.check_truncation(spec.e0, beta)  # before any file is written
     quantum.save_spectra(path("spectra.bin"), spec)
     files.extend(quantum.export_spectra_csv(out_dir, spec, manifest_hash))
     lo, hi = quantum.spike_support(spec, beta, mass_tol=1e-10)

@@ -187,11 +187,9 @@ def open_library(path: str) -> ctypes.CDLL:
         _double_p,
         _double_p,
         ctypes.c_int64,
-        _int64_p,
         _double_p,
         ctypes.c_int64,
         _double_p,
-        ctypes.POINTER(ctypes.c_uint8),
         _int64_p,
         _int64_p,
         _int64_p,

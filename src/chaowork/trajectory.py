@@ -4,15 +4,16 @@ H = |p|^2 with mass 1/2, so dq/dt = 2p: the speed along a ray is twice the
 momentum magnitude, and |p| is conserved exactly across bounces.
 
 ``checkpoint_action_integrals`` is the engine: one compiled loop over rays
-(``_engine.c``, built and loaded by ``native``).  Each ray takes its
-direction and speed; per segment it finds the first wall hit, fills every
-request checkpoint the segment crosses, adds the segment's integral of V to
-one running sum, then moves and reflects.  It stops at the latest request
-end, when it loses the boundary or at the bounce cap.  The geometry is bit
-for bit that of ``geometry.first_hit_arrays`` and the numpy engine kept in
-``tests/reference.py`` as the test oracle, together with the scalar
-one-trajectory path (``propagate``, ``action_difference``); the integrals
-agree with that engine to rounding.
+(``_engine.c``, built and loaded by ``native``).  It reads one ascending
+array of checkpoint times.  Each ray takes its direction and speed; per
+segment it finds the first wall hit, fills every checkpoint up to the
+segment's end, adds the segment's integral of V to one running sum, then
+moves and reflects.  It stops at the last checkpoint, when it loses the
+boundary or at the bounce cap, and the checkpoints it did not reach stay
+NaN.  The geometry is bit for bit that of ``geometry.first_hit_arrays`` and
+the numpy engine kept in ``tests/reference.py`` as the test oracle,
+together with the scalar one-trajectory path (``propagate``,
+``action_difference``); the integrals agree with that engine to rounding.
 """
 
 from __future__ import annotations
@@ -65,17 +66,14 @@ def _bounce_cap(max_bounces) -> int:
     return cap
 
 
-def _checkpoints(times) -> list[np.ndarray]:
-    times = [np.asarray(t, dtype=float) for t in times]
-    if not times:
-        raise ValueError("need at least one checkpoint array")
-    for t in times:
-        if t.ndim != 1 or t.size == 0:
-            raise ValueError("times must be nonempty 1D arrays")
-        if not np.isfinite(t).all():
-            raise ValueError("times must be finite")
-        if np.any(np.diff(t) < 0.0) or t[0] < 0.0:
-            raise ValueError("times must be ascending and nonnegative")
+def _checkpoints(times) -> np.ndarray:
+    times = np.ascontiguousarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError("times must be a nonempty 1D array")
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
+    if np.any(np.diff(times) < 0.0) or times[0] < 0.0:
+        raise ValueError("times must be ascending and nonnegative")
     return times
 
 
@@ -85,12 +83,8 @@ def _trace(qs, ps, times, geom: BilliardGeometry, pot: QuenchPotential, max_boun
     cap = _bounce_cap(max_bounces)
     times = _checkpoints(times)
     n = qs.shape[0]
-    offsets = np.zeros(len(times) + 1, dtype=np.int64)
-    np.cumsum([t.size for t in times], out=offsets[1:])
-    flat = np.ascontiguousarray(np.concatenate(times))
 
-    out = np.zeros((n, flat.size))
-    failed = np.zeros((len(times), n), dtype=np.uint8)
+    out = np.full((n, times.size), np.nan)
     segments = np.zeros(n, dtype=np.int64)
     bounces = np.zeros(n, dtype=np.int64)
     events = np.zeros(2, dtype=np.int64)
@@ -108,46 +102,42 @@ def _trace(qs, ps, times, geom: BilliardGeometry, pot: QuenchPotential, max_boun
         n,
         native.pointer(qs),
         native.pointer(ps),
-        len(times),
-        native.pointer(offsets, ctypes.c_int64),
-        native.pointer(flat),
+        times.size,
+        native.pointer(times),
         cap,
         native.pointer(out),
-        native.pointer(failed, ctypes.c_uint8),
         native.pointer(segments, ctypes.c_int64),
         native.pointer(bounces, ctypes.c_int64),
         native.pointer(events, ctypes.c_int64),
     )
     if status != 0:
         raise MemoryError("the engine could not allocate its working memory")
-    outs = [out[:, lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
     counts = TraceCounts(segments, bounces, int(events[0]), int(events[1]))
-    return outs, failed.view(bool), counts
+    return out, np.isnan(out[:, -1]), counts
 
 
 def checkpoint_action_integrals(
     qs: np.ndarray,
     ps: np.ndarray,
-    times,
+    times: np.ndarray,
     geom: BilliardGeometry,
     pot: QuenchPotential,
     max_bounces: int = MAX_BOUNCES_DEFAULT,
-) -> tuple[list[np.ndarray], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Integral of V from 0 to each checkpoint time, for a batch of particles.
 
-    ``qs`` and ``ps`` are (n, 2) positions and momenta.  ``times`` lists one
-    checkpoint array per request that shares these rays; each must be
-    finite, ascending and nonnegative.  The rays are traced once, to the
-    latest checkpoint, and each request gets exactly the numbers a trace to
-    its own last checkpoint would give: every ray keeps one running
-    integral, and a request reads it at its own checkpoints.  Returns
-    (integrals, failed): integrals[k] has shape (n, len(times[k])), and
-    failed[k] flags the particles that lost geometric containment or
-    exceeded ``max_bounces`` reflections before request k's last checkpoint;
-    their rows of integrals[k] are invalid and should be dropped by the
-    caller.  Malformed arguments raise ValueError before the engine runs.
+    ``qs`` and ``ps`` are (n, 2) positions and momenta; ``times`` is one
+    finite, ascending, nonnegative array of checkpoints.  Each ray is traced
+    once, to the last checkpoint, keeping one running integral that every
+    checkpoint reads on the segment that reaches it.  Returns (integrals,
+    failed): integrals has shape (n, len(times)), and failed flags the rays
+    that lost geometric containment or exceeded ``max_bounces`` reflections
+    before the last checkpoint.  Such a ray stopped there, so the
+    checkpoints it did not reach read NaN: a caller that reads only up to an
+    earlier checkpoint keeps the rows that are finite there.  Malformed
+    arguments raise ValueError before the engine runs.
     """
-    outs, failed, counts = _trace(qs, ps, times, geom, pot, max_bounces)
+    out, failed, counts = _trace(qs, ps, times, geom, pot, max_bounces)
     if counts.grazing:
         logger.warning("%d grazing reflections encountered; reflected anyway", counts.grazing)
-    return outs, failed
+    return out, failed

@@ -305,31 +305,30 @@ class NumpySegments:
 def checkpoint_action_integrals_numpy(
     qs: np.ndarray,
     ps: np.ndarray,
-    times,
+    times: np.ndarray,
     geom: BilliardGeometry,
     pot: QuenchPotential,
     max_bounces: int = MAX_BOUNCES_DEFAULT,
-) -> tuple[list[np.ndarray], np.ndarray, TraceCounts]:
+) -> tuple[np.ndarray, np.ndarray, TraceCounts]:
     """The numpy engine: ``trajectory._trace``'s results, one batch step per bounce.
 
-    Every row still in flight advances one segment per loop step.  A request
-    that ends before the shared trace keeps the rows still on their way to
-    its end; numpy computes a one-row ``(1, 4) @ (4,)`` product through a
-    different BLAS kernel than a larger batch, so once one such row is left,
-    that request's running integral continues in one-row calls, as a trace
-    to that end alone would.
+    Every row still in flight advances one segment per loop step and fills
+    every checkpoint up to the segment's end; the checkpoints a row stopped
+    short of stay NaN.
     """
-    times = [np.asarray(t, dtype=float) for t in times]
+    times = np.asarray(times, dtype=float)
     n = qs.shape[0]
-    ends = [float(t[-1]) for t in times]
-    t_end = max(ends)
+    t_end = float(times[-1])
 
-    outs = [np.zeros((n, t.size)) for t in times]
-    failed = np.zeros((len(times), n), dtype=bool)
+    out = np.full((n, times.size), np.nan)
+    k_first = int(np.searchsorted(times, 0.0, side="right"))
+    out[:, :k_first] = 0.0
     segments = np.zeros(n, dtype=np.int64)
     bounce_count = np.zeros(n, dtype=np.int64)
     n_grazing = 0
     n_corner = 0
+    if t_end == 0.0:
+        return out, np.isnan(out[:, -1]), TraceCounts(segments, bounce_count, 0, 0)
 
     pmag = np.hypot(ps[:, 0], ps[:, 1])
     speed = 2.0 * pmag
@@ -344,12 +343,7 @@ def checkpoint_action_integrals_numpy(
     elapsed = np.zeros(n)
     acc = np.zeros(n)  # running integral of V up to `elapsed`
     bounces = np.zeros(n, dtype=np.int64)
-    k_next = [np.searchsorted(t, 0.0, side="right") * np.ones(n, dtype=np.intp) for t in times]
-    live = [None if end == t_end else np.full(n, end > 0.0) for end in ends]
-    solo: list[np.ndarray | None] = [None] * len(times)
-
-    if t_end == 0.0:
-        return outs, failed, TraceCounts(segments, bounce_count, 0, 0)
+    k_next = np.full(n, k_first, dtype=np.intp)
 
     while idx.size:
         segments[idx] += 1
@@ -366,34 +360,16 @@ def checkpoint_action_integrals_numpy(
 
         cst = NumpySegments(pot, pos, d, s)
 
-        ending = [None] * len(times)
-        for k, (t_k, end) in enumerate(zip(times, ends)):
-            if live[k] is None:
-                stop, t_stop = bad, t_new
-            elif live[k].any():
-                rem = end - elapsed
-                ending[k] = fin = t_wall >= rem
-                stop, t_stop = bad | ~live[k], np.where(fin, end, t_new)
-                if solo[k] is None and idx.size > 1 and np.count_nonzero(live[k]) == 1:
-                    solo[k] = acc[live[k]]
-            else:
-                continue
-            k_hi = np.where(stop, k_next[k], np.searchsorted(t_k, t_stop, side="right"))
-            counts = k_hi - k_next[k]
-            total = int(counts.sum())
-            if total > 0:
-                rows = np.repeat(np.arange(idx.size), counts)
-                offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-                kk = np.repeat(k_next[k], counts) + offsets
-                rel = t_k[kk] - elapsed[rows]
-                part = cst.select(rows).integral(rel)
-                base = acc[rows] if solo[k] is None else np.repeat(solo[k], total)
-                outs[k][idx[rows], kk] = base + part
-            k_next[k] = k_hi
-            if solo[k] is not None:
-                row = np.flatnonzero(live[k])
-                dur_k = np.where(bad[row], 0.0, np.where(fin[row], rem[row], t_wall[row]))
-                solo[k] = solo[k] + cst.select(row).integral(dur_k)
+        k_hi = np.where(bad, k_next, np.searchsorted(times, t_new, side="right"))
+        counts = k_hi - k_next
+        total = int(counts.sum())
+        if total > 0:
+            rows = np.repeat(np.arange(idx.size), counts)
+            offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+            kk = np.repeat(k_next, counts) + offsets
+            rel = times[kk] - elapsed[rows]
+            out[idx[rows], kk] = acc[rows] + cst.select(rows).integral(rel)
+        k_next = k_hi
 
         acc = acc + cst.integral(dur)
         pos = pos + d * (s * dur)[:, None]
@@ -413,21 +389,7 @@ def checkpoint_action_integrals_numpy(
             pos[bounce] += WALL_NUDGE * nn
             bounces[bounce] += 1
 
-        over = bounces > max_bounces
-        newly_failed = bad | over
-        any_failed = newly_failed.any()
-        for k, fin in enumerate(ending):
-            if live[k] is None:
-                if any_failed:
-                    failed[k, idx[newly_failed]] = True
-            elif fin is not None:
-                if any_failed:
-                    lost = live[k] & (bad | (over & ~fin))
-                    failed[k, idx[lost]] = True
-                    fin = fin | lost
-                live[k] &= ~fin
-
-        done = finishing | newly_failed
+        done = finishing | bad | (bounces > max_bounces)
         if done.any():
             bounce_count[idx[done]] = bounces[done]
             keep = ~done
@@ -438,10 +400,9 @@ def checkpoint_action_integrals_numpy(
             elapsed = elapsed[keep]
             acc = acc[keep]
             bounces = bounces[keep]
-            k_next = [k_n[keep] for k_n in k_next]
-            live = [lv if lv is None else lv[keep] for lv in live]
+            k_next = k_next[keep]
 
-    return outs, failed, TraceCounts(segments, bounce_count, n_grazing, n_corner)
+    return out, np.isnan(out[:, -1]), TraceCounts(segments, bounce_count, n_grazing, n_corner)
 
 
 # ---------------------------------------------------------------------------
@@ -531,10 +492,11 @@ def shell_characteristic(
     var_c = np.zeros((energies.size, k))
     var_s = np.zeros((energies.size, k))
     total_failed = 0
+    columns = np.arange(times.size)
     for m, energy in enumerate(energies):
         qs, ps = sample_shell(geom, float(energy), samples_per_shell, seed, m)
         [(c, s, c2, s2, ok, fail, _)] = _chunk_phase_sums(
-            (qs, ps, [times], geom, pot, max_bounces, [(pot.delta_xi / hbar, False)])
+            (qs, ps, times, geom, pot, max_bounces, [(columns, pot.delta_xi / hbar, False)])
         )
         total_failed += fail
         if fail > FAILURE_BUDGET * samples_per_shell:

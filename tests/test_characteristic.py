@@ -223,44 +223,49 @@ class TestSharedTraces:
             else:
                 assert g.second_moment is None and one.second_moment is None
 
-    def test_one_trace_per_chunk_for_any_beta(self, geom_mod, pot_mod, plan, monkeypatch):
-        # fig3's default betas, sqrt 2 ratios included: one engine call per
-        # chunk, on the ensemble's unit-temperature momenta.
+    def test_one_trace_per_chunk_for_any_beta(self, geom_mod, pot_mod, monkeypatch):
+        # fig3-sweep's betas on a 64-point plan: one engine call per chunk,
+        # on the ensemble's unit-temperature momenta, with one array of the
+        # 128 distinct checkpoint times of the three requests' 192.
         ens = sampler.sample_ensemble(geom_mod, 600, seed=11)
+        plan = plan_u_grid(geom_mod, pot_mod, seed=11, n_u=64)
         engine = characteristic.trajectory.checkpoint_action_integrals
         calls = []
 
         def counted(qs, ps, times, *rest):
-            calls.append((qs, ps, len(times)))
+            calls.append((qs, ps, times))
             return engine(qs, ps, times, *rest)
 
         monkeypatch.setattr(characteristic.trajectory, "checkpoint_action_integrals", counted)
-        requests = [Request(2.0**-k, plan, 1.0) for k in range(7, 14)]
+        requests = [Request(2.0**-k, plan, 1.0) for k in (8, 10, 12)]
         semiclassical_characteristic(ens, requests, geom_mod, pot_mod, chunk_size=256)
+        own = [characteristic._prepare(req).times for req in requests]
+        assert sum(t.size for t in own) == 192
         assert len(calls) == 3
-        for (qs, ps, n_requests), lo in zip(calls, (0, 256, 512)):
+        for (qs, ps, times), lo in zip(calls, (0, 256, 512)):
             assert np.array_equal(qs, ens.qs[lo : lo + 256])
             assert np.array_equal(ps, ens.z[lo : lo + 256])
-            assert n_requests == 7
+            assert times.shape == (128,)
+            assert np.array_equal(times, np.unique(np.concatenate(own)))
 
     def test_failures_count_per_request(self, geom_mod, pot_mod):
         # With a low bounce cap, rows that pass the cap only after the short
         # request's last checkpoint fail for the long request alone.
         ens = sampler.sample_ensemble(geom_mod, 400, seed=3)
         short, long = np.linspace(0.0, 0.05, 5), np.linspace(0.0, 0.5, 9)
-        member = (pot_mod.delta_xi, False)
 
-        def sums(times):
-            ps = ens.momenta(2.0**-8)
-            args = (ens.qs, ps, times, geom_mod, pot_mod, 2, [member] * len(times))
+        def sums(requests):
+            times = np.unique(np.concatenate(requests))
+            spec = [(np.searchsorted(times, t), pot_mod.delta_xi, False) for t in requests]
+            args = (ens.qs, ens.momenta(2.0**-8), times, geom_mod, pot_mod, 2, spec)
             return characteristic._chunk_phase_sums(args)
 
         s_short, s_long = sums([short, long])
-        [alone] = sums([short])
         assert 0 < s_short[5] < s_long[5]
-        assert s_short[4:6] == alone[4:6]
-        for a, b in zip(s_short[:4], alone[:4]):
-            assert np.array_equal(a, b)
+        for shared, [alone] in ((s_short, sums([short])), (s_long, sums([long]))):
+            assert shared[4:6] == alone[4:6]
+            for a, b in zip(shared[:4], alone[:4]):
+                assert np.array_equal(a, b)
 
     def test_bad_request_raises_before_tracing(self, geom_mod, pot_mod, plan, monkeypatch):
         traced = []

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import subprocess
 from dataclasses import fields
 
@@ -280,7 +281,18 @@ class TestSubcommands:
         report = json.loads((tmp_path / "o" / "quantum_report.json").read_text())
         assert report["jarzynski_lhs"] == pytest.approx(report["jarzynski_rhs"], rel=1e-9)
 
-    def test_compare_command(self, tmp_path):
+    def test_quantum_truncation_writes_nothing(self, tmp_path, capsys):
+        # At beta = 2^-10 the kept states of this grid miss the Boltzmann tail.
+        cfgp = tmp_path / "c.cfg"
+        cfgp.write_text(tiny_text(beta_list="2^-10"))
+        out = tmp_path / "o"
+        rc = self.run_main(["quantum", "--config", str(cfgp), "--out", str(out)])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "TruncationDominates"
+        assert os.listdir(out) == []
+
+    def test_compare_command(self, tmp_path, capsys):
         cfgp = tmp_path / "c.cfg"
         cfgp.write_text(tiny_text(hbar_list="0.3,1.0"))
         cfg = validate_config(tiny_text(hbar_list="0.3,1.0", out_dir=str(tmp_path)))
@@ -292,6 +304,18 @@ class TestSubcommands:
         assert rc == 0
         rpt = json.loads(outp.read_text())
         assert 0.0 <= rpt["l1"] <= 2.0
+
+        # A last row cut to two fields is an error naming the file and line.
+        with open(csvs[0]) as fh:
+            lines = fh.read().splitlines()
+        cut = tmp_path / "cut.csv"
+        cut.write_text("\n".join([*lines[:-1], "0.5,0.5"]) + "\n")
+        shutil.copyfile(csvs[0] + ".meta.json", str(cut) + ".meta.json")
+        rc = self.run_main(["compare", str(cut), classical_csv, "--out", str(outp)])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "ValueError"
+        assert f"{cut}, line {len(lines)}" in payload["message"]
 
     def test_error_json_on_bad_config(self, tmp_path, capsys):
         cfgp = tmp_path / "bad.cfg"

@@ -1,10 +1,13 @@
 """Smoke tests of the scripts under ``scripts/``."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 
-from chaowork import native
+import numpy as np
+
+from chaowork import cli, native
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.dirname(native.PACKAGE_DIR)
@@ -24,3 +27,48 @@ def test_pilot_classical_limit_runs():
     assert proc.returncode == 0, proc.stderr
     rows = [line for line in proc.stdout.splitlines() if line.startswith("hbar=")]
     assert len(rows) == 4, proc.stdout
+
+
+def _load_script(name):
+    path = os.path.join(REPO, "scripts", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_plot_results_reads_the_jarzynski_sweep(tmp_path):
+    cfg = cli.validate_config(
+        "beta_list = 2^-8, 2^-10\nhbar_list = 1\nn_samples = 256\n"
+        f"n_classical = 2000\nu_points = 16\nseed = 5\nout_dir = {tmp_path}\n"
+    )
+    res = cli.run_scenario(cfg, "fig3")
+    [csv] = [p for p in res["files"] if p.endswith("jarzynski_sweep.csv")]
+
+    header, data = _load_script("plot_results").read_csv(csv)
+    plotted = (
+        "beta",
+        "delta_f_reference",
+        "delta_f_semiclassical",
+        "stderr_semiclassical",
+        "delta_f_classical_mc",
+        "stderr_classical_mc",
+    )
+    assert set(plotted) <= set(header)
+    assert data.shape == (2, len(header))
+    assert np.isfinite(data).all()
+
+    script = os.path.join(REPO, "scripts", "plot_results.py")
+    out = tmp_path / "jarzynski.png"
+    proc = subprocess.run(
+        [sys.executable, script, "jarzynski", csv, "-o", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    if importlib.util.find_spec("matplotlib") is None:
+        assert proc.returncode == 1
+        assert "matplotlib is not installed" in proc.stderr
+    else:
+        assert proc.returncode == 0, proc.stderr
+        assert out.exists()

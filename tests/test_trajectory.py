@@ -146,7 +146,7 @@ class TestCheckpointEngine:
         beta = 2.0**-6
         times = np.linspace(0.0, 0.5, 7)
         ps = ens.momenta(beta)
-        [integrals], failed = checkpoint_action_integrals(ens.qs, ps, [times], geom, pot)
+        integrals, failed = checkpoint_action_integrals(ens.qs, ps, times, geom, pot)
         assert not failed.any()
         for i in range(len(ens)):
             for k, t in enumerate(times):
@@ -167,23 +167,28 @@ class TestCheckpointEngine:
         qs, ps = np.array([q0]), np.array([p0])
         pmag = np.hypot(ps[:, 0], ps[:, 1])
         assert reference.first_hit(geom, q0, ps[0] / pmag[0]).path_length > 2.0 * pmag[0] * t
-        [integrals], failed = checkpoint_action_integrals(qs, ps, [np.array([t])], geom, pot)
+        integrals, failed = checkpoint_action_integrals(qs, ps, np.array([t]), geom, pot)
         assert not failed.any()
         cst = potential.segment_constants(pot, qs, ps / pmag[:, None], 2.0 * pmag)
         assert integrals[0, 0] == cst.integral(np.array([t]))[0]
 
     def test_zero_column_at_time_zero(self, geom, pot):
         ens = sampler.sample_ensemble(geom, 16, seed=2)
-        [integrals], _ = checkpoint_action_integrals(
-            ens.qs, ens.momenta(1.0), [np.array([0.0, 0.2])], geom, pot
+        integrals, _ = checkpoint_action_integrals(
+            ens.qs, ens.momenta(1.0), np.array([0.0, 0.2]), geom, pot
         )
         assert np.array_equal(integrals[:, 0], np.zeros(16))
+        integrals, failed = checkpoint_action_integrals(
+            ens.qs, ens.momenta(1.0), np.zeros(2), geom, pot
+        )
+        assert np.array_equal(integrals, np.zeros((16, 2)))
+        assert not failed.any()
 
     def test_stationary_rows(self, geom, pot):
         qs = np.array([[0.2, 0.4], [1.5, 0.3]])
         ps = np.zeros((2, 2))
         times = np.array([0.0, 1.0, 2.0])
-        [integrals], failed = checkpoint_action_integrals(qs, ps, [times], geom, pot)
+        integrals, failed = checkpoint_action_integrals(qs, ps, times, geom, pot)
         assert not failed.any()
         v = potential.evaluate(pot, qs)
         np.testing.assert_allclose(integrals, np.outer(v, times), rtol=1e-12, atol=1e-15)
@@ -193,7 +198,7 @@ class TestCheckpointEngine:
         ens = sampler.sample_ensemble(geom, 64, seed=5)
         times = np.array([0.0, 1.0, 2.0])
         ps = ens.momenta(2.0**-12)
-        [integrals], failed = checkpoint_action_integrals(ens.qs, ps, [times], geom, pot)
+        integrals, failed = checkpoint_action_integrals(ens.qs, ps, times, geom, pot)
         assert not failed.any()
         assert np.isfinite(integrals).all()
         # The running average of V along an ergodic path stays bounded by max|V|.
@@ -201,15 +206,17 @@ class TestCheckpointEngine:
 
     def test_bounce_cap_marks_failed(self, geom, pot):
         ens = sampler.sample_ensemble(geom, 8, seed=6)
-        _, failed = checkpoint_action_integrals(
-            ens.qs, ens.momenta(2.0**-12), [np.array([0.0, 5.0])], geom, pot, max_bounces=3
+        integrals, failed = checkpoint_action_integrals(
+            ens.qs, ens.momenta(2.0**-12), np.array([0.0, 5.0]), geom, pot, max_bounces=3
         )
         assert failed.all()
+        assert np.array_equal(integrals[:, 0], np.zeros(8))
+        assert np.isnan(integrals[:, 1]).all()
 
     def test_monotone_time_grid_required(self, geom, pot):
         ens = sampler.sample_ensemble(geom, 4, seed=7)
         with pytest.raises(ValueError):
-            checkpoint_action_integrals(ens.qs, ens.z, [np.array([0.5, 0.1])], geom, pot)
+            checkpoint_action_integrals(ens.qs, ens.z, np.array([0.5, 0.1]), geom, pot)
 
     @pytest.mark.parametrize(
         "qs,ps,max_bounces",
@@ -230,13 +237,13 @@ class TestCheckpointEngine:
         monkeypatch.setattr(native, "load", refuse)
         with pytest.raises(ValueError):
             checkpoint_action_integrals(
-                qs, ps, [np.array([0.0, 0.1])], geom, pot, max_bounces=max_bounces
+                qs, ps, np.array([0.0, 0.1]), geom, pot, max_bounces=max_bounces
             )
 
     def test_grazing_reflection_is_logged(self, geom, pot, caplog):
         # Along the top wall into the arc's apex: d . n is exactly 0 there.
         qs, ps = np.array([[0.5, 1.0]]), np.array([[1.0, 0.0]])
-        times = [np.array([0.0, 0.2, 0.2500005])]
+        times = np.array([0.0, 0.2, 0.2500005])
         with caplog.at_level(logging.WARNING, logger="chaowork.trajectory"):
             checkpoint_action_integrals(qs, ps, times, geom, pot)
         assert "1 grazing reflections encountered; reflected anyway" in caplog.text
@@ -250,8 +257,9 @@ class TestAgainstNumpyEngine:
     """The compiled engine against the numpy engine in reference.py.
 
     The geometry is the same arithmetic in the same order, so flight and
-    bounce counts, event totals and failure flags agree exactly; the
-    integrals differ only in how the bump sum and exp round.
+    bounce counts, event totals, failure flags and the checkpoints each ray
+    reached agree exactly; the integrals differ only in how the bump sum and
+    exp round.
     """
 
     @pytest.mark.parametrize("max_bounces", [trajectory.MAX_BOUNCES_DEFAULT, 40])
@@ -265,21 +273,25 @@ class TestAgainstNumpyEngine:
         ps = np.vstack([ens.momenta(beta), [[-1.0, -1.0]]])
         ps[:2] = 0.0
         end = 60.0 * np.sqrt(beta)  # about 70 bounces at every beta
-        times = [np.linspace(0.0, end, 17), np.linspace(0.0, end / 4, 9), np.zeros(2)]
+        times = np.union1d(np.linspace(0.0, end, 17), np.linspace(0.0, end / 4, 9))
+        quarter = np.searchsorted(times, end / 4)
 
         got, failed, counts = trajectory._trace(qs, ps, times, geom, pot, max_bounces)
         want, want_failed, ref = reference.checkpoint_action_integrals_numpy(
             qs, ps, times, geom, pot, max_bounces
         )
         assert np.array_equal(failed, want_failed)
+        assert np.array_equal(failed, np.isnan(got[:, -1]))
+        assert np.array_equal(np.isnan(got), np.isnan(want))
         assert np.array_equal(counts.segments, ref.segments)
         assert np.array_equal(counts.bounces, ref.bounces)
         assert (counts.grazing, counts.corner) == (ref.grazing, ref.corner)
         assert counts.corner >= 1
-        for a, b in zip(got, want):
-            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
-        assert not failed[:, :2].any()
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        assert np.array_equal(got[:, 0], np.zeros(len(qs)))
+        assert not failed[:2].any()
         if max_bounces == 40:
-            assert 0 < failed[1].sum() < failed[0].sum() < failed.shape[1]
+            # Some rays pass the cap before end / 4, more only after it.
+            assert 0 < np.isnan(got[:, quarter]).sum() < failed.sum() < len(qs)
         else:
             assert not failed.any()
