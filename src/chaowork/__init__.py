@@ -13,6 +13,7 @@ from .sampler import ThermalEnsemble, sample_ensemble
 from .characteristic import (
     CharacteristicGrid,
     Request,
+    UGridPlan,
     plan_u_grid,
     semiclassical_characteristic,
 )
@@ -26,6 +27,7 @@ __all__ = [
     "sample_ensemble",
     "CharacteristicGrid",
     "Request",
+    "UGridPlan",
     "plan_u_grid",
     "semiclassical_characteristic",
     "WorkHistogram",

@@ -46,14 +46,15 @@ def jarzynski_from_samples(values, beta: float) -> tuple[float, float]:
 def jarzynski_from_characteristic(
     g: CharacteristicGrid | WorkHistogram,
     beta: float,
-    broadening: float | None = None,
+    broadening: float,
 ) -> tuple[float, float]:
     """Free-energy estimate from the inverted work histogram.
 
-    Accepts either a characteristic grid (inverted here with the default
-    broadening) or an existing histogram.  The broadening inflates
-    <exp(-beta W)> by exp((beta eps)^2 / 2) exactly (Gaussian convolution),
-    so that factor is divided out.
+    Accepts either a characteristic grid (inverted here with Gaussian width
+    ``broadening``) or an existing histogram, whose own broadening must equal
+    ``broadening``.  The broadening inflates <exp(-beta W)> by
+    exp((beta eps)^2 / 2) exactly (Gaussian convolution), so that factor is
+    divided out.
 
     The histogram sum is a linear functional of G, so when the grid carries
     phase second moments the standard error is propagated through the exact
@@ -63,6 +64,8 @@ def jarzynski_from_characteristic(
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     if isinstance(g, WorkHistogram):
+        if g.broadening != broadening:
+            raise ValueError(f"histogram broadening is {g.broadening}, not {broadening}")
         hist, cov = g, None
     else:
         hist = spectra_mod.invert(g, broadening=broadening)

@@ -7,13 +7,17 @@ once to the largest checkpoint time with the running integral recorded at
 every u-grid time, so the cost is one trajectory per sample rather than one
 per (sample, u) pair.
 
+G is Hermitian, G(-u) = conj G(u), so every grid is one-sided: a
+``UGridPlan`` holds u_k = k du for k = 0 .. n-1 and the center of the dual
+work window, and nothing else is accepted as a u grid.
+
 ``semiclassical_characteristic`` takes one ensemble and a list of requests
-(beta, u grid, hbar) and traces each ray of the ensemble once for all of
+(beta, u plan, hbar) and traces each ray of the ensemble once for all of
 them.  The ensemble holds unit-temperature momenta z, and the Boltzmann
 momenta at beta are c * z with c = sqrt(1/(2 beta)).  Free flight is
 scale-invariant: the ray at c * z reaches at time t the point the ray at z
 reaches at c * t, and its integral of V is the one along z divided by c.
-So the rays are traced at z, a request reads them at c * |u| * hbar and
+So the rays are traced at z, a request reads them at c * u * hbar and
 takes the phase delta_xi / (hbar * c) times the integral there.  The engine
 gets one ascending array, the union of every request's times, and each
 request reads its own columns of it; a ray that stops before a request's
@@ -51,18 +55,22 @@ class ExcessiveFailures(RuntimeError):
 
 @dataclass(frozen=True)
 class UGridPlan:
-    """Uniform one-sided u grid plus the center of the dual work window."""
+    """One-sided uniform u grid u_k = k * du, k = 0 .. n-1, plus the center
+    of the dual work window."""
 
-    u_values: np.ndarray
-    w_center: float
+    du: float
+    n: int
+    w_center: float = 0.0
+
+    def __post_init__(self):
+        if not (self.du > 0.0 and math.isfinite(self.du)):
+            raise ValueError(f"du must be positive and finite, got {self.du}")
+        if not (isinstance(self.n, (int, np.integer)) and self.n >= 2):
+            raise ValueError(f"n must be an integer >= 2, got {self.n}")
 
     @property
-    def du(self) -> float:
-        return float(self.u_values[1] - self.u_values[0])
-
-    @property
-    def n_onesided(self) -> int:
-        return self.u_values.size
+    def u_values(self) -> np.ndarray:
+        return np.arange(self.n) * self.du
 
 
 @dataclass
@@ -84,7 +92,7 @@ class CharacteristicGrid:
     n_failed: int = 0
     metadata: dict = field(default_factory=dict)
     # Optional raw second-moment matrix of the per-sample [cos; sin] phase
-    # vector over the distinct |u| times, for exact error propagation through
+    # vector over the grid, for exact error propagation through
     # any linear functional of G (see quadrature_covariance).
     second_moment: np.ndarray | None = None
 
@@ -95,16 +103,15 @@ class CharacteristicGrid:
     def quadrature_covariance(self) -> np.ndarray | None:
         """Covariance of the stacked estimator mean [Re G; Im G].
 
-        Available only when the estimator collected second moments on a
-        one-sided grid; lets callers propagate errors exactly through any
-        linear functional of G instead of assuming independent points.
+        Available only when the estimator collected second moments; lets
+        callers propagate errors exactly through any linear functional of G
+        instead of assuming independent points.
         """
         if self.second_moment is None:
             return None
         n = self.n_samples
         m = self.second_moment
-        k = m.shape[0] // 2
-        mu = np.concatenate([self.g_values.real[:k], self.g_values.imag[:k]])
+        mu = np.concatenate([self.g_values.real, self.g_values.imag])
         cov = (m / n - np.outer(mu, mu)) * (n / max(n - 1, 1))
         return cov / n
 
@@ -141,42 +148,20 @@ def plan_from_window(
         raise ValueError("need w_hi > w_lo")
     pad = pad_frac * (w_hi - w_lo)
     lo, hi = w_lo - pad, w_hi + pad
-    du = 2.0 * math.pi / (hi - lo)
-    u = np.arange(n_u) * du
-    return UGridPlan(u_values=u, w_center=0.5 * (lo + hi))
-
-
-def _resolve_grid(u_grid) -> tuple[np.ndarray, float]:
-    if isinstance(u_grid, UGridPlan):
-        return np.asarray(u_grid.u_values, dtype=float), u_grid.w_center
-    return np.asarray(u_grid, dtype=float), 0.0
-
-
-def _phase_times(u: np.ndarray, hbar: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Checkpoint times for |u| plus the map from grid entries to them."""
-    if u.ndim != 1 or u.size == 0:
-        raise ValueError("u grid must be a nonempty 1D array")
-    du = np.diff(u)
-    if u.size > 1 and not np.allclose(du, du[0], rtol=0.0, atol=1e-12 * abs(du[0])):
-        raise ValueError("u grid must be uniform")
-    if not np.any(u == 0.0):
-        raise ValueError("u grid must contain u = 0")
-    mags = np.abs(u)
-    uniq, inverse = np.unique(mags, return_inverse=True)
-    return uniq * hbar, inverse, np.sign(u)
+    return UGridPlan(2.0 * math.pi / (hi - lo), n_u, 0.5 * (lo + hi))
 
 
 @dataclass(frozen=True)
 class Request:
-    """One G(u) to estimate: beta, a u grid or plan, hbar, covariance flag.
+    """One G(u) to estimate: beta, a u plan, hbar, covariance flag.
 
     ``collect_covariance`` additionally accumulates the second-moment matrix
-    of the per-sample phase vector (quadratic in the grid size; needs a
-    one-sided grid) for exact downstream error bars.
+    of the per-sample phase vector (quadratic in the grid size) for exact
+    downstream error bars.
     """
 
     beta: float
-    u_grid: UGridPlan | np.ndarray
+    u_grid: UGridPlan
     hbar: float
     collect_covariance: bool = False
 
@@ -223,11 +208,7 @@ def _chunk_phase_sums(args):
 
 
 class _Grid(NamedTuple):
-    u: np.ndarray
-    w_center: float
-    times: np.ndarray  # distinct |u| * hbar * c, ascending
-    inverse: np.ndarray  # grid entry -> index into times
-    signs: np.ndarray
+    times: np.ndarray  # u * hbar * c, ascending
     scale: float  # c = sqrt(1 / (2 beta)), the momentum scale of the request
 
 
@@ -236,18 +217,16 @@ def _prepare(req: Request) -> _Grid:
     scale = sampler.momentum_scale(req.beta)
     if not req.hbar > 0.0:
         raise ValueError(f"hbar must be positive, got {req.hbar}")
-    u, w_center = _resolve_grid(req.u_grid)
-    times, inverse, signs = _phase_times(u, req.hbar * scale)
-    if req.collect_covariance and (u.size != times.size or np.any(u < 0.0)):
-        raise ValueError("covariance collection needs a one-sided ascending grid")
-    return _Grid(u, w_center, times, inverse, signs, scale)
+    if not isinstance(req.u_grid, UGridPlan):
+        raise TypeError(f"u_grid must be a UGridPlan, got {type(req.u_grid).__name__}")
+    return _Grid(req.u_grid.u_values * (req.hbar * scale), scale)
 
 
-def _reduce(ens: ThermalEnsemble, req: Request, grid: _Grid, results) -> CharacteristicGrid:
+def _reduce(ens: ThermalEnsemble, req: Request, results) -> CharacteristicGrid:
     """Fixed-order reduction of one request's chunk sums into its G(u)."""
-    u, w_center, times, inverse, signs, _ = grid
+    plan = req.u_grid
     n = len(ens)
-    k = times.size
+    k = plan.n
     sum_c = np.zeros(k)
     sum_s = np.zeros(k)
     sum_c2 = np.zeros(k)
@@ -282,17 +261,15 @@ def _reduce(ens: ThermalEnsemble, req: Request, grid: _Grid, results) -> Charact
     se_c = np.sqrt(var_c / n_ok)
     se_s = np.sqrt(var_s / n_ok)
 
-    # Map |u| results onto the requested grid; negative u conjugates exactly.
-    g = mean_c[inverse] + 1j * (signs * mean_s[inverse])
     return CharacteristicGrid(
-        u_values=u,
-        g_values=g,
-        stderr_re=se_c[inverse],
-        stderr_im=se_s[inverse],
+        u_values=plan.u_values,
+        g_values=mean_c + 1j * mean_s,
+        stderr_re=se_c,
+        stderr_im=se_s,
         n_samples=n_ok,
         hbar=float(req.hbar),
         beta=float(req.beta),
-        w_center=w_center,
+        w_center=plan.w_center,
         n_failed=n_failed,
         metadata={"seed": ens.seed, "estimator": "boltzmann"},
         second_moment=moment,
@@ -340,13 +317,11 @@ def semiclassical_characteristic(
     # Load (and on first use build) the engine before forking, so workers
     # inherit it and never build it at the same time.
     native.load()
-    if workers > 1 and len(tasks) > 1:
+    workers = min(workers, len(tasks))
+    if workers > 1:
         with multiprocessing.Pool(workers) as pool:
             results = pool.map(_chunk_phase_sums, tasks)
     else:
         results = [_chunk_phase_sums(t) for t in tasks]
 
-    per_request = zip(*results)
-    return [
-        _reduce(ens, req, grid, sums) for req, grid, sums in zip(requests, grids, per_request)
-    ]
+    return [_reduce(ens, req, sums) for req, sums in zip(requests, zip(*results))]

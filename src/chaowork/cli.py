@@ -591,11 +591,12 @@ def run_fig3(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
     sample = classical.sample_classical_work(geom, pot, betas[0], cfg.n_classical, cfg.seed)
     requests = [Request(beta, plan, hbar, collect_covariance=True) for beta in betas]
     _, grids = _semiclassical_grids(cfg, geom, pot, requests)
+    _, eps = _broadened_grid(cfg, plan)
     rows = []
     for beta, grid in zip(betas, grids):
         ref = classical.classical_free_energy_difference(geom, pot, beta)
         est_mc, se_mc = analysis.jarzynski_from_samples(sample.values, beta)
-        est_sc, se_sc = analysis.jarzynski_from_characteristic(grid, beta)
+        est_sc, se_sc = analysis.jarzynski_from_characteristic(grid, beta, eps)
         rows.append(
             {
                 "beta": beta,

@@ -23,7 +23,7 @@ from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
 from . import geometry, spectra
-from .characteristic import CharacteristicGrid, _resolve_grid
+from .characteristic import CharacteristicGrid, UGridPlan
 from .geometry import BilliardGeometry
 from .potential import QuenchPotential, evaluate
 from .spectra import WorkHistogram
@@ -279,14 +279,15 @@ def quantum_work_distribution(
 def quantum_characteristic(
     spec: QuenchSpectra,
     beta: float,
-    u_grid,
+    plan: UGridPlan,
 ) -> CharacteristicGrid:
-    """Exact G(u): thermally weighted transition phases exp(i u (E_f - E_0)).
+    """Exact G(u) on ``plan``: thermally weighted transition phases
+    exp(i u (E_f - E_0)).
 
     Fourier pair of the unbroadened work distribution; deterministic, so the
     stored standard errors are zero.
     """
-    u, w_center = _resolve_grid(u_grid)
+    u = plan.u_values
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     check_truncation(spec.e0, beta)
@@ -304,7 +305,7 @@ def quantum_characteristic(
         n_samples=0,
         hbar=spec.hbar,
         beta=float(beta),
-        w_center=w_center,
+        w_center=plan.w_center,
         metadata={"source": "quantum"},
     )
 

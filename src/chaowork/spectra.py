@@ -1,7 +1,8 @@
 """Fourier inversion: characteristic grids to work histograms.
 
-The W grid is the exact discrete dual of the u grid: a one-sided grid of M
-points u_k = k du maps to N = 2M - 1 bins of width dw = 2 pi / (N du)
+The W grid is the exact discrete dual of the u grid: the one-sided grid of M
+points u_k = k du (G on negative u is the conjugate, so it is not stored)
+maps to N = 2M - 1 bins of width dw = 2 pi / (N du)
 centered on the planner's window center.  With that pairing the discrete
 transforms invert each other exactly, the total mass equals G(0), and
 Gaussian broadening (multiplying G by exp(-eps^2 u^2 / 2), i.e. convolving
@@ -23,12 +24,7 @@ from .characteristic import CharacteristicGrid
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_BROADENING_BINS = 2.0
 ALIAS_TOLERANCE = 0.01
-
-
-class AsymmetricGrid(ValueError):
-    """Two-sided u grid that cannot be conjugate-symmetrized."""
 
 
 class AliasingSuspect(RuntimeError):
@@ -81,50 +77,22 @@ def dual_w_grid(u_values: np.ndarray, w_center: float) -> tuple[np.ndarray, floa
     return w, dw
 
 
-def _fold_one_sided(g: CharacteristicGrid):
-    """Return (u >= 0, G, se_re, se_im) with negative u folded by conjugation."""
-    u = np.asarray(g.u_values, dtype=float)
-    vals = np.asarray(g.g_values, dtype=complex)
-    if not (u < 0.0).any():
-        order = np.argsort(u)
-        return u[order], vals[order], g.stderr_re[order], g.stderr_im[order]
-    order = np.argsort(u)
-    u_sorted = u[order]
-    if not np.allclose(u_sorted + u_sorted[::-1], 0.0, atol=1e-12):
-        raise AsymmetricGrid("u grid is not symmetric about zero")
-    pos = u_sorted >= 0.0
-    u_pos = u_sorted[pos]
-    v_sorted = vals[order]
-    v_pos = v_sorted[pos]
-    v_neg_conj = np.conj(v_sorted[~pos][::-1])
-    mismatch = np.abs(v_pos[1:] - v_neg_conj).max(initial=0.0)
-    if mismatch > 1e-9:
-        raise AsymmetricGrid(f"G(-u) != conj(G(u)) by {mismatch:.3e}")
-    folded = v_pos.copy()
-    folded[1:] = 0.5 * (v_pos[1:] + v_neg_conj)
-    return u_pos, folded, g.stderr_re[order][pos], g.stderr_im[order][pos]
-
-
 def invert(
     g: CharacteristicGrid,
-    broadening: float | None = None,
+    broadening: float,
     check_aliasing: bool = True,
 ) -> WorkHistogram:
     """Discrete inverse transform of G(u) onto the dual W grid.
 
-    ``broadening`` is the Gaussian smoothing width eps (None picks the
-    default 2 * bin_width); eps = 0 disables smoothing.  Raises
-    AliasingSuspect when the integrand still carries weight above
-    ALIAS_TOLERANCE at u_max.
+    ``broadening`` is the Gaussian smoothing width eps; eps = 0 disables
+    smoothing.  Raises AliasingSuspect when the integrand still carries
+    weight above ALIAS_TOLERANCE at u_max.
     """
-    u, vals, se_re, se_im = _fold_one_sided(g)
-    m = u.size
-    if m < 2:
-        raise ValueError("need at least two u points to invert")
+    u, vals, se_re, se_im = g.u_values, g.g_values, g.stderr_re, g.stderr_im
     du = float(u[1] - u[0])
     w, dw = dual_w_grid(u, g.w_center)
 
-    eps = DEFAULT_BROADENING_BINS * dw if broadening is None else float(broadening)
+    eps = float(broadening)
     if eps < 0.0:
         raise ValueError("broadening must be nonnegative")
     b = np.exp(-0.5 * (eps * u) ** 2)

@@ -39,9 +39,8 @@ from chaowork.characteristic import (
     FAILURE_BUDGET,
     CharacteristicGrid,
     ExcessiveFailures,
+    UGridPlan,
     _chunk_phase_sums,
-    _phase_times,
-    _resolve_grid,
 )
 from chaowork.geometry import TOL_GEOM, WALL_NUDGE, BilliardGeometry, Wall
 from chaowork.potential import QuenchPotential
@@ -456,7 +455,7 @@ def shell_final_energy_sample(
 
 def shell_characteristic(
     beta: float,
-    u_grid,
+    plan: UGridPlan,
     hbar: float,
     geom: BilliardGeometry,
     pot: QuenchPotential,
@@ -480,8 +479,7 @@ def shell_characteristic(
         raise ValueError("shell energies must be strictly increasing")
     if not hbar > 0.0:
         raise ValueError(f"hbar must be positive, got {hbar}")
-    u, w_center = _resolve_grid(u_grid)
-    times, inverse, signs = _phase_times(u, hbar)
+    times = plan.u_values * hbar
 
     log_w = -beta * (energies - energies.min())
     weights = np.exp(log_w)
@@ -512,19 +510,18 @@ def shell_characteristic(
     se_c = np.sqrt((weights * weights) @ var_c) / wsum
     se_s = np.sqrt((weights * weights) @ var_s) / wsum
 
-    g = g_mag.real[inverse] + 1j * (signs * g_mag.imag[inverse])
     # Every phase is exactly 1 at zero time, so the weighted mean there is
     # exactly 1; enforce it against summation-order rounding.
-    g[np.asarray(u) == 0.0] = 1.0 + 0.0j
+    g_mag[0] = 1.0 + 0.0j
     return CharacteristicGrid(
-        u_values=u,
-        g_values=g,
-        stderr_re=se_c[inverse],
-        stderr_im=se_s[inverse],
+        u_values=plan.u_values,
+        g_values=g_mag,
+        stderr_re=se_c,
+        stderr_im=se_s,
         n_samples=int(energies.size * samples_per_shell),
         hbar=float(hbar),
         beta=float(beta),
-        w_center=w_center,
+        w_center=plan.w_center,
         n_failed=total_failed,
         metadata={"seed": int(seed), "estimator": "shell", "n_shells": int(energies.size)},
     )

@@ -25,6 +25,7 @@ from chaowork import (
 )
 from chaowork.characteristic import (
     Request,
+    UGridPlan,
     plan_from_window,
     plan_u_grid,
     semiclassical_characteristic,
@@ -134,11 +135,12 @@ def test_criterion_3_semiclassical_jarzynski_trend(geom, pot):
     ens = sampler.sample_ensemble(geom, 90_000, SEED)
     requests = [Request(beta, plan, 1.0, collect_covariance=True) for beta in betas]
     grids = semiclassical_characteristic(ens, requests, geom, pot)
+    _, dw = spectra.dual_w_grid(plan.u_values, plan.w_center)
     devs = []
     ses = []
     for beta, g in zip(betas, grids):
         ref = classical.classical_free_energy_difference(geom, pot, beta)
-        est, se = analysis.jarzynski_from_characteristic(g, beta)
+        est, se = analysis.jarzynski_from_characteristic(g, beta, 2.0 * dw)
         devs.append(abs(est - ref))
         ses.append(se)
 
@@ -313,17 +315,17 @@ def test_criterion_7_universal_invariants(geom, pot, tmp_path):
     notes.append("shell G(0)=1 exact")
 
     spec = quantum.solve_quench(geom, pot, hbar=1.0, h=0.055)
-    g_q = quantum.quantum_characteristic(spec, 0.02, np.array([0.0, 0.5]))
+    g_q = quantum.quantum_characteristic(spec, 0.02, UGridPlan(0.5, 2))
     ok &= abs(g_q.g_values[0] - 1.0) < 1e-12
     notes.append(f"quantum |G(0)-1| = {abs(g_q.g_values[0] - 1.0):.1e}")
 
-    hist_mc = spectra.invert(g_mc)
+    w_values, dw = spectra.dual_w_grid(plan.u_values, plan.w_center)
+    hist_mc = spectra.invert(g_mc, broadening=2.0 * dw)
     lo, hi = quantum.spike_support(spec, 0.02, mass_tol=1e-13)
     plan_q = plan_from_window(lo, hi, n_u=256, pad_frac=0.2)
     wq, dwq = spectra.dual_w_grid(plan_q.u_values, plan_q.w_center)
     hist_q = quantum.quantum_work_distribution(spec, 0.02, wq, 2 * dwq)
     cs = classical.sample_classical_work(geom, pot, beta, 100_000, SEED)
-    w_values, dw = spectra.dual_w_grid(plan.u_values, plan.w_center)
     hist_c = spectra.spikes_to_histogram(
         cs.values, np.full(cs.n, 1.0 / cs.n), w_values, 2 * dw, sample_count=cs.n
     )

@@ -76,7 +76,8 @@ class TestJarzynskiFromCharacteristic:
             beta=1.0,
             w_center=plan.w_center,
         )
-        est, _ = jarzynski_from_characteristic(g, beta=0.05)
+        _, dw = dual_w_grid(u, plan.w_center)
+        est, _ = jarzynski_from_characteristic(g, beta=0.05, broadening=2.0 * dw)
         assert est == pytest.approx(0.0, abs=1e-8)
 
     def test_consistent_with_direct_samples_in_classical_regime(self, geom, pot):
@@ -88,7 +89,8 @@ class TestJarzynskiFromCharacteristic:
         [g] = characteristic.semiclassical_characteristic(
             ens, [characteristic.Request(beta, plan, 0.02)], geom, pot
         )
-        est_hist, se_hist = jarzynski_from_characteristic(g, beta)
+        _, dw = dual_w_grid(plan.u_values, plan.w_center)
+        est_hist, se_hist = jarzynski_from_characteristic(g, beta, 2.0 * dw)
         w_direct = pot.delta_xi * potential.evaluate(pot, ens.qs)
         est_direct, se_direct = jarzynski_from_samples(w_direct, beta)
         assert abs(est_hist - est_direct) < 3 * math.hypot(se_hist, se_direct) + 1e-3
@@ -103,8 +105,10 @@ class TestJarzynskiFromCharacteristic:
         [g] = characteristic.semiclassical_characteristic(
             ens, [characteristic.Request(beta, plan, 1.0, collect_covariance=True)], geom, pot
         )
-        est_cov, se_cov = jarzynski_from_characteristic(g, beta)
-        est_hist, se_hist = jarzynski_from_characteristic(spectra.invert(g), beta)
+        _, dw = dual_w_grid(plan.u_values, plan.w_center)
+        eps = 2.0 * dw
+        est_cov, se_cov = jarzynski_from_characteristic(g, beta, eps)
+        est_hist, se_hist = jarzynski_from_characteristic(spectra.invert(g, eps), beta, eps)
         assert est_cov == est_hist
         assert 0.0 < se_cov < se_hist
 
@@ -114,7 +118,7 @@ class TestJarzynskiFromCharacteristic:
         mu, sd, beta = 1.5, 2.0, 0.3
         w = rng.normal(mu, sd, size=400_000)
         hist = histogram_from_values(w, -12.0, 14.0, n_u=256, eps_bins=4.0)
-        est, se = jarzynski_from_characteristic(hist, beta)
+        est, se = jarzynski_from_characteristic(hist, beta, hist.broadening)
         exact = mu - beta * sd * sd / 2.0
         assert abs(est - exact) < 4 * se + 2e-3
 
@@ -130,7 +134,12 @@ class TestJarzynskiFromCharacteristic:
             total_mass=0.0,
         )
         with pytest.raises(DegenerateMean):
-            jarzynski_from_characteristic(hist, 1.0)
+            jarzynski_from_characteristic(hist, 1.0, 0.0)
+
+    def test_histogram_broadening_must_match(self, rng):
+        hist = histogram_from_values(rng.normal(size=1000), -6.0, 6.0)
+        with pytest.raises(ValueError, match="broadening"):
+            jarzynski_from_characteristic(hist, 0.5, 2.0 * hist.broadening)
 
 
 class TestL1Distance:

@@ -217,6 +217,17 @@ class TestDeterminism:
             assert b1 == b2, f"{p1} differs from {p2}"
 
 
+class TestScenarioFig3:
+    def test_semiclassical_estimate_uses_broadening_bins(self, tmp_path):
+        rows = {}
+        for bins in (2, 4):
+            text = tiny_text(out_dir=f"{tmp_path}/{bins}", n_samples="400", broadening_bins=bins)
+            [rows[bins]] = run_scenario(validate_config(text), "fig3")["report"]["rows"]
+        assert rows[4]["delta_f_semiclassical"] != rows[2]["delta_f_semiclassical"]
+        for key in ("delta_f_reference", "delta_f_classical_mc"):
+            assert rows[4][key] == rows[2][key], key
+
+
 class TestScenarioFig2:
     def test_truncation_surfaced_as_warning(self, tmp_path):
         # A deliberately small basis at beta = 2^-6 cannot cover the thermal

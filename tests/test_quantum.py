@@ -211,14 +211,14 @@ class TestWorkDistribution:
 
 class TestQuantumCharacteristic:
     def test_value_at_zero(self, small_spec):
-        g = quantum_characteristic(small_spec, beta=0.02, u_grid=np.array([0.0, 0.1]))
+        g = quantum_characteristic(small_spec, beta=0.02, plan=characteristic.UGridPlan(0.1, 2))
         assert abs(g.g_values[0] - 1.0) < 1e-12
 
     def test_null_quench_unity(self, geom):
         pot0 = QuenchPotential(xi_f=0.0)
         spec = solve_quench(geom, pot0, hbar=1.0, h=0.08)
-        u = np.arange(16) * 0.2
-        g = quantum_characteristic(spec, beta=0.05, u_grid=u)
+        u = characteristic.UGridPlan(0.2, 16)
+        g = quantum_characteristic(spec, beta=0.05, plan=u)
         np.testing.assert_allclose(g.g_values, 1.0, atol=1e-10)
 
     def test_fourier_pair_consistency(self, small_spec):

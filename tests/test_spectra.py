@@ -10,7 +10,6 @@ from chaowork.characteristic import CharacteristicGrid, plan_from_window
 from chaowork.potential import evaluate
 from chaowork.spectra import (
     AliasingSuspect,
-    AsymmetricGrid,
     bin_spikes,
     dual_w_grid,
     invert,
@@ -99,7 +98,8 @@ class TestInvert:
         [g] = characteristic.semiclassical_characteristic(
             ens, [characteristic.Request(2.0**-10, plan, 0.02)], geom, pot
         )
-        h = invert(g)
+        _, dw = dual_w_grid(g.u_values, g.w_center)
+        h = invert(g, broadening=2.0 * dw)
         se_mean = w_direct.std(ddof=1) / math.sqrt(w_direct.size)
         # hbar -> 0 route: first moment of P equals <W>; combine both errors.
         hist_mean_err = float(
@@ -108,42 +108,20 @@ class TestInvert:
         tol = 3.0 * math.hypot(se_mean, hist_mean_err)
         assert h.mean() == pytest.approx(w_direct.mean(), abs=tol + 1e-6)
 
-    def test_symmetric_grid_folds(self, onesided):
-        w0 = 2.0
-        u_full = np.concatenate([-onesided[1:][::-1], onesided])
-        g_full = np.exp(1j * w0 * u_full)
-        h2 = invert(make_grid(u_full, g_full), broadening=0.0, check_aliasing=False)
-        h1 = invert(
-            make_grid(onesided, np.exp(1j * w0 * onesided)),
-            broadening=0.0,
-            check_aliasing=False,
-        )
-        np.testing.assert_allclose(h2.density, h1.density, atol=1e-12)
-
-    def test_asymmetric_grid_rejected(self):
-        u = np.array([-0.2, 0.0, 0.1, 0.2])
-        with pytest.raises(AsymmetricGrid):
-            invert(make_grid(u, np.ones(4)))
-
-    def test_non_hermitian_values_rejected(self, onesided):
-        u_full = np.concatenate([-onesided[1:][::-1], onesided])
-        g_full = np.ones(u_full.size, dtype=complex)
-        g_full[3] += 0.5j  # breaks G(-u) = conj(G(u))
-        with pytest.raises(AsymmetricGrid):
-            invert(make_grid(u_full, g_full))
-
     def test_aliasing_guard(self, onesided):
         # Unbroadened inversion of a slowly decaying G trips the guard.
         g_vals = np.full(128, 0.5 + 0.0j)
         g_vals[0] = 1.0
         with pytest.raises(AliasingSuspect):
             invert(make_grid(onesided, g_vals), broadening=0.0)
-        # The default broadening suppresses the tail, so the same data passes.
-        h = invert(make_grid(onesided, g_vals))
+        # Two bins of broadening suppress the tail, so the same data passes.
+        _, dw = dual_w_grid(onesided, 0.0)
+        h = invert(make_grid(onesided, g_vals), broadening=2.0 * dw)
         assert h.metadata["tail_broadened"] < 1e-6
 
     def test_real_valuedness_residue(self, onesided):
-        h = invert(make_grid(onesided, np.ones(128)), check_aliasing=False)
+        _, dw = dual_w_grid(onesided, 0.0)
+        h = invert(make_grid(onesided, np.ones(128)), broadening=2.0 * dw, check_aliasing=False)
         assert h.imag_residue < 1e-8
 
     def test_error_propagation_scales(self, onesided):
@@ -196,12 +174,14 @@ class TestBinSpikes:
 
 class TestHistogramContainer:
     def test_edges(self, onesided):
-        h = invert(make_grid(onesided, np.ones(128)), check_aliasing=False)
+        _, dw = dual_w_grid(onesided, 0.0)
+        h = invert(make_grid(onesided, np.ones(128)), broadening=2.0 * dw, check_aliasing=False)
         assert h.w_min == pytest.approx(h.w_values[0] - 0.5 * h.bin_width)
         assert h.w_max == pytest.approx(h.w_values[-1] + 0.5 * h.bin_width)
 
     def test_rebin_preserves_mass(self, onesided):
-        h = invert(make_grid(onesided, np.ones(128)), check_aliasing=False)
+        _, dw = dual_w_grid(onesided, 0.0)
+        h = invert(make_grid(onesided, np.ones(128)), broadening=2.0 * dw, check_aliasing=False)
         r = rebin(h, 5)
         assert r.total_mass == pytest.approx(h.total_mass, rel=1e-6)
         assert r.bin_width == pytest.approx(5 * h.bin_width)
