@@ -31,7 +31,7 @@ def main() -> int:
     n_cl = 4_000_000 if args.full else 500_000
 
     geom = geometry.BilliardGeometry()
-    pot = potential.default_potential()
+    pot = potential.QuenchPotential()
     beta = 2.0**-12
 
     t0 = time.time()

@@ -8,7 +8,7 @@ exact quantum two-point-measurement oracle on a finite-difference grid.
 __version__ = "0.1.0"
 
 from .geometry import BilliardGeometry
-from .potential import QuenchPotential, default_potential
+from .potential import QuenchPotential
 from .sampler import ThermalEnsemble, sample_ensemble
 from .characteristic import (
     CharacteristicGrid,
@@ -22,7 +22,6 @@ from .spectra import WorkHistogram, invert
 __all__ = [
     "BilliardGeometry",
     "QuenchPotential",
-    "default_potential",
     "ThermalEnsemble",
     "sample_ensemble",
     "CharacteristicGrid",

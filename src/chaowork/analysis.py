@@ -44,32 +44,22 @@ def jarzynski_from_samples(values, beta: float) -> tuple[float, float]:
 
 
 def jarzynski_from_characteristic(
-    g: CharacteristicGrid | WorkHistogram,
-    beta: float,
-    broadening: float,
+    g: CharacteristicGrid, beta: float, broadening: float
 ) -> tuple[float, float]:
-    """Free-energy estimate from the inverted work histogram.
+    """Free-energy estimate from the work histogram that ``g`` inverts to.
 
-    Accepts either a characteristic grid (inverted here with Gaussian width
-    ``broadening``) or an existing histogram, whose own broadening must equal
-    ``broadening``.  The broadening inflates <exp(-beta W)> by
-    exp((beta eps)^2 / 2) exactly (Gaussian convolution), so that factor is
-    divided out.
+    The grid is inverted here with Gaussian width ``broadening``.  The
+    broadening inflates <exp(-beta W)> by exp((beta eps)^2 / 2) exactly
+    (Gaussian convolution), so that factor is divided out.
 
     The histogram sum is a linear functional of G, so when the grid carries
     phase second moments the standard error is propagated through the exact
-    covariance; otherwise grid points (or bins) are treated as independent,
-    which overstates the error.
+    covariance; otherwise grid points are treated as independent, which
+    overstates the error.
     """
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
-    if isinstance(g, WorkHistogram):
-        if g.broadening != broadening:
-            raise ValueError(f"histogram broadening is {g.broadening}, not {broadening}")
-        hist, cov = g, None
-    else:
-        hist = spectra_mod.invert(g, broadening=broadening)
-        cov = g.quadrature_covariance()
+    hist = spectra_mod.invert(g, broadening=broadening)
     w = hist.w_values
     w0 = w.min()
     kernel = np.exp(-beta * (w - w0)) * hist.bin_width
@@ -80,6 +70,7 @@ def jarzynski_from_characteristic(
     mean = raw / bias
     est = w0 - math.log(mean) / beta
 
+    cov = g.quadrature_covariance()
     if cov is not None:
         # raw = c . [Re G; Im G] exactly: assemble the coefficients of the
         # inversion followed by the kernel sum.

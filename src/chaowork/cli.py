@@ -1,9 +1,11 @@
 """Command-line orchestration: configuration, scenario runners, persistence.
 
-Configuration is a flat ``key = value`` text file (see KEYS below); CLI flags
-override environment variables (prefix CHAOWORK_), which override the file,
-which overrides the built-in defaults (the default system of the study:
-r = l = 1 billiard, four bumps of width 0.1, quench strength 0 -> 85).
+Configuration is a flat ``key = value`` text file whose keys are the fields
+of RunConfig; CLI flags override environment variables (prefix CHAOWORK_),
+which override the file, which overrides the built-in defaults (the default
+system of the study: r = l = 1 billiard, four bumps of width 0.1, quench
+strength 0 -> 85).  File, environment and flags share one grammar: a key
+parses by the type of its default.
 
 Every run writes a manifest JSON recording the canonical configuration, its
 SHA-256 hash, the seed, library versions, the platform, the CPU count and
@@ -35,7 +37,7 @@ from .characteristic import (
     semiclassical_characteristic,
 )
 from .geometry import BilliardGeometry
-from .potential import QuenchPotential
+from .potential import DEFAULT_CENTERS, DEFAULT_SIGNS, QuenchPotential
 from .spectra import WorkHistogram
 
 ENV_PREFIX = "CHAOWORK_"
@@ -90,13 +92,13 @@ def _parse_bool(token: str) -> bool:
 
 @dataclass(frozen=True)
 class RunConfig:
-    geometry_r: float = 1.0
-    geometry_l: float = 1.0
-    sigma: float = 0.1
-    xi_f: float = 85.0
-    xi_0: float = 0.0
-    centers: tuple[float, ...] = (0.2, 0.4, 0.67, 0.5, 0.5, 0.15, 0.3, 0.75)
-    signs: tuple[float, ...] = (1.0, -1.0, 1.0, -1.0)
+    geometry_r: float = BilliardGeometry.r
+    geometry_l: float = BilliardGeometry.l
+    sigma: float = QuenchPotential.sigma
+    xi_f: float = QuenchPotential.xi_f
+    xi_0: float = QuenchPotential.xi_0
+    centers: tuple[float, ...] = tuple(c for center in DEFAULT_CENTERS for c in center)
+    signs: tuple[float, ...] = DEFAULT_SIGNS
     beta_list: tuple[float, ...] = (2.0**-12,)
     hbar_list: tuple[float, ...] = (1.0,)
     n_samples: int = 90_000
@@ -133,29 +135,16 @@ class RunConfig:
         return self.workers if self.workers > 0 else (os.cpu_count() or 1)
 
 
+# Every key parses by the type of its default.
+_PARSERS = {
+    bool: _parse_bool,
+    int: _parse_int,
+    float: _parse_number,
+    tuple: _parse_float_list,
+    str: str,
+}
 _CONVERTERS = {
-    "geometry_r": _parse_number,
-    "geometry_l": _parse_number,
-    "sigma": _parse_number,
-    "xi_f": _parse_number,
-    "xi_0": _parse_number,
-    "centers": _parse_float_list,
-    "signs": _parse_float_list,
-    "beta_list": _parse_float_list,
-    "hbar_list": _parse_float_list,
-    "n_samples": _parse_int,
-    "n_classical": _parse_int,
-    "u_points": _parse_int,
-    "pad_frac": _parse_number,
-    "broadening_bins": _parse_number,
-    "seed": _parse_int,
-    "workers": _parse_int,
-    "out_dir": str,
-    "max_bounces": _parse_int,
-    "quantum_h": _parse_number,
-    "quantum_n_initial": _parse_int,
-    "quantum_n_final": _parse_int,
-    "dump_ensemble": _parse_bool,
+    f.name: _PARSERS[type(f.default)] for f in fields(RunConfig) if f.name != "explicit_keys"
 }
 
 
@@ -206,7 +195,8 @@ def _check_ranges(cfg: RunConfig) -> RunConfig:
     if cfg.u_points < 2:
         raise RangeError("u_points", "need at least two u points")
     nonneg("pad_frac", cfg.pad_frac)
-    nonneg("broadening_bins", cfg.broadening_bins)
+    # Unbroadened inversion always trips the aliasing guard, and only after the trace.
+    positive("broadening_bins", cfg.broadening_bins)
     if cfg.seed < 0:
         raise RangeError("seed", f"must be nonnegative, got {cfg.seed}")
     if cfg.workers < 0:
@@ -256,6 +246,14 @@ def _convert(conv, raw: str, source: str):
         raise ValueError(f"{source}: bad value {raw!r}: {exc}") from exc
 
 
+def _override(cfg: RunConfig, updates: dict) -> RunConfig:
+    """cfg with updates applied, the updated keys marked explicit, range-checked."""
+    if not updates:
+        return cfg
+    explicit = tuple(sorted(set(cfg.explicit_keys) | set(updates)))
+    return _check_ranges(replace(cfg, explicit_keys=explicit, **updates))
+
+
 def apply_env_overrides(cfg: RunConfig, environ=None) -> RunConfig:
     environ = os.environ if environ is None else environ
     updates = {}
@@ -263,10 +261,7 @@ def apply_env_overrides(cfg: RunConfig, environ=None) -> RunConfig:
         var = ENV_PREFIX + name.upper()
         if var in environ:
             updates[name] = _convert(conv, environ[var], var)
-    if not updates:
-        return cfg
-    explicit = tuple(sorted(set(cfg.explicit_keys) | set(updates)))
-    return _check_ranges(replace(cfg, explicit_keys=explicit, **updates))
+    return _override(cfg, updates)
 
 
 def config_manifest(cfg: RunConfig, scenario: str) -> dict:
@@ -446,8 +441,9 @@ def _semiclassical_grids(cfg, geom, pot, requests):
     return ens, grids
 
 
-def _scenario_u_points(cfg, fallback):
-    return cfg.u_points if "u_points" in cfg.explicit_keys else fallback
+def _swept(cfg, key, fallback):
+    """The configured value of key if it was set explicitly, else the scenario's own."""
+    return getattr(cfg, key) if key in cfg.explicit_keys else fallback
 
 
 def _classical_histogram(cfg, geom, pot, plan, beta):
@@ -538,13 +534,11 @@ def run_fig4(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
     geom = cfg.geometry()
     pot = cfg.potential()
     beta = cfg.beta_list[0]
-    hbars = cfg.hbar_list if "hbar_list" in cfg.explicit_keys else (0.01, 0.1, 0.5, 1.0)
+    hbars = _swept(cfg, "hbar_list", (0.01, 0.1, 0.5, 1.0))
     # Distribution-level comparison: a coarse dual grid (work resolution of a
     # few energy units) probes the classical limit rather than the dephasing
     # crossover that dominates at fine u resolution.
-    plan = plan_u_grid(
-        geom, pot, cfg.seed, n_u=_scenario_u_points(cfg, 32), pad_frac=cfg.pad_frac
-    )
+    plan = plan_u_grid(geom, pot, cfg.seed, n_u=_swept(cfg, "u_points", 32), pad_frac=cfg.pad_frac)
 
     files = []
     path = _path_in(out_dir, files)
@@ -577,15 +571,9 @@ def run_fig3(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
     """Free-energy sweep: quadrature reference vs classical MC vs semiclassical."""
     geom = cfg.geometry()
     pot = cfg.potential()
-    betas = (
-        cfg.beta_list
-        if "beta_list" in cfg.explicit_keys
-        else tuple(2.0**-k for k in range(7, 14))
-    )
+    betas = _swept(cfg, "beta_list", tuple(2.0**-k for k in range(7, 14)))
     hbar = cfg.hbar_list[0]
-    plan = plan_u_grid(
-        geom, pot, cfg.seed, n_u=_scenario_u_points(cfg, 64), pad_frac=cfg.pad_frac
-    )
+    plan = plan_u_grid(geom, pot, cfg.seed, n_u=_swept(cfg, "u_points", 64), pad_frac=cfg.pad_frac)
 
     # The classical work does not depend on beta, so one sample serves every row.
     sample = classical.sample_classical_work(geom, pot, betas[0], cfg.n_classical, cfg.seed)
@@ -628,11 +616,7 @@ def run_fig2(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
     """Quantum vs semiclassical work distributions across temperatures."""
     geom = cfg.geometry()
     pot = cfg.potential()
-    betas = (
-        cfg.beta_list
-        if "beta_list" in cfg.explicit_keys
-        else (2.0**-6, 2.0**-8, 2.0**-10, 2.0**-12)
-    )
+    betas = _swept(cfg, "beta_list", (2.0**-6, 2.0**-8, 2.0**-10, 2.0**-12))
     hbar = cfg.hbar_list[0]
     files = []
     path = _path_in(out_dir, files)
@@ -645,6 +629,7 @@ def run_fig2(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
     requests = []
     for beta in betas:
         try:
+            quantum.check_truncation(spec.e0, beta)
             lo_q, hi_q = quantum.spike_support(spec, beta, mass_tol=1e-10)
         except quantum.TruncationDominates:
             lo_q, hi_q = w_all[0], w_all[-1]
@@ -719,6 +704,16 @@ def run_scenario(cfg: RunConfig, scenario: str) -> dict:
 # Entry point
 
 
+# Each run flag sets one key and parses with the same grammar as the file.
+_FLAG_KEYS = {
+    "seed": "seed",
+    "workers": "workers",
+    "out": "out_dir",
+    "beta": "beta_list",
+    "hbar": "hbar_list",
+}
+
+
 def _load_config(args) -> RunConfig:
     if args.config:
         with open(args.config) as fh:
@@ -726,21 +721,12 @@ def _load_config(args) -> RunConfig:
     else:
         cfg = RunConfig()
     cfg = apply_env_overrides(cfg)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    for flag in ("beta", "hbar"):
+    updates = {}
+    for flag, key in _FLAG_KEYS.items():
         raw = getattr(args, flag)
         if raw is not None:
-            overrides[f"{flag}_list"] = (_convert(_parse_number, raw, f"--{flag}"),)
-    if not overrides:
-        return cfg
-    explicit = tuple(sorted(set(cfg.explicit_keys) | set(overrides)))
-    return _check_ranges(replace(cfg, explicit_keys=explicit, **overrides))
+            updates[key] = _convert(_CONVERTERS[key], raw, f"--{flag}")
+    return _override(cfg, updates)
 
 
 def _cmd_run(args) -> dict:
@@ -773,11 +759,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="path to a key = value configuration file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--beta", default=None, help="inverse temperature (accepts 2^-12)")
-        p.add_argument("--hbar", default=None)
+        for flag, key in _FLAG_KEYS.items():
+            p.add_argument(f"--{flag}", default=None, help=f"sets {key}, in the file's grammar")
         p.set_defaults(func=_cmd_run)
 
     for name, help_text in (

@@ -55,10 +55,6 @@ class QuenchPotential:
         return self.xi_f - self.xi_0
 
 
-def default_potential(xi_f: float = 85.0, xi_0: float = 0.0) -> QuenchPotential:
-    return QuenchPotential(xi_f=xi_f, xi_0=xi_0)
-
-
 def evaluate(pot: QuenchPotential, q) -> float | np.ndarray:
     """Unit-amplitude signed Gaussian sum V(q); accepts (..., 2) arrays."""
     q = np.asarray(q, dtype=float)

@@ -154,7 +154,7 @@ def bin_spikes(
     """Gaussian-broadened binning of point masses onto an existing W grid.
 
     Each spike contributes mass * N(w; spike, eps) evaluated at the bin
-    centers, truncated beyond 8 eps.  When ``sample_count`` is given the
+    centers, truncated beyond 8 eps; eps = ``broadening`` must be positive.  When ``sample_count`` is given the
     masses are treated as 1/n Monte Carlo weights and a per-bin standard
     error is returned; otherwise the error is zero (deterministic spikes).
     """
@@ -163,29 +163,23 @@ def bin_spikes(
     n_bins = w_values.size
     dw = float(w_values[1] - w_values[0])
     eps = float(broadening)
+    if not eps > 0.0:
+        raise ValueError(f"broadening must be positive, got {broadening}")
     density = np.zeros(n_bins)
     sumsq = np.zeros(n_bins)
-    if eps <= 0.0:
-        # Plain histogram: nearest-bin assignment.
-        j = np.rint((spike_w - w_values[0]) / dw).astype(np.intp)
+    halfwidth = int(math.ceil(8.0 * eps / dw))
+    base = np.floor((spike_w - w_values[0]) / dw).astype(np.intp)
+    norm = 1.0 / (eps * math.sqrt(2.0 * math.pi))
+    for off in range(-halfwidth, halfwidth + 2):
+        j = base + off
         ok = (j >= 0) & (j < n_bins)
-        density = np.bincount(j[ok], weights=masses[ok] / dw, minlength=n_bins)
+        if not ok.any():
+            continue
+        z = (w_values[j[ok]] - spike_w[ok]) / eps
+        contrib = masses[ok] * norm * np.exp(-0.5 * z * z)
+        density += np.bincount(j[ok], weights=contrib, minlength=n_bins)
         if sample_count:
-            sumsq = np.bincount(j[ok], weights=(masses[ok] / dw) ** 2, minlength=n_bins)
-    else:
-        halfwidth = int(math.ceil(8.0 * eps / dw))
-        base = np.floor((spike_w - w_values[0]) / dw).astype(np.intp)
-        norm = 1.0 / (eps * math.sqrt(2.0 * math.pi))
-        for off in range(-halfwidth, halfwidth + 2):
-            j = base + off
-            ok = (j >= 0) & (j < n_bins)
-            if not ok.any():
-                continue
-            z = (w_values[j[ok]] - spike_w[ok]) / eps
-            contrib = masses[ok] * norm * np.exp(-0.5 * z * z)
-            density += np.bincount(j[ok], weights=contrib, minlength=n_bins)
-            if sample_count:
-                sumsq += np.bincount(j[ok], weights=contrib * contrib, minlength=n_bins)
+            sumsq += np.bincount(j[ok], weights=contrib * contrib, minlength=n_bins)
     if sample_count:
         # density is the sample mean of per-sample kernels phi_s (masses 1/n),
         # so se^2 = (n * sum(contrib^2) - density^2) / (n - 1).

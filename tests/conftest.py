@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chaowork.geometry import BilliardGeometry
-from chaowork.potential import default_potential
+from chaowork.potential import QuenchPotential
 
 
 @pytest.fixture(scope="session")
@@ -12,7 +12,7 @@ def geom():
 
 @pytest.fixture(scope="session")
 def pot():
-    return default_potential()
+    return QuenchPotential()
 
 
 @pytest.fixture

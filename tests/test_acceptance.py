@@ -66,7 +66,7 @@ def geom():
 
 @pytest.fixture(scope="module")
 def pot():
-    return potential.default_potential()
+    return potential.QuenchPotential()
 
 
 def test_criterion_1_classical_limit_convergence(geom, pot):

@@ -28,7 +28,7 @@ def geom_mod():
 
 @pytest.fixture(scope="module")
 def pot_mod():
-    return potential.default_potential()
+    return potential.QuenchPotential()
 
 
 @pytest.fixture(scope="module")

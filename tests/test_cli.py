@@ -11,6 +11,7 @@ import pytest
 import scipy
 
 from chaowork import classical, cli, native, sampler
+from chaowork.characteristic import plan_from_window, plan_u_grid
 from chaowork.cli import (
     ParseError,
     RangeError,
@@ -19,6 +20,7 @@ from chaowork.cli import (
     run_scenario,
     validate_config,
 )
+from chaowork.spectra import dual_w_grid
 
 _TINY_BASE = {
     "beta_list": "2^-8",
@@ -61,6 +63,8 @@ class TestValidateConfig:
             ("beta_list", "0.1, 0.1000001"),
             ("beta_list", "2^-8, 2^-8"),
             ("hbar_list", "0.5, 0.5000001"),
+            # Unbroadened inversion always trips the aliasing guard after the trace.
+            ("broadening_bins", "0"),
         ):
             with pytest.raises(RangeError) as e:
                 validate_config(f"{key} = {value}")
@@ -111,6 +115,18 @@ class TestValidateConfig:
     def test_signs_length_checked(self):
         with pytest.raises(RangeError):
             validate_config("signs = 1, -1")
+
+    def test_every_default_parses_back(self):
+        keys = [f for f in fields(RunConfig) if f.name != "explicit_keys"]
+        lines = []
+        for f in keys:
+            v = f.default
+            lines.append(f"{f.name} = {', '.join(map(repr, v)) if isinstance(v, tuple) else v}")
+        cfg = validate_config("\n".join(lines))
+        for f in keys:
+            assert getattr(cfg, f.name) == f.default, f.name
+            assert type(getattr(cfg, f.name)) is type(f.default), f.name
+        assert len(cfg.explicit_keys) == len(keys)
 
 
 class TestEnvOverrides:
@@ -230,23 +246,35 @@ class TestScenarioFig3:
 
 class TestScenarioFig2:
     def test_truncation_surfaced_as_warning(self, tmp_path):
-        # A deliberately small basis at beta = 2^-6 cannot cover the thermal
-        # weight; the scenario completes and records the caveat.
-        cfg = validate_config(
-            tiny_text(
-                out_dir=str(tmp_path),
-                beta_list="2^-6",
-                quantum_n_initial="25",
-                quantum_n_final="60",
-                n_samples="400",
+        # The scenario completes and records the caveat: a deliberately small
+        # basis at beta = 2^-6 cannot cover the thermal weight, and neither
+        # can the full grid spectrum at 2^-8, whose spikes reach far beyond
+        # the classical work window.
+        for beta, tag, basis in (
+            ("2^-6", "2e-6", {"quantum_n_initial": "25", "quantum_n_final": "60"}),
+            ("2^-8", "2e-8", {}),
+        ):
+            out = tmp_path / tag
+            cfg = validate_config(
+                tiny_text(out_dir=str(out), beta_list=beta, n_samples="400", **basis)
             )
-        )
-        res = run_scenario(cfg, "fig2")
-        assert res["report"]["warnings"], "expected a truncation warning"
-        assert "beta" in res["report"]["warnings"][0]
-        assert res["report"]["rows"][0]["quantum"] == "unavailable"
-        names = {os.path.basename(p) for p in res["files"]}
-        assert "semiclassical_workdist_beta2e-6.csv" in names
+            res = run_scenario(cfg, "fig2")
+            assert res["report"]["warnings"], "expected a truncation warning"
+            assert "beta" in res["report"]["warnings"][0]
+            assert res["report"]["rows"][0]["quantum"] == "unavailable"
+            names = {os.path.basename(p) for p in res["files"]}
+            assert f"semiclassical_workdist_beta{tag}.csv" in names
+            # The truncated spectrum does not stretch the semiclassical plan:
+            # it spans the classical window alone.
+            base = plan_u_grid(
+                cfg.geometry(), cfg.potential(), cfg.seed, n_u=cfg.u_points, pad_frac=cfg.pad_frac
+            )
+            w_all, _ = dual_w_grid(base.u_values, base.w_center)
+            plan = plan_from_window(w_all[0], w_all[-1], n_u=cfg.u_points, pad_frac=0.05)
+            with open(out / "fig2" / f"semiclassical_g_beta{tag}.csv.meta.json") as fh:
+                meta = json.load(fh)
+            assert meta["du"] == plan.du, beta
+            assert meta["w_center"] == plan.w_center, beta
 
     def test_quantum_and_semiclassical_written_when_covered(self, tmp_path):
         cfg = validate_config(
@@ -339,10 +367,22 @@ class TestSubcommands:
         assert "beta_list" in payload["message"]
 
     def test_bad_flag_value_named(self, capsys):
-        for flag in ("--beta", "--hbar"):
+        for flag in ("--beta", "--hbar", "--seed", "--workers"):
             assert self.run_main(["classical", flag, "abc"]) == 1
             payload = json.loads(capsys.readouterr().err.strip())
             assert flag in payload["message"]
+
+    def test_flags_share_the_file_grammar(self, tmp_path):
+        cfgp = tmp_path / "c.cfg"
+        cfgp.write_text(TINY)
+        args = cli.build_parser().parse_args(
+            ["classical", "--config", str(cfgp), "--seed", "2^5", "--beta", "2^-8,2^-10"]
+        )
+        cfg = cli._load_config(args)
+        assert cfg.beta_list == (2.0**-8, 2.0**-10)
+        from_file = validate_config(tiny_text(seed="32", beta_list="2^-8,2^-10"))
+        sha = cli.config_manifest(cfg, "classical")["config_sha256"]
+        assert sha == cli.config_manifest(from_file, "classical")["config_sha256"]
 
     def test_seed_flag_changes_manifest(self, tmp_path):
         cfgp = tmp_path / "c.cfg"

@@ -77,7 +77,7 @@ def test_two_builds_at_once_leave_one_loadable_library(tmp_path):
     assert os.listdir(target.parent) == [target.name]
     # Same source and flags as the cached build: bit-identical integrals.
     engine = native.Engine(native.open_library(str(target)), native.load().erf)
-    pot = potential.default_potential()
+    pot = potential.QuenchPotential()
     q0, d = np.array([[0.3, 0.4]]), np.array([[0.6, 0.8]])
     s, dur = np.array([3.0]), np.array([0.25])
     out = np.empty(1)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from chaowork.potential import QuenchPotential, default_potential, evaluate
+from chaowork.potential import QuenchPotential, evaluate
 
 from reference import _segment_simpson, segment_integral
 
@@ -45,7 +45,7 @@ class TestEvaluate:
 
     @given(x=st.floats(-1.0, 3.0), y=st.floats(-1.0, 2.0))
     def test_bounded_by_bump_count(self, x, y):
-        pot = default_potential()
+        pot = QuenchPotential()
         assert abs(evaluate(pot, (x, y))) <= 4.0
 
     def test_batch_matches_scalar(self, pot, rng):
@@ -78,7 +78,7 @@ class TestSegmentIntegral:
     )
     @settings(max_examples=60, deadline=None)
     def test_additivity(self, x, y, theta, speed, t1, t2):
-        pot = default_potential()
+        pot = QuenchPotential()
         q0 = np.array([x, y])
         d = np.array([math.cos(theta), math.sin(theta)])
         whole = segment_integral(pot, q0, d, speed, t1 + t2)
@@ -114,7 +114,7 @@ class TestSegmentIntegral:
     )
     @settings(max_examples=60, deadline=None)
     def test_time_reversal_symmetry(self, x, y, theta, speed, duration):
-        pot = default_potential()
+        pot = QuenchPotential()
         q0 = np.array([x, y])
         d = np.array([math.cos(theta), math.sin(theta)])
         q_end = q0 + d * speed * duration

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from chaowork import characteristic, geometry, quantum, spectra
-from chaowork.potential import QuenchPotential, default_potential
+from chaowork.potential import QuenchPotential
 from chaowork.quantum import (
     GridTooCoarse,
     DimensionMismatch,
@@ -48,7 +48,7 @@ class Rectangle:
 @pytest.fixture(scope="module")
 def small_spec():
     geom = geometry.BilliardGeometry()
-    pot = default_potential()
+    pot = QuenchPotential()
     return solve_quench(geom, pot, hbar=1.0, h=0.055)
 
 

@@ -91,7 +91,7 @@ class TestInvert:
         # Work histogram mean against the direct sample mean of the energy
         # jump over the same ensemble.
         geom = geometry.BilliardGeometry()
-        pot = potential.default_potential()
+        pot = potential.QuenchPotential()
         plan = characteristic.plan_u_grid(geom, pot, seed=77, n_u=256)
         ens = sampler.sample_ensemble(geom, 4000, seed=77)
         w_direct = pot.delta_xi * evaluate(pot, ens.qs)
@@ -155,11 +155,11 @@ class TestBinSpikes:
         h = invert(make_grid(onesided, g_vals), broadening=eps, check_aliasing=False)
         assert np.abs(h.density - direct).max() < 1e-9
 
-    def test_plain_histogram_when_eps_zero(self, onesided):
-        w, dw = dual_w_grid(onesided, 0.0)
-        dens, _ = bin_spikes(np.array([w[10], w[10], w[12]]), np.full(3, 1 / 3), w, 0.0)
-        assert dens[10] * dw == pytest.approx(2 / 3)
-        assert dens[12] * dw == pytest.approx(1 / 3)
+    def test_broadening_must_be_positive(self, onesided):
+        w, _ = dual_w_grid(onesided, 0.0)
+        for eps in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="broadening"):
+                bin_spikes(np.array([w[10]]), np.array([1.0]), w, eps)
 
     def test_sample_errors_returned(self, onesided, rng):
         w, dw = dual_w_grid(onesided, 0.0)
