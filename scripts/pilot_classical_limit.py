@@ -15,8 +15,6 @@ import argparse
 import math
 import time
 
-import numpy as np
-
 from chaowork import analysis, characteristic, classical, geometry, potential, sampler, spectra
 
 
@@ -41,9 +39,7 @@ def main() -> int:
     print(f"u_max={plan.u_values[-1]:.3f}  dW={dw:.3f}  eps={eps:.3f}")
 
     cs = classical.sample_classical_work(geom, pot, beta, n_cl, args.seed)
-    ch = spectra.spikes_to_histogram(
-        cs.values, np.full(cs.n, 1.0 / cs.n), w_values, eps, sample_count=cs.n
-    )
+    ch = spectra.spikes_to_histogram(cs.values, w_values, eps)
     ens = sampler.sample_ensemble(geom, n_sc, args.seed)
 
     hbars = (1.0, 0.5, 0.1, 0.01)

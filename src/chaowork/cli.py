@@ -429,7 +429,13 @@ def _solve_quench(cfg, geom, pot, hbar):
     """Quantum spectra on the configured grid; a state count of 0 keeps all."""
     n0 = cfg.quantum_n_initial or None
     nf = cfg.quantum_n_final or None
-    return quantum.solve_quench(geom, pot, hbar, cfg.quantum_h, n0, nf)
+    try:
+        return quantum.solve_quench(geom, pot, hbar, cfg.quantum_h, n0, nf)
+    except quantum.InsufficientMemory as exc:
+        raise quantum.InsufficientMemory(
+            f"quantum_h = {cfg.quantum_h:g}: {exc}; raise quantum_h, or set quantum_n_initial"
+            " and quantum_n_final to keep part of the spectrum"
+        ) from None
 
 
 def _semiclassical_grids(cfg, geom, pot, requests):
@@ -450,12 +456,7 @@ def _classical_histogram(cfg, geom, pot, plan, beta):
     sample = classical.sample_classical_work(geom, pot, beta, cfg.n_classical, cfg.seed)
     w_values, eps = _broadened_grid(cfg, plan)
     hist = spectra.spikes_to_histogram(
-        sample.values,
-        np.full(sample.n, 1.0 / sample.n),
-        w_values,
-        eps,
-        sample_count=sample.n,
-        metadata={"beta": beta, "source": "classical_mc"},
+        sample.values, w_values, eps, metadata={"beta": beta, "source": "classical_mc"}
     )
     return sample, hist
 
@@ -508,14 +509,14 @@ def run_quantum(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
     files = []
     path = _path_in(out_dir, files)
     spec = _solve_quench(cfg, geom, pot, hbar)
-    quantum.check_truncation(spec.e0, beta)  # before any file is written
-    quantum.save_spectra(path("spectra.bin"), spec)
-    files.extend(quantum.export_spectra_csv(out_dir, spec, manifest_hash))
     lo, hi = quantum.spike_support(spec, beta, mass_tol=1e-10)
     plan = plan_from_window(lo, hi, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
-    w_values, eps = _broadened_grid(cfg, plan)
-    hist = quantum.quantum_work_distribution(spec, beta, w_values, eps)
+    # Truncation and aliasing both raise here, before any file is written.
     grid = quantum.quantum_characteristic(spec, beta, plan)
+    _, eps = _broadened_grid(cfg, plan)
+    hist = spectra.invert(grid, broadening=eps)
+    quantum.save_spectra(path("spectra.bin"), spec)
+    files.extend(quantum.export_spectra_csv(out_dir, spec, manifest_hash))
     write_histogram_csv(path("quantum_workdist.csv"), hist, manifest_hash)
     write_characteristic_csv(path("quantum_g.csv"), grid, manifest_hash)
     lhs, rhs = quantum.quantum_jarzynski(spec, beta)
@@ -644,15 +645,15 @@ def run_fig2(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
     for beta, req, grid_sc in zip(betas, requests, grids):
         tag = _beta_tag(beta)
         plan = req.u_grid
-        w_values, eps = _broadened_grid(cfg, plan)
+        _, eps = _broadened_grid(cfg, plan)
         hist_sc = spectra.invert(grid_sc, broadening=eps)
         write_characteristic_csv(path(f"semiclassical_g_beta{tag}.csv"), grid_sc, manifest_hash)
         write_histogram_csv(path(f"semiclassical_workdist_beta{tag}.csv"), hist_sc, manifest_hash)
 
         row = {"beta": beta}
         try:
-            hist_q = quantum.quantum_work_distribution(spec, beta, w_values, eps)
             grid_q = quantum.quantum_characteristic(spec, beta, plan)
+            hist_q = spectra.invert(grid_q, broadening=eps)
             write_characteristic_csv(path(f"quantum_g_beta{tag}.csv"), grid_q, manifest_hash)
             write_histogram_csv(path(f"quantum_workdist_beta{tag}.csv"), hist_q, manifest_hash)
             row.update(analysis.compare_histograms(hist_q, hist_sc))

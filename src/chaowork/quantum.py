@@ -6,15 +6,17 @@ zeros outside; the curved arc is a plain staircase, whose bias is policed by
 the h^2 convergence test on a rectangle rather than a boundary-fitted
 scheme).  The quenched Hamiltonian adds the diagonal xi * V.
 
-From the two eigenbases the module builds the two-point-measurement work
-distribution, its characteristic function (an exact Fourier pair before
-broadening) and the free-energy identity check.
+From the two eigenbases the module builds the two-point-measurement
+characteristic function G(u) and the free-energy identity check.  The work
+distribution is ``spectra.invert`` of that G, the same transform every other
+route uses.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -22,11 +24,10 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
-from . import geometry, spectra
+from . import geometry
 from .characteristic import CharacteristicGrid, UGridPlan
 from .geometry import BilliardGeometry
 from .potential import QuenchPotential, evaluate
-from .spectra import WorkHistogram
 
 _MAGIC = b"CHWKSPC1"
 
@@ -45,6 +46,17 @@ class DimensionMismatch(ValueError):
 
 class TruncationDominates(RuntimeError):
     """The retained basis is too small for this temperature."""
+
+
+class InsufficientMemory(MemoryError):
+    """A dense eigensolve would need more than the machine's physical memory."""
+
+
+# n x n float64 arrays the dense path can hold at once: the densified H and
+# eigh's copy of it, both eigenvector blocks, the residual and Gram
+# temporaries, and the overlap and transition matrices.  The peak measured with
+# tracemalloc at 1,057 sites is 6.0 of them.
+_DENSE_ARRAYS = 8
 
 
 @dataclass(frozen=True)
@@ -157,14 +169,24 @@ def eigensolve(
     """Lowest n_states eigenpairs, verified against the stated residual and
     orthonormality bounds.
 
-    Full-dimension requests use a dense solver; partial ones use shift-invert
-    Lanczos from below the Gershgorin lower bound.
+    Full-dimension requests use a dense solver, refused with
+    InsufficientMemory before it allocates when its estimated footprint
+    exceeds physical memory; partial ones use shift-invert Lanczos from below
+    the Gershgorin lower bound.
     """
     dim = ham.shape[0]
     if n_states > dim:
         raise ValueError(f"requested {n_states} states from dimension {dim}")
     if n_states == dim:
         from scipy.linalg import eigh
+
+        need = _DENSE_ARRAYS * 8 * dim * dim
+        have = physical_memory()
+        if need > have:
+            raise InsufficientMemory(
+                f"a dense eigensolve of dimension {dim} needs about {need / 1e9:.1f} GB,"
+                f" more than the {have / 1e9:.1f} GB of physical memory"
+            )
 
         vals, vecs = eigh(np.asarray(ham.todense()))
     else:
@@ -188,6 +210,11 @@ def eigensolve(
     if ortho > ortho_tol:
         raise ConvergenceFailure(f"orthonormality defect {ortho:.3e}")
     return vals, vecs
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def transition_matrix(vecs0: np.ndarray, vecsf: np.ndarray) -> np.ndarray:
@@ -246,34 +273,6 @@ def check_truncation(e0: np.ndarray, beta: float, threshold: float = 0.01) -> fl
             f"top decile of retained states carries {top:.3g} Boltzmann weight"
         )
     return float(top)
-
-
-def quantum_work_distribution(
-    spec: QuenchSpectra,
-    beta: float,
-    w_values: np.ndarray,
-    broadening: float,
-) -> WorkHistogram:
-    """Two-point-measurement work distribution binned onto a shared grid.
-
-    The delta spikes at E_f(n) - E_0(m), weighted by the Boltzmann factor of
-    m times the transition probability, are broadened with the same Gaussian
-    width used for every distribution being compared.
-    """
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    check_truncation(spec.e0, beta)
-    w = boltzmann_weights(spec.e0, beta)
-    masses = (w[:, None] * spec.transition).ravel()
-    spikes = (spec.ef[None, :] - spec.e0[:, None]).ravel()
-    hist = spectra.spikes_to_histogram(
-        spikes,
-        masses,
-        np.asarray(w_values, dtype=float),
-        broadening,
-        metadata={"beta": beta, "hbar": spec.hbar, "source": "quantum"},
-    )
-    return hist
 
 
 def quantum_characteristic(
@@ -390,8 +389,6 @@ def export_spectra_csv(directory, spec: QuenchSpectra, manifest_hash: str) -> li
     run writes.  The transition matrix is in the ``save_spectra`` container
     only (read it with ``load_spectra``).
     """
-    import os
-
     head = f"# manifest_sha256={manifest_hash}\n"
     paths = []
     for name, arr in (("eigenvalues_initial", spec.e0), ("eigenvalues_final", spec.ef)):

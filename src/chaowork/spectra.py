@@ -145,21 +145,20 @@ def invert(
 
 
 def bin_spikes(
-    spike_w: np.ndarray,
-    masses: np.ndarray,
+    samples: np.ndarray,
     w_values: np.ndarray,
     broadening: float,
-    sample_count: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian-broadened binning of point masses onto an existing W grid.
+    """Gaussian-broadened histogram of Monte Carlo samples on an existing W grid.
 
-    Each spike contributes mass * N(w; spike, eps) evaluated at the bin
-    centers, truncated beyond 8 eps; eps = ``broadening`` must be positive.  When ``sample_count`` is given the
-    masses are treated as 1/n Monte Carlo weights and a per-bin standard
-    error is returned; otherwise the error is zero (deterministic spikes).
+    Each of the n samples carries weight 1/n and contributes
+    N(w; sample, eps)/n at the bin centers, truncated beyond 8 eps;
+    eps = ``broadening`` must be positive.  Returns the density and its
+    per-bin standard error.  Weighted point masses (an exact spectrum) take
+    the other route: their characteristic function through ``invert``.
     """
-    spike_w = np.asarray(spike_w, dtype=float).ravel()
-    masses = np.asarray(masses, dtype=float).ravel()
+    samples = np.asarray(samples, dtype=float).ravel()
+    n = samples.size
     n_bins = w_values.size
     dw = float(w_values[1] - w_values[0])
     eps = float(broadening)
@@ -168,38 +167,30 @@ def bin_spikes(
     density = np.zeros(n_bins)
     sumsq = np.zeros(n_bins)
     halfwidth = int(math.ceil(8.0 * eps / dw))
-    base = np.floor((spike_w - w_values[0]) / dw).astype(np.intp)
+    base = np.floor((samples - w_values[0]) / dw).astype(np.intp)
     norm = 1.0 / (eps * math.sqrt(2.0 * math.pi))
     for off in range(-halfwidth, halfwidth + 2):
         j = base + off
         ok = (j >= 0) & (j < n_bins)
         if not ok.any():
             continue
-        z = (w_values[j[ok]] - spike_w[ok]) / eps
-        contrib = masses[ok] * norm * np.exp(-0.5 * z * z)
+        z = (w_values[j[ok]] - samples[ok]) / eps
+        contrib = (1.0 / n) * norm * np.exp(-0.5 * z * z)
         density += np.bincount(j[ok], weights=contrib, minlength=n_bins)
-        if sample_count:
-            sumsq += np.bincount(j[ok], weights=contrib * contrib, minlength=n_bins)
-    if sample_count:
-        # density is the sample mean of per-sample kernels phi_s (masses 1/n),
-        # so se^2 = (n * sum(contrib^2) - density^2) / (n - 1).
-        n = sample_count
-        var = np.maximum(sumsq * n - density * density, 0.0) / max(n - 1, 1)
-        error = np.sqrt(var)
-    else:
-        error = np.zeros(n_bins)
-    return density, error
+        sumsq += np.bincount(j[ok], weights=contrib * contrib, minlength=n_bins)
+    # density is the sample mean of per-sample kernels phi_s (weights 1/n),
+    # so se^2 = (n * sum(contrib^2) - density^2) / (n - 1).
+    var = np.maximum(sumsq * n - density * density, 0.0) / max(n - 1, 1)
+    return density, np.sqrt(var)
 
 
 def spikes_to_histogram(
-    spike_w,
-    masses,
+    samples,
     w_values: np.ndarray,
     broadening: float,
-    sample_count: int | None = None,
     metadata: dict | None = None,
 ) -> WorkHistogram:
-    density, error = bin_spikes(spike_w, masses, w_values, broadening, sample_count)
+    density, error = bin_spikes(samples, w_values, broadening)
     dw = float(w_values[1] - w_values[0])
     return WorkHistogram(
         w_values=np.asarray(w_values, dtype=float),

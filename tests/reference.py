@@ -20,6 +20,9 @@ readable paths:
   shell measure and the range of V;
 - ``histogram_to_characteristic`` (the forward transform ``invert`` is
   checked against) and ``rebin``;
+- ``bin_weighted_spikes`` and ``quantum_spike_density``: the quantum work
+  distribution binned straight from its weighted spikes, the direct route
+  that ``invert`` of the exact quantum G is checked against;
 - ``weyl_level_spacing``, ``supported_states``, ``plan_step_for_states``
   and ``final_state_count``: area-law estimates that size the quantum
   solve of acceptance criterion 6.
@@ -34,7 +37,7 @@ import numpy as np
 
 from scipy.special import erf
 
-from chaowork import geometry, potential, sampler
+from chaowork import geometry, potential, quantum, sampler
 from chaowork.characteristic import (
     FAILURE_BUDGET,
     CharacteristicGrid,
@@ -581,6 +584,43 @@ def histogram_to_characteristic(hist: WorkHistogram, u_values: np.ndarray) -> np
     u_values = np.asarray(u_values, dtype=float)
     phase = np.outer(u_values, hist.w_values)
     return hist.bin_width * ((np.cos(phase) + 1j * np.sin(phase)) @ hist.density)
+
+
+def bin_weighted_spikes(
+    spike_w: np.ndarray, masses: np.ndarray, w_values: np.ndarray, broadening: float
+) -> np.ndarray:
+    """Density of deterministic point masses on an existing W grid.
+
+    Each spike contributes mass * N(w; spike, eps) at the bin centers,
+    truncated beyond 8 eps.  The masses are exact, so there is no error.
+    """
+    spike_w = np.asarray(spike_w, dtype=float).ravel()
+    masses = np.asarray(masses, dtype=float).ravel()
+    n_bins = w_values.size
+    dw = float(w_values[1] - w_values[0])
+    eps = float(broadening)
+    density = np.zeros(n_bins)
+    halfwidth = int(math.ceil(8.0 * eps / dw))
+    base = np.floor((spike_w - w_values[0]) / dw).astype(np.intp)
+    norm = 1.0 / (eps * math.sqrt(2.0 * math.pi))
+    for off in range(-halfwidth, halfwidth + 2):
+        j = base + off
+        ok = (j >= 0) & (j < n_bins)
+        z = (w_values[j[ok]] - spike_w[ok]) / eps
+        contrib = masses[ok] * norm * np.exp(-0.5 * z * z)
+        density += np.bincount(j[ok], weights=contrib, minlength=n_bins)
+    return density
+
+
+def quantum_spike_density(
+    spec: quantum.QuenchSpectra, beta: float, w_values: np.ndarray, broadening: float
+) -> np.ndarray:
+    """Two-point-measurement P(W) binned from its spikes: E_f(n) - E_0(m),
+    weighted by the Boltzmann factor of m times the transition probability."""
+    w = quantum.boltzmann_weights(spec.e0, beta)
+    masses = (w[:, None] * spec.transition).ravel()
+    spikes = (spec.ef[None, :] - spec.e0[:, None]).ravel()
+    return bin_weighted_spikes(spikes, masses, w_values, broadening)
 
 
 def rebin(hist: WorkHistogram, factor: int) -> WorkHistogram:

@@ -36,6 +36,7 @@ from reference import (
     phase_point,
     plan_step_for_states,
     propagate,
+    quantum_spike_density,
     shell_characteristic,
     supported_states,
     weyl_level_spacing,
@@ -78,9 +79,7 @@ def test_criterion_1_classical_limit_convergence(geom, pot):
     eps = 2.0 * dw
 
     cs = classical.sample_classical_work(geom, pot, beta, 4_000_000, SEED)
-    ch = spectra.spikes_to_histogram(
-        cs.values, np.full(cs.n, 1.0 / cs.n), w_values, eps, sample_count=cs.n
-    )
+    ch = spectra.spikes_to_histogram(cs.values, w_values, eps)
 
     ens = sampler.sample_ensemble(geom, 90_000, SEED)
     assert len(ens) >= 90_000
@@ -186,10 +185,10 @@ def test_criterion_4_quantum_exact_identities(geom, pot):
     plan = plan_from_window(lo, hi, n_u=512, pad_frac=0.2)
     w_values, dw = spectra.dual_w_grid(plan.u_values, plan.w_center)
     eps = 2.0 * dw
-    direct = quantum.quantum_work_distribution(spec, beta, w_values, eps)
+    direct = quantum_spike_density(spec, beta, w_values, eps)
     g = quantum.quantum_characteristic(spec, beta, plan)
     inverted = spectra.invert(g, broadening=eps, check_aliasing=False)
-    fp_dev = float(np.abs(direct.density - inverted.density).max())
+    fp_dev = float(np.abs(direct - inverted.density).max())
     ok &= fp_dev < 1e-9
 
     detail = (
@@ -268,9 +267,9 @@ def test_criterion_6_quantum_vs_semiclassical_trend(geom, pot):
     table = []
     ok = True
     for beta, top, plan, g in zip(betas, tops, plans, grids):
-        w_values, dw = spectra.dual_w_grid(plan.u_values, plan.w_center)
+        _, dw = spectra.dual_w_grid(plan.u_values, plan.w_center)
         eps = 2.0 * dw
-        hq = quantum.quantum_work_distribution(spec, beta, w_values, eps)
+        hq = spectra.invert(quantum.quantum_characteristic(spec, beta, plan), broadening=eps)
         ok &= abs(hq.total_mass - 1.0) < 1e-6
         hsc = spectra.invert(g, broadening=eps)
         table.append(
@@ -323,12 +322,10 @@ def test_criterion_7_universal_invariants(geom, pot, tmp_path):
     hist_mc = spectra.invert(g_mc, broadening=2.0 * dw)
     lo, hi = quantum.spike_support(spec, 0.02, mass_tol=1e-13)
     plan_q = plan_from_window(lo, hi, n_u=256, pad_frac=0.2)
-    wq, dwq = spectra.dual_w_grid(plan_q.u_values, plan_q.w_center)
-    hist_q = quantum.quantum_work_distribution(spec, 0.02, wq, 2 * dwq)
+    _, dwq = spectra.dual_w_grid(plan_q.u_values, plan_q.w_center)
+    hist_q = spectra.invert(quantum.quantum_characteristic(spec, 0.02, plan_q), broadening=2 * dwq)
     cs = classical.sample_classical_work(geom, pot, beta, 100_000, SEED)
-    hist_c = spectra.spikes_to_histogram(
-        cs.values, np.full(cs.n, 1.0 / cs.n), w_values, 2 * dw, sample_count=cs.n
-    )
+    hist_c = spectra.spikes_to_histogram(cs.values, w_values, 2 * dw)
     for name, hst in (("semiclassical", hist_mc), ("quantum", hist_q), ("classical", hist_c)):
         ok &= abs(hst.total_mass - 1.0) < 1e-6
         floor = 1e-9 * float(hst.density.max())

@@ -21,8 +21,7 @@ from chaowork.spectra import GridMismatch, dual_w_grid, spikes_to_histogram
 def histogram_from_values(values, w_lo, w_hi, n_u=64, eps_bins=2.0):
     plan = plan_from_window(w_lo, w_hi, n_u=n_u)
     w, dw = dual_w_grid(plan.u_values, plan.w_center)
-    n = len(values)
-    return spikes_to_histogram(values, np.full(n, 1.0 / n), w, eps_bins * dw, sample_count=n)
+    return spikes_to_histogram(values, w, eps_bins * dw)
 
 
 class TestJarzynskiFromSamples:
@@ -146,8 +145,8 @@ class TestL1Distance:
     def test_disjoint_spikes_give_two(self):
         plan = plan_from_window(-30.0, 30.0, n_u=256)
         w, dw = dual_w_grid(plan.u_values, plan.w_center)
-        a = spikes_to_histogram([-15.0], [1.0], w, 2.0 * dw)
-        b = spikes_to_histogram([15.0], [1.0], w, 2.0 * dw)
+        a = spikes_to_histogram([-15.0], w, 2.0 * dw)
+        b = spikes_to_histogram([15.0], w, 2.0 * dw)
         assert l1_distance(a, b) == pytest.approx(2.0, abs=1e-9)
 
     def test_grid_mismatch_rejected(self, rng):
@@ -166,7 +165,7 @@ class TestL1Distance:
         plan = plan_from_window(-8.0, 8.0, n_u=32)
         w, dw = dual_w_grid(plan.u_values, plan.w_center)
         hs = [
-            spikes_to_histogram(r.normal(size=5), np.full(5, 0.2), w, 2.0 * dw)
+            spikes_to_histogram(r.normal(size=5), w, 2.0 * dw)
             for _ in range(3)
         ]
         a, b, c = hs

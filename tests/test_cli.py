@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy
 
-from chaowork import classical, cli, native, sampler
+from chaowork import classical, cli, native, quantum, sampler
 from chaowork.characteristic import plan_from_window, plan_u_grid
 from chaowork.cli import (
     ParseError,
@@ -21,6 +21,8 @@ from chaowork.cli import (
     validate_config,
 )
 from chaowork.spectra import dual_w_grid
+
+from reference import quantum_spike_density
 
 _TINY_BASE = {
     "beta_list": "2^-8",
@@ -321,15 +323,36 @@ class TestSubcommands:
         assert report["jarzynski_lhs"] == pytest.approx(report["jarzynski_rhs"], rel=1e-9)
 
     def test_quantum_truncation_writes_nothing(self, tmp_path, capsys):
-        # At beta = 2^-10 the kept states of this grid miss the Boltzmann tail.
+        cases = (
+            # At beta = 2^-10 the kept states of this grid miss the Boltzmann tail.
+            ({"beta_list": "2^-10"}, "TruncationDominates"),
+            # A quarter-bin broadening leaves |G(u_max)| near 0.3: P(W) would alias.
+            ({"beta_list": "0.3", "broadening_bins": "0.25"}, "AliasingSuspect"),
+        )
+        for i, (overrides, error) in enumerate(cases):
+            cfgp = tmp_path / f"c{i}.cfg"
+            cfgp.write_text(tiny_text(**overrides))
+            out = tmp_path / f"o{i}"
+            rc = self.run_main(["quantum", "--config", str(cfgp), "--out", str(out)])
+            assert rc == 1, error
+            payload = json.loads(capsys.readouterr().err.strip())
+            assert payload["error"] == error
+            assert os.listdir(out) == [], error
+
+    def test_dense_solve_refused_beyond_physical_memory(self, tmp_path, capsys, monkeypatch):
+        # This grid's dense solve needs a few MB; pretend the machine has 1 MB.
+        monkeypatch.setattr(quantum, "physical_memory", lambda: 1_000_000)
         cfgp = tmp_path / "c.cfg"
-        cfgp.write_text(tiny_text(beta_list="2^-10"))
-        out = tmp_path / "o"
-        rc = self.run_main(["quantum", "--config", str(cfgp), "--out", str(out)])
-        assert rc == 1
-        payload = json.loads(capsys.readouterr().err.strip())
-        assert payload["error"] == "TruncationDominates"
-        assert os.listdir(out) == []
+        cfgp.write_text(tiny_text(beta_list="0.3"))
+        for command in (["quantum"], ["scenario", "fig2"]):
+            out = tmp_path / command[-1]
+            rc = self.run_main([*command, "--config", str(cfgp), "--out", str(out)])
+            assert rc == 1
+            payload = json.loads(capsys.readouterr().err.strip())
+            assert payload["error"] == "InsufficientMemory"
+            for key in ("quantum_h", "quantum_n_initial", "quantum_n_final"):
+                assert key in payload["message"]
+            assert not any(files for _, _, files in os.walk(out))
 
     def test_compare_command(self, tmp_path, capsys):
         cfgp = tmp_path / "c.cfg"
@@ -479,6 +502,14 @@ class TestRunCommands:
             for p in csvs:
                 with open(p) as fh:
                     assert fh.readline() == head, p
+
+    def test_quantum_histogram_matches_spike_oracle(self, command_runs):
+        out_dir, _ = command_runs["quantum"]
+        hist = cli.read_histogram_csv(os.path.join(out_dir, "quantum_workdist.csv"))
+        spec = quantum.load_spectra(os.path.join(out_dir, "spectra.bin"))
+        direct = quantum_spike_density(spec, 0.3, hist.w_values, hist.broadening)
+        assert np.abs(hist.density - direct).max() < 1e-9
+        assert abs(hist.total_mass - 1.0) < 1e-12
 
     def test_jarzynski_is_scenario_fig3(self, command_runs):
         jz_dir, jz = command_runs["jarzynski"]

@@ -14,12 +14,17 @@ from chaowork.quantum import (
     eigensolve,
     quantum_characteristic,
     quantum_jarzynski,
-    quantum_work_distribution,
     solve_quench,
     transition_matrix,
 )
 
-from reference import plan_step_for_states, supported_states, weyl_level_spacing
+from reference import (
+    bin_weighted_spikes,
+    plan_step_for_states,
+    quantum_spike_density,
+    supported_states,
+    weyl_level_spacing,
+)
 
 
 class Rectangle:
@@ -165,22 +170,19 @@ class TestWorkDistribution:
         pot0 = QuenchPotential(xi_f=0.0)
         spec = solve_quench(geom, pot0, hbar=1.0, h=0.08)
         plan = characteristic.plan_from_window(-5.0, 5.0, n_u=64)
-        w_values, dw = spectra.dual_w_grid(plan.u_values, plan.w_center)
-        h = quantum_work_distribution(spec, beta=0.05, w_values=w_values, broadening=2 * dw)
+        _, dw = spectra.dual_w_grid(plan.u_values, plan.w_center)
+        h = spectra.invert(quantum_characteristic(spec, beta=0.05, plan=plan), broadening=2 * dw)
         j = int(np.argmax(h.density))
         assert abs(h.w_values[j]) < h.bin_width
         assert h.total_mass == pytest.approx(1.0, abs=1e-9)
 
     def test_ground_state_projection_at_low_temperature(self, small_spec):
         plan, w_values, eps = self.grid_for(small_spec, beta=2.0)
-        h = quantum_work_distribution(small_spec, 2.0, w_values, eps)
-        row0 = spectra.spikes_to_histogram(
-            small_spec.ef - small_spec.e0[0],
-            small_spec.transition[0],
-            w_values,
-            eps,
+        h = spectra.invert(quantum_characteristic(small_spec, 2.0, plan), broadening=eps)
+        row0 = bin_weighted_spikes(
+            small_spec.ef - small_spec.e0[0], small_spec.transition[0], w_values, eps
         )
-        np.testing.assert_allclose(h.density, row0.density, atol=1e-8)
+        np.testing.assert_allclose(h.density, row0, atol=1e-8)
 
     def test_mean_against_trace_formula(self, small_spec, geom, pot):
         # <W> from the spikes equals Tr[dH exp(-beta H0)] / Z computed in the
@@ -203,10 +205,9 @@ class TestWorkDistribution:
 
     def test_truncation_guard(self, geom, pot):
         spec = solve_quench(geom, pot, hbar=1.0, h=0.08, n_initial=30, n_final=60)
+        plan = characteristic.plan_from_window(-100.0, 100.0, n_u=51)
         with pytest.raises(TruncationDominates):
-            quantum_work_distribution(
-                spec, beta=2.0**-6, w_values=np.linspace(-100, 100, 101), broadening=1.0
-            )
+            spectra.invert(quantum_characteristic(spec, 2.0**-6, plan), broadening=1.0)
 
 
 class TestQuantumCharacteristic:
@@ -229,10 +230,10 @@ class TestQuantumCharacteristic:
         plan = characteristic.plan_from_window(lo, hi, n_u=512, pad_frac=0.2)
         w_values, dw = spectra.dual_w_grid(plan.u_values, plan.w_center)
         eps = 2.0 * dw
-        direct = quantum_work_distribution(small_spec, beta, w_values, eps)
+        direct = quantum_spike_density(small_spec, beta, w_values, eps)
         g = quantum_characteristic(small_spec, beta, plan)
         inverted = spectra.invert(g, broadening=eps, check_aliasing=False)
-        assert np.abs(direct.density - inverted.density).max() < 1e-9
+        assert np.abs(direct - inverted.density).max() < 1e-9
 
 
 class TestQuantumJarzynski:

@@ -16,7 +16,7 @@ from chaowork.spectra import (
     spikes_to_histogram,
 )
 
-from reference import histogram_to_characteristic, rebin
+from reference import bin_weighted_spikes, histogram_to_characteristic, rebin
 
 
 def make_grid(u, g, w_center=0.0, se=None):
@@ -138,34 +138,39 @@ class TestInvert:
 class TestBinSpikes:
     def test_single_spike_mass(self, onesided):
         w, dw = dual_w_grid(onesided, 0.0)
-        dens, err = bin_spikes(np.array([w[40]]), np.array([1.0]), w, broadening=2.0 * dw)
+        dens, err = bin_spikes(np.array([w[40]]), w, broadening=2.0 * dw)
         assert dens.sum() * dw == pytest.approx(1.0, abs=1e-9)
         assert np.argmax(dens) == 40
         assert np.array_equal(err, np.zeros_like(dens))
 
     def test_matches_inversion_route(self, onesided, rng):
-        # Spikes binned directly vs the characteristic-function route.
+        # Spikes binned directly vs the characteristic-function route: equal
+        # weights through bin_spikes, random weights through the oracle.
         w, dw = dual_w_grid(onesided, 0.0)
         eps = 2.0 * dw
         spikes = rng.uniform(w[20], w[-20], size=50)
-        masses = rng.random(50)
-        masses /= masses.sum()
-        direct, _ = bin_spikes(spikes, masses, w, eps)
-        g_vals = (masses[None, :] * np.exp(1j * np.outer(onesided, spikes))).sum(axis=1)
-        h = invert(make_grid(onesided, g_vals), broadening=eps, check_aliasing=False)
-        assert np.abs(h.density - direct).max() < 1e-9
+        weighted = rng.random(50)
+        weighted /= weighted.sum()
+        cases = (
+            (np.full(50, 1.0 / 50), bin_spikes(spikes, w, eps)[0]),
+            (weighted, bin_weighted_spikes(spikes, weighted, w, eps)),
+        )
+        for masses, direct in cases:
+            g_vals = (masses[None, :] * np.exp(1j * np.outer(onesided, spikes))).sum(axis=1)
+            h = invert(make_grid(onesided, g_vals), broadening=eps, check_aliasing=False)
+            assert np.abs(h.density - direct).max() < 1e-9
 
     def test_broadening_must_be_positive(self, onesided):
         w, _ = dual_w_grid(onesided, 0.0)
         for eps in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError, match="broadening"):
-                bin_spikes(np.array([w[10]]), np.array([1.0]), w, eps)
+                bin_spikes(np.array([w[10]]), w, eps)
 
     def test_sample_errors_returned(self, onesided, rng):
         w, dw = dual_w_grid(onesided, 0.0)
         n = 5000
         samples = rng.normal(0.0, 3.0, size=n)
-        dens, err = bin_spikes(samples, np.full(n, 1.0 / n), w, 2.0 * dw, sample_count=n)
+        dens, err = bin_spikes(samples, w, 2.0 * dw)
         assert dens.sum() * dw == pytest.approx(1.0, abs=1e-6)
         mid = np.argmax(dens)
         assert err[mid] > 0.0
@@ -186,10 +191,10 @@ class TestHistogramContainer:
         assert r.total_mass == pytest.approx(h.total_mass, rel=1e-6)
         assert r.bin_width == pytest.approx(5 * h.bin_width)
 
-    @given(mass=st.floats(0.1, 5.0), center=st.floats(-3.0, 3.0))
+    @given(n=st.integers(1, 50), center=st.floats(-3.0, 3.0))
     @settings(max_examples=20, deadline=None)
-    def test_spikes_histogram_mass(self, mass, center):
+    def test_spikes_histogram_mass(self, n, center):
         plan = plan_from_window(-20.0, 20.0, n_u=64)
         w, dw = dual_w_grid(plan.u_values, plan.w_center)
-        h = spikes_to_histogram([center], [mass], w, 2.0 * dw)
-        assert h.total_mass == pytest.approx(mass, rel=1e-9)
+        h = spikes_to_histogram(center + np.linspace(-1.0, 1.0, n), w, 2.0 * dw)
+        assert h.total_mass == pytest.approx(1.0, rel=1e-9)
