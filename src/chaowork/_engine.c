@@ -7,10 +7,9 @@
  * in order the numpy expressions of geometry.first_hit_arrays and of the
  * numpy engine kept in tests/reference.py, and hypot and sqrt are glibc's,
  * as numpy's are: a ray's geometry is bit-identical to that engine's.  The
- * integrals use scipy.special.erf itself, passed in as a function pointer,
- * glibc's exp where numpy has its own, and a left fold over the bumps where
- * numpy used a BLAS dot product, so they can differ from that engine's in
- * the last digits.
+ * integrals use glibc's erf and exp where numpy and scipy have their own,
+ * and a left fold over the bumps where numpy used a BLAS dot product, so
+ * they can differ from that engine's in the last digits.
  *
  * A trace reads one ascending array of checkpoint times, the union of the
  * times of every request that shares the rays, so a time two requests share
@@ -20,17 +19,12 @@
 #include <stdint.h>
 #include <stdlib.h>
 
-typedef double (*erf_fn)(double, int);
-
 /* The quench potential: n signed Gaussian bumps of width sigma. */
 typedef struct {
     double sigma;
-    double sqrt2;        /* sqrt(2) */
-    double sqrt_half_pi; /* sqrt(pi / 2) */
     int64_t n;
     const double *centers; /* (n, 2) */
     const double *signs;   /* (n,) */
-    erf_fn erf;            /* scipy.special.erf; the int skips dispatch */
 } bumps_t;
 
 /* The quarter stadium and the tolerances of geometry.py. */
@@ -56,8 +50,8 @@ static void segment_setup(const bumps_t *v, double x, double y, double dx, doubl
     const int still = s <= 0.0;
     const double s_safe = still ? 1.0 : s;
     g->still = still;
-    g->alpha = s_safe / (sigma * v->sqrt2);
-    g->pref = sigma * v->sqrt_half_pi / s_safe;
+    g->alpha = s_safe / (sigma * M_SQRT2);
+    g->pref = sigma * sqrt(M_PI / 2.0) / s_safe;
     for (int64_t i = 0; i < v->n; i++) {
         const double d0x = x - v->centers[2 * i];
         const double d0y = y - v->centers[2 * i + 1];
@@ -72,7 +66,7 @@ static void segment_setup(const bumps_t *v, double x, double y, double dx, doubl
             b2 = 0.0;
         g->tau_star[i] = -proj / s_safe;
         g->amp[i] = exp(-b2 / width);
-        g->erf_lo[i] = v->erf(g->alpha * g->tau_star[i], 0);
+        g->erf_lo[i] = erf(g->alpha * g->tau_star[i]);
     }
 }
 
@@ -86,7 +80,7 @@ static double segment_integral(const bumps_t *v, const segment_t *g, double dura
             per = g->amp[i] * duration;
         else
             per = g->amp[i] * g->pref *
-                  (v->erf(g->alpha * (duration - g->tau_star[i]), 0) + g->erf_lo[i]);
+                  (erf(g->alpha * (duration - g->tau_star[i])) + g->erf_lo[i]);
         sum += per * v->signs[i];
     }
     return sum;

@@ -9,8 +9,9 @@ distribution independent of temperature.
 Partition-function ratios are computed by deterministic tensor-grid
 Gauss-Legendre quadrature on a rectangle + polar-quarter-disk decomposition
 of the domain, refined until the relative change drops below tolerance.
-Numerator and denominator are quadratures on the same nodes, so a null
-quench (xi_f == xi_0) gives a ratio of exactly 1.
+Each integral is summed in log space, so cold temperatures do not
+overflow.  Numerator and denominator are quadratures on the same nodes, so
+a null quench (xi_f == xi_0) gives a log ratio of exactly 0.
 Phase-space measures carry no h^D factor; every reported quantity is a ratio
 in which it cancels.
 """
@@ -70,17 +71,20 @@ def _gauss_nodes(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return lo + half * (x + 1.0), half * w
 
 
-def _domain_integral(geom: BilliardGeometry, f, n: int) -> float:
-    """Integral of f(q) over the billiard with n-point tensor quadrature."""
+def _log_domain_integral(geom: BilliardGeometry, exponent, n: int) -> float:
+    """log of the integral of exp(exponent(q)) over the billiard, n-point tensor quadrature.
+
+    The sum is taken as log sum w exp(e - m) + m, with m the largest exponent
+    on the nodes, so no term overflows however cold the temperature.
+    """
     r, length = geom.r, geom.l
-    total = 0.0
+    parts = []  # (weights along x or rho, exponents on the n x n nodes, weights along y or phi)
     if length > 0.0:
         xs, wx = _gauss_nodes(0.0, length, n)
         ys, wy = _gauss_nodes(0.0, r, n)
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-        vals = f(pts).reshape(n, n)
-        total += float(wx @ vals @ wy)
+        parts.append((wx, exponent(pts).reshape(n, n), wy))
     rho, wr = _gauss_nodes(0.0, r, n)
     phi, wp = _gauss_nodes(0.0, 0.5 * math.pi, n)
     grho, gphi = np.meshgrid(rho, phi, indexing="ij")
@@ -88,39 +92,41 @@ def _domain_integral(geom: BilliardGeometry, f, n: int) -> float:
         [length + grho.ravel() * np.cos(gphi.ravel()), grho.ravel() * np.sin(gphi.ravel())],
         axis=1,
     )
-    vals = (f(pts) * grho.ravel()).reshape(n, n)
-    total += float(wr @ vals @ wp)
-    return total
+    parts.append((wr * rho, exponent(pts).reshape(n, n), wp))  # the area element is rho
+    m = max(float(e.max()) for _, e, _ in parts)
+    total = sum(float(wa @ np.exp(e - m) @ wb) for wa, e, wb in parts)
+    return math.log(total) + m
 
 
-def partition_ratio(
+def log_partition_ratio(
     geom: BilliardGeometry,
     pot: QuenchPotential,
     beta: float,
     rel_tol: float = 1e-8,
     max_nodes: int = 2048,
 ) -> float:
-    """Ratio of classical partition functions Z(xi_f) / Z(xi_0).
+    """log of the ratio of classical partition functions, log Z(xi_f) / Z(xi_0).
 
     Momentum Gaussians cancel, leaving the ratio of position integrals of
-    exp(-beta xi V).  Both integrals are quadratures on the same nodes, so
-    the ratio is exactly 1 whenever xi_f == xi_0.  Quadrature is refined by
-    doubling the node count until the relative change is below rel_tol.
+    exp(-beta xi V), each taken in log space.  Both integrals are
+    quadratures on the same nodes, so the log ratio is exactly 0 whenever
+    xi_f == xi_0.  Quadrature is refined by doubling the node count until
+    the ratio changes by at most rel_tol, |r_n / r_(n-1) - 1| <= rel_tol.
     """
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
 
-    def ratio_at(n: int) -> float:
-        num = _domain_integral(geom, lambda q: np.exp(-beta * pot.xi_f * evaluate(pot, q)), n)
-        den = _domain_integral(geom, lambda q: np.exp(-beta * pot.xi_0 * evaluate(pot, q)), n)
-        return num / den
+    def log_ratio_at(n: int) -> float:
+        num = _log_domain_integral(geom, lambda q: -beta * pot.xi_f * evaluate(pot, q), n)
+        den = _log_domain_integral(geom, lambda q: -beta * pot.xi_0 * evaluate(pot, q), n)
+        return num - den
 
     n = 32
-    prev = ratio_at(n)
+    prev = log_ratio_at(n)
     while n < max_nodes:
         n *= 2
-        cur = ratio_at(n)
-        if abs(cur - prev) <= rel_tol * abs(cur):
+        cur = log_ratio_at(n)
+        if abs(math.expm1(cur - prev)) <= rel_tol:
             return cur
         prev = cur
     raise QuadratureNonConvergence(
@@ -132,7 +138,4 @@ def classical_free_energy_difference(
     geom: BilliardGeometry, pot: QuenchPotential, beta: float
 ) -> float:
     """Free energy difference -ln(Z_f / Z_0) / beta in energy units."""
-    ratio = partition_ratio(geom, pot, beta)
-    if not ratio > 0.0:
-        raise QuadratureNonConvergence(f"nonpositive partition ratio {ratio}")
-    return -math.log(ratio) / beta
+    return -log_partition_ratio(geom, pot, beta) / beta

@@ -484,13 +484,13 @@ def run_classical(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
     beta = cfg.beta_list[0]
     plan = plan_u_grid(geom, pot, cfg.seed, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
     sample, hist = _classical_histogram(cfg, geom, pot, plan, beta)
+    ref = classical.classical_free_energy_difference(geom, pot, beta)
+    est, se = analysis.jarzynski_from_samples(sample.values, beta)
     files = []
     path = _path_in(out_dir, files)
     write_histogram_csv(path("classical_workdist.csv"), hist, manifest_hash)
     if cfg.dump_ensemble:
         _write_table(path("work_samples.csv"), manifest_hash, {"w": sample.values})
-    ref = classical.classical_free_energy_difference(geom, pot, beta)
-    est, se = analysis.jarzynski_from_samples(sample.values, beta)
     report = {
         "beta": beta,
         "delta_f_quadrature": ref,
@@ -541,22 +541,23 @@ def run_fig4(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
     # crossover that dominates at fine u resolution.
     plan = plan_u_grid(geom, pot, cfg.seed, n_u=_swept(cfg, "u_points", 32), pad_frac=cfg.pad_frac)
 
+    _, clhist = _classical_histogram(cfg, geom, pot, plan, beta)
+    ens, grids = _semiclassical_grids(cfg, geom, pot, [Request(beta, plan, h) for h in hbars])
+    hists = [spectra.invert(grid, broadening=clhist.broadening) for grid in grids]
+    table = [
+        {"hbar": hbar, **analysis.compare_histograms(hist, clhist)}
+        for hbar, hist in zip(hbars, hists)
+    ]
+
     files = []
     path = _path_in(out_dir, files)
-    _, clhist = _classical_histogram(cfg, geom, pot, plan, beta)
     write_histogram_csv(path("classical_workdist.csv"), clhist, manifest_hash)
-
-    ens, grids = _semiclassical_grids(cfg, geom, pot, [Request(beta, plan, h) for h in hbars])
     if cfg.dump_ensemble:
         _write_ensemble_csv(path("ensemble.csv"), ens, beta, manifest_hash)
-    table = []
-    for hbar, grid in zip(hbars, grids):
-        hist = spectra.invert(grid, broadening=clhist.broadening)
+    for hbar, grid, hist in zip(hbars, grids, hists):
         tag = _hbar_tag(hbar)
         write_characteristic_csv(path(f"semiclassical_g_hbar{tag}.csv"), grid, manifest_hash)
         write_histogram_csv(path(f"semiclassical_workdist_hbar{tag}.csv"), hist, manifest_hash)
-        cmp = analysis.compare_histograms(hist, clhist)
-        table.append({"hbar": hbar, **cmp})
 
     report = {
         "beta": beta,
@@ -619,10 +620,7 @@ def run_fig2(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
     pot = cfg.potential()
     betas = _swept(cfg, "beta_list", (2.0**-6, 2.0**-8, 2.0**-10, 2.0**-12))
     hbar = cfg.hbar_list[0]
-    files = []
-    path = _path_in(out_dir, files)
     spec = _solve_quench(cfg, geom, pot, hbar)
-    quantum.save_spectra(path("spectra.bin"), spec)
 
     base_plan = plan_u_grid(geom, pot, cfg.seed, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
     w_all, _ = _broadened_grid(cfg, base_plan)
@@ -642,26 +640,32 @@ def run_fig2(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
 
     rows = []
     warnings = []
+    curves = []  # per beta: the semiclassical and, when available, quantum (grid, hist)
     for beta, req, grid_sc in zip(betas, requests, grids):
-        tag = _beta_tag(beta)
-        plan = req.u_grid
-        _, eps = _broadened_grid(cfg, plan)
+        _, eps = _broadened_grid(cfg, req.u_grid)
         hist_sc = spectra.invert(grid_sc, broadening=eps)
-        write_characteristic_csv(path(f"semiclassical_g_beta{tag}.csv"), grid_sc, manifest_hash)
-        write_histogram_csv(path(f"semiclassical_workdist_beta{tag}.csv"), hist_sc, manifest_hash)
-
+        curve = {"semiclassical": (grid_sc, hist_sc)}
         row = {"beta": beta}
         try:
-            grid_q = quantum.quantum_characteristic(spec, beta, plan)
+            grid_q = quantum.quantum_characteristic(spec, beta, req.u_grid)
             hist_q = spectra.invert(grid_q, broadening=eps)
-            write_characteristic_csv(path(f"quantum_g_beta{tag}.csv"), grid_q, manifest_hash)
-            write_histogram_csv(path(f"quantum_workdist_beta{tag}.csv"), hist_q, manifest_hash)
+            curve["quantum"] = (grid_q, hist_q)
             row.update(analysis.compare_histograms(hist_q, hist_sc))
         except quantum.TruncationDominates as exc:
             msg = f"beta={beta:g}: {exc}; {_TRUNCATION_CAVEAT}"
             warnings.append(msg)
             row["quantum"] = "unavailable"
         rows.append(row)
+        curves.append(curve)
+
+    files = []
+    path = _path_in(out_dir, files)
+    quantum.save_spectra(path("spectra.bin"), spec)
+    for beta, curve in zip(betas, curves):
+        tag = _beta_tag(beta)
+        for route, (grid, hist) in curve.items():
+            write_characteristic_csv(path(f"{route}_g_beta{tag}.csv"), grid, manifest_hash)
+            write_histogram_csv(path(f"{route}_workdist_beta{tag}.csv"), hist, manifest_hash)
 
     report = {
         "hbar": hbar,

@@ -12,9 +12,9 @@ libraries of other sources, flags or compilers from the cache.  A missing
 compiler, a failed build or a cache directory that cannot be written raises
 ``BuildError`` naming it; there is no other engine to fall back on.
 
-``load`` returns the library, with every argument type declared, plus the
-address of scipy's own ``erf`` (``scipy.special.cython_special``), which
-the engine calls so that its error function is ``scipy.special.erf``.
+``load`` returns the library, with every argument type declared.  It is
+linked with ``-lm`` and takes ``erf``, ``exp``, ``hypot`` and ``sqrt`` from
+the C library.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import os
 import shutil
 import subprocess
 import tempfile
-from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +36,6 @@ FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
 SOURCE = os.path.join(PACKAGE_DIR, "_engine.c")
 CACHE_DIR = os.path.join(PACKAGE_DIR, "__pycache__")
-
-_ERF_CAPSULE = ("__pyx_fuse_1erf", b"double (double, int __pyx_skip_dispatch)")
 
 _double_p = ctypes.POINTER(ctypes.c_double)
 _int64_p = ctypes.POINTER(ctypes.c_int64)
@@ -49,16 +46,13 @@ class BuildError(RuntimeError):
 
 
 class Bumps(ctypes.Structure):
-    """``bumps_t``: the quench potential's Gaussian bumps and scipy's erf."""
+    """``bumps_t``: the quench potential's Gaussian bumps."""
 
     _fields_ = [
         ("sigma", ctypes.c_double),
-        ("sqrt2", ctypes.c_double),
-        ("sqrt_half_pi", ctypes.c_double),
         ("n", ctypes.c_int64),
         ("centers", _double_p),
         ("signs", _double_p),
-        ("erf", ctypes.c_void_p),
     ]
 
 
@@ -72,11 +66,6 @@ class Walls(ctypes.Structure):
         ("tol_grazing", ctypes.c_double),
         ("wall_nudge", ctypes.c_double),
     ]
-
-
-class Engine(NamedTuple):
-    lib: ctypes.CDLL
-    erf: int  # address of scipy.special.erf's C implementation
 
 
 def find_compiler() -> str:
@@ -134,18 +123,8 @@ def build(compiler: str, source: bytes, target: str, flags=FLAGS) -> None:
             os.unlink(tmp)
 
 
-def _scipy_erf() -> int:
-    from scipy.special import cython_special
-
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi)
-    )
-    name, signature = _ERF_CAPSULE
-    return get_pointer(cython_special.__pyx_capi__[name], signature)
-
-
 @functools.cache
-def load() -> Engine:
+def load() -> ctypes.CDLL:
     """The engine library, built into the cache first if it is not there."""
     source = _source()
     compiler = find_compiler()
@@ -153,7 +132,7 @@ def load() -> Engine:
     if not os.path.exists(path):
         build(compiler, source, path)
         _remove_stale(path)
-    return Engine(open_library(path), _scipy_erf())
+    return open_library(path)
 
 
 def _remove_stale(current: str) -> None:

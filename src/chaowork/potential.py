@@ -7,7 +7,7 @@ along a batch of straight constant-speed flights in closed form (1D
 error-function integral times the transverse Gaussian factor), which is both
 exact and fast.  The closed form is one routine of the compiled engine
 (``_engine.c``), which the engine calls for every segment and checkpoint:
-glibc ``exp``, scipy's own ``erf`` and a left fold over the bumps.  ``bumps``
+glibc ``exp`` and ``erf`` and a left fold over the bumps.  ``bumps``
 hands the potential to that code.  The scalar ``segment_integral``, the
 composite Simpson oracle it is checked against and the numpy closed form
 of the numpy engine live in ``tests/reference.py``.
@@ -16,7 +16,6 @@ of the numpy engine live in ``tests/reference.py``.
 from __future__ import annotations
 
 import ctypes
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,9 +24,6 @@ from . import native
 
 DEFAULT_CENTERS = ((0.2, 0.4), (0.67, 0.5), (0.5, 0.15), (0.3, 0.75))
 DEFAULT_SIGNS = (1.0, -1.0, 1.0, -1.0)
-
-_SQRT2 = math.sqrt(2.0)
-_SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,9 +92,8 @@ class _SegmentConstants:
         n = self.q0.shape[0]
         duration = np.ascontiguousarray(np.broadcast_to(duration, (n,)), dtype=float)
         out = np.empty(n)
-        engine = native.load()
-        status = engine.lib.segment_integrals(
-            ctypes.byref(bumps(self.pot, engine)),
+        status = native.load().segment_integrals(
+            ctypes.byref(bumps(self.pot)),
             n,
             native.pointer(self.q0),
             native.pointer(self.direction),
@@ -116,14 +111,11 @@ def segment_constants(pot, q0s, directions, speeds) -> _SegmentConstants:
     return _SegmentConstants(pot, q0s, directions, speeds)
 
 
-def bumps(pot: QuenchPotential, engine: native.Engine) -> native.Bumps:
+def bumps(pot: QuenchPotential) -> native.Bumps:
     """The potential as the compiled engine reads it; ``pot`` must outlive it."""
     return native.Bumps(
         sigma=pot.sigma,
-        sqrt2=_SQRT2,
-        sqrt_half_pi=_SQRT_HALF_PI,
         n=pot.centers.shape[0],
         centers=native.pointer(pot.centers),
         signs=native.pointer(pot.signs),
-        erf=engine.erf,
     )

@@ -95,10 +95,9 @@ def _trace(qs, ps, times, geom: BilliardGeometry, pot: QuenchPotential, max_boun
         tol_grazing=geometry.TOL_GRAZING,
         wall_nudge=geometry.WALL_NUDGE,
     )
-    engine = native.load()
-    status = engine.lib.trace(
+    status = native.load().trace(
         ctypes.byref(walls),
-        ctypes.byref(potential.bumps(pot, engine)),
+        ctypes.byref(potential.bumps(pot)),
         n,
         native.pointer(qs),
         native.pointer(ps),

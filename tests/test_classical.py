@@ -7,7 +7,7 @@ from scipy import stats
 from chaowork import classical, geometry, sampler
 from chaowork.classical import (
     classical_free_energy_difference,
-    partition_ratio,
+    log_partition_ratio,
     sample_classical_work,
 )
 from chaowork.potential import QuenchPotential, evaluate
@@ -54,14 +54,16 @@ class TestSampleClassicalWork:
 class TestPartitionRatio:
     def test_null_quench_exact_one(self, geom):
         pot0 = QuenchPotential(xi_f=0.0)
-        assert partition_ratio(geom, pot0, 1.0) == 1.0
+        assert log_partition_ratio(geom, pot0, 1.0) == 0.0
 
     def test_high_temperature_limit(self, geom, pot):
-        assert partition_ratio(geom, pot, 1e-8) == pytest.approx(1.0, abs=1e-6)
+        # The ratio is within 1e-6 of 1.
+        log_r = log_partition_ratio(geom, pot, 1e-8)
+        assert math.log1p(-1e-6) <= log_r <= math.log1p(1e-6)
 
     def test_monte_carlo_cross_check(self, geom, pot):
         beta = 2.0**-12
-        quad = partition_ratio(geom, pot, beta)
+        quad = math.exp(log_partition_ratio(geom, pot, beta))
         s = sample_classical_work(geom, pot, beta, 4_000_000, seed=6)
         expw = np.exp(-beta * s.values)
         mc = expw.mean()
@@ -71,11 +73,11 @@ class TestPartitionRatio:
     def test_general_initial_strength(self, geom):
         # xi_0 != 0 divides by its own integral on the same nodes.
         pot = QuenchPotential(xi_f=20.0, xi_0=20.0)
-        assert partition_ratio(geom, pot, 0.01) == 1.0
+        assert log_partition_ratio(geom, pot, 0.01) == 0.0
 
     def test_nonconvergence_is_loud(self, geom, pot):
         with pytest.raises(classical.QuadratureNonConvergence):
-            partition_ratio(geom, pot, 2.0**-8, rel_tol=0.0, max_nodes=64)
+            log_partition_ratio(geom, pot, 2.0**-8, rel_tol=0.0, max_nodes=64)
 
 
 class TestFreeEnergyDifference:
@@ -88,7 +90,7 @@ class TestFreeEnergyDifference:
             centers=pot.centers, signs=np.abs(pot.signs), sigma=pot.sigma, xi_f=85.0
         )
         beta = 2.0**-10
-        assert partition_ratio(geom, pos, beta) < 1.0
+        assert log_partition_ratio(geom, pos, beta) < 0.0
         assert classical_free_energy_difference(geom, pos, beta) > 0.0
 
     def test_jarzynski_identity_across_sweep(self, geom, pot):
@@ -100,6 +102,20 @@ class TestFreeEnergyDifference:
 
             est, se = jarzynski_from_samples(s.values, beta)
             assert abs(est - ref) < 3 * se
+
+    def test_cold_temperatures_keep_their_values(self, geom, pot):
+        # Values the direct-sum quadrature gave; it overflows at beta = 8.5.
+        for beta, expected in ((1.0, -77.83683998692777), (8.0, -83.7829495758722)):
+            got = classical_free_energy_difference(geom, pot, beta)
+            assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_colder_than_overflow_lies_between_warmer_value_and_jensen_bound(self, geom, pot):
+        # Delta F falls with beta towards min W = delta_xi * min V (Jensen: Delta F >= min W).
+        vmin, _ = potential_extrema(geom, pot)
+        df8 = classical_free_energy_difference(geom, pot, 8.0)
+        df10 = classical_free_energy_difference(geom, pot, 10.0)
+        assert math.isfinite(df10)
+        assert pot.delta_xi * vmin < df10 < df8
 
     def test_monotone_reference_curve(self, geom, pot):
         betas = [2.0**-k for k in range(7, 14)]

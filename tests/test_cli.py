@@ -322,22 +322,38 @@ class TestSubcommands:
         report = json.loads((tmp_path / "o" / "quantum_report.json").read_text())
         assert report["jarzynski_lhs"] == pytest.approx(report["jarzynski_rhs"], rel=1e-9)
 
-    def test_quantum_truncation_writes_nothing(self, tmp_path, capsys):
+    def test_quantum_truncation_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # A run that fails leaves its output directory empty, whichever step raised.
+        def no_quadrature(*args):
+            raise classical.QuadratureNonConvergence("refused by the test")
+
+        monkeypatch.setattr(classical, "classical_free_energy_difference", no_quadrature)
         cases = (
             # At beta = 2^-10 the kept states of this grid miss the Boltzmann tail.
-            ({"beta_list": "2^-10"}, "TruncationDominates"),
+            (["quantum"], {"beta_list": "2^-10"}, "TruncationDominates"),
             # A quarter-bin broadening leaves |G(u_max)| near 0.3: P(W) would alias.
-            ({"beta_list": "0.3", "broadening_bins": "0.25"}, "AliasingSuspect"),
+            (["quantum"], {"beta_list": "0.3", "broadening_bins": "0.25"}, "AliasingSuspect"),
+            # The same in the semiclassical inversion, after the spectra are solved.
+            (
+                ["scenario", "fig2"],
+                {"beta_list": "0.3", "broadening_bins": "0.25"},
+                "AliasingSuspect",
+            ),
+            # At hbar = 0.5, after the classical histogram is binned.
+            (["scenario", "fig4"], {"broadening_bins": "0.25"}, "AliasingSuspect"),
+            # The quadrature runs after the classical histogram is binned.
+            (["classical"], {}, "QuadratureNonConvergence"),
         )
-        for i, (overrides, error) in enumerate(cases):
+        for i, (command, overrides, error) in enumerate(cases):
             cfgp = tmp_path / f"c{i}.cfg"
             cfgp.write_text(tiny_text(**overrides))
             out = tmp_path / f"o{i}"
-            rc = self.run_main(["quantum", "--config", str(cfgp), "--out", str(out)])
-            assert rc == 1, error
+            rc = self.run_main([*command, "--config", str(cfgp), "--out", str(out)])
+            assert rc == 1, command
             payload = json.loads(capsys.readouterr().err.strip())
-            assert payload["error"] == error
-            assert os.listdir(out) == [], error
+            assert payload["error"] == error, command
+            run_dir = out / command[1] if command[0] == "scenario" else out
+            assert os.listdir(run_dir) == [], command
 
     def test_dense_solve_refused_beyond_physical_memory(self, tmp_path, capsys, monkeypatch):
         # This grid's dense solve needs a few MB; pretend the machine has 1 MB.

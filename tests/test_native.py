@@ -1,5 +1,6 @@
 """Building, caching and loading the compiled engine."""
 
+import ctypes
 import os
 import subprocess
 import sys
@@ -44,20 +45,21 @@ def test_cache_key_follows_source_compiler_and_flags():
 
 
 def test_loaded_library_is_the_cached_build():
-    engine = native.load()
-    assert engine is native.load()
+    lib = native.load()
+    assert isinstance(lib, ctypes.CDLL)
+    assert lib is native.load()
     name = f"_engine.{native.library_key()}.so"
-    assert os.path.basename(engine.lib._name) == name
-    assert os.path.dirname(engine.lib._name) == native.CACHE_DIR
+    assert os.path.basename(lib._name) == name
+    assert os.path.dirname(lib._name) == native.CACHE_DIR
 
 
 def test_new_build_removes_stale_libraries(tmp_path, monkeypatch):
     monkeypatch.setattr(native, "CACHE_DIR", str(tmp_path))
     for name in ("_engine.0123abcd.so", ".build-inflight.so", "other.so"):
         (tmp_path / name).write_bytes(b"")
-    engine = native.load.__wrapped__()
+    lib = native.load.__wrapped__()
     current = f"_engine.{native.library_key()}.so"
-    assert os.path.basename(engine.lib._name) == current
+    assert os.path.basename(lib._name) == current
     assert sorted(os.listdir(tmp_path)) == sorted([current, ".build-inflight.so", "other.so"])
     # A library another process removed first is no error.
     gone = str(tmp_path / "_engine.gone.so")
@@ -76,13 +78,13 @@ def test_two_builds_at_once_leave_one_loadable_library(tmp_path):
     assert [p.wait(timeout=120) for p in procs] == [0, 0]
     assert os.listdir(target.parent) == [target.name]
     # Same source and flags as the cached build: bit-identical integrals.
-    engine = native.Engine(native.open_library(str(target)), native.load().erf)
+    lib = native.open_library(str(target))
     pot = potential.QuenchPotential()
     q0, d = np.array([[0.3, 0.4]]), np.array([[0.6, 0.8]])
     s, dur = np.array([3.0]), np.array([0.25])
     out = np.empty(1)
-    status = engine.lib.segment_integrals(
-        potential.bumps(pot, engine),
+    status = lib.segment_integrals(
+        potential.bumps(pot),
         1,
         *(native.pointer(a) for a in (q0, d, s, dur, out)),
     )
@@ -103,6 +105,25 @@ def test_quantum_run_neither_builds_nor_loads_the_engine(tmp_path):
         native.build = native.load = native.open_library = refuse
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["quantum", "--config", sys.argv[1], "--out", sys.argv[2]])
+        assert "scipy.special.cython_special" not in sys.modules
+        sys.exit(code)
+    """
+    proc = python(code, str(cfg), str(tmp_path / "out"), stderr=subprocess.PIPE)
+    _, err = proc.communicate(timeout=300)
+    assert proc.returncode == 0, err.decode()
+
+
+def test_semiclassical_run_never_imports_the_scipy_capsule(tmp_path):
+    # The engine takes erf from the C library, not from scipy's Cython API.
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("n_samples = 1200\nu_points = 64\nbeta_list = 2^-8\nseed = 777\nworkers = 1\n")
+    code = """
+        import contextlib, io, sys
+        from chaowork import cli, native
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["semiclassical", "--config", sys.argv[1], "--out", sys.argv[2]])
+        assert native.load.cache_info().currsize == 1
         assert "scipy.special.cython_special" not in sys.modules
         sys.exit(code)
     """
