@@ -31,6 +31,7 @@ import scipy
 from . import __version__, analysis, classical, native, quantum, sampler, spectra
 from .characteristic import (
     CharacteristicGrid,
+    InsufficientMemory,
     Request,
     plan_from_window,
     plan_u_grid,
@@ -431,8 +432,8 @@ def _solve_quench(cfg, geom, pot, hbar):
     nf = cfg.quantum_n_final or None
     try:
         return quantum.solve_quench(geom, pot, hbar, cfg.quantum_h, n0, nf)
-    except quantum.InsufficientMemory as exc:
-        raise quantum.InsufficientMemory(
+    except InsufficientMemory as exc:
+        raise InsufficientMemory(
             f"quantum_h = {cfg.quantum_h:g}: {exc}; raise quantum_h, or set quantum_n_initial"
             " and quantum_n_final to keep part of the spectrum"
         ) from None
@@ -441,9 +442,14 @@ def _solve_quench(cfg, geom, pot, hbar):
 def _semiclassical_grids(cfg, geom, pot, requests):
     """Every request in one engine call on the run's ensemble, so all share one trace."""
     ens = sampler.sample_ensemble(geom, cfg.n_samples, cfg.seed)
-    grids = semiclassical_characteristic(
-        ens, requests, geom, pot, workers=cfg.resolved_workers(), max_bounces=cfg.max_bounces
-    )
+    try:
+        grids = semiclassical_characteristic(
+            ens, requests, geom, pot, workers=cfg.resolved_workers(), max_bounces=cfg.max_bounces
+        )
+    except InsufficientMemory as exc:
+        raise InsufficientMemory(
+            f"{exc}; lower u_points or workers, or sweep fewer beta_list or hbar_list entries"
+        ) from None
     return ens, grids
 
 
@@ -524,6 +530,7 @@ def run_quantum(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
         "beta": beta,
         "jarzynski_lhs": lhs,
         "jarzynski_rhs": rhs,
+        "eigensolve": spec.metadata["eigensolve"],
         "manifest_sha256": manifest_hash,
     }
     _write_json(path("quantum_report.json"), report)
@@ -634,7 +641,7 @@ def run_fig2(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
             lo_q, hi_q = w_all[0], w_all[-1]
         lo = min(w_all[0], lo_q)
         hi = max(w_all[-1], hi_q)
-        plan = plan_from_window(lo, hi, n_u=cfg.u_points, pad_frac=0.05)
+        plan = plan_from_window(lo, hi, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
         requests.append(Request(beta, plan, hbar))
     _, grids = _semiclassical_grids(cfg, geom, pot, requests)
 

@@ -25,7 +25,7 @@ from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
 from . import geometry
-from .characteristic import CharacteristicGrid, UGridPlan
+from .characteristic import CharacteristicGrid, InsufficientMemory, UGridPlan, physical_memory
 from .geometry import BilliardGeometry
 from .potential import QuenchPotential, evaluate
 
@@ -48,14 +48,12 @@ class TruncationDominates(RuntimeError):
     """The retained basis is too small for this temperature."""
 
 
-class InsufficientMemory(MemoryError):
-    """A dense eigensolve would need more than the machine's physical memory."""
-
-
-# n x n float64 arrays the dense path can hold at once: the densified H and
-# eigh's copy of it, both eigenvector blocks, the residual and Gram
-# temporaries, and the overlap and transition matrices.  The peak measured with
-# tracemalloc at 1,057 sites is 6.0 of them.
+# n x n float64 arrays the dense path can hold at once: while H(xi_f) is
+# solved, the first eigenvector block, the densified H (which evd overwrites
+# with its eigenvectors) and evd's workspace of two; then the residual and its
+# temporary.  The peak measured with tracemalloc is 4.0 of them at 1,057 and
+# 2,772 sites; ru_maxrss above baseline, which adds allocator slack, is 5.1
+# and 4.5 of them, spike_support included.
 _DENSE_ARRAYS = 8
 
 
@@ -165,14 +163,17 @@ def eigensolve(
     n_states: int,
     residual_tol: float = 1e-8,
     ortho_tol: float = 1e-10,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, dict]:
     """Lowest n_states eigenpairs, verified against the stated residual and
     orthonormality bounds.
 
-    Full-dimension requests use a dense solver, refused with
-    InsufficientMemory before it allocates when its estimated footprint
-    exceeds physical memory; partial ones use shift-invert Lanczos from below
-    the Gershgorin lower bound.
+    Full-dimension requests use LAPACK's dense divide-and-conquer solver
+    (``evd``), refused with InsufficientMemory before it allocates when its
+    estimated footprint exceeds physical memory; partial ones use
+    shift-invert Lanczos from below the Gershgorin lower bound.  The third
+    item records the solver and the achieved defects: the worst residual
+    norm relative to the Gershgorin bound on |H|, and the largest entry of
+    V^T V - I.
     """
     dim = ham.shape[0]
     if n_states > dim:
@@ -188,8 +189,12 @@ def eigensolve(
                 f" more than the {have / 1e9:.1f} GB of physical memory"
             )
 
-        vals, vecs = eigh(np.asarray(ham.todense()))
+        # Divide and conquer rather than the default MRRR (evr), which slows
+        # down on the near-degenerate pairs these grids have.
+        solver = "dense evd"
+        vals, vecs = eigh(ham.toarray(order="F"), driver="evd", overwrite_a=True)
     else:
+        solver = "shift-invert lanczos"
         diag = ham.diagonal()
         offsum = np.asarray(np.abs(ham).sum(axis=1)).ravel() - np.abs(diag)
         sigma = float((diag - offsum).min()) - 1.0
@@ -200,21 +205,21 @@ def eigensolve(
         vals = vals[order]
         vecs = vecs[:, order]
 
+    # Both defects are formed in place: on the dense path each temporary is
+    # as large as the eigenvector block.
     norm_bound = float(np.abs(ham).sum(axis=1).max())
-    resid = ham @ vecs - vecs * vals
-    worst = float(np.sqrt((resid * resid).sum(axis=0)).max())
-    if worst > residual_tol * norm_bound:
-        raise ConvergenceFailure(f"residual {worst:.3e} exceeds {residual_tol} * |H|")
+    resid = ham @ vecs
+    resid -= vecs * vals
+    residual = float(np.sqrt(np.einsum("ij,ij->j", resid, resid).max())) / norm_bound
+    del resid
+    if residual > residual_tol:
+        raise ConvergenceFailure(f"residual {residual:.3e} |H| exceeds {residual_tol} |H|")
     gram = vecs.T @ vecs
-    ortho = float(np.abs(gram - np.eye(vals.size)).max())
+    gram.flat[:: vals.size + 1] -= 1.0
+    ortho = float(np.abs(gram, out=gram).max())
     if ortho > ortho_tol:
         raise ConvergenceFailure(f"orthonormality defect {ortho:.3e}")
-    return vals, vecs
-
-
-def physical_memory() -> int:
-    """Bytes of physical memory on this machine."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    return vals, vecs, {"solver": solver, "residual": residual, "orthogonality": ortho}
 
 
 def transition_matrix(vecs0: np.ndarray, vecsf: np.ndarray) -> np.ndarray:
@@ -224,7 +229,8 @@ def transition_matrix(vecs0: np.ndarray, vecsf: np.ndarray) -> np.ndarray:
             f"eigenvectors live on different grids: {vecs0.shape[0]} vs {vecsf.shape[0]}"
         )
     overlap = vecs0.T @ vecsf
-    return overlap * overlap
+    overlap *= overlap
+    return overlap
 
 
 def solve_quench(
@@ -237,14 +243,16 @@ def solve_quench(
 ) -> QuenchSpectra:
     """Diagonalize both Hamiltonians and assemble the transition matrix.
 
-    None for either count keeps the full grid spectrum (dense solve).
+    None for either count keeps the full grid spectrum (dense solve).  The
+    metadata records, for each Hamiltonian, the solver and the residual and
+    orthogonality defects ``eigensolve`` achieved.
     """
     h0, hf, grid = build_hamiltonians(geom_or_domain, pot, hbar, h)
     dim = grid.n_sites
     n0 = dim if n_initial is None else n_initial
     nf = dim if n_final is None else n_final
-    e0, v0 = eigensolve(h0, n0)
-    ef, vf = eigensolve(hf, nf)
+    e0, v0, solve0 = eigensolve(h0, n0)
+    ef, vf, solvef = eigensolve(hf, nf)
     t = transition_matrix(v0, vf)
     return QuenchSpectra(
         e0=e0,
@@ -253,7 +261,10 @@ def solve_quench(
         hbar=float(hbar),
         h=grid.h,
         n_sites=dim,
-        metadata={"full_spectrum": n0 == dim and nf == dim},
+        metadata={
+            "full_spectrum": n0 == dim and nf == dim,
+            "eigensolve": {"initial": solve0, "final": solvef},
+        },
     )
 
 
@@ -329,15 +340,22 @@ def spike_support(
     spec: QuenchSpectra, beta: float, mass_tol: float = 1e-12
 ) -> tuple[float, float]:
     """Weighted quantile range of the work spikes containing all but mass_tol."""
-    w = boltzmann_weights(spec.e0, beta)
+    e0, ef = spec.e0, spec.ef
+    # Each array here has n0 * nf entries, so none is kept longer than needed:
+    # the spikes only until sorted (entry k is the pair divmod(k, nf)), and
+    # the cumulative mass overwrites the masses.
+    order = np.argsort((ef[None, :] - e0[:, None]).ravel())
+    w = boltzmann_weights(e0, beta)
     masses = (w[:, None] * spec.transition).ravel()
-    spikes = (spec.ef[None, :] - spec.e0[:, None]).ravel()
-    order = np.argsort(spikes)
-    cum = np.cumsum(masses[order])
+    cum = np.cumsum(masses[order], out=masses)
     total = cum[-1]
-    lo_i = min(int(np.searchsorted(cum, mass_tol * total)), spikes.size - 1)
-    hi_i = min(int(np.searchsorted(cum, (1.0 - mass_tol) * total)), spikes.size - 1)
-    return float(spikes[order][lo_i]), float(spikes[order][hi_i])
+
+    def spike_at(mass: float) -> float:
+        i = min(int(np.searchsorted(cum, mass)), order.size - 1)
+        m, n = divmod(int(order[i]), ef.size)
+        return float(ef[n] - e0[m])
+
+    return spike_at(mass_tol * total), spike_at((1.0 - mass_tol) * total)
 
 
 def save_spectra(path, spec: QuenchSpectra) -> None:

@@ -224,7 +224,7 @@ def test_criterion_5_discretization_convergence():
     errs = {}
     for h in (0.05, 0.025):
         ham, _, _ = quantum.build_hamiltonians(rect, pot0, hbar=1.0, h=h)
-        vals, _ = quantum.eigensolve(ham, 10)
+        vals, _, _ = quantum.eigensolve(ham, 10)
         errs[h] = np.abs(vals - analytic)
     ratios = errs[0.05] / errs[0.025]
     ok = bool(((ratios > 3.5) & (ratios < 4.5)).all())

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy
 
-from chaowork import classical, cli, native, quantum, sampler
+from chaowork import characteristic, classical, cli, native, quantum, sampler
 from chaowork.characteristic import plan_from_window, plan_u_grid
 from chaowork.cli import (
     ParseError,
@@ -272,7 +272,7 @@ class TestScenarioFig2:
                 cfg.geometry(), cfg.potential(), cfg.seed, n_u=cfg.u_points, pad_frac=cfg.pad_frac
             )
             w_all, _ = dual_w_grid(base.u_values, base.w_center)
-            plan = plan_from_window(w_all[0], w_all[-1], n_u=cfg.u_points, pad_frac=0.05)
+            plan = plan_from_window(w_all[0], w_all[-1], n_u=cfg.u_points, pad_frac=cfg.pad_frac)
             with open(out / "fig2" / f"semiclassical_g_beta{tag}.csv.meta.json") as fh:
                 meta = json.load(fh)
             assert meta["du"] == plan.du, beta
@@ -288,6 +288,24 @@ class TestScenarioFig2:
         assert any(n.startswith("quantum_workdist") for n in names)
         row = res["report"]["rows"][0]
         assert 0.0 <= row["l1"] <= 2.0
+
+    def test_window_pad_keeps_kernel_tails_inside(self, tmp_path):
+        # Each beta's window is padded by pad_frac like every other run's; a
+        # narrower pad let the Gaussian tails wrap around the periodic W window.
+        cfg = validate_config(
+            tiny_text(
+                out_dir=str(tmp_path),
+                beta_list="0.35",
+                hbar_list="1",
+                u_points="32",
+                seed="4711",
+            )
+        )
+        run_scenario(cfg, "fig2")
+        hist = cli.read_histogram_csv(tmp_path / "fig2" / "quantum_workdist_beta0p35.csv")
+        peak = hist.density.max()
+        assert hist.density[0] < 1e-6 * peak
+        assert hist.density[-1] < 1e-6 * peak
 
 
 class TestSubcommands:
@@ -321,6 +339,15 @@ class TestSubcommands:
         assert rc == 0
         report = json.loads((tmp_path / "o" / "quantum_report.json").read_text())
         assert report["jarzynski_lhs"] == pytest.approx(report["jarzynski_rhs"], rel=1e-9)
+        # The eigensolve's own checks travel with the run, in the spectra header too.
+        solves = report["eigensolve"]
+        assert set(solves) == {"initial", "final"}
+        for solve in solves.values():
+            assert solve["solver"] == "dense evd"
+            assert 0.0 <= solve["residual"] < 1e-8
+            assert 0.0 <= solve["orthogonality"] < 1e-10
+        spec = quantum.load_spectra(tmp_path / "o" / "spectra.bin")
+        assert spec.metadata["eigensolve"] == solves
 
     def test_quantum_truncation_writes_nothing(self, tmp_path, capsys, monkeypatch):
         # A run that fails leaves its output directory empty, whichever step raised.
@@ -367,6 +394,22 @@ class TestSubcommands:
             payload = json.loads(capsys.readouterr().err.strip())
             assert payload["error"] == "InsufficientMemory"
             for key in ("quantum_h", "quantum_n_initial", "quantum_n_final"):
+                assert key in payload["message"]
+            assert not any(files for _, _, files in os.walk(out))
+
+    def test_trace_refused_beyond_physical_memory(self, tmp_path, capsys, monkeypatch):
+        # One chunk of 1,200 rays through 64 checkpoints needs a few MB; the
+        # machine has 1 MB for the trace, and enough for fig2's dense solve.
+        monkeypatch.setattr(characteristic, "physical_memory", lambda: 1_000_000)
+        cfgp = tmp_path / "c.cfg"
+        cfgp.write_text(tiny_text(beta_list="0.3", hbar_list="1.0"))
+        for command in (["semiclassical"], ["scenario", "fig2"]):
+            out = tmp_path / command[-1]
+            rc = self.run_main([*command, "--config", str(cfgp), "--out", str(out)])
+            assert rc == 1
+            payload = json.loads(capsys.readouterr().err.strip())
+            assert payload["error"] == "InsufficientMemory"
+            for key in ("u_points", "beta_list", "hbar_list", "workers"):
                 assert key in payload["message"]
             assert not any(files for _, _, files in os.walk(out))
 

@@ -62,7 +62,7 @@ class TestGridAndHamiltonians:
         rect = Rectangle(1.0, 0.8)
         pot0 = QuenchPotential(xi_f=0.0)
         h0, _, _ = build_hamiltonians(rect, pot0, hbar=1.0, h=0.02)
-        vals, _ = eigensolve(h0, 3)
+        vals, _, _ = eigensolve(h0, 3)
         analytic = rect.analytic_levels(1.0, 3)
         # O(h^2) envelope: at h=0.02 the lowest level sits within ~0.1%.
         assert vals[0] == pytest.approx(analytic[0], rel=2e-3)
@@ -75,7 +75,7 @@ class TestGridAndHamiltonians:
         errs = {}
         for h in (0.05, 0.025):
             ham, _, _ = build_hamiltonians(rect, pot0, hbar=1.0, h=h)
-            vals, _ = eigensolve(ham, 10)
+            vals, _, _ = eigensolve(ham, 10)
             errs[h] = np.abs(vals - analytic)
         ratio = errs[0.05] / errs[0.025]
         assert ((ratio > 3.5) & (ratio < 4.5)).all()
@@ -107,14 +107,15 @@ class TestEigensolve:
     def test_partial_matches_dense(self, geom, pot):
         h0, _, _ = build_hamiltonians(geom, pot, hbar=1.0, h=0.08)
         dim = h0.shape[0]
-        dense_vals, _ = eigensolve(h0, dim)
-        part_vals, part_vecs = eigensolve(h0, 12)
+        dense_vals, _, dense = eigensolve(h0, dim)
+        part_vals, part_vecs, part = eigensolve(h0, 12)
         np.testing.assert_allclose(part_vals, dense_vals[:12], rtol=1e-9)
         assert part_vecs.shape == (dim, 12)
+        assert (dense["solver"], part["solver"]) == ("dense evd", "shift-invert lanczos")
 
     def test_trace_identity_full_spectrum(self, small_spec, geom, pot):
         h0, _, _ = build_hamiltonians(geom, pot, hbar=1.0, h=0.055)
-        vals, _ = eigensolve(h0, h0.shape[0])
+        vals, _, _ = eigensolve(h0, h0.shape[0])
         trace = float(h0.diagonal().sum())
         assert vals.sum() == pytest.approx(trace, rel=1e-6)
 
@@ -142,6 +143,25 @@ class TestTransitionMatrix:
         for grp in groups:
             block = spec.transition[np.ix_(grp, grp)]
             assert block.sum() == pytest.approx(len(grp), abs=1e-10)
+
+    def test_dense_path_on_exactly_degenerate_spectrum(self):
+        # The square's kinetic spectrum has exact (m, n)/(n, m) pairs, where
+        # the eigenvectors are any orthonormal basis of each pair.
+        square = Rectangle(1.0, 1.0)
+        null = solve_quench(square, QuenchPotential(xi_f=0.0), hbar=1.0, h=0.05)
+        assert null.metadata["eigensolve"]["initial"]["solver"] == "dense evd"
+        groups = np.split(np.arange(null.e0.size), np.flatnonzero(np.diff(null.e0) >= 1e-6) + 1)
+        assert max(len(grp) for grp in groups) >= 2
+        for grp in groups:
+            block = null.transition[np.ix_(grp, grp)]
+            assert block.sum() == pytest.approx(len(grp), abs=1e-10)
+
+        spec = solve_quench(square, QuenchPotential(), hbar=1.0, h=0.05)
+        assert np.abs(spec.transition.sum(axis=1) - 1.0).max() < 1e-12
+        assert np.abs(spec.transition.sum(axis=0) - 1.0).max() < 1e-12
+        for beta in (0.005, 0.02, 0.1):
+            lhs, rhs = quantum_jarzynski(spec, beta)
+            assert abs(lhs - rhs) < 1e-12
 
     def test_rows_and_columns_stochastic_at_full_spectrum(self, small_spec):
         rows = small_spec.transition.sum(axis=1)
@@ -197,7 +217,7 @@ class TestWorkDistribution:
             ).sum()
         )
         h0, hf, grid = build_hamiltonians(geom, pot, hbar=1.0, h=0.055)
-        vals, vecs = eigensolve(h0, h0.shape[0])
+        vals, vecs, _ = eigensolve(h0, h0.shape[0])
         dv = (hf - h0).diagonal()
         diag_means = ((vecs * vecs) * dv[:, None]).sum(axis=0)
         trace_mean = float((quantum.boltzmann_weights(vals, beta) * diag_means).sum())
