@@ -11,6 +11,13 @@
  * and a left fold over the bumps where numpy used a BLAS dot product, so
  * they can differ from that engine's in the last digits.
  *
+ * Each flight evaluates erf and exp over all its bumps at once, through
+ * erf_n and exp_n.  On x86_64 with glibc 2.35 or later (the #if below,
+ * __GLIBC_PREREQ(2, 35) spelled out) they call libmvec's two-lane SSE2
+ * _ZGVbN2v_erf and _ZGVbN2v_exp, which -lm links through libm.so's
+ * AS_NEEDED libmvec; elsewhere they loop over the scalar erf and exp.  The
+ * two differ by a few units in the last place.
+ *
  * A trace reads one ascending array of checkpoint times, the union of the
  * times of every request that shares the rays, so a time two requests share
  * is filled once.
@@ -18,6 +25,39 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+
+/* y[i] = erf(x[i]) and y[i] = exp(x[i]) for i < n; y may be x. */
+#if defined(__x86_64__) && defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 35)
+#include <emmintrin.h>
+
+__m128d _ZGVbN2v_erf(__m128d x);
+__m128d _ZGVbN2v_exp(__m128d x);
+
+/* Two elements per call; an odd last element pads the second lane with 0. */
+static void lanes2(__m128d (*f)(__m128d), const double *x, double *y, int64_t n)
+{
+    int64_t i = 0;
+    for (; i + 1 < n; i += 2)
+        _mm_storeu_pd(y + i, f(_mm_loadu_pd(x + i)));
+    if (i < n)
+        y[i] = _mm_cvtsd_f64(f(_mm_set_sd(x[i])));
+}
+
+static void erf_n(const double *x, double *y, int64_t n) { lanes2(_ZGVbN2v_erf, x, y, n); }
+static void exp_n(const double *x, double *y, int64_t n) { lanes2(_ZGVbN2v_exp, x, y, n); }
+#else
+static void erf_n(const double *x, double *y, int64_t n)
+{
+    for (int64_t i = 0; i < n; i++)
+        y[i] = erf(x[i]);
+}
+
+static void exp_n(const double *x, double *y, int64_t n)
+{
+    for (int64_t i = 0; i < n; i++)
+        y[i] = exp(x[i]);
+}
+#endif
 
 /* The quench potential: n signed Gaussian bumps of width sigma. */
 typedef struct {
@@ -35,11 +75,12 @@ typedef struct {
 
 /* Closed-form pieces of one flight q0 + d s tau; see potential.py.  For
  * bump i the integrand is amp_i exp(-(s (tau - tau_star_i))^2 / (2 sigma^2)),
- * and on a stationary flight amp_i is the bump's value at q0. */
+ * and on a stationary flight amp_i is the bump's value at q0.  arg holds
+ * one erf argument per bump while an integral is taken. */
 typedef struct {
     int still;
     double alpha, pref;
-    double *amp, *tau_star, *erf_lo; /* per bump */
+    double *amp, *tau_star, *erf_lo, *arg; /* per bump */
 } segment_t;
 
 static void segment_setup(const bumps_t *v, double x, double y, double dx, double dy,
@@ -58,29 +99,35 @@ static void segment_setup(const bumps_t *v, double x, double y, double dx, doubl
         const double proj = d0x * dx + d0y * dy;
         const double d0sq = d0x * d0x + d0y * d0y;
         if (still) {
-            g->amp[i] = exp(-d0sq / width);
+            g->amp[i] = -d0sq / width;
             continue;
         }
         double b2 = d0sq - proj * proj;
         if (b2 < 0.0)
             b2 = 0.0;
         g->tau_star[i] = -proj / s_safe;
-        g->amp[i] = exp(-b2 / width);
-        g->erf_lo[i] = erf(g->alpha * g->tau_star[i]);
+        g->amp[i] = -b2 / width;
+        g->erf_lo[i] = g->alpha * g->tau_star[i];
     }
+    exp_n(g->amp, g->amp, v->n);
+    if (!still)
+        erf_n(g->erf_lo, g->erf_lo, v->n);
 }
 
 /* Integral of V over [0, duration] of a set-up flight. */
 static double segment_integral(const bumps_t *v, const segment_t *g, double duration)
 {
     double sum = 0.0;
+    if (g->still) {
+        for (int64_t i = 0; i < v->n; i++)
+            sum += g->amp[i] * duration * v->signs[i];
+        return sum;
+    }
+    for (int64_t i = 0; i < v->n; i++)
+        g->arg[i] = g->alpha * (duration - g->tau_star[i]);
+    erf_n(g->arg, g->arg, v->n);
     for (int64_t i = 0; i < v->n; i++) {
-        double per;
-        if (g->still)
-            per = g->amp[i] * duration;
-        else
-            per = g->amp[i] * g->pref *
-                  (erf(g->alpha * (duration - g->tau_star[i])) + g->erf_lo[i]);
+        const double per = g->amp[i] * g->pref * (g->arg[i] + g->erf_lo[i]);
         sum += per * v->signs[i];
     }
     return sum;
@@ -88,12 +135,13 @@ static double segment_integral(const bumps_t *v, const segment_t *g, double dura
 
 static int segment_alloc(const bumps_t *v, segment_t *g)
 {
-    double *buf = malloc(3 * (size_t)(v->n > 0 ? v->n : 1) * sizeof(double));
+    double *buf = malloc(4 * (size_t)(v->n > 0 ? v->n : 1) * sizeof(double));
     if (buf == NULL)
         return -1;
     g->amp = buf;
     g->tau_star = buf + v->n;
     g->erf_lo = buf + 2 * v->n;
+    g->arg = buf + 3 * v->n;
     return 0;
 }
 

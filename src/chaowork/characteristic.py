@@ -215,12 +215,28 @@ def _chunk_phase_sums(args):
     Module-level so worker pools can pickle it.  ``times`` is the ascending
     union of every request's checkpoints on the unit-temperature rays, and
     ``spec`` holds per request (the columns of its own times in ``times``,
-    delta_xi / (hbar * c), want_cov); the result lists their sums in the
-    same order.
+    delta_xi / (hbar * c), want_cov).  Returns the list of their sums in the
+    same order, and the chunk's ``TraceCounts``.
     """
     (qs, z, times, geom, pot, max_bounces, spec) = args
-    integrals, _ = trajectory.checkpoint_action_integrals(qs, z, times, geom, pot, max_bounces)
-    return [_request_sums(integrals, *m) for m in spec]
+    integrals, _, counts = trajectory.checkpoint_action_integrals(
+        qs, z, times, geom, pot, max_bounces
+    )
+    return [_request_sums(integrals, *m) for m in spec], counts
+
+
+def _trace_summary(counts) -> dict:
+    """What the shared trace did, from its chunks' ``TraceCounts`` in chunk order."""
+    bounces = np.concatenate([c.bounces for c in counts])
+    p50, p99 = np.quantile(bounces, [0.5, 0.99], method="inverted_cdf")
+    return {
+        "segments": sum(int(c.segments.sum()) for c in counts),
+        "bounce_p50": int(p50),
+        "bounce_p99": int(p99),
+        "bounce_max": int(bounces.max()),
+        "grazing": sum(c.grazing for c in counts),
+        "corner": sum(c.corner for c in counts),
+    }
 
 
 class _Grid(NamedTuple):
@@ -238,8 +254,11 @@ def _prepare(req: Request) -> _Grid:
     return _Grid(req.u_grid.u_values * (req.hbar * scale), scale)
 
 
-def _reduce(ens: ThermalEnsemble, req: Request, results) -> CharacteristicGrid:
-    """Fixed-order reduction of one request's chunk sums into its G(u)."""
+def _reduce(ens: ThermalEnsemble, req: Request, results, trace: dict) -> CharacteristicGrid:
+    """Fixed-order reduction of one request's chunk sums into its G(u).
+
+    ``trace`` is the shared trace's summary, kept in the grid's metadata.
+    """
     plan = req.u_grid
     n = len(ens)
     k = plan.n
@@ -287,7 +306,7 @@ def _reduce(ens: ThermalEnsemble, req: Request, results) -> CharacteristicGrid:
         beta=float(req.beta),
         w_center=plan.w_center,
         n_failed=n_failed,
-        metadata={"seed": ens.seed, "estimator": "boltzmann"},
+        metadata={"seed": ens.seed, "estimator": "boltzmann", "trace": dict(trace)},
         second_moment=moment,
     )
 
@@ -308,12 +327,15 @@ def semiclassical_characteristic(
     unit-temperature momenta, through the union of all requests' checkpoint
     times, so a time two requests share is filled once; each request reads
     its own columns and gets the same chunks, sums and failure count as a
-    call with that request alone.  A trace whose chunks in flight would not
-    fit in physical memory is refused with InsufficientMemory before it
-    starts.  Errored samples are dropped and counted per request; a request
-    aborts with ExcessiveFailures if more than FAILURE_BUDGET of its samples
-    fail before its last checkpoint, since silent rejection would bias the
-    Boltzmann weighting.
+    call with that request alone.  Each grid's ``metadata["trace"]`` holds
+    what that shared trace did: its total segments, the median, 99th
+    percentile and largest bounce count per ray, and its grazing and corner
+    reflections.  A trace whose chunks in flight would not fit in physical
+    memory is refused with InsufficientMemory before it starts.  Errored
+    samples are dropped and counted per request; a request aborts with
+    ExcessiveFailures if more than FAILURE_BUDGET of its samples fail before
+    its last checkpoint, since silent rejection would bias the Boltzmann
+    weighting.
     """
     requests = list(requests)
     if not requests:
@@ -352,4 +374,6 @@ def semiclassical_characteristic(
     else:
         results = [_chunk_phase_sums(t) for t in tasks]
 
-    return [_reduce(ens, req, sums) for req, sums in zip(requests, zip(*results))]
+    sums, counts = zip(*results)
+    trace = _trace_summary(counts)
+    return [_reduce(ens, req, s, trace) for req, s in zip(requests, zip(*sums))]

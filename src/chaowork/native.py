@@ -13,8 +13,12 @@ compiler, a failed build or a cache directory that cannot be written raises
 ``BuildError`` naming it; there is no other engine to fall back on.
 
 ``load`` returns the library, with every argument type declared.  It is
-linked with ``-lm`` and takes ``erf``, ``exp``, ``hypot`` and ``sqrt`` from
-the C library.
+linked with ``-lm`` and takes ``hypot`` and ``sqrt`` from the C library.
+``erf`` and ``exp`` come from glibc's vector math library, libmvec, as its
+two-lane SSE2 ``_ZGVbN2v_erf`` and ``_ZGVbN2v_exp``, on x86_64 with glibc
+2.35 or later (glibc's ``libm.so`` there pulls in libmvec, so ``-lm`` links
+it), and from the scalar ``erf`` and ``exp`` of the C library elsewhere; the
+two differ by a few units in the last place.
 """
 
 from __future__ import annotations

@@ -302,14 +302,26 @@ def quantum_characteristic(
         raise ValueError(f"beta must be positive, got {beta}")
     check_truncation(spec.e0, beta)
     w = boltzmann_weights(spec.e0, beta)
-    # G(u) = sum_n e^{i u ef_n} sum_m T[m,n] w_m e^{-i u e0_m}
-    phase0 = np.exp(np.outer(-1j * u, spec.e0)) * w  # (K, n0)
-    inner = phase0 @ spec.transition  # (K, nf)
-    g = (inner * np.exp(np.outer(1j * u, spec.ef))).sum(axis=1)
+    # G(u) = sum_n e^{i u ef_n} (re - i im)[:, n], with re and im the real
+    # products (w_m cos(u e0_m)) @ T and (w_m sin(u e0_m)) @ T: T is never
+    # copied to complex, and each (K, n) block is formed in place.
+    arg = np.outer(u, spec.e0)  # (K, n0)
+    a = np.cos(arg)
+    a *= w
+    re = a @ spec.transition  # (K, nf)
+    np.sin(arg, out=a)
+    a *= w
+    im = a @ spec.transition
+    del arg, a
+    s = np.outer(u, spec.ef)
+    c = np.cos(s)
+    np.sin(s, out=s)
+    g_re = np.einsum("kn,kn->k", re, c) + np.einsum("kn,kn->k", im, s)
+    g_im = np.einsum("kn,kn->k", re, s) - np.einsum("kn,kn->k", im, c)
     zeros = np.zeros(u.size)
     return CharacteristicGrid(
         u_values=u,
-        g_values=g,
+        g_values=g_re + 1j * g_im,
         stderr_re=zeros,
         stderr_im=zeros.copy(),
         n_samples=0,

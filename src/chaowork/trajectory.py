@@ -10,10 +10,11 @@ segment it finds the first wall hit, fills every checkpoint up to the
 segment's end, adds the segment's integral of V to one running sum, then
 moves and reflects.  It stops at the last checkpoint, when it loses the
 boundary or at the bounce cap, and the checkpoints it did not reach stay
-NaN.  The geometry is bit for bit that of ``geometry.first_hit_arrays`` and
-the numpy engine kept in ``tests/reference.py`` as the test oracle,
-together with the scalar one-trajectory path (``propagate``,
-``action_difference``); the integrals agree with that engine to rounding.
+NaN.  It also returns what the trace did, as ``TraceCounts``.  The
+geometry is bit for bit that of ``geometry.first_hit_arrays`` and the numpy
+engine kept in ``tests/reference.py`` as the test oracle, together with the
+scalar one-trajectory path (``propagate``, ``action_difference``); the
+integrals agree with that engine to rounding.
 """
 
 from __future__ import annotations
@@ -77,8 +78,28 @@ def _checkpoints(times) -> np.ndarray:
     return times
 
 
-def _trace(qs, ps, times, geom: BilliardGeometry, pot: QuenchPotential, max_bounces):
-    """The compiled trace behind ``checkpoint_action_integrals``, with its counts."""
+def checkpoint_action_integrals(
+    qs: np.ndarray,
+    ps: np.ndarray,
+    times: np.ndarray,
+    geom: BilliardGeometry,
+    pot: QuenchPotential,
+    max_bounces: int = MAX_BOUNCES_DEFAULT,
+) -> tuple[np.ndarray, np.ndarray, TraceCounts]:
+    """Integral of V from 0 to each checkpoint time, for a batch of particles.
+
+    ``qs`` and ``ps`` are (n, 2) positions and momenta; ``times`` is one
+    finite, ascending, nonnegative array of checkpoints.  Each ray is traced
+    once, to the last checkpoint, keeping one running integral that every
+    checkpoint reads on the segment that reaches it.  Returns (integrals,
+    failed, counts): integrals has shape (n, len(times)), failed flags the
+    rays that lost geometric containment or exceeded ``max_bounces``
+    reflections before the last checkpoint, and counts is the trace's
+    ``TraceCounts``.  A failed ray stopped there, so the checkpoints it did
+    not reach read NaN: a caller that reads only up to an earlier checkpoint
+    keeps the rows that are finite there.  Malformed arguments raise
+    ValueError before the engine runs.
+    """
     qs, ps = _phase_points(qs, ps)
     cap = _bounce_cap(max_bounces)
     times = _checkpoints(times)
@@ -112,31 +133,6 @@ def _trace(qs, ps, times, geom: BilliardGeometry, pot: QuenchPotential, max_boun
     if status != 0:
         raise MemoryError("the engine could not allocate its working memory")
     counts = TraceCounts(segments, bounces, int(events[0]), int(events[1]))
-    return out, np.isnan(out[:, -1]), counts
-
-
-def checkpoint_action_integrals(
-    qs: np.ndarray,
-    ps: np.ndarray,
-    times: np.ndarray,
-    geom: BilliardGeometry,
-    pot: QuenchPotential,
-    max_bounces: int = MAX_BOUNCES_DEFAULT,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integral of V from 0 to each checkpoint time, for a batch of particles.
-
-    ``qs`` and ``ps`` are (n, 2) positions and momenta; ``times`` is one
-    finite, ascending, nonnegative array of checkpoints.  Each ray is traced
-    once, to the last checkpoint, keeping one running integral that every
-    checkpoint reads on the segment that reaches it.  Returns (integrals,
-    failed): integrals has shape (n, len(times)), and failed flags the rays
-    that lost geometric containment or exceeded ``max_bounces`` reflections
-    before the last checkpoint.  Such a ray stopped there, so the
-    checkpoints it did not reach read NaN: a caller that reads only up to an
-    earlier checkpoint keeps the rows that are finite there.  Malformed
-    arguments raise ValueError before the engine runs.
-    """
-    out, failed, counts = _trace(qs, ps, times, geom, pot, max_bounces)
     if counts.grazing:
         logger.warning("%d grazing reflections encountered; reflected anyway", counts.grazing)
-    return out, failed
+    return out, np.isnan(out[:, -1]), counts

@@ -312,7 +312,7 @@ def checkpoint_action_integrals_numpy(
     pot: QuenchPotential,
     max_bounces: int = MAX_BOUNCES_DEFAULT,
 ) -> tuple[np.ndarray, np.ndarray, TraceCounts]:
-    """The numpy engine: ``trajectory._trace``'s results, one batch step per bounce.
+    """The numpy engine: ``checkpoint_action_integrals``'s results, one batch step per bounce.
 
     Every row still in flight advances one segment per loop step and fills
     every checkpoint up to the segment's end; the checkpoints a row stopped
@@ -496,7 +496,7 @@ def shell_characteristic(
     columns = np.arange(times.size)
     for m, energy in enumerate(energies):
         qs, ps = sample_shell(geom, float(energy), samples_per_shell, seed, m)
-        [(c, s, c2, s2, ok, fail, _)] = _chunk_phase_sums(
+        [(c, s, c2, s2, ok, fail, _)], _ = _chunk_phase_sums(
             (qs, ps, times, geom, pot, max_bounces, [(columns, pot.delta_xi / hbar, False)])
         )
         total_failed += fail

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chaowork import characteristic, geometry, potential, sampler
+from chaowork import characteristic, geometry, potential, sampler, trajectory
 from chaowork.characteristic import (
     Request,
     UGridPlan,
@@ -118,6 +118,18 @@ class TestSemiclassicalEstimator:
         )
         assert np.array_equal(g1.g_values, g2.g_values)
         assert np.array_equal(g1.stderr_re, g2.stderr_re)
+        # The four chunks' trace counts, merged, are the whole ensemble's.
+        trace = g1.metadata["trace"]
+        assert g2.metadata["trace"] == trace
+        times = characteristic._prepare(req).times
+        _, _, counts = trajectory.checkpoint_action_integrals(
+            ens.qs, ens.z, times, geom_mod, pot_mod
+        )
+        assert trace["segments"] == counts.segments.sum()
+        p50, p99 = np.quantile(counts.bounces, [0.5, 0.99], method="inverted_cdf")
+        assert (trace["bounce_p50"], trace["bounce_p99"]) == (p50, p99)
+        assert trace["bounce_max"] == counts.bounces.max()
+        assert (trace["grazing"], trace["corner"]) == (counts.grazing, counts.corner)
 
     def test_pool_no_larger_than_chunk_count(self, geom_mod, pot_mod, plan, monkeypatch):
         asked = []
@@ -281,7 +293,7 @@ class TestSharedTraces:
             times = np.unique(np.concatenate(requests))
             spec = [(np.searchsorted(times, t), pot_mod.delta_xi, False) for t in requests]
             args = (ens.qs, ens.momenta(2.0**-8), times, geom_mod, pot_mod, 2, spec)
-            return characteristic._chunk_phase_sums(args)
+            return characteristic._chunk_phase_sums(args)[0]
 
         s_short, s_long = sums([short, long])
         assert 0 < s_short[5] < s_long[5]

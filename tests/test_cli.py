@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy
 
-from chaowork import characteristic, classical, cli, native, quantum, sampler
+from chaowork import characteristic, classical, cli, native, quantum, sampler, trajectory
 from chaowork.characteristic import plan_from_window, plan_u_grid
 from chaowork.cli import (
     ParseError,
@@ -552,6 +552,23 @@ class TestRunCommands:
         ps = ens.momenta(cfg.beta_list[0])
         assert np.array_equal(np.column_stack([data["px"], data["py"]]), ps)
 
+    def test_g_sidecar_records_the_trace(self, command_runs):
+        out_dir, _ = command_runs["semiclassical"]
+        with open(os.path.join(out_dir, "semiclassical_g.csv.meta.json")) as fh:
+            trace = json.load(fh)["trace"]
+        cfg = validate_config(_CMD_CONFIG)
+        geom, pot = cfg.geometry(), cfg.potential()
+        ens = sampler.sample_ensemble(geom, cfg.n_samples, cfg.seed)
+        plan = plan_u_grid(geom, pot, cfg.seed, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
+        req = characteristic.Request(cfg.beta_list[0], plan, cfg.hbar_list[0])
+        _, _, counts = trajectory.checkpoint_action_integrals(
+            ens.qs, ens.z, characteristic._prepare(req).times, geom, pot, cfg.max_bounces
+        )
+        assert trace["segments"] == counts.segments.sum()
+        assert trace["bounce_p50"] <= trace["bounce_p99"] <= trace["bounce_max"]
+        assert trace["bounce_max"] == counts.bounces.max()
+        assert (trace["grazing"], trace["corner"]) == (counts.grazing, counts.corner)
+
     def test_every_csv_starts_with_manifest_hash(self, command_runs):
         for name, (out_dir, printed) in command_runs.items():
             with open(os.path.join(out_dir, "manifest.json")) as fh:
@@ -602,9 +619,17 @@ class TestRunCommands:
             for h in hbars:
                 out = str(tmp_path / f"s{h}")
                 assert cli.main(["semiclassical", *argv[:2], "--out", out, "--hbar", h]) == 0
+        traces = []
         for h in hbars:
             tag = cli._hbar_tag(float(h))
             shared = tmp_path / "f" / "fig4" / f"semiclassical_g_hbar{tag}.csv"
             alone = tmp_path / f"s{h}" / "semiclassical_g.csv"
             assert body(shared) == body(alone), h
-            assert meta(shared) == meta(alone), h
+            shared, alone = meta(shared), meta(alone)
+            # The trace block describes the run's one trace, which the
+            # sweep runs to the largest hbar's last checkpoint.
+            traces.append((shared.pop("trace"), alone.pop("trace")))
+            assert shared == alone, h
+        assert all(shared == traces[-1][0] for shared, _ in traces)
+        assert traces[-1][0] == traces[-1][1]
+        assert all(alone["segments"] < traces[-1][0]["segments"] for _, alone in traces[:-1])

@@ -2,10 +2,12 @@
 
 import ctypes
 import os
+import platform
 import subprocess
 import sys
 import textwrap
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -128,5 +130,73 @@ def test_semiclassical_run_never_imports_the_scipy_capsule(tmp_path):
         sys.exit(code)
     """
     proc = python(code, str(cfg), str(tmp_path / "out"), stderr=subprocess.PIPE)
+    _, err = proc.communicate(timeout=300)
+    assert proc.returncode == 0, err.decode()
+
+
+def _closed_form(pot, q0, d, s, dur):
+    """One flight's integral of V and the sum of amp_i * pref, in mpmath.
+
+    The same closed form as the engine.  The arguments of exp are formed in
+    double as the engine forms them, because d0sq - proj^2 cancels and exp
+    multiplies the relative error of a large argument; exp, erf and the sum
+    over bumps are evaluated at 30 digits.  A still flight (s = 0)
+    integrates to V(q0) * dur, and its scale is that of an unsigned V.
+    """
+    width = 2.0 * pot.sigma * pot.sigma
+    total = scale = mpmath.mpf(0)
+    for (cx, cy), sign in zip(pot.centers.tolist(), pot.signs.tolist()):
+        d0x, d0y = float(q0[0]) - cx, float(q0[1]) - cy
+        proj = d0x * float(d[0]) + d0y * float(d[1])
+        d0sq = d0x * d0x + d0y * d0y
+        if s == 0.0:
+            amp = mpmath.exp(-d0sq / width)
+            total += sign * amp * dur
+            scale += amp * dur
+            continue
+        amp = mpmath.exp(-max(d0sq - proj * proj, 0.0) / width)
+        alpha = s / (mpmath.mpf(pot.sigma) * mpmath.sqrt(2))
+        pref = mpmath.mpf(pot.sigma) * mpmath.sqrt(mpmath.pi / 2) / s
+        tau_star = -mpmath.mpf(proj) / s
+        lo, hi = mpmath.erf(alpha * tau_star), mpmath.erf(alpha * (dur - tau_star))
+        total += sign * amp * pref * (hi + lo)
+        scale += amp * pref
+    return total, scale
+
+
+@pytest.mark.parametrize("n_bumps", [1, 3, 4, 5])
+def test_segment_integrals_match_the_closed_form_in_mpmath(n_bumps):
+    # Odd bump counts leave a lane of the two-lane erf and exp padded;
+    # fast flights take erf far past +-6, where it rounds to +-1.
+    centers = np.array([*potential.DEFAULT_CENTERS, (0.9, 0.3)])[:n_bumps]
+    pot = potential.QuenchPotential(centers=centers, signs=(-1.0) ** np.arange(n_bumps))
+    rng = np.random.default_rng(20)
+    n = 64
+    q0 = rng.uniform((0.05, 0.05), (1.4, 0.95), size=(n, 2))
+    angle = rng.uniform(0.0, 2.0 * np.pi, n)
+    d = np.column_stack([np.cos(angle), np.sin(angle)])
+    s = np.tile([0.0, 1e-3, 0.7, 3.0, 40.0, 400.0, 2.0, 9.0], n // 8)
+    dur = np.tile([0.0, 0.05, 0.3, 1.1], n // 4)
+    got = potential.segment_constants(pot, q0, d, s).integral(dur)
+    with mpmath.workdps(30):
+        for i in range(n):
+            want, scale = _closed_form(pot, q0[i], d[i], s[i], dur[i])
+            assert abs(got[i] - want) <= 1e-14 * scale, (i, got[i], want, scale)
+
+
+@pytest.mark.skipif(
+    platform.machine() != "x86_64"
+    or platform.libc_ver()[0] != "glibc"
+    or tuple(map(int, platform.libc_ver()[1].split(".")[:2])) < (2, 35),
+    reason="libmvec's two-lane erf is used on x86_64 with glibc 2.35 or later",
+)
+def test_engine_maps_libmvec():
+    code = """
+        from chaowork import native
+        native.load()
+        with open("/proc/self/maps") as fh:
+            assert "libmvec" in fh.read()
+    """
+    proc = python(code, stderr=subprocess.PIPE)
     _, err = proc.communicate(timeout=300)
     assert proc.returncode == 0, err.decode()

@@ -146,7 +146,7 @@ class TestCheckpointEngine:
         beta = 2.0**-6
         times = np.linspace(0.0, 0.5, 7)
         ps = ens.momenta(beta)
-        integrals, failed = checkpoint_action_integrals(ens.qs, ps, times, geom, pot)
+        integrals, failed, _ = checkpoint_action_integrals(ens.qs, ps, times, geom, pot)
         assert not failed.any()
         for i in range(len(ens)):
             for k, t in enumerate(times):
@@ -167,18 +167,18 @@ class TestCheckpointEngine:
         qs, ps = np.array([q0]), np.array([p0])
         pmag = np.hypot(ps[:, 0], ps[:, 1])
         assert reference.first_hit(geom, q0, ps[0] / pmag[0]).path_length > 2.0 * pmag[0] * t
-        integrals, failed = checkpoint_action_integrals(qs, ps, np.array([t]), geom, pot)
+        integrals, failed, _ = checkpoint_action_integrals(qs, ps, np.array([t]), geom, pot)
         assert not failed.any()
         cst = potential.segment_constants(pot, qs, ps / pmag[:, None], 2.0 * pmag)
         assert integrals[0, 0] == cst.integral(np.array([t]))[0]
 
     def test_zero_column_at_time_zero(self, geom, pot):
         ens = sampler.sample_ensemble(geom, 16, seed=2)
-        integrals, _ = checkpoint_action_integrals(
+        integrals, _, _ = checkpoint_action_integrals(
             ens.qs, ens.momenta(1.0), np.array([0.0, 0.2]), geom, pot
         )
         assert np.array_equal(integrals[:, 0], np.zeros(16))
-        integrals, failed = checkpoint_action_integrals(
+        integrals, failed, _ = checkpoint_action_integrals(
             ens.qs, ens.momenta(1.0), np.zeros(2), geom, pot
         )
         assert np.array_equal(integrals, np.zeros((16, 2)))
@@ -188,7 +188,7 @@ class TestCheckpointEngine:
         qs = np.array([[0.2, 0.4], [1.5, 0.3]])
         ps = np.zeros((2, 2))
         times = np.array([0.0, 1.0, 2.0])
-        integrals, failed = checkpoint_action_integrals(qs, ps, times, geom, pot)
+        integrals, failed, _ = checkpoint_action_integrals(qs, ps, times, geom, pot)
         assert not failed.any()
         v = potential.evaluate(pot, qs)
         np.testing.assert_allclose(integrals, np.outer(v, times), rtol=1e-12, atol=1e-15)
@@ -198,7 +198,7 @@ class TestCheckpointEngine:
         ens = sampler.sample_ensemble(geom, 64, seed=5)
         times = np.array([0.0, 1.0, 2.0])
         ps = ens.momenta(2.0**-12)
-        integrals, failed = checkpoint_action_integrals(ens.qs, ps, times, geom, pot)
+        integrals, failed, _ = checkpoint_action_integrals(ens.qs, ps, times, geom, pot)
         assert not failed.any()
         assert np.isfinite(integrals).all()
         # The running average of V along an ergodic path stays bounded by max|V|.
@@ -206,7 +206,7 @@ class TestCheckpointEngine:
 
     def test_bounce_cap_marks_failed(self, geom, pot):
         ens = sampler.sample_ensemble(geom, 8, seed=6)
-        integrals, failed = checkpoint_action_integrals(
+        integrals, failed, _ = checkpoint_action_integrals(
             ens.qs, ens.momenta(2.0**-12), np.array([0.0, 5.0]), geom, pot, max_bounces=3
         )
         assert failed.all()
@@ -245,9 +245,8 @@ class TestCheckpointEngine:
         qs, ps = np.array([[0.5, 1.0]]), np.array([[1.0, 0.0]])
         times = np.array([0.0, 0.2, 0.2500005])
         with caplog.at_level(logging.WARNING, logger="chaowork.trajectory"):
-            checkpoint_action_integrals(qs, ps, times, geom, pot)
+            _, _, counts = checkpoint_action_integrals(qs, ps, times, geom, pot, 100)
         assert "1 grazing reflections encountered; reflected anyway" in caplog.text
-        _, _, counts = trajectory._trace(qs, ps, times, geom, pot, 100)
         _, _, ref = reference.checkpoint_action_integrals_numpy(qs, ps, times, geom, pot, 100)
         assert counts.grazing == ref.grazing == 1
         assert np.array_equal(counts.segments, ref.segments)
@@ -276,7 +275,7 @@ class TestAgainstNumpyEngine:
         times = np.union1d(np.linspace(0.0, end, 17), np.linspace(0.0, end / 4, 9))
         quarter = np.searchsorted(times, end / 4)
 
-        got, failed, counts = trajectory._trace(qs, ps, times, geom, pot, max_bounces)
+        got, failed, counts = checkpoint_action_integrals(qs, ps, times, geom, pot, max_bounces)
         want, want_failed, ref = reference.checkpoint_action_integrals_numpy(
             qs, ps, times, geom, pot, max_bounces
         )
