@@ -8,7 +8,7 @@ strength 0 -> 85).  File, environment and flags share one grammar: a key
 parses by the type of its default.
 
 Every run writes a manifest JSON recording the canonical configuration, its
-SHA-256 hash, the seed, library versions, the platform, the CPU count and
+SHA-256 hash, the seed, library versions, the platform and C library, the CPU count and
 the compiled engine's cache key; each CSV embeds that hash in a
 leading comment line so outputs can be audited after the fact.  Outputs are
 a pure function of (config, seed, workers): reruns are byte-identical.
@@ -282,7 +282,14 @@ def config_manifest(cfg: RunConfig, scenario: str) -> dict:
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "chaowork": __version__,
-            "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}",
+            # The engine's erf and exp come from the C library (libmvec on
+            # x86_64 glibc >= 2.35), so its name and version are recorded.
+            "platform": "-".join(
+                filter(
+                    None,
+                    [platform.system(), platform.release(), platform.machine(), *platform.libc_ver()],
+                )
+            ),
             "cpu_count": os.cpu_count(),
             "engine": _engine_key(),
         },

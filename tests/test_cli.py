@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import platform
 import shutil
 import subprocess
 from dataclasses import fields
@@ -166,6 +167,8 @@ class TestManifest:
         assert v["cpu_count"] == os.cpu_count()
         assert v["engine"] == native.library_key()
         assert v["platform"].startswith(os.uname().sysname)
+        libc, libc_version = platform.libc_ver()
+        assert v["platform"].endswith(f"-{libc}-{libc_version}" if libc else os.uname().machine)
         # Versions stay out of the hash, which is the one of earlier releases.
         assert m["config_sha256"] == (
             "23db745eb1e7c44687feadde0fc536a5259d9eca26fb2383e53a28aebca252be"

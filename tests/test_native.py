@@ -7,7 +7,6 @@ import subprocess
 import sys
 import textwrap
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -143,6 +142,8 @@ def _closed_form(pot, q0, d, s, dur):
     over bumps are evaluated at 30 digits.  A still flight (s = 0)
     integrates to V(q0) * dur, and its scale is that of an unsigned V.
     """
+    import mpmath
+
     width = 2.0 * pot.sigma * pot.sigma
     total = scale = mpmath.mpf(0)
     for (cx, cy), sign in zip(pot.centers.tolist(), pot.signs.tolist()):
@@ -166,6 +167,7 @@ def _closed_form(pot, q0, d, s, dur):
 
 @pytest.mark.parametrize("n_bumps", [1, 3, 4, 5])
 def test_segment_integrals_match_the_closed_form_in_mpmath(n_bumps):
+    mpmath = pytest.importorskip("mpmath")
     # Odd bump counts leave a lane of the two-lane erf and exp padded;
     # fast flights take erf far past +-6, where it rounds to +-1.
     centers = np.array([*potential.DEFAULT_CENTERS, (0.9, 0.3)])[:n_bumps]
