@@ -34,12 +34,11 @@ def main() -> int:
 
     t0 = time.time()
     plan = characteristic.plan_u_grid(geom, pot, args.seed, n_u=args.u_points)
-    w_values, dw = spectra.dual_w_grid(plan.u_values, plan.w_center)
-    eps = 2.0 * dw
-    print(f"u_max={plan.u_values[-1]:.3f}  dW={dw:.3f}  eps={eps:.3f}")
+    eps = 2.0 * plan.dw
+    print(f"u_max={plan.u_values[-1]:.3f}  dW={plan.dw:.3f}  eps={eps:.3f}")
 
     cs = classical.sample_classical_work(geom, pot, beta, n_cl, args.seed)
-    ch = spectra.spikes_to_histogram(cs.values, w_values, eps)
+    ch = spectra.bin_spikes(cs.values, plan, eps)
     ens = sampler.sample_ensemble(geom, n_sc, args.seed)
 
     hbars = (1.0, 0.5, 0.1, 0.01)

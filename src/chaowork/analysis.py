@@ -72,18 +72,9 @@ def jarzynski_from_characteristic(
 
     cov = g.quadrature_covariance()
     if cov is not None:
-        # raw = c . [Re G; Im G] exactly: assemble the coefficients of the
+        # raw = c . [Re G; Im G] exactly, c the coefficients of the
         # inversion followed by the kernel sum.
-        u = np.asarray(g.u_values, dtype=float)
-        du = float(u[1] - u[0])
-        damp = np.exp(-0.5 * (hist.broadening * u) ** 2)
-        scale = du / (2.0 * math.pi)
-        phase = np.outer(u, w)
-        c_re = scale * damp * (np.cos(phase) @ kernel)
-        c_im = scale * damp * (np.sin(phase) @ kernel)
-        c_re[1:] *= 2.0
-        c_im[1:] *= 2.0
-        coeff = np.concatenate([c_re, c_im])
+        coeff = spectra_mod.functional_coefficients(g.plan, hist.broadening, kernel)
         var_raw = float(coeff @ cov @ coeff)
         se = math.sqrt(max(var_raw, 0.0)) / bias / (beta * mean)
         return est, se

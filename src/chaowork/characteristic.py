@@ -9,7 +9,9 @@ per (sample, u) pair.
 
 G is Hermitian, G(-u) = conj G(u), so every grid is one-sided: a
 ``UGridPlan`` holds u_k = k du for k = 0 .. n-1 and the center of the dual
-work window, and nothing else is accepted as a u grid.
+work window, and nothing else is accepted as a u grid.  The plan also owns
+that dual work grid, 2n - 1 bins of width dw = 2 pi / ((2n - 1) du), on
+which every route's P(W) lives.
 
 ``semiclassical_characteristic`` takes one ensemble and a list of requests
 (beta, u plan, hbar) and traces each ray of the ensemble once for all of
@@ -71,8 +73,8 @@ def physical_memory() -> int:
 
 @dataclass(frozen=True)
 class UGridPlan:
-    """One-sided uniform u grid u_k = k * du, k = 0 .. n-1, plus the center
-    of the dual work window."""
+    """One-sided uniform u grid u_k = k * du, k = 0 .. n-1, and its dual work
+    grid: 2n - 1 bins of width ``dw`` centered on ``w_center``."""
 
     du: float
     n: int
@@ -88,29 +90,40 @@ class UGridPlan:
     def u_values(self) -> np.ndarray:
         return np.arange(self.n) * self.du
 
+    @property
+    def dw(self) -> float:
+        return 2.0 * math.pi / ((2 * self.n - 1) * self.du)
+
+    @property
+    def w_values(self) -> np.ndarray:
+        return self.w_center + (np.arange(2 * self.n - 1) - (self.n - 1)) * self.dw
+
 
 @dataclass
 class CharacteristicGrid:
-    """Sampled complex G(u) with per-point statistical error.
+    """Sampled complex G(u) on a u plan with per-point statistical error.
 
     stderr_re / stderr_im are standard errors of the real and imaginary
     quadratures; deterministic producers (the quantum oracle) store zeros.
     """
 
-    u_values: np.ndarray
+    plan: UGridPlan
     g_values: np.ndarray
     stderr_re: np.ndarray
     stderr_im: np.ndarray
     n_samples: int
     hbar: float
     beta: float
-    w_center: float = 0.0
     n_failed: int = 0
     metadata: dict = field(default_factory=dict)
     # Optional raw second-moment matrix of the per-sample [cos; sin] phase
     # vector over the grid, for exact error propagation through
     # any linear functional of G (see quadrature_covariance).
     second_moment: np.ndarray | None = None
+
+    @property
+    def u_values(self) -> np.ndarray:
+        return self.plan.u_values
 
     @property
     def stderr(self) -> np.ndarray:
@@ -137,17 +150,16 @@ def plan_u_grid(
     pot: QuenchPotential,
     seed: int,
     n_u: int = 512,
-    pilot_n: int = PILOT_SAMPLES,
     pad_frac: float = 0.2,
 ) -> UGridPlan:
     """u grid from Fourier duality against a pilot sample of the work values.
 
-    A pilot of uniform positions gives the support of W = (xi_f - xi_0) V(q);
+    A pilot of PILOT_SAMPLES uniform positions gives the support of W = (xi_f - xi_0) V(q);
     the window is padded by ``pad_frac`` of the raw span on each side and
     du = 2 pi / span.  n_u one-sided points (a power of two by convention).
     """
     rng = sampler.block_generator(seed, sampler.STREAM_PILOT, 0)
-    qs = sampler.sample_positions(geom, rng, pilot_n)
+    qs = sampler.sample_positions(geom, rng, PILOT_SAMPLES)
     w = pot.delta_xi * evaluate(pot, qs)
     lo = float(w.min())
     hi = float(w.max())
@@ -297,14 +309,13 @@ def _reduce(ens: ThermalEnsemble, req: Request, results, trace: dict) -> Charact
     se_s = np.sqrt(var_s / n_ok)
 
     return CharacteristicGrid(
-        u_values=plan.u_values,
+        plan=plan,
         g_values=mean_c + 1j * mean_s,
         stderr_re=se_c,
         stderr_im=se_s,
         n_samples=n_ok,
         hbar=float(req.hbar),
         beta=float(req.beta),
-        w_center=plan.w_center,
         n_failed=n_failed,
         metadata={"seed": ens.seed, "estimator": "boltzmann", "trace": dict(trace)},
         second_moment=moment,

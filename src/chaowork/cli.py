@@ -335,9 +335,9 @@ def _write_ensemble_csv(path, ens, beta: float, manifest_hash: str) -> None:
 
 
 def write_characteristic_csv(path, grid: CharacteristicGrid, manifest_hash: str) -> None:
-    u = grid.u_values
+    plan = grid.plan
     columns = {
-        "u": u,
+        "u": plan.u_values,
         "re_g": grid.g_values.real,
         "im_g": grid.g_values.imag,
         "stderr_re": grid.stderr_re,
@@ -348,9 +348,9 @@ def write_characteristic_csv(path, grid: CharacteristicGrid, manifest_hash: str)
         "n_failed": grid.n_failed,
         "beta": grid.beta,
         "hbar": grid.hbar,
-        "w_center": grid.w_center,
-        "du": float(u[1] - u[0]) if u.size > 1 else 0.0,
-        "n_u": int(u.size),
+        "w_center": plan.w_center,
+        "du": plan.du,
+        "n_u": int(plan.n),
         "manifest_sha256": manifest_hash,
         **grid.metadata,
     }
@@ -427,18 +427,33 @@ def _path_in(out_dir: str, files: list):
     return path
 
 
-def _broadened_grid(cfg, grid):
-    """Dual W grid of a u plan (or grid) and the broadening_bins smoothing width."""
-    w_values, dw = spectra.dual_w_grid(grid.u_values, grid.w_center)
-    return w_values, cfg.broadening_bins * dw
+def _broadening(cfg, plan):
+    """The broadening_bins smoothing width on a u plan's W grid."""
+    return cfg.broadening_bins * plan.dw
+
+
+def _check_inversion(n_u):
+    """Refuse, before any work, a u grid whose inversion would not fit in memory."""
+    try:
+        spectra.check_transform_memory(n_u)
+    except InsufficientMemory as exc:
+        raise InsufficientMemory(f"u_points = {n_u}: {exc}; lower u_points") from None
 
 
 def _solve_quench(cfg, geom, pot, hbar):
-    """Quantum spectra on the configured grid; a state count of 0 keeps all."""
+    """Quantum spectra on the configured grid; a state count of 0 keeps all.
+
+    The runs that solve invert the quantum G on u_points, so that is checked first.
+    """
+    _check_inversion(cfg.u_points)
     n0 = cfg.quantum_n_initial or None
     nf = cfg.quantum_n_final or None
     try:
         return quantum.solve_quench(geom, pot, hbar, cfg.quantum_h, n0, nf)
+    except quantum.TooManyStates as exc:
+        raise RangeError(
+            f"quantum_{exc.count}", f"{exc} at quantum_h = {cfg.quantum_h:g}"
+        ) from None
     except InsufficientMemory as exc:
         raise InsufficientMemory(
             f"quantum_h = {cfg.quantum_h:g}: {exc}; raise quantum_h, or set quantum_n_initial"
@@ -447,7 +462,11 @@ def _solve_quench(cfg, geom, pot, hbar):
 
 
 def _semiclassical_grids(cfg, geom, pot, requests):
-    """Every request in one engine call on the run's ensemble, so all share one trace."""
+    """Every request in one engine call on the run's ensemble, so all share one trace.
+
+    Every request's G is inverted afterwards, so its largest u grid is checked first.
+    """
+    _check_inversion(max(req.u_grid.n for req in requests))
     ens = sampler.sample_ensemble(geom, cfg.n_samples, cfg.seed)
     try:
         grids = semiclassical_characteristic(
@@ -467,9 +486,11 @@ def _swept(cfg, key, fallback):
 
 def _classical_histogram(cfg, geom, pot, plan, beta):
     sample = classical.sample_classical_work(geom, pot, beta, cfg.n_classical, cfg.seed)
-    w_values, eps = _broadened_grid(cfg, plan)
-    hist = spectra.spikes_to_histogram(
-        sample.values, w_values, eps, metadata={"beta": beta, "source": "classical_mc"}
+    hist = spectra.bin_spikes(
+        sample.values,
+        plan,
+        _broadening(cfg, plan),
+        metadata={"beta": beta, "source": "classical_mc"},
     )
     return sample, hist
 
@@ -480,8 +501,7 @@ def run_semiclassical(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
     plan = plan_u_grid(geom, pot, cfg.seed, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
     beta = cfg.beta_list[0]
     ens, [grid] = _semiclassical_grids(cfg, geom, pot, [Request(beta, plan, cfg.hbar_list[0])])
-    _, eps = _broadened_grid(cfg, grid)
-    hist = spectra.invert(grid, broadening=eps)
+    hist = spectra.invert(grid, broadening=_broadening(cfg, plan))
     files = []
     path = _path_in(out_dir, files)
     if cfg.dump_ensemble:
@@ -526,8 +546,7 @@ def run_quantum(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
     plan = plan_from_window(lo, hi, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
     # Truncation and aliasing both raise here, before any file is written.
     grid = quantum.quantum_characteristic(spec, beta, plan)
-    _, eps = _broadened_grid(cfg, plan)
-    hist = spectra.invert(grid, broadening=eps)
+    hist = spectra.invert(grid, broadening=_broadening(cfg, plan))
     quantum.save_spectra(path("spectra.bin"), spec)
     files.extend(quantum.export_spectra_csv(out_dir, spec, manifest_hash))
     write_histogram_csv(path("quantum_workdist.csv"), hist, manifest_hash)
@@ -555,8 +574,8 @@ def run_fig4(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
     # crossover that dominates at fine u resolution.
     plan = plan_u_grid(geom, pot, cfg.seed, n_u=_swept(cfg, "u_points", 32), pad_frac=cfg.pad_frac)
 
-    _, clhist = _classical_histogram(cfg, geom, pot, plan, beta)
     ens, grids = _semiclassical_grids(cfg, geom, pot, [Request(beta, plan, h) for h in hbars])
+    _, clhist = _classical_histogram(cfg, geom, pot, plan, beta)
     hists = [spectra.invert(grid, broadening=clhist.broadening) for grid in grids]
     table = [
         {"hbar": hbar, **analysis.compare_histograms(hist, clhist)}
@@ -591,11 +610,11 @@ def run_fig3(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
     hbar = cfg.hbar_list[0]
     plan = plan_u_grid(geom, pot, cfg.seed, n_u=_swept(cfg, "u_points", 64), pad_frac=cfg.pad_frac)
 
-    # The classical work does not depend on beta, so one sample serves every row.
-    sample = classical.sample_classical_work(geom, pot, betas[0], cfg.n_classical, cfg.seed)
     requests = [Request(beta, plan, hbar, collect_covariance=True) for beta in betas]
     _, grids = _semiclassical_grids(cfg, geom, pot, requests)
-    _, eps = _broadened_grid(cfg, plan)
+    # The classical work does not depend on beta, so one sample serves every row.
+    sample = classical.sample_classical_work(geom, pot, betas[0], cfg.n_classical, cfg.seed)
+    eps = _broadening(cfg, plan)
     rows = []
     for beta, grid in zip(betas, grids):
         ref = classical.classical_free_energy_difference(geom, pot, beta)
@@ -637,7 +656,7 @@ def run_fig2(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
     spec = _solve_quench(cfg, geom, pot, hbar)
 
     base_plan = plan_u_grid(geom, pot, cfg.seed, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
-    w_all, _ = _broadened_grid(cfg, base_plan)
+    w_all = base_plan.w_values
 
     requests = []
     for beta in betas:
@@ -656,7 +675,7 @@ def run_fig2(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
     warnings = []
     curves = []  # per beta: the semiclassical and, when available, quantum (grid, hist)
     for beta, req, grid_sc in zip(betas, requests, grids):
-        _, eps = _broadened_grid(cfg, req.u_grid)
+        eps = _broadening(cfg, req.u_grid)
         hist_sc = spectra.invert(grid_sc, broadening=eps)
         curve = {"semiclassical": (grid_sc, hist_sc)}
         row = {"beta": beta}

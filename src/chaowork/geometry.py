@@ -56,12 +56,6 @@ class BilliardGeometry:
         """Width and height of the axis-aligned bounding box [0,w] x [0,h]."""
         return self.l + self.r, self.r
 
-    def contains(self, q) -> bool:
-        return contains(self, q)
-
-    def area(self) -> float:
-        return area(self)
-
 
 def area(geom: BilliardGeometry) -> float:
     """Closed-form area l*r + pi*r^2/4."""

@@ -48,6 +48,15 @@ class TruncationDominates(RuntimeError):
     """The retained basis is too small for this temperature."""
 
 
+class TooManyStates(ValueError):
+    """More eigenstates requested than the grid has sites; ``count`` names the
+    ``solve_quench`` argument at fault."""
+
+    def __init__(self, count: str, requested: int, dim: int):
+        self.count = count
+        super().__init__(f"requested {requested} states from dimension {dim}")
+
+
 # n x n float64 arrays the dense path can hold at once: while H(xi_f) is
 # solved, the first eigenvector block, the densified H (which evd overwrites
 # with its eigenvectors) and evd's workspace of two; then the residual and its
@@ -55,6 +64,12 @@ class TruncationDominates(RuntimeError):
 # 2,772 sites; ru_maxrss above baseline, which adds allocator slack, is 5.1
 # and 4.5 of them, spike_support included.
 _DENSE_ARRAYS = 8
+# Largest accepted eigen-residual, relative to the Gershgorin bound on |H|,
+# and largest entry of V^T V - I.
+RESIDUAL_TOL = 1e-8
+ORTHO_TOL = 1e-10
+# Most Boltzmann weight the top decile of retained states may carry.
+TRUNCATION_THRESHOLD = 0.01
 
 
 @dataclass(frozen=True)
@@ -88,16 +103,13 @@ class QuenchSpectra:
     n_sites: int
     metadata: dict = field(default_factory=dict)
 
-    @property
-    def n_states(self) -> tuple[int, int]:
-        return self.e0.size, self.ef.size
-
 
 def build_grid(domain, h: float) -> GridSpec:
     """Sites (i h, j h), i, j >= 1, strictly inside ``domain``.
 
-    ``domain`` needs ``contains`` and ``bounding_box``; tests substitute a
-    rectangle to compare against analytic spectra.
+    ``domain`` is the billiard or any object with ``contains`` and
+    ``bounding_box``; tests substitute a rectangle to compare against
+    analytic spectra.
     """
     if not h > 0.0:
         raise ValueError(f"grid spacing must be positive, got {h}")
@@ -161,11 +173,9 @@ def build_hamiltonians(
 def eigensolve(
     ham: sparse.spmatrix,
     n_states: int,
-    residual_tol: float = 1e-8,
-    ortho_tol: float = 1e-10,
 ) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Lowest n_states eigenpairs, verified against the stated residual and
-    orthonormality bounds.
+    """Lowest n_states eigenpairs, verified against the RESIDUAL_TOL and
+    ORTHO_TOL bounds.
 
     Full-dimension requests use LAPACK's dense divide-and-conquer solver
     (``evd``), refused with InsufficientMemory before it allocates when its
@@ -212,12 +222,12 @@ def eigensolve(
     resid -= vecs * vals
     residual = float(np.sqrt(np.einsum("ij,ij->j", resid, resid).max())) / norm_bound
     del resid
-    if residual > residual_tol:
-        raise ConvergenceFailure(f"residual {residual:.3e} |H| exceeds {residual_tol} |H|")
+    if residual > RESIDUAL_TOL:
+        raise ConvergenceFailure(f"residual {residual:.3e} |H| exceeds {RESIDUAL_TOL} |H|")
     gram = vecs.T @ vecs
     gram.flat[:: vals.size + 1] -= 1.0
     ortho = float(np.abs(gram, out=gram).max())
-    if ortho > ortho_tol:
+    if ortho > ORTHO_TOL:
         raise ConvergenceFailure(f"orthonormality defect {ortho:.3e}")
     return vals, vecs, {"solver": solver, "residual": residual, "orthogonality": ortho}
 
@@ -243,14 +253,18 @@ def solve_quench(
 ) -> QuenchSpectra:
     """Diagonalize both Hamiltonians and assemble the transition matrix.
 
-    None for either count keeps the full grid spectrum (dense solve).  The
-    metadata records, for each Hamiltonian, the solver and the residual and
-    orthogonality defects ``eigensolve`` achieved.
+    None for either count keeps the full grid spectrum (dense solve).  A
+    count above the number of sites raises TooManyStates before either
+    solve.  The metadata records, for each Hamiltonian, the solver and the
+    residual and orthogonality defects ``eigensolve`` achieved.
     """
     h0, hf, grid = build_hamiltonians(geom_or_domain, pot, hbar, h)
     dim = grid.n_sites
     n0 = dim if n_initial is None else n_initial
     nf = dim if n_final is None else n_final
+    for count, n in (("n_initial", n0), ("n_final", nf)):
+        if n > dim:
+            raise TooManyStates(count, n, dim)
     e0, v0, solve0 = eigensolve(h0, n0)
     ef, vf, solvef = eigensolve(hf, nf)
     t = transition_matrix(v0, vf)
@@ -274,12 +288,12 @@ def boltzmann_weights(e0: np.ndarray, beta: float) -> np.ndarray:
     return w / w.sum()
 
 
-def check_truncation(e0: np.ndarray, beta: float, threshold: float = 0.01) -> float:
+def check_truncation(e0: np.ndarray, beta: float) -> float:
     """Boltzmann weight of the top decile of retained states; raises when the
     basis is too small for this temperature."""
     w = boltzmann_weights(e0, beta)
     top = w[int(math.floor(0.9 * w.size)) :].sum()
-    if top > threshold:
+    if top > TRUNCATION_THRESHOLD:
         raise TruncationDominates(
             f"top decile of retained states carries {top:.3g} Boltzmann weight"
         )
@@ -320,14 +334,13 @@ def quantum_characteristic(
     g_im = np.einsum("kn,kn->k", re, s) - np.einsum("kn,kn->k", im, c)
     zeros = np.zeros(u.size)
     return CharacteristicGrid(
-        u_values=u,
+        plan=plan,
         g_values=g_re + 1j * g_im,
         stderr_re=zeros,
         stderr_im=zeros.copy(),
         n_samples=0,
         hbar=spec.hbar,
         beta=float(beta),
-        w_center=plan.w_center,
         metadata={"source": "quantum"},
     )
 

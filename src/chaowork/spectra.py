@@ -1,12 +1,22 @@
 """Fourier inversion: characteristic grids to work histograms.
 
-The W grid is the exact discrete dual of the u grid: the one-sided grid of M
-points u_k = k du (G on negative u is the conjugate, so it is not stored)
-maps to N = 2M - 1 bins of width dw = 2 pi / (N du)
+Every work histogram lives on the W grid its u plan owns
+(``UGridPlan.w_values``), the exact discrete dual of the u grid: the
+one-sided grid of M points u_k = k du (G on negative u is the conjugate, so
+it is not stored) maps to N = 2M - 1 bins of width dw = 2 pi / (N du)
 centered on the planner's window center.  With that pairing the discrete
 transforms invert each other exactly, the total mass equals G(0), and
 Gaussian broadening (multiplying G by exp(-eps^2 u^2 / 2), i.e. convolving
 P with a Gaussian of width eps) preserves the mass bin for bin.
+
+The inverse transform is one-sided:
+
+    P(w_j) = du / (2 pi) [Re G_0 + 2 sum_{k >= 1} (Re G_k cos(u_k w_j) + Im G_k sin(u_k w_j))]
+
+``_phases`` builds its cosines and sines; ``invert`` applies it to G, and
+``functional_coefficients`` gives any linear functional of the inverted P as
+coefficients on [Re G; Im G].  Monte Carlo work samples are binned on the
+same grid, with the plan's bin width, by ``bin_spikes``.
 
 Statistical errors are propagated from the per-u standard errors through the
 linear transform, treating grid points as independent.
@@ -20,11 +30,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characteristic import CharacteristicGrid
+from .characteristic import CharacteristicGrid, InsufficientMemory, UGridPlan, physical_memory
 
 logger = logging.getLogger(__name__)
 
 ALIAS_TOLERANCE = 0.01
+# (n x (2n - 1)) float64 arrays an inversion of n u points can hold at once:
+# the cosines, the sines (written over the phases) and one squared
+# temporary.  The peak measured with tracemalloc is 3.0 of them.
+_TRANSFORM_ARRAYS = 4
 
 
 class AliasingSuspect(RuntimeError):
@@ -67,35 +81,47 @@ class WorkHistogram:
         )
 
 
-def dual_w_grid(u_values: np.ndarray, w_center: float) -> tuple[np.ndarray, float]:
-    """Work grid dual to a one-sided uniform u grid."""
-    m = u_values.size
-    du = float(u_values[1] - u_values[0]) if m > 1 else 1.0
-    n = 2 * m - 1
-    dw = 2.0 * math.pi / (n * du)
-    w = w_center + (np.arange(n) - (m - 1)) * dw
-    return w, dw
+def check_transform_memory(n_u: int) -> None:
+    """Refuse an inversion of n_u u points whose matrices exceed physical memory.
+
+    Raises InsufficientMemory, so a run can check before any other work.
+    """
+    need = _TRANSFORM_ARRAYS * 8 * n_u * (2 * n_u - 1)
+    have = physical_memory()
+    if need > have:
+        raise InsufficientMemory(
+            f"inverting G on {n_u} u points needs about {need / 1e9:.1f} GB,"
+            f" more than the {have / 1e9:.1f} GB of physical memory"
+        )
 
 
-def invert(
-    g: CharacteristicGrid,
-    broadening: float,
-    check_aliasing: bool = True,
-) -> WorkHistogram:
-    """Discrete inverse transform of G(u) onto the dual W grid.
+def _damping(plan: UGridPlan, eps: float) -> np.ndarray:
+    """exp(-eps^2 u^2 / 2) on the plan: Gaussian broadening of width eps in W."""
+    return np.exp(-0.5 * (eps * plan.u_values) ** 2)
+
+
+def _phases(plan: UGridPlan) -> tuple[np.ndarray, np.ndarray]:
+    """cos(u_k w_j) and sin(u_k w_j) on the plan's u and W grids, (n, 2n - 1) each."""
+    check_transform_memory(plan.n)
+    phase = np.outer(plan.u_values, plan.w_values)
+    cosm = np.cos(phase)
+    return cosm, np.sin(phase, out=phase)
+
+
+def invert(g: CharacteristicGrid, broadening: float) -> WorkHistogram:
+    """Discrete inverse transform of G(u) onto its plan's W grid.
 
     ``broadening`` is the Gaussian smoothing width eps; eps = 0 disables
     smoothing.  Raises AliasingSuspect when the integrand still carries
     weight above ALIAS_TOLERANCE at u_max.
     """
-    u, vals, se_re, se_im = g.u_values, g.g_values, g.stderr_re, g.stderr_im
-    du = float(u[1] - u[0])
-    w, dw = dual_w_grid(u, g.w_center)
+    plan = g.plan
+    vals, se_re, se_im = g.g_values, g.stderr_re, g.stderr_im
 
     eps = float(broadening)
     if eps < 0.0:
         raise ValueError("broadening must be nonnegative")
-    b = np.exp(-0.5 * (eps * u) ** 2)
+    b = _damping(plan, eps)
     gb = vals * b
 
     tail_raw = abs(vals[-1])
@@ -106,15 +132,14 @@ def invert(
             "tail is what matters for aliasing)",
             tail_raw,
         )
-    if check_aliasing and tail > ALIAS_TOLERANCE:
+    if tail > ALIAS_TOLERANCE:
         raise AliasingSuspect(
             f"|G(u_max)| = {tail:.3g} after broadening; widen the work window"
         )
 
-    phase = np.outer(u[1:], w)
-    cosm = np.cos(phase)
-    sinm = np.sin(phase)
-    scale = du / (2.0 * math.pi)
+    cosm, sinm = _phases(plan)
+    cosm, sinm = cosm[1:], sinm[1:]
+    scale = plan.du / (2.0 * math.pi)
     density = scale * (gb[0].real + 2.0 * (gb[1:].real @ cosm + gb[1:].imag @ sinm))
 
     var = (scale**2) * (
@@ -123,14 +148,14 @@ def invert(
     )
     error = np.sqrt(var)
 
-    total_mass = float(density.sum() * dw)
+    total_mass = float(density.sum() * plan.dw)
     scale_ref = max(abs(gb[0].real), 1e-300)
     residue = abs(gb[0].imag) / scale_ref
     return WorkHistogram(
-        w_values=w,
+        w_values=plan.w_values,
         density=density,
         error=error,
-        bin_width=dw,
+        bin_width=plan.dw,
         broadening=eps,
         total_mass=total_mass,
         imag_residue=residue,
@@ -144,23 +169,43 @@ def invert(
     )
 
 
+def functional_coefficients(plan: UGridPlan, broadening: float, kernel) -> np.ndarray:
+    """Coefficients c with sum_j kernel_j P(w_j) = c . [Re G; Im G] exactly.
+
+    P is ``invert``'s histogram of G on ``plan`` at Gaussian width
+    ``broadening``, so a linear functional of P takes its error through the
+    covariance of [Re G; Im G].
+    """
+    cosm, sinm = _phases(plan)
+    damp = _damping(plan, broadening)
+    scale = plan.du / (2.0 * math.pi)
+    c_re = scale * damp * (cosm @ kernel)
+    c_im = scale * damp * (sinm @ kernel)
+    c_re[1:] *= 2.0
+    c_im[1:] *= 2.0
+    return np.concatenate([c_re, c_im])
+
+
 def bin_spikes(
-    samples: np.ndarray,
-    w_values: np.ndarray,
+    samples,
+    plan: UGridPlan,
     broadening: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian-broadened histogram of Monte Carlo samples on an existing W grid.
+    metadata: dict | None = None,
+) -> WorkHistogram:
+    """Gaussian-broadened histogram of Monte Carlo samples on the plan's W grid.
 
     Each of the n samples carries weight 1/n and contributes
     N(w; sample, eps)/n at the bin centers, truncated beyond 8 eps;
-    eps = ``broadening`` must be positive.  Returns the density and its
-    per-bin standard error.  Weighted point masses (an exact spectrum) take
-    the other route: their characteristic function through ``invert``.
+    eps = ``broadening`` must be positive.  The bins are the plan's, of width
+    ``plan.dw``, and each carries its standard error.  Weighted point masses
+    (an exact spectrum) take the other route: their characteristic function
+    through ``invert``.
     """
     samples = np.asarray(samples, dtype=float).ravel()
     n = samples.size
+    w_values = plan.w_values
     n_bins = w_values.size
-    dw = float(w_values[1] - w_values[0])
+    dw = plan.dw
     eps = float(broadening)
     if not eps > 0.0:
         raise ValueError(f"broadening must be positive, got {broadening}")
@@ -181,23 +226,12 @@ def bin_spikes(
     # density is the sample mean of per-sample kernels phi_s (weights 1/n),
     # so se^2 = (n * sum(contrib^2) - density^2) / (n - 1).
     var = np.maximum(sumsq * n - density * density, 0.0) / max(n - 1, 1)
-    return density, np.sqrt(var)
-
-
-def spikes_to_histogram(
-    samples,
-    w_values: np.ndarray,
-    broadening: float,
-    metadata: dict | None = None,
-) -> WorkHistogram:
-    density, error = bin_spikes(samples, w_values, broadening)
-    dw = float(w_values[1] - w_values[0])
     return WorkHistogram(
-        w_values=np.asarray(w_values, dtype=float),
+        w_values=w_values,
         density=density,
-        error=error,
+        error=np.sqrt(var),
         bin_width=dw,
-        broadening=float(broadening),
+        broadening=eps,
         total_mass=float(density.sum() * dw),
         metadata=metadata or {},
     )

@@ -517,14 +517,13 @@ def shell_characteristic(
     # exactly 1; enforce it against summation-order rounding.
     g_mag[0] = 1.0 + 0.0j
     return CharacteristicGrid(
-        u_values=plan.u_values,
+        plan=plan,
         g_values=g_mag,
         stderr_re=se_c,
         stderr_im=se_s,
         n_samples=int(energies.size * samples_per_shell),
         hbar=float(hbar),
         beta=float(beta),
-        w_center=plan.w_center,
         n_failed=total_failed,
         metadata={"seed": int(seed), "estimator": "shell", "n_shells": int(energies.size)},
     )

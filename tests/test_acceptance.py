@@ -75,11 +75,10 @@ def test_criterion_1_classical_limit_convergence(geom, pot):
     t0 = time.time()
     beta = 2.0**-12
     plan = plan_u_grid(geom, pot, SEED, n_u=32)
-    w_values, dw = spectra.dual_w_grid(plan.u_values, plan.w_center)
-    eps = 2.0 * dw
+    eps = 2.0 * plan.dw
 
     cs = classical.sample_classical_work(geom, pot, beta, 4_000_000, SEED)
-    ch = spectra.spikes_to_histogram(cs.values, w_values, eps)
+    ch = spectra.bin_spikes(cs.values, plan, eps)
 
     ens = sampler.sample_ensemble(geom, 90_000, SEED)
     assert len(ens) >= 90_000
@@ -134,12 +133,11 @@ def test_criterion_3_semiclassical_jarzynski_trend(geom, pot):
     ens = sampler.sample_ensemble(geom, 90_000, SEED)
     requests = [Request(beta, plan, 1.0, collect_covariance=True) for beta in betas]
     grids = semiclassical_characteristic(ens, requests, geom, pot)
-    _, dw = spectra.dual_w_grid(plan.u_values, plan.w_center)
     devs = []
     ses = []
     for beta, g in zip(betas, grids):
         ref = classical.classical_free_energy_difference(geom, pot, beta)
-        est, se = analysis.jarzynski_from_characteristic(g, beta, 2.0 * dw)
+        est, se = analysis.jarzynski_from_characteristic(g, beta, 2.0 * plan.dw)
         devs.append(abs(est - ref))
         ses.append(se)
 
@@ -162,7 +160,7 @@ def test_criterion_3_semiclassical_jarzynski_trend(geom, pot):
     assert ok, detail
 
 
-def test_criterion_4_quantum_exact_identities(geom, pot):
+def test_criterion_4_quantum_exact_identities(geom, pot, monkeypatch):
     """Full-spectrum oracle: stochasticity, free-energy identity, Fourier pair."""
     t0 = time.time()
     spec = quantum.solve_quench(geom, pot, hbar=1.0, h=0.04)
@@ -183,11 +181,11 @@ def test_criterion_4_quantum_exact_identities(geom, pot):
     beta = 0.02
     lo, hi = quantum.spike_support(spec, beta, mass_tol=1e-13)
     plan = plan_from_window(lo, hi, n_u=512, pad_frac=0.2)
-    w_values, dw = spectra.dual_w_grid(plan.u_values, plan.w_center)
-    eps = 2.0 * dw
-    direct = quantum_spike_density(spec, beta, w_values, eps)
+    eps = 2.0 * plan.dw
+    direct = quantum_spike_density(spec, beta, plan.w_values, eps)
     g = quantum.quantum_characteristic(spec, beta, plan)
-    inverted = spectra.invert(g, broadening=eps, check_aliasing=False)
+    monkeypatch.setattr(spectra, "ALIAS_TOLERANCE", math.inf)
+    inverted = spectra.invert(g, broadening=eps)
     fp_dev = float(np.abs(direct - inverted.density).max())
     ok &= fp_dev < 1e-9
 
@@ -267,8 +265,7 @@ def test_criterion_6_quantum_vs_semiclassical_trend(geom, pot):
     table = []
     ok = True
     for beta, top, plan, g in zip(betas, tops, plans, grids):
-        _, dw = spectra.dual_w_grid(plan.u_values, plan.w_center)
-        eps = 2.0 * dw
+        eps = 2.0 * plan.dw
         hq = spectra.invert(quantum.quantum_characteristic(spec, beta, plan), broadening=eps)
         ok &= abs(hq.total_mass - 1.0) < 1e-6
         hsc = spectra.invert(g, broadening=eps)
@@ -318,14 +315,14 @@ def test_criterion_7_universal_invariants(geom, pot, tmp_path):
     ok &= abs(g_q.g_values[0] - 1.0) < 1e-12
     notes.append(f"quantum |G(0)-1| = {abs(g_q.g_values[0] - 1.0):.1e}")
 
-    w_values, dw = spectra.dual_w_grid(plan.u_values, plan.w_center)
-    hist_mc = spectra.invert(g_mc, broadening=2.0 * dw)
+    hist_mc = spectra.invert(g_mc, broadening=2.0 * plan.dw)
     lo, hi = quantum.spike_support(spec, 0.02, mass_tol=1e-13)
     plan_q = plan_from_window(lo, hi, n_u=256, pad_frac=0.2)
-    _, dwq = spectra.dual_w_grid(plan_q.u_values, plan_q.w_center)
-    hist_q = spectra.invert(quantum.quantum_characteristic(spec, 0.02, plan_q), broadening=2 * dwq)
+    hist_q = spectra.invert(
+        quantum.quantum_characteristic(spec, 0.02, plan_q), broadening=2 * plan_q.dw
+    )
     cs = classical.sample_classical_work(geom, pot, beta, 100_000, SEED)
-    hist_c = spectra.spikes_to_histogram(cs.values, w_values, 2 * dw)
+    hist_c = spectra.bin_spikes(cs.values, plan, 2 * plan.dw)
     for name, hst in (("semiclassical", hist_mc), ("quantum", hist_q), ("classical", hist_c)):
         ok &= abs(hst.total_mass - 1.0) < 1e-6
         floor = 1e-9 * float(hst.density.max())

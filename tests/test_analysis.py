@@ -15,13 +15,12 @@ from chaowork.analysis import (
     l1_distance_error,
 )
 from chaowork.characteristic import plan_from_window
-from chaowork.spectra import GridMismatch, dual_w_grid, spikes_to_histogram
+from chaowork.spectra import GridMismatch, bin_spikes
 
 
 def histogram_from_values(values, w_lo, w_hi, n_u=64, eps_bins=2.0):
     plan = plan_from_window(w_lo, w_hi, n_u=n_u)
-    w, dw = dual_w_grid(plan.u_values, plan.w_center)
-    return spikes_to_histogram(values, w, eps_bins * dw)
+    return bin_spikes(values, plan, eps_bins * plan.dw)
 
 
 class TestJarzynskiFromSamples:
@@ -64,16 +63,14 @@ class TestJarzynskiFromSamples:
 
 def exact_grid(plan, g_values):
     """A noise-free characteristic grid on a plan."""
-    u = plan.u_values
     return characteristic.CharacteristicGrid(
-        u_values=u,
+        plan=plan,
         g_values=np.asarray(g_values, dtype=complex),
-        stderr_re=np.zeros(u.size),
-        stderr_im=np.zeros(u.size),
+        stderr_re=np.zeros(plan.n),
+        stderr_im=np.zeros(plan.n),
         n_samples=0,
         hbar=1.0,
         beta=1.0,
-        w_center=plan.w_center,
     )
 
 
@@ -81,8 +78,7 @@ class TestJarzynskiFromCharacteristic:
     def test_unit_g_gives_zero(self):
         plan = plan_from_window(-8.0, 8.0, n_u=64)
         g = exact_grid(plan, np.ones(plan.n))
-        _, dw = dual_w_grid(plan.u_values, plan.w_center)
-        est, _ = jarzynski_from_characteristic(g, beta=0.05, broadening=2.0 * dw)
+        est, _ = jarzynski_from_characteristic(g, beta=0.05, broadening=2.0 * plan.dw)
         assert est == pytest.approx(0.0, abs=1e-8)
 
     def test_consistent_with_direct_samples_in_classical_regime(self, geom, pot):
@@ -94,8 +90,7 @@ class TestJarzynskiFromCharacteristic:
         [g] = characteristic.semiclassical_characteristic(
             ens, [characteristic.Request(beta, plan, 0.02)], geom, pot
         )
-        _, dw = dual_w_grid(plan.u_values, plan.w_center)
-        est_hist, se_hist = jarzynski_from_characteristic(g, beta, 2.0 * dw)
+        est_hist, se_hist = jarzynski_from_characteristic(g, beta, 2.0 * plan.dw)
         w_direct = pot.delta_xi * potential.evaluate(pot, ens.qs)
         est_direct, se_direct = jarzynski_from_samples(w_direct, beta)
         assert abs(est_hist - est_direct) < 3 * math.hypot(se_hist, se_direct) + 1e-3
@@ -110,8 +105,7 @@ class TestJarzynskiFromCharacteristic:
         [g] = characteristic.semiclassical_characteristic(
             ens, [characteristic.Request(beta, plan, 1.0, collect_covariance=True)], geom, pot
         )
-        _, dw = dual_w_grid(plan.u_values, plan.w_center)
-        eps = 2.0 * dw
+        eps = 2.0 * plan.dw
         est_cov, se_cov = jarzynski_from_characteristic(g, beta, eps)
         plain = dataclasses.replace(g, second_moment=None)
         est_hist, se_hist = jarzynski_from_characteristic(plain, beta, eps)
@@ -125,16 +119,14 @@ class TestJarzynskiFromCharacteristic:
         plan = plan_from_window(-12.0, 14.0, n_u=256)
         u = plan.u_values
         g = exact_grid(plan, np.exp(1j * mu * u - 0.5 * (sd * u) ** 2))
-        _, dw = dual_w_grid(u, plan.w_center)
-        est, se = jarzynski_from_characteristic(g, beta, 4.0 * dw)
+        est, se = jarzynski_from_characteristic(g, beta, 4.0 * plan.dw)
         exact = mu - beta * sd * sd / 2.0
         assert abs(est - exact) < 4 * se + 2e-3
 
     def test_degenerate_histogram_rejected(self):
         plan = plan_from_window(-4.0, 4.0, n_u=16)
-        _, dw = dual_w_grid(plan.u_values, plan.w_center)
         with pytest.raises(DegenerateMean):
-            jarzynski_from_characteristic(exact_grid(plan, np.zeros(plan.n)), 1.0, 2.0 * dw)
+            jarzynski_from_characteristic(exact_grid(plan, np.zeros(plan.n)), 1.0, 2.0 * plan.dw)
 
 
 class TestL1Distance:
@@ -144,9 +136,8 @@ class TestL1Distance:
 
     def test_disjoint_spikes_give_two(self):
         plan = plan_from_window(-30.0, 30.0, n_u=256)
-        w, dw = dual_w_grid(plan.u_values, plan.w_center)
-        a = spikes_to_histogram([-15.0], w, 2.0 * dw)
-        b = spikes_to_histogram([15.0], w, 2.0 * dw)
+        a = bin_spikes([-15.0], plan, 2.0 * plan.dw)
+        b = bin_spikes([15.0], plan, 2.0 * plan.dw)
         assert l1_distance(a, b) == pytest.approx(2.0, abs=1e-9)
 
     def test_grid_mismatch_rejected(self, rng):
@@ -163,11 +154,7 @@ class TestL1Distance:
     def test_metric_properties(self, seed):
         r = np.random.default_rng(seed)
         plan = plan_from_window(-8.0, 8.0, n_u=32)
-        w, dw = dual_w_grid(plan.u_values, plan.w_center)
-        hs = [
-            spikes_to_histogram(r.normal(size=5), w, 2.0 * dw)
-            for _ in range(3)
-        ]
+        hs = [bin_spikes(r.normal(size=5), plan, 2.0 * plan.dw) for _ in range(3)]
         a, b, c = hs
         assert l1_distance(a, b) == l1_distance(b, a)
         assert l1_distance(a, c) <= l1_distance(a, b) + l1_distance(b, c) + 1e-12

@@ -55,6 +55,17 @@ class TestPlanner:
             with pytest.raises(ValueError, match="n must"):
                 UGridPlan(0.1, n)
 
+    def test_plan_owns_the_dual_w_grid(self):
+        # 2n - 1 bins of width 2 pi / ((2n - 1) du), the middle one on w_center.
+        p = plan_from_window(-10.0, 30.0, n_u=64)
+        w = p.w_values
+        assert w.size == 127
+        assert w[63] == p.w_center
+        assert p.dw == 2.0 * np.pi / (127 * p.du)
+        np.testing.assert_allclose(np.diff(w), p.dw, rtol=1e-12)
+        grid = characteristic.CharacteristicGrid(p, np.ones(64), *np.zeros((2, 64)), 0, 1.0, 1.0)
+        assert np.array_equal(grid.u_values, p.u_values)
+
     def test_explicit_window(self):
         p = plan_from_window(-10.0, 30.0, n_u=64)
         assert p.w_center == 10.0
@@ -252,7 +263,7 @@ class TestSharedTraces:
             assert np.array_equal(g.stderr_re, one.stderr_re)
             assert np.array_equal(g.stderr_im, one.stderr_im)
             assert (g.n_samples, g.n_failed) == (one.n_samples, one.n_failed)
-            assert (g.beta, g.hbar, g.w_center) == (one.beta, one.hbar, one.w_center)
+            assert (g.beta, g.hbar, g.plan) == (one.beta, one.hbar, one.plan)
             if req.collect_covariance:
                 assert np.array_equal(g.second_moment, one.second_moment)
             else:

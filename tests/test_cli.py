@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy
 
-from chaowork import characteristic, classical, cli, native, quantum, sampler, trajectory
+from chaowork import characteristic, classical, cli, native, quantum, sampler, spectra, trajectory
 from chaowork.characteristic import plan_from_window, plan_u_grid
 from chaowork.cli import (
     ParseError,
@@ -21,7 +21,6 @@ from chaowork.cli import (
     run_scenario,
     validate_config,
 )
-from chaowork.spectra import dual_w_grid
 
 from reference import quantum_spike_density
 
@@ -274,7 +273,7 @@ class TestScenarioFig2:
             base = plan_u_grid(
                 cfg.geometry(), cfg.potential(), cfg.seed, n_u=cfg.u_points, pad_frac=cfg.pad_frac
             )
-            w_all, _ = dual_w_grid(base.u_values, base.w_center)
+            w_all = base.w_values
             plan = plan_from_window(w_all[0], w_all[-1], n_u=cfg.u_points, pad_frac=cfg.pad_frac)
             with open(out / "fig2" / f"semiclassical_g_beta{tag}.csv.meta.json") as fh:
                 meta = json.load(fh)
@@ -414,6 +413,59 @@ class TestSubcommands:
             assert payload["error"] == "InsufficientMemory"
             for key in ("u_points", "beta_list", "hbar_list", "workers"):
                 assert key in payload["message"]
+            assert not any(files for _, _, files in os.walk(out))
+
+    def test_state_count_beyond_the_grid_names_its_key(self, tmp_path, capsys, monkeypatch):
+        # quantum_h = 0.1 has 155 sites; both counts are checked before either solve.
+        def refuse(*args, **kwargs):
+            raise AssertionError("an eigensolve ran")
+
+        monkeypatch.setattr(quantum, "eigensolve", refuse)
+        for key, other in (
+            ("quantum_n_final", "quantum_n_initial"),
+            ("quantum_n_initial", "quantum_n_final"),
+        ):
+            cfgp = tmp_path / f"{key}.cfg"
+            cfgp.write_text(
+                tiny_text(beta_list="0.3", quantum_h="0.1", **{key: "5000", other: "80"})
+            )
+            for command in (["quantum"], ["scenario", "fig2"]):
+                out = tmp_path / key / command[-1]
+                rc = self.run_main([*command, "--config", str(cfgp), "--out", str(out)])
+                assert rc == 1
+                payload = json.loads(capsys.readouterr().err.strip())
+                message = payload["message"]
+                assert message.startswith(f"{key}: requested 5000 states from dimension 155")
+                assert not any(files for _, _, files in os.walk(out))
+
+    def test_inversion_refused_beyond_physical_memory(self, tmp_path, capsys, monkeypatch):
+        # Inverting 64 u points onto 127 W bins needs a quarter of a MB; the
+        # machine has 0.1 MB for it.  Every route that inverts refuses before
+        # it samples, traces or solves anything.
+        monkeypatch.setattr(spectra, "physical_memory", lambda: 100_000)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the inversion was checked")
+
+        monkeypatch.setattr(sampler, "sample_ensemble", refuse)
+        monkeypatch.setattr(classical, "sample_classical_work", refuse)
+        monkeypatch.setattr(quantum, "build_hamiltonians", refuse)
+        cfgp = tmp_path / "c.cfg"
+        cfgp.write_text(tiny_text(beta_list="0.3", hbar_list="1.0"))
+        for command in (
+            ["semiclassical"],
+            ["quantum"],
+            ["jarzynski"],
+            ["scenario", "fig2"],
+            ["scenario", "fig3"],
+            ["scenario", "fig4"],
+        ):
+            out = tmp_path / "_".join(command)
+            rc = self.run_main([*command, "--config", str(cfgp), "--out", str(out)])
+            assert rc == 1
+            payload = json.loads(capsys.readouterr().err.strip())
+            assert payload["error"] == "InsufficientMemory", command
+            assert payload["message"].startswith("u_points = 64: "), command
             assert not any(files for _, _, files in os.walk(out))
 
     def test_compare_command(self, tmp_path, capsys):

@@ -183,15 +183,15 @@ class TestWorkDistribution:
     def grid_for(self, spec, beta, n_u=256):
         lo, hi = quantum.spike_support(spec, beta, mass_tol=1e-12)
         plan = characteristic.plan_from_window(lo, hi, n_u=n_u, pad_frac=0.2)
-        w_values, dw = spectra.dual_w_grid(plan.u_values, plan.w_center)
-        return plan, w_values, 2.0 * dw
+        return plan, plan.w_values, 2.0 * plan.dw
 
     def test_null_quench_mass_at_zero(self, geom):
         pot0 = QuenchPotential(xi_f=0.0)
         spec = solve_quench(geom, pot0, hbar=1.0, h=0.08)
         plan = characteristic.plan_from_window(-5.0, 5.0, n_u=64)
-        _, dw = spectra.dual_w_grid(plan.u_values, plan.w_center)
-        h = spectra.invert(quantum_characteristic(spec, beta=0.05, plan=plan), broadening=2 * dw)
+        h = spectra.invert(
+            quantum_characteristic(spec, beta=0.05, plan=plan), broadening=2 * plan.dw
+        )
         j = int(np.argmax(h.density))
         assert abs(h.w_values[j]) < h.bin_width
         assert h.total_mass == pytest.approx(1.0, abs=1e-9)
@@ -242,17 +242,17 @@ class TestQuantumCharacteristic:
         g = quantum_characteristic(spec, beta=0.05, plan=u)
         np.testing.assert_allclose(g.g_values, 1.0, atol=1e-10)
 
-    def test_fourier_pair_consistency(self, small_spec):
+    def test_fourier_pair_consistency(self, small_spec, monkeypatch):
         # Inverting the exact characteristic function reproduces the directly
         # binned spike distribution bin for bin.
         beta = 0.02
         lo, hi = quantum.spike_support(small_spec, beta, mass_tol=1e-13)
         plan = characteristic.plan_from_window(lo, hi, n_u=512, pad_frac=0.2)
-        w_values, dw = spectra.dual_w_grid(plan.u_values, plan.w_center)
-        eps = 2.0 * dw
-        direct = quantum_spike_density(small_spec, beta, w_values, eps)
+        eps = 2.0 * plan.dw
+        direct = quantum_spike_density(small_spec, beta, plan.w_values, eps)
         g = quantum_characteristic(small_spec, beta, plan)
-        inverted = spectra.invert(g, broadening=eps, check_aliasing=False)
+        monkeypatch.setattr(spectra, "ALIAS_TOLERANCE", math.inf)
+        inverted = spectra.invert(g, broadening=eps)
         assert np.abs(direct - inverted.density).max() < 1e-9
 
 

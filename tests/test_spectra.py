@@ -8,83 +8,82 @@ from hypothesis import strategies as st
 from chaowork import characteristic, geometry, potential, sampler, spectra
 from chaowork.characteristic import CharacteristicGrid, plan_from_window
 from chaowork.potential import evaluate
-from chaowork.spectra import (
-    AliasingSuspect,
-    bin_spikes,
-    dual_w_grid,
-    invert,
-    spikes_to_histogram,
-)
+from chaowork.spectra import AliasingSuspect, bin_spikes, invert
 
 from reference import bin_weighted_spikes, histogram_to_characteristic, rebin
 
 
-def make_grid(u, g, w_center=0.0, se=None):
-    z = np.zeros(u.size)
+def make_grid(plan, g, se=None):
+    z = np.zeros(plan.n)
     return CharacteristicGrid(
-        u_values=u,
+        plan=plan,
         g_values=np.asarray(g, dtype=complex),
         stderr_re=z if se is None else se,
         stderr_im=z.copy() if se is None else se.copy(),
         n_samples=0,
         hbar=1.0,
         beta=1.0,
-        w_center=w_center,
     )
 
 
 @pytest.fixture(scope="module")
-def onesided():
-    plan = plan_from_window(-12.0, 12.0, n_u=128)
+def plan():
+    return plan_from_window(-12.0, 12.0, n_u=128)
+
+
+@pytest.fixture(scope="module")
+def onesided(plan):
     return plan.u_values
 
 
+@pytest.fixture
+def unguarded(monkeypatch):
+    """Unbroadened synthetic G keeps weight at u_max; let it through the guard."""
+    monkeypatch.setattr(spectra, "ALIAS_TOLERANCE", math.inf)
+
+
 class TestInvert:
-    def test_unit_g_concentrates_at_zero(self, onesided):
-        h = invert(make_grid(onesided, np.ones(128)), broadening=0.0, check_aliasing=False)
+    def test_unit_g_concentrates_at_zero(self, plan, unguarded):
+        h = invert(make_grid(plan, np.ones(128)), broadening=0.0)
         j = np.argmax(h.density)
         assert h.w_values[j] == pytest.approx(0.0, abs=1e-12)
         assert h.density[j] * h.bin_width == pytest.approx(1.0, abs=1e-12)
 
-    def test_shift_theorem_on_grid_point(self, onesided):
-        w, dw = dual_w_grid(onesided, 0.0)
+    def test_shift_theorem_on_grid_point(self, plan, onesided, unguarded):
+        w, dw = plan.w_values, plan.dw
         w0 = w[90]  # exact grid point
-        g = make_grid(onesided, np.exp(1j * w0 * onesided))
-        h = invert(g, broadening=0.0, check_aliasing=False)
+        g = make_grid(plan, np.exp(1j * w0 * onesided))
+        h = invert(g, broadening=0.0)
         j = np.argmax(h.density)
         assert h.w_values[j] == w0
         assert h.density[j] * h.bin_width == pytest.approx(1.0, abs=1e-10)
         off_peak = np.delete(h.density, j)
         assert np.abs(off_peak).max() < 1e-10 / dw
 
-    def test_plancherel_roundtrip(self, onesided, rng):
+    def test_plancherel_roundtrip(self, plan, onesided, rng, unguarded):
         # Random Hermitian-compatible G: invert then transform reproduces G.
         g_vals = rng.normal(size=128) * 0.3 + 1j * rng.normal(size=128) * 0.3
         g_vals[0] = 1.0
-        g = make_grid(onesided, g_vals)
-        h = invert(g, broadening=0.0, check_aliasing=False)
+        g = make_grid(plan, g_vals)
+        h = invert(g, broadening=0.0)
         back = histogram_to_characteristic(h, onesided)
         assert np.abs(back - g_vals).max() < 1e-10
 
-    def test_broadened_roundtrip_reproduces_damped_g(self, onesided, rng):
+    def test_broadened_roundtrip_reproduces_damped_g(self, plan, onesided, rng, unguarded):
         g_vals = rng.normal(size=128) * 0.2 + 1j * rng.normal(size=128) * 0.2
         g_vals[0] = 1.0
-        g = make_grid(onesided, g_vals)
-        _, dw = dual_w_grid(onesided, 0.0)
-        eps = 2.0 * dw
-        h = invert(g, broadening=eps, check_aliasing=False)
+        g = make_grid(plan, g_vals)
+        eps = 2.0 * plan.dw
+        h = invert(g, broadening=eps)
         back = histogram_to_characteristic(h, onesided)
         damped = g_vals * np.exp(-0.5 * (eps * onesided) ** 2)
         assert np.abs(back - damped).max() < 1e-10
 
-    def test_mass_equals_g0_and_broadening_preserves_it(self, onesided, rng):
+    def test_mass_equals_g0_and_broadening_preserves_it(self, plan, rng, unguarded):
         g_vals = rng.normal(size=128) * 0.2 + 1j * rng.normal(size=128) * 0.2
         g_vals[0] = 1.0
         for eps_bins in (0.0, 1.0, 2.0, 4.0):
-            _, dw = dual_w_grid(onesided, 0.0)
-            h = invert(
-                make_grid(onesided, g_vals), broadening=eps_bins * dw, check_aliasing=False
-            )
+            h = invert(make_grid(plan, g_vals), broadening=eps_bins * plan.dw)
             assert h.total_mass == pytest.approx(1.0, abs=1e-10)
 
     def test_first_moment_matches_sample_mean(self):
@@ -98,8 +97,7 @@ class TestInvert:
         [g] = characteristic.semiclassical_characteristic(
             ens, [characteristic.Request(2.0**-10, plan, 0.02)], geom, pot
         )
-        _, dw = dual_w_grid(g.u_values, g.w_center)
-        h = invert(g, broadening=2.0 * dw)
+        h = invert(g, broadening=2.0 * g.plan.dw)
         se_mean = w_direct.std(ddof=1) / math.sqrt(w_direct.size)
         # hbar -> 0 route: first moment of P equals <W>; combine both errors.
         hist_mean_err = float(
@@ -108,69 +106,83 @@ class TestInvert:
         tol = 3.0 * math.hypot(se_mean, hist_mean_err)
         assert h.mean() == pytest.approx(w_direct.mean(), abs=tol + 1e-6)
 
-    def test_aliasing_guard(self, onesided):
+    def test_aliasing_guard(self, plan):
         # Unbroadened inversion of a slowly decaying G trips the guard.
         g_vals = np.full(128, 0.5 + 0.0j)
         g_vals[0] = 1.0
         with pytest.raises(AliasingSuspect):
-            invert(make_grid(onesided, g_vals), broadening=0.0)
+            invert(make_grid(plan, g_vals), broadening=0.0)
         # Two bins of broadening suppress the tail, so the same data passes.
-        _, dw = dual_w_grid(onesided, 0.0)
-        h = invert(make_grid(onesided, g_vals), broadening=2.0 * dw)
+        h = invert(make_grid(plan, g_vals), broadening=2.0 * plan.dw)
         assert h.metadata["tail_broadened"] < 1e-6
 
-    def test_real_valuedness_residue(self, onesided):
-        _, dw = dual_w_grid(onesided, 0.0)
-        h = invert(make_grid(onesided, np.ones(128)), broadening=2.0 * dw, check_aliasing=False)
+    def test_real_valuedness_residue(self, plan, unguarded):
+        h = invert(make_grid(plan, np.ones(128)), broadening=2.0 * plan.dw)
         assert h.imag_residue < 1e-8
 
-    def test_error_propagation_scales(self, onesided):
+    def test_error_propagation_scales(self, plan, unguarded):
         se = np.full(128, 1e-3)
-        g = make_grid(onesided, np.ones(128), se=se)
-        h = invert(g, broadening=0.0, check_aliasing=False)
+        g = make_grid(plan, np.ones(128), se=se)
+        h = invert(g, broadening=0.0)
         assert (h.error > 0.0).all()
         # doubling the input errors doubles the output errors
-        g2 = make_grid(onesided, np.ones(128), se=2.0 * se)
-        h2 = invert(g2, broadening=0.0, check_aliasing=False)
+        g2 = make_grid(plan, np.ones(128), se=2.0 * se)
+        h2 = invert(g2, broadening=0.0)
         np.testing.assert_allclose(h2.error, 2.0 * h.error, rtol=1e-12)
 
 
 class TestBinSpikes:
-    def test_single_spike_mass(self, onesided):
-        w, dw = dual_w_grid(onesided, 0.0)
-        dens, err = bin_spikes(np.array([w[40]]), w, broadening=2.0 * dw)
+    def test_single_spike_mass(self, plan):
+        w, dw = plan.w_values, plan.dw
+        h = bin_spikes(np.array([w[40]]), plan, broadening=2.0 * dw)
+        dens, err = h.density, h.error
         assert dens.sum() * dw == pytest.approx(1.0, abs=1e-9)
         assert np.argmax(dens) == 40
         assert np.array_equal(err, np.zeros_like(dens))
 
-    def test_matches_inversion_route(self, onesided, rng):
+    def test_matches_inversion_route(self, plan, onesided, rng, unguarded):
         # Spikes binned directly vs the characteristic-function route: equal
         # weights through bin_spikes, random weights through the oracle.
-        w, dw = dual_w_grid(onesided, 0.0)
-        eps = 2.0 * dw
+        w = plan.w_values
+        eps = 2.0 * plan.dw
         spikes = rng.uniform(w[20], w[-20], size=50)
         weighted = rng.random(50)
         weighted /= weighted.sum()
         cases = (
-            (np.full(50, 1.0 / 50), bin_spikes(spikes, w, eps)[0]),
+            (np.full(50, 1.0 / 50), bin_spikes(spikes, plan, eps).density),
             (weighted, bin_weighted_spikes(spikes, weighted, w, eps)),
         )
         for masses, direct in cases:
             g_vals = (masses[None, :] * np.exp(1j * np.outer(onesided, spikes))).sum(axis=1)
-            h = invert(make_grid(onesided, g_vals), broadening=eps, check_aliasing=False)
+            h = invert(make_grid(plan, g_vals), broadening=eps)
             assert np.abs(h.density - direct).max() < 1e-9
 
-    def test_broadening_must_be_positive(self, onesided):
-        w, _ = dual_w_grid(onesided, 0.0)
+    def test_binned_and_inverted_histograms_share_the_plan_grid(self, rng, unguarded):
+        # One bin width for both routes: a width taken as w[1] - w[0] differs
+        # from 2 pi / ((2n - 1) du) by rounding, and moves the kernel's
+        # half-width ceil(8 eps / dw) by a bin at eps = 2 bins.
+        for n_u in (16, 32, 64, 256, 512):
+            for seed in (7, 777, 12345):
+                plan = characteristic.plan_u_grid(
+                    geometry.BilliardGeometry(), potential.QuenchPotential(), seed, n_u=n_u
+                )
+                eps = 2.0 * plan.dw
+                binned = bin_spikes(rng.normal(0.0, 20.0, size=10), plan, eps)
+                inverted = invert(make_grid(plan, np.ones(n_u)), broadening=eps)
+                assert binned.same_grid(inverted)
+                assert binned.bin_width == inverted.bin_width == plan.dw
+
+    def test_broadening_must_be_positive(self, plan):
         for eps in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError, match="broadening"):
-                bin_spikes(np.array([w[10]]), w, eps)
+                bin_spikes(np.array([plan.w_values[10]]), plan, eps)
 
-    def test_sample_errors_returned(self, onesided, rng):
-        w, dw = dual_w_grid(onesided, 0.0)
+    def test_sample_errors_returned(self, plan, rng):
+        dw = plan.dw
         n = 5000
         samples = rng.normal(0.0, 3.0, size=n)
-        dens, err = bin_spikes(samples, w, 2.0 * dw)
+        h = bin_spikes(samples, plan, 2.0 * dw)
+        dens, err = h.density, h.error
         assert dens.sum() * dw == pytest.approx(1.0, abs=1e-6)
         mid = np.argmax(dens)
         assert err[mid] > 0.0
@@ -178,15 +190,13 @@ class TestBinSpikes:
 
 
 class TestHistogramContainer:
-    def test_edges(self, onesided):
-        _, dw = dual_w_grid(onesided, 0.0)
-        h = invert(make_grid(onesided, np.ones(128)), broadening=2.0 * dw, check_aliasing=False)
+    def test_edges(self, plan, unguarded):
+        h = invert(make_grid(plan, np.ones(128)), broadening=2.0 * plan.dw)
         assert h.w_min == pytest.approx(h.w_values[0] - 0.5 * h.bin_width)
         assert h.w_max == pytest.approx(h.w_values[-1] + 0.5 * h.bin_width)
 
-    def test_rebin_preserves_mass(self, onesided):
-        _, dw = dual_w_grid(onesided, 0.0)
-        h = invert(make_grid(onesided, np.ones(128)), broadening=2.0 * dw, check_aliasing=False)
+    def test_rebin_preserves_mass(self, plan, unguarded):
+        h = invert(make_grid(plan, np.ones(128)), broadening=2.0 * plan.dw)
         r = rebin(h, 5)
         assert r.total_mass == pytest.approx(h.total_mass, rel=1e-6)
         assert r.bin_width == pytest.approx(5 * h.bin_width)
@@ -195,6 +205,5 @@ class TestHistogramContainer:
     @settings(max_examples=20, deadline=None)
     def test_spikes_histogram_mass(self, n, center):
         plan = plan_from_window(-20.0, 20.0, n_u=64)
-        w, dw = dual_w_grid(plan.u_values, plan.w_center)
-        h = spikes_to_histogram(center + np.linspace(-1.0, 1.0, n), w, 2.0 * dw)
+        h = bin_spikes(center + np.linspace(-1.0, 1.0, n), plan, 2.0 * plan.dw)
         assert h.total_mass == pytest.approx(1.0, rel=1e-9)
