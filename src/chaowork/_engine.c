@@ -8,8 +8,10 @@
  * numpy engine kept in tests/reference.py, and hypot and sqrt are glibc's,
  * as numpy's are: a ray's geometry is bit-identical to that engine's.  The
  * integrals use glibc's erf and exp where numpy and scipy have their own,
- * and a left fold over the bumps where numpy used a BLAS dot product, so
- * they can differ from that engine's in the last digits.
+ * a squared cross product for the squared miss distance where that engine
+ * takes d0sq - proj^2, and a left fold over the bumps where numpy used a
+ * BLAS dot product, so they can differ from that engine's in the last
+ * digits.
  *
  * Each flight evaluates erf and exp over all its bumps at once, through
  * erf_n and exp_n.  On x86_64 with glibc 2.35 or later (the #if below,
@@ -96,15 +98,15 @@ static void segment_setup(const bumps_t *v, double x, double y, double dx, doubl
     for (int64_t i = 0; i < v->n; i++) {
         const double d0x = x - v->centers[2 * i];
         const double d0y = y - v->centers[2 * i + 1];
-        const double proj = d0x * dx + d0y * dy;
-        const double d0sq = d0x * d0x + d0y * d0y;
         if (still) {
-            g->amp[i] = -d0sq / width;
+            g->amp[i] = -(d0x * d0x + d0y * d0y) / width;
             continue;
         }
-        double b2 = d0sq - proj * proj;
-        if (b2 < 0.0)
-            b2 = 0.0;
+        /* The squared miss distance as a squared cross product: d0sq - proj^2
+         * cancels when the flight points at the bump from afar. */
+        const double proj = d0x * dx + d0y * dy;
+        const double cross = d0x * dy - d0y * dx;
+        const double b2 = cross * cross;
         g->tau_star[i] = -proj / s_safe;
         g->amp[i] = -b2 / width;
         g->erf_lo[i] = g->alpha * g->tau_star[i];

@@ -133,14 +133,16 @@ def test_semiclassical_run_never_imports_the_scipy_capsule(tmp_path):
     assert proc.returncode == 0, err.decode()
 
 
-def _closed_form(pot, q0, d, s, dur):
+def _closed_form(pot, q0, d, s, dur, exact_miss=False):
     """One flight's integral of V and the sum of amp_i * pref, in mpmath.
 
     The same closed form as the engine.  The arguments of exp are formed in
-    double as the engine forms them, because d0sq - proj^2 cancels and exp
+    double as the engine forms them, because the cross product that gives
+    the squared miss distance cancels for a flight aimed at a bump and exp
     multiplies the relative error of a large argument; exp, erf and the sum
-    over bumps are evaluated at 30 digits.  A still flight (s = 0)
-    integrates to V(q0) * dur, and its scale is that of an unsigned V.
+    over bumps are evaluated at 30 digits.  ``exact_miss`` forms the cross
+    product at 30 digits too.  A still flight (s = 0) integrates to
+    V(q0) * dur, and its scale is that of an unsigned V.
     """
     import mpmath
 
@@ -149,13 +151,14 @@ def _closed_form(pot, q0, d, s, dur):
     for (cx, cy), sign in zip(pot.centers.tolist(), pot.signs.tolist()):
         d0x, d0y = float(q0[0]) - cx, float(q0[1]) - cy
         proj = d0x * float(d[0]) + d0y * float(d[1])
-        d0sq = d0x * d0x + d0y * d0y
         if s == 0.0:
-            amp = mpmath.exp(-d0sq / width)
+            amp = mpmath.exp(-(d0x * d0x + d0y * d0y) / width)
             total += sign * amp * dur
             scale += amp * dur
             continue
-        amp = mpmath.exp(-max(d0sq - proj * proj, 0.0) / width)
+        num = mpmath.mpf if exact_miss else float
+        cross = num(d0x) * float(d[1]) - num(d0y) * float(d[0])
+        amp = mpmath.exp(-(cross * cross) / width)
         alpha = s / (mpmath.mpf(pot.sigma) * mpmath.sqrt(2))
         pref = mpmath.mpf(pot.sigma) * mpmath.sqrt(mpmath.pi / 2) / s
         tau_star = -mpmath.mpf(proj) / s
@@ -184,6 +187,29 @@ def test_segment_integrals_match_the_closed_form_in_mpmath(n_bumps):
         for i in range(n):
             want, scale = _closed_form(pot, q0[i], d[i], s[i], dur[i])
             assert abs(got[i] - want) <= 1e-14 * scale, (i, got[i], want, scale)
+
+
+def test_flights_aimed_at_a_bump_from_afar_keep_their_digits():
+    # Each flight starts 1 to 2 away from the bump, points within 0.1 rad
+    # of it and crosses it.  Forming the squared miss distance as
+    # d0sq - proj^2 lost about 6e-14 of the value here; the cross product
+    # keeps it to about 1e-15.
+    mpmath = pytest.importorskip("mpmath")
+    pot = potential.QuenchPotential(centers=np.array([[0.5, 0.5]]), signs=np.array([1.0]))
+    rng = np.random.default_rng(3)
+    n = 200
+    r = rng.uniform(1.0, 2.0, n)
+    phi = rng.uniform(0.0, 2.0 * np.pi, n)
+    q0 = pot.centers[0] + np.column_stack([r * np.cos(phi), r * np.sin(phi)])
+    aim = phi + np.pi + rng.uniform(-0.1, 0.1, n)
+    d = np.column_stack([np.cos(aim), np.sin(aim)])
+    s = np.full(n, 9.0)
+    dur = (r + 1.0) / 9.0
+    got = potential.segment_constants(pot, q0, d, s).integral(dur)
+    with mpmath.workdps(30):
+        for i in range(n):
+            want, _ = _closed_form(pot, q0[i], d[i], s[i], dur[i], exact_miss=True)
+            assert abs(got[i] - want) <= 1e-14 * abs(want), (i, got[i], want)
 
 
 @pytest.mark.skipif(
