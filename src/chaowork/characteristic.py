@@ -9,9 +9,8 @@ per (sample, u) pair.
 
 G is Hermitian, G(-u) = conj G(u), so every grid is one-sided: a
 ``UGridPlan`` holds u_k = k du for k = 0 .. n-1 and the center of the dual
-work window, and nothing else is accepted as a u grid.  The plan also owns
-that dual work grid, 2n - 1 bins of width dw = 2 pi / ((2n - 1) du), on
-which every route's P(W) lives.
+work window, and nothing else is accepted as a u grid.  It also owns that
+dual work grid, on which every route's P(W) lives.
 
 ``semiclassical_characteristic`` takes one ensemble and a list of requests
 (beta, u plan, hbar) and traces each ray of the ensemble once for all of
@@ -124,10 +123,6 @@ class CharacteristicGrid:
     @property
     def u_values(self) -> np.ndarray:
         return self.plan.u_values
-
-    @property
-    def stderr(self) -> np.ndarray:
-        return np.hypot(self.stderr_re, self.stderr_im)
 
     def quadrature_covariance(self) -> np.ndarray | None:
         """Covariance of the stacked estimator mean [Re G; Im G].

@@ -441,19 +441,14 @@ def _check_inversion(n_u):
 
 
 def _solve_quench(cfg, geom, pot, hbar):
-    """Quantum spectra on the configured grid; a state count of 0 keeps all.
-
-    The runs that solve invert the quantum G on u_points, so that is checked first.
-    """
-    _check_inversion(cfg.u_points)
+    """Quantum spectra on the configured grid; a state count of 0 keeps all."""
+    _check_inversion(cfg.u_points)  # every run that solves inverts on u_points
     n0 = cfg.quantum_n_initial or None
     nf = cfg.quantum_n_final or None
     try:
         return quantum.solve_quench(geom, pot, hbar, cfg.quantum_h, n0, nf)
     except quantum.TooManyStates as exc:
-        raise RangeError(
-            f"quantum_{exc.count}", f"{exc} at quantum_h = {cfg.quantum_h:g}"
-        ) from None
+        raise RangeError(f"quantum_{exc.count}", f"{exc} at quantum_h = {cfg.quantum_h:g}") from None
     except InsufficientMemory as exc:
         raise InsufficientMemory(
             f"quantum_h = {cfg.quantum_h:g}: {exc}; raise quantum_h, or set quantum_n_initial"
@@ -462,11 +457,7 @@ def _solve_quench(cfg, geom, pot, hbar):
 
 
 def _semiclassical_grids(cfg, geom, pot, requests):
-    """Every request in one engine call on the run's ensemble, so all share one trace.
-
-    Every request's G is inverted afterwards, so its largest u grid is checked first.
-    """
-    _check_inversion(max(req.u_grid.n for req in requests))
+    """Every request in one engine call on the run's ensemble, so all share one trace."""
     ens = sampler.sample_ensemble(geom, cfg.n_samples, cfg.seed)
     try:
         grids = semiclassical_characteristic(
@@ -486,12 +477,8 @@ def _swept(cfg, key, fallback):
 
 def _classical_histogram(cfg, geom, pot, plan, beta):
     sample = classical.sample_classical_work(geom, pot, beta, cfg.n_classical, cfg.seed)
-    hist = spectra.bin_spikes(
-        sample.values,
-        plan,
-        _broadening(cfg, plan),
-        metadata={"beta": beta, "source": "classical_mc"},
-    )
+    meta = {"beta": beta, "source": "classical_mc"}
+    hist = spectra.bin_spikes(sample.values, plan, _broadening(cfg, plan), metadata=meta)
     return sample, hist
 
 
@@ -499,6 +486,7 @@ def run_semiclassical(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
     """One (beta, hbar): semiclassical G(u) and its inverted work distribution."""
     geom, pot = cfg.geometry(), cfg.potential()
     plan = plan_u_grid(geom, pot, cfg.seed, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
+    _check_inversion(plan.n)
     beta = cfg.beta_list[0]
     ens, [grid] = _semiclassical_grids(cfg, geom, pot, [Request(beta, plan, cfg.hbar_list[0])])
     hist = spectra.invert(grid, broadening=_broadening(cfg, plan))
@@ -573,9 +561,10 @@ def run_fig4(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
     # few energy units) probes the classical limit rather than the dephasing
     # crossover that dominates at fine u resolution.
     plan = plan_u_grid(geom, pot, cfg.seed, n_u=_swept(cfg, "u_points", 32), pad_frac=cfg.pad_frac)
+    _check_inversion(plan.n)
 
-    ens, grids = _semiclassical_grids(cfg, geom, pot, [Request(beta, plan, h) for h in hbars])
     _, clhist = _classical_histogram(cfg, geom, pot, plan, beta)
+    ens, grids = _semiclassical_grids(cfg, geom, pot, [Request(beta, plan, h) for h in hbars])
     hists = [spectra.invert(grid, broadening=clhist.broadening) for grid in grids]
     table = [
         {"hbar": hbar, **analysis.compare_histograms(hist, clhist)}
@@ -609,11 +598,12 @@ def run_fig3(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
     betas = _swept(cfg, "beta_list", tuple(2.0**-k for k in range(7, 14)))
     hbar = cfg.hbar_list[0]
     plan = plan_u_grid(geom, pot, cfg.seed, n_u=_swept(cfg, "u_points", 64), pad_frac=cfg.pad_frac)
+    _check_inversion(plan.n)
 
-    requests = [Request(beta, plan, hbar, collect_covariance=True) for beta in betas]
-    _, grids = _semiclassical_grids(cfg, geom, pot, requests)
     # The classical work does not depend on beta, so one sample serves every row.
     sample = classical.sample_classical_work(geom, pot, betas[0], cfg.n_classical, cfg.seed)
+    requests = [Request(beta, plan, hbar, collect_covariance=True) for beta in betas]
+    _, grids = _semiclassical_grids(cfg, geom, pot, requests)
     eps = _broadening(cfg, plan)
     rows = []
     for beta, grid in zip(betas, grids):

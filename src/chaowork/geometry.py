@@ -17,7 +17,6 @@ to the compiled engine, so each is defined here only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -55,26 +54,6 @@ class BilliardGeometry:
     def bounding_box(self) -> tuple[float, float]:
         """Width and height of the axis-aligned bounding box [0,w] x [0,h]."""
         return self.l + self.r, self.r
-
-
-def area(geom: BilliardGeometry) -> float:
-    """Closed-form area l*r + pi*r^2/4."""
-    return geom.l * geom.r + math.pi * geom.r * geom.r / 4.0
-
-
-def contains(geom: BilliardGeometry, q) -> bool:
-    """Membership in the closed quarter-stadium region (boundary inclusive).
-
-    Boundary points are accepted so that rays may legitimately start on a
-    wall (e.g. at the arc center after a bounce at (l, 0)).
-    """
-    x, y = float(q[0]), float(q[1])
-    if x < 0.0 or y < 0.0 or y > geom.r:
-        return False
-    if x <= geom.l:
-        return True
-    dx = x - geom.l
-    return dx * dx + y * y <= geom.r * geom.r
 
 
 def contains_many(geom: BilliardGeometry, qs: np.ndarray) -> np.ndarray:

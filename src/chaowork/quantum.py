@@ -49,8 +49,7 @@ class TruncationDominates(RuntimeError):
 
 
 class TooManyStates(ValueError):
-    """More eigenstates requested than the grid has sites; ``count`` names the
-    ``solve_quench`` argument at fault."""
+    """More states requested than the grid has sites; ``count`` names the argument."""
 
     def __init__(self, count: str, requested: int, dim: int):
         self.count = count

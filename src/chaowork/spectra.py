@@ -1,22 +1,15 @@
 """Fourier inversion: characteristic grids to work histograms.
 
-Every work histogram lives on the W grid its u plan owns
-(``UGridPlan.w_values``), the exact discrete dual of the u grid: the
-one-sided grid of M points u_k = k du (G on negative u is the conjugate, so
-it is not stored) maps to N = 2M - 1 bins of width dw = 2 pi / (N du)
-centered on the planner's window center.  With that pairing the discrete
-transforms invert each other exactly, the total mass equals G(0), and
-Gaussian broadening (multiplying G by exp(-eps^2 u^2 / 2), i.e. convolving
-P with a Gaussian of width eps) preserves the mass bin for bin.
-
-The inverse transform is one-sided:
-
-    P(w_j) = du / (2 pi) [Re G_0 + 2 sum_{k >= 1} (Re G_k cos(u_k w_j) + Im G_k sin(u_k w_j))]
-
-``_phases`` builds its cosines and sines; ``invert`` applies it to G, and
-``functional_coefficients`` gives any linear functional of the inverted P as
-coefficients on [Re G; Im G].  Monte Carlo work samples are binned on the
-same grid, with the plan's bin width, by ``bin_spikes``.
+Every histogram lives on the W grid its u plan owns (``UGridPlan.w_values``),
+the exact discrete dual of the one-sided u grid: M points u_k = k du (G on
+negative u is the conjugate, so it is not stored) map to N = 2M - 1 bins of
+width dw = 2 pi / (N du) centered on the planner's window center.  With that
+pairing the discrete transforms invert each other exactly, the total mass
+equals G(0), and Gaussian broadening (multiplying G by exp(-eps^2 u^2 / 2),
+i.e. convolving P with a Gaussian of width eps) preserves the mass bin for
+bin.  ``_transform`` holds the one-sided inverse transform, which ``invert``
+applies to G and ``functional_coefficients`` to a linear functional of P.
+Monte Carlo samples are binned on the same bins by ``bin_spikes``.
 
 Statistical errors are propagated from the per-u standard errors through the
 linear transform, treating grid points as independent.
@@ -82,10 +75,7 @@ class WorkHistogram:
 
 
 def check_transform_memory(n_u: int) -> None:
-    """Refuse an inversion of n_u u points whose matrices exceed physical memory.
-
-    Raises InsufficientMemory, so a run can check before any other work.
-    """
+    """Raise InsufficientMemory if inverting on n_u u points would exceed physical memory."""
     need = _TRANSFORM_ARRAYS * 8 * n_u * (2 * n_u - 1)
     have = physical_memory()
     if need > have:
@@ -95,17 +85,19 @@ def check_transform_memory(n_u: int) -> None:
         )
 
 
-def _damping(plan: UGridPlan, eps: float) -> np.ndarray:
-    """exp(-eps^2 u^2 / 2) on the plan: Gaussian broadening of width eps in W."""
-    return np.exp(-0.5 * (eps * plan.u_values) ** 2)
+def _transform(plan: UGridPlan, eps: float):
+    """The one-sided inverse transform on the plan at Gaussian width eps,
 
+        P(w_j) = du / (2 pi) [b_0 Re G_0
+                              + 2 sum_{k >= 1} b_k (Re G_k cos(u_k w_j) + Im G_k sin(u_k w_j))],
 
-def _phases(plan: UGridPlan) -> tuple[np.ndarray, np.ndarray]:
-    """cos(u_k w_j) and sin(u_k w_j) on the plan's u and W grids, (n, 2n - 1) each."""
+    as (b_k = exp(-eps^2 u_k^2 / 2), du / (2 pi), cos, sin), the matrices (n, 2n - 1).
+    """
     check_transform_memory(plan.n)
     phase = np.outer(plan.u_values, plan.w_values)
     cosm = np.cos(phase)
-    return cosm, np.sin(phase, out=phase)
+    damp = np.exp(-0.5 * (eps * plan.u_values) ** 2)
+    return damp, plan.du / (2.0 * math.pi), cosm, np.sin(phase, out=phase)
 
 
 def invert(g: CharacteristicGrid, broadening: float) -> WorkHistogram:
@@ -115,13 +107,12 @@ def invert(g: CharacteristicGrid, broadening: float) -> WorkHistogram:
     smoothing.  Raises AliasingSuspect when the integrand still carries
     weight above ALIAS_TOLERANCE at u_max.
     """
-    plan = g.plan
     vals, se_re, se_im = g.g_values, g.stderr_re, g.stderr_im
-
     eps = float(broadening)
     if eps < 0.0:
         raise ValueError("broadening must be nonnegative")
-    b = _damping(plan, eps)
+    b, scale, cosm, sinm = _transform(g.plan, eps)
+    cosm, sinm = cosm[1:], sinm[1:]
     gb = vals * b
 
     tail_raw = abs(vals[-1])
@@ -137,9 +128,6 @@ def invert(g: CharacteristicGrid, broadening: float) -> WorkHistogram:
             f"|G(u_max)| = {tail:.3g} after broadening; widen the work window"
         )
 
-    cosm, sinm = _phases(plan)
-    cosm, sinm = cosm[1:], sinm[1:]
-    scale = plan.du / (2.0 * math.pi)
     density = scale * (gb[0].real + 2.0 * (gb[1:].real @ cosm + gb[1:].imag @ sinm))
 
     var = (scale**2) * (
@@ -148,14 +136,14 @@ def invert(g: CharacteristicGrid, broadening: float) -> WorkHistogram:
     )
     error = np.sqrt(var)
 
-    total_mass = float(density.sum() * plan.dw)
+    total_mass = float(density.sum() * g.plan.dw)
     scale_ref = max(abs(gb[0].real), 1e-300)
     residue = abs(gb[0].imag) / scale_ref
     return WorkHistogram(
-        w_values=plan.w_values,
+        w_values=g.plan.w_values,
         density=density,
         error=error,
-        bin_width=plan.dw,
+        bin_width=g.plan.dw,
         broadening=eps,
         total_mass=total_mass,
         imag_residue=residue,
@@ -170,27 +158,16 @@ def invert(g: CharacteristicGrid, broadening: float) -> WorkHistogram:
 
 
 def functional_coefficients(plan: UGridPlan, broadening: float, kernel) -> np.ndarray:
-    """Coefficients c with sum_j kernel_j P(w_j) = c . [Re G; Im G] exactly.
-
-    P is ``invert``'s histogram of G on ``plan`` at Gaussian width
-    ``broadening``, so a linear functional of P takes its error through the
-    covariance of [Re G; Im G].
-    """
-    cosm, sinm = _phases(plan)
-    damp = _damping(plan, broadening)
-    scale = plan.du / (2.0 * math.pi)
-    c_re = scale * damp * (cosm @ kernel)
-    c_im = scale * damp * (sinm @ kernel)
-    c_re[1:] *= 2.0
-    c_im[1:] *= 2.0
-    return np.concatenate([c_re, c_im])
+    """c with sum_j kernel_j P(w_j) = c . [Re G; Im G] exactly, P being
+    ``invert``'s histogram of G on ``plan`` at Gaussian width ``broadening``."""
+    damp, scale, cosm, sinm = _transform(plan, broadening)
+    weight = scale * damp
+    weight[1:] *= 2.0
+    return np.concatenate([weight * (cosm @ kernel), weight * (sinm @ kernel)])
 
 
 def bin_spikes(
-    samples,
-    plan: UGridPlan,
-    broadening: float,
-    metadata: dict | None = None,
+    samples, plan: UGridPlan, broadening: float, metadata: dict | None = None
 ) -> WorkHistogram:
     """Gaussian-broadened histogram of Monte Carlo samples on the plan's W grid.
 
@@ -226,12 +203,7 @@ def bin_spikes(
     # density is the sample mean of per-sample kernels phi_s (weights 1/n),
     # so se^2 = (n * sum(contrib^2) - density^2) / (n - 1).
     var = np.maximum(sumsq * n - density * density, 0.0) / max(n - 1, 1)
+    total_mass = float(density.sum() * dw)
     return WorkHistogram(
-        w_values=w_values,
-        density=density,
-        error=np.sqrt(var),
-        bin_width=dw,
-        broadening=eps,
-        total_mass=float(density.sum() * dw),
-        metadata=metadata or {},
+        w_values, density, np.sqrt(var), dw, eps, total_mass, metadata=metadata or {}
     )

@@ -9,6 +9,8 @@ readable paths:
   compiled one replaced, with the same geometry bit for bit
   (``geometry.first_hit_arrays``) and its own closed form
   (``NumpySegments``), plus the per-ray counts the compiled engine reports;
+- ``area`` and ``contains``: the billiard's closed-form area and one
+  point's membership, the scalar statement of ``geometry.contains_many``;
 - ``first_hit``/``reflect``: one ray against the walls, one specular bounce;
 - ``propagate``/``action_difference``: one phase point through its bounces;
 - ``segment_integral``: one flight segment in closed form, and
@@ -86,6 +88,26 @@ class FlightSegment:
     direction: np.ndarray
     speed: float
     duration: float
+
+
+def area(geom: BilliardGeometry) -> float:
+    """Closed-form area l*r + pi*r^2/4."""
+    return geom.l * geom.r + math.pi * geom.r * geom.r / 4.0
+
+
+def contains(geom: BilliardGeometry, q) -> bool:
+    """Membership in the closed quarter-stadium region (boundary inclusive).
+
+    Boundary points are accepted so that rays may legitimately start on a
+    wall (e.g. at the arc center after a bounce at (l, 0)).
+    """
+    x, y = float(q[0]), float(q[1])
+    if x < 0.0 or y < 0.0 or y > geom.r:
+        return False
+    if x <= geom.l:
+        return True
+    dx = x - geom.l
+    return dx * dx + y * y <= geom.r * geom.r
 
 
 def contains_with_tol(geom: BilliardGeometry, q, tol: float = TOL_GEOM) -> bool:
@@ -541,7 +563,7 @@ def density_of_states(geom: BilliardGeometry, energy: float) -> float:
     """
     if not energy > 0.0:
         raise ValueError(f"energy must be positive, got {energy}")
-    return math.pi * geometry.area(geom)
+    return math.pi * area(geom)
 
 
 def potential_extrema(
@@ -571,7 +593,7 @@ def potential_extrema(
                 method="Nelder-Mead",
                 options={"xatol": 1e-10, "fatol": 1e-12},
             )
-            if geometry.contains(geom, res.x):
+            if contains(geom, res.x):
                 v = float(potential.evaluate(pot, res.x))
                 vmin = min(vmin, v)
                 vmax = max(vmax, v)
@@ -644,7 +666,7 @@ def rebin(hist: WorkHistogram, factor: int) -> WorkHistogram:
 
 def weyl_level_spacing(geom: BilliardGeometry, hbar: float) -> float:
     """Mean level spacing 4 pi hbar^2 / area for H = -hbar^2 Laplacian."""
-    return 4.0 * math.pi * hbar * hbar / geometry.area(geom)
+    return 4.0 * math.pi * hbar * hbar / area(geom)
 
 
 def supported_states(
@@ -652,7 +674,7 @@ def supported_states(
 ) -> int:
     """How many low states a grid of spacing h resolves, by the
     points-per-wavelength rule and the area law for the state count."""
-    return int(math.pi * geometry.area(geom) / (points_per_wavelength * h) ** 2)
+    return int(math.pi * area(geom) / (points_per_wavelength * h) ** 2)
 
 
 def plan_step_for_states(
@@ -663,7 +685,7 @@ def plan_step_for_states(
 ) -> float:
     """Grid spacing whose resolved-state count is keep_ratio * n_keep."""
     target = keep_ratio * n_keep
-    return math.sqrt(math.pi * geometry.area(geom) / target) / points_per_wavelength
+    return math.sqrt(math.pi * area(geom) / target) / points_per_wavelength
 
 
 def final_state_count(

@@ -113,7 +113,7 @@ class TestSemiclassicalEstimator:
         for n in (1_000, 10_000, 100_000):
             ens = sampler.sample_ensemble(geom_mod, n, seed=31)
             [g] = semiclassical_characteristic(ens, [Request(2.0**-8, u, 1.0)], geom_mod, pot_mod)
-            ses[n] = np.median(g.stderr[4:])
+            ses[n] = np.median(np.hypot(g.stderr_re, g.stderr_im)[4:])
         for a, b in ((1_000, 10_000), (10_000, 100_000)):
             ratio = ses[a] / ses[b]
             assert ratio == pytest.approx(np.sqrt(10.0), rel=0.2)
@@ -224,7 +224,10 @@ class TestShellEstimator:
         ens = sampler.sample_ensemble(geom_mod, 16_384, seed=18)
         [g_direct] = semiclassical_characteristic(ens, [Request(beta, u, 1.0)], geom_mod, pot_mod)
         diff = np.abs(g_shell.g_values - g_direct.g_values)
-        combined = np.hypot(g_shell.stderr, g_direct.stderr)
+        combined = np.hypot(
+            np.hypot(g_shell.stderr_re, g_shell.stderr_im),
+            np.hypot(g_direct.stderr_re, g_direct.stderr_im),
+        )
         # Small floor absorbs the finite shell-spacing bias of the energy sum.
         assert (diff[1:] < 3.0 * combined[1:] + 3e-3).all()
 

@@ -13,6 +13,7 @@ from chaowork.classical import (
 from chaowork.potential import QuenchPotential, evaluate
 
 from reference import (
+    area,
     density_of_states,
     potential_extrema,
     sample_shell,
@@ -136,7 +137,7 @@ class TestDensityOfStates:
         # exp(-beta p^2) over the billiard.
         beta = 0.37
         g = density_of_states(geom, 1.0)
-        analytic = math.pi * geometry.area(geom) / beta
+        analytic = math.pi * area(geom) / beta
         assert g / beta == pytest.approx(analytic, rel=1e-12)
 
     def test_monte_carlo_measure_oracle(self, geom, rng):

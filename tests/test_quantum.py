@@ -19,6 +19,7 @@ from chaowork.quantum import (
 )
 
 from reference import (
+    area,
     bin_weighted_spikes,
     plan_step_for_states,
     quantum_spike_density,
@@ -285,7 +286,7 @@ class TestPlanningHelpers:
     def test_level_spacing_area_law(self, geom):
         # 4 pi hbar^2 / A; about 7.04 energy units at hbar = 1 for this domain.
         d = weyl_level_spacing(geom, 1.0)
-        assert d == pytest.approx(4.0 * math.pi / geometry.area(geom), rel=1e-12)
+        assert d == pytest.approx(4.0 * math.pi / area(geom), rel=1e-12)
         assert weyl_level_spacing(geom, 0.5) == pytest.approx(d / 4.0, rel=1e-12)
 
     def test_supported_states_consistent_with_plan(self, geom):
@@ -297,7 +298,7 @@ class TestPlanningHelpers:
         # Count of levels below E grows like A E / (4 pi hbar^2) in the
         # resolved part of the spectrum.
         e = small_spec.e0[80]
-        weyl = geometry.area(geom) * e / (4.0 * math.pi)
+        weyl = area(geom) * e / (4.0 * math.pi)
         assert weyl == pytest.approx(81, rel=0.15)
 
 

@@ -6,7 +6,7 @@ from scipy import stats
 
 from chaowork import geometry, sampler
 
-from reference import phase_point, sample_shell
+from reference import area, contains, phase_point, sample_shell
 
 
 def cell_area_exact(geom, x0, x1, y0, y1):
@@ -60,7 +60,7 @@ class TestSamplePosition:
         proposals = rng.random((2 * n, 2)) * [w, h]
         accepted = geometry.contains_many(geom, proposals)
         k = int(accepted[:n].sum())
-        p = geometry.area(geom) / (w * h)
+        p = area(geom) / (w * h)
         se = math.sqrt(p * (1 - p) / n)
         assert abs(k / n - p) < 3 * se
 
@@ -147,7 +147,7 @@ class TestSampleEnsemble:
         ens = sampler.sample_ensemble(geom, 10, seed=3)
         assert len(ens) == 10
         pt = phase_point(ens, 1.0, 4)
-        assert geometry.contains(geom, pt.q)
+        assert contains(geom, pt.q)
         assert pt.p.shape == (2,)
 
     def test_paper_scale_ensemble(self, geom):

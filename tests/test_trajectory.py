@@ -13,7 +13,7 @@ from reference import PhasePoint, action_difference, propagate
 def random_interior_state(geom, rng, pscale=1.0):
     while True:
         q = rng.random(2) * geom.bounding_box
-        if geometry.contains(geom, q):
+        if reference.contains(geom, q):
             break
     return PhasePoint(q=q, p=rng.normal(scale=pscale, size=2))
 
@@ -30,7 +30,7 @@ def march_endpoint(geom, x0, t, step=1e-5):
     n_steps = int(round(t * speed / step))
     for _ in range(n_steps):
         nq = q + d * step
-        if not geometry.contains(geom, nq):
+        if not reference.contains(geom, nq):
             hit = reference.first_hit(geom, q, d)
             d = reference.reflect(d, hit.inward_normal)
             d /= np.hypot(d[0], d[1])
