@@ -26,8 +26,9 @@ last checkpoint (lost boundary, bounce cap) is a failed sample of that
 request only.  Each request gets the same numbers as a call with that
 request alone.
 
-Reduction runs over fixed-size chunks in a fixed order, so results are
-bit-identical for any worker count.
+Each request keeps one running total, and each chunk's sums are added to
+it in chunk order as the chunk arrives, so results are bit-identical for any
+worker count and the reduction holds one chunk's sums at a time.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ FAILURE_BUDGET = 1e-3
 # once: the engine's integrals, then one request's phases, cosines, sines and
 # a squared temporary, or the stacked [cos, sin] block with covariance.  The
 # peak measured with tracemalloc on 8,192-row chunks is 5.0 of them, and 7.1
-# with covariance.
+# with covariance.  The requests' running totals are counted apart from this.
 _CHUNK_ARRAYS = 8
 
 
@@ -192,7 +193,10 @@ class Request:
 def _request_sums(integrals, columns, coef, want_cov):
     """Phase sums of one request over its good rows in a traced chunk.
 
-    A row is good when the ray reached the request's last checkpoint.
+    Returns (sums, ok, failed, moment): ``sums`` stacks the per-column sums of
+    cos, sin, cos^2 and sin^2 into a (4, k) array, and ``moment`` is the
+    second-moment matrix of [cos, sin] when ``want_cov``, else None.  A row is
+    good when the ray reached the request's last checkpoint.
     """
     failed = np.isnan(integrals[:, columns[-1]])
     good = ~failed
@@ -205,15 +209,8 @@ def _request_sums(integrals, columns, coef, want_cov):
         moment = v.T @ v
     else:
         moment = None
-    return (
-        c.sum(axis=0),
-        s.sum(axis=0),
-        (c * c).sum(axis=0),
-        (s * s).sum(axis=0),
-        int(good.sum()),
-        int(failed.sum()),
-        moment,
-    )
+    sums = np.stack([c.sum(axis=0), s.sum(axis=0), (c * c).sum(axis=0), (s * s).sum(axis=0)])
+    return sums, int(good.sum()), int(failed.sum()), moment
 
 
 def _chunk_phase_sums(args):
@@ -222,8 +219,8 @@ def _chunk_phase_sums(args):
     Module-level so worker pools can pickle it.  ``times`` is the ascending
     union of every request's checkpoints on the unit-temperature rays, and
     ``spec`` holds per request (the columns of its own times in ``times``,
-    delta_xi / (hbar * c), want_cov).  Returns the list of their sums in the
-    same order, and the chunk's ``TraceCounts``.
+    delta_xi / (hbar * c), want_cov).  Returns the list of their
+    ``_request_sums`` in the same order, and the chunk's ``TraceCounts``.
     """
     (qs, z, times, geom, pot, max_bounces, spec) = args
     integrals, _, counts = trajectory.checkpoint_action_integrals(
@@ -261,31 +258,36 @@ def _prepare(req: Request) -> _Grid:
     return _Grid(req.u_grid.u_values * (req.hbar * scale), scale)
 
 
-def _reduce(ens: ThermalEnsemble, req: Request, results, trace: dict) -> CharacteristicGrid:
-    """Fixed-order reduction of one request's chunk sums into its G(u).
+class _Total:
+    """One request's running sums over the chunks folded so far."""
+
+    def __init__(self, req: Request):
+        k = req.u_grid.n
+        # Zeros first, so a -0.0 chunk sum still totals +0.0.
+        self.sums = np.zeros((4, k))
+        self.moment = np.zeros((2 * k, 2 * k)) if req.collect_covariance else None
+        self.ok = 0
+        self.failed = 0
+
+    def add(self, sums, ok, failed, moment):
+        self.sums += sums
+        if self.moment is not None:
+            self.moment += moment
+        self.ok += ok
+        self.failed += failed
+
+
+def _reduce(ens: ThermalEnsemble, req: Request, total: _Total, trace: dict) -> CharacteristicGrid:
+    """One request's G(u) from its total over every chunk.
 
     ``trace`` is the shared trace's summary, kept in the grid's metadata.
     """
     plan = req.u_grid
     n = len(ens)
     k = plan.n
-    sum_c = np.zeros(k)
-    sum_s = np.zeros(k)
-    sum_c2 = np.zeros(k)
-    sum_s2 = np.zeros(k)
-    moment = np.zeros((2 * k, 2 * k)) if req.collect_covariance else None
-    n_ok = 0
-    n_failed = 0
-    # Chunk index order, independent of worker count.
-    for c, s, c2, s2, ok, fail, mom in results:
-        sum_c += c
-        sum_s += s
-        sum_c2 += c2
-        sum_s2 += s2
-        if moment is not None:
-            moment += mom
-        n_ok += ok
-        n_failed += fail
+    sum_c, sum_s, sum_c2, sum_s2 = total.sums
+    n_ok = total.ok
+    n_failed = total.failed
 
     if n_failed > FAILURE_BUDGET * n:
         raise ExcessiveFailures(f"{n_failed} of {n} samples failed")
@@ -313,7 +315,7 @@ def _reduce(ens: ThermalEnsemble, req: Request, results, trace: dict) -> Charact
         beta=float(req.beta),
         n_failed=n_failed,
         metadata={"seed": ens.seed, "estimator": "boltzmann", "trace": dict(trace)},
-        second_moment=moment,
+        second_moment=total.moment,
     )
 
 
@@ -336,12 +338,15 @@ def semiclassical_characteristic(
     call with that request alone.  Each grid's ``metadata["trace"]`` holds
     what that shared trace did: its total segments, the median, 99th
     percentile and largest bounce count per ray, and its grazing and corner
-    reflections.  A trace whose chunks in flight would not fit in physical
-    memory is refused with InsufficientMemory before it starts.  Errored
-    samples are dropped and counted per request; a request aborts with
-    ExcessiveFailures if more than FAILURE_BUDGET of its samples fail before
-    its last checkpoint, since silent rejection would bias the Boltzmann
-    weighting.
+    reflections.  Each request keeps one running total, and each chunk's sums
+    are added to it in chunk order as the chunk arrives, so the reduction
+    holds one total per request and one arriving chunk's sums, whatever the
+    ensemble size.  A trace whose chunks in flight and those sums would not
+    fit in physical memory is refused with InsufficientMemory before it
+    starts.  Errored samples are dropped and counted per request; a request
+    aborts with ExcessiveFailures if more than FAILURE_BUDGET of its samples
+    fail before its last checkpoint, since silent rejection would bias the
+    Boltzmann weighting.
     """
     requests = list(requests)
     if not requests:
@@ -363,23 +368,37 @@ def semiclassical_characteristic(
     workers = min(workers, len(tasks))
     in_flight = max(workers, 1)  # a worker holds one chunk at a time
     rows = min(chunk_size, len(ens))
-    need = _CHUNK_ARRAYS * 8 * in_flight * rows * times.size
+    # Per request, the total and one arriving chunk's sums: (4, k) sums, and
+    # the (2k, 2k) second moment when it collects covariance.
+    sums_size = sum(
+        4 * req.u_grid.n + ((2 * req.u_grid.n) ** 2 if req.collect_covariance else 0)
+        for req in requests
+    )
+    need = _CHUNK_ARRAYS * 8 * in_flight * rows * times.size + 2 * 8 * sums_size
     have = physical_memory()
     if need > have:
         raise InsufficientMemory(
             f"tracing {in_flight} chunks of {rows} rays at once through {times.size}"
-            f" checkpoint times needs about {need / 1e9:.1f} GB, more than the"
-            f" {have / 1e9:.1f} GB of physical memory"
+            f" checkpoint times and summing {len(requests)} requests needs about"
+            f" {need / 1e9:.1f} GB, more than the {have / 1e9:.1f} GB of physical memory"
         )
+    totals = [_Total(req) for req in requests]
+    counts = []
+
+    def fold(results):
+        for sums, chunk_counts in results:
+            for total, request_sums in zip(totals, sums):
+                total.add(*request_sums)
+            counts.append(chunk_counts)
+
     # Load (and on first use build) the engine before forking, so workers
     # inherit it and never build it at the same time.
     native.load()
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_chunk_phase_sums, tasks)
+            fold(pool.imap(_chunk_phase_sums, tasks))
     else:
-        results = [_chunk_phase_sums(t) for t in tasks]
+        fold(map(_chunk_phase_sums, tasks))
 
-    sums, counts = zip(*results)
     trace = _trace_summary(counts)
-    return [_reduce(ens, req, s, trace) for req, s in zip(requests, zip(*sums))]
+    return [_reduce(ens, req, total, trace) for req, total in zip(requests, totals)]

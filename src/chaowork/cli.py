@@ -412,19 +412,25 @@ def _write_json(path, payload) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Runners: each takes (cfg, out_dir, manifest_hash), writes its files into
-# out_dir and returns {"files": [...]} plus an optional "report".
+# Runners: each takes (cfg, out), computes, writes its data files at
+# out.path(name) under out.hash, and returns None or (report file name,
+# report body).  _execute stamps the body with the manifest hash and writes
+# it, then manifest.json.
 
 
-def _path_in(out_dir: str, files: list):
-    """Path maker for one runner: joins a name onto out_dir and records it."""
+class _Output:
+    """One run's output directory, its manifest hash and the files written so far."""
 
-    def path(name: str) -> str:
-        p = os.path.join(out_dir, name)
-        files.append(p)
+    def __init__(self, directory: str, manifest_hash: str):
+        self.dir = directory
+        self.hash = manifest_hash
+        self.files: list[str] = []
+
+    def path(self, name: str) -> str:
+        """Joins a name onto the directory and records it, in order."""
+        p = os.path.join(self.dir, name)
+        self.files.append(p)
         return p
-
-    return path
 
 
 def _broadening(cfg, plan):
@@ -438,6 +444,13 @@ def _check_inversion(n_u):
         spectra.check_transform_memory(n_u)
     except InsufficientMemory as exc:
         raise InsufficientMemory(f"u_points = {n_u}: {exc}; lower u_points") from None
+
+
+def _plan(cfg, geom, pot, n_u):
+    """The pilot u plan on n_u points, whose inversion is checked to fit in memory."""
+    plan = plan_u_grid(geom, pot, cfg.seed, n_u=n_u, pad_frac=cfg.pad_frac)
+    _check_inversion(plan.n)
+    return plan
 
 
 def _solve_quench(cfg, geom, pot, hbar):
@@ -482,24 +495,20 @@ def _classical_histogram(cfg, geom, pot, plan, beta):
     return sample, hist
 
 
-def run_semiclassical(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
+def run_semiclassical(cfg: RunConfig, out: _Output) -> None:
     """One (beta, hbar): semiclassical G(u) and its inverted work distribution."""
     geom, pot = cfg.geometry(), cfg.potential()
-    plan = plan_u_grid(geom, pot, cfg.seed, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
-    _check_inversion(plan.n)
+    plan = _plan(cfg, geom, pot, cfg.u_points)
     beta = cfg.beta_list[0]
     ens, [grid] = _semiclassical_grids(cfg, geom, pot, [Request(beta, plan, cfg.hbar_list[0])])
     hist = spectra.invert(grid, broadening=_broadening(cfg, plan))
-    files = []
-    path = _path_in(out_dir, files)
     if cfg.dump_ensemble:
-        _write_ensemble_csv(path("ensemble.csv"), ens, beta, manifest_hash)
-    write_characteristic_csv(path("semiclassical_g.csv"), grid, manifest_hash)
-    write_histogram_csv(path("semiclassical_workdist.csv"), hist, manifest_hash)
-    return {"files": files}
+        _write_ensemble_csv(out.path("ensemble.csv"), ens, beta, out.hash)
+    write_characteristic_csv(out.path("semiclassical_g.csv"), grid, out.hash)
+    write_histogram_csv(out.path("semiclassical_workdist.csv"), hist, out.hash)
 
 
-def run_classical(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
+def run_classical(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
     """One beta: classical work sample, its histogram and the free energy."""
     geom, pot = cfg.geometry(), cfg.potential()
     beta = cfg.beta_list[0]
@@ -507,51 +516,38 @@ def run_classical(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
     sample, hist = _classical_histogram(cfg, geom, pot, plan, beta)
     ref = classical.classical_free_energy_difference(geom, pot, beta)
     est, se = analysis.jarzynski_from_samples(sample.values, beta)
-    files = []
-    path = _path_in(out_dir, files)
-    write_histogram_csv(path("classical_workdist.csv"), hist, manifest_hash)
+    write_histogram_csv(out.path("classical_workdist.csv"), hist, out.hash)
     if cfg.dump_ensemble:
-        _write_table(path("work_samples.csv"), manifest_hash, {"w": sample.values})
-    report = {
-        "beta": beta,
-        "delta_f_quadrature": ref,
-        "delta_f_mc": est,
-        "stderr_mc": se,
-        "manifest_sha256": manifest_hash,
-    }
-    _write_json(path("classical_report.json"), report)
-    return {"files": files, "report": report}
+        _write_table(out.path("work_samples.csv"), out.hash, {"w": sample.values})
+    report = {"beta": beta, "delta_f_quadrature": ref, "delta_f_mc": est, "stderr_mc": se}
+    return "classical_report.json", report
 
 
-def run_quantum(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
+def run_quantum(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
     """One (beta, hbar): grid spectra, quantum P(W), G(u) and the free-energy identity."""
     geom, pot = cfg.geometry(), cfg.potential()
     beta, hbar = cfg.beta_list[0], cfg.hbar_list[0]
-    files = []
-    path = _path_in(out_dir, files)
     spec = _solve_quench(cfg, geom, pot, hbar)
     lo, hi = quantum.spike_support(spec, beta, mass_tol=1e-10)
     plan = plan_from_window(lo, hi, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
     # Truncation and aliasing both raise here, before any file is written.
     grid = quantum.quantum_characteristic(spec, beta, plan)
     hist = spectra.invert(grid, broadening=_broadening(cfg, plan))
-    quantum.save_spectra(path("spectra.bin"), spec)
-    files.extend(quantum.export_spectra_csv(out_dir, spec, manifest_hash))
-    write_histogram_csv(path("quantum_workdist.csv"), hist, manifest_hash)
-    write_characteristic_csv(path("quantum_g.csv"), grid, manifest_hash)
+    quantum.save_spectra(out.path("spectra.bin"), spec)
+    out.files.extend(quantum.export_spectra_csv(out.dir, spec, out.hash))
+    write_histogram_csv(out.path("quantum_workdist.csv"), hist, out.hash)
+    write_characteristic_csv(out.path("quantum_g.csv"), grid, out.hash)
     lhs, rhs = quantum.quantum_jarzynski(spec, beta)
     report = {
         "beta": beta,
         "jarzynski_lhs": lhs,
         "jarzynski_rhs": rhs,
         "eigensolve": spec.metadata["eigensolve"],
-        "manifest_sha256": manifest_hash,
     }
-    _write_json(path("quantum_report.json"), report)
-    return {"files": files, "report": report}
+    return "quantum_report.json", report
 
 
-def run_fig4(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
+def run_fig4(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
     """Classical-limit sweep: fixed beta, shrinking hbar, L1 against classical."""
     geom = cfg.geometry()
     pot = cfg.potential()
@@ -560,8 +556,7 @@ def run_fig4(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
     # Distribution-level comparison: a coarse dual grid (work resolution of a
     # few energy units) probes the classical limit rather than the dephasing
     # crossover that dominates at fine u resolution.
-    plan = plan_u_grid(geom, pot, cfg.seed, n_u=_swept(cfg, "u_points", 32), pad_frac=cfg.pad_frac)
-    _check_inversion(plan.n)
+    plan = _plan(cfg, geom, pot, _swept(cfg, "u_points", 32))
 
     _, clhist = _classical_histogram(cfg, geom, pot, plan, beta)
     ens, grids = _semiclassical_grids(cfg, geom, pot, [Request(beta, plan, h) for h in hbars])
@@ -571,34 +566,25 @@ def run_fig4(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
         for hbar, hist in zip(hbars, hists)
     ]
 
-    files = []
-    path = _path_in(out_dir, files)
-    write_histogram_csv(path("classical_workdist.csv"), clhist, manifest_hash)
+    write_histogram_csv(out.path("classical_workdist.csv"), clhist, out.hash)
     if cfg.dump_ensemble:
-        _write_ensemble_csv(path("ensemble.csv"), ens, beta, manifest_hash)
+        _write_ensemble_csv(out.path("ensemble.csv"), ens, beta, out.hash)
     for hbar, grid, hist in zip(hbars, grids, hists):
         tag = _hbar_tag(hbar)
-        write_characteristic_csv(path(f"semiclassical_g_hbar{tag}.csv"), grid, manifest_hash)
-        write_histogram_csv(path(f"semiclassical_workdist_hbar{tag}.csv"), hist, manifest_hash)
+        write_characteristic_csv(out.path(f"semiclassical_g_hbar{tag}.csv"), grid, out.hash)
+        write_histogram_csv(out.path(f"semiclassical_workdist_hbar{tag}.csv"), hist, out.hash)
 
-    report = {
-        "beta": beta,
-        "comparisons": table,
-        "broadening": clhist.broadening,
-        "manifest_sha256": manifest_hash,
-    }
-    _write_json(path("fig4_report.json"), report)
-    return {"files": files, "report": report}
+    report = {"beta": beta, "comparisons": table, "broadening": clhist.broadening}
+    return "fig4_report.json", report
 
 
-def run_fig3(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
+def run_fig3(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
     """Free-energy sweep: quadrature reference vs classical MC vs semiclassical."""
     geom = cfg.geometry()
     pot = cfg.potential()
     betas = _swept(cfg, "beta_list", tuple(2.0**-k for k in range(7, 14)))
     hbar = cfg.hbar_list[0]
-    plan = plan_u_grid(geom, pot, cfg.seed, n_u=_swept(cfg, "u_points", 64), pad_frac=cfg.pad_frac)
-    _check_inversion(plan.n)
+    plan = _plan(cfg, geom, pot, _swept(cfg, "u_points", 64))
 
     # The classical work does not depend on beta, so one sample serves every row.
     sample = classical.sample_classical_work(geom, pot, betas[0], cfg.n_classical, cfg.seed)
@@ -621,13 +607,9 @@ def run_fig3(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
             }
         )
 
-    files = []
-    path = _path_in(out_dir, files)
     columns = {c: [row[c] for row in rows] for c in rows[0]}
-    _write_table(path("jarzynski_sweep.csv"), manifest_hash, columns)
-    report = {"hbar": hbar, "rows": rows, "manifest_sha256": manifest_hash}
-    _write_json(path("fig3_report.json"), report)
-    return {"files": files, "report": report}
+    _write_table(out.path("jarzynski_sweep.csv"), out.hash, columns)
+    return "fig3_report.json", {"hbar": hbar, "rows": rows}
 
 
 _TRUNCATION_CAVEAT = (
@@ -637,7 +619,7 @@ _TRUNCATION_CAVEAT = (
 )
 
 
-def run_fig2(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
+def run_fig2(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
     """Quantum vs semiclassical work distributions across temperatures."""
     geom = cfg.geometry()
     pot = cfg.potential()
@@ -681,23 +663,14 @@ def run_fig2(cfg: RunConfig, out_dir: str, manifest_hash: str) -> dict:
         rows.append(row)
         curves.append(curve)
 
-    files = []
-    path = _path_in(out_dir, files)
-    quantum.save_spectra(path("spectra.bin"), spec)
+    quantum.save_spectra(out.path("spectra.bin"), spec)
     for beta, curve in zip(betas, curves):
         tag = _beta_tag(beta)
         for route, (grid, hist) in curve.items():
-            write_characteristic_csv(path(f"{route}_g_beta{tag}.csv"), grid, manifest_hash)
-            write_histogram_csv(path(f"{route}_workdist_beta{tag}.csv"), hist, manifest_hash)
+            write_characteristic_csv(out.path(f"{route}_g_beta{tag}.csv"), grid, out.hash)
+            write_histogram_csv(out.path(f"{route}_workdist_beta{tag}.csv"), hist, out.hash)
 
-    report = {
-        "hbar": hbar,
-        "rows": rows,
-        "warnings": warnings,
-        "manifest_sha256": manifest_hash,
-    }
-    _write_json(path("fig2_report.json"), report)
-    return {"files": files, "report": report}
+    return "fig2_report.json", {"hbar": hbar, "rows": rows, "warnings": warnings}
 
 
 _SCENARIOS = {"fig2": run_fig2, "fig3": run_fig3, "fig4": run_fig4}
@@ -711,14 +684,19 @@ _COMMANDS = {
 
 
 def _execute(cfg: RunConfig, name: str, runner, out_dir: str) -> dict:
-    """The one run path: manifest, output directory, runner, manifest.json."""
+    """The one run path: manifest, output directory, runner, its report, manifest.json."""
     manifest = config_manifest(cfg, name)
     os.makedirs(out_dir, exist_ok=True)
-    result = runner(cfg, out_dir, manifest["config_sha256"])
-    mp = os.path.join(out_dir, "manifest.json")
-    _write_json(mp, manifest)
-    result["files"].append(mp)
-    return {"out_dir": out_dir, "manifest": manifest, **result}
+    out = _Output(out_dir, manifest["config_sha256"])
+    report = runner(cfg, out)
+    result = {"out_dir": out_dir, "manifest": manifest, "files": out.files}
+    if report is not None:
+        report_name, body = report
+        body["manifest_sha256"] = out.hash
+        _write_json(out.path(report_name), body)
+        result["report"] = body
+    _write_json(out.path("manifest.json"), manifest)
+    return result
 
 
 def run_scenario(cfg: RunConfig, scenario: str) -> dict:

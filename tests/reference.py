@@ -518,7 +518,7 @@ def shell_characteristic(
     columns = np.arange(times.size)
     for m, energy in enumerate(energies):
         qs, ps = sample_shell(geom, float(energy), samples_per_shell, seed, m)
-        [(c, s, c2, s2, ok, fail, _)], _ = _chunk_phase_sums(
+        [((c, s, c2, s2), ok, fail, _)], _ = _chunk_phase_sums(
             (qs, ps, times, geom, pot, max_bounces, [(columns, pot.delta_xi / hbar, False)])
         )
         total_failed += fail

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, printing one PASS/FAIL line each.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the summary lines and
-per-criterion runtimes.  Statistical thresholds were pinned from the
-pre-registered calibration pilot (scripts/pilot_classical_limit.py); runtime
+per-criterion runtimes.  The classical-limit threshold was pinned from the
+production-size run ``chaowork scenario fig4 --seed 20250808``; runtime
 targets assume a multi-core laptop and are reported, not asserted.
 """
 
@@ -45,8 +45,9 @@ from reference import (
 SEED = 20250808
 
 # Criterion 1: upper bound on L1(P_sc, P_classical) at the smallest hbar.
-# Pre-registered pilot at the production sizes measured 0.0238; 0.05 keeps
-# headroom for seed variation while staying at the expected order.
+# `chaowork scenario fig4 --seed 20250808` at the default sizes measures
+# 0.0238; 0.05 keeps headroom for seed variation while staying at the
+# expected order.
 L1_SMALLEST_HBAR_MAX = 0.05
 
 # Criterion 6 basis plan: initial states kept and the thermal-coverage pad

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -155,8 +157,7 @@ class TestSemiclassicalEstimator:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return [fn(t) for t in tasks]
+            imap = map
 
         monkeypatch.setattr(characteristic.multiprocessing, "Pool", SerialPool)
         ens = sampler.sample_ensemble(geom_mod, 600, seed=12345)
@@ -310,11 +311,28 @@ class TestSharedTraces:
             return characteristic._chunk_phase_sums(args)[0]
 
         s_short, s_long = sums([short, long])
-        assert 0 < s_short[5] < s_long[5]
+        assert 0 < s_short[2] < s_long[2]
         for shared, [alone] in ((s_short, sums([short])), (s_long, sums([long]))):
-            assert shared[4:6] == alone[4:6]
-            for a, b in zip(shared[:4], alone[:4]):
-                assert np.array_equal(a, b)
+            assert shared[1:3] == alone[1:3]
+            assert np.array_equal(shared[0], alone[0])
+
+    def test_reduction_holds_one_chunk_at_a_time(self, geom_mod, pot_mod):
+        # Seven covariance requests over 16 chunks: each chunk brings one
+        # (256, 256) moment per request, 3.7 MB in all, so keeping every
+        # chunk's sums until the last one is traced would hold 59 MB.
+        plan = plan_u_grid(geom_mod, pot_mod, seed=12345, n_u=128)
+        requests = [Request(2.0**-k, plan, 1.0, collect_covariance=True) for k in range(7, 14)]
+        ens = sampler.sample_ensemble(geom_mod, 2048, seed=12345)
+        tracemalloc.start()
+        try:
+            grids = semiclassical_characteristic(
+                ens, requests, geom_mod, pot_mod, workers=1, chunk_size=128
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(grids) == 7
+        assert peak < 30e6
 
     def test_bad_request_raises_before_tracing(self, geom_mod, pot_mod, plan, monkeypatch):
         traced = []

@@ -5,6 +5,7 @@ import os
 import platform
 import shutil
 import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -237,6 +238,37 @@ class TestDeterminism:
             assert b1 == b2, f"{p1} differs from {p2}"
 
 
+class TestWorkerCount:
+    def test_outputs_independent_of_worker_count(self, tmp_path):
+        # 9,000 samples are two chunks, so --workers 2 traces them in a pool.
+        cfgp = tmp_path / "c.cfg"
+        cfgp.write_text(tiny_text(n_samples="9000", u_points="16"))
+        path = [os.path.dirname(native.PACKAGE_DIR), *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        for workers in ("1", "2"):
+            for command in (["semiclassical"], ["scenario", "fig3"], ["scenario", "fig4"]):
+                out = tmp_path / f"w{workers}" / command[-1]
+                argv = [*command, "--config", str(cfgp), "--out", str(out), "--workers", workers]
+                proc = subprocess.run(
+                    [sys.executable, "-m", "chaowork.cli", *argv],
+                    env=env,
+                    capture_output=True,
+                    text=True,
+                    timeout=300,
+                )
+                assert proc.returncode == 0, proc.stderr
+        # Only the manifests record the worker count.
+        trees = []
+        for workers in ("1", "2"):
+            root = tmp_path / f"w{workers}"
+            files = [p for p in root.rglob("*") if p.is_file() and p.name != "manifest.json"]
+            trees.append({p.relative_to(root): p.read_bytes() for p in files})
+        assert len(trees[0]) > 10
+        assert trees[0].keys() == trees[1].keys()
+        for name, data in trees[0].items():
+            assert data == trees[1][name], name
+
+
 class TestScenarioFig3:
     def test_semiclassical_estimate_uses_broadening_bins(self, tmp_path):
         rows = {}
@@ -414,6 +446,29 @@ class TestSubcommands:
             for key in ("u_points", "beta_list", "hbar_list", "workers"):
                 assert key in payload["message"]
             assert not any(files for _, _, files in os.walk(out))
+
+    def test_trace_refused_when_covariance_sums_do_not_fit(self, tmp_path, capsys, monkeypatch):
+        # jarzynski collects covariance, so each beta holds a (128, 128)
+        # moment as its total and one as the arriving chunk's.  The machine
+        # has room for the chunk in flight, not for those sums as well.
+        text = tiny_text(beta_list="2^-7,2^-9,2^-11", hbar_list="1.0")
+        cfg = validate_config(text)
+        geom, pot = cfg.geometry(), cfg.potential()
+        plan = plan_u_grid(geom, pot, cfg.seed, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
+        grids = [characteristic._prepare(characteristic.Request(b, plan, 1.0)) for b in cfg.beta_list]
+        times = np.unique(np.concatenate([grid.times for grid in grids]))
+        chunk = characteristic._CHUNK_ARRAYS * 8 * cfg.n_samples * times.size
+        monkeypatch.setattr(characteristic, "physical_memory", lambda: chunk + 1)
+        cfgp = tmp_path / "c.cfg"
+        cfgp.write_text(text)
+        out = tmp_path / "o"
+        rc = self.run_main(["jarzynski", "--config", str(cfgp), "--out", str(out)])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "InsufficientMemory"
+        for key in ("u_points", "workers", "beta_list", "hbar_list"):
+            assert key in payload["message"]
+        assert not any(files for _, _, files in os.walk(out))
 
     def test_state_count_beyond_the_grid_names_its_key(self, tmp_path, capsys, monkeypatch):
         # quantum_h = 0.1 has 155 sites; both counts are checked before either solve.
