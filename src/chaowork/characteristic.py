@@ -27,12 +27,14 @@ request only.  Each request gets the same numbers as a call with that
 request alone.
 
 Each request keeps one running total, and each chunk's sums are added to
-it in chunk order as the chunk arrives, so results are bit-identical for any
-worker count and the reduction holds one chunk's sums at a time.
+it in chunk order, so results are bit-identical for any worker count.  A
+pool has at most two chunks per worker submitted and not yet added, so the
+parent holds that many chunks' sums at most, whatever the ensemble size.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 import multiprocessing
 import os
@@ -50,11 +52,18 @@ from .trajectory import MAX_BOUNCES_DEFAULT
 CHUNK_SIZE = 8192
 PILOT_SAMPLES = 4096
 FAILURE_BUDGET = 1e-3
-# (chunk rows x checkpoint times) float64 arrays one traced chunk can hold at
-# once: the engine's integrals, then one request's phases, cosines, sines and
-# a squared temporary, or the stacked [cos, sin] block with covariance.  The
-# peak measured with tracemalloc on 8,192-row chunks is 5.0 of them, and 7.1
-# with covariance.  The requests' running totals are counted apart from this.
+# Good rows a request without covariance takes its phases for at a time.
+_SUM_ROWS = 1024
+# The most float64 arrays of (rows x checkpoint times) one traced chunk holds
+# at once.  The engine's integrals are one array of the chunk's rows.  A
+# request without covariance adds _BLOCK_ARRAYS of _SUM_ROWS rows (a block's
+# indexed phases, then its cos, sin and their squares); with covariance the
+# chunk holds _CHUNK_ARRAYS of its own rows in all (the integrals, phases,
+# cos, sin, [cos, sin] and a square).  The tracemalloc peak of one chunk at
+# 256 checkpoints is 1.65 arrays of its rows without covariance and 7.0 with
+# it at 8,192 rows, and 6.1 and 7.0 at 1,000 rows.  The requests' running
+# totals are counted apart from this.
+_BLOCK_ARRAYS = 6
 _CHUNK_ARRAYS = 8
 
 
@@ -197,20 +206,49 @@ def _request_sums(integrals, columns, coef, want_cov):
     cos, sin, cos^2 and sin^2 into a (4, k) array, and ``moment`` is the
     second-moment matrix of [cos, sin] when ``want_cov``, else None.  A row is
     good when the ray reached the request's last checkpoint.
+
+    Without covariance the good rows are taken _SUM_ROWS at a time, so the
+    temporaries are five arrays of _SUM_ROWS rows, not of the chunk's; the
+    sums keep the bits of one sum over every good row.  ``v.T @ v`` needs
+    the whole chunk, and summing it in blocks would change its rounding, so
+    a covariance request takes every good row at once.
     """
     failed = np.isnan(integrals[:, columns[-1]])
-    good = ~failed
-    phases = integrals[np.ix_(good, columns)]
-    phases *= coef
-    c = np.cos(phases)
-    s = np.sin(phases)
+    good = np.flatnonzero(~failed)
     if want_cov:
+        phases = integrals[np.ix_(good, columns)]
+        phases *= coef
+        c = np.cos(phases)
+        s = np.sin(phases)
         v = np.concatenate([c, s], axis=1)
-        moment = v.T @ v
-    else:
-        moment = None
-    sums = np.stack([c.sum(axis=0), s.sum(axis=0), (c * c).sum(axis=0), (s * s).sum(axis=0)])
-    return sums, int(good.sum()), int(failed.sum()), moment
+        sums = np.stack([c.sum(axis=0), s.sum(axis=0), (c * c).sum(axis=0), (s * s).sum(axis=0)])
+        return sums, good.size, int(failed.sum()), v.T @ v
+    # Rows 1.. of ``block`` hold one block's cos, sin, cos^2 and sin^2 (the
+    # phases wait in the cos^2 rows until cos and sin are taken), and row 0
+    # the sums of the rows before the block.  sum(axis=0) adds a C-ordered
+    # array's rows in order, so each block continues the one-shot sum.
+    block = np.empty((4, min(good.size, _SUM_ROWS) + 1, columns.size))
+    sums = np.zeros((4, columns.size))
+    for lo in range(0, good.size, _SUM_ROWS):
+        rows = good[lo : lo + _SUM_ROWS]
+        c, s, c2, s2 = block[:, : rows.size + 1]
+        np.multiply(integrals[np.ix_(rows, columns)], coef, out=c2[1:])
+        np.cos(c2[1:], out=c[1:])
+        np.sin(c2[1:], out=s[1:])
+        np.multiply(c[1:], c[1:], out=c2[1:])
+        np.multiply(s[1:], s[1:], out=s2[1:])
+        first = 1 if lo == 0 else 0
+        sums = np.stack([part[first:].sum(axis=0) for part in (c, s, c2, s2)])
+        block[:, 0] = sums
+    return sums, good.size, int(failed.sum()), None
+
+
+def _chunk_bytes(rows: int, n_times: int, covariance: bool) -> int:
+    """The most bytes one traced chunk of ``rows`` rays through ``n_times``
+    checkpoint times holds at once, with or without a covariance request."""
+    if covariance:
+        return 8 * _CHUNK_ARRAYS * rows * n_times
+    return 8 * (rows + _BLOCK_ARRAYS * min(rows, _SUM_ROWS)) * n_times
 
 
 def _chunk_phase_sums(args):
@@ -339,14 +377,15 @@ def semiclassical_characteristic(
     what that shared trace did: its total segments, the median, 99th
     percentile and largest bounce count per ray, and its grazing and corner
     reflections.  Each request keeps one running total, and each chunk's sums
-    are added to it in chunk order as the chunk arrives, so the reduction
-    holds one total per request and one arriving chunk's sums, whatever the
-    ensemble size.  A trace whose chunks in flight and those sums would not
-    fit in physical memory is refused with InsufficientMemory before it
-    starts.  Errored samples are dropped and counted per request; a request
-    aborts with ExcessiveFailures if more than FAILURE_BUDGET of its samples
-    fail before its last checkpoint, since silent rejection would bias the
-    Boltzmann weighting.
+    are added to it in chunk order.  Chunks go to a pool at most 2 x workers
+    ahead of the next one to add, so the reduction holds one total per
+    request and at most that many chunks' sums (one without a pool),
+    whatever the ensemble size.  A trace whose chunks in flight and those
+    sums would not fit in physical memory is refused with InsufficientMemory
+    before it starts.  Errored samples are dropped and counted per request;
+    a request aborts with ExcessiveFailures if more than FAILURE_BUDGET of
+    its samples fail before its last checkpoint, since silent rejection
+    would bias the Boltzmann weighting.
     """
     requests = list(requests)
     if not requests:
@@ -367,14 +406,18 @@ def semiclassical_characteristic(
         tasks.append((ens.qs[lo:hi], ens.z[lo:hi], times, geom, pot, max_bounces, spec))
     workers = min(workers, len(tasks))
     in_flight = max(workers, 1)  # a worker holds one chunk at a time
+    # Chunk results the parent holds until it folds them: up to 2 x workers
+    # taken from the pool in chunk order, or the one chunk just traced.
+    window = 2 * workers if workers > 1 else 1
     rows = min(chunk_size, len(ens))
-    # Per request, the total and one arriving chunk's sums: (4, k) sums, and
+    chunk = _chunk_bytes(rows, times.size, any(req.collect_covariance for req in requests))
+    # Per request, the total and each held chunk's sums: (4, k) sums, and
     # the (2k, 2k) second moment when it collects covariance.
     sums_size = sum(
         4 * req.u_grid.n + ((2 * req.u_grid.n) ** 2 if req.collect_covariance else 0)
         for req in requests
     )
-    need = _CHUNK_ARRAYS * 8 * in_flight * rows * times.size + 2 * 8 * sums_size
+    need = in_flight * chunk + 8 * (1 + window) * sums_size
     have = physical_memory()
     if need > have:
         raise InsufficientMemory(
@@ -385,20 +428,27 @@ def semiclassical_characteristic(
     totals = [_Total(req) for req in requests]
     counts = []
 
-    def fold(results):
-        for sums, chunk_counts in results:
-            for total, request_sums in zip(totals, sums):
-                total.add(*request_sums)
-            counts.append(chunk_counts)
+    def fold(result):
+        sums, chunk_counts = result
+        for total, request_sums in zip(totals, sums):
+            total.add(*request_sums)
+        counts.append(chunk_counts)
 
     # Load (and on first use build) the engine before forking, so workers
     # inherit it and never build it at the same time.
     native.load()
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
-            fold(pool.imap(_chunk_phase_sums, tasks))
+            pending = collections.deque()
+            for task in tasks:
+                if len(pending) == window:
+                    fold(pending.popleft().get())
+                pending.append(pool.apply_async(_chunk_phase_sums, (task,)))
+            while pending:
+                fold(pending.popleft().get())
     else:
-        fold(map(_chunk_phase_sums, tasks))
+        for task in tasks:
+            fold(_chunk_phase_sums(task))
 
     trace = _trace_summary(counts)
     return [_reduce(ens, req, total, trace) for req, total in zip(requests, totals)]

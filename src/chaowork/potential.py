@@ -51,16 +51,38 @@ class QuenchPotential:
         return self.xi_f - self.xi_0
 
 
+_BLOCK_ROWS = 65536
+
+
 def evaluate(pot: QuenchPotential, q) -> float | np.ndarray:
-    """Unit-amplitude signed Gaussian sum V(q); accepts (..., 2) arrays."""
+    """Unit-amplitude signed Gaussian sum V(q); accepts (..., 2) arrays.
+
+    Points are taken _BLOCK_ROWS at a time into one output array, so the
+    (rows, bumps) temporaries stay a few MB whatever the number of points.
+    Each row's value does not depend on the block it is in, except that a
+    block of one row takes another summation order in ``@``; so no block
+    of one row is ever cut off a larger array.
+    """
     q = np.asarray(q, dtype=float)
-    scalar = q.ndim == 1
+    if q.ndim == 1:
+        return float(_bump_sum(pot, q))
+    rows = q.reshape(-1, q.shape[-1])
+    n = rows.shape[0]
+    out = np.empty(n)
+    lo = 0
+    for hi in [*range(_BLOCK_ROWS, n - 1, _BLOCK_ROWS), n]:
+        out[lo:hi] = _bump_sum(pot, rows[lo:hi])
+        lo = hi
+    return out.reshape(q.shape[:-1])
+
+
+def _bump_sum(pot: QuenchPotential, q: np.ndarray):
+    """V at one point (2,) or at each row of an (n, 2) block."""
     dx = q[..., None, 0] - pot.centers[:, 0]
     dy = q[..., None, 1] - pot.centers[:, 1]
     inv = 1.0 / (2.0 * pot.sigma * pot.sigma)
     arg = (dx * dx + dy * dy) * inv
-    vals = np.exp(-arg) @ pot.signs
-    return float(vals) if scalar else vals
+    return np.exp(-arg) @ pot.signs
 
 
 class _SegmentConstants:

@@ -15,6 +15,11 @@ readable paths:
 - ``propagate``/``action_difference``: one phase point through its bounces;
 - ``segment_integral``: one flight segment in closed form, and
   ``_segment_simpson``, the composite quadrature it is checked against;
+- ``evaluate_whole``: V on every point at once, the unblocked formula
+  ``potential.evaluate`` must match bit for bit;
+- ``request_sums``: one request's phase sums over every good row of a
+  chunk at once, the one-shot form ``characteristic._request_sums`` must
+  match bit for bit;
 - ``sample_shell``, ``shell_final_energy_sample`` and
   ``shell_characteristic``: the shell-resolved (microcanonical) estimator,
   a cross-check of the Boltzmann one;
@@ -222,6 +227,33 @@ def action_difference(
     for seg in segments:
         total += segment_integral(pot, seg.start, seg.direction, seg.speed, seg.duration)
     return pot.delta_xi * total
+
+
+def evaluate_whole(pot: QuenchPotential, q) -> np.ndarray:
+    """V at every row of an (n, 2) array in one pass of full-size temporaries."""
+    q = np.asarray(q, dtype=float)
+    dx = q[..., None, 0] - pot.centers[:, 0]
+    dy = q[..., None, 1] - pot.centers[:, 1]
+    inv = 1.0 / (2.0 * pot.sigma * pot.sigma)
+    arg = (dx * dx + dy * dy) * inv
+    return np.exp(-arg) @ pot.signs
+
+
+def request_sums(integrals, columns, coef, want_cov):
+    """(sums, ok, failed, moment) of one request over every good row at once."""
+    failed = np.isnan(integrals[:, columns[-1]])
+    good = ~failed
+    phases = integrals[np.ix_(good, columns)]
+    phases *= coef
+    c = np.cos(phases)
+    s = np.sin(phases)
+    if want_cov:
+        v = np.concatenate([c, s], axis=1)
+        moment = v.T @ v
+    else:
+        moment = None
+    sums = np.stack([c.sum(axis=0), s.sum(axis=0), (c * c).sum(axis=0), (s * s).sum(axis=0)])
+    return sums, int(good.sum()), int(failed.sum()), moment
 
 
 def segment_integral(

@@ -1,9 +1,10 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from chaowork import characteristic, geometry, potential, sampler, trajectory
+from chaowork import characteristic, geometry, native, potential, sampler, trajectory
 from chaowork.characteristic import (
     Request,
     UGridPlan,
@@ -13,7 +14,7 @@ from chaowork.characteristic import (
 )
 from chaowork.potential import QuenchPotential
 
-from reference import shell_characteristic
+from reference import request_sums, shell_characteristic
 
 BETA_COLD = 2.0**-12
 
@@ -38,6 +39,40 @@ def small_grid(geom_mod, pot_mod, plan):
     ens = sampler.sample_ensemble(geom_mod, 1000, seed=12345)
     [g] = semiclassical_characteristic(ens, [Request(BETA_COLD, plan, 1.0)], geom_mod, pot_mod)
     return g
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """characteristic's multiprocessing.Pool replaced by one that runs each
+    task in this process when its result is taken.  The record holds the pool
+    sizes asked for and the most results submitted and not yet taken."""
+    record = SimpleNamespace(processes=[], outstanding=0, most_outstanding=0)
+
+    class Result:
+        def __init__(self, func, args):
+            self.call = lambda: func(*args)
+            record.outstanding += 1
+            record.most_outstanding = max(record.most_outstanding, record.outstanding)
+
+        def get(self):
+            record.outstanding -= 1
+            return self.call()
+
+    class SerialPool:
+        def __init__(self, processes):
+            record.processes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def apply_async(self, func, args):
+            return Result(func, args)
+
+    monkeypatch.setattr(characteristic.multiprocessing, "Pool", SerialPool)
+    return record
 
 
 class TestPlanner:
@@ -144,22 +179,7 @@ class TestSemiclassicalEstimator:
         assert trace["bounce_max"] == counts.bounces.max()
         assert (trace["grazing"], trace["corner"]) == (counts.grazing, counts.corner)
 
-    def test_pool_no_larger_than_chunk_count(self, geom_mod, pot_mod, plan, monkeypatch):
-        asked = []
-
-        class SerialPool:
-            def __init__(self, processes):
-                asked.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            imap = map
-
-        monkeypatch.setattr(characteristic.multiprocessing, "Pool", SerialPool)
+    def test_pool_no_larger_than_chunk_count(self, geom_mod, pot_mod, plan, serial_pool):
         ens = sampler.sample_ensemble(geom_mod, 600, seed=12345)
         req = Request(BETA_COLD, plan, 1.0)
         [g64] = semiclassical_characteristic(
@@ -168,10 +188,25 @@ class TestSemiclassicalEstimator:
         [g1] = semiclassical_characteristic(
             ens, [req], geom_mod, pot_mod, workers=1, chunk_size=256
         )
-        assert asked == [3]
+        assert serial_pool.processes == [3]
         assert np.array_equal(g64.g_values, g1.g_values)
         assert np.array_equal(g64.stderr_re, g1.stderr_re)
         assert np.array_equal(g64.stderr_im, g1.stderr_im)
+
+    def test_pool_results_taken_in_a_window(self, geom_mod, pot_mod, serial_pool):
+        # 24 chunks on 2 workers: a straggler may leave later chunks' results
+        # waiting, but never more than 2 x workers of them.
+        plan = plan_u_grid(geom_mod, pot_mod, seed=12345, n_u=16)
+        ens = sampler.sample_ensemble(geom_mod, 24 * 32, seed=12345)
+        req = Request(BETA_COLD, plan, 1.0, collect_covariance=True)
+        kw = {"chunk_size": 32}
+        [g2] = semiclassical_characteristic(ens, [req], geom_mod, pot_mod, workers=2, **kw)
+        [g1] = semiclassical_characteristic(ens, [req], geom_mod, pot_mod, workers=1, **kw)
+        assert serial_pool.processes == [2]
+        assert serial_pool.most_outstanding == 4
+        assert serial_pool.outstanding == 0
+        assert np.array_equal(g2.g_values, g1.g_values)
+        assert np.array_equal(g2.second_moment, g1.second_moment)
 
     def test_failure_budget_enforced(self, geom_mod, pot_mod, plan):
         ens = sampler.sample_ensemble(geom_mod, 100, seed=5)
@@ -350,3 +385,49 @@ class TestSharedTraces:
         with pytest.raises(TypeError, match="ndarray"):
             semiclassical_characteristic(ens, [good, good, raw], geom_mod, pot_mod)
         assert traced == []
+
+
+class TestChunkSums:
+    """One traced chunk's sums: taken in row blocks with the one-shot bits,
+    in the memory the trace guard counts."""
+
+    def test_sums_match_one_shot_sums(self, rng):
+        rows, times = 2 * characteristic._SUM_ROWS + 517, 40
+        integrals = np.cumsum(rng.standard_normal((rows, times)) * 30.0, axis=1)
+        # Rays that stop early read NaN from their last checkpoint on.
+        for i, j in zip(rng.choice(rows, 61, replace=False), rng.integers(1, times, 61)):
+            integrals[i, j:] = np.nan
+        columns = np.arange(3, times, 2)
+        good = np.count_nonzero(~np.isnan(integrals[:, columns[-1]]))
+        assert good > 2 * characteristic._SUM_ROWS and good % characteristic._SUM_ROWS
+        for want_cov in (False, True):
+            for coef in (0.7, -1.9):
+                got = characteristic._request_sums(integrals.copy(), columns, coef, want_cov)
+                ref = request_sums(integrals.copy(), columns, coef, want_cov)
+                assert got[1:3] == ref[1:3]
+                assert got[0].tobytes() == ref[0].tobytes()
+                if want_cov:
+                    assert got[3].tobytes() == ref[3].tobytes()
+                else:
+                    assert got[3] is None and ref[3] is None
+
+    @pytest.mark.parametrize("covariance", [False, True])
+    def test_chunk_peak_within_the_guard(self, geom_mod, pot_mod, covariance):
+        plan = plan_u_grid(geom_mod, pot_mod, seed=12345, n_u=64)
+        rows = characteristic.CHUNK_SIZE
+        ens = sampler.sample_ensemble(geom_mod, rows, seed=12345)
+        grid = characteristic._prepare(Request(BETA_COLD, plan, 1.0))
+        spec = [(np.arange(plan.n), pot_mod.delta_xi / grid.scale, covariance)]
+        args = (ens.qs, ens.z, grid.times, geom_mod, pot_mod, trajectory.MAX_BOUNCES_DEFAULT, spec)
+        native.load()
+        tracemalloc.start()
+        try:
+            characteristic._chunk_phase_sums(args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        if not covariance:
+            # The engine's integrals and blocks of rows: 5.0 times the
+            # integrals when the phases were taken for the whole chunk.
+            assert peak < 2 * 8 * rows * plan.n
+        assert peak <= characteristic._chunk_bytes(rows, plan.n, covariance)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,18 @@ class TestSampleClassicalWork:
         b = sample_classical_work(geom, pot, 2.0**-12, 50_000, seed=3)
         _, pvalue = stats.ks_2samp(a.values, b.values)
         assert pvalue > 0.001
+
+    def test_million_points_in_bounded_memory(self, geom, pot):
+        # The positions (16 MB), V and W (8 MB each) and blocks of V's
+        # temporaries; 177 MB when V's (n, 4) temporaries were full size.
+        tracemalloc.start()
+        try:
+            s = sample_classical_work(geom, pot, 1.0, 1_000_000, seed=7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert s.n == 1_000_000
+        assert peak < 40e6
 
     def test_momentum_does_not_enter(self, geom, pot):
         s = sample_classical_work(geom, pot, 0.5, 300, seed=4)

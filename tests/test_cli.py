@@ -457,7 +457,7 @@ class TestSubcommands:
         plan = plan_u_grid(geom, pot, cfg.seed, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
         grids = [characteristic._prepare(characteristic.Request(b, plan, 1.0)) for b in cfg.beta_list]
         times = np.unique(np.concatenate([grid.times for grid in grids]))
-        chunk = characteristic._CHUNK_ARRAYS * 8 * cfg.n_samples * times.size
+        chunk = characteristic._chunk_bytes(cfg.n_samples, times.size, True)
         monkeypatch.setattr(characteristic, "physical_memory", lambda: chunk + 1)
         cfgp = tmp_path / "c.cfg"
         cfgp.write_text(text)

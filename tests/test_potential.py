@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from chaowork import potential
 from chaowork.potential import QuenchPotential, evaluate
 
-from reference import _segment_simpson, segment_integral
+from reference import _segment_simpson, evaluate_whole, segment_integral
 
 
 def direct_eval_longdouble(pot, q):
@@ -53,6 +54,25 @@ class TestEvaluate:
         batch = evaluate(pot, qs)
         for i, q in enumerate(qs):
             assert batch[i] == pytest.approx(evaluate(pot, q), rel=1e-14, abs=1e-15)
+
+    @pytest.mark.parametrize("rows", [potential._BLOCK_ROWS + 1, 2 * potential._BLOCK_ROWS + 3])
+    def test_blocks_keep_the_bits_of_one_pass(self, pot, rng, rows):
+        # A one-row tail is never cut off (a one-row ``@`` sums in another
+        # order); two full blocks and a three-row tail are.
+        qs = rng.random((rows, 2)) * [2.0, 1.0]
+        # End on a point whose value alone differs from its value among
+        # others, where this BLAS has one, so a cut one-row tail would show.
+        alone = np.array([evaluate_whole(pot, q[None])[0] for q in qs[:64]])
+        differs = np.flatnonzero(alone != evaluate_whole(pot, qs[:64]))
+        if differs.size:
+            qs[-1] = qs[differs[0]]
+        assert evaluate(pot, qs).tobytes() == evaluate_whole(pot, qs).tobytes()
+
+    def test_stacked_points_keep_their_shape(self, pot, rng):
+        qs = rng.random((3, 5, 2))
+        got = evaluate(pot, qs)
+        assert got.shape == (3, 5)
+        np.testing.assert_allclose(got, evaluate_whole(pot, qs), rtol=1e-15, atol=1e-16)
 
     def test_default_parameters(self, pot):
         np.testing.assert_array_equal(
