@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from . import spectra as spectra_mod
-from .characteristic import CharacteristicGrid
+from .characteristic import CharacteristicGrid, UGridPlan
 from .spectra import GridMismatch, WorkHistogram
 
 
@@ -43,6 +43,19 @@ def jarzynski_from_samples(values, beta: float) -> tuple[float, float]:
     return est, se_mean / (beta * mean)
 
 
+def _jarzynski_kernel(plan: UGridPlan, beta: float) -> tuple[float, np.ndarray]:
+    """(w0, k) with sum_j k_j P(w_j) = <exp(-beta (W - w0))>, w0 the plan's lowest W."""
+    w0 = plan.w_values.min()
+    return w0, np.exp(-beta * (plan.w_values - w0)) * plan.dw
+
+
+def jarzynski_functional(plan: UGridPlan, beta: float, broadening: float) -> np.ndarray:
+    """c with c . [Re G; Im G] the sum ``jarzynski_from_characteristic`` takes
+    at ``beta`` and ``broadening``, known before G (``Request.functional``)."""
+    _, kernel = _jarzynski_kernel(plan, beta)
+    return spectra_mod.functional_coefficients(plan, float(broadening), kernel)
+
+
 def jarzynski_from_characteristic(
     g: CharacteristicGrid, beta: float, broadening: float
 ) -> tuple[float, float]:
@@ -52,17 +65,15 @@ def jarzynski_from_characteristic(
     broadening inflates <exp(-beta W)> by exp((beta eps)^2 / 2) exactly
     (Gaussian convolution), so that factor is divided out.
 
-    The histogram sum is a linear functional of G, so when the grid carries
-    phase second moments the standard error is propagated through the exact
-    covariance; otherwise grid points are treated as independent, which
-    overstates the error.
+    The histogram sum is a linear functional of G.  When ``g`` was estimated
+    for that functional (``jarzynski_functional`` at the same plan, beta and
+    broadening), its standard error is the one propagated here; otherwise
+    grid points are treated as independent, which overstates the error.
     """
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     hist = spectra_mod.invert(g, broadening=broadening)
-    w = hist.w_values
-    w0 = w.min()
-    kernel = np.exp(-beta * (w - w0)) * hist.bin_width
+    w0, kernel = _jarzynski_kernel(g.plan, beta)
     raw = float((kernel * hist.density).sum())
     if raw <= 0.0:
         raise DegenerateMean(f"histogram average of exp(-beta W) = {raw}")
@@ -70,14 +81,10 @@ def jarzynski_from_characteristic(
     mean = raw / bias
     est = w0 - math.log(mean) / beta
 
-    cov = g.quadrature_covariance()
-    if cov is not None:
-        # raw = c . [Re G; Im G] exactly, c the coefficients of the
-        # inversion followed by the kernel sum.
-        coeff = spectra_mod.functional_coefficients(g.plan, hist.broadening, kernel)
-        var_raw = float(coeff @ cov @ coeff)
-        se = math.sqrt(max(var_raw, 0.0)) / bias / (beta * mean)
-        return est, se
+    if g.functional is not None and np.array_equal(
+        g.functional, jarzynski_functional(g.plan, beta, broadening)
+    ):
+        return est, g.functional_stderr / bias / (beta * mean)
 
     var = float(((kernel * hist.error) ** 2).sum()) / bias**2
     return est, math.sqrt(var) / (beta * mean)

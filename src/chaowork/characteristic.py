@@ -13,7 +13,8 @@ work window, and nothing else is accepted as a u grid.  It also owns that
 dual work grid, on which every route's P(W) lives.
 
 ``semiclassical_characteristic`` takes one ensemble and a list of requests
-(beta, u plan, hbar) and traces each ray of the ensemble once for all of
+(beta, u plan, hbar, and optionally one linear functional of G whose
+standard error is wanted) and traces each ray of the ensemble once for all of
 them.  The ensemble holds unit-temperature momenta z, and the Boltzmann
 momenta at beta are c * z with c = sqrt(1/(2 beta)).  Free flight is
 scale-invariant: the ray at c * z reaches at time t the point the ray at z
@@ -52,19 +53,15 @@ from .trajectory import MAX_BOUNCES_DEFAULT
 CHUNK_SIZE = 8192
 PILOT_SAMPLES = 4096
 FAILURE_BUDGET = 1e-3
-# Good rows a request without covariance takes its phases for at a time.
+# Good rows a request takes its phases for at a time.
 _SUM_ROWS = 1024
 # The most float64 arrays of (rows x checkpoint times) one traced chunk holds
-# at once.  The engine's integrals are one array of the chunk's rows.  A
-# request without covariance adds _BLOCK_ARRAYS of _SUM_ROWS rows (a block's
-# indexed phases, then its cos, sin and their squares); with covariance the
-# chunk holds _CHUNK_ARRAYS of its own rows in all (the integrals, phases,
-# cos, sin, [cos, sin] and a square).  The tracemalloc peak of one chunk at
-# 256 checkpoints is 1.65 arrays of its rows without covariance and 7.0 with
-# it at 8,192 rows, and 6.1 and 7.0 at 1,000 rows.  The requests' running
-# totals are counted apart from this.
+# at once: the engine's integrals, one array of the chunk's rows, and
+# _BLOCK_ARRAYS of _SUM_ROWS rows for a request's block (its indexed phases,
+# then its cos, sin and their squares).  The tracemalloc peak of one chunk of
+# 8,192 rows at 256 checkpoints is 1.65 arrays of its rows.  The requests'
+# running totals are counted apart from this.
 _BLOCK_ARRAYS = 6
-_CHUNK_ARRAYS = 8
 
 
 class ExcessiveFailures(RuntimeError):
@@ -114,6 +111,8 @@ class CharacteristicGrid:
 
     stderr_re / stderr_im are standard errors of the real and imaginary
     quadratures; deterministic producers (the quantum oracle) store zeros.
+    They treat the u points as independent; ``functional_stderr``, that of
+    the request's functional c . [Re G; Im G], does not.
     """
 
     plan: UGridPlan
@@ -125,29 +124,12 @@ class CharacteristicGrid:
     beta: float
     n_failed: int = 0
     metadata: dict = field(default_factory=dict)
-    # Optional raw second-moment matrix of the per-sample [cos; sin] phase
-    # vector over the grid, for exact error propagation through
-    # any linear functional of G (see quadrature_covariance).
-    second_moment: np.ndarray | None = None
+    functional: np.ndarray | None = None
+    functional_stderr: float | None = None
 
     @property
     def u_values(self) -> np.ndarray:
         return self.plan.u_values
-
-    def quadrature_covariance(self) -> np.ndarray | None:
-        """Covariance of the stacked estimator mean [Re G; Im G].
-
-        Available only when the estimator collected second moments; lets
-        callers propagate errors exactly through any linear functional of G
-        instead of assuming independent points.
-        """
-        if self.second_moment is None:
-            return None
-        n = self.n_samples
-        m = self.second_moment
-        mu = np.concatenate([self.g_values.real, self.g_values.imag])
-        cov = (m / n - np.outer(mu, mu)) * (n / max(n - 1, 1))
-        return cov / n
 
 
 def plan_u_grid(
@@ -186,68 +168,62 @@ def plan_from_window(
 
 @dataclass(frozen=True)
 class Request:
-    """One G(u) to estimate: beta, a u plan, hbar, covariance flag.
+    """One G(u) to estimate: beta, a u plan, hbar and an optional functional.
 
-    ``collect_covariance`` additionally accumulates the second-moment matrix
-    of the per-sample phase vector (quadratic in the grid size) for exact
-    downstream error bars.
+    ``functional`` is a vector c of length 2 n, the coefficients of Re G(u_k)
+    then those of Im G(u_k).  With it, each sample's f = c . [cos; sin] of
+    its phases is summed with its square, and the grid gets the standard
+    error of c . [Re G; Im G], the sample mean of f.
     """
 
     beta: float
     u_grid: UGridPlan
     hbar: float
-    collect_covariance: bool = False
+    functional: np.ndarray | None = None
 
 
-def _request_sums(integrals, columns, coef, want_cov):
+def _request_sums(integrals, columns, coef, functional):
     """Phase sums of one request over its good rows in a traced chunk.
 
-    Returns (sums, ok, failed, moment): ``sums`` stacks the per-column sums of
-    cos, sin, cos^2 and sin^2 into a (4, k) array, and ``moment`` is the
-    second-moment matrix of [cos, sin] when ``want_cov``, else None.  A row is
-    good when the ray reached the request's last checkpoint.
-
-    Without covariance the good rows are taken _SUM_ROWS at a time, so the
-    temporaries are five arrays of _SUM_ROWS rows, not of the chunk's; the
-    sums keep the bits of one sum over every good row.  ``v.T @ v`` needs
-    the whole chunk, and summing it in blocks would change its rounding, so
-    a covariance request takes every good row at once.
+    Returns (sums, ok, failed, f_sums): ``sums`` stacks the per-column sums
+    of cos, sin, cos^2 and sin^2 into a (4, k) array, and ``f_sums`` is
+    (sum f, sum f^2) of the per-sample f = functional . [cos; sin], or
+    (0.0, 0.0) without a functional.  A row is good when the ray reached the
+    request's last checkpoint.  The good rows are taken _SUM_ROWS at a time,
+    so the temporaries are five arrays of _SUM_ROWS rows, not of the
+    chunk's, and the sums keep the bits of one sum over every good row.
     """
     failed = np.isnan(integrals[:, columns[-1]])
     good = np.flatnonzero(~failed)
-    if want_cov:
-        phases = integrals[np.ix_(good, columns)]
-        phases *= coef
-        c = np.cos(phases)
-        s = np.sin(phases)
-        v = np.concatenate([c, s], axis=1)
-        sums = np.stack([c.sum(axis=0), s.sum(axis=0), (c * c).sum(axis=0), (s * s).sum(axis=0)])
-        return sums, good.size, int(failed.sum()), v.T @ v
+    k = columns.size
+    f_sum = f_sq = 0.0
     # Rows 1.. of ``block`` hold one block's cos, sin, cos^2 and sin^2 (the
     # phases wait in the cos^2 rows until cos and sin are taken), and row 0
     # the sums of the rows before the block.  sum(axis=0) adds a C-ordered
     # array's rows in order, so each block continues the one-shot sum.
-    block = np.empty((4, min(good.size, _SUM_ROWS) + 1, columns.size))
-    sums = np.zeros((4, columns.size))
+    block = np.empty((4, min(good.size, _SUM_ROWS) + 1, k))
+    sums = np.zeros((4, k))
     for lo in range(0, good.size, _SUM_ROWS):
         rows = good[lo : lo + _SUM_ROWS]
         c, s, c2, s2 = block[:, : rows.size + 1]
         np.multiply(integrals[np.ix_(rows, columns)], coef, out=c2[1:])
         np.cos(c2[1:], out=c[1:])
         np.sin(c2[1:], out=s[1:])
+        if functional is not None:
+            f = c[1:] @ functional[:k] + s[1:] @ functional[k:]
+            f_sum += float(f.sum())
+            f_sq += float((f * f).sum())
         np.multiply(c[1:], c[1:], out=c2[1:])
         np.multiply(s[1:], s[1:], out=s2[1:])
         first = 1 if lo == 0 else 0
         sums = np.stack([part[first:].sum(axis=0) for part in (c, s, c2, s2)])
         block[:, 0] = sums
-    return sums, good.size, int(failed.sum()), None
+    return sums, good.size, int(failed.sum()), (f_sum, f_sq)
 
 
-def _chunk_bytes(rows: int, n_times: int, covariance: bool) -> int:
+def _chunk_bytes(rows: int, n_times: int) -> int:
     """The most bytes one traced chunk of ``rows`` rays through ``n_times``
-    checkpoint times holds at once, with or without a covariance request."""
-    if covariance:
-        return 8 * _CHUNK_ARRAYS * rows * n_times
+    checkpoint times holds at once."""
     return 8 * (rows + _BLOCK_ARRAYS * min(rows, _SUM_ROWS)) * n_times
 
 
@@ -257,7 +233,7 @@ def _chunk_phase_sums(args):
     Module-level so worker pools can pickle it.  ``times`` is the ascending
     union of every request's checkpoints on the unit-temperature rays, and
     ``spec`` holds per request (the columns of its own times in ``times``,
-    delta_xi / (hbar * c), want_cov).  Returns the list of their
+    delta_xi / (hbar * c), functional or None).  Returns the list of their
     ``_request_sums`` in the same order, and the chunk's ``TraceCounts``.
     """
     (qs, z, times, geom, pot, max_bounces, spec) = args
@@ -293,6 +269,9 @@ def _prepare(req: Request) -> _Grid:
         raise ValueError(f"hbar must be positive, got {req.hbar}")
     if not isinstance(req.u_grid, UGridPlan):
         raise TypeError(f"u_grid must be a UGridPlan, got {type(req.u_grid).__name__}")
+    c, k = req.functional, req.u_grid.n
+    if c is not None and (np.shape(c) != (2 * k,) or not np.isfinite(c).all()):
+        raise ValueError(f"functional must be {2 * k} finite numbers, got shape {np.shape(c)}")
     return _Grid(req.u_grid.u_values * (req.hbar * scale), scale)
 
 
@@ -300,17 +279,15 @@ class _Total:
     """One request's running sums over the chunks folded so far."""
 
     def __init__(self, req: Request):
-        k = req.u_grid.n
         # Zeros first, so a -0.0 chunk sum still totals +0.0.
-        self.sums = np.zeros((4, k))
-        self.moment = np.zeros((2 * k, 2 * k)) if req.collect_covariance else None
+        self.sums = np.zeros((4, req.u_grid.n))
+        self.f_sums = np.zeros(2)  # sum f, sum f^2
         self.ok = 0
         self.failed = 0
 
-    def add(self, sums, ok, failed, moment):
+    def add(self, sums, ok, failed, f_sums):
         self.sums += sums
-        if self.moment is not None:
-            self.moment += moment
+        self.f_sums += f_sums
         self.ok += ok
         self.failed += failed
 
@@ -342,6 +319,10 @@ def _reduce(ens: ThermalEnsemble, req: Request, total: _Total, trace: dict) -> C
         var_s = np.zeros(k)
     se_c = np.sqrt(var_c / n_ok)
     se_s = np.sqrt(var_s / n_ok)
+    f_stderr = None
+    if req.functional is not None:
+        f_sum, f_sq = total.f_sums
+        f_stderr = math.sqrt(max(f_sq - f_sum * f_sum / n_ok, 0.0) / max(n_ok - 1, 1) / n_ok)
 
     return CharacteristicGrid(
         plan=plan,
@@ -353,7 +334,8 @@ def _reduce(ens: ThermalEnsemble, req: Request, total: _Total, trace: dict) -> C
         beta=float(req.beta),
         n_failed=n_failed,
         metadata={"seed": ens.seed, "estimator": "boltzmann", "trace": dict(trace)},
-        second_moment=total.moment,
+        functional=req.functional,
+        functional_stderr=f_stderr,
     )
 
 
@@ -373,19 +355,22 @@ def semiclassical_characteristic(
     unit-temperature momenta, through the union of all requests' checkpoint
     times, so a time two requests share is filled once; each request reads
     its own columns and gets the same chunks, sums and failure count as a
-    call with that request alone.  Each grid's ``metadata["trace"]`` holds
-    what that shared trace did: its total segments, the median, 99th
-    percentile and largest bounce count per ray, and its grazing and corner
-    reflections.  Each request keeps one running total, and each chunk's sums
-    are added to it in chunk order.  Chunks go to a pool at most 2 x workers
-    ahead of the next one to add, so the reduction holds one total per
-    request and at most that many chunks' sums (one without a pool),
-    whatever the ensemble size.  A trace whose chunks in flight and those
-    sums would not fit in physical memory is refused with InsufficientMemory
-    before it starts.  Errored samples are dropped and counted per request;
-    a request aborts with ExcessiveFailures if more than FAILURE_BUDGET of
-    its samples fail before its last checkpoint, since silent rejection
-    would bias the Boltzmann weighting.
+    call with that request alone.  A request with a ``functional`` c also
+    sums each good sample's f = c . [cos; sin] and f^2 in the same row
+    blocks, and its grid gets ``functional_stderr``; its G and per-point
+    errors are those of the same request without c.  Each grid's
+    ``metadata["trace"]`` holds what that shared trace did: its total
+    segments, the median, 99th percentile and largest bounce count per ray,
+    and its grazing and corner reflections.  Each request keeps one running
+    total, and each chunk's sums are added to it in chunk order.  Chunks go
+    to a pool at most 2 x workers ahead of the next one to add, so the
+    reduction holds one total per request and at most that many chunks'
+    sums (one without a pool), whatever the ensemble size.  A trace whose
+    chunks in flight and those sums would not fit in physical memory is
+    refused with InsufficientMemory before it starts.  Errored samples are
+    dropped and counted per request; a request aborts with ExcessiveFailures
+    if more than FAILURE_BUDGET of its samples fail before its last
+    checkpoint, since silent rejection would bias the Boltzmann weighting.
     """
     requests = list(requests)
     if not requests:
@@ -396,7 +381,7 @@ def semiclassical_characteristic(
         (
             np.searchsorted(times, grid.times),
             pot.delta_xi / (req.hbar * grid.scale),
-            req.collect_covariance,
+            req.functional,
         )
         for req, grid in zip(requests, grids)
     ]
@@ -410,13 +395,9 @@ def semiclassical_characteristic(
     # taken from the pool in chunk order, or the one chunk just traced.
     window = 2 * workers if workers > 1 else 1
     rows = min(chunk_size, len(ens))
-    chunk = _chunk_bytes(rows, times.size, any(req.collect_covariance for req in requests))
-    # Per request, the total and each held chunk's sums: (4, k) sums, and
-    # the (2k, 2k) second moment when it collects covariance.
-    sums_size = sum(
-        4 * req.u_grid.n + ((2 * req.u_grid.n) ** 2 if req.collect_covariance else 0)
-        for req in requests
-    )
+    chunk = _chunk_bytes(rows, times.size)
+    # Per request, the total and each held chunk's (4, k) sums.
+    sums_size = sum(4 * req.u_grid.n for req in requests)
     need = in_flight * chunk + 8 * (1 + window) * sums_size
     have = physical_memory()
     if need > have:

@@ -71,20 +71,21 @@ def _gauss_nodes(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return lo + half * (x + 1.0), half * w
 
 
-def _log_domain_integral(geom: BilliardGeometry, exponent, n: int) -> float:
-    """log of the integral of exp(exponent(q)) over the billiard, n-point tensor quadrature.
+def _log_domain_integrals(geom: BilliardGeometry, pot: QuenchPotential, n: int, scales) -> list:
+    """log of the integral of exp(s V(q)) over the billiard for each s in
+    ``scales``, n-point tensor quadrature with V evaluated once on the nodes.
 
-    The sum is taken as log sum w exp(e - m) + m, with m the largest exponent
+    Each sum is taken as log sum w exp(e - m) + m, with m the largest exponent
     on the nodes, so no term overflows however cold the temperature.
     """
     r, length = geom.r, geom.l
-    parts = []  # (weights along x or rho, exponents on the n x n nodes, weights along y or phi)
+    parts = []  # (weights along x or rho, V on the n x n nodes, weights along y or phi)
     if length > 0.0:
         xs, wx = _gauss_nodes(0.0, length, n)
         ys, wy = _gauss_nodes(0.0, r, n)
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-        parts.append((wx, exponent(pts).reshape(n, n), wy))
+        parts.append((wx, evaluate(pot, pts).reshape(n, n), wy))
     rho, wr = _gauss_nodes(0.0, r, n)
     phi, wp = _gauss_nodes(0.0, 0.5 * math.pi, n)
     grho, gphi = np.meshgrid(rho, phi, indexing="ij")
@@ -92,10 +93,13 @@ def _log_domain_integral(geom: BilliardGeometry, exponent, n: int) -> float:
         [length + grho.ravel() * np.cos(gphi.ravel()), grho.ravel() * np.sin(gphi.ravel())],
         axis=1,
     )
-    parts.append((wr * rho, exponent(pts).reshape(n, n), wp))  # the area element is rho
-    m = max(float(e.max()) for _, e, _ in parts)
-    total = sum(float(wa @ np.exp(e - m) @ wb) for wa, e, wb in parts)
-    return math.log(total) + m
+    parts.append((wr * rho, evaluate(pot, pts).reshape(n, n), wp))  # the area element is rho
+    logs = []
+    for s in scales:
+        exponents = [(wa, s * v, wb) for wa, v, wb in parts]
+        m = max(float(e.max()) for _, e, _ in exponents)
+        logs.append(math.log(sum(float(wa @ np.exp(e - m) @ wb) for wa, e, wb in exponents)) + m)
+    return logs
 
 
 def log_partition_ratio(
@@ -109,16 +113,16 @@ def log_partition_ratio(
 
     Momentum Gaussians cancel, leaving the ratio of position integrals of
     exp(-beta xi V), each taken in log space.  Both integrals are
-    quadratures on the same nodes, so the log ratio is exactly 0 whenever
-    xi_f == xi_0.  Quadrature is refined by doubling the node count until
-    the ratio changes by at most rel_tol, |r_n / r_(n-1) - 1| <= rel_tol.
+    quadratures on the same nodes, on which V is evaluated once, so the log
+    ratio is exactly 0 whenever xi_f == xi_0.  Quadrature is refined by
+    doubling the node count until the ratio changes by at most rel_tol,
+    |r_n / r_(n-1) - 1| <= rel_tol.
     """
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
 
     def log_ratio_at(n: int) -> float:
-        num = _log_domain_integral(geom, lambda q: -beta * pot.xi_f * evaluate(pot, q), n)
-        den = _log_domain_integral(geom, lambda q: -beta * pot.xi_0 * evaluate(pot, q), n)
+        num, den = _log_domain_integrals(geom, pot, n, (-beta * pot.xi_f, -beta * pot.xi_0))
         return num - den
 
     n = 32

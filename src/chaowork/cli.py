@@ -588,9 +588,11 @@ def run_fig3(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
 
     # The classical work does not depend on beta, so one sample serves every row.
     sample = classical.sample_classical_work(geom, pot, betas[0], cfg.n_classical, cfg.seed)
-    requests = [Request(beta, plan, hbar, collect_covariance=True) for beta in betas]
-    _, grids = _semiclassical_grids(cfg, geom, pot, requests)
     eps = _broadening(cfg, plan)
+    requests = [
+        Request(beta, plan, hbar, analysis.jarzynski_functional(plan, beta, eps)) for beta in betas
+    ]
+    _, grids = _semiclassical_grids(cfg, geom, pot, requests)
     rows = []
     for beta, grid in zip(betas, grids):
         ref = classical.classical_free_energy_difference(geom, pot, beta)

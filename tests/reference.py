@@ -19,7 +19,12 @@ readable paths:
   ``potential.evaluate`` must match bit for bit;
 - ``request_sums``: one request's phase sums over every good row of a
   chunk at once, the one-shot form ``characteristic._request_sums`` must
-  match bit for bit;
+  match bit for bit, with the second moment of the phase vectors, from
+  which ``covariance_stderr`` propagates the error of a linear functional
+  of G through the full (2k x 2k) covariance;
+- ``log_partition_ratio_per_integral``: the classical partition ratio with
+  V evaluated anew for each of its two integrals, whose bits the form that
+  evaluates V once per refinement level keeps;
 - ``sample_shell``, ``shell_final_energy_sample`` and
   ``shell_characteristic``: the shell-resolved (microcanonical) estimator,
   a cross-check of the Boltzmann one;
@@ -44,7 +49,7 @@ import numpy as np
 
 from scipy.special import erf
 
-from chaowork import geometry, potential, quantum, sampler
+from chaowork import classical, geometry, potential, quantum, sampler
 from chaowork.characteristic import (
     FAILURE_BUDGET,
     CharacteristicGrid,
@@ -240,7 +245,11 @@ def evaluate_whole(pot: QuenchPotential, q) -> np.ndarray:
 
 
 def request_sums(integrals, columns, coef, want_cov):
-    """(sums, ok, failed, moment) of one request over every good row at once."""
+    """(sums, ok, failed, moment) of one request over every good row at once.
+
+    ``moment`` is the (2k, 2k) second moment v.T @ v of the per-sample phase
+    vectors v = [cos; sin] when ``want_cov``, else None.
+    """
     failed = np.isnan(integrals[:, columns[-1]])
     good = ~failed
     phases = integrals[np.ix_(good, columns)]
@@ -254,6 +263,68 @@ def request_sums(integrals, columns, coef, want_cov):
         moment = None
     sums = np.stack([c.sum(axis=0), s.sum(axis=0), (c * c).sum(axis=0), (s * s).sum(axis=0)])
     return sums, int(good.sum()), int(failed.sum()), moment
+
+
+def covariance_stderr(sums, n: int, moment, functional) -> float:
+    """Standard error of c . [Re G; Im G] through the full phase covariance.
+
+    ``sums`` and ``moment`` are ``request_sums``'s over n good samples; the
+    covariance of the mean [Re G; Im G] is formed from them and contracted
+    with c on both sides, c^T Cov c.
+    """
+    mu = np.concatenate([sums[0], sums[1]]) / n
+    cov = (moment / n - np.outer(mu, mu)) * (n / max(n - 1, 1)) / n
+    return math.sqrt(max(float(functional @ cov @ functional), 0.0))
+
+
+def log_partition_ratio_per_integral(
+    geom: BilliardGeometry,
+    pot: QuenchPotential,
+    beta: float,
+    rel_tol: float = 1e-8,
+    max_nodes: int = 2048,
+) -> float:
+    """log Z(xi_f) / Z(xi_0) with V evaluated afresh for each of the two
+    integrals at every refinement level, the form whose bits
+    ``classical.log_partition_ratio`` keeps while evaluating V once."""
+
+    def log_integral(exponent, n: int) -> float:
+        r, length = geom.r, geom.l
+        parts = []
+        if length > 0.0:
+            xs, wx = classical._gauss_nodes(0.0, length, n)
+            ys, wy = classical._gauss_nodes(0.0, r, n)
+            gx, gy = np.meshgrid(xs, ys, indexing="ij")
+            pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
+            parts.append((wx, exponent(pts).reshape(n, n), wy))
+        rho, wr = classical._gauss_nodes(0.0, r, n)
+        phi, wp = classical._gauss_nodes(0.0, 0.5 * math.pi, n)
+        grho, gphi = np.meshgrid(rho, phi, indexing="ij")
+        pts = np.stack(
+            [length + grho.ravel() * np.cos(gphi.ravel()), grho.ravel() * np.sin(gphi.ravel())],
+            axis=1,
+        )
+        parts.append((wr * rho, exponent(pts).reshape(n, n), wp))
+        m = max(float(e.max()) for _, e, _ in parts)
+        total = sum(float(wa @ np.exp(e - m) @ wb) for wa, e, wb in parts)
+        return math.log(total) + m
+
+    def log_ratio_at(n: int) -> float:
+        num = log_integral(lambda q: -beta * pot.xi_f * potential.evaluate(pot, q), n)
+        den = log_integral(lambda q: -beta * pot.xi_0 * potential.evaluate(pot, q), n)
+        return num - den
+
+    n = 32
+    prev = log_ratio_at(n)
+    while n < max_nodes:
+        n *= 2
+        cur = log_ratio_at(n)
+        if abs(math.expm1(cur - prev)) <= rel_tol:
+            return cur
+        prev = cur
+    raise classical.QuadratureNonConvergence(
+        f"partition ratio did not converge to {rel_tol} by {max_nodes} nodes"
+    )
 
 
 def segment_integral(
@@ -551,7 +622,7 @@ def shell_characteristic(
     for m, energy in enumerate(energies):
         qs, ps = sample_shell(geom, float(energy), samples_per_shell, seed, m)
         [((c, s, c2, s2), ok, fail, _)], _ = _chunk_phase_sums(
-            (qs, ps, times, geom, pot, max_bounces, [(columns, pot.delta_xi / hbar, False)])
+            (qs, ps, times, geom, pot, max_bounces, [(columns, pot.delta_xi / hbar, None)])
         )
         total_failed += fail
         if fail > FAILURE_BUDGET * samples_per_shell:

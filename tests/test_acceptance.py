@@ -132,13 +132,17 @@ def test_criterion_3_semiclassical_jarzynski_trend(geom, pot):
     plan = plan_u_grid(geom, pot, SEED, n_u=64)
     betas = [2.0**-k for k in (7, 9, 11, 13)]
     ens = sampler.sample_ensemble(geom, 90_000, SEED)
-    requests = [Request(beta, plan, 1.0, collect_covariance=True) for beta in betas]
+    eps = 2.0 * plan.dw
+    requests = [
+        Request(beta, plan, 1.0, functional=analysis.jarzynski_functional(plan, beta, eps))
+        for beta in betas
+    ]
     grids = semiclassical_characteristic(ens, requests, geom, pot)
     devs = []
     ses = []
     for beta, g in zip(betas, grids):
         ref = classical.classical_free_energy_difference(geom, pot, beta)
-        est, se = analysis.jarzynski_from_characteristic(g, beta, 2.0 * plan.dw)
+        est, se = analysis.jarzynski_from_characteristic(g, beta, eps)
         devs.append(abs(est - ref))
         ses.append(se)
 

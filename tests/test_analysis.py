@@ -11,6 +11,7 @@ from chaowork.analysis import (
     DegenerateMean,
     jarzynski_from_characteristic,
     jarzynski_from_samples,
+    jarzynski_functional,
     l1_distance,
     l1_distance_error,
 )
@@ -95,22 +96,28 @@ class TestJarzynskiFromCharacteristic:
         est_direct, se_direct = jarzynski_from_samples(w_direct, beta)
         assert abs(est_hist - est_direct) < 3 * math.hypot(se_hist, se_direct) + 1e-3
 
-    def test_covariance_route_matches_histogram_sum(self, geom, pot):
-        # With phase second moments collected, the estimate is assembled as a
-        # linear functional of G; it must equal the plain histogram sum, and
-        # its error must not exceed the independent-bin overestimate.
+    def test_functional_route_matches_histogram_sum(self, geom, pot):
+        # Estimated for the Jarzynski functional, the grid carries the error
+        # of that linear functional of G; the estimate must equal the plain
+        # histogram sum, and its error must not exceed the independent-bin
+        # overestimate.  Another beta's functional is not used.
         beta = 2.0**-9
         plan = characteristic.plan_u_grid(geom, pot, seed=99, n_u=64)
         ens = sampler.sample_ensemble(geom, 4000, seed=99)
-        [g] = characteristic.semiclassical_characteristic(
-            ens, [characteristic.Request(beta, plan, 1.0, collect_covariance=True)], geom, pot
-        )
         eps = 2.0 * plan.dw
-        est_cov, se_cov = jarzynski_from_characteristic(g, beta, eps)
-        plain = dataclasses.replace(g, second_moment=None)
+        c = jarzynski_functional(plan, beta, eps)
+        [g] = characteristic.semiclassical_characteristic(
+            ens, [characteristic.Request(beta, plan, 1.0, functional=c)], geom, pot
+        )
+        est_f, se_f = jarzynski_from_characteristic(g, beta, eps)
+        plain = dataclasses.replace(g, functional=None, functional_stderr=None)
         est_hist, se_hist = jarzynski_from_characteristic(plain, beta, eps)
-        assert est_cov == est_hist
-        assert 0.0 < se_cov < se_hist
+        assert est_f == est_hist
+        assert 0.0 < se_f < se_hist
+        other = 2.0 * beta
+        assert jarzynski_from_characteristic(g, other, eps) == (
+            jarzynski_from_characteristic(plain, other, eps)
+        )
 
     def test_broadening_bias_removed(self):
         # A pure Gaussian work distribution has a closed-form free energy;

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from chaowork import characteristic, geometry, native, potential, sampler, trajectory
+from chaowork import analysis, characteristic, geometry, native, potential, sampler, trajectory
 from chaowork.characteristic import (
     Request,
     UGridPlan,
@@ -14,9 +14,15 @@ from chaowork.characteristic import (
 )
 from chaowork.potential import QuenchPotential
 
-from reference import request_sums, shell_characteristic
+from reference import covariance_stderr, request_sums, shell_characteristic
 
 BETA_COLD = 2.0**-12
+
+
+def jarzynski_request(beta, plan, hbar=1.0):
+    """A request carrying the Jarzynski functional at two bins of broadening."""
+    c = analysis.jarzynski_functional(plan, beta, 2.0 * plan.dw)
+    return Request(beta, plan, hbar, functional=c)
 
 
 @pytest.fixture(scope="module")
@@ -198,7 +204,7 @@ class TestSemiclassicalEstimator:
         # waiting, but never more than 2 x workers of them.
         plan = plan_u_grid(geom_mod, pot_mod, seed=12345, n_u=16)
         ens = sampler.sample_ensemble(geom_mod, 24 * 32, seed=12345)
-        req = Request(BETA_COLD, plan, 1.0, collect_covariance=True)
+        req = jarzynski_request(BETA_COLD, plan)
         kw = {"chunk_size": 32}
         [g2] = semiclassical_characteristic(ens, [req], geom_mod, pot_mod, workers=2, **kw)
         [g1] = semiclassical_characteristic(ens, [req], geom_mod, pot_mod, workers=1, **kw)
@@ -206,7 +212,7 @@ class TestSemiclassicalEstimator:
         assert serial_pool.most_outstanding == 4
         assert serial_pool.outstanding == 0
         assert np.array_equal(g2.g_values, g1.g_values)
-        assert np.array_equal(g2.second_moment, g1.second_moment)
+        assert g2.functional_stderr == g1.functional_stderr
 
     def test_failure_budget_enforced(self, geom_mod, pot_mod, plan):
         ens = sampler.sample_ensemble(geom_mod, 100, seed=5)
@@ -279,14 +285,15 @@ class TestSharedTraces:
     def requests(self, geom_mod, pot_mod):
         plan_a = plan_u_grid(geom_mod, pot_mod, seed=12345, n_u=64)
         plan_b = plan_from_window(-150.0, 120.0, n_u=48)
+        # Requests on plan_a carry a functional, those on plan_b none.
         reqs = [
-            Request(2.0**-k, plan, hbar, collect_covariance=plan is plan_a)
+            (jarzynski_request if plan is plan_a else Request)(2.0**-k, plan, hbar)
             for k in (8, 10, 12)
             for hbar in (0.5, 1.0)
             for plan in (plan_a, plan_b)
         ]
         # Momenta sqrt 2 apart from the others: inside the same trace too.
-        return reqs + [Request(2.0**-11, plan_a, 1.0, collect_covariance=True)]
+        return reqs + [jarzynski_request(2.0**-11, plan_a)]
 
     @pytest.mark.parametrize("workers,chunk_size", [(1, characteristic.CHUNK_SIZE), (2, 256)])
     def test_batch_matches_one_request_calls(
@@ -303,10 +310,12 @@ class TestSharedTraces:
             assert np.array_equal(g.stderr_im, one.stderr_im)
             assert (g.n_samples, g.n_failed) == (one.n_samples, one.n_failed)
             assert (g.beta, g.hbar, g.plan) == (one.beta, one.hbar, one.plan)
-            if req.collect_covariance:
-                assert np.array_equal(g.second_moment, one.second_moment)
+            if req.functional is not None:
+                assert np.array_equal(g.functional, req.functional)
+                assert g.functional_stderr == one.functional_stderr
             else:
-                assert g.second_moment is None and one.second_moment is None
+                assert g.functional is None and one.functional is None
+                assert g.functional_stderr is None and one.functional_stderr is None
 
     def test_one_trace_per_chunk_for_any_beta(self, geom_mod, pot_mod, monkeypatch):
         # fig3-sweep's betas on a 64-point plan: one engine call per chunk,
@@ -341,7 +350,7 @@ class TestSharedTraces:
 
         def sums(requests):
             times = np.unique(np.concatenate(requests))
-            spec = [(np.searchsorted(times, t), pot_mod.delta_xi, False) for t in requests]
+            spec = [(np.searchsorted(times, t), pot_mod.delta_xi, None) for t in requests]
             args = (ens.qs, ens.momenta(2.0**-8), times, geom_mod, pot_mod, 2, spec)
             return characteristic._chunk_phase_sums(args)[0]
 
@@ -352,22 +361,23 @@ class TestSharedTraces:
             assert np.array_equal(shared[0], alone[0])
 
     def test_reduction_holds_one_chunk_at_a_time(self, geom_mod, pot_mod):
-        # Seven covariance requests over 16 chunks: each chunk brings one
-        # (256, 256) moment per request, 3.7 MB in all, so keeping every
-        # chunk's sums until the last one is traced would hold 59 MB.
+        # Seven requests with a functional over 128 chunks: each chunk brings
+        # (4, 128) sums per request, 3.7 MB over all chunks.  The fold peaks
+        # at 0.5 MB (1.6 MB in a fresh process); keeping every chunk's sums
+        # until the last one is traced peaks at 4.3 MB.
         plan = plan_u_grid(geom_mod, pot_mod, seed=12345, n_u=128)
-        requests = [Request(2.0**-k, plan, 1.0, collect_covariance=True) for k in range(7, 14)]
+        requests = [jarzynski_request(2.0**-k, plan) for k in range(7, 14)]
         ens = sampler.sample_ensemble(geom_mod, 2048, seed=12345)
         tracemalloc.start()
         try:
             grids = semiclassical_characteristic(
-                ens, requests, geom_mod, pot_mod, workers=1, chunk_size=128
+                ens, requests, geom_mod, pot_mod, workers=1, chunk_size=16
             )
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(grids) == 7
-        assert peak < 30e6
+        assert peak < 3e6
 
     def test_bad_request_raises_before_tracing(self, geom_mod, pot_mod, plan, monkeypatch):
         traced = []
@@ -378,7 +388,14 @@ class TestSharedTraces:
         )
         ens = sampler.sample_ensemble(geom_mod, 50, seed=6)
         good = Request(1.0, plan, 1.0)
-        for bad in (Request(0.0, plan, 1.0), Request(1.0, plan, 0.0)):
+        short = np.ones(plan.n)  # the cos coefficients only
+        nan = np.full(2 * plan.n, np.nan)
+        for bad in (
+            Request(0.0, plan, 1.0),
+            Request(1.0, plan, 0.0),
+            Request(1.0, plan, 1.0, functional=short),
+            Request(1.0, plan, 1.0, functional=nan),
+        ):
             with pytest.raises(ValueError):
                 semiclassical_characteristic(ens, [good, good, bad], geom_mod, pot_mod)
         raw = Request(1.0, plan.u_values, 1.0)
@@ -400,24 +417,30 @@ class TestChunkSums:
         columns = np.arange(3, times, 2)
         good = np.count_nonzero(~np.isnan(integrals[:, columns[-1]]))
         assert good > 2 * characteristic._SUM_ROWS and good % characteristic._SUM_ROWS
-        for want_cov in (False, True):
+        c = rng.standard_normal(2 * columns.size)
+        for functional in (None, c):
             for coef in (0.7, -1.9):
-                got = characteristic._request_sums(integrals.copy(), columns, coef, want_cov)
-                ref = request_sums(integrals.copy(), columns, coef, want_cov)
+                got = characteristic._request_sums(integrals.copy(), columns, coef, functional)
+                ref = request_sums(integrals.copy(), columns, coef, True)
                 assert got[1:3] == ref[1:3]
                 assert got[0].tobytes() == ref[0].tobytes()
-                if want_cov:
-                    assert got[3].tobytes() == ref[3].tobytes()
-                else:
-                    assert got[3] is None and ref[3] is None
+                if functional is None:
+                    assert got[3] == (0.0, 0.0)
+                    continue
+                # sum f = c . sum v and sum f^2 = c^T (v^T v) c for v = [cos; sin].
+                f_sum, f_sq = got[3]
+                assert f_sum == pytest.approx(c @ np.concatenate(ref[0][:2]), rel=1e-12)
+                assert f_sq == pytest.approx(c @ ref[3] @ c, rel=1e-12)
 
-    @pytest.mark.parametrize("covariance", [False, True])
-    def test_chunk_peak_within_the_guard(self, geom_mod, pot_mod, covariance):
+    @pytest.mark.parametrize("functional", [False, True])
+    def test_chunk_peak_within_the_guard(self, geom_mod, pot_mod, functional):
         plan = plan_u_grid(geom_mod, pot_mod, seed=12345, n_u=64)
         rows = characteristic.CHUNK_SIZE
         ens = sampler.sample_ensemble(geom_mod, rows, seed=12345)
-        grid = characteristic._prepare(Request(BETA_COLD, plan, 1.0))
-        spec = [(np.arange(plan.n), pot_mod.delta_xi / grid.scale, covariance)]
+        req = jarzynski_request(BETA_COLD, plan)
+        grid = characteristic._prepare(req)
+        c = req.functional if functional else None
+        spec = [(np.arange(plan.n), pot_mod.delta_xi / grid.scale, c)]
         args = (ens.qs, ens.z, grid.times, geom_mod, pot_mod, trajectory.MAX_BOUNCES_DEFAULT, spec)
         native.load()
         tracemalloc.start()
@@ -426,8 +449,47 @@ class TestChunkSums:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        if not covariance:
-            # The engine's integrals and blocks of rows: 5.0 times the
-            # integrals when the phases were taken for the whole chunk.
-            assert peak < 2 * 8 * rows * plan.n
-        assert peak <= characteristic._chunk_bytes(rows, plan.n, covariance)
+        # The engine's integrals and blocks of rows: 5.0 times the integrals
+        # when the phases were taken for the whole chunk, and 7.0 with the
+        # second moment of the phases.
+        assert peak < 2 * 8 * rows * plan.n
+        assert peak <= characteristic._chunk_bytes(rows, plan.n)
+
+
+class TestFunctionalError:
+    """The standard error of a request's functional, from two running sums,
+    against the full phase covariance contracted with it."""
+
+    @pytest.mark.parametrize("beta", [2.0**-8, BETA_COLD])
+    def test_matches_the_covariance_oracle(self, geom_mod, pot_mod, beta, monkeypatch):
+        plan = plan_u_grid(geom_mod, pot_mod, seed=12345, n_u=64)
+        req = jarzynski_request(beta, plan)
+        rows = 3 * characteristic._SUM_ROWS + 300
+        ens = sampler.sample_ensemble(geom_mod, rows, seed=23)
+        # Three rays stop early, inside the failure budget: 3,369 good rows.
+        lost = [5, 1500, 3000]
+        engine = characteristic.trajectory.checkpoint_action_integrals
+
+        def lossy(qs, *rest):
+            integrals, failed, counts = engine(qs, *rest)
+            for i in lost:
+                at = np.flatnonzero(np.all(qs == ens.qs[i], axis=1))
+                integrals[at, 40:] = np.nan
+            return integrals, failed, counts
+
+        monkeypatch.setattr(characteristic.trajectory, "checkpoint_action_integrals", lossy)
+        kw = {"chunk_size": characteristic._SUM_ROWS}
+        [g1] = semiclassical_characteristic(ens, [req], geom_mod, pot_mod, workers=1, **kw)
+        [g2] = semiclassical_characteristic(ens, [req], geom_mod, pot_mod, workers=2, **kw)
+        assert g1.n_samples == rows - len(lost) and g1.n_samples % characteristic._SUM_ROWS
+
+        grid = characteristic._prepare(req)
+        integrals, _, _ = lossy(
+            ens.qs, ens.z, grid.times, geom_mod, pot_mod, trajectory.MAX_BOUNCES_DEFAULT
+        )
+        coef = pot_mod.delta_xi / (req.hbar * grid.scale)
+        sums, ok, _, moment = request_sums(integrals, np.arange(plan.n), coef, True)
+        expected = covariance_stderr(sums, ok, moment, req.functional)
+        assert g1.functional_stderr == pytest.approx(expected, rel=1e-9, abs=0.0)
+        assert g2.functional_stderr == g1.functional_stderr
+        assert 0.0 < g1.functional_stderr

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from chaowork import classical, geometry, sampler
+from chaowork import classical, geometry, potential, sampler
 from chaowork.classical import (
     classical_free_energy_difference,
     log_partition_ratio,
@@ -16,6 +16,7 @@ from chaowork.potential import QuenchPotential, evaluate
 from reference import (
     area,
     density_of_states,
+    log_partition_ratio_per_integral,
     potential_extrema,
     sample_shell,
     shell_final_energy_sample,
@@ -88,6 +89,27 @@ class TestPartitionRatio:
         # xi_0 != 0 divides by its own integral on the same nodes.
         pot = QuenchPotential(xi_f=20.0, xi_0=20.0)
         assert log_partition_ratio(geom, pot, 0.01) == 0.0
+
+    @pytest.mark.parametrize("beta", [2.0**-8, 8.0])
+    def test_one_evaluation_of_v_per_level(self, geom, pot, beta, monkeypatch):
+        # Numerator and denominator share the nodes, so V is evaluated once
+        # per piece of the domain and level, where the reference evaluates
+        # it for each integral; the ratio keeps the reference's bits.
+        def counted(record, evaluate):
+            def wrapped(p, q):
+                record.append(len(q))
+                return evaluate(p, q)
+
+            return wrapped
+
+        once, twice = [], []
+        monkeypatch.setattr(classical, "evaluate", counted(once, classical.evaluate))
+        monkeypatch.setattr(potential, "evaluate", counted(twice, potential.evaluate))
+        got = classical_free_energy_difference(geom, pot, beta)
+        ref = -log_partition_ratio_per_integral(geom, pot, beta) / beta
+        assert got.hex() == ref.hex()
+        assert len(twice) == 2 * len(once) and sum(twice) == 2 * sum(once)
+        assert len(once) % 2 == 0 and len(once) >= 4  # rectangle and disk per level
 
     def test_nonconvergence_is_loud(self, geom, pot):
         with pytest.raises(classical.QuadratureNonConvergence):

@@ -447,17 +447,17 @@ class TestSubcommands:
                 assert key in payload["message"]
             assert not any(files for _, _, files in os.walk(out))
 
-    def test_trace_refused_when_covariance_sums_do_not_fit(self, tmp_path, capsys, monkeypatch):
-        # jarzynski collects covariance, so each beta holds a (128, 128)
-        # moment as its total and one as the arriving chunk's.  The machine
-        # has room for the chunk in flight, not for those sums as well.
+    def test_trace_refused_when_sums_do_not_fit(self, tmp_path, capsys, monkeypatch):
+        # Each beta of jarzynski holds (4, 64) sums as its total and as the
+        # arriving chunk's.  The machine has room for the chunk in flight,
+        # not for those sums as well.
         text = tiny_text(beta_list="2^-7,2^-9,2^-11", hbar_list="1.0")
         cfg = validate_config(text)
         geom, pot = cfg.geometry(), cfg.potential()
         plan = plan_u_grid(geom, pot, cfg.seed, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
         grids = [characteristic._prepare(characteristic.Request(b, plan, 1.0)) for b in cfg.beta_list]
         times = np.unique(np.concatenate([grid.times for grid in grids]))
-        chunk = characteristic._chunk_bytes(cfg.n_samples, times.size, True)
+        chunk = characteristic._chunk_bytes(cfg.n_samples, times.size)
         monkeypatch.setattr(characteristic, "physical_memory", lambda: chunk + 1)
         cfgp = tmp_path / "c.cfg"
         cfgp.write_text(text)
