@@ -1,10 +1,11 @@
 """Cross-method comparisons and fluctuation-theorem estimators.
 
 Free-energy estimates come either from raw work samples (classical route)
-or from an inverted characteristic grid (semiclassical route, where the work
-variable only exists after Fourier inversion).  All distribution distances
-are taken on a shared W grid with shared broadening; no resampling between
-grids, which would be a silent source of spurious distance.
+or from a characteristic grid (semiclassical route), where the histogram
+average of exp(-beta W) is one linear functional of G, c . [Re G; Im G], that
+the grid was estimated for.  All distribution distances are taken on a shared
+W grid with shared broadening; no resampling between grids, which would be a
+silent source of spurious distance.
 """
 
 from __future__ import annotations
@@ -43,51 +44,39 @@ def jarzynski_from_samples(values, beta: float) -> tuple[float, float]:
     return est, se_mean / (beta * mean)
 
 
-def _jarzynski_kernel(plan: UGridPlan, beta: float) -> tuple[float, np.ndarray]:
-    """(w0, k) with sum_j k_j P(w_j) = <exp(-beta (W - w0))>, w0 the plan's lowest W."""
-    w0 = plan.w_values.min()
-    return w0, np.exp(-beta * (plan.w_values - w0)) * plan.dw
-
-
 def jarzynski_functional(plan: UGridPlan, beta: float, broadening: float) -> np.ndarray:
-    """c with c . [Re G; Im G] the sum ``jarzynski_from_characteristic`` takes
-    at ``beta`` and ``broadening``, known before G (``Request.functional``)."""
-    _, kernel = _jarzynski_kernel(plan, beta)
+    """c with c . [Re G; Im G] = <exp(-beta (W - w0))> over ``spectra.invert``'s
+    histogram of G at ``broadening``, w0 the plan's lowest W (``Request.functional``)."""
+    w0 = plan.w_values.min()
+    kernel = np.exp(-beta * (plan.w_values - w0)) * plan.dw
     return spectra_mod.functional_coefficients(plan, float(broadening), kernel)
 
 
 def jarzynski_from_characteristic(
     g: CharacteristicGrid, beta: float, broadening: float
 ) -> tuple[float, float]:
-    """Free-energy estimate from the work histogram that ``g`` inverts to.
+    """Free-energy estimate from a grid estimated for ``jarzynski_functional``.
 
-    The grid is inverted here with Gaussian width ``broadening``.  The
+    The histogram average is c . [Re G; Im G], with c = ``g.functional``
+    and its error ``g.functional_stderr``; G is not inverted.  The
     broadening inflates <exp(-beta W)> by exp((beta eps)^2 / 2) exactly
-    (Gaussian convolution), so that factor is divided out.
-
-    The histogram sum is a linear functional of G.  When ``g`` was estimated
-    for that functional (``jarzynski_functional`` at the same plan, beta and
-    broadening), its standard error is the one propagated here; otherwise
-    grid points are treated as independent, which overstates the error.
+    (Gaussian convolution), so that factor is divided out.  A grid without a
+    functional or estimated at another beta raises ValueError.
     """
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
-    hist = spectra_mod.invert(g, broadening=broadening)
-    w0, kernel = _jarzynski_kernel(g.plan, beta)
-    raw = float((kernel * hist.density).sum())
+    if g.functional is None:
+        raise ValueError("the grid was estimated without a functional")
+    if beta != g.beta:
+        raise ValueError(f"the grid's functional is for beta = {g.beta}, not {beta}")
+    spectra_mod.check_aliasing(g, broadening)
+    raw = float(g.functional @ np.concatenate([g.g_values.real, g.g_values.imag]))
     if raw <= 0.0:
         raise DegenerateMean(f"histogram average of exp(-beta W) = {raw}")
-    bias = math.exp(0.5 * (beta * hist.broadening) ** 2)
+    bias = math.exp(0.5 * (beta * float(broadening)) ** 2)
     mean = raw / bias
-    est = w0 - math.log(mean) / beta
-
-    if g.functional is not None and np.array_equal(
-        g.functional, jarzynski_functional(g.plan, beta, broadening)
-    ):
-        return est, g.functional_stderr / bias / (beta * mean)
-
-    var = float(((kernel * hist.error) ** 2).sum()) / bias**2
-    return est, math.sqrt(var) / (beta * mean)
+    est = g.plan.w_values.min() - math.log(mean) / beta
+    return est, g.functional_stderr / bias / (beta * mean)
 
 
 def l1_distance(a: WorkHistogram, b: WorkHistogram) -> float:

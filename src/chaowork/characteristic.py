@@ -112,7 +112,7 @@ class CharacteristicGrid:
     stderr_re / stderr_im are standard errors of the real and imaginary
     quadratures; deterministic producers (the quantum oracle) store zeros.
     They treat the u points as independent; ``functional_stderr``, that of
-    the request's functional c . [Re G; Im G], does not.
+    the request's functional c . [Re G; Im G] (the free energy's), does not.
     """
 
     plan: UGridPlan

@@ -62,6 +62,8 @@ def _parse_number(token: str) -> float:
     token = token.strip()
     if "^" in token:
         base, _, exp = token.partition("^")
+        if float(base) == 0.0 and int(exp) < 0:
+            raise ValueError(f"0 has no negative power: {token!r}")
         return float(base) ** int(exp)
     return float(token)
 
@@ -374,7 +376,7 @@ def read_histogram_csv(path) -> WorkHistogram:
     """A histogram written by ``write_histogram_csv``, with its sidecar.
 
     Every data row must be three numeric fields; ValueError names the file
-    and line of the first that is not.
+    and line of the first that is not, or the sidecar and its parse error or missing key.
     """
     rows = []
     with open(path) as fh:
@@ -392,8 +394,15 @@ def read_histogram_csv(path) -> WorkHistogram:
     if not rows:
         raise ValueError(f"{path}: no histogram rows")
     arr = np.asarray(rows)
-    with open(str(path) + ".meta.json") as fh:
-        meta = json.load(fh)
+    meta_path = f"{path}.meta.json"
+    with open(meta_path) as fh:
+        try:
+            meta = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{meta_path}: {exc}") from None
+    for key in ("bin_width", "broadening", "total_mass"):
+        if key not in (meta if isinstance(meta, dict) else {}):
+            raise ValueError(f"{meta_path}: needs a JSON object with {key!r}")
     return WorkHistogram(
         w_values=arr[:, 0],
         density=arr[:, 1],

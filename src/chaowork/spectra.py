@@ -11,8 +11,8 @@ bin.  ``_transform`` holds the one-sided inverse transform, which ``invert``
 applies to G and ``functional_coefficients`` to a linear functional of P.
 Monte Carlo samples are binned on the same bins by ``bin_spikes``.
 
-Statistical errors are propagated from the per-u standard errors through the
-linear transform, treating grid points as independent.
+A histogram's errors treat the u points as independent; a free energy is
+c . G for the c of ``functional_coefficients``, with that functional's error.
 """
 
 from __future__ import annotations
@@ -55,14 +55,6 @@ class WorkHistogram:
     imag_residue: float = 0.0
     metadata: dict = field(default_factory=dict)
 
-    @property
-    def w_min(self) -> float:
-        return float(self.w_values[0] - 0.5 * self.bin_width)
-
-    @property
-    def w_max(self) -> float:
-        return float(self.w_values[-1] + 0.5 * self.bin_width)
-
     def mean(self) -> float:
         return float((self.w_values * self.density).sum() * self.bin_width)
 
@@ -100,23 +92,14 @@ def _transform(plan: UGridPlan, eps: float):
     return damp, plan.du / (2.0 * math.pi), cosm, np.sin(phase, out=phase)
 
 
-def invert(g: CharacteristicGrid, broadening: float) -> WorkHistogram:
-    """Discrete inverse transform of G(u) onto its plan's W grid.
-
-    ``broadening`` is the Gaussian smoothing width eps; eps = 0 disables
-    smoothing.  Raises AliasingSuspect when the integrand still carries
-    weight above ALIAS_TOLERANCE at u_max.
-    """
-    vals, se_re, se_im = g.g_values, g.stderr_re, g.stderr_im
+def check_aliasing(g: CharacteristicGrid, broadening: float) -> tuple[float, float]:
+    """(|G(u_max)|, its broadened value); AliasingSuspect when the latter
+    exceeds ALIAS_TOLERANCE, as the work window is then too narrow."""
     eps = float(broadening)
     if eps < 0.0:
         raise ValueError("broadening must be nonnegative")
-    b, scale, cosm, sinm = _transform(g.plan, eps)
-    cosm, sinm = cosm[1:], sinm[1:]
-    gb = vals * b
-
-    tail_raw = abs(vals[-1])
-    tail = abs(gb[-1])
+    tail_raw = abs(g.g_values[-1])
+    tail = abs(g.g_values[-1] * np.exp(-0.5 * (eps * g.plan.u_values[-1]) ** 2))
     if tail_raw > ALIAS_TOLERANCE:
         logger.debug(
             "raw |G(u_max)| = %.3f (a work atom keeps it finite; the broadened "
@@ -127,6 +110,22 @@ def invert(g: CharacteristicGrid, broadening: float) -> WorkHistogram:
         raise AliasingSuspect(
             f"|G(u_max)| = {tail:.3g} after broadening; widen the work window"
         )
+    return tail_raw, tail
+
+
+def invert(g: CharacteristicGrid, broadening: float) -> WorkHistogram:
+    """Discrete inverse transform of G(u) onto its plan's W grid.
+
+    ``broadening`` is the Gaussian smoothing width eps; eps = 0 disables
+    smoothing.  Raises AliasingSuspect when the broadened G still carries
+    weight above ALIAS_TOLERANCE at u_max (``check_aliasing``).
+    """
+    vals, se_re, se_im = g.g_values, g.stderr_re, g.stderr_im
+    eps = float(broadening)
+    tail_raw, tail = check_aliasing(g, eps)
+    b, scale, cosm, sinm = _transform(g.plan, eps)
+    cosm, sinm = cosm[1:], sinm[1:]
+    gb = vals * b
 
     density = scale * (gb[0].real + 2.0 * (gb[1:].real @ cosm + gb[1:].imag @ sinm))
 

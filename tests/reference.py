@@ -22,6 +22,9 @@ readable paths:
   match bit for bit, with the second moment of the phase vectors, from
   which ``covariance_stderr`` propagates the error of a linear functional
   of G through the full (2k x 2k) covariance;
+- ``jarzynski_histogram_sum``: the free energy summed over ``invert``'s
+  histogram of G, with the error of independent bins, which the estimate
+  c . G must equal and whose error the functional's must not exceed;
 - ``log_partition_ratio_per_integral``: the classical partition ratio with
   V evaluated anew for each of its two integrals, whose bits the form that
   evaluates V once per refinement level keeps;
@@ -49,7 +52,7 @@ import numpy as np
 
 from scipy.special import erf
 
-from chaowork import classical, geometry, potential, quantum, sampler
+from chaowork import classical, geometry, potential, quantum, sampler, spectra
 from chaowork.characteristic import (
     FAILURE_BUDGET,
     CharacteristicGrid,
@@ -275,6 +278,22 @@ def covariance_stderr(sums, n: int, moment, functional) -> float:
     mu = np.concatenate([sums[0], sums[1]]) / n
     cov = (moment / n - np.outer(mu, mu)) * (n / max(n - 1, 1)) / n
     return math.sqrt(max(float(functional @ cov @ functional), 0.0))
+
+
+def jarzynski_histogram_sum(g: CharacteristicGrid, beta: float, broadening: float):
+    """(estimate, stderr) of Delta F from the kernel sum over the inverted G.
+
+    The histogram average of exp(-beta (W - w0)), w0 the lowest W, loses
+    the Gaussian broadening's exp((beta eps)^2 / 2); the error treats the
+    bins as independent, which overstates it.
+    """
+    hist = spectra.invert(g, broadening)
+    w0 = g.plan.w_values.min()
+    kernel = np.exp(-beta * (g.plan.w_values - w0)) * g.plan.dw
+    bias = math.exp(0.5 * (beta * hist.broadening) ** 2)
+    mean = float((kernel * hist.density).sum()) / bias
+    se = math.sqrt(float(((kernel * hist.error) ** 2).sum())) / bias
+    return w0 - math.log(mean) / beta, se / (beta * mean)
 
 
 def log_partition_ratio_per_integral(

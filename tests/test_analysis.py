@@ -16,7 +16,9 @@ from chaowork.analysis import (
     l1_distance_error,
 )
 from chaowork.characteristic import plan_from_window
-from chaowork.spectra import GridMismatch, bin_spikes
+from chaowork.spectra import AliasingSuspect, GridMismatch, bin_spikes
+
+from reference import jarzynski_histogram_sum
 
 
 def histogram_from_values(values, w_lo, w_hi, n_u=64, eps_bins=2.0):
@@ -62,8 +64,9 @@ class TestJarzynskiFromSamples:
             jarzynski_from_samples(np.array([]), 1.0)
 
 
-def exact_grid(plan, g_values):
-    """A noise-free characteristic grid on a plan."""
+def exact_grid(plan, g_values, beta, eps):
+    """A noise-free characteristic grid on a plan, carrying the Jarzynski
+    functional at beta and broadening eps."""
     return characteristic.CharacteristicGrid(
         plan=plan,
         g_values=np.asarray(g_values, dtype=complex),
@@ -71,14 +74,16 @@ def exact_grid(plan, g_values):
         stderr_im=np.zeros(plan.n),
         n_samples=0,
         hbar=1.0,
-        beta=1.0,
+        beta=beta,
+        functional=jarzynski_functional(plan, beta, eps),
+        functional_stderr=0.0,
     )
 
 
 class TestJarzynskiFromCharacteristic:
     def test_unit_g_gives_zero(self):
         plan = plan_from_window(-8.0, 8.0, n_u=64)
-        g = exact_grid(plan, np.ones(plan.n))
+        g = exact_grid(plan, np.ones(plan.n), 0.05, 2.0 * plan.dw)
         est, _ = jarzynski_from_characteristic(g, beta=0.05, broadening=2.0 * plan.dw)
         assert est == pytest.approx(0.0, abs=1e-8)
 
@@ -88,8 +93,9 @@ class TestJarzynskiFromCharacteristic:
         beta = 2.0**-10
         ens = sampler.sample_ensemble(geom, 30_000, seed=21)
         plan = characteristic.plan_u_grid(geom, pot, seed=21, n_u=512)
+        c = jarzynski_functional(plan, beta, 2.0 * plan.dw)
         [g] = characteristic.semiclassical_characteristic(
-            ens, [characteristic.Request(beta, plan, 0.02)], geom, pot
+            ens, [characteristic.Request(beta, plan, 0.02, functional=c)], geom, pot
         )
         est_hist, se_hist = jarzynski_from_characteristic(g, beta, 2.0 * plan.dw)
         w_direct = pot.delta_xi * potential.evaluate(pot, ens.qs)
@@ -98,9 +104,10 @@ class TestJarzynskiFromCharacteristic:
 
     def test_functional_route_matches_histogram_sum(self, geom, pot):
         # Estimated for the Jarzynski functional, the grid carries the error
-        # of that linear functional of G; the estimate must equal the plain
-        # histogram sum, and its error must not exceed the independent-bin
-        # overestimate.  Another beta's functional is not used.
+        # of that linear functional of G; the estimate must equal the sum
+        # over the inverted histogram, and its error must not exceed the
+        # independent-bin overestimate.  A grid without the functional, or
+        # read at another beta, is refused.
         beta = 2.0**-9
         plan = characteristic.plan_u_grid(geom, pot, seed=99, n_u=64)
         ens = sampler.sample_ensemble(geom, 4000, seed=99)
@@ -110,14 +117,14 @@ class TestJarzynskiFromCharacteristic:
             ens, [characteristic.Request(beta, plan, 1.0, functional=c)], geom, pot
         )
         est_f, se_f = jarzynski_from_characteristic(g, beta, eps)
-        plain = dataclasses.replace(g, functional=None, functional_stderr=None)
-        est_hist, se_hist = jarzynski_from_characteristic(plain, beta, eps)
-        assert est_f == est_hist
+        est_hist, se_hist = jarzynski_histogram_sum(g, beta, eps)
+        assert est_f == pytest.approx(est_hist, rel=1e-12)
         assert 0.0 < se_f < se_hist
-        other = 2.0 * beta
-        assert jarzynski_from_characteristic(g, other, eps) == (
-            jarzynski_from_characteristic(plain, other, eps)
-        )
+        with pytest.raises(ValueError, match="beta"):
+            jarzynski_from_characteristic(g, 2.0 * beta, eps)
+        plain = dataclasses.replace(g, functional=None, functional_stderr=None)
+        with pytest.raises(ValueError, match="functional"):
+            jarzynski_from_characteristic(plain, beta, eps)
 
     def test_broadening_bias_removed(self):
         # A pure Gaussian work distribution has a closed-form free energy;
@@ -125,15 +132,25 @@ class TestJarzynskiFromCharacteristic:
         mu, sd, beta = 1.5, 2.0, 0.3
         plan = plan_from_window(-12.0, 14.0, n_u=256)
         u = plan.u_values
-        g = exact_grid(plan, np.exp(1j * mu * u - 0.5 * (sd * u) ** 2))
+        g = exact_grid(plan, np.exp(1j * mu * u - 0.5 * (sd * u) ** 2), beta, 4.0 * plan.dw)
         est, se = jarzynski_from_characteristic(g, beta, 4.0 * plan.dw)
         exact = mu - beta * sd * sd / 2.0
         assert abs(est - exact) < 4 * se + 2e-3
 
     def test_degenerate_histogram_rejected(self):
         plan = plan_from_window(-4.0, 4.0, n_u=16)
+        g = exact_grid(plan, np.zeros(plan.n), 1.0, 2.0 * plan.dw)
         with pytest.raises(DegenerateMean):
-            jarzynski_from_characteristic(exact_grid(plan, np.zeros(plan.n)), 1.0, 2.0 * plan.dw)
+            jarzynski_from_characteristic(g, 1.0, 2.0 * plan.dw)
+
+    def test_aliased_grid_refused(self):
+        # G that keeps its weight at u_max aliases the histogram the
+        # functional sums over, as it does when G is inverted.
+        plan = plan_from_window(-8.0, 8.0, n_u=64)
+        eps = 0.1 * plan.dw
+        g = exact_grid(plan, np.ones(plan.n), 0.05, eps)
+        with pytest.raises(AliasingSuspect):
+            jarzynski_from_characteristic(g, 0.05, eps)
 
 
 class TestL1Distance:

@@ -147,7 +147,12 @@ class TestEnvOverrides:
 
     def test_bad_env_value_names_variable(self):
         cfg = validate_config("")
-        for var, raw in (("CHAOWORK_SEED", "abc"), ("CHAOWORK_N_SAMPLES", "1000.7")):
+        for var, raw in (
+            ("CHAOWORK_SEED", "abc"),
+            ("CHAOWORK_N_SAMPLES", "1000.7"),
+            ("CHAOWORK_BETA_LIST", "0^-2"),
+            ("CHAOWORK_SEED", "0^-1"),
+        ):
             with pytest.raises(ValueError) as e:
                 apply_env_overrides(cfg, {var: raw})
             assert var in str(e.value)
@@ -278,6 +283,27 @@ class TestScenarioFig3:
         assert rows[4]["delta_f_semiclassical"] != rows[2]["delta_f_semiclassical"]
         for key in ("delta_f_reference", "delta_f_classical_mc"):
             assert rows[4][key] == rows[2][key], key
+
+    def test_one_transform_per_beta_and_no_inversion(self, tmp_path, monkeypatch):
+        # The free energy is c . G for the functional each request carries,
+        # so the transform is built once per beta and G is never inverted.
+        calls = {"_transform": 0, "invert": 0}
+
+        def counted(name):
+            fn = getattr(spectra, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(spectra, name, counted(name))
+        text = tiny_text(out_dir=str(tmp_path), n_samples="400", beta_list="2^-8,2^-10,2^-12")
+        rows = run_scenario(validate_config(text), "fig3")["report"]["rows"]
+        assert len(rows) == 3
+        assert calls == {"_transform": 3, "invert": 0}
 
 
 class TestScenarioFig2:
@@ -548,6 +574,25 @@ class TestSubcommands:
         assert payload["error"] == "ValueError"
         assert f"{cut}, line {len(lines)}" in payload["message"]
 
+        # A sidecar without a key, not an object, or not JSON names itself and the fault.
+        shutil.copyfile(csvs[0], cut)
+        with open(csvs[0] + ".meta.json") as fh:
+            meta = json.load(fh)
+        del meta["bin_width"]
+        for sidecar, fault in (
+            (json.dumps(meta), "'bin_width'"),
+            ("[1, 2]", "'bin_width'"),
+            ('{"bin_width": ', "Expecting value"),
+        ):
+            with open(str(cut) + ".meta.json", "w") as fh:
+                fh.write(sidecar)
+            rc = self.run_main(["compare", str(cut), classical_csv, "--out", str(outp)])
+            assert rc == 1
+            payload = json.loads(capsys.readouterr().err.strip())
+            assert payload["error"] == "ValueError"
+            assert f"{cut}.meta.json" in payload["message"]
+            assert fault in payload["message"]
+
     def test_error_json_on_bad_config(self, tmp_path, capsys):
         cfgp = tmp_path / "bad.cfg"
         cfgp.write_text("beta_list = -3")
@@ -560,9 +605,11 @@ class TestSubcommands:
 
     def test_bad_flag_value_named(self, capsys):
         for flag in ("--beta", "--hbar", "--seed", "--workers"):
-            assert self.run_main(["classical", flag, "abc"]) == 1
-            payload = json.loads(capsys.readouterr().err.strip())
-            assert flag in payload["message"]
+            for raw in ("abc", "0^-1"):
+                assert self.run_main(["classical", flag, raw]) == 1
+                payload = json.loads(capsys.readouterr().err.strip())
+                assert payload["error"] == "ValueError"
+                assert flag in payload["message"]
 
     def test_flags_share_the_file_grammar(self, tmp_path):
         cfgp = tmp_path / "c.cfg"

@@ -190,11 +190,6 @@ class TestBinSpikes:
 
 
 class TestHistogramContainer:
-    def test_edges(self, plan, unguarded):
-        h = invert(make_grid(plan, np.ones(128)), broadening=2.0 * plan.dw)
-        assert h.w_min == pytest.approx(h.w_values[0] - 0.5 * h.bin_width)
-        assert h.w_max == pytest.approx(h.w_values[-1] + 0.5 * h.bin_width)
-
     def test_rebin_preserves_mass(self, plan, unguarded):
         h = invert(make_grid(plan, np.ones(128)), broadening=2.0 * plan.dw)
         r = rebin(h, 5)
