@@ -44,18 +44,19 @@ def jarzynski_from_samples(values, beta: float) -> tuple[float, float]:
     return est, se_mean / (beta * mean)
 
 
-def jarzynski_functional(plan: UGridPlan, beta: float, broadening: float) -> np.ndarray:
-    """c with c . [Re G; Im G] = <exp(-beta (W - w0))> over ``spectra.invert``'s
-    histogram of G at ``broadening``, w0 the plan's lowest W (``Request.functional``)."""
+def jarzynski_functionals(plan: UGridPlan, betas, broadening: float) -> list[np.ndarray]:
+    """For each beta, c with c . [Re G; Im G] = <exp(-beta (W - w0))> over
+    ``spectra.invert``'s histogram of G at ``broadening``, w0 the plan's
+    lowest W (``Request.functional``).  One transform serves every beta."""
     w0 = plan.w_values.min()
-    kernel = np.exp(-beta * (plan.w_values - w0)) * plan.dw
-    return spectra_mod.functional_coefficients(plan, float(broadening), kernel)
+    kernels = (np.exp(-beta * (plan.w_values - w0)) * plan.dw for beta in betas)
+    return spectra_mod.functional_coefficients(plan, float(broadening), kernels)
 
 
 def jarzynski_from_characteristic(
     g: CharacteristicGrid, beta: float, broadening: float
 ) -> tuple[float, float]:
-    """Free-energy estimate from a grid estimated for ``jarzynski_functional``.
+    """Free-energy estimate from a grid estimated for ``jarzynski_functionals``.
 
     The histogram average is c . [Re G; Im G], with c = ``g.functional``
     and its error ``g.functional_stderr``; G is not inverted.  The

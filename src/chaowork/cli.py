@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.metadata
 import json
 import math
 import os
@@ -26,7 +27,6 @@ import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-import scipy
 
 from . import __version__, analysis, classical, native, quantum, sampler, spectra
 from .characteristic import (
@@ -274,6 +274,11 @@ def config_manifest(cfg: RunConfig, scenario: str) -> dict:
     hashed = {k: v for k, v in body.items() if k not in ("out_dir", "workers")}
     canonical = json.dumps(hashed, sort_keys=True)
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    # Read without importing scipy, which only a partial quantum spectrum needs.
+    try:
+        scipy_version = importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        scipy_version = None
     return {
         "scenario": scenario,
         "config": body,
@@ -282,7 +287,7 @@ def config_manifest(cfg: RunConfig, scenario: str) -> dict:
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": scipy_version,
             "chaowork": __version__,
             # The engine's erf and exp come from the C library (libmvec on
             # x86_64 glibc >= 2.35), so its name and version are recorded.
@@ -598,9 +603,8 @@ def run_fig3(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
     # The classical work does not depend on beta, so one sample serves every row.
     sample = classical.sample_classical_work(geom, pot, betas[0], cfg.n_classical, cfg.seed)
     eps = _broadening(cfg, plan)
-    requests = [
-        Request(beta, plan, hbar, analysis.jarzynski_functional(plan, beta, eps)) for beta in betas
-    ]
+    functionals = analysis.jarzynski_functionals(plan, betas, eps)
+    requests = [Request(beta, plan, hbar, c) for beta, c in zip(betas, functionals)]
     _, grids = _semiclassical_grids(cfg, geom, pot, requests)
     rows = []
     for beta, grid in zip(betas, grids):

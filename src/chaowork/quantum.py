@@ -4,9 +4,15 @@ The kinetic operator for mass 1/2 is -hbar^2 Laplacian, discretized with the
 5-point stencil on lattice sites strictly inside the billiard (Dirichlet
 zeros outside; the curved arc is a plain staircase, whose bias is policed by
 the h^2 convergence test on a rectangle rather than a boundary-fitted
-scheme).  The quenched Hamiltonian adds the diagonal xi * V.
+scheme).  The quenched Hamiltonian adds the diagonal xi * V.  Each
+Hamiltonian is a ``Stencil``: the diagonal, the table of lattice neighbours
+and the hopping scale, from which its dense form, its products and its row
+sums are taken.
 
-From the two eigenbases the module builds the two-point-measurement
+The full spectrum is ``numpy.linalg.eigh`` of the dense H, LAPACK's
+divide-and-conquer ``syevd``; a partial one is scipy's shift-invert Lanczos
+on the CSR matrix built from the stencil, the only code path that imports
+scipy.  From the two eigenbases the module builds the two-point-measurement
 characteristic function G(u) and the free-energy identity check.  The work
 distribution is ``spectra.invert`` of that G, the same transform every other
 route uses.
@@ -21,8 +27,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import eigsh
 
 from . import geometry
 from .characteristic import CharacteristicGrid, InsufficientMemory, UGridPlan, physical_memory
@@ -57,11 +61,12 @@ class TooManyStates(ValueError):
 
 
 # n x n float64 arrays the dense path can hold at once: while H(xi_f) is
-# solved, the first eigenvector block, the densified H (which evd overwrites
-# with its eigenvectors) and evd's workspace of two; then the residual and its
-# temporary.  The peak measured with tracemalloc is 4.0 of them at 1,057 and
-# 2,772 sites; ru_maxrss above baseline, which adds allocator slack, is 5.1
-# and 4.5 of them, spike_support included.
+# solved, the first eigenvector block, the dense H, numpy.linalg.eigh's copy
+# of it (which evd overwrites with its eigenvectors), evd's workspace of two
+# and the eigenvector block eigh returns; then the residual and its temporary.
+# The copy and the workspace are allocated where tracemalloc does not see
+# them: it reads 4.0 of them at 1,057 and 2,772 sites, while ru_maxrss above
+# baseline, spike_support included, reads 6.4 and 6.2.
 _DENSE_ARRAYS = 8
 # Largest accepted eigen-residual, relative to the Gershgorin bound on |H|,
 # and largest entry of V^T V - I.
@@ -137,49 +142,111 @@ def build_grid(domain, h: float) -> GridSpec:
     return GridSpec(h=float(h), coords=coords, nx=nx, ny=ny)
 
 
+@dataclass(frozen=True)
+class Stencil:
+    """A 5-point Hamiltonian: ``diag`` on the diagonal, -``scale`` to each
+    lattice neighbour.
+
+    ``neighbours`` is (4, n): the left, down, up and right neighbour of each
+    site, -1 where it lies outside the domain.  With the diagonal between
+    down and up, that is the ascending column order of a CSR row, and every
+    sum over a row is taken in that order.
+    """
+
+    diag: np.ndarray
+    neighbours: np.ndarray
+    scale: float
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.diag.size, self.diag.size)
+
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(columns, values), each (n, 5), of every row in column order; column -1 where absent."""
+        n = self.diag.size
+        off = np.full(n, -self.scale)
+        nb = self.neighbours
+        cols = np.stack([nb[0], nb[1], np.arange(n), nb[2], nb[3]], axis=1)
+        return cols, np.stack([off, off, self.diag, off, off], axis=1)
+
+    def csr_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(data, indices, indptr) of the matrix in CSR form."""
+        cols, vals = self._rows()
+        present = cols >= 0
+        indptr = np.zeros(self.diag.size + 1, dtype=np.int64)
+        np.cumsum(present.sum(axis=1), out=indptr[1:])
+        return vals[present], cols[present], indptr
+
+    def abs_row_sums(self) -> np.ndarray:
+        """Sum of |H_ij| over each row i, added in column order."""
+        data, _, indptr = self.csr_arrays()
+        return np.add.reduceat(np.abs(data), indptr[:-1])
+
+    def toarray(self) -> np.ndarray:
+        """The dense n x n matrix."""
+        cols, vals = self._rows()
+        present = cols >= 0
+        out = np.zeros(self.shape)
+        out[np.nonzero(present)[0], cols[present]] = vals[present]
+        return out
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """H @ x for x of shape (n, k), each row of H summed in column order.
+
+        One (n, k) buffer besides the result holds each column's terms.
+        """
+        out = np.zeros(x.shape)
+        term = np.empty(x.shape)
+        cols, vals = self._rows()
+        for col, val in zip(cols.T, vals.T):
+            present = (col >= 0)[:, None]
+            # "clip" maps an absent neighbour's -1 to row 0, whose term is
+            # never added, and writes into ``term`` without a temporary.
+            np.take(x, col, axis=0, out=term, mode="clip")
+            term *= val[:, None]
+            np.add(out, term, out=out, where=present)
+        return out
+
+
 def build_hamiltonians(
     geom_or_domain,
     pot: QuenchPotential,
     hbar: float,
     h: float,
-) -> tuple[sparse.csr_matrix, sparse.csr_matrix, GridSpec]:
-    """Sparse symmetric H(xi_0) and H(xi_f) on the interior lattice."""
+) -> tuple[Stencil, Stencil, GridSpec]:
+    """Symmetric 5-point H(xi_0) and H(xi_f) on the interior lattice."""
     grid = build_grid(geom_or_domain, h)
     n = grid.n_sites
     ij = np.rint(grid.coords / h).astype(np.int64)
-    keys = ij[:, 0] * (grid.ny + 2) + ij[:, 1]
-    lookup = {int(k): i for i, k in enumerate(keys)}
+    # Sites are in ascending key order, so a sorted search finds each neighbour.
+    stride = grid.ny + 2
+    keys = ij[:, 0] * stride + ij[:, 1]
+    neighbours = np.empty((4, n), dtype=np.int64)
+    for row, step in zip(neighbours, (-stride, -1, 1, stride)):
+        at = np.minimum(np.searchsorted(keys, keys + step), n - 1)
+        row[:] = np.where(keys[at] == keys + step, at, -1)
     scale = hbar * hbar / (h * h)
-
-    rows, cols = [], []
-    for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        nb = (ij[:, 0] + dx) * (grid.ny + 2) + (ij[:, 1] + dy)
-        for i, k in enumerate(nb):
-            j = lookup.get(int(k))
-            if j is not None:
-                rows.append(i)
-                cols.append(j)
-    data = np.full(len(rows), -scale)
-    lap = sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-    kinetic = sparse.diags(np.full(n, 4.0 * scale)) + lap
-
+    kinetic = np.full(n, 4.0 * scale)
     v = evaluate(pot, grid.coords)
-    h0 = (kinetic + sparse.diags(pot.xi_0 * v)).tocsr() if pot.xi_0 else kinetic.tocsr()
-    hf = (kinetic + sparse.diags(pot.xi_f * v)).tocsr() if pot.xi_f else kinetic.tocsr()
+    h0, hf = (
+        Stencil(kinetic + xi * v if xi else kinetic, neighbours, scale)
+        for xi in (pot.xi_0, pot.xi_f)
+    )
     return h0, hf, grid
 
 
 def eigensolve(
-    ham: sparse.spmatrix,
+    ham: Stencil,
     n_states: int,
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Lowest n_states eigenpairs, verified against the RESIDUAL_TOL and
     ORTHO_TOL bounds.
 
-    Full-dimension requests use LAPACK's dense divide-and-conquer solver
-    (``evd``), refused with InsufficientMemory before it allocates when its
-    estimated footprint exceeds physical memory; partial ones use
-    shift-invert Lanczos from below the Gershgorin lower bound.  The third
+    Full-dimension requests use ``numpy.linalg.eigh``, LAPACK's dense
+    divide-and-conquer solver (``syevd``), refused with InsufficientMemory
+    before it allocates when its estimated footprint exceeds physical
+    memory; partial ones use scipy's shift-invert Lanczos from below the
+    Gershgorin lower bound, the only use of scipy in the package.  The third
     item records the solver and the achieved defects: the worst residual
     norm relative to the Gershgorin bound on |H|, and the largest entry of
     V^T V - I.
@@ -187,9 +254,8 @@ def eigensolve(
     dim = ham.shape[0]
     if n_states > dim:
         raise ValueError(f"requested {n_states} states from dimension {dim}")
+    row_sums = ham.abs_row_sums()
     if n_states == dim:
-        from scipy.linalg import eigh
-
         need = _DENSE_ARRAYS * 8 * dim * dim
         have = physical_memory()
         if need > have:
@@ -198,28 +264,30 @@ def eigensolve(
                 f" more than the {have / 1e9:.1f} GB of physical memory"
             )
 
-        # Divide and conquer rather than the default MRRR (evr), which slows
-        # down on the near-degenerate pairs these grids have.
+        # Divide and conquer rather than MRRR (evr), which slows down on the
+        # near-degenerate pairs these grids have.
         solver = "dense evd"
-        vals, vecs = eigh(ham.toarray(order="F"), driver="evd", overwrite_a=True)
+        vals, vecs = np.linalg.eigh(ham.toarray())
     else:
+        from scipy import sparse
+        from scipy.sparse.linalg import eigsh
+
         solver = "shift-invert lanczos"
-        diag = ham.diagonal()
-        offsum = np.asarray(np.abs(ham).sum(axis=1)).ravel() - np.abs(diag)
-        sigma = float((diag - offsum).min()) - 1.0
+        offsum = row_sums - np.abs(ham.diag)
+        sigma = float((ham.diag - offsum).min()) - 1.0
+        csc = sparse.csr_matrix(ham.csr_arrays(), shape=ham.shape).tocsc()
         # Deterministic start vector keeps reruns bit-stable.
         v0 = np.full(dim, 1.0 / math.sqrt(dim))
-        vals, vecs = eigsh(ham.tocsc(), k=n_states, sigma=sigma, which="LM", v0=v0)
+        vals, vecs = eigsh(csc, k=n_states, sigma=sigma, which="LM", v0=v0)
         order = np.argsort(vals)
         vals = vals[order]
         vecs = vecs[:, order]
 
     # Both defects are formed in place: on the dense path each temporary is
     # as large as the eigenvector block.
-    norm_bound = float(np.abs(ham).sum(axis=1).max())
     resid = ham @ vecs
     resid -= vecs * vals
-    residual = float(np.sqrt(np.einsum("ij,ij->j", resid, resid).max())) / norm_bound
+    residual = float(np.sqrt(np.einsum("ij,ij->j", resid, resid).max())) / float(row_sums.max())
     del resid
     if residual > RESIDUAL_TOL:
         raise ConvergenceFailure(f"residual {residual:.3e} |H| exceeds {RESIDUAL_TOL} |H|")

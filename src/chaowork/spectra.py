@@ -156,13 +156,14 @@ def invert(g: CharacteristicGrid, broadening: float) -> WorkHistogram:
     )
 
 
-def functional_coefficients(plan: UGridPlan, broadening: float, kernel) -> np.ndarray:
-    """c with sum_j kernel_j P(w_j) = c . [Re G; Im G] exactly, P being
-    ``invert``'s histogram of G on ``plan`` at Gaussian width ``broadening``."""
+def functional_coefficients(plan: UGridPlan, broadening: float, kernels) -> list[np.ndarray]:
+    """For each kernel, c with sum_j kernel_j P(w_j) = c . [Re G; Im G]
+    exactly, P being ``invert``'s histogram of G on ``plan`` at Gaussian
+    width ``broadening``.  The transform is built once for all kernels."""
     damp, scale, cosm, sinm = _transform(plan, broadening)
     weight = scale * damp
     weight[1:] *= 2.0
-    return np.concatenate([weight * (cosm @ kernel), weight * (sinm @ kernel)])
+    return [np.concatenate([weight * (cosm @ k), weight * (sinm @ k)]) for k in kernels]
 
 
 def bin_spikes(

@@ -35,6 +35,9 @@ readable paths:
   shell measure and the range of V;
 - ``histogram_to_characteristic`` (the forward transform ``invert`` is
   checked against) and ``rebin``;
+- ``sparse_hamiltonians``: H(xi_0) and H(xi_f) as scipy CSR matrices,
+  whose dense form, products with a block of vectors and |H| row sums the
+  5-point ``quantum.Stencil`` must match bit for bit;
 - ``bin_weighted_spikes`` and ``quantum_spike_density``: the quantum work
   distribution binned straight from its weighted spikes, the direct route
   that ``invert`` of the exact quantum G is checked against;
@@ -50,6 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from scipy import sparse
 from scipy.special import erf
 
 from chaowork import classical, geometry, potential, quantum, sampler, spectra
@@ -727,6 +731,34 @@ def histogram_to_characteristic(hist: WorkHistogram, u_values: np.ndarray) -> np
     u_values = np.asarray(u_values, dtype=float)
     phase = np.outer(u_values, hist.w_values)
     return hist.bin_width * ((np.cos(phase) + 1j * np.sin(phase)) @ hist.density)
+
+
+def sparse_hamiltonians(geom_or_domain, pot: QuenchPotential, hbar: float, h: float):
+    """Sparse symmetric H(xi_0) and H(xi_f) on ``quantum.build_grid``'s
+    lattice, built site by site through a key lookup."""
+    grid = quantum.build_grid(geom_or_domain, h)
+    n = grid.n_sites
+    ij = np.rint(grid.coords / h).astype(np.int64)
+    keys = ij[:, 0] * (grid.ny + 2) + ij[:, 1]
+    lookup = {int(k): i for i, k in enumerate(keys)}
+    scale = hbar * hbar / (h * h)
+
+    rows, cols = [], []
+    for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        nb = (ij[:, 0] + dx) * (grid.ny + 2) + (ij[:, 1] + dy)
+        for i, k in enumerate(nb):
+            j = lookup.get(int(k))
+            if j is not None:
+                rows.append(i)
+                cols.append(j)
+    data = np.full(len(rows), -scale)
+    lap = sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    kinetic = sparse.diags(np.full(n, 4.0 * scale)) + lap
+
+    v = potential.evaluate(pot, grid.coords)
+    h0 = (kinetic + sparse.diags(pot.xi_0 * v)).tocsr() if pot.xi_0 else kinetic.tocsr()
+    hf = (kinetic + sparse.diags(pot.xi_f * v)).tocsr() if pot.xi_f else kinetic.tocsr()
+    return h0, hf, grid
 
 
 def bin_weighted_spikes(

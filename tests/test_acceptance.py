@@ -133,10 +133,8 @@ def test_criterion_3_semiclassical_jarzynski_trend(geom, pot):
     betas = [2.0**-k for k in (7, 9, 11, 13)]
     ens = sampler.sample_ensemble(geom, 90_000, SEED)
     eps = 2.0 * plan.dw
-    requests = [
-        Request(beta, plan, 1.0, functional=analysis.jarzynski_functional(plan, beta, eps))
-        for beta in betas
-    ]
+    functionals = analysis.jarzynski_functionals(plan, betas, eps)
+    requests = [Request(beta, plan, 1.0, functional=c) for beta, c in zip(betas, functionals)]
     grids = semiclassical_characteristic(ens, requests, geom, pot)
     devs = []
     ses = []

@@ -11,7 +11,7 @@ from chaowork.analysis import (
     DegenerateMean,
     jarzynski_from_characteristic,
     jarzynski_from_samples,
-    jarzynski_functional,
+    jarzynski_functionals,
     l1_distance,
     l1_distance_error,
 )
@@ -75,7 +75,7 @@ def exact_grid(plan, g_values, beta, eps):
         n_samples=0,
         hbar=1.0,
         beta=beta,
-        functional=jarzynski_functional(plan, beta, eps),
+        functional=jarzynski_functionals(plan, [beta], eps)[0],
         functional_stderr=0.0,
     )
 
@@ -93,7 +93,7 @@ class TestJarzynskiFromCharacteristic:
         beta = 2.0**-10
         ens = sampler.sample_ensemble(geom, 30_000, seed=21)
         plan = characteristic.plan_u_grid(geom, pot, seed=21, n_u=512)
-        c = jarzynski_functional(plan, beta, 2.0 * plan.dw)
+        [c] = jarzynski_functionals(plan, [beta], 2.0 * plan.dw)
         [g] = characteristic.semiclassical_characteristic(
             ens, [characteristic.Request(beta, plan, 0.02, functional=c)], geom, pot
         )
@@ -112,7 +112,7 @@ class TestJarzynskiFromCharacteristic:
         plan = characteristic.plan_u_grid(geom, pot, seed=99, n_u=64)
         ens = sampler.sample_ensemble(geom, 4000, seed=99)
         eps = 2.0 * plan.dw
-        c = jarzynski_functional(plan, beta, eps)
+        [c] = jarzynski_functionals(plan, [beta], eps)
         [g] = characteristic.semiclassical_characteristic(
             ens, [characteristic.Request(beta, plan, 1.0, functional=c)], geom, pot
         )

@@ -21,7 +21,7 @@ BETA_COLD = 2.0**-12
 
 def jarzynski_request(beta, plan, hbar=1.0):
     """A request carrying the Jarzynski functional at two bins of broadening."""
-    c = analysis.jarzynski_functional(plan, beta, 2.0 * plan.dw)
+    [c] = analysis.jarzynski_functionals(plan, [beta], 2.0 * plan.dw)
     return Request(beta, plan, hbar, functional=c)
 
 

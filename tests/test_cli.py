@@ -1,4 +1,5 @@
 import contextlib
+import importlib.metadata
 import io
 import json
 import os
@@ -179,6 +180,15 @@ class TestManifest:
             "23db745eb1e7c44687feadde0fc536a5259d9eca26fb2383e53a28aebca252be"
         )
 
+    def test_scipy_absent_is_recorded_as_null(self, monkeypatch):
+        # Only a partial quantum spectrum imports scipy, so a run may go without it.
+        def absent(package):
+            raise importlib.metadata.PackageNotFoundError(package)
+
+        monkeypatch.setattr(importlib.metadata, "version", absent)
+        m = cli.config_manifest(validate_config(TINY), "semiclassical")
+        assert m["versions"]["scipy"] is None
+
     def test_no_compiler_leaves_the_engine_unnamed(self, monkeypatch):
         monkeypatch.setattr(native, "COMPILER", "chaowork-no-such-cc")
         assert cli.config_manifest(validate_config(TINY), "quantum")["versions"]["engine"] is None
@@ -284,9 +294,9 @@ class TestScenarioFig3:
         for key in ("delta_f_reference", "delta_f_classical_mc"):
             assert rows[4][key] == rows[2][key], key
 
-    def test_one_transform_per_beta_and_no_inversion(self, tmp_path, monkeypatch):
-        # The free energy is c . G for the functional each request carries,
-        # so the transform is built once per beta and G is never inverted.
+    def test_one_transform_per_sweep_and_no_inversion(self, tmp_path, monkeypatch):
+        # The free energy is c . G for the functional each request carries;
+        # one transform gives every beta's c, and G is never inverted.
         calls = {"_transform": 0, "invert": 0}
 
         def counted(name):
@@ -303,7 +313,7 @@ class TestScenarioFig3:
         text = tiny_text(out_dir=str(tmp_path), n_samples="400", beta_list="2^-8,2^-10,2^-12")
         rows = run_scenario(validate_config(text), "fig3")["report"]["rows"]
         assert len(rows) == 3
-        assert calls == {"_transform": 3, "invert": 0}
+        assert calls == {"_transform": 1, "invert": 0}
 
 
 class TestScenarioFig2:

@@ -106,7 +106,9 @@ def test_quantum_run_neither_builds_nor_loads_the_engine(tmp_path):
         native.build = native.load = native.open_library = refuse
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["quantum", "--config", sys.argv[1], "--out", sys.argv[2]])
-        assert "scipy.special.cython_special" not in sys.modules
+        # The full spectrum is numpy's dense solve: scipy is never imported.
+        stray = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        assert not stray, stray
         sys.exit(code)
     """
     proc = python(code, str(cfg), str(tmp_path / "out"), stderr=subprocess.PIPE)
@@ -115,7 +117,8 @@ def test_quantum_run_neither_builds_nor_loads_the_engine(tmp_path):
 
 
 def test_semiclassical_run_never_imports_the_scipy_capsule(tmp_path):
-    # The engine takes erf from the C library, not from scipy's Cython API.
+    # The engine takes erf from the C library, not from scipy's Cython API,
+    # and nothing else on the route imports scipy either.
     cfg = tmp_path / "s.cfg"
     cfg.write_text("n_samples = 1200\nu_points = 64\nbeta_list = 2^-8\nseed = 777\nworkers = 1\n")
     code = """
@@ -125,12 +128,51 @@ def test_semiclassical_run_never_imports_the_scipy_capsule(tmp_path):
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["semiclassical", "--config", sys.argv[1], "--out", sys.argv[2]])
         assert native.load.cache_info().currsize == 1
-        assert "scipy.special.cython_special" not in sys.modules
+        stray = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        assert not stray, stray
         sys.exit(code)
     """
     proc = python(code, str(cfg), str(tmp_path / "out"), stderr=subprocess.PIPE)
     _, err = proc.communicate(timeout=300)
     assert proc.returncode == 0, err.decode()
+
+
+def scipy_modules_after_run(tmp_path, config: str, *command: str) -> list[str]:
+    """The scipy modules a fresh interpreter holds after one successful CLI run."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    code = """
+        import contextlib, io, sys
+        from chaowork import cli
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([*sys.argv[3:], "--config", sys.argv[1], "--out", sys.argv[2]])
+        print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+        sys.exit(code)
+    """
+    proc = python(
+        code, str(cfg), str(tmp_path / "out"), *command, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    out, err = proc.communicate(timeout=300)
+    assert proc.returncode == 0, err.decode()
+    return out.decode().split()
+
+
+def test_fig3_scenario_never_imports_scipy(tmp_path):
+    config = (
+        "n_samples = 1200\nn_classical = 20000\nu_points = 64\nbeta_list = 2^-8, 2^-10\n"
+        "seed = 777\nworkers = 1\n"
+    )
+    assert scipy_modules_after_run(tmp_path, config, "scenario", "fig3") == []
+
+
+def test_partial_spectrum_quantum_run_loads_scipy_lanczos(tmp_path):
+    # Only a partial spectrum needs scipy: its shift-invert Lanczos solve.
+    config = (
+        "quantum_h = 0.08\nquantum_n_initial = 60\nquantum_n_final = 120\nu_points = 64\n"
+        "beta_list = 0.3\nworkers = 1\n"
+    )
+    assert "scipy.sparse.linalg" in scipy_modules_after_run(tmp_path, config, "quantum")
 
 
 def _closed_form(pot, q0, d, s, dur, exact_miss=False):

@@ -23,6 +23,7 @@ from reference import (
     bin_weighted_spikes,
     plan_step_for_states,
     quantum_spike_density,
+    sparse_hamiltonians,
     supported_states,
     weyl_level_spacing,
 )
@@ -84,13 +85,14 @@ class TestGridAndHamiltonians:
     def test_null_quench_identical_matrices(self, geom):
         pot0 = QuenchPotential(xi_f=0.0)
         h0, hf, _ = build_hamiltonians(geom, pot0, hbar=1.0, h=0.06)
-        assert (h0 != hf).nnz == 0
-        assert np.array_equal(h0.data, hf.data)
+        assert np.array_equal(h0.toarray(), hf.toarray())
+        assert np.array_equal(h0.diag, hf.diag)
 
     def test_exact_symmetry(self, geom, pot):
         h0, hf, _ = build_hamiltonians(geom, pot, hbar=1.0, h=0.06)
         for ham in (h0, hf):
-            assert (ham != ham.T).nnz == 0
+            dense = ham.toarray()
+            assert np.array_equal(dense, dense.T)
 
     def test_grid_too_coarse(self, geom, pot):
         with pytest.raises(GridTooCoarse):
@@ -102,6 +104,43 @@ class TestGridAndHamiltonians:
         # no site on the straight walls
         assert (grid.coords > 0.0).all()
         assert (grid.coords[:, 1] < geom.r).all()
+
+
+class TestStencilAgainstSparseOracle:
+    """The 5-point stencil is the CSR matrix of ``reference.sparse_hamiltonians``
+    bit for bit: its dense form, its products and its |H| row sums."""
+
+    @pytest.fixture(params=[(85.0, 0.06), (0.0, 0.06), (85.0, 0.04)], ids=["quench", "null", "fine"])
+    def pairs(self, request, geom):
+        xi_f, h = request.param
+        pot = QuenchPotential(xi_f=xi_f)
+        stencils = build_hamiltonians(geom, pot, hbar=1.3, h=h)
+        oracles = sparse_hamiltonians(geom, pot, hbar=1.3, h=h)
+        return list(zip(stencils[:2], oracles[:2]))
+
+    def test_dense_matrix(self, pairs):
+        for stencil, csr in pairs:
+            assert np.array_equal(stencil.toarray(), csr.toarray())
+
+    def test_csr_arrays(self, pairs):
+        # The Lanczos branch factors the matrix built from these arrays.
+        for stencil, csr in pairs:
+            data, indices, indptr = stencil.csr_arrays()
+            assert np.array_equal(data, csr.data)
+            assert np.array_equal(indices, csr.indices)
+            assert np.array_equal(indptr, csr.indptr)
+
+    def test_product(self, pairs, rng):
+        for stencil, csr in pairs:
+            x = rng.normal(size=(stencil.shape[0], 9))
+            expect = csr @ x
+            assert np.array_equal(stencil @ x, expect)
+            assert np.array_equal(stencil @ np.asfortranarray(x), expect)
+
+    def test_row_sum_bound(self, pairs):
+        for stencil, csr in pairs:
+            expect = np.asarray(np.abs(csr).sum(axis=1)).ravel()
+            assert np.array_equal(stencil.abs_row_sums(), expect)
 
 
 class TestEigensolve:
@@ -117,7 +156,7 @@ class TestEigensolve:
     def test_trace_identity_full_spectrum(self, small_spec, geom, pot):
         h0, _, _ = build_hamiltonians(geom, pot, hbar=1.0, h=0.055)
         vals, _, _ = eigensolve(h0, h0.shape[0])
-        trace = float(h0.diagonal().sum())
+        trace = float(h0.diag.sum())
         assert vals.sum() == pytest.approx(trace, rel=1e-6)
 
     def test_rejects_oversized_request(self, geom, pot):
@@ -219,7 +258,7 @@ class TestWorkDistribution:
         )
         h0, hf, grid = build_hamiltonians(geom, pot, hbar=1.0, h=0.055)
         vals, vecs, _ = eigensolve(h0, h0.shape[0])
-        dv = (hf - h0).diagonal()
+        dv = hf.diag - h0.diag
         diag_means = ((vecs * vecs) * dv[:, None]).sum(axis=0)
         trace_mean = float((quantum.boltzmann_weights(vals, beta) * diag_means).sum())
         assert spike_mean == pytest.approx(trace_mean, abs=1e-8)
