@@ -14,11 +14,17 @@
  * digits.
  *
  * Each flight evaluates erf and exp over all its bumps at once, through
- * erf_n and exp_n.  On x86_64 with glibc 2.35 or later (the #if below,
- * __GLIBC_PREREQ(2, 35) spelled out) they call libmvec's two-lane SSE2
- * _ZGVbN2v_erf and _ZGVbN2v_exp, which -lm links through libm.so's
- * AS_NEEDED libmvec; elsewhere they loop over the scalar erf and exp.  The
- * two differ by a few units in the last place.
+ * the call's erf_n and exp_n.  Its set-up takes the erf of both ends of the
+ * flight in one call over 2n arguments, since the flight's duration is
+ * known before it starts; only a checkpoint inside the flight takes one
+ * more erf over n.  On x86_64 with glibc 2.35 or later (the #if below,
+ * __GLIBC_PREREQ(2, 35) spelled out), trace and segment_integrals check
+ * once per call, with __builtin_cpu_supports("avx2"), whether the CPU has
+ * AVX2; if so they call libmvec's four-lane _ZGVdN4v_erf and _ZGVdN4v_exp,
+ * which -lm links through libm.so's AS_NEEDED libmvec, from helpers
+ * compiled for AVX2 alone.  Otherwise they loop over the scalar erf and
+ * exp.  The two paths differ by a few units in the last place, and
+ * math_lanes says which one runs.
  *
  * A trace reads one ascending array of checkpoint times, the union of the
  * times of every request that shares the rays, so a time two requests share
@@ -28,38 +34,62 @@
 #include <stdint.h>
 #include <stdlib.h>
 
-/* y[i] = erf(x[i]) and y[i] = exp(x[i]) for i < n; y may be x. */
-#if defined(__x86_64__) && defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 35)
-#include <emmintrin.h>
+/* y[i] = erf(x[i]) and y[i] = exp(x[i]) for i < n; y may be x.  The scalar
+ * loops are the fallback wherever the four-lane path below is not used. */
+typedef void (*vec_fn)(const double *x, double *y, int64_t n);
 
-__m128d _ZGVbN2v_erf(__m128d x);
-__m128d _ZGVbN2v_exp(__m128d x);
-
-/* Two elements per call; an odd last element pads the second lane with 0. */
-static void lanes2(__m128d (*f)(__m128d), const double *x, double *y, int64_t n)
-{
-    int64_t i = 0;
-    for (; i + 1 < n; i += 2)
-        _mm_storeu_pd(y + i, f(_mm_loadu_pd(x + i)));
-    if (i < n)
-        y[i] = _mm_cvtsd_f64(f(_mm_set_sd(x[i])));
-}
-
-static void erf_n(const double *x, double *y, int64_t n) { lanes2(_ZGVbN2v_erf, x, y, n); }
-static void exp_n(const double *x, double *y, int64_t n) { lanes2(_ZGVbN2v_exp, x, y, n); }
-#else
-static void erf_n(const double *x, double *y, int64_t n)
+static void erf_scalar(const double *x, double *y, int64_t n)
 {
     for (int64_t i = 0; i < n; i++)
         y[i] = erf(x[i]);
 }
 
-static void exp_n(const double *x, double *y, int64_t n)
+static void exp_scalar(const double *x, double *y, int64_t n)
 {
     for (int64_t i = 0; i < n; i++)
         y[i] = exp(x[i]);
 }
+
+#if defined(__x86_64__) && defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 35)
+#define HAVE_LANES4 1
+#include <immintrin.h>
+
+#pragma GCC push_options
+#pragma GCC target("avx2")
+__m256d _ZGVdN4v_erf(__m256d x);
+__m256d _ZGVdN4v_exp(__m256d x);
+
+/* Four elements per call; a short last block pads its lanes with 0. */
+static void lanes4(__m256d (*f)(__m256d), const double *x, double *y, int64_t n)
+{
+    int64_t i = 0;
+    for (; i + 3 < n; i += 4)
+        _mm256_storeu_pd(y + i, f(_mm256_loadu_pd(x + i)));
+    if (i < n) {
+        double pad[4] = {0.0, 0.0, 0.0, 0.0};
+        for (int64_t k = 0; i + k < n; k++)
+            pad[k] = x[i + k];
+        _mm256_storeu_pd(pad, f(_mm256_loadu_pd(pad)));
+        for (int64_t k = 0; i + k < n; k++)
+            y[i + k] = pad[k];
+    }
+}
+
+static void erf_lanes4(const double *x, double *y, int64_t n) { lanes4(_ZGVdN4v_erf, x, y, n); }
+static void exp_lanes4(const double *x, double *y, int64_t n) { lanes4(_ZGVdN4v_exp, x, y, n); }
+#pragma GCC pop_options
 #endif
+
+/* 4 when the engine takes erf and exp four lanes at a time on this CPU, 1
+ * when it takes them one by one. */
+int math_lanes(void)
+{
+#ifdef HAVE_LANES4
+    if (__builtin_cpu_supports("avx2"))
+        return 4;
+#endif
+    return 1;
+}
 
 /* The quench potential: n signed Gaussian bumps of width sigma. */
 typedef struct {
@@ -75,27 +105,32 @@ typedef struct {
     double tol_geom, tol_grazing, wall_nudge;
 } walls_t;
 
-/* Closed-form pieces of one flight q0 + d s tau; see potential.py.  For
- * bump i the integrand is amp_i exp(-(s (tau - tau_star_i))^2 / (2 sigma^2)),
- * and on a stationary flight amp_i is the bump's value at q0.  arg holds
- * one erf argument per bump while an integral is taken. */
+/* Closed-form pieces of one flight q0 + d s tau over [0, dur]; see
+ * potential.py.  For bump i the integrand is
+ * amp_i exp(-(s (tau - tau_star_i))^2 / (2 sigma^2)), and on a stationary
+ * flight amp_i is the bump's value at q0.  erf holds 2n values: each bump's
+ * erf(alpha tau_star_i), then its erf(alpha (dur - tau_star_i)).  arg holds
+ * one erf argument per bump while a checkpoint inside the flight is filled.
+ * erf_n and exp_n are the call's math path. */
 typedef struct {
     int still;
     double alpha, pref;
-    double *amp, *tau_star, *erf_lo, *arg; /* per bump */
+    double *amp, *tau_star, *erf, *arg; /* per bump; erf has 2n */
+    vec_fn erf_n, exp_n;
 } segment_t;
 
 static void segment_setup(const bumps_t *v, double x, double y, double dx, double dy,
-                          double s, segment_t *g)
+                          double s, double dur, segment_t *g)
 {
     const double sigma = v->sigma;
     const double width = 2.0 * sigma * sigma;
     const int still = s <= 0.0;
     const double s_safe = still ? 1.0 : s;
+    const int64_t n = v->n;
     g->still = still;
     g->alpha = s_safe / (sigma * M_SQRT2);
     g->pref = sigma * sqrt(M_PI / 2.0) / s_safe;
-    for (int64_t i = 0; i < v->n; i++) {
+    for (int64_t i = 0; i < n; i++) {
         const double d0x = x - v->centers[2 * i];
         const double d0y = y - v->centers[2 * i + 1];
         if (still) {
@@ -109,15 +144,18 @@ static void segment_setup(const bumps_t *v, double x, double y, double dx, doubl
         const double b2 = cross * cross;
         g->tau_star[i] = -proj / s_safe;
         g->amp[i] = -b2 / width;
-        g->erf_lo[i] = g->alpha * g->tau_star[i];
+        g->erf[i] = g->alpha * g->tau_star[i];
+        g->erf[n + i] = g->alpha * (dur - g->tau_star[i]);
     }
-    exp_n(g->amp, g->amp, v->n);
+    g->exp_n(g->amp, g->amp, n);
     if (!still)
-        erf_n(g->erf_lo, g->erf_lo, v->n);
+        g->erf_n(g->erf, g->erf, 2 * n);
 }
 
-/* Integral of V over [0, duration] of a set-up flight. */
-static double segment_integral(const bumps_t *v, const segment_t *g, double duration)
+/* Integral of V over [0, duration] of a set-up flight whose upper erf
+ * values are hi[0 .. n). */
+static double segment_sum(const bumps_t *v, const segment_t *g, const double *hi,
+                          double duration)
 {
     double sum = 0.0;
     if (g->still) {
@@ -125,25 +163,49 @@ static double segment_integral(const bumps_t *v, const segment_t *g, double dura
             sum += g->amp[i] * duration * v->signs[i];
         return sum;
     }
-    for (int64_t i = 0; i < v->n; i++)
-        g->arg[i] = g->alpha * (duration - g->tau_star[i]);
-    erf_n(g->arg, g->arg, v->n);
     for (int64_t i = 0; i < v->n; i++) {
-        const double per = g->amp[i] * g->pref * (g->arg[i] + g->erf_lo[i]);
+        const double per = g->amp[i] * g->pref * (hi[i] + g->erf[i]);
         sum += per * v->signs[i];
     }
     return sum;
 }
 
+/* Integral of V over [0, duration] of a set-up flight, at a checkpoint. */
+static double segment_integral(const bumps_t *v, segment_t *g, double duration)
+{
+    if (!g->still) {
+        for (int64_t i = 0; i < v->n; i++)
+            g->arg[i] = g->alpha * (duration - g->tau_star[i]);
+        g->erf_n(g->arg, g->arg, v->n);
+    }
+    return segment_sum(v, g, g->arg, duration);
+}
+
+/* Integral of V over the whole flight [0, dur] given to its set-up. */
+static double segment_total(const bumps_t *v, const segment_t *g, double dur)
+{
+    return segment_sum(v, g, g->erf + v->n, dur);
+}
+
+/* Working memory and the math path of one call. */
 static int segment_alloc(const bumps_t *v, segment_t *g)
 {
-    double *buf = malloc(4 * (size_t)(v->n > 0 ? v->n : 1) * sizeof(double));
+    const int64_t n = v->n;
+    double *buf = malloc(5 * (size_t)(n > 0 ? n : 1) * sizeof(double));
     if (buf == NULL)
         return -1;
     g->amp = buf;
-    g->tau_star = buf + v->n;
-    g->erf_lo = buf + 2 * v->n;
-    g->arg = buf + 3 * v->n;
+    g->tau_star = buf + n;
+    g->erf = buf + 2 * n;
+    g->arg = buf + 4 * n;
+    g->erf_n = erf_scalar;
+    g->exp_n = exp_scalar;
+#ifdef HAVE_LANES4
+    if (math_lanes() == 4) {
+        g->erf_n = erf_lanes4;
+        g->exp_n = exp_lanes4;
+    }
+#endif
     return 0;
 }
 
@@ -155,8 +217,8 @@ int segment_integrals(const bumps_t *v, int64_t n, const double *q0, const doubl
     if (segment_alloc(v, &g) != 0)
         return -1;
     for (int64_t i = 0; i < n; i++) {
-        segment_setup(v, q0[2 * i], q0[2 * i + 1], d[2 * i], d[2 * i + 1], s[i], &g);
-        out[i] = segment_integral(v, &g, dur[i]);
+        segment_setup(v, q0[2 * i], q0[2 * i + 1], d[2 * i], d[2 * i + 1], s[i], dur[i], &g);
+        out[i] = segment_total(v, &g, dur[i]);
     }
     free(g.amp);
     return 0;
@@ -300,13 +362,13 @@ int trace(const walls_t *w, const bumps_t *v, int64_t n, const double *qs, const
             const double dur = bad ? 0.0 : (finishing ? remaining : t_wall);
             const double t_new = finishing ? t_end : elapsed + dur;
 
-            segment_setup(v, x, y, dx, dy, s, &g);
+            segment_setup(v, x, y, dx, dy, s, dur, &g);
             while (!bad && next < m && times[next] <= t_new) {
                 row[next] = acc + segment_integral(v, &g, times[next] - elapsed);
                 next++;
             }
 
-            acc = acc + segment_integral(v, &g, dur);
+            acc = acc + segment_total(v, &g, dur);
             x = x + dx * (s * dur);
             y = y + dy * (s * dur);
             elapsed = t_new;

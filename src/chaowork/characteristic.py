@@ -244,7 +244,11 @@ def _chunk_phase_sums(args):
 
 
 def _trace_summary(counts) -> dict:
-    """What the shared trace did, from its chunks' ``TraceCounts`` in chunk order."""
+    """What the shared trace did, from its chunks' ``TraceCounts`` in chunk order.
+
+    ``lanes`` is the engine's math path, ``math_lanes``: its G differs from
+    the other path's at the rounding level.
+    """
     bounces = np.concatenate([c.bounces for c in counts])
     p50, p99 = np.quantile(bounces, [0.5, 0.99], method="inverted_cdf")
     return {
@@ -254,6 +258,7 @@ def _trace_summary(counts) -> dict:
         "bounce_max": int(bounces.max()),
         "grazing": sum(c.grazing for c in counts),
         "corner": sum(c.corner for c in counts),
+        "lanes": native.load().math_lanes(),
     }
 
 
@@ -361,11 +366,12 @@ def semiclassical_characteristic(
     errors are those of the same request without c.  Each grid's
     ``metadata["trace"]`` holds what that shared trace did: its total
     segments, the median, 99th percentile and largest bounce count per ray,
-    and its grazing and corner reflections.  Each request keeps one running
-    total, and each chunk's sums are added to it in chunk order.  Chunks go
-    to a pool at most 2 x workers ahead of the next one to add, so the
-    reduction holds one total per request and at most that many chunks'
-    sums (one without a pool), whatever the ensemble size.  A trace whose
+    its grazing and corner reflections, and the lanes of its erf and exp.
+    Each request keeps one running total, and each chunk's sums are added
+    to it in chunk order.  Chunks go to a pool at most 2 x workers ahead of
+    the next one to add, so the reduction holds one total per request and
+    at most that many chunks' sums (one without a pool), whatever the
+    ensemble size.  A trace whose
     chunks in flight and those sums would not fit in physical memory is
     refused with InsufficientMemory before it starts.  Errored samples are
     dropped and counted per request; a request aborts with ExcessiveFailures
@@ -376,7 +382,9 @@ def semiclassical_characteristic(
     if not requests:
         return []
     grids = [_prepare(req) for req in requests]
-    times = np.unique(np.concatenate([grid.times for grid in grids]))
+    # Sorted, with repeats dropped: np.unique would import numpy.ma.
+    times = np.sort(np.concatenate([grid.times for grid in grids]))
+    times = times[np.concatenate(([True], times[1:] != times[:-1]))]
     spec = [
         (
             np.searchsorted(times, grid.times),

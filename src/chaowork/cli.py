@@ -192,9 +192,12 @@ def _check_ranges(cfg: RunConfig) -> RunConfig:
         tags = [tag(v) for v in values]
         if len(set(tags)) < len(tags):
             raise RangeError(key, f"entries must have distinct file tags, got {tags}")
-    for key in ("n_samples", "n_classical", "u_points", "max_bounces"):
-        if getattr(cfg, key) < 1:
-            raise RangeError(key, f"must be >= 1, got {getattr(cfg, key)}")
+    if cfg.max_bounces < 1:
+        raise RangeError("max_bounces", f"must be >= 1, got {cfg.max_bounces}")
+    # A standard error needs two samples.
+    for key in ("n_samples", "n_classical"):
+        if getattr(cfg, key) < 2:
+            raise RangeError(key, f"must be >= 2, got {getattr(cfg, key)}")
     if cfg.u_points < 2:
         raise RangeError("u_points", "need at least two u points")
     nonneg("pad_frac", cfg.pad_frac)
@@ -290,7 +293,8 @@ def config_manifest(cfg: RunConfig, scenario: str) -> dict:
             "scipy": scipy_version,
             "chaowork": __version__,
             # The engine's erf and exp come from the C library (libmvec on
-            # x86_64 glibc >= 2.35), so its name and version are recorded.
+            # x86_64 glibc >= 2.35 with AVX2), so its name and version are
+            # recorded.
             "platform": "-".join(
                 filter(
                     None,

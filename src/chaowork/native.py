@@ -14,11 +14,13 @@ compiler, a failed build or a cache directory that cannot be written raises
 
 ``load`` returns the library, with every argument type declared.  It is
 linked with ``-lm`` and takes ``hypot`` and ``sqrt`` from the C library.
-``erf`` and ``exp`` come from glibc's vector math library, libmvec, as its
-two-lane SSE2 ``_ZGVbN2v_erf`` and ``_ZGVbN2v_exp``, on x86_64 with glibc
-2.35 or later (glibc's ``libm.so`` there pulls in libmvec, so ``-lm`` links
-it), and from the scalar ``erf`` and ``exp`` of the C library elsewhere; the
-two differ by a few units in the last place.
+On x86_64 with glibc 2.35 or later (glibc's ``libm.so`` there pulls in its
+vector math library, libmvec, so ``-lm`` links it), ``erf`` and ``exp`` come
+from libmvec's four-lane AVX2 ``_ZGVdN4v_erf`` and ``_ZGVdN4v_exp`` when the
+CPU has AVX2: the engine checks once per call, and ``FLAGS`` stay the same.
+Elsewhere they come from the scalar ``erf`` and ``exp`` of the C library.
+The two paths differ by a few units in the last place; the library's
+``math_lanes()`` returns 4 on the first and 1 on the second.
 """
 
 from __future__ import annotations
@@ -178,6 +180,8 @@ def open_library(path: str) -> ctypes.CDLL:
         _int64_p,
     ]
     lib.trace.restype = ctypes.c_int
+    lib.math_lanes.argtypes = []
+    lib.math_lanes.restype = ctypes.c_int
     return lib
 
 

@@ -613,6 +613,19 @@ class TestSubcommands:
         assert payload["error"] == "RangeError"
         assert "beta_list" in payload["message"]
 
+    def test_single_sample_refused_before_any_file(self, tmp_path, capsys):
+        # One sample has no standard error: it once wrote stderr_re = 0.0.
+        for key, command in (("n_samples", "semiclassical"), ("n_classical", "classical")):
+            cfgp = tmp_path / f"{key}.cfg"
+            cfgp.write_text(tiny_text(**{key: "1"}))
+            out = tmp_path / key
+            rc = self.run_main([command, "--config", str(cfgp), "--out", str(out)])
+            assert rc == 1
+            payload = json.loads(capsys.readouterr().err.strip())
+            assert payload["error"] == "RangeError"
+            assert key in payload["message"]
+            assert not any(files for _, _, files in os.walk(out))
+
     def test_bad_flag_value_named(self, capsys):
         for flag in ("--beta", "--hbar", "--seed", "--workers"):
             for raw in ("abc", "0^-1"):
@@ -735,6 +748,8 @@ class TestRunCommands:
         assert trace["bounce_p50"] <= trace["bounce_p99"] <= trace["bounce_max"]
         assert trace["bounce_max"] == counts.bounces.max()
         assert (trace["grazing"], trace["corner"]) == (counts.grazing, counts.corner)
+        assert trace["lanes"] == native.load().math_lanes()
+        assert trace["lanes"] in (1, 4)
 
     def test_every_csv_starts_with_manifest_hash(self, command_runs):
         for name, (out_dir, printed) in command_runs.items():

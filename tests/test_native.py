@@ -118,7 +118,8 @@ def test_quantum_run_neither_builds_nor_loads_the_engine(tmp_path):
 
 def test_semiclassical_run_never_imports_the_scipy_capsule(tmp_path):
     # The engine takes erf from the C library, not from scipy's Cython API,
-    # and nothing else on the route imports scipy either.
+    # and nothing else on the route imports scipy either; merging the
+    # checkpoint times does not import numpy.ma, as np.unique would.
     cfg = tmp_path / "s.cfg"
     cfg.write_text("n_samples = 1200\nu_points = 64\nbeta_list = 2^-8\nseed = 777\nworkers = 1\n")
     code = """
@@ -130,6 +131,7 @@ def test_semiclassical_run_never_imports_the_scipy_capsule(tmp_path):
         assert native.load.cache_info().currsize == 1
         stray = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
         assert not stray, stray
+        assert "numpy.ma" not in sys.modules
         sys.exit(code)
     """
     proc = python(code, str(cfg), str(tmp_path / "out"), stderr=subprocess.PIPE)
@@ -213,8 +215,9 @@ def _closed_form(pot, q0, d, s, dur, exact_miss=False):
 @pytest.mark.parametrize("n_bumps", [1, 3, 4, 5])
 def test_segment_integrals_match_the_closed_form_in_mpmath(n_bumps):
     mpmath = pytest.importorskip("mpmath")
-    # Odd bump counts leave a lane of the two-lane erf and exp padded;
-    # fast flights take erf far past +-6, where it rounds to +-1.
+    # With 1, 3 and 5 bumps the four-lane exp over n bumps and erf over the
+    # 2n set-up arguments end in a padded block; fast flights take erf far
+    # past +-6, where it rounds to +-1.
     centers = np.array([*potential.DEFAULT_CENTERS, (0.9, 0.3)])[:n_bumps]
     pot = potential.QuenchPotential(centers=centers, signs=(-1.0) ** np.arange(n_bumps))
     rng = np.random.default_rng(20)
@@ -254,19 +257,26 @@ def test_flights_aimed_at_a_bump_from_afar_keep_their_digits():
             assert abs(got[i] - want) <= 1e-14 * abs(want), (i, got[i], want)
 
 
+def _cpu_has_avx2() -> bool:
+    with open("/proc/cpuinfo") as fh:
+        return "avx2" in fh.read().split()
+
+
 @pytest.mark.skipif(
     platform.machine() != "x86_64"
     or platform.libc_ver()[0] != "glibc"
     or tuple(map(int, platform.libc_ver()[1].split(".")[:2])) < (2, 35),
-    reason="libmvec's two-lane erf is used on x86_64 with glibc 2.35 or later",
+    reason="libmvec's four-lane erf and exp are linked on x86_64 with glibc 2.35 or later",
 )
 def test_engine_maps_libmvec():
+    # The four-lane path runs wherever the CPU has AVX2, the scalar one elsewhere.
     code = """
+        import sys
         from chaowork import native
-        native.load()
+        assert native.load().math_lanes() == int(sys.argv[1])
         with open("/proc/self/maps") as fh:
             assert "libmvec" in fh.read()
     """
-    proc = python(code, stderr=subprocess.PIPE)
+    proc = python(code, "4" if _cpu_has_avx2() else "1", stderr=subprocess.PIPE)
     _, err = proc.communicate(timeout=300)
     assert proc.returncode == 0, err.decode()
