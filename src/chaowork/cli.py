@@ -42,6 +42,8 @@ from .potential import DEFAULT_CENTERS, DEFAULT_SIGNS, QuenchPotential
 from .spectra import WorkHistogram
 
 ENV_PREFIX = "CHAOWORK_"
+# exp(x) overflows a double once x exceeds this.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class ParseError(ValueError):
@@ -425,8 +427,9 @@ def read_histogram_csv(path) -> WorkHistogram:
 
 
 def _write_json(path, payload) -> None:
+    """Strict JSON: a NaN or infinity in ``payload`` raises ValueError."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +472,25 @@ def _plan(cfg, geom, pot, n_u):
     plan = plan_u_grid(geom, pot, cfg.seed, n_u=n_u, pad_frac=cfg.pad_frac)
     _check_inversion(plan.n)
     return plan
+
+
+def _check_broadening_correction(cfg, plan, betas, eps):
+    """Refuse, before any work, a beta whose free energy cannot take the
+    broadening correction: exp((beta eps)^2 / 2) overflows, or the
+    broadened spikes, tilted by exp(-beta W), sit beta eps^2 below their
+    place, past the pad of the plan's window."""
+    span = 2.0 * math.pi / plan.du
+    pad = cfg.pad_frac * span / (1.0 + 2.0 * cfg.pad_frac)
+    for beta in betas:
+        tilt = beta * eps * eps
+        if 0.5 * (beta * eps) ** 2 > _LOG_FLOAT_MAX or tilt > pad:
+            raise RangeError(
+                "beta_list",
+                f"beta = {beta:g} with broadening_bins = {cfg.broadening_bins:g} is too cold"
+                f" for the broadening correction: it tilts the spikes by beta eps^2 = {tilt:.4g}"
+                f" in W against the plan's pad of {pad:.4g}, and exp((beta eps)^2 / 2) must be"
+                f" finite (beta eps = {beta * eps:.4g}); lower beta or broadening_bins",
+            )
 
 
 def _solve_quench(cfg, geom, pot, hbar):
@@ -551,11 +573,17 @@ def run_quantum(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
     # Truncation and aliasing both raise here, before any file is written.
     grid = quantum.quantum_characteristic(spec, beta, plan)
     hist = spectra.invert(grid, broadening=_broadening(cfg, plan))
+    lhs, rhs = quantum.quantum_jarzynski(spec, beta)
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise RangeError(
+            "beta_list",
+            f"beta = {beta:g}: the free-energy identity overflows (jarzynski_lhs = {lhs},"
+            f" jarzynski_rhs = {rhs}); raise the temperature",
+        )
     quantum.save_spectra(out.path("spectra.bin"), spec)
     out.files.extend(quantum.export_spectra_csv(out.dir, spec, out.hash))
     write_histogram_csv(out.path("quantum_workdist.csv"), hist, out.hash)
     write_characteristic_csv(out.path("quantum_g.csv"), grid, out.hash)
-    lhs, rhs = quantum.quantum_jarzynski(spec, beta)
     report = {
         "beta": beta,
         "jarzynski_lhs": lhs,
@@ -603,10 +631,11 @@ def run_fig3(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
     betas = _swept(cfg, "beta_list", tuple(2.0**-k for k in range(7, 14)))
     hbar = cfg.hbar_list[0]
     plan = _plan(cfg, geom, pot, _swept(cfg, "u_points", 64))
+    eps = _broadening(cfg, plan)
+    _check_broadening_correction(cfg, plan, betas, eps)
 
     # The classical work does not depend on beta, so one sample serves every row.
     sample = classical.sample_classical_work(geom, pot, betas[0], cfg.n_classical, cfg.seed)
-    eps = _broadening(cfg, plan)
     functionals = analysis.jarzynski_functionals(plan, betas, eps)
     requests = [Request(beta, plan, hbar, c) for beta, c in zip(betas, functionals)]
     _, grids = _semiclassical_grids(cfg, geom, pot, requests)

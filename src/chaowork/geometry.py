@@ -9,9 +9,10 @@ of immutable data and safe to share across workers.
 
 ``first_hit_arrays`` is the numpy statement of the ray/wall intersection.
 The compiled engine (``_engine.c``) repeats its arithmetic operation for
-operation, for one ray at a time, so the two agree bit for bit; the numpy
-engine and the scalar one-ray ``first_hit``/``reflect`` built on it are the
-test references in ``tests/reference.py``.  The tolerances below are passed
+operation on four rays at a time, one per vector lane, with masks where
+this code selects and glibc's scalar ``sqrt`` per lane, so the two agree bit
+for bit; the numpy engine and the scalar one-ray ``first_hit``/``reflect``
+built on it are the test references in ``tests/reference.py``.  The tolerances below are passed
 to the compiled engine, so each is defined here only.
 """
 

@@ -12,15 +12,19 @@ libraries of other sources, flags or compilers from the cache.  A missing
 compiler, a failed build or a cache directory that cannot be written raises
 ``BuildError`` naming it; there is no other engine to fall back on.
 
-``load`` returns the library, with every argument type declared.  It is
-linked with ``-lm`` and takes ``hypot`` and ``sqrt`` from the C library.
-On x86_64 with glibc 2.35 or later (glibc's ``libm.so`` there pulls in its
-vector math library, libmvec, so ``-lm`` links it), ``erf`` and ``exp`` come
-from libmvec's four-lane AVX2 ``_ZGVdN4v_erf`` and ``_ZGVdN4v_exp`` when the
-CPU has AVX2: the engine checks once per call, and ``FLAGS`` stay the same.
-Elsewhere they come from the scalar ``erf`` and ``exp`` of the C library.
-The two paths differ by a few units in the last place; the library's
-``math_lanes()`` returns 4 on the first and 1 on the second.
+``load`` returns the library, with every argument type declared.  Its
+trace carries four rays at a time, one per lane of a GCC vector, and a
+lane whose ray stops takes the next.  It is linked with ``-lm`` and takes
+``hypot`` and ``sqrt`` from the C library, lane by lane.  On x86_64 with
+glibc 2.35 or later (glibc's ``libm.so`` there pulls in its vector math
+library, libmvec, so ``-lm`` links it), when the CPU has AVX2 the engine
+runs its loop compiled for AVX2 and takes ``erf`` and ``exp`` from
+libmvec's four-lane ``_ZGVdN4v_erf`` and ``_ZGVdN4v_exp``: it checks once
+per call, and ``FLAGS`` stay the same.  Elsewhere the same loop runs as
+compiled for the baseline target, with the scalar ``erf`` and ``exp`` of the
+C library.  The geometry is the same on both; the integrals differ by a few
+units in the last place, and the library's ``math_lanes()`` returns 4 on
+the first and 1 on the second.
 """
 
 from __future__ import annotations

@@ -92,9 +92,9 @@ class _SegmentConstants:
     integrand is exp(-|q(tau) - c_i|^2 / (2 sigma^2)) =
     amp_i * exp(-(s (tau - tau_star_i))^2 / (2 sigma^2)), whose integral is
     an error-function difference; a stationary flight (s = 0) integrates to
-    V(q0) * T.  ``integral`` evaluates this in the compiled engine's own
-    one-segment routine, so its value is bit for bit what the engine adds
-    for the same flight.
+    V(q0) * T.  ``integral`` evaluates this through the compiled engine's
+    own set-up and total, four flights at a time, so its value is bit for
+    bit what the engine adds for the same flight.
     """
 
     __slots__ = ("pot", "q0", "direction", "speed")

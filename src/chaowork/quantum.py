@@ -417,11 +417,13 @@ def quantum_jarzynski(spec: QuenchSpectra, beta: float) -> tuple[float, float]:
     average of exp(-beta W) and the retained-spectrum partition ratio.
 
     Equal exactly at full spectrum; the gap measures truncation otherwise.
+    Both are infinite when exp(-beta dF) overflows a double.
     """
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     shift = spec.e0.min()
-    bf = np.exp(-beta * (spec.ef - shift))
+    with np.errstate(over="ignore"):
+        bf = np.exp(-beta * (spec.ef - shift))
     z0 = np.exp(-beta * (spec.e0 - shift)).sum()
     lhs = float((spec.transition @ bf).sum() / z0)
     rhs = float(bf.sum() / z0)

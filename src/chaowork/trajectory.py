@@ -3,12 +3,15 @@
 H = |p|^2 with mass 1/2, so dq/dt = 2p: the speed along a ray is twice the
 momentum magnitude, and |p| is conserved exactly across bounces.
 
-``checkpoint_action_integrals`` is the engine: one compiled loop over rays
-(``_engine.c``, built and loaded by ``native``).  It reads one ascending
-array of checkpoint times.  Each ray takes its direction and speed; per
-segment it finds the first wall hit, fills every checkpoint up to the
-segment's end, adds the segment's integral of V to one running sum, then
-moves and reflects.  It stops at the last checkpoint, when it loses the
+``checkpoint_action_integrals`` is the engine: one compiled loop
+(``_engine.c``, built and loaded by ``native``) that carries four rays in
+lockstep, one per vector lane, and gives a lane the next ray as soon as
+its own stops.  It reads one ascending array of checkpoint times.  Each
+ray takes its direction and speed; per segment it finds the first wall
+hit, fills every checkpoint up to the segment's end, adds the segment's
+integral of V to one running sum, then moves and reflects, with glibc's
+scalar ``hypot`` per lane.  A ray's results do not depend on which lane or
+batch it shares.  It stops at the last checkpoint, when it loses the
 boundary or at the bounce cap, and the checkpoints it did not reach stay
 NaN.  It also returns what the trace did, as ``TraceCounts``.  The
 geometry is bit for bit that of ``geometry.first_hit_arrays`` and the numpy

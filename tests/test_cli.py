@@ -7,6 +7,7 @@ import platform
 import shutil
 import subprocess
 import sys
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -625,6 +626,43 @@ class TestSubcommands:
             assert payload["error"] == "RangeError"
             assert key in payload["message"]
             assert not any(files for _, _, files in os.walk(out))
+
+    def test_quantum_overflowing_jarzynski_refused_before_any_file(self, tmp_path, capsys):
+        # At beta = 50, exp(-beta dF) is about e^865: no shift of the
+        # exponents makes either side finite.  It once wrote "Infinity".
+        cfgp = tmp_path / "c.cfg"
+        cfgp.write_text(tiny_text(quantum_h="0.1", seed="3", u_points="16"))
+        out = tmp_path / "o"
+        rc = self.run_main(["quantum", "--config", str(cfgp), "--beta", "50", "--out", str(out)])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "RangeError"
+        assert payload["message"].startswith("beta_list: ")
+        assert not any(files for _, _, files in os.walk(out))
+
+    def test_cold_jarzynski_refused_before_the_trace(self, tmp_path, capsys, monkeypatch):
+        # At beta = 5 and 16 u the broadened spikes tilt about 1,170 in W
+        # against a pad of about 34; at beta = 30, exp((beta eps)^2 / 2)
+        # overflows too.  Both once failed after the whole trace.
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the temperatures were checked")
+
+        monkeypatch.setattr(sampler, "sample_ensemble", refuse)
+        monkeypatch.setattr(classical, "sample_classical_work", refuse)
+        for beta in ("5", "30", "2^-7, 5"):
+            cfgp = tmp_path / "c.cfg"
+            cfgp.write_text(tiny_text(n_samples="600", u_points="16", beta_list=beta))
+            for command in (["jarzynski"], ["scenario", "fig3"]):
+                out = tmp_path / "_".join(command)
+                t0 = time.perf_counter()
+                rc = self.run_main([*command, "--config", str(cfgp), "--out", str(out)])
+                assert time.perf_counter() - t0 < 1.0
+                assert rc == 1
+                payload = json.loads(capsys.readouterr().err.strip())
+                assert payload["error"] == "RangeError"
+                assert payload["message"].startswith("beta_list: beta = ")
+                assert "broadening_bins" in payload["message"]
+                assert not any(files for _, _, files in os.walk(out))
 
     def test_bad_flag_value_named(self, capsys):
         for flag in ("--beta", "--hbar", "--seed", "--workers"):

@@ -10,7 +10,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from chaowork import native, potential
+from chaowork import characteristic, geometry, native, potential, sampler, trajectory
 
 SRC = os.path.dirname(native.PACKAGE_DIR)
 
@@ -215,18 +215,18 @@ def _closed_form(pot, q0, d, s, dur, exact_miss=False):
 @pytest.mark.parametrize("n_bumps", [1, 3, 4, 5])
 def test_segment_integrals_match_the_closed_form_in_mpmath(n_bumps):
     mpmath = pytest.importorskip("mpmath")
-    # With 1, 3 and 5 bumps the four-lane exp over n bumps and erf over the
-    # 2n set-up arguments end in a padded block; fast flights take erf far
-    # past +-6, where it rounds to +-1.
+    # Flights go four at a time, and the 63rd ends in a short group that
+    # repeats it; still and moving flights share each group.  Fast flights
+    # take erf far past +-6, where it rounds to +-1.
     centers = np.array([*potential.DEFAULT_CENTERS, (0.9, 0.3)])[:n_bumps]
     pot = potential.QuenchPotential(centers=centers, signs=(-1.0) ** np.arange(n_bumps))
     rng = np.random.default_rng(20)
-    n = 64
+    n = 63
     q0 = rng.uniform((0.05, 0.05), (1.4, 0.95), size=(n, 2))
     angle = rng.uniform(0.0, 2.0 * np.pi, n)
     d = np.column_stack([np.cos(angle), np.sin(angle)])
-    s = np.tile([0.0, 1e-3, 0.7, 3.0, 40.0, 400.0, 2.0, 9.0], n // 8)
-    dur = np.tile([0.0, 0.05, 0.3, 1.1], n // 4)
+    s = np.resize([0.0, 1e-3, 0.7, 3.0, 40.0, 400.0, 2.0, 9.0], n)
+    dur = np.resize([0.0, 0.05, 0.3, 1.1], n)
     got = potential.segment_constants(pot, q0, d, s).integral(dur)
     with mpmath.workdps(30):
         for i in range(n):
@@ -280,3 +280,33 @@ def test_engine_maps_libmvec():
     proc = python(code, "4" if _cpu_has_avx2() else "1", stderr=subprocess.PIPE)
     _, err = proc.communicate(timeout=300)
     assert proc.returncode == 0, err.decode()
+
+
+def test_baseline_build_traces_the_same_rays(tmp_path, monkeypatch):
+    # The engine source with its AVX2 path compiled out: the lane loop built
+    # for the baseline target, with the scalar erf and exp.  Its geometry is
+    # the same arithmetic, so flights, bounces and events are identical, and
+    # the integrals differ only by the math path's last-place rounding.
+    source = native._source().decode()
+    lines = source.splitlines(keepends=True)
+    gate = [i for i, line in enumerate(lines) if line.startswith("#if defined(__x86_64__)")]
+    assert len(gate) == 1
+    lines[gate[0]] = "#if 0\n"
+    target = str(tmp_path / "_engine.baseline.so")
+    native.build(native.find_compiler(), "".join(lines).encode(), target)
+    baseline = native.open_library(target)
+    assert baseline.math_lanes() == 1
+
+    # 2,048 rays of sc-single: beta = 2^-12, 256 checkpoints, seed 7.
+    geom, pot = geometry.BilliardGeometry(), potential.QuenchPotential()
+    plan = characteristic.plan_u_grid(geom, pot, 7, n_u=256)
+    times = characteristic._prepare(characteristic.Request(2.0**-12, plan, 1.0)).times
+    ens = sampler.sample_ensemble(geom, 2048, seed=7)
+    want, want_failed, ref = trajectory.checkpoint_action_integrals(ens.qs, ens.z, times, geom, pot)
+    monkeypatch.setattr(native, "load", lambda: baseline)
+    got, failed, counts = trajectory.checkpoint_action_integrals(ens.qs, ens.z, times, geom, pot)
+    assert np.array_equal(counts.segments, ref.segments)
+    assert np.array_equal(counts.bounces, ref.bounces)
+    assert (counts.grazing, counts.corner) == (ref.grazing, ref.corner)
+    assert np.array_equal(failed, want_failed)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)

@@ -162,15 +162,21 @@ class TestCheckpointEngine:
             ((1.2, 0.9), (0.3, -0.1), 0.4),
         ],
     )
-    def test_no_bounce_flight_is_the_closed_form(self, geom, pot, q0, p0, t):
+    def test_no_bounce_flight_is_the_closed_form(self, geom, q0, p0, t):
         # No wall within t: the engine's value is exactly one closed-form call.
+        # The checkpoint takes erf over n bumps, which with 1, 3 and 5 bumps
+        # ends in a padded four-lane block; the closed form takes it over
+        # the 8n set-up arguments of four flights, which never pad.
         qs, ps = np.array([q0]), np.array([p0])
         pmag = np.hypot(ps[:, 0], ps[:, 1])
         assert reference.first_hit(geom, q0, ps[0] / pmag[0]).path_length > 2.0 * pmag[0] * t
-        integrals, failed, _ = checkpoint_action_integrals(qs, ps, np.array([t]), geom, pot)
-        assert not failed.any()
-        cst = potential.segment_constants(pot, qs, ps / pmag[:, None], 2.0 * pmag)
-        assert integrals[0, 0] == cst.integral(np.array([t]))[0]
+        for n_bumps in (1, 3, 4, 5):
+            centers = np.array([*potential.DEFAULT_CENTERS, (0.9, 0.3)])[:n_bumps]
+            pot = potential.QuenchPotential(centers=centers, signs=(-1.0) ** np.arange(n_bumps))
+            integrals, failed, _ = checkpoint_action_integrals(qs, ps, np.array([t]), geom, pot)
+            assert not failed.any()
+            cst = potential.segment_constants(pot, qs, ps / pmag[:, None], 2.0 * pmag)
+            assert integrals[0, 0] == cst.integral(np.array([t]))[0], n_bumps
 
     def test_zero_column_at_time_zero(self, geom, pot):
         ens = sampler.sample_ensemble(geom, 16, seed=2)
@@ -294,3 +300,66 @@ class TestAgainstNumpyEngine:
             assert 0 < np.isnan(got[:, quarter]).sum() < failed.sum() < len(qs)
         else:
             assert not failed.any()
+
+
+class TestLanes:
+    """The engine traces four rays at a time, one per vector lane, and a lane
+    whose ray stops takes the next one.  No lane may see another's ray: in
+    every batch each ray has the bits it has when traced alone."""
+
+    # Still rays, rays into three corners and thermal rays of several
+    # speeds, so that rays end at different steps and lanes refill mid-batch.
+    CORNERS = (((0.5, 0.5), (-1.0, -1.0)), ((0.5, 0.5), (-1.0, 1.0)), ((1.5, 0.5), (1.0, -1.0)))
+
+    @pytest.fixture(scope="class")
+    def rays(self, geom):
+        ens = sampler.sample_ensemble(geom, 6, seed=13)
+        ps = ens.momenta(2.0**-6) * np.array([0.0, 0.1, 1.0, 0.0, 3.0, 10.0])[:, None]
+        qs = np.vstack([ens.qs, [q for q, _ in self.CORNERS]])
+        ps = np.vstack([ps, [p for _, p in self.CORNERS]])
+        return qs, ps
+
+    TIMES = {
+        "all at zero": np.zeros(3),
+        "first few at zero": np.array([0.0, 0.0, 0.0, 0.05, 0.2, 0.35, 0.5]),
+    }
+
+    @pytest.mark.parametrize("times_case", list(TIMES))
+    @pytest.mark.parametrize("max_bounces", [0, 1, 3, trajectory.MAX_BOUNCES_DEFAULT])
+    def test_each_ray_has_its_bits_alone(self, geom, pot, rays, max_bounces, times_case):
+        qs, ps = rays
+        times = self.TIMES[times_case]
+        alone = [
+            checkpoint_action_integrals(qs[i : i + 1], ps[i : i + 1], times, geom, pot, max_bounces)
+            for i in range(len(qs))
+        ]
+        rng = np.random.default_rng(max_bounces % 1000)
+        corners = 0
+        for size in range(1, len(qs) + 1):
+            pick = rng.permutation(len(qs))[:size]
+            got, failed, counts = checkpoint_action_integrals(
+                qs[pick], ps[pick], times, geom, pot, max_bounces
+            )
+            for row, i in enumerate(pick):
+                integrals, one_failed, one = alone[i]
+                assert np.array_equal(got[row], integrals[0], equal_nan=True), (size, i)
+                assert failed[row] == one_failed[0]
+                assert counts.segments[row] == one.segments[0]
+                assert counts.bounces[row] == one.bounces[0]
+            assert counts.grazing == sum(alone[i][2].grazing for i in pick)
+            assert counts.corner == sum(alone[i][2].corner for i in pick)
+            corners = max(corners, counts.corner)
+
+            want, want_failed, ref = reference.checkpoint_action_integrals_numpy(
+                qs[pick], ps[pick], times, geom, pot, max_bounces
+            )
+            assert np.array_equal(failed, want_failed)
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+            assert np.array_equal(counts.segments, ref.segments)
+            assert np.array_equal(counts.bounces, ref.bounces)
+            assert (counts.grazing, counts.corner) == (ref.grazing, ref.corner)
+        if times[-1] > 0.0:
+            assert corners >= 1
+        else:
+            assert corners == 0
