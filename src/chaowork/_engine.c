@@ -6,25 +6,28 @@
  * is fused.  Every floating-point operation of the geometry (wall times,
  * normals, reflection, normalisation, position update, wall nudge) mirrors
  * in order the numpy expressions of geometry.first_hit_arrays and of the
- * numpy engine kept in tests/reference.py, and hypot and sqrt are glibc's,
- * as numpy's are: a ray's geometry is bit-identical to that engine's.  The
- * integrals use glibc's erf and exp where numpy and scipy have their own,
- * a squared cross product for the squared miss distance where that engine
- * takes d0sq - proj^2, and a left fold over the bumps where numpy used a
- * BLAS dot product, so they can differ from that engine's in the last
- * digits.
+ * numpy engine kept in tests/reference.py, and hypot and sqrt have the bits
+ * of glibc's, which numpy calls: a ray's geometry is bit-identical to that
+ * engine's.  The integrals use glibc's erf and exp where numpy and scipy
+ * have their own, a squared cross product for the squared miss distance
+ * where that engine takes d0sq - proj^2, and a left fold over the bumps
+ * where numpy used a BLAS dot product, so they can differ from that
+ * engine's in the last digits.
  *
  * The trace carries four rays in lockstep, one per lane of a GCC vector of
  * four doubles.  The wall times, the move and the reflection run on all
  * four lanes at once, and masks select between results where the one-ray
  * code branched; each lane keeps that code's operations in order, and
- * vector add, multiply, divide and compare round as the scalar ones do, so
- * a lane's geometry has the bits one ray alone would have.  sqrt and hypot
- * are glibc's scalar calls, lane by lane, since no vector form is known to
- * round as they do.  When a lane's ray stops, the lane takes the next ray
- * that has not started, so rays of different lengths leave no lane idle
- * until the last ones; a lane with no ray left carries a still flight whose
- * results are dropped.
+ * vector add, multiply, divide, sqrt and compare round as the scalar ones
+ * do, so a lane's geometry has the bits one ray alone would have.  sqrt
+ * takes two lanes per SSE2 instruction (sqrt4).  Under the #if below,
+ * hypot is glibc's own algorithm on four lanes (hypot4): a fixed sequence
+ * of correctly rounded operations, so each lane has glibc's bits, and a
+ * lane outside the algorithm's common case calls glibc's hypot, as every
+ * lane does elsewhere.  When a lane's ray stops, the lane takes the next
+ * ray that has not started, so rays of different lengths leave no lane
+ * idle until the last ones; a lane with no ray left carries a still flight
+ * whose results are dropped.
  *
  * A flight's set-up is lane-major: each bump holds its four lanes side by
  * side, so the call's exp_n runs over 4n values and its erf_n over the 8n
@@ -48,6 +51,9 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
 
 /* y[i] = erf(x[i]) and y[i] = exp(x[i]) for i < n; y may be x.  The scalar
  * loops are the fallback wherever the four-lane path below is not used. */
@@ -134,6 +140,60 @@ typedef __typeof__((v4d){0.0} < (v4d){0.0}) v4m;
 #define SPLAT(c) ((v4d){(c), (c), (c), (c)})
 /* a in the lanes where m is set, b elsewhere */
 #define SELECT(m, a, b) ((v4d)(((m) & (v4m)(a)) | (~(m) & (v4m)(b))))
+
+/* The square root of each lane, in place.  SSE2, part of every x86_64
+ * target, takes two lanes per instruction, correctly rounded as glibc's
+ * sqrt is; the engine takes it only of sums of squares and of
+ * discriminants masked to 0, never of a negative, where glibc would set
+ * errno. */
+INLINE void sqrt4(v4d *x)
+{
+#ifdef __SSE2__
+    const __m128d lo = _mm_sqrt_pd((__m128d){(*x)[0], (*x)[1]});
+    const __m128d hi = _mm_sqrt_pd((__m128d){(*x)[2], (*x)[3]});
+    *x = (v4d){lo[0], lo[1], hi[0], hi[1]};
+#else
+    for (int k = 0; k < 4; k++)
+        (*x)[k] = sqrt((*x)[k]);
+#endif
+}
+
+/* h = hypot(x, y) in each lane, with the bits of the C library's hypot. */
+#ifdef HAVE_LANES4
+/* glibc's hypot (hypot@@GLIBC_2.35, e_hypot.c's kernel without FMA, no
+ * ifunc) is a fixed sequence of correctly rounded operations; each lane
+ * takes them in its order.  Its common case has ax <= 2^511, ay >= 2^-459
+ * and ay > ax 2^-54 (the constants of glibc 2.36's code), which no NaN or
+ * infinity passes; a lane outside it, such as a reflected direction with
+ * an exact 0 component, calls hypot itself. */
+INLINE void hypot4(const v4d *x, const v4d *y, v4d *h)
+{
+    const v4m sign = (v4m)SPLAT(-0.0);
+    const v4d absx = (v4d)((v4m)*x & ~sign), absy = (v4d)((v4m)*y & ~sign);
+    const v4m swap = absx < absy;
+    const v4d ax = SELECT(swap, absy, absx), ay = SELECT(swap, absx, absy);
+    v4d r = ax * ax + ay * ay;
+    sqrt4(&r);
+    /* The correction, by glibc's two branches. */
+    const v4m near = r <= 2.0 * ay;
+    const v4d delta = SELECT(near, r - ay, r - ax);
+    const v4d t1 = SELECT(near, ax * (2.0 * delta - ax), 2.0 * delta * (ax - 2.0 * ay));
+    const v4d t2 = SELECT(near, (delta - 2.0 * (ax - ay)) * delta,
+                          (4.0 * delta - ay) * ay + delta * delta);
+    *h = r - (t1 + t2) / (2.0 * r);
+    const v4m common = (ax <= 0x1p511) & (ay >= 0x1p-459) & (ay > ax * 0x1p-54);
+    if (!(common[0] & common[1] & common[2] & common[3]))
+        for (int k = 0; k < 4; k++)
+            if (!common[k])
+                (*h)[k] = hypot((*x)[k], (*y)[k]);
+}
+#else
+INLINE void hypot4(const v4d *x, const v4d *y, v4d *h)
+{
+    for (int k = 0; k < 4; k++)
+        (*h)[k] = hypot((*x)[k], (*y)[k]);
+}
+#endif
 
 /* Four straight flights q0 + d s tau over [0, dur], one per lane, with the
  * closed-form constants of potential.py.  A still flight (s <= 0) takes
@@ -314,8 +374,7 @@ INLINE void first_hits(const walls_t *w, const flights_t *f, hits_t *h)
     const v4d disc = b * b - c;
     const v4m has = disc >= 0.0;
     v4d sq = SELECT(has, disc, zero);
-    for (int k = 0; k < 4; k++)
-        sq[k] = sqrt(sq[k]);
+    sqrt4(&sq);
     v4d t3 = inf;
     v4d root = -b - sq;
     t3 = SELECT(has & (root > tol) & (x + dx * root >= l - tol) & (y + dy * root >= -tol) &
@@ -348,8 +407,7 @@ INLINE void first_hits(const walls_t *w, const flights_t *f, hits_t *h)
     nx = SELECT(ok & near3, nx + (l - hx) / r, nx);
     ny = SELECT(ok & near3, ny + -hy / r, ny);
     v4d norm = nx * nx + ny * ny;
-    for (int k = 0; k < 4; k++)
-        norm[k] = sqrt(norm[k]);
+    sqrt4(&norm);
     const v4d safe = SELECT(norm > 0.0, norm, SPLAT(1.0));
     h->t = t_min;
     h->nx = nx / safe;
@@ -449,8 +507,7 @@ INLINE int trace_lanes(TRACE_PARAMS, int lanes)
         const v4d dx = f.dx - 2.0 * dn * h.nx;
         const v4d dy = f.dy - 2.0 * dn * h.ny;
         v4d norm;
-        for (int k = 0; k < 4; k++)
-            norm[k] = hypot(dx[k], dy[k]);
+        hypot4(&dx, &dy, &norm);
         f.dx = SELECT(reflect, dx / norm, f.dx);
         f.dy = SELECT(reflect, dy / norm, f.dy);
         f.x = SELECT(reflect, f.x + w->wall_nudge * h.nx, f.x);

@@ -11,12 +11,17 @@ silent source of spurious distance.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 from . import spectra as spectra_mod
 from .characteristic import CharacteristicGrid, UGridPlan
 from .spectra import GridMismatch, WorkHistogram
+
+
+# exp(x) overflows a double once x exceeds this.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class DegenerateMean(RuntimeError):
@@ -53,6 +58,15 @@ def jarzynski_functionals(plan: UGridPlan, betas, broadening: float) -> list[np.
     return spectra_mod.functional_coefficients(plan, float(broadening), kernels)
 
 
+def broadening_correction_overflows(beta: float, broadening: float) -> bool:
+    """Whether exp((beta broadening)^2 / 2), the broadening correction of a
+    free energy from an inverted histogram, overflows a double."""
+    try:
+        return 0.5 * (beta * broadening) ** 2 > _LOG_FLOAT_MAX
+    except OverflowError:  # the square overflows first
+        return True
+
+
 def jarzynski_from_characteristic(
     g: CharacteristicGrid, beta: float, broadening: float
 ) -> tuple[float, float]:
@@ -62,10 +76,17 @@ def jarzynski_from_characteristic(
     and its error ``g.functional_stderr``; G is not inverted.  The
     broadening inflates <exp(-beta W)> by exp((beta eps)^2 / 2) exactly
     (Gaussian convolution), so that factor is divided out.  A grid without a
-    functional or estimated at another beta raises ValueError.
+    functional or estimated at another beta, or a beta whose factor
+    overflows, raises ValueError.
     """
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
+    if broadening_correction_overflows(beta, float(broadening)):
+        raise ValueError(
+            f"beta = {beta:g} with broadening = {broadening:g} is too cold for the broadening"
+            f" correction: exp((beta broadening)^2 / 2) overflows (beta broadening ="
+            f" {beta * broadening:.4g}); lower beta or broadening"
+        )
     if g.functional is None:
         raise ValueError("the grid was estimated without a functional")
     if beta != g.beta:

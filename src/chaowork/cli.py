@@ -42,8 +42,6 @@ from .potential import DEFAULT_CENTERS, DEFAULT_SIGNS, QuenchPotential
 from .spectra import WorkHistogram
 
 ENV_PREFIX = "CHAOWORK_"
-# exp(x) overflows a double once x exceeds this.
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class ParseError(ValueError):
@@ -483,7 +481,7 @@ def _check_broadening_correction(cfg, plan, betas, eps):
     pad = cfg.pad_frac * span / (1.0 + 2.0 * cfg.pad_frac)
     for beta in betas:
         tilt = beta * eps * eps
-        if 0.5 * (beta * eps) ** 2 > _LOG_FLOAT_MAX or tilt > pad:
+        if analysis.broadening_correction_overflows(beta, eps) or tilt > pad:
             raise RangeError(
                 "beta_list",
                 f"beta = {beta:g} with broadening_bins = {cfg.broadening_bins:g} is too cold"

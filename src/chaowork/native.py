@@ -14,17 +14,20 @@ compiler, a failed build or a cache directory that cannot be written raises
 
 ``load`` returns the library, with every argument type declared.  Its
 trace carries four rays at a time, one per lane of a GCC vector, and a
-lane whose ray stops takes the next.  It is linked with ``-lm`` and takes
-``hypot`` and ``sqrt`` from the C library, lane by lane.  On x86_64 with
-glibc 2.35 or later (glibc's ``libm.so`` there pulls in its vector math
-library, libmvec, so ``-lm`` links it), when the CPU has AVX2 the engine
-runs its loop compiled for AVX2 and takes ``erf`` and ``exp`` from
-libmvec's four-lane ``_ZGVdN4v_erf`` and ``_ZGVdN4v_exp``: it checks once
-per call, and ``FLAGS`` stay the same.  Elsewhere the same loop runs as
-compiled for the baseline target, with the scalar ``erf`` and ``exp`` of the
-C library.  The geometry is the same on both; the integrals differ by a few
-units in the last place, and the library's ``math_lanes()`` returns 4 on
-the first and 1 on the second.
+lane whose ray stops takes the next.  It is linked with ``-lm``.  Its
+``sqrt`` takes two lanes per SSE2 instruction, correctly rounded as the C
+library's is.  On x86_64 with glibc 2.35 or later its ``hypot`` is glibc's
+algorithm on four lanes, with glibc's bits, and calls the C library's
+``hypot`` only for a lane outside that algorithm's common case; elsewhere
+it calls the C library's, lane by lane.  On those systems glibc's
+``libm.so`` pulls in its vector math library, libmvec, so ``-lm`` links it,
+and when the CPU has AVX2 the engine runs its loop compiled for AVX2 and
+takes ``erf`` and ``exp`` from libmvec's four-lane ``_ZGVdN4v_erf`` and
+``_ZGVdN4v_exp``: it checks once per call, and ``FLAGS`` stay the same.
+Elsewhere the same loop runs as compiled for the baseline target, with the
+scalar ``erf`` and ``exp`` of the C library.  The geometry is the same on
+both; the integrals differ by a few units in the last place, and the
+library's ``math_lanes()`` returns 4 on the first and 1 on the second.
 """
 
 from __future__ import annotations

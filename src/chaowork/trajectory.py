@@ -9,11 +9,11 @@ lockstep, one per vector lane, and gives a lane the next ray as soon as
 its own stops.  It reads one ascending array of checkpoint times.  Each
 ray takes its direction and speed; per segment it finds the first wall
 hit, fills every checkpoint up to the segment's end, adds the segment's
-integral of V to one running sum, then moves and reflects, with glibc's
-scalar ``hypot`` per lane.  A ray's results do not depend on which lane or
-batch it shares.  It stops at the last checkpoint, when it loses the
-boundary or at the bounce cap, and the checkpoints it did not reach stay
-NaN.  It also returns what the trace did, as ``TraceCounts``.  The
+integral of V to one running sum, then moves and reflects, with ``sqrt``
+and ``hypot`` taken on several lanes at once with glibc's bits.  A ray's
+results do not depend on which lane or batch it shares.  It stops at the
+last checkpoint, when it loses the boundary or at the bounce cap, and the
+checkpoints it did not reach stay NaN.  It also returns what the trace did, as ``TraceCounts``.  The
 geometry is bit for bit that of ``geometry.first_hit_arrays`` and the numpy
 engine kept in ``tests/reference.py`` as the test oracle, together with the
 scalar one-trajectory path (``propagate``, ``action_difference``); the

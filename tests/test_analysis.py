@@ -143,6 +143,17 @@ class TestJarzynskiFromCharacteristic:
         with pytest.raises(DegenerateMean):
             jarzynski_from_characteristic(g, 1.0, 2.0 * plan.dw)
 
+    def test_overflowing_broadening_correction_refused(self):
+        # exp((beta eps)^2 / 2) overflows a double once beta eps > 37.68: such a
+        # beta is refused by name, as the CLI refuses it, not with a bare
+        # OverflowError.
+        plan = plan_from_window(-8.0, 8.0, n_u=64)
+        eps = 2.0 * plan.dw
+        for beta in (38.0 / eps, 1e300):
+            g = exact_grid(plan, np.ones(plan.n), beta, eps)
+            with pytest.raises(ValueError, match="beta = .* broadening = .* too cold"):
+                jarzynski_from_characteristic(g, beta, eps)
+
     def test_aliased_grid_refused(self):
         # G that keeps its weight at u_max aliases the histogram the
         # functional sums over, as it does when G is inverted.

@@ -310,3 +310,105 @@ def test_baseline_build_traces_the_same_rays(tmp_path, monkeypatch):
     assert (counts.grazing, counts.corner) == (ref.grazing, ref.corner)
     assert np.array_equal(failed, want_failed)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+
+
+# The engine source plus entry points that take hypot4, and the C library's
+# hypot as the engine links it, over n pairs: hypot4 built for the baseline
+# target and, where the engine has its AVX2 path, for AVX2 as trace_avx2
+# inlines it.
+HYPOT4_WRAPPER = """
+INLINE void hypot4_loop(const double *x, const double *y, double *h, int64_t n)
+{
+    for (int64_t i = 0; i + 3 < n; i += 4) {
+        const v4d a = {x[i], x[i + 1], x[i + 2], x[i + 3]};
+        const v4d b = {y[i], y[i + 1], y[i + 2], y[i + 3]};
+        v4d r;
+        hypot4(&a, &b, &r);
+        for (int k = 0; k < 4; k++)
+            h[i + k] = r[k];
+    }
+}
+
+void hypot4_base(const double *x, const double *y, double *h, int64_t n)
+{
+    hypot4_loop(x, y, h, n);
+}
+
+#ifdef HAVE_LANES4
+__attribute__((target("avx2"))) void hypot4_avx2(const double *x, const double *y, double *h,
+                                                  int64_t n)
+{
+    hypot4_loop(x, y, h, n);
+}
+#endif
+
+void hypot_libc(const double *x, const double *y, double *h, int64_t n)
+{
+    for (int64_t i = 0; i < n; i++)
+        h[i] = hypot(x[i], y[i]);
+}
+"""
+
+
+def _hypot4_inputs(rng) -> tuple[np.ndarray, np.ndarray]:
+    """About 10^6 (x, y) pairs over every class of input hypot4 must round
+    as the C library does, mixed, so that lanes that call the C library sit
+    next to lanes that do not."""
+    n = 2**18
+    # Random bit patterns: every exponent, sign, subnormal, inf and NaN.
+    bits = rng.integers(0, 2**64, size=(2, n), dtype=np.uint64).view(float)
+    # Random mantissas within 60 binades of each other over every exponent:
+    # glibc's kernel, both of its branches and its ratio cut-off.
+    near_x = np.ldexp(rng.uniform(1.0, 2.0, n), rng.integers(-1074, 1024, n))
+    binade = np.frexp(near_x)[1] + rng.integers(-60, 60, n)
+    with np.errstate(over="ignore"):
+        near_y = np.ldexp(rng.uniform(-2.0, 2.0, n), binade)
+    # Unit-scale directions, as the reflection normalises them.
+    angle = rng.uniform(0.0, 2.0 * np.pi, n)
+    scale = rng.uniform(0.5, 2.0, n)
+    # Both sides of ay = ax 2^-54, up to 3 units in the last place away.
+    ax = np.ldexp(rng.uniform(1.0, 2.0, n), rng.integers(-400, 500, n))
+    ay = ((ax * 2.0**-54).view(np.int64) + rng.integers(-3, 4, n)).view(float)
+    # Signed zeros, subnormals, inf, NaN and glibc's thresholds with their
+    # neighbours, every pair of them.
+    edges = [0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1.0]
+    edges += [sys.float_info.max, np.inf, np.nan]
+    for t in (2.0**-459, 2.0**511, 2.0**-405, 2.0**457):
+        edges += [np.nextafter(t, 0.0), t, np.nextafter(t, np.inf)]
+    edges = np.array(edges + [-e for e in edges])
+    ex, ey = (a.ravel() for a in np.meshgrid(edges, edges))
+    x = np.concatenate([bits[0], near_x, scale * np.cos(angle), ax, ex])
+    y = np.concatenate([bits[1], near_y, scale * np.sin(angle), ay, ey])
+    swap = rng.random(x.size) < 0.5
+    pick = rng.permutation(x.size)
+    x, y = np.where(swap, y, x)[pick], np.where(swap, x, y)[pick]
+    return x[: x.size // 4 * 4], y[: y.size // 4 * 4]
+
+
+def test_hypot4_rounds_as_the_c_library(tmp_path):
+    # The reflection's four-lane hypot must have the bits of the C library's
+    # hypot, which the engine called lane by lane before, on every input,
+    # not only on the directions a trace makes.  The oracle is that hypot
+    # linked as the engine links it, not math.hypot, which is CPython's own.
+    target = str(tmp_path / "_engine.hypot4.so")
+    native.build(native.find_compiler(), native._source() + HYPOT4_WRAPPER.encode(), target)
+    lib = ctypes.CDLL(target)
+    x, y = _hypot4_inputs(np.random.default_rng(23))
+    assert x.size > 10**6
+
+    def run(fn):
+        fn.argtypes = [ctypes.POINTER(ctypes.c_double)] * 3 + [ctypes.c_int64]
+        fn.restype = None
+        h = np.empty_like(x)
+        fn(*(native.pointer(a) for a in (x, y, h)), x.size)
+        return h.view(np.uint64)
+
+    want = run(lib.hypot_libc)
+    builds = [lib.hypot4_base]
+    if hasattr(lib, "hypot4_avx2") and _cpu_has_avx2():
+        builds.append(lib.hypot4_avx2)
+    for fn in builds:
+        got = run(fn)
+        bad = np.flatnonzero(got != want)
+        assert bad.size == 0, [(x[i], y[i], got[i], want[i]) for i in bad[:5]]

@@ -310,13 +310,17 @@ class TestLanes:
     # Still rays, rays into three corners and thermal rays of several
     # speeds, so that rays end at different steps and lanes refill mid-batch.
     CORNERS = (((0.5, 0.5), (-1.0, -1.0)), ((0.5, 0.5), (-1.0, 1.0)), ((1.5, 0.5), (1.0, -1.0)))
+    # Rays straight down and straight left: each reflection at normal
+    # incidence leaves an exact 0 component, whose lane takes the C library's
+    # hypot beside lanes that take the four-lane one.
+    AXES = (((0.5, 0.5), (0.0, -1.0)), ((0.5, 0.5), (-1.0, 0.0)))
 
     @pytest.fixture(scope="class")
     def rays(self, geom):
         ens = sampler.sample_ensemble(geom, 6, seed=13)
         ps = ens.momenta(2.0**-6) * np.array([0.0, 0.1, 1.0, 0.0, 3.0, 10.0])[:, None]
-        qs = np.vstack([ens.qs, [q for q, _ in self.CORNERS]])
-        ps = np.vstack([ps, [p for _, p in self.CORNERS]])
+        qs = np.vstack([ens.qs, [q for q, _ in self.CORNERS + self.AXES]])
+        ps = np.vstack([ps, [p for _, p in self.CORNERS + self.AXES]])
         return qs, ps
 
     TIMES = {
