@@ -5,8 +5,8 @@
  * Built and loaded by native.py with -ffp-contract=off, so no multiply-add
  * is fused.  Every floating-point operation of the geometry (wall times,
  * normals, reflection, normalisation, position update, wall nudge) mirrors
- * in order the numpy expressions of geometry.first_hit_arrays and of the
- * numpy engine kept in tests/reference.py, and hypot and sqrt have the bits
+ * in order the numpy expressions of first_hit_arrays and of the numpy
+ * engine, the test oracle in tests/reference.py, and hypot and sqrt have the bits
  * of glibc's, which numpy calls: a ray's geometry is bit-identical to that
  * engine's.  The integrals use glibc's erf and exp where numpy and scipy
  * have their own, a squared cross product for the squared miss distance
@@ -342,7 +342,7 @@ int segment_integrals(const bumps_t *v, int64_t n, const double *q0, const doubl
     return 0;
 }
 
-/* The first wall each lane's ray meets, as geometry.first_hit_arrays. */
+/* The first wall each lane's ray meets, as first_hit_arrays in tests/reference.py. */
 typedef struct {
     v4d t;      /* path length to the nearest wall, inf when none */
     v4d nx, ny; /* inward unit normal, the bisector at corners */

@@ -35,8 +35,6 @@ class QuadratureNonConvergence(RuntimeError):
 @dataclass(frozen=True)
 class ClassicalWorkSample:
     values: np.ndarray
-    beta: float
-    seed: int
 
     @property
     def n(self) -> int:
@@ -44,25 +42,17 @@ class ClassicalWorkSample:
 
 
 def sample_classical_work(
-    geom: BilliardGeometry,
-    pot: QuenchPotential,
-    beta: float,
-    n: int,
-    seed: int,
+    geom: BilliardGeometry, pot: QuenchPotential, n: int, seed: int
 ) -> ClassicalWorkSample:
-    """n work values from Boltzmann-drawn phase points.
+    """n work values from Boltzmann-drawn phase points, at any temperature.
 
     W depends on the position alone, so only positions are drawn: the same
-    ones ``sampler.sample_ensemble`` draws for (n, seed).  The values
-    therefore do not depend on ``beta``, which is kept as a label.
+    ones ``sampler.sample_ensemble`` draws for (n, seed).
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
     qs = sampler._ensemble_positions(geom, n, seed)
-    w = pot.delta_xi * evaluate(pot, qs)
-    return ClassicalWorkSample(values=w, beta=float(beta), seed=int(seed))
+    return ClassicalWorkSample(values=pot.delta_xi * evaluate(pot, qs))
 
 
 def _gauss_nodes(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -2,16 +2,18 @@
 
 Configuration is a flat ``key = value`` text file whose keys are the fields
 of RunConfig; CLI flags override environment variables (prefix CHAOWORK_),
-which override the file, which overrides the built-in defaults (the default
+which override the file, which overrides a scenario's own sweep
+(``_SCENARIO_DEFAULTS``), which overrides the built-in defaults (the default
 system of the study: r = l = 1 billiard, four bumps of width 0.1, quench
 strength 0 -> 85).  File, environment and flags share one grammar: a key
 parses by the type of its default.
 
-Every run writes a manifest JSON recording the canonical configuration, its
+Every run writes a manifest JSON recording the configuration that ran, its
 SHA-256 hash, the seed, library versions, the platform and C library, the CPU count and
 the compiled engine's cache key; each CSV embeds that hash in a
 leading comment line so outputs can be audited after the fact.  Outputs are
-a pure function of (config, seed, workers): reruns are byte-identical.
+a pure function of the configuration's values: reruns are byte-identical
+whatever the worker count or output directory.
 """
 
 from __future__ import annotations
@@ -117,9 +119,6 @@ class RunConfig:
     quantum_n_initial: int = 0  # 0 keeps the full grid spectrum
     quantum_n_final: int = 0
     dump_ensemble: bool = False
-    # Keys the user set explicitly (file, env or flag); scenarios fall back to
-    # their canonical sweeps only for keys left at the defaults.
-    explicit_keys: tuple[str, ...] = ()
 
     def geometry(self) -> BilliardGeometry:
         return BilliardGeometry(r=self.geometry_r, l=self.geometry_l)
@@ -146,9 +145,7 @@ _PARSERS = {
     tuple: _parse_float_list,
     str: str,
 }
-_CONVERTERS = {
-    f.name: _PARSERS[type(f.default)] for f in fields(RunConfig) if f.name != "explicit_keys"
-}
+_CONVERTERS = {f.name: _PARSERS[type(f.default)] for f in fields(RunConfig)}
 
 
 def _beta_tag(beta: float) -> str:
@@ -214,11 +211,11 @@ def _check_ranges(cfg: RunConfig) -> RunConfig:
     return cfg
 
 
-def validate_config(text: str) -> RunConfig:
+def validate_config(text: str, defaults: dict | None = None) -> RunConfig:
     """Parse, default and range-check a flat key = value configuration.
 
     Unknown keys are hard errors; an empty file yields the built-in default
-    system.
+    system, with ``defaults`` (a command's own values) in place of its keys.
     """
     data: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -241,7 +238,7 @@ def validate_config(text: str) -> RunConfig:
             raise
         except Exception as exc:
             raise ParseError(lineno, column, f"bad value for {key!r}: {exc}") from exc
-    return _check_ranges(RunConfig(**data, explicit_keys=tuple(sorted(data))))
+    return _check_ranges(RunConfig(**{**(defaults or {}), **data}))
 
 
 def _convert(conv, raw: str, source: str):
@@ -252,14 +249,6 @@ def _convert(conv, raw: str, source: str):
         raise ValueError(f"{source}: bad value {raw!r}: {exc}") from exc
 
 
-def _override(cfg: RunConfig, updates: dict) -> RunConfig:
-    """cfg with updates applied, the updated keys marked explicit, range-checked."""
-    if not updates:
-        return cfg
-    explicit = tuple(sorted(set(cfg.explicit_keys) | set(updates)))
-    return _check_ranges(replace(cfg, explicit_keys=explicit, **updates))
-
-
 def apply_env_overrides(cfg: RunConfig, environ=None) -> RunConfig:
     environ = os.environ if environ is None else environ
     updates = {}
@@ -267,7 +256,7 @@ def apply_env_overrides(cfg: RunConfig, environ=None) -> RunConfig:
         var = ENV_PREFIX + name.upper()
         if var in environ:
             updates[name] = _convert(conv, environ[var], var)
-    return _override(cfg, updates)
+    return _check_ranges(replace(cfg, **updates))
 
 
 def config_manifest(cfg: RunConfig, scenario: str) -> dict:
@@ -465,9 +454,9 @@ def _check_inversion(n_u):
         raise InsufficientMemory(f"u_points = {n_u}: {exc}; lower u_points") from None
 
 
-def _plan(cfg, geom, pot, n_u):
-    """The pilot u plan on n_u points, whose inversion is checked to fit in memory."""
-    plan = plan_u_grid(geom, pot, cfg.seed, n_u=n_u, pad_frac=cfg.pad_frac)
+def _plan(cfg, geom, pot):
+    """The pilot u plan on u_points, whose inversion is checked to fit in memory."""
+    plan = plan_u_grid(geom, pot, cfg.seed, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
     _check_inversion(plan.n)
     return plan
 
@@ -521,13 +510,21 @@ def _semiclassical_grids(cfg, geom, pot, requests):
     return ens, grids
 
 
-def _swept(cfg, key, fallback):
-    """The configured value of key if it was set explicitly, else the scenario's own."""
-    return getattr(cfg, key) if key in cfg.explicit_keys else fallback
+def _one(cfg, key):
+    """The entry of a list key that the command reads one entry of; a longer
+    list is refused rather than cut."""
+    values = getattr(cfg, key)
+    if len(values) != 1:
+        raise RangeError(
+            key,
+            f"this command takes one entry, got {len(values)} ({', '.join(map(repr, values))});"
+            " run them one at a time, or use a scenario that sweeps it",
+        )
+    return values[0]
 
 
 def _classical_histogram(cfg, geom, pot, plan, beta):
-    sample = classical.sample_classical_work(geom, pot, beta, cfg.n_classical, cfg.seed)
+    sample = classical.sample_classical_work(geom, pot, cfg.n_classical, cfg.seed)
     meta = {"beta": beta, "source": "classical_mc"}
     hist = spectra.bin_spikes(sample.values, plan, _broadening(cfg, plan), metadata=meta)
     return sample, hist
@@ -535,10 +532,10 @@ def _classical_histogram(cfg, geom, pot, plan, beta):
 
 def run_semiclassical(cfg: RunConfig, out: _Output) -> None:
     """One (beta, hbar): semiclassical G(u) and its inverted work distribution."""
+    beta, hbar = _one(cfg, "beta_list"), _one(cfg, "hbar_list")
     geom, pot = cfg.geometry(), cfg.potential()
-    plan = _plan(cfg, geom, pot, cfg.u_points)
-    beta = cfg.beta_list[0]
-    ens, [grid] = _semiclassical_grids(cfg, geom, pot, [Request(beta, plan, cfg.hbar_list[0])])
+    plan = _plan(cfg, geom, pot)
+    ens, [grid] = _semiclassical_grids(cfg, geom, pot, [Request(beta, plan, hbar)])
     hist = spectra.invert(grid, broadening=_broadening(cfg, plan))
     if cfg.dump_ensemble:
         _write_ensemble_csv(out.path("ensemble.csv"), ens, beta, out.hash)
@@ -548,8 +545,8 @@ def run_semiclassical(cfg: RunConfig, out: _Output) -> None:
 
 def run_classical(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
     """One beta: classical work sample, its histogram and the free energy."""
+    beta = _one(cfg, "beta_list")
     geom, pot = cfg.geometry(), cfg.potential()
-    beta = cfg.beta_list[0]
     plan = plan_u_grid(geom, pot, cfg.seed, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
     sample, hist = _classical_histogram(cfg, geom, pot, plan, beta)
     ref = classical.classical_free_energy_difference(geom, pot, beta)
@@ -563,8 +560,8 @@ def run_classical(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
 
 def run_quantum(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
     """One (beta, hbar): grid spectra, quantum P(W), G(u) and the free-energy identity."""
+    beta, hbar = _one(cfg, "beta_list"), _one(cfg, "hbar_list")
     geom, pot = cfg.geometry(), cfg.potential()
-    beta, hbar = cfg.beta_list[0], cfg.hbar_list[0]
     spec = _solve_quench(cfg, geom, pot, hbar)
     lo, hi = quantum.spike_support(spec, beta, mass_tol=1e-10)
     plan = plan_from_window(lo, hi, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
@@ -593,14 +590,10 @@ def run_quantum(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
 
 def run_fig4(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
     """Classical-limit sweep: fixed beta, shrinking hbar, L1 against classical."""
+    beta, hbars = _one(cfg, "beta_list"), cfg.hbar_list
     geom = cfg.geometry()
     pot = cfg.potential()
-    beta = cfg.beta_list[0]
-    hbars = _swept(cfg, "hbar_list", (0.01, 0.1, 0.5, 1.0))
-    # Distribution-level comparison: a coarse dual grid (work resolution of a
-    # few energy units) probes the classical limit rather than the dephasing
-    # crossover that dominates at fine u resolution.
-    plan = _plan(cfg, geom, pot, _swept(cfg, "u_points", 32))
+    plan = _plan(cfg, geom, pot)
 
     _, clhist = _classical_histogram(cfg, geom, pot, plan, beta)
     ens, grids = _semiclassical_grids(cfg, geom, pot, [Request(beta, plan, h) for h in hbars])
@@ -624,16 +617,15 @@ def run_fig4(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
 
 def run_fig3(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
     """Free-energy sweep: quadrature reference vs classical MC vs semiclassical."""
+    betas, hbar = cfg.beta_list, _one(cfg, "hbar_list")
     geom = cfg.geometry()
     pot = cfg.potential()
-    betas = _swept(cfg, "beta_list", tuple(2.0**-k for k in range(7, 14)))
-    hbar = cfg.hbar_list[0]
-    plan = _plan(cfg, geom, pot, _swept(cfg, "u_points", 64))
+    plan = _plan(cfg, geom, pot)
     eps = _broadening(cfg, plan)
     _check_broadening_correction(cfg, plan, betas, eps)
 
     # The classical work does not depend on beta, so one sample serves every row.
-    sample = classical.sample_classical_work(geom, pot, betas[0], cfg.n_classical, cfg.seed)
+    sample = classical.sample_classical_work(geom, pot, cfg.n_classical, cfg.seed)
     functionals = analysis.jarzynski_functionals(plan, betas, eps)
     requests = [Request(beta, plan, hbar, c) for beta, c in zip(betas, functionals)]
     _, grids = _semiclassical_grids(cfg, geom, pot, requests)
@@ -667,10 +659,9 @@ _TRUNCATION_CAVEAT = (
 
 def run_fig2(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
     """Quantum vs semiclassical work distributions across temperatures."""
+    betas, hbar = cfg.beta_list, _one(cfg, "hbar_list")
     geom = cfg.geometry()
     pot = cfg.potential()
-    betas = _swept(cfg, "beta_list", (2.0**-6, 2.0**-8, 2.0**-10, 2.0**-12))
-    hbar = cfg.hbar_list[0]
     spec = _solve_quench(cfg, geom, pot, hbar)
 
     base_plan = plan_u_grid(geom, pot, cfg.seed, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
@@ -727,6 +718,18 @@ _COMMANDS = {
     "quantum": run_quantum,
     "jarzynski": run_fig3,
 }
+# Each sweeping command's own values for the keys a config leaves out: they
+# sit under the file, the environment and the flags.  fig3 and fig4 compare
+# distributions, so their coarse dual grids (a work resolution of a few
+# energy units) probe the classical limit rather than the dephasing crossover
+# that dominates at fine u resolution.
+_FIG3_DEFAULTS = {"beta_list": tuple(2.0**-k for k in range(7, 14)), "u_points": 64}
+_SCENARIO_DEFAULTS = {
+    "fig2": {"beta_list": (2.0**-6, 2.0**-8, 2.0**-10, 2.0**-12)},
+    "fig3": _FIG3_DEFAULTS,
+    "jarzynski": _FIG3_DEFAULTS,
+    "fig4": {"hbar_list": (0.01, 0.1, 0.5, 1.0), "u_points": 32},
+}
 
 
 def _execute(cfg: RunConfig, name: str, runner, out_dir: str) -> dict:
@@ -746,7 +749,11 @@ def _execute(cfg: RunConfig, name: str, runner, out_dir: str) -> dict:
 
 
 def run_scenario(cfg: RunConfig, scenario: str) -> dict:
-    """Execute one named scenario into out_dir/<scenario>, manifest included."""
+    """Execute one named scenario into out_dir/<scenario>, manifest included.
+
+    cfg runs as given: the command line puts a scenario's own sweep
+    (``_SCENARIO_DEFAULTS``) under the file when it builds cfg.
+    """
     if scenario not in _SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; pick one of {sorted(_SCENARIOS)}")
     return _execute(cfg, scenario, _SCENARIOS[scenario], os.path.join(cfg.out_dir, scenario))
@@ -767,18 +774,19 @@ _FLAG_KEYS = {
 
 
 def _load_config(args) -> RunConfig:
+    """Defaults, then the command's own, then the file, environment and flags."""
+    text = ""
     if args.config:
         with open(args.config) as fh:
-            cfg = validate_config(fh.read())
-    else:
-        cfg = RunConfig()
-    cfg = apply_env_overrides(cfg)
+            text = fh.read()
+    name = args.name if args.command == "scenario" else args.command
+    cfg = apply_env_overrides(validate_config(text, _SCENARIO_DEFAULTS.get(name)))
     updates = {}
     for flag, key in _FLAG_KEYS.items():
         raw = getattr(args, flag)
         if raw is not None:
             updates[key] = _convert(_CONVERTERS[key], raw, f"--{flag}")
-    return _override(cfg, updates)
+    return _check_ranges(replace(cfg, **updates))
 
 
 def _cmd_run(args) -> dict:

@@ -8,9 +8,11 @@ error-function integral times the transverse Gaussian factor), which is both
 exact and fast.  The closed form is one routine of the compiled engine
 (``_engine.c``), which the engine calls for every segment and checkpoint:
 glibc ``exp`` and ``erf`` and a left fold over the bumps.  ``bumps``
-hands the potential to that code.  The scalar ``segment_integral``, the
-composite Simpson oracle it is checked against and the numpy closed form
-of the numpy engine live in ``tests/reference.py``.
+hands the potential to that code.  The test oracle is ``tests/reference.py``:
+the scalar ``segment_integral``, the composite Simpson rule it is checked
+against and the numpy closed form of the numpy engine.  Only tests call
+``segment_constants``; it stays here because ``benchmarks/tracer.py``
+wraps ``_SegmentConstants.integral`` by name.
 """
 
 from __future__ import annotations

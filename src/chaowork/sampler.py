@@ -30,7 +30,7 @@ SAMPLE_BLOCK = 65536
 # Stream tags keep different draw purposes on disjoint substreams.
 STREAM_POSITION = 0
 STREAM_MOMENTUM = 1
-STREAM_SHELL = 2
+# Tag 2 is the test oracle's microcanonical shell stream (tests/reference.py).
 STREAM_PILOT = 3
 
 _MAX_PROPOSALS = 10_000

@@ -14,10 +14,10 @@ and ``hypot`` taken on several lanes at once with glibc's bits.  A ray's
 results do not depend on which lane or batch it shares.  It stops at the
 last checkpoint, when it loses the boundary or at the bounce cap, and the
 checkpoints it did not reach stay NaN.  It also returns what the trace did, as ``TraceCounts``.  The
-geometry is bit for bit that of ``geometry.first_hit_arrays`` and the numpy
-engine kept in ``tests/reference.py`` as the test oracle, together with the
-scalar one-trajectory path (``propagate``, ``action_difference``); the
-integrals agree with that engine to rounding.
+geometry is bit for bit that of the test oracle in ``tests/reference.py``:
+``first_hit_arrays``, the numpy engine built on it and the scalar
+one-trajectory path (``propagate``, ``action_difference``); the integrals
+agree with that engine to rounding.
 """
 
 from __future__ import annotations

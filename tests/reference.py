@@ -5,9 +5,11 @@ compiled loop over rays.  This module re-derives the same quantities in
 numpy and plain Python, so tests can check the engine against independent,
 readable paths:
 
+- ``first_hit_arrays``: the numpy statement of the ray/wall intersection,
+  with the ``Wall`` indices, which the compiled engine's geometry repeats
+  bit for bit;
 - ``checkpoint_action_integrals_numpy``: the batched numpy engine the
-  compiled one replaced, with the same geometry bit for bit
-  (``geometry.first_hit_arrays``) and its own closed form
+  compiled one replaced, with that geometry and its own closed form
   (``NumpySegments``), plus the per-ray counts the compiled engine reports;
 - ``area`` and ``contains``: the billiard's closed-form area and one
   point's membership, the scalar statement of ``geometry.contains_many``;
@@ -30,7 +32,8 @@ readable paths:
   evaluates V once per refinement level keeps;
 - ``sample_shell``, ``shell_final_energy_sample`` and
   ``shell_characteristic``: the shell-resolved (microcanonical) estimator,
-  a cross-check of the Boltzmann one;
+  a cross-check of the Boltzmann one, on its own sampler stream
+  ``STREAM_SHELL``;
 - ``density_of_states`` and ``potential_extrema``: the free billiard's
   shell measure and the range of V;
 - ``histogram_to_characteristic`` (the forward transform ``invert`` is
@@ -50,6 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import IntEnum
 
 import numpy as np
 
@@ -64,7 +68,7 @@ from chaowork.characteristic import (
     UGridPlan,
     _chunk_phase_sums,
 )
-from chaowork.geometry import TOL_GEOM, WALL_NUDGE, BilliardGeometry, Wall
+from chaowork.geometry import TOL_GEOM, WALL_NUDGE, BilliardGeometry
 from chaowork.potential import QuenchPotential
 from chaowork.sampler import ThermalEnsemble
 from chaowork.spectra import WorkHistogram
@@ -88,6 +92,13 @@ class PhasePoint:
 def phase_point(ens: ThermalEnsemble, beta: float, i: int) -> PhasePoint:
     """Copy of the i-th phase point of an ensemble at inverse temperature beta."""
     return PhasePoint(q=ens.qs[i].copy(), p=ens.momenta(beta)[i].copy())
+
+
+class Wall(IntEnum):
+    BOTTOM = 0
+    LEFT = 1
+    TOP = 2
+    ARC = 3
 
 
 @dataclass(frozen=True)
@@ -138,6 +149,93 @@ def contains_with_tol(geom: BilliardGeometry, q, tol: float = TOL_GEOM) -> bool:
     return math.hypot(dx, y) <= geom.r + tol
 
 
+# Inward normals of the flat walls, by Wall index.
+_FLAT_NORMALS = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, -1.0]])
+
+
+def first_hit_arrays(
+    geom: BilliardGeometry, origins: np.ndarray, directions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest boundary intersection for a batch of rays.
+
+    Parameters are (n, 2) arrays of interior origins and unit directions.
+    Returns ``(t, normals, wall, ok, corner)`` where ``t`` is path length
+    (inf when no wall is found), ``normals`` are inward unit normals
+    (angle-bisector at corner ties), ``wall`` is the Wall index of the
+    nearest wall and ``corner`` flags near-simultaneous two-wall hits.
+    """
+    origins = np.atleast_2d(origins)
+    directions = np.atleast_2d(directions)
+    n = origins.shape[0]
+    x = origins[:, 0]
+    y = origins[:, 1]
+    dx = directions[:, 0]
+    dy = directions[:, 1]
+    r, length = geom.r, geom.l
+    inf = np.inf
+    tol = TOL_GEOM
+
+    times = np.full((4, n), inf)
+
+    # Flat walls: bottom y=0, left x=0, top y=r. Span checks use a small
+    # tolerance so corner grazes are not dropped.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tb = np.where(dy < 0.0, -y / dy, inf)
+        xb = x + dx * tb
+        good = (tb > tol) & (xb >= -tol) & (xb <= length + r + tol)
+        times[Wall.BOTTOM] = np.where(good, tb, inf)
+
+        tl = np.where(dx < 0.0, -x / dx, inf)
+        yl = y + dy * tl
+        good = (tl > tol) & (yl >= -tol) & (yl <= r + tol)
+        times[Wall.LEFT] = np.where(good, tl, inf)
+
+        tt = np.where(dy > 0.0, (r - y) / dy, inf)
+        xt = x + dx * tt
+        good = (tt > tol) & (xt >= -tol) & (xt <= length + tol)
+        times[Wall.TOP] = np.where(good, tt, inf)
+
+    # Arc: |q + t d - (l, 0)| = r with |d| = 1. Both roots are candidates;
+    # a crossing with x < l is interior to the rectangle part, not boundary.
+    cx = x - length
+    b = cx * dx + y * dy
+    c = cx * cx + y * y - r * r
+    disc = b * b - c
+    has = disc >= 0.0
+    sq = np.sqrt(np.where(has, disc, 0.0))
+    ta = np.full(n, inf)
+    for root in (-b - sq, -b + sq):
+        hx = x + dx * root
+        hy = y + dy * root
+        good = has & (root > tol) & (hx >= length - tol) & (hy >= -tol)
+        ta = np.where(good & (root < ta), root, ta)
+    times[Wall.ARC] = ta
+
+    t_min = times.min(axis=0)
+    ok = np.isfinite(t_min)
+    wall = times.argmin(axis=0)
+
+    near = times <= t_min + tol
+    corner = near.sum(axis=0) >= 2
+
+    # Inward normal: sum of near-wall normals, normalized (bisector at ties).
+    normals = np.zeros((n, 2))
+    for w in (Wall.BOTTOM, Wall.LEFT, Wall.TOP):
+        m = near[w] & ok
+        normals[m] += _FLAT_NORMALS[w]
+    m = near[Wall.ARC] & ok
+    if m.any():
+        hx = x[m] + dx[m] * times[Wall.ARC][m]
+        hy = y[m] + dy[m] * times[Wall.ARC][m]
+        normals[m, 0] += (length - hx) / r
+        normals[m, 1] += -hy / r
+    norm = np.sqrt((normals * normals).sum(axis=1))
+    safe = np.where(norm > 0.0, norm, 1.0)
+    normals /= safe[:, None]
+
+    return t_min, normals, wall, ok, corner
+
+
 def first_hit(geom: BilliardGeometry, origin, direction) -> BoundaryHit:
     """Nearest boundary intersection of a single interior ray.
 
@@ -150,7 +248,7 @@ def first_hit(geom: BilliardGeometry, origin, direction) -> BoundaryHit:
         raise NoHit(f"ray origin {origin} lies outside the billiard")
     if abs(math.hypot(direction[0], direction[1]) - 1.0) > 1e-12:
         raise ValueError("direction must be a unit vector")
-    t, normals, wall, ok, corner = geometry.first_hit_arrays(
+    t, normals, wall, ok, corner = first_hit_arrays(
         geom, origin[None, :], direction[None, :]
     )
     if not ok[0]:
@@ -497,7 +595,7 @@ def checkpoint_action_integrals_numpy(
 
     while idx.size:
         segments[idx] += 1
-        t_hit, normals, _, ok, corner = geometry.first_hit_arrays(geom, pos, d)
+        t_hit, normals, _, ok, corner = first_hit_arrays(geom, pos, d)
         with np.errstate(divide="ignore", invalid="ignore"):
             t_wall = np.where(s > 0.0, t_hit / np.where(s > 0.0, s, 1.0), np.inf)
         bad = ~ok & (s > 0.0)
@@ -558,6 +656,9 @@ def checkpoint_action_integrals_numpy(
 # ---------------------------------------------------------------------------
 # The shell-resolved estimator
 
+# Its sampler stream tag, disjoint from the program's own (sampler.STREAM_*).
+STREAM_SHELL = 2
+
 
 def sample_shell(
     geom: BilliardGeometry, energy: float, n: int, seed: int, shell_index: int = 0
@@ -576,7 +677,7 @@ def sample_shell(
         hi = min(block + sampler.SAMPLE_BLOCK, n)
         b = block // sampler.SAMPLE_BLOCK
         ss = np.random.SeedSequence(
-            entropy=int(seed), spawn_key=(sampler.STREAM_SHELL, shell_index, b)
+            entropy=int(seed), spawn_key=(STREAM_SHELL, shell_index, b)
         )
         rng = np.random.Generator(np.random.Philox(ss))
         qs[block:hi] = sampler.sample_positions(geom, rng, hi - block)

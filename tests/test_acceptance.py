@@ -78,7 +78,7 @@ def test_criterion_1_classical_limit_convergence(geom, pot):
     plan = plan_u_grid(geom, pot, SEED, n_u=32)
     eps = 2.0 * plan.dw
 
-    cs = classical.sample_classical_work(geom, pot, beta, 4_000_000, SEED)
+    cs = classical.sample_classical_work(geom, pot, 4_000_000, SEED)
     ch = spectra.bin_spikes(cs.values, plan, eps)
 
     ens = sampler.sample_ensemble(geom, 90_000, SEED)
@@ -117,7 +117,7 @@ def test_criterion_2_classical_jarzynski_exactness(geom, pot):
     for k in (7, 9, 11, 13):
         beta = 2.0**-k
         ref = classical.classical_free_energy_difference(geom, pot, beta)
-        s = classical.sample_classical_work(geom, pot, beta, 1_000_000, SEED + k)
+        s = classical.sample_classical_work(geom, pot, 1_000_000, SEED + k)
         est, se = analysis.jarzynski_from_samples(s.values, beta)
         rows.append(f"2^-{k}: |{est - ref:+.5f}| vs 3se {3 * se:.5f}")
         ok &= abs(est - ref) < 3.0 * se
@@ -324,7 +324,7 @@ def test_criterion_7_universal_invariants(geom, pot, tmp_path):
     hist_q = spectra.invert(
         quantum.quantum_characteristic(spec, 0.02, plan_q), broadening=2 * plan_q.dw
     )
-    cs = classical.sample_classical_work(geom, pot, beta, 100_000, SEED)
+    cs = classical.sample_classical_work(geom, pot, 100_000, SEED)
     hist_c = spectra.bin_spikes(cs.values, plan, 2 * plan.dw)
     for name, hst in (("semiclassical", hist_mc), ("quantum", hist_q), ("classical", hist_c)):
         ok &= abs(hst.total_mass - 1.0) < 1e-6

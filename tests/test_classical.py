@@ -26,14 +26,14 @@ from reference import (
 class TestSampleClassicalWork:
     def test_null_quench_all_zero(self, geom):
         pot0 = QuenchPotential(xi_f=0.0)
-        s = sample_classical_work(geom, pot0, 1.0, 500, seed=1)
+        s = sample_classical_work(geom, pot0, 500, seed=1)
         assert np.array_equal(s.values, np.zeros(500))
 
     def test_temperature_independence(self, geom, pot):
-        # W depends only on the uniform position marginal, so two different
-        # temperatures give the same distribution.
-        a = sample_classical_work(geom, pot, 2.0**-8, 50_000, seed=2)
-        b = sample_classical_work(geom, pot, 2.0**-12, 50_000, seed=3)
+        # W depends only on the uniform position marginal, so the sample takes
+        # no temperature: two independent draws share one distribution.
+        a = sample_classical_work(geom, pot, 50_000, seed=2)
+        b = sample_classical_work(geom, pot, 50_000, seed=3)
         _, pvalue = stats.ks_2samp(a.values, b.values)
         assert pvalue > 0.001
 
@@ -42,7 +42,7 @@ class TestSampleClassicalWork:
         # temporaries; 177 MB when V's (n, 4) temporaries were full size.
         tracemalloc.start()
         try:
-            s = sample_classical_work(geom, pot, 1.0, 1_000_000, seed=7)
+            s = sample_classical_work(geom, pot, 1_000_000, seed=7)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -50,7 +50,7 @@ class TestSampleClassicalWork:
         assert peak < 40e6
 
     def test_momentum_does_not_enter(self, geom, pot):
-        s = sample_classical_work(geom, pot, 0.5, 300, seed=4)
+        s = sample_classical_work(geom, pot, 300, seed=4)
         ens = sampler.sample_ensemble(geom, 300, seed=4)
         np.testing.assert_array_equal(s.values, pot.delta_xi * evaluate(pot, ens.qs))
 
@@ -58,7 +58,7 @@ class TestSampleClassicalWork:
         # All sampled W stay inside xi_f * [min V, max V]; the extrema come
         # from a dense scan plus local polish.
         vmin, vmax = potential_extrema(geom, pot)
-        s = sample_classical_work(geom, pot, 2.0**-10, 200_000, seed=5)
+        s = sample_classical_work(geom, pot, 200_000, seed=5)
         assert s.values.min() >= pot.xi_f * vmin - 1e-9
         assert s.values.max() <= pot.xi_f * vmax + 1e-9
         # and the scan itself is sane: one bump high, one bump deep
@@ -79,7 +79,7 @@ class TestPartitionRatio:
     def test_monte_carlo_cross_check(self, geom, pot):
         beta = 2.0**-12
         quad = math.exp(log_partition_ratio(geom, pot, beta))
-        s = sample_classical_work(geom, pot, beta, 4_000_000, seed=6)
+        s = sample_classical_work(geom, pot, 4_000_000, seed=6)
         expw = np.exp(-beta * s.values)
         mc = expw.mean()
         se = expw.std(ddof=1) / math.sqrt(s.n)
@@ -133,7 +133,7 @@ class TestFreeEnergyDifference:
         # Exact identity for a sudden quench; only sampling error intervenes.
         for beta in (2.0**-7, 2.0**-9, 2.0**-11, 2.0**-13):
             ref = classical_free_energy_difference(geom, pot, beta)
-            s = sample_classical_work(geom, pot, beta, 200_000, seed=8)
+            s = sample_classical_work(geom, pot, 200_000, seed=8)
             from chaowork.analysis import jarzynski_from_samples
 
             est, se = jarzynski_from_samples(s.values, beta)

@@ -29,7 +29,7 @@ from reference import quantum_spike_density
 
 _TINY_BASE = {
     "beta_list": "2^-8",
-    "hbar_list": "0.5,1.0",
+    "hbar_list": "0.5",
     "n_samples": "1200",
     "n_classical": "20000",
     "u_points": "64",
@@ -40,9 +40,9 @@ _TINY_BASE = {
 
 
 def tiny_text(**overrides):
-    """Small-run configuration text with per-test overrides."""
-    merged = {**_TINY_BASE, **{k: str(v) for k, v in overrides.items()}}
-    return "\n".join(f"{k} = {v}" for k, v in merged.items()) + "\n"
+    """Small-run configuration text with per-test overrides; None leaves a key out."""
+    merged = {**_TINY_BASE, **overrides}
+    return "".join(f"{k} = {v}\n" for k, v in merged.items() if v is not None)
 
 
 TINY = tiny_text()
@@ -59,7 +59,6 @@ class TestValidateConfig:
         assert cfg.xi_f == 85.0
         assert cfg.centers == (0.2, 0.4, 0.67, 0.5, 0.5, 0.15, 0.3, 0.75)
         assert cfg.signs == (1.0, -1.0, 1.0, -1.0)
-        assert cfg.explicit_keys == ()
 
     def test_negative_beta_is_range_error(self):
         # Entries whose file tags collide would overwrite each other's CSVs.
@@ -111,7 +110,6 @@ class TestValidateConfig:
     def test_comments_and_blanks_ignored(self):
         cfg = validate_config("\n# comment\nsigma = 0.2  # trailing\n")
         assert cfg.sigma == 0.2
-        assert cfg.explicit_keys == ("sigma",)
 
     def test_workers_zero_resolves_to_cpu_count(self):
         cfg = validate_config("")
@@ -122,7 +120,7 @@ class TestValidateConfig:
             validate_config("signs = 1, -1")
 
     def test_every_default_parses_back(self):
-        keys = [f for f in fields(RunConfig) if f.name != "explicit_keys"]
+        keys = fields(RunConfig)
         lines = []
         for f in keys:
             v = f.default
@@ -131,7 +129,6 @@ class TestValidateConfig:
         for f in keys:
             assert getattr(cfg, f.name) == f.default, f.name
             assert type(getattr(cfg, f.name)) is type(f.default), f.name
-        assert len(cfg.explicit_keys) == len(keys)
 
 
 class TestEnvOverrides:
@@ -140,7 +137,6 @@ class TestEnvOverrides:
         out = apply_env_overrides(cfg, {"CHAOWORK_SIGMA": "0.3", "CHAOWORK_SEED": str(BIG_SEED)})
         assert out.sigma == 0.3
         assert out.seed == BIG_SEED
-        assert set(out.explicit_keys) == {"sigma", "seed"}
 
     def test_env_range_checked(self):
         cfg = validate_config("")
@@ -176,9 +172,9 @@ class TestManifest:
         assert v["platform"].startswith(os.uname().sysname)
         libc, libc_version = platform.libc_ver()
         assert v["platform"].endswith(f"-{libc}-{libc_version}" if libc else os.uname().machine)
-        # Versions stay out of the hash, which is the one of earlier releases.
+        # Versions stay out of the hash, which depends on the configuration's values alone.
         assert m["config_sha256"] == (
-            "23db745eb1e7c44687feadde0fc536a5259d9eca26fb2383e53a28aebca252be"
+            "960ca7db9a24468f2724309c5d70f1ee67446c5227a7cc2baa0c135ce180941a"
         )
 
     def test_scipy_absent_is_recorded_as_null(self, monkeypatch):
@@ -258,13 +254,15 @@ class TestWorkerCount:
     def test_outputs_independent_of_worker_count(self, tmp_path):
         # 9,000 samples are two chunks, so --workers 2 traces them in a pool.
         cfgp = tmp_path / "c.cfg"
-        cfgp.write_text(tiny_text(n_samples="9000", u_points="16"))
+        cfgp.write_text(tiny_text(n_samples="9000", u_points="16", hbar_list="0.5,1.0"))
         path = [os.path.dirname(native.PACKAGE_DIR), *filter(None, [os.environ.get("PYTHONPATH")])]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
         for workers in ("1", "2"):
             for command in (["semiclassical"], ["scenario", "fig3"], ["scenario", "fig4"]):
                 out = tmp_path / f"w{workers}" / command[-1]
                 argv = [*command, "--config", str(cfgp), "--out", str(out), "--workers", workers]
+                if command[-1] != "fig4":  # fig4 sweeps hbar_list; the others read one entry
+                    argv += ["--hbar", "0.5"]
                 proc = subprocess.run(
                     [sys.executable, "-m", "chaowork.cli", *argv],
                     env=env,
@@ -283,6 +281,138 @@ class TestWorkerCount:
         assert trees[0].keys() == trees[1].keys()
         for name, data in trees[0].items():
             assert data == trees[1][name], name
+
+
+class TestOutputIdentity:
+    def test_out_dir_and_workers_change_only_the_manifest(self, tmp_path, monkeypatch):
+        # Neither is hashed, so every CSV, sidecar and report carries the same
+        # hash whether out_dir comes from a flag, the file or its default, and
+        # whether workers is set or not.
+        monkeypatch.chdir(tmp_path)
+        text = tiny_text(n_samples="400", u_points="16", workers=None)
+        (tmp_path / "plain.cfg").write_text(text)
+        (tmp_path / "named.cfg").write_text(text + "out_dir = from_file\n")
+        runs = {
+            "from_flag": ["--config", "plain.cfg", "--out", "from_flag"],
+            "from_file": ["--config", "named.cfg", "--workers", "1"],
+            "out": ["--config", "plain.cfg", "--workers", "1"],
+        }
+        for command in (["semiclassical"], ["scenario", "fig3"]):
+            trees = []
+            for root, argv in runs.items():
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main([*command, *argv]) == 0, (command, root)
+                written = [p for p in (tmp_path / root).rglob("*") if p.is_file()]
+                trees.append({p.name: p.read_bytes() for p in written if p.name != "manifest.json"})
+                shutil.rmtree(tmp_path / root)
+            assert len(trees[0]) >= 2, command
+            for tree in trees[1:]:
+                assert tree.keys() == trees[0].keys(), command
+                for name, data in tree.items():
+                    assert data == trees[0][name], (command, name)
+
+
+# The sweep each scenario runs when the config leaves its keys out.
+_SWEEPS = {
+    "fig2": {"beta_list": [2.0**-6, 2.0**-8, 2.0**-10, 2.0**-12]},
+    "fig3": {"beta_list": [2.0**-k for k in range(7, 14)], "u_points": 64},
+    "jarzynski": {"beta_list": [2.0**-k for k in range(7, 14)], "u_points": 64},
+    "fig4": {"hbar_list": [0.01, 0.1, 0.5, 1.0], "u_points": 32},
+}
+
+
+def _argv(command):
+    return ["scenario", command] if command.startswith("fig") else [command]
+
+
+class TestScenarioDefaults:
+    @pytest.mark.parametrize("command", sorted(_SWEEPS))
+    def test_manifest_records_the_sweep_that_ran(self, tmp_path, command):
+        sweep = _SWEEPS[command]
+
+        def run(name, text):
+            """The manifest and every other file of one run at this config text."""
+            cfgp = tmp_path / f"{name}.cfg"
+            cfgp.write_text(text)
+            out = tmp_path / name
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main([*_argv(command), "--config", str(cfgp), "--out", str(out)]) == 0
+            out = out if command == "jarzynski" else out / command
+            files = {p.name: p.read_bytes() for p in out.iterdir()}
+            return json.loads(files.pop("manifest.json")), files
+
+        manifest, files = run("default", tiny_text(n_samples="400", **dict.fromkeys(sweep)))
+        ran = manifest["config"]
+        for key, value in sweep.items():
+            assert ran[key] == value, key
+        [report] = [json.loads(v) for name, v in files.items() if name.endswith("report.json")]
+        swept = "hbar" if command == "fig4" else "beta"
+        rows = report["comparisons" if command == "fig4" else "rows"]
+        assert [row[swept] for row in rows] == ran[f"{swept}_list"]
+        # The recorded values, set in the file, change no byte: they are what ran.
+        lists = {key: ", ".join(map(repr, ran[key])) for key in ("beta_list", "hbar_list")}
+        _, again = run("explicit", tiny_text(n_samples="400", u_points=ran["u_points"], **lists))
+        assert again.keys() == files.keys()
+        for name, data in again.items():
+            assert data == files[name], name
+
+    def test_file_environment_and_flags_override_the_sweep(self, tmp_path, monkeypatch):
+        given = {
+            "beta_list": ("2^-9", [2.0**-9]),
+            "hbar_list": ("0.3", [0.3]),
+            "u_points": ("16", 16),
+        }
+        flags = {"beta_list": "--beta", "hbar_list": "--hbar"}
+        cfgp = tmp_path / "c.cfg"
+
+        def load(argv, key):
+            value = getattr(cli._load_config(cli.build_parser().parse_args(argv)), key)
+            return list(value) if isinstance(value, tuple) else value
+
+        for command, sweep in _SWEEPS.items():
+            argv = _argv(command)
+            for key, value in sweep.items():
+                assert load(argv, key) == value, (command, key)
+                raw, want = given[key]
+                cfgp.write_text(f"{key} = {raw}\n")
+                assert load([*argv, "--config", str(cfgp)], key) == want, (command, key)
+                if key in flags:
+                    assert load([*argv, flags[key], raw], key) == want, (command, key)
+                monkeypatch.setenv(f"CHAOWORK_{key.upper()}", raw)
+                assert load(argv, key) == want, (command, key)
+                monkeypatch.delenv(f"CHAOWORK_{key.upper()}")
+
+    def test_list_a_command_would_cut_is_refused(self, tmp_path, capsys, monkeypatch):
+        # A command that reads one entry of a list refuses a longer one
+        # before it samples, plans, traces or solves anything.
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the lists were checked")
+
+        monkeypatch.setattr(sampler, "sample_ensemble", refuse)
+        monkeypatch.setattr(classical, "sample_classical_work", refuse)
+        monkeypatch.setattr(quantum, "build_hamiltonians", refuse)
+        monkeypatch.setattr(cli, "plan_u_grid", refuse)
+        cfgp = tmp_path / "c.cfg"
+        cfgp.write_text(TINY)
+        for command, flag in (
+            ("semiclassical", "--beta"),
+            ("semiclassical", "--hbar"),
+            ("classical", "--beta"),
+            ("quantum", "--beta"),
+            ("quantum", "--hbar"),
+            ("fig4", "--beta"),
+            ("fig2", "--hbar"),
+            ("fig3", "--hbar"),
+            ("jarzynski", "--hbar"),
+        ):
+            key = cli._FLAG_KEYS[flag[2:]]
+            out = tmp_path / f"{command}_{key}"
+            argv = [*_argv(command), "--config", str(cfgp), flag, "2^-8,2^-10", "--out", str(out)]
+            assert cli.main(argv) == 1, (command, key)
+            payload = json.loads(capsys.readouterr().err.strip())
+            assert payload["error"] == "RangeError", (command, key)
+            assert payload["message"].startswith(f"{key}: this command takes one entry, got 2")
+            assert not any(files for _, _, files in os.walk(out))
 
 
 class TestScenarioFig3:
@@ -438,7 +568,11 @@ class TestSubcommands:
                 "AliasingSuspect",
             ),
             # At hbar = 0.5, after the classical histogram is binned.
-            (["scenario", "fig4"], {"broadening_bins": "0.25"}, "AliasingSuspect"),
+            (
+                ["scenario", "fig4"],
+                {"hbar_list": "0.5,1.0", "broadening_bins": "0.25"},
+                "AliasingSuspect",
+            ),
             # The quadrature runs after the classical histogram is binned.
             (["classical"], {}, "QuadratureNonConvergence"),
         )
@@ -756,7 +890,7 @@ class TestRunCommands:
         assert lines[:2] == [f"# manifest_sha256={mh}", "w"]
         cfg = validate_config(_CMD_CONFIG)
         sample = classical.sample_classical_work(
-            cfg.geometry(), cfg.potential(), cfg.beta_list[0], cfg.n_classical, cfg.seed
+            cfg.geometry(), cfg.potential(), cfg.n_classical, cfg.seed
         )
         assert [float(v) for v in lines[2:]] == sample.values.tolist()
 

@@ -6,9 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chaowork import geometry
-from chaowork.geometry import BilliardGeometry, Wall
+from chaowork.geometry import BilliardGeometry
 
-from reference import NoHit, area, contains, contains_with_tol, first_hit, reflect
+from reference import NoHit, Wall, area, contains, contains_with_tol, first_hit, reflect
 
 
 def unit_vector(theta):
