@@ -52,7 +52,7 @@ def jarzynski_from_samples(values, beta: float) -> tuple[float, float]:
 def jarzynski_functionals(plan: UGridPlan, betas, broadening: float) -> list[np.ndarray]:
     """For each beta, c with c . [Re G; Im G] = <exp(-beta (W - w0))> over
     ``spectra.invert``'s histogram of G at ``broadening``, w0 the plan's
-    lowest W (``Request.functional``).  One transform serves every beta."""
+    lowest W (``Request.functional``): one FFT of each beta's kernel."""
     w0 = plan.w_values.min()
     kernels = (np.exp(-beta * (plan.w_values - w0)) * plan.dw for beta in betas)
     return spectra_mod.functional_coefficients(plan, float(broadening), kernels)

@@ -35,6 +35,7 @@ from .characteristic import (
     CharacteristicGrid,
     InsufficientMemory,
     Request,
+    physical_memory,
     plan_from_window,
     plan_u_grid,
     semiclassical_characteristic,
@@ -446,19 +447,25 @@ def _broadening(cfg, plan):
     return cfg.broadening_bins * plan.dw
 
 
-def _check_inversion(n_u):
-    """Refuse, before any work, a u grid whose inversion would not fit in memory."""
-    try:
-        spectra.check_transform_memory(n_u)
-    except InsufficientMemory as exc:
-        raise InsufficientMemory(f"u_points = {n_u}: {exc}; lower u_points") from None
+# float64 arrays of 2 u_points - 1 entries an inversion holds at once (the
+# tracemalloc peak of spectra.invert is 10.5-11.5 of them).
+_INVERSION_ARRAYS = 16
+
+
+def _check_inversion(cfg):
+    """Refuse, before any work, a u_points whose inversion would not fit in memory."""
+    need, have = _INVERSION_ARRAYS * 8 * (2 * cfg.u_points - 1), physical_memory()
+    if need > have:
+        raise InsufficientMemory(
+            f"u_points = {cfg.u_points}: inverting G needs about {need / 1e9:.1f} GB, more than"
+            f" the {have / 1e9:.1f} GB of physical memory; lower u_points"
+        )
 
 
 def _plan(cfg, geom, pot):
     """The pilot u plan on u_points, whose inversion is checked to fit in memory."""
-    plan = plan_u_grid(geom, pot, cfg.seed, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
-    _check_inversion(plan.n)
-    return plan
+    _check_inversion(cfg)
+    return plan_u_grid(geom, pot, cfg.seed, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
 
 
 def _check_broadening_correction(cfg, plan, betas, eps):
@@ -482,7 +489,6 @@ def _check_broadening_correction(cfg, plan, betas, eps):
 
 def _solve_quench(cfg, geom, pot, hbar):
     """Quantum spectra on the configured grid; a state count of 0 keeps all."""
-    _check_inversion(cfg.u_points)  # every run that solves inverts on u_points
     n0 = cfg.quantum_n_initial or None
     nf = cfg.quantum_n_final or None
     try:
@@ -547,7 +553,7 @@ def run_classical(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
     """One beta: classical work sample, its histogram and the free energy."""
     beta = _one(cfg, "beta_list")
     geom, pot = cfg.geometry(), cfg.potential()
-    plan = plan_u_grid(geom, pot, cfg.seed, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
+    plan = _plan(cfg, geom, pot)
     sample, hist = _classical_histogram(cfg, geom, pot, plan, beta)
     ref = classical.classical_free_energy_difference(geom, pot, beta)
     est, se = analysis.jarzynski_from_samples(sample.values, beta)
@@ -562,6 +568,7 @@ def run_quantum(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
     """One (beta, hbar): grid spectra, quantum P(W), G(u) and the free-energy identity."""
     beta, hbar = _one(cfg, "beta_list"), _one(cfg, "hbar_list")
     geom, pot = cfg.geometry(), cfg.potential()
+    _check_inversion(cfg)
     spec = _solve_quench(cfg, geom, pot, hbar)
     lo, hi = quantum.spike_support(spec, beta, mass_tol=1e-10)
     plan = plan_from_window(lo, hi, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
@@ -651,9 +658,10 @@ def run_fig3(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
 
 
 _TRUNCATION_CAVEAT = (
-    "only a handful of low-lying levels carry Boltzmann weight at this "
-    "temperature, so the retained basis distorts the distribution; treat the "
-    "quantum curve as unavailable here"
+    "the thermal weight reaches the top of the retained basis, so this temperature is too"
+    " hot for it and the quantum curve is unavailable here; retain more states"
+    " (quantum_n_initial, quantum_n_final), refine the grid (a smaller quantum_h) or take"
+    " a colder beta_list entry"
 )
 
 
@@ -662,10 +670,8 @@ def run_fig2(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
     betas, hbar = cfg.beta_list, _one(cfg, "hbar_list")
     geom = cfg.geometry()
     pot = cfg.potential()
+    w_all = _plan(cfg, geom, pot).w_values
     spec = _solve_quench(cfg, geom, pot, hbar)
-
-    base_plan = plan_u_grid(geom, pot, cfg.seed, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
-    w_all = base_plan.w_values
 
     requests = []
     for beta in betas:

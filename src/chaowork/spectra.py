@@ -7,8 +7,9 @@ width dw = 2 pi / (N du) centered on the planner's window center.  With that
 pairing the discrete transforms invert each other exactly, the total mass
 equals G(0), and Gaussian broadening (multiplying G by exp(-eps^2 u^2 / 2),
 i.e. convolving P with a Gaussian of width eps) preserves the mass bin for
-bin.  ``_transform`` holds the one-sided inverse transform, which ``invert``
-applies to G and ``functional_coefficients`` to a linear functional of P.
+bin.  The dual grid is the length-N DFT grid shifted to the window center,
+so ``invert`` takes P(W) and its error, and ``functional_coefficients`` the
+coefficients of a linear functional of P, each from length-N FFTs.
 Monte Carlo samples are binned on the same bins by ``bin_spikes``.
 
 A histogram's errors treat the u points as independent; a free energy is
@@ -23,15 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characteristic import CharacteristicGrid, InsufficientMemory, UGridPlan, physical_memory
+from .characteristic import CharacteristicGrid, UGridPlan
 
 logger = logging.getLogger(__name__)
 
 ALIAS_TOLERANCE = 0.01
-# (n x (2n - 1)) float64 arrays an inversion of n u points can hold at once:
-# the cosines, the sines (written over the phases) and one squared
-# temporary.  The peak measured with tracemalloc is 3.0 of them.
-_TRANSFORM_ARRAYS = 4
 
 
 class AliasingSuspect(RuntimeError):
@@ -66,30 +63,12 @@ class WorkHistogram:
         )
 
 
-def check_transform_memory(n_u: int) -> None:
-    """Raise InsufficientMemory if inverting on n_u u points would exceed physical memory."""
-    need = _TRANSFORM_ARRAYS * 8 * n_u * (2 * n_u - 1)
-    have = physical_memory()
-    if need > have:
-        raise InsufficientMemory(
-            f"inverting G on {n_u} u points needs about {need / 1e9:.1f} GB,"
-            f" more than the {have / 1e9:.1f} GB of physical memory"
-        )
-
-
-def _transform(plan: UGridPlan, eps: float):
-    """The one-sided inverse transform on the plan at Gaussian width eps,
-
-        P(w_j) = du / (2 pi) [b_0 Re G_0
-                              + 2 sum_{k >= 1} b_k (Re G_k cos(u_k w_j) + Im G_k sin(u_k w_j))],
-
-    as (b_k = exp(-eps^2 u_k^2 / 2), du / (2 pi), cos, sin), the matrices (n, 2n - 1).
-    """
-    check_transform_memory(plan.n)
-    phase = np.outer(plan.u_values, plan.w_values)
-    cosm = np.cos(phase)
-    damp = np.exp(-0.5 * (eps * plan.u_values) ** 2)
-    return damp, plan.du / (2.0 * math.pi), cosm, np.sin(phase, out=phase)
+def _dual(plan: UGridPlan, a: np.ndarray) -> np.ndarray:
+    """sum_k a_k exp(-i u_k w_j) on every bin j of the plan's W grid, for
+    a_k on u_k = k du, k < 2n - 1: with w_j = w_center + (j - (n - 1)) dw,
+    u_k w_j = k du w_center + 2 pi k (j - (n - 1)) / (2n - 1), one FFT."""
+    x = a * np.exp(-1j * (np.arange(a.size) * plan.du) * plan.w_center)
+    return np.roll(np.fft.fft(x, 2 * plan.n - 1), plan.n - 1)
 
 
 def check_aliasing(g: CharacteristicGrid, broadening: float) -> tuple[float, float]:
@@ -123,17 +102,23 @@ def invert(g: CharacteristicGrid, broadening: float) -> WorkHistogram:
     vals, se_re, se_im = g.g_values, g.stderr_re, g.stderr_im
     eps = float(broadening)
     tail_raw, tail = check_aliasing(g, eps)
-    b, scale, cosm, sinm = _transform(g.plan, eps)
-    cosm, sinm = cosm[1:], sinm[1:]
+    plan = g.plan
+    b = np.exp(-0.5 * (eps * plan.u_values) ** 2)
+    scale = plan.du / (2.0 * math.pi)
     gb = vals * b
 
-    density = scale * (gb[0].real + 2.0 * (gb[1:].real @ cosm + gb[1:].imag @ sinm))
+    # P(w_j) = scale [b_0 Re G_0 + 2 sum_{k >= 1} b_k (Re G_k cos(u_k w_j) + Im G_k sin(u_k w_j))]
+    # is the real part of the dual of (gb_0, 2 gb_1, 2 gb_2, ...).
+    density = scale * _dual(plan, np.concatenate([gb[:1], 2.0 * gb[1:]])).real
 
-    var = (scale**2) * (
-        (se_re[0] * b[0]) ** 2
-        + 4.0 * (((se_re[1:] * b[1:]) ** 2) @ (cosm**2) + ((se_im[1:] * b[1:]) ** 2) @ (sinm**2))
-    )
-    error = np.sqrt(var)
+    # Its variance takes A_k cos^2 + B_k sin^2 = (A_k + B_k) / 2 + (A_k - B_k) cos(2 u_k w_j) / 2,
+    # A_k = (b_k se_re_k)^2 and B_k = (b_k se_im_k)^2: the cos(2 u_k w_j) terms are the
+    # dual at index 2k <= 2n - 2, which the length-(2n - 1) grid holds without wrapping.
+    sq_re, sq_im = (se_re[1:] * b[1:]) ** 2, (se_im[1:] * b[1:]) ** 2
+    twice = np.zeros(2 * plan.n - 1)
+    twice[2::2] = sq_re - sq_im
+    var = (se_re[0] * b[0]) ** 2 + 2.0 * (sq_re.sum() + sq_im.sum()) + 2.0 * _dual(plan, twice).real
+    error = scale * np.sqrt(np.maximum(var, 0.0))
 
     total_mass = float(density.sum() * g.plan.dw)
     scale_ref = max(abs(gb[0].real), 1e-300)
@@ -159,11 +144,15 @@ def invert(g: CharacteristicGrid, broadening: float) -> WorkHistogram:
 def functional_coefficients(plan: UGridPlan, broadening: float, kernels) -> list[np.ndarray]:
     """For each kernel, c with sum_j kernel_j P(w_j) = c . [Re G; Im G]
     exactly, P being ``invert``'s histogram of G on ``plan`` at Gaussian
-    width ``broadening``.  The transform is built once for all kernels."""
-    damp, scale, cosm, sinm = _transform(plan, broadening)
-    weight = scale * damp
+    width ``broadening``: the kernel's sums over j of cos(u_k w_j) and
+    sin(u_k w_j), the conjugate FFT of the kernel rolled to start at the
+    window center, times invert's weights."""
+    u = plan.u_values
+    weight = plan.du / (2.0 * math.pi) * np.exp(-0.5 * (broadening * u) ** 2)
     weight[1:] *= 2.0
-    return [np.concatenate([weight * (cosm @ k), weight * (sinm @ k)]) for k in kernels]
+    center = np.exp(1j * u * plan.w_center)
+    sums = (center * np.fft.fft(np.roll(k, 1 - plan.n))[: plan.n].conj() for k in kernels)
+    return [np.concatenate([weight * s.real, weight * s.imag]) for s in sums]
 
 
 def bin_spikes(

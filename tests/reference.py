@@ -38,12 +38,17 @@ readable paths:
   shell measure and the range of V;
 - ``histogram_to_characteristic`` (the forward transform ``invert`` is
   checked against) and ``rebin``;
+- ``dense_invert`` and ``dense_functional_coefficients``: the inverse
+  transform as dense (n x (2n - 1)) cos/sin matrices, the formula whose
+  values the FFTs of ``invert`` and ``functional_coefficients`` must match;
 - ``sparse_hamiltonians``: H(xi_0) and H(xi_f) as scipy CSR matrices,
   whose dense form, products with a block of vectors and |H| row sums the
   5-point ``quantum.Stencil`` must match bit for bit;
 - ``bin_weighted_spikes`` and ``quantum_spike_density``: the quantum work
   distribution binned straight from its weighted spikes, the direct route
-  that ``invert`` of the exact quantum G is checked against;
+  that ``invert`` of the exact quantum G is checked against, and
+  ``quantum_characteristic_one_shot``, that G with every u in one product,
+  which ``quantum.quantum_characteristic``'s u blocks match bit for bit;
 - ``weyl_level_spacing``, ``supported_states``, ``plan_step_for_states``
   and ``final_state_count``: area-law estimates that size the quantum
   solve of acceptance criterion 6.
@@ -834,6 +839,38 @@ def histogram_to_characteristic(hist: WorkHistogram, u_values: np.ndarray) -> np
     return hist.bin_width * ((np.cos(phase) + 1j * np.sin(phase)) @ hist.density)
 
 
+def _dense_transform(plan: UGridPlan, eps: float):
+    """(b_k, du / (2 pi), cos(u_k w_j), sin(u_k w_j)): the one-sided inverse
+    transform as two dense (n, 2n - 1) matrices."""
+    phase = np.outer(plan.u_values, plan.w_values)
+    damp = np.exp(-0.5 * (eps * plan.u_values) ** 2)
+    return damp, plan.du / (2.0 * math.pi), np.cos(phase), np.sin(phase)
+
+
+def dense_invert(g: CharacteristicGrid, broadening: float) -> tuple[np.ndarray, np.ndarray]:
+    """(density, error) of ``spectra.invert`` as dense sums over u,
+
+        P(w_j) = du / (2 pi) [b_0 Re G_0
+                              + 2 sum_{k >= 1} b_k (Re G_k cos(u_k w_j) + Im G_k sin(u_k w_j))],
+
+    b_k = exp(-eps^2 u_k^2 / 2), with the error of independent u points."""
+    b, scale, cosm, sinm = _dense_transform(g.plan, float(broadening))
+    cosm, sinm = cosm[1:], sinm[1:]
+    gb = g.g_values * b
+    density = scale * (gb[0].real + 2.0 * (gb[1:].real @ cosm + gb[1:].imag @ sinm))
+    sq_re, sq_im = (g.stderr_re * b) ** 2, (g.stderr_im * b) ** 2
+    var = (scale**2) * (sq_re[0] + 4.0 * (sq_re[1:] @ (cosm**2) + sq_im[1:] @ (sinm**2)))
+    return density, np.sqrt(var)
+
+
+def dense_functional_coefficients(plan: UGridPlan, broadening: float, kernels) -> list[np.ndarray]:
+    """``spectra.functional_coefficients`` as dense sums over the W bins."""
+    damp, scale, cosm, sinm = _dense_transform(plan, float(broadening))
+    weight = scale * damp
+    weight[1:] *= 2.0
+    return [np.concatenate([weight * (cosm @ k), weight * (sinm @ k)]) for k in kernels]
+
+
 def sparse_hamiltonians(geom_or_domain, pot: QuenchPotential, hbar: float, h: float):
     """Sparse symmetric H(xi_0) and H(xi_f) on ``quantum.build_grid``'s
     lattice, built site by site through a key lookup."""
@@ -897,6 +934,23 @@ def quantum_spike_density(
     masses = (w[:, None] * spec.transition).ravel()
     spikes = (spec.ef[None, :] - spec.e0[:, None]).ravel()
     return bin_weighted_spikes(spikes, masses, w_values, broadening)
+
+
+def quantum_characteristic_one_shot(
+    spec: quantum.QuenchSpectra, beta: float, plan: UGridPlan
+) -> np.ndarray:
+    """G(u) of ``quantum.quantum_characteristic`` with every u row in one
+    product, the unblocked form the blocked one must match bit for bit."""
+    u = plan.u_values
+    w = quantum.boltzmann_weights(spec.e0, beta)
+    arg = np.outer(u, spec.e0)
+    re = (np.cos(arg) * w) @ spec.transition
+    im = (np.sin(arg) * w) @ spec.transition
+    s = np.outer(u, spec.ef)
+    c, s = np.cos(s), np.sin(s)
+    g_re = np.einsum("kn,kn->k", re, c) + np.einsum("kn,kn->k", im, s)
+    g_im = np.einsum("kn,kn->k", re, s) - np.einsum("kn,kn->k", im, c)
+    return g_re + 1j * g_im
 
 
 def rebin(hist: WorkHistogram, factor: int) -> WorkHistogram:

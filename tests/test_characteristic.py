@@ -221,6 +221,17 @@ class TestSemiclassicalEstimator:
                 ens, [Request(BETA_COLD, plan, 1.0)], geom_mod, pot_mod, max_bounces=2
             )
 
+    def test_depends_on_beta_and_hbar_through_their_ratio(self, geom_mod, pot_mod):
+        # G depends on (beta, hbar) only through hbar / sqrt(beta): 8 at both
+        # (2^-6, 1) and (2^-10, 0.25), to the bit.
+        plan = plan_u_grid(geom_mod, pot_mod, seed=12345, n_u=64)
+        ens = sampler.sample_ensemble(geom_mod, 1000, seed=5)
+        [a] = semiclassical_characteristic(ens, [Request(2.0**-6, plan, 1.0)], geom_mod, pot_mod)
+        [b] = semiclassical_characteristic(ens, [Request(2.0**-10, plan, 0.25)], geom_mod, pot_mod)
+        assert np.array_equal(a.g_values, b.g_values)
+        assert np.array_equal(a.stderr_re, b.stderr_re)
+        assert np.array_equal(a.stderr_im, b.stderr_im)
+
     def test_hbar_must_be_positive(self, geom_mod, pot_mod, plan):
         ens = sampler.sample_ensemble(geom_mod, 50, seed=6)
         with pytest.raises(ValueError):

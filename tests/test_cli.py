@@ -427,8 +427,8 @@ class TestScenarioFig3:
 
     def test_one_transform_per_sweep_and_no_inversion(self, tmp_path, monkeypatch):
         # The free energy is c . G for the functional each request carries;
-        # one transform gives every beta's c, and G is never inverted.
-        calls = {"_transform": 0, "invert": 0}
+        # one call gives every beta's c, and G is never inverted.
+        calls = {"functional_coefficients": 0, "invert": 0}
 
         def counted(name):
             fn = getattr(spectra, name)
@@ -444,7 +444,7 @@ class TestScenarioFig3:
         text = tiny_text(out_dir=str(tmp_path), n_samples="400", beta_list="2^-8,2^-10,2^-12")
         rows = run_scenario(validate_config(text), "fig3")["report"]["rows"]
         assert len(rows) == 3
-        assert calls == {"_transform": 1, "invert": 0}
+        assert calls == {"functional_coefficients": 1, "invert": 0}
 
 
 class TestScenarioFig2:
@@ -463,7 +463,13 @@ class TestScenarioFig2:
             )
             res = run_scenario(cfg, "fig2")
             assert res["report"]["warnings"], "expected a truncation warning"
-            assert "beta" in res["report"]["warnings"][0]
+            warning = res["report"]["warnings"][0]
+            assert "beta" in warning
+            # The basis is too small for this temperature: the warning says
+            # so, and names the keys that change it.
+            assert "too hot" in warning
+            for key in ("quantum_n_initial", "quantum_n_final", "quantum_h", "beta_list"):
+                assert key in warning, key
             assert res["report"]["rows"][0]["quantum"] == "unavailable"
             names = {os.path.basename(p) for p in res["files"]}
             assert f"semiclassical_workdist_beta{tag}.csv" in names
@@ -665,10 +671,11 @@ class TestSubcommands:
                 assert not any(files for _, _, files in os.walk(out))
 
     def test_inversion_refused_beyond_physical_memory(self, tmp_path, capsys, monkeypatch):
-        # Inverting 64 u points onto 127 W bins needs a quarter of a MB; the
-        # machine has 0.1 MB for it.  Every route that inverts refuses before
-        # it samples, traces or solves anything.
-        monkeypatch.setattr(spectra, "physical_memory", lambda: 100_000)
+        # Inverting 64 u points onto 127 W bins is counted as 16 arrays of
+        # 127 doubles, 16 kB; the machine has 10 kB for it.  Every command
+        # refuses before it samples, plans, traces or solves anything.
+        assert cli._INVERSION_ARRAYS * 8 * 127 > 10_000
+        monkeypatch.setattr(cli, "physical_memory", lambda: 10_000)
 
         def refuse(*args, **kwargs):
             raise AssertionError("work started before the inversion was checked")
@@ -676,10 +683,12 @@ class TestSubcommands:
         monkeypatch.setattr(sampler, "sample_ensemble", refuse)
         monkeypatch.setattr(classical, "sample_classical_work", refuse)
         monkeypatch.setattr(quantum, "build_hamiltonians", refuse)
+        monkeypatch.setattr(cli, "plan_u_grid", refuse)
         cfgp = tmp_path / "c.cfg"
         cfgp.write_text(tiny_text(beta_list="0.3", hbar_list="1.0"))
         for command in (
             ["semiclassical"],
+            ["classical"],
             ["quantum"],
             ["jarzynski"],
             ["scenario", "fig2"],

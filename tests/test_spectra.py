@@ -10,7 +10,13 @@ from chaowork.characteristic import CharacteristicGrid, plan_from_window
 from chaowork.potential import evaluate
 from chaowork.spectra import AliasingSuspect, bin_spikes, invert
 
-from reference import bin_weighted_spikes, histogram_to_characteristic, rebin
+from reference import (
+    bin_weighted_spikes,
+    dense_functional_coefficients,
+    dense_invert,
+    histogram_to_characteristic,
+    rebin,
+)
 
 
 def make_grid(plan, g, se=None):
@@ -129,6 +135,35 @@ class TestInvert:
         g2 = make_grid(plan, np.ones(128), se=2.0 * se)
         h2 = invert(g2, broadening=0.0)
         np.testing.assert_allclose(h2.error, 2.0 * h.error, rtol=1e-12)
+
+
+class TestDenseOracle:
+    """The FFTs of ``invert`` and ``functional_coefficients`` against the
+    dense cos/sin sums over every (u, W) pair."""
+
+    @staticmethod
+    def assert_close(got, want):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 64, 511, 512])
+    @pytest.mark.parametrize("center", [0.0, 37.3, -1234.5])
+    def test_invert_and_functionals_match_the_dense_sums(self, n, center, unguarded):
+        rng = np.random.default_rng(n)
+        plan = characteristic.UGridPlan(0.05, n, center)
+        u = plan.u_values
+        g = np.exp(-0.5 * (3.0 * u) ** 2 + 1.01j * center * u) * (1.0 + 0.01 * rng.random(n))
+        g[0] = 1.0
+        grid = make_grid(plan, g, se=1e-2 * rng.random(n))
+        grid.stderr_im = 1e-2 * rng.random(n)
+        eps = 2.0 * plan.dw
+        hist = invert(grid, broadening=eps)
+        density, error = dense_invert(grid, eps)
+        self.assert_close(hist.density, density)
+        self.assert_close(hist.error, error)
+        kernels = [rng.random(2 * n - 1), np.exp(-0.3 * (plan.w_values - plan.w_values[0]))]
+        got = spectra.functional_coefficients(plan, eps, kernels)
+        for c, want in zip(got, dense_functional_coefficients(plan, eps, kernels)):
+            self.assert_close(c, want)
 
 
 class TestBinSpikes:
