@@ -185,10 +185,10 @@ class Request:
 def _request_sums(integrals, columns, coef, functional):
     """Phase sums of one request over its good rows in a traced chunk.
 
-    Returns (sums, ok, failed, f_sums): ``sums`` stacks the per-column sums
-    of cos, sin, cos^2 and sin^2 into a (4, k) array, and ``f_sums`` is
-    (sum f, sum f^2) of the per-sample f = functional . [cos; sin], or
-    (0.0, 0.0) without a functional.  A row is good when the ray reached the
+    Returns (sums, ok, failed, f_moments): ``sums`` stacks the per-column
+    sums of cos, sin, cos^2 and sin^2 into a (4, k) array, and ``f_moments``
+    is ``_merge``'s triple for f = functional . [cos; sin], or (0, 0.0, 0.0)
+    without a functional.  A row is good when the ray reached the
     request's last checkpoint.  The good rows are taken _SUM_ROWS at a time,
     so the temporaries are five arrays of _SUM_ROWS rows, not of the
     chunk's, and the sums keep the bits of one sum over every good row.
@@ -196,7 +196,7 @@ def _request_sums(integrals, columns, coef, functional):
     failed = np.isnan(integrals[:, columns[-1]])
     good = np.flatnonzero(~failed)
     k = columns.size
-    f_sum = f_sq = 0.0
+    f_moments = (0, 0.0, 0.0)
     # Rows 1.. of ``block`` hold one block's cos, sin, cos^2 and sin^2 (the
     # phases wait in the cos^2 rows until cos and sin are taken), and row 0
     # the sums of the rows before the block.  sum(axis=0) adds a C-ordered
@@ -211,14 +211,21 @@ def _request_sums(integrals, columns, coef, functional):
         np.sin(c2[1:], out=s[1:])
         if functional is not None:
             f = c[1:] @ functional[:k] + s[1:] @ functional[k:]
-            f_sum += float(f.sum())
-            f_sq += float((f * f).sum())
+            f_moments = _merge(f_moments, (f.size, float(f.mean()), float(np.var(f) * f.size)))
         np.multiply(c[1:], c[1:], out=c2[1:])
         np.multiply(s[1:], s[1:], out=s2[1:])
         first = 1 if lo == 0 else 0
         sums = np.stack([part[first:].sum(axis=0) for part in (c, s, c2, s2)])
         block[:, 0] = sums
-    return sums, good.size, int(failed.sum()), (f_sum, f_sq)
+    return sums, good.size, int(failed.sum()), f_moments
+
+
+def _merge(a, b):
+    """(count, mean, sum of squared deviations) of two sample sets, from
+    each one's; stable where sum f^2 - (sum f)^2 / n cancels digits."""
+    (na, ma, qa), (nb, mb, qb) = a, b
+    n, d = na + nb, mb - ma
+    return (n, ma + d * nb / n, qa + qb + d * d * na * nb / n) if nb else a
 
 
 def _chunk_bytes(rows: int, n_times: int) -> int:
@@ -286,13 +293,13 @@ class _Total:
     def __init__(self, req: Request):
         # Zeros first, so a -0.0 chunk sum still totals +0.0.
         self.sums = np.zeros((4, req.u_grid.n))
-        self.f_sums = np.zeros(2)  # sum f, sum f^2
+        self.f_moments = (0, 0.0, 0.0)  # _merge's count, mean, deviations
         self.ok = 0
         self.failed = 0
 
-    def add(self, sums, ok, failed, f_sums):
+    def add(self, sums, ok, failed, f_moments):
         self.sums += sums
-        self.f_sums += f_sums
+        self.f_moments = _merge(self.f_moments, f_moments)
         self.ok += ok
         self.failed += failed
 
@@ -326,8 +333,7 @@ def _reduce(ens: ThermalEnsemble, req: Request, total: _Total, trace: dict) -> C
     se_s = np.sqrt(var_s / n_ok)
     f_stderr = None
     if req.functional is not None:
-        f_sum, f_sq = total.f_sums
-        f_stderr = math.sqrt(max(f_sq - f_sum * f_sum / n_ok, 0.0) / max(n_ok - 1, 1) / n_ok)
+        f_stderr = math.sqrt(total.f_moments[2] / max(n_ok - 1, 1) / n_ok)
 
     return CharacteristicGrid(
         plan=plan,

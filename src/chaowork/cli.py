@@ -447,9 +447,7 @@ def _broadening(cfg, plan):
     return cfg.broadening_bins * plan.dw
 
 
-# float64 arrays of 2 u_points - 1 entries an inversion holds at once (the
-# tracemalloc peak of spectra.invert is 10.5-11.5 of them).
-_INVERSION_ARRAYS = 16
+_INVERSION_ARRAYS = 16  # float64 (2 u_points - 1)-arrays; invert's peak: 10.5-11.5
 
 
 def _check_inversion(cfg):

@@ -74,10 +74,6 @@ RESIDUAL_TOL = 1e-8
 ORTHO_TOL = 1e-10
 # Most Boltzmann weight the top decile of retained states may carry.
 TRUNCATION_THRESHOLD = 0.01
-# u points per block of quantum_characteristic.  With numpy's OpenBLAS,
-# 64-row products keep the bits of one product over every u; blocks of 1 or
-# 7 rows do not.
-_U_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -380,31 +376,33 @@ def quantum_characteristic(
     exp(i u (E_f - E_0)).
 
     Fourier pair of the unbroadened work distribution; deterministic, so the
-    stored standard errors are zero.  The u points are taken _U_BLOCK at a
-    time, so the (u x states) temporaries do not grow with the plan, and G
-    keeps the bits of one product over every u.
+    stored standard errors are zero.
     """
     u = plan.u_values
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     check_truncation(spec.e0, beta)
     w = boltzmann_weights(spec.e0, beta)
-    g = np.empty(u.size, dtype=complex)
-    for lo in range(0, u.size, _U_BLOCK):
-        # G(u) = sum_n e^{i u ef_n} (re - i im)[:, n], with re and im the real
-        # products (w_m cos(u e0_m)) @ T and (w_m sin(u e0_m)) @ T: T is never
-        # copied to complex.
-        ub = u[lo : lo + _U_BLOCK, None]
-        re = (np.cos(ub * spec.e0) * w) @ spec.transition
-        im = (np.sin(ub * spec.e0) * w) @ spec.transition
-        c, s = np.cos(ub * spec.ef), np.sin(ub * spec.ef)
-        g_re = np.einsum("kn,kn->k", re, c) + np.einsum("kn,kn->k", im, s)
-        g_im = np.einsum("kn,kn->k", re, s) - np.einsum("kn,kn->k", im, c)
-        g[lo : lo + _U_BLOCK] = g_re + 1j * g_im
+    # G(u) = sum_n e^{i u ef_n} (re - i im)[:, n], with re and im the real
+    # products (w_m cos(u e0_m)) @ T and (w_m sin(u e0_m)) @ T: T is never
+    # copied to complex, and each (K, n) block is formed in place.
+    arg = np.outer(u, spec.e0)  # (K, n0)
+    a = np.cos(arg)
+    a *= w
+    re = a @ spec.transition  # (K, nf)
+    np.sin(arg, out=a)
+    a *= w
+    im = a @ spec.transition
+    del arg, a
+    s = np.outer(u, spec.ef)
+    c = np.cos(s)
+    np.sin(s, out=s)
+    g_re = np.einsum("kn,kn->k", re, c) + np.einsum("kn,kn->k", im, s)
+    g_im = np.einsum("kn,kn->k", re, s) - np.einsum("kn,kn->k", im, c)
     zeros = np.zeros(u.size)
     return CharacteristicGrid(
         plan=plan,
-        g_values=g,
+        g_values=g_re + 1j * g_im,
         stderr_re=zeros,
         stderr_im=zeros.copy(),
         n_samples=0,

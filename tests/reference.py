@@ -46,9 +46,7 @@ readable paths:
   5-point ``quantum.Stencil`` must match bit for bit;
 - ``bin_weighted_spikes`` and ``quantum_spike_density``: the quantum work
   distribution binned straight from its weighted spikes, the direct route
-  that ``invert`` of the exact quantum G is checked against, and
-  ``quantum_characteristic_one_shot``, that G with every u in one product,
-  which ``quantum.quantum_characteristic``'s u blocks match bit for bit;
+  that ``invert`` of the exact quantum G is checked against;
 - ``weyl_level_spacing``, ``supported_states``, ``plan_step_for_states``
   and ``final_state_count``: area-law estimates that size the quantum
   solve of acceptance criterion 6.
@@ -934,23 +932,6 @@ def quantum_spike_density(
     masses = (w[:, None] * spec.transition).ravel()
     spikes = (spec.ef[None, :] - spec.e0[:, None]).ravel()
     return bin_weighted_spikes(spikes, masses, w_values, broadening)
-
-
-def quantum_characteristic_one_shot(
-    spec: quantum.QuenchSpectra, beta: float, plan: UGridPlan
-) -> np.ndarray:
-    """G(u) of ``quantum.quantum_characteristic`` with every u row in one
-    product, the unblocked form the blocked one must match bit for bit."""
-    u = plan.u_values
-    w = quantum.boltzmann_weights(spec.e0, beta)
-    arg = np.outer(u, spec.e0)
-    re = (np.cos(arg) * w) @ spec.transition
-    im = (np.sin(arg) * w) @ spec.transition
-    s = np.outer(u, spec.ef)
-    c, s = np.cos(s), np.sin(s)
-    g_re = np.einsum("kn,kn->k", re, c) + np.einsum("kn,kn->k", im, s)
-    g_im = np.einsum("kn,kn->k", re, s) - np.einsum("kn,kn->k", im, c)
-    return g_re + 1j * g_im
 
 
 def rebin(hist: WorkHistogram, factor: int) -> WorkHistogram:

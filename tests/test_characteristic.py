@@ -436,12 +436,28 @@ class TestChunkSums:
                 assert got[1:3] == ref[1:3]
                 assert got[0].tobytes() == ref[0].tobytes()
                 if functional is None:
-                    assert got[3] == (0.0, 0.0)
+                    assert got[3] == (0, 0.0, 0.0)
                     continue
-                # sum f = c . sum v and sum f^2 = c^T (v^T v) c for v = [cos; sin].
-                f_sum, f_sq = got[3]
-                assert f_sum == pytest.approx(c @ np.concatenate(ref[0][:2]), rel=1e-12)
-                assert f_sq == pytest.approx(c @ ref[3] @ c, rel=1e-12)
+                # n mean = c . sum v, and the squared deviations of f are
+                # c^T (v^T v) c - n mean^2, for v = [cos; sin].
+                n, mean, dev = got[3]
+                assert n == ref[1]
+                assert n * mean == pytest.approx(c @ np.concatenate(ref[0][:2]), rel=1e-12)
+                assert dev == pytest.approx(c @ ref[3] @ c - n * mean**2, rel=1e-12)
+
+    def test_functional_error_of_a_narrow_spread(self, rng):
+        # f = cos(phi) for phases of 1e-4: a spread of ~1e-8 on a mean of 1,
+        # where sum f^2 - (sum f)^2 / n keeps no digit of the variance.
+        rows = 2 * characteristic._SUM_ROWS + 517
+        integrals = 1e-4 * rng.standard_normal((rows, 2))
+        columns, functional = np.arange(2), np.array([1.0, 0.0, 0.0, 0.0])
+        total = characteristic._Total(Request(1.0, UGridPlan(1.0, 2), 1.0, functional))
+        for chunk in (integrals[:700], integrals[700:]):
+            total.add(*characteristic._request_sums(chunk.copy(), columns, 1.0, functional))
+        f = np.cos(integrals[:, 0])
+        assert total.f_moments[0] == rows
+        assert total.f_moments[1] == pytest.approx(f.mean(), rel=1e-15)
+        assert total.f_moments[2] == pytest.approx(((f - f.mean()) ** 2).sum(), rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("functional", [False, True])
     def test_chunk_peak_within_the_guard(self, geom_mod, pot_mod, functional):

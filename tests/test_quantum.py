@@ -22,7 +22,6 @@ from reference import (
     area,
     bin_weighted_spikes,
     plan_step_for_states,
-    quantum_characteristic_one_shot,
     quantum_spike_density,
     sparse_hamiltonians,
     supported_states,
@@ -295,15 +294,6 @@ class TestQuantumCharacteristic:
         monkeypatch.setattr(spectra, "ALIAS_TOLERANCE", math.inf)
         inverted = spectra.invert(g, broadening=eps)
         assert np.abs(direct - inverted.density).max() < 1e-9
-
-    @pytest.mark.parametrize("n_u", [16, 100, 512])
-    def test_u_blocks_match_one_product(self, geom, pot, n_u):
-        # 155 sites at quantum_h = 0.1; 100 points end in a partial block.
-        spec = solve_quench(geom, pot, hbar=0.5, h=0.1)
-        lo, hi = quantum.spike_support(spec, 0.3, mass_tol=1e-10)
-        plan = characteristic.plan_from_window(lo, hi, n_u=n_u, pad_frac=0.2)
-        g = quantum_characteristic(spec, 0.3, plan)
-        assert np.array_equal(g.g_values, quantum_characteristic_one_shot(spec, 0.3, plan))
 
 
 class TestQuantumJarzynski:
