@@ -2,18 +2,18 @@
 
 Configuration is a flat ``key = value`` text file whose keys are the fields
 of RunConfig; CLI flags override environment variables (prefix CHAOWORK_),
-which override the file, which overrides a scenario's own sweep
-(``_SCENARIO_DEFAULTS``), which overrides the built-in defaults (the default
-system of the study: r = l = 1 billiard, four bumps of width 0.1, quench
-strength 0 -> 85).  File, environment and flags share one grammar: a key
-parses by the type of its default.
+which override the file, which overrides a command's own defaults, which
+override the built-in defaults (the default system of the study: r = l = 1
+billiard, four bumps of width 0.1, quench strength 0 -> 85).  File,
+environment and flags share one grammar: a key parses by the type of its
+default.  ``_COMMANDS`` gives each command's defaults and the keys it reads.
 
-Every run writes a manifest JSON recording the configuration that ran, its
-SHA-256 hash, the seed, library versions, the platform and C library, the CPU count and
-the compiled engine's cache key; each CSV embeds that hash in a
-leading comment line so outputs can be audited after the fact.  Outputs are
-a pure function of the configuration's values: reruns are byte-identical
-whatever the worker count or output directory.
+Every run writes a manifest JSON recording the keys read, their SHA-256 hash,
+the other keys set away from their defaults, the seed, library versions, the
+platform and C library, the CPU count and the compiled engine's cache key;
+each CSV embeds that hash in a leading comment line.  Outputs are a pure
+function of the values of the keys read: reruns are byte-identical whatever
+the worker count, the output directory or the keys the command ignores.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import math
 import os
 import platform
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -260,8 +260,13 @@ def apply_env_overrides(cfg: RunConfig, environ=None) -> RunConfig:
     return _check_ranges(replace(cfg, **updates))
 
 
-def config_manifest(cfg: RunConfig, scenario: str) -> dict:
-    body = {f.name: getattr(cfg, f.name) for f in fields(RunConfig)}
+def config_manifest(cfg: RunConfig, name: str) -> dict:
+    """The keys command ``name`` reads, their hash, and under ``ignored`` every
+    other key whose value differs from the command's own default."""
+    command = _COMMANDS[name]
+    default = RunConfig(**command.defaults)
+    body = {k: getattr(cfg, k) for k in _CONVERTERS if k in command.keys}
+    ignored = [k for k in _CONVERTERS if k not in body and getattr(cfg, k) != getattr(default, k)]
     # out_dir and workers cannot change any output byte, so they stay out of
     # the hash: reruns to another directory remain verifiably identical.
     hashed = {k: v for k, v in body.items() if k not in ("out_dir", "workers")}
@@ -272,10 +277,12 @@ def config_manifest(cfg: RunConfig, scenario: str) -> dict:
         scipy_version = importlib.metadata.version("scipy")
     except importlib.metadata.PackageNotFoundError:
         scipy_version = None
+    system = [platform.system(), platform.release(), platform.machine(), *platform.libc_ver()]
     return {
-        "scenario": scenario,
+        "scenario": name,
         "config": body,
         "config_sha256": digest,
+        "ignored": ignored,
         "seed": cfg.seed,
         "versions": {
             "python": sys.version.split()[0],
@@ -285,12 +292,7 @@ def config_manifest(cfg: RunConfig, scenario: str) -> dict:
             # The engine's erf and exp come from the C library (libmvec on
             # x86_64 glibc >= 2.35 with AVX2), so its name and version are
             # recorded.
-            "platform": "-".join(
-                filter(
-                    None,
-                    [platform.system(), platform.release(), platform.machine(), *platform.libc_ver()],
-                )
-            ),
+            "platform": "-".join(filter(None, system)),
             "cpu_count": os.cpu_count(),
             "engine": _engine_key(),
         },
@@ -421,10 +423,9 @@ def _write_json(path, payload) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Runners: each takes (cfg, out), computes, writes its data files at
-# out.path(name) under out.hash, and returns None or (report file name,
-# report body).  _execute stamps the body with the manifest hash and writes
-# it, then manifest.json.
+# Runners: each takes (cfg, out), writes its data files at out.path(name) under
+# out.hash and returns None or (report file name, report body); ``run`` stamps
+# the body with the manifest hash and writes it, then manifest.json.
 
 
 class _Output:
@@ -514,19 +515,6 @@ def _semiclassical_grids(cfg, geom, pot, requests):
     return ens, grids
 
 
-def _one(cfg, key):
-    """The entry of a list key that the command reads one entry of; a longer
-    list is refused rather than cut."""
-    values = getattr(cfg, key)
-    if len(values) != 1:
-        raise RangeError(
-            key,
-            f"this command takes one entry, got {len(values)} ({', '.join(map(repr, values))});"
-            " run them one at a time, or use a scenario that sweeps it",
-        )
-    return values[0]
-
-
 def _classical_histogram(cfg, geom, pot, plan, beta):
     sample = classical.sample_classical_work(geom, pot, cfg.n_classical, cfg.seed)
     meta = {"beta": beta, "source": "classical_mc"}
@@ -536,7 +524,7 @@ def _classical_histogram(cfg, geom, pot, plan, beta):
 
 def run_semiclassical(cfg: RunConfig, out: _Output) -> None:
     """One (beta, hbar): semiclassical G(u) and its inverted work distribution."""
-    beta, hbar = _one(cfg, "beta_list"), _one(cfg, "hbar_list")
+    [beta], [hbar] = cfg.beta_list, cfg.hbar_list
     geom, pot = cfg.geometry(), cfg.potential()
     plan = _plan(cfg, geom, pot)
     ens, [grid] = _semiclassical_grids(cfg, geom, pot, [Request(beta, plan, hbar)])
@@ -549,7 +537,7 @@ def run_semiclassical(cfg: RunConfig, out: _Output) -> None:
 
 def run_classical(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
     """One beta: classical work sample, its histogram and the free energy."""
-    beta = _one(cfg, "beta_list")
+    [beta] = cfg.beta_list
     geom, pot = cfg.geometry(), cfg.potential()
     plan = _plan(cfg, geom, pot)
     sample, hist = _classical_histogram(cfg, geom, pot, plan, beta)
@@ -562,16 +550,27 @@ def run_classical(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
     return "classical_report.json", report
 
 
+_TRUNCATION_CAVEAT = (
+    "the thermal weight reaches the top of the retained basis, so this temperature is too"
+    " hot for it and the quantum curve is unavailable here; retain more states"
+    " (quantum_n_initial, quantum_n_final), refine the grid (a smaller quantum_h) or take"
+    " a colder beta_list entry"
+)
+
+
 def run_quantum(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
     """One (beta, hbar): grid spectra, quantum P(W), G(u) and the free-energy identity."""
-    beta, hbar = _one(cfg, "beta_list"), _one(cfg, "hbar_list")
+    [beta], [hbar] = cfg.beta_list, cfg.hbar_list
     geom, pot = cfg.geometry(), cfg.potential()
     _check_inversion(cfg)
     spec = _solve_quench(cfg, geom, pot, hbar)
     lo, hi = quantum.spike_support(spec, beta, mass_tol=1e-10)
     plan = plan_from_window(lo, hi, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
     # Truncation and aliasing both raise here, before any file is written.
-    grid = quantum.quantum_characteristic(spec, beta, plan)
+    try:
+        grid = quantum.quantum_characteristic(spec, beta, plan)
+    except quantum.TruncationDominates as exc:
+        raise quantum.TruncationDominates(f"beta={beta:g}: {exc}; {_TRUNCATION_CAVEAT}") from None
     hist = spectra.invert(grid, broadening=_broadening(cfg, plan))
     lhs, rhs = quantum.quantum_jarzynski(spec, beta)
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
@@ -584,29 +583,21 @@ def run_quantum(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
     out.files.extend(quantum.export_spectra_csv(out.dir, spec, out.hash))
     write_histogram_csv(out.path("quantum_workdist.csv"), hist, out.hash)
     write_characteristic_csv(out.path("quantum_g.csv"), grid, out.hash)
-    report = {
-        "beta": beta,
-        "jarzynski_lhs": lhs,
-        "jarzynski_rhs": rhs,
-        "eigensolve": spec.metadata["eigensolve"],
-    }
+    solves = spec.metadata["eigensolve"]
+    report = {"beta": beta, "jarzynski_lhs": lhs, "jarzynski_rhs": rhs, "eigensolve": solves}
     return "quantum_report.json", report
 
 
 def run_fig4(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
     """Classical-limit sweep: fixed beta, shrinking hbar, L1 against classical."""
-    beta, hbars = _one(cfg, "beta_list"), cfg.hbar_list
-    geom = cfg.geometry()
-    pot = cfg.potential()
+    [beta], hbars = cfg.beta_list, cfg.hbar_list
+    geom, pot = cfg.geometry(), cfg.potential()
     plan = _plan(cfg, geom, pot)
 
     _, clhist = _classical_histogram(cfg, geom, pot, plan, beta)
     ens, grids = _semiclassical_grids(cfg, geom, pot, [Request(beta, plan, h) for h in hbars])
     hists = [spectra.invert(grid, broadening=clhist.broadening) for grid in grids]
-    table = [
-        {"hbar": hbar, **analysis.compare_histograms(hist, clhist)}
-        for hbar, hist in zip(hbars, hists)
-    ]
+    table = [{"hbar": h, **analysis.compare_histograms(x, clhist)} for h, x in zip(hbars, hists)]
 
     write_histogram_csv(out.path("classical_workdist.csv"), clhist, out.hash)
     if cfg.dump_ensemble:
@@ -616,15 +607,13 @@ def run_fig4(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
         write_characteristic_csv(out.path(f"semiclassical_g_hbar{tag}.csv"), grid, out.hash)
         write_histogram_csv(out.path(f"semiclassical_workdist_hbar{tag}.csv"), hist, out.hash)
 
-    report = {"beta": beta, "comparisons": table, "broadening": clhist.broadening}
-    return "fig4_report.json", report
+    return "fig4_report.json", {"beta": beta, "comparisons": table, "broadening": clhist.broadening}
 
 
 def run_fig3(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
     """Free-energy sweep: quadrature reference vs classical MC vs semiclassical."""
-    betas, hbar = cfg.beta_list, _one(cfg, "hbar_list")
-    geom = cfg.geometry()
-    pot = cfg.potential()
+    betas, [hbar] = cfg.beta_list, cfg.hbar_list
+    geom, pot = cfg.geometry(), cfg.potential()
     plan = _plan(cfg, geom, pot)
     eps = _broadening(cfg, plan)
     _check_broadening_correction(cfg, plan, betas, eps)
@@ -634,40 +623,24 @@ def run_fig3(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
     functionals = analysis.jarzynski_functionals(plan, betas, eps)
     requests = [Request(beta, plan, hbar, c) for beta, c in zip(betas, functionals)]
     _, grids = _semiclassical_grids(cfg, geom, pot, requests)
+    names = ("beta", "delta_f_reference", "delta_f_classical_mc", "stderr_classical_mc")
+    names += ("delta_f_semiclassical", "stderr_semiclassical")
     rows = []
     for beta, grid in zip(betas, grids):
         ref = classical.classical_free_energy_difference(geom, pot, beta)
-        est_mc, se_mc = analysis.jarzynski_from_samples(sample.values, beta)
-        est_sc, se_sc = analysis.jarzynski_from_characteristic(grid, beta, eps)
-        rows.append(
-            {
-                "beta": beta,
-                "delta_f_reference": ref,
-                "delta_f_classical_mc": est_mc,
-                "stderr_classical_mc": se_mc,
-                "delta_f_semiclassical": est_sc,
-                "stderr_semiclassical": se_sc,
-            }
-        )
+        mc = analysis.jarzynski_from_samples(sample.values, beta)
+        sc = analysis.jarzynski_from_characteristic(grid, beta, eps)
+        rows.append(dict(zip(names, (beta, ref, *mc, *sc))))
 
     columns = {c: [row[c] for row in rows] for c in rows[0]}
     _write_table(out.path("jarzynski_sweep.csv"), out.hash, columns)
     return "fig3_report.json", {"hbar": hbar, "rows": rows}
 
 
-_TRUNCATION_CAVEAT = (
-    "the thermal weight reaches the top of the retained basis, so this temperature is too"
-    " hot for it and the quantum curve is unavailable here; retain more states"
-    " (quantum_n_initial, quantum_n_final), refine the grid (a smaller quantum_h) or take"
-    " a colder beta_list entry"
-)
-
-
 def run_fig2(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
     """Quantum vs semiclassical work distributions across temperatures."""
-    betas, hbar = cfg.beta_list, _one(cfg, "hbar_list")
-    geom = cfg.geometry()
-    pot = cfg.potential()
+    betas, [hbar] = cfg.beta_list, cfg.hbar_list
+    geom, pot = cfg.geometry(), cfg.potential()
     w_all = _plan(cfg, geom, pot).w_values
     spec = _solve_quench(cfg, geom, pot, hbar)
 
@@ -678,15 +651,13 @@ def run_fig2(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
             lo_q, hi_q = quantum.spike_support(spec, beta, mass_tol=1e-10)
         except quantum.TruncationDominates:
             lo_q, hi_q = w_all[0], w_all[-1]
-        lo = min(w_all[0], lo_q)
-        hi = max(w_all[-1], hi_q)
+        lo, hi = min(w_all[0], lo_q), max(w_all[-1], hi_q)
         plan = plan_from_window(lo, hi, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
         requests.append(Request(beta, plan, hbar))
     _, grids = _semiclassical_grids(cfg, geom, pot, requests)
 
-    rows = []
-    warnings = []
-    curves = []  # per beta: the semiclassical and, when available, quantum (grid, hist)
+    # Per beta: the semiclassical and, when available, the quantum (grid, hist).
+    rows, warnings, curves = [], [], []
     for beta, req, grid_sc in zip(betas, requests, grids):
         eps = _broadening(cfg, req.u_grid)
         hist_sc = spectra.invert(grid_sc, broadening=eps)
@@ -698,8 +669,7 @@ def run_fig2(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
             curve["quantum"] = (grid_q, hist_q)
             row.update(analysis.compare_histograms(hist_q, hist_sc))
         except quantum.TruncationDominates as exc:
-            msg = f"beta={beta:g}: {exc}; {_TRUNCATION_CAVEAT}"
-            warnings.append(msg)
+            warnings.append(f"beta={beta:g}: {exc}; {_TRUNCATION_CAVEAT}")
             row["quantum"] = "unavailable"
         rows.append(row)
         curves.append(curve)
@@ -714,34 +684,92 @@ def run_fig2(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
     return "fig2_report.json", {"hbar": hbar, "rows": rows, "warnings": warnings}
 
 
-_SCENARIOS = {"fig2": run_fig2, "fig3": run_fig3, "fig4": run_fig4}
-# Run subcommands that write straight into out_dir; jarzynski is fig3 there.
+# Every command reads the system, its temperatures and the u plan, and the
+# run path reads out_dir; a trace reads _TRACE's keys, a quantum solve _SOLVE's.
+_SYSTEM = {"geometry_r", "geometry_l", "sigma", "xi_f", "xi_0", "centers", "signs", "beta_list"}
+_SYSTEM |= {"u_points", "pad_frac", "broadening_bins", "out_dir"}
+_TRACE = _SYSTEM | {"hbar_list", "seed", "n_samples", "workers", "max_bounces"}
+_SOLVE = _SYSTEM | {"hbar_list", "quantum_h", "quantum_n_initial", "quantum_n_final"}
+
+
+@dataclass(frozen=True)
+class _Command:
+    """Help line, runner, the keys it reads, the list key it sweeps (it takes one
+    entry of any other), own defaults, and whether it writes into out_dir/<name>."""
+
+    help: str
+    runner: object
+    keys: set
+    sweeps: str | None = None
+    defaults: dict = field(default_factory=dict)
+    scenario: bool = False
+
+
+# fig3 and fig4 compare distributions on coarse dual grids (a work resolution
+# of a few energy units), which probe the classical limit rather than the
+# dephasing crossover that dominates at fine u resolution.
+_FIG3 = _Command(
+    "free energy: quadrature vs classical MC vs semiclassical",
+    run_fig3,
+    _TRACE | {"n_classical"},
+    "beta_list",
+    {"beta_list": tuple(2.0**-k for k in range(7, 14)), "u_points": 64},
+    scenario=True,
+)
 _COMMANDS = {
-    "semiclassical": run_semiclassical,
-    "classical": run_classical,
-    "quantum": run_quantum,
-    "jarzynski": run_fig3,
-}
-# Each sweeping command's own values for the keys a config leaves out: they
-# sit under the file, the environment and the flags.  fig3 and fig4 compare
-# distributions, so their coarse dual grids (a work resolution of a few
-# energy units) probe the classical limit rather than the dephasing crossover
-# that dominates at fine u resolution.
-_FIG3_DEFAULTS = {"beta_list": tuple(2.0**-k for k in range(7, 14)), "u_points": 64}
-_SCENARIO_DEFAULTS = {
-    "fig2": {"beta_list": (2.0**-6, 2.0**-8, 2.0**-10, 2.0**-12)},
-    "fig3": _FIG3_DEFAULTS,
-    "jarzynski": _FIG3_DEFAULTS,
-    "fig4": {"hbar_list": (0.01, 0.1, 0.5, 1.0), "u_points": 32},
+    "semiclassical": _Command(
+        "characteristic function + work distribution", run_semiclassical, _TRACE | {"dump_ensemble"}
+    ),
+    "classical": _Command(
+        "classical work sample and free energy",
+        run_classical,
+        _SYSTEM | {"seed", "n_classical", "dump_ensemble"},
+    ),
+    "quantum": _Command(
+        "grid oracle: spectra, G(u) and P(W)", run_quantum, _SOLVE, defaults={"beta_list": (0.3,)}
+    ),
+    "jarzynski": replace(
+        _FIG3, help="free-energy sweep over temperatures (scenario fig3 into --out)", scenario=False
+    ),
+    "fig2": _Command(
+        "quantum vs semiclassical work distributions across temperatures",
+        run_fig2,
+        _TRACE | _SOLVE,
+        "beta_list",
+        {"beta_list": (2.0**-6, 2.0**-8, 2.0**-10, 2.0**-12)},
+        scenario=True,
+    ),
+    "fig3": _FIG3,
+    "fig4": _Command(
+        "classical limit: shrinking hbar against the classical distribution",
+        run_fig4,
+        _TRACE | {"n_classical", "dump_ensemble"},
+        "hbar_list",
+        {"hbar_list": (0.01, 0.1, 0.5, 1.0), "u_points": 32},
+        scenario=True,
+    ),
 }
 
 
-def _execute(cfg: RunConfig, name: str, runner, out_dir: str) -> dict:
-    """The one run path: manifest, output directory, runner, its report, manifest.json."""
+def run(cfg: RunConfig, name: str) -> dict:
+    """The one run path, of cfg as given: refuse a list it would cut, then
+    manifest, output directory, runner, its report and manifest.json."""
+    if name not in _COMMANDS:
+        raise ValueError(f"unknown command {name!r}; pick one of {sorted(_COMMANDS)}")
+    command = _COMMANDS[name]
+    for key in ("beta_list", "hbar_list"):
+        values = getattr(cfg, key)
+        if key in command.keys and key != command.sweeps and len(values) != 1:
+            raise RangeError(
+                key,
+                f"this command takes one entry, got {len(values)} ({', '.join(map(repr, values))});"
+                " run them one at a time, or use a scenario that sweeps it",
+            )
     manifest = config_manifest(cfg, name)
+    out_dir = os.path.join(cfg.out_dir, name) if command.scenario else cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
     out = _Output(out_dir, manifest["config_sha256"])
-    report = runner(cfg, out)
+    report = command.runner(cfg, out)
     result = {"out_dir": out_dir, "manifest": manifest, "files": out.files}
     if report is not None:
         report_name, body = report
@@ -752,88 +780,58 @@ def _execute(cfg: RunConfig, name: str, runner, out_dir: str) -> dict:
     return result
 
 
-def run_scenario(cfg: RunConfig, scenario: str) -> dict:
-    """Execute one named scenario into out_dir/<scenario>, manifest included.
-
-    cfg runs as given: the command line puts a scenario's own sweep
-    (``_SCENARIO_DEFAULTS``) under the file when it builds cfg.
-    """
-    if scenario not in _SCENARIOS:
-        raise ValueError(f"unknown scenario {scenario!r}; pick one of {sorted(_SCENARIOS)}")
-    return _execute(cfg, scenario, _SCENARIOS[scenario], os.path.join(cfg.out_dir, scenario))
-
-
 # ---------------------------------------------------------------------------
 # Entry point
 
 
 # Each run flag sets one key and parses with the same grammar as the file.
-_FLAG_KEYS = {
-    "seed": "seed",
-    "workers": "workers",
-    "out": "out_dir",
-    "beta": "beta_list",
-    "hbar": "hbar_list",
-}
+_FLAG_KEYS = dict(seed="seed", workers="workers", out="out_dir", beta="beta_list", hbar="hbar_list")
 
 
 def _load_config(args) -> RunConfig:
-    """Defaults, then the command's own, then the file, environment and flags."""
+    """Defaults, then the command's own, then the file, environment and flags;
+    a flag for a key the command does not read is refused, naming the flag."""
     text = ""
     if args.config:
         with open(args.config) as fh:
             text = fh.read()
-    name = args.name if args.command == "scenario" else args.command
-    cfg = apply_env_overrides(validate_config(text, _SCENARIO_DEFAULTS.get(name)))
+    command = _COMMANDS[args.name]
+    cfg = apply_env_overrides(validate_config(text, command.defaults))
     updates = {}
     for flag, key in _FLAG_KEYS.items():
         raw = getattr(args, flag)
         if raw is not None:
             updates[key] = _convert(_CONVERTERS[key], raw, f"--{flag}")
+            if key not in command.keys:
+                raise ValueError(f"--{flag}: {args.name} does not read {key}")
     return _check_ranges(replace(cfg, **updates))
 
 
 def _cmd_run(args) -> dict:
-    cfg = _load_config(args)
-    if args.command == "scenario":
-        result = run_scenario(cfg, args.name)
-    else:
-        result = _execute(cfg, args.command, _COMMANDS[args.command], cfg.out_dir)
-    del result["manifest"]
-    return result
+    return {k: v for k, v in run(_load_config(args), args.name).items() if k != "manifest"}
 
 
 def _cmd_compare(args) -> dict:
-    a = read_histogram_csv(args.first)
-    b = read_histogram_csv(args.second)
-    report = analysis.compare_histograms(a, b)
-    report["first"] = args.first
-    report["second"] = args.second
-    out = args.out or "comparison.json"
-    _write_json(out, report)
+    a, b = read_histogram_csv(args.first), read_histogram_csv(args.second)
+    report = {**analysis.compare_histograms(a, b), "first": args.first, "second": args.second}
+    _write_json(args.out or "comparison.json", report)
     return report
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="chaowork",
-        description="Work statistics of a sudden quench in a chaotic billiard",
-    )
+    description = "Work statistics of a sudden quench in a chaotic billiard"
+    parser = argparse.ArgumentParser(prog="chaowork", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, **defaults):
         p.add_argument("--config", help="path to a key = value configuration file")
         for flag, key in _FLAG_KEYS.items():
             p.add_argument(f"--{flag}", default=None, help=f"sets {key}, in the file's grammar")
-        p.set_defaults(func=_cmd_run)
+        p.set_defaults(func=_cmd_run, **defaults)
 
-    for name, help_text in (
-        ("semiclassical", "characteristic function + work distribution"),
-        ("classical", "classical work sample and free energy"),
-        ("quantum", "grid oracle: spectra and work distribution"),
-        ("jarzynski", "free-energy sweep over temperatures (scenario fig3 into --out)"),
-    ):
-        common(sub.add_parser(name, help=help_text))
+    for name, command in _COMMANDS.items():
+        if not command.scenario:
+            common(sub.add_parser(name, help=command.help), name=name)
 
     p = sub.add_parser("compare", help="L1 distance between two histogram CSVs")
     p.add_argument("first")
@@ -841,8 +839,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("scenario", help="run a canned experiment")
-    p.add_argument("name", choices=sorted(_SCENARIOS))
+    scenarios = {name: c.help for name, c in _COMMANDS.items() if c.scenario}
+    p = sub.add_parser("scenario", help="run a canned experiment into --out/<name>")
+    helps = "; ".join(f"{name}: {text}" for name, text in scenarios.items())
+    p.add_argument("name", choices=scenarios, help=helps)
     common(p)
 
     return parser

@@ -472,34 +472,12 @@ def save_spectra(path, spec: QuenchSpectra) -> None:
         fh.write(spec.transition.astype("<f8").tobytes())
 
 
-def load_spectra(path) -> QuenchSpectra:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValueError(f"not a spectra container: bad magic {magic!r}")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        n0, nf = header["n0"], header["nf"]
-        e0 = np.frombuffer(fh.read(8 * n0), dtype="<f8").copy()
-        ef = np.frombuffer(fh.read(8 * nf), dtype="<f8").copy()
-        t = np.frombuffer(fh.read(8 * n0 * nf), dtype="<f8").reshape(n0, nf).copy()
-    return QuenchSpectra(
-        e0=e0,
-        ef=ef,
-        transition=t,
-        hbar=header["hbar"],
-        h=header["h"],
-        n_sites=header["n_sites"],
-        metadata=header.get("metadata", {}),
-    )
-
-
 def export_spectra_csv(directory, spec: QuenchSpectra, manifest_hash: str) -> list[str]:
     """CSV export of the eigenvalues; returns the paths written.
 
     Each file starts with the ``# manifest_sha256=`` line, like every CSV a
     run writes.  The transition matrix is in the ``save_spectra`` container
-    only (read it with ``load_spectra``).
+    only (``tests/reference.py`` reads it back with ``load_spectra``).
     """
     head = f"# manifest_sha256={manifest_hash}\n"
     paths = []

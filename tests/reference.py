@@ -47,6 +47,8 @@ readable paths:
 - ``bin_weighted_spikes`` and ``quantum_spike_density``: the quantum work
   distribution binned straight from its weighted spikes, the direct route
   that ``invert`` of the exact quantum G is checked against;
+- ``load_spectra``: a ``quantum.save_spectra`` container read back, so
+  tests can check what a run wrote to ``spectra.bin``;
 - ``weyl_level_spacing``, ``supported_states``, ``plan_step_for_states``
   and ``final_state_count``: area-law estimates that size the quantum
   solve of acceptance criterion 6.
@@ -54,7 +56,9 @@ readable paths:
 
 from __future__ import annotations
 
+import json
 import math
+import struct
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -932,6 +936,29 @@ def quantum_spike_density(
     masses = (w[:, None] * spec.transition).ravel()
     spikes = (spec.ef[None, :] - spec.e0[:, None]).ravel()
     return bin_weighted_spikes(spikes, masses, w_values, broadening)
+
+
+def load_spectra(path) -> quantum.QuenchSpectra:
+    """The spectra a ``quantum.save_spectra`` container holds."""
+    with open(path, "rb") as fh:
+        magic = fh.read(len(quantum._MAGIC))
+        if magic != quantum._MAGIC:
+            raise ValueError(f"not a spectra container: bad magic {magic!r}")
+        (hlen,) = struct.unpack("<I", fh.read(4))
+        header = json.loads(fh.read(hlen).decode("utf-8"))
+        n0, nf = header["n0"], header["nf"]
+        e0 = np.frombuffer(fh.read(8 * n0), dtype="<f8").copy()
+        ef = np.frombuffer(fh.read(8 * nf), dtype="<f8").copy()
+        t = np.frombuffer(fh.read(8 * n0 * nf), dtype="<f8").reshape(n0, nf).copy()
+    return quantum.QuenchSpectra(
+        e0=e0,
+        ef=ef,
+        transition=t,
+        hbar=header["hbar"],
+        h=header["h"],
+        n_sites=header["n_sites"],
+        metadata=header.get("metadata", {}),
+    )
 
 
 def rebin(hist: WorkHistogram, factor: int) -> WorkHistogram:

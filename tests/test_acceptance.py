@@ -350,8 +350,8 @@ def test_criterion_7_universal_invariants(geom, pot, tmp_path):
     )
     cfg1 = cli.validate_config(base + f"out_dir = {tmp_path}/a")
     cfg2 = cli.validate_config(base + f"out_dir = {tmp_path}/b")
-    r1 = cli.run_scenario(cfg1, "fig4")
-    r2 = cli.run_scenario(cfg2, "fig4")
+    r1 = cli.run(cfg1, "fig4")
+    r2 = cli.run(cfg2, "fig4")
     identical = True
     for p1, p2 in zip(sorted(r1["files"]), sorted(r2["files"])):
         if p1.endswith("manifest.json"):

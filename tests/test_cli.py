@@ -21,11 +21,10 @@ from chaowork.cli import (
     RangeError,
     RunConfig,
     apply_env_overrides,
-    run_scenario,
     validate_config,
 )
 
-from reference import quantum_spike_density
+from reference import load_spectra, quantum_spike_density
 
 _TINY_BASE = {
     "beta_list": "2^-8",
@@ -172,9 +171,9 @@ class TestManifest:
         assert v["platform"].startswith(os.uname().sysname)
         libc, libc_version = platform.libc_ver()
         assert v["platform"].endswith(f"-{libc}-{libc_version}" if libc else os.uname().machine)
-        # Versions stay out of the hash, which depends on the configuration's values alone.
+        # Versions stay out of the hash, which depends on the values of the keys read alone.
         assert m["config_sha256"] == (
-            "960ca7db9a24468f2724309c5d70f1ee67446c5227a7cc2baa0c135ce180941a"
+            "ea42350e652c08dc0b59b2d682126a57f3cd5b72892f20eb165212fdbfb047eb"
         )
 
     def test_scipy_absent_is_recorded_as_null(self, monkeypatch):
@@ -195,7 +194,7 @@ class TestManifest:
 def result(tmp_path_factory):
     out = tmp_path_factory.mktemp("fig4")
     cfg = validate_config(tiny_text(hbar_list="0.05,0.2,1.0", out_dir=str(out)))
-    return run_scenario(cfg, "fig4"), out
+    return cli.run(cfg, "fig4"), out
 
 
 class TestScenarioFig4:
@@ -240,8 +239,8 @@ class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         cfg1 = validate_config(tiny_text(out_dir=f"{tmp_path}/a"))
         cfg2 = validate_config(tiny_text(out_dir=f"{tmp_path}/b"))
-        r1 = run_scenario(cfg1, "fig3")
-        r2 = run_scenario(cfg2, "fig3")
+        r1 = cli.run(cfg1, "fig3")
+        r2 = cli.run(cfg2, "fig3")
         for p1, p2 in zip(sorted(r1["files"]), sorted(r2["files"])):
             with open(p1, "rb") as f1, open(p2, "rb") as f2:
                 b1, b2 = f1.read(), f2.read()
@@ -415,12 +414,79 @@ class TestScenarioDefaults:
             assert not any(files for _, _, files in os.walk(out))
 
 
+class TestCommandTable:
+    def test_table_names_the_keys_each_runner_reads(self, tmp_path):
+        # A runner that starts reading a key its row does not name would
+        # change outputs that the manifest hash does not cover.
+        keys = {f.name for f in fields(RunConfig)}
+        base = validate_config(tiny_text(n_samples="400", hbar_list="1.0"))
+        for name, command in cli._COMMANDS.items():
+            read = set()
+
+            class Recording(RunConfig):
+                def __getattribute__(self, key):
+                    if key in keys:
+                        read.add(key)
+                    return super().__getattribute__(key)
+
+            # The full grid spectrum covers beta = 0.3; fig2 warns at 2^-8 and goes on.
+            beta = (0.3,) if name == "quantum" else base.beta_list
+            cfg = Recording(**{**{k: getattr(base, k) for k in keys}, "beta_list": beta})
+            out = tmp_path / name
+            out.mkdir()
+            command.runner(cfg, cli._Output(str(out), "0" * 64))
+            # The run path reads out_dir; the runners write through cli._Output.
+            assert read | {"out_dir"} == command.keys, name
+
+    def test_unread_keys_change_no_byte(self, tmp_path):
+        # classical reads no hbar_list: a file that lists two hbar values
+        # writes what one value writes, manifest hash lines included.
+        runs = []
+        for tag, hbars in (("one", "1"), ("two", "1, 2")):
+            cfgp = tmp_path / f"{tag}.cfg"
+            cfgp.write_text(tiny_text(n_samples="400", hbar_list=hbars))
+            out = tmp_path / tag
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["classical", "--config", str(cfgp), "--out", str(out)]) == 0
+            files = {p.name: p.read_bytes() for p in out.iterdir()}
+            runs.append((json.loads(files.pop("manifest.json")), files))
+        (one, files_one), (two, files_two) = runs
+        assert files_one == files_two
+        assert one["config_sha256"] == two["config_sha256"]
+        assert "hbar_list" not in two["config"]
+        assert "hbar_list" in two["ignored"] and "hbar_list" not in one["ignored"]
+        # The rest differ from their defaults in both runs.
+        assert set(one["ignored"]) == {"n_samples", "workers", "quantum_h"}
+
+    def test_flag_for_an_unread_key_is_refused(self, tmp_path, capsys):
+        for command, flag, raw in (
+            ("classical", "--hbar", "1"),
+            ("classical", "--workers", "1"),
+            ("quantum", "--seed", "3"),
+            ("quantum", "--workers", "1"),
+        ):
+            out = tmp_path / command
+            assert cli.main([command, flag, raw, "--out", str(out)]) == 1, (command, flag)
+            payload = json.loads(capsys.readouterr().err.strip())
+            assert payload["error"] == "ValueError"
+            assert payload["message"].startswith(f"{flag}: {command} does not read ")
+            assert not out.exists()
+
+    def test_quantum_defaults_to_a_temperature_it_covers(self):
+        # The full grid spectrum at the default quantum_h covers beta = 0.3, not 2^-12.
+        def load(argv):
+            return cli._load_config(cli.build_parser().parse_args(argv)).beta_list
+
+        assert load(["quantum"]) == (0.3,)
+        assert load(["quantum", "--beta", "2^-10"]) == (2.0**-10,)
+
+
 class TestScenarioFig3:
     def test_semiclassical_estimate_uses_broadening_bins(self, tmp_path):
         rows = {}
         for bins in (2, 4):
             text = tiny_text(out_dir=f"{tmp_path}/{bins}", n_samples="400", broadening_bins=bins)
-            [rows[bins]] = run_scenario(validate_config(text), "fig3")["report"]["rows"]
+            [rows[bins]] = cli.run(validate_config(text), "fig3")["report"]["rows"]
         assert rows[4]["delta_f_semiclassical"] != rows[2]["delta_f_semiclassical"]
         for key in ("delta_f_reference", "delta_f_classical_mc"):
             assert rows[4][key] == rows[2][key], key
@@ -442,7 +508,7 @@ class TestScenarioFig3:
         for name in calls:
             monkeypatch.setattr(spectra, name, counted(name))
         text = tiny_text(out_dir=str(tmp_path), n_samples="400", beta_list="2^-8,2^-10,2^-12")
-        rows = run_scenario(validate_config(text), "fig3")["report"]["rows"]
+        rows = cli.run(validate_config(text), "fig3")["report"]["rows"]
         assert len(rows) == 3
         assert calls == {"functional_coefficients": 1, "invert": 0}
 
@@ -461,7 +527,7 @@ class TestScenarioFig2:
             cfg = validate_config(
                 tiny_text(out_dir=str(out), beta_list=beta, n_samples="400", **basis)
             )
-            res = run_scenario(cfg, "fig2")
+            res = cli.run(cfg, "fig2")
             assert res["report"]["warnings"], "expected a truncation warning"
             warning = res["report"]["warnings"][0]
             assert "beta" in warning
@@ -489,7 +555,7 @@ class TestScenarioFig2:
         cfg = validate_config(
             tiny_text(out_dir=str(tmp_path), beta_list="0.35", hbar_list="1.0", n_samples="400")
         )
-        res = run_scenario(cfg, "fig2")
+        res = cli.run(cfg, "fig2")
         assert not res["report"]["warnings"]
         names = {os.path.basename(p) for p in res["files"]}
         assert any(n.startswith("quantum_workdist") for n in names)
@@ -508,7 +574,7 @@ class TestScenarioFig2:
                 seed="4711",
             )
         )
-        run_scenario(cfg, "fig2")
+        cli.run(cfg, "fig2")
         hist = cli.read_histogram_csv(tmp_path / "fig2" / "quantum_workdist_beta0p35.csv")
         peak = hist.density.max()
         assert hist.density[0] < 1e-6 * peak
@@ -553,7 +619,7 @@ class TestSubcommands:
             assert solve["solver"] == "dense evd"
             assert 0.0 <= solve["residual"] < 1e-8
             assert 0.0 <= solve["orthogonality"] < 1e-10
-        spec = quantum.load_spectra(tmp_path / "o" / "spectra.bin")
+        spec = load_spectra(tmp_path / "o" / "spectra.bin")
         assert spec.metadata["eigensolve"] == solves
 
     def test_quantum_truncation_writes_nothing(self, tmp_path, capsys, monkeypatch):
@@ -590,6 +656,10 @@ class TestSubcommands:
             assert rc == 1, command
             payload = json.loads(capsys.readouterr().err.strip())
             assert payload["error"] == error, command
+            if error == "TruncationDominates":
+                # It names the keys that change the retained basis or the temperature.
+                for key in ("quantum_n_initial", "quantum_n_final", "quantum_h", "beta_list"):
+                    assert key in payload["message"], key
             run_dir = out / command[1] if command[0] == "scenario" else out
             assert os.listdir(run_dir) == [], command
 
@@ -707,7 +777,7 @@ class TestSubcommands:
         cfgp = tmp_path / "c.cfg"
         cfgp.write_text(tiny_text(hbar_list="0.3,1.0"))
         cfg = validate_config(tiny_text(hbar_list="0.3,1.0", out_dir=str(tmp_path)))
-        res = run_scenario(cfg, "fig4")
+        res = cli.run(cfg, "fig4")
         csvs = sorted(p for p in res["files"] if p.endswith("workdist_hbar1.csv"))
         classical_csv = [p for p in res["files"] if "classical" in os.path.basename(p)][0]
         outp = tmp_path / "cmp.json"
@@ -945,7 +1015,7 @@ class TestRunCommands:
     def test_quantum_histogram_matches_spike_oracle(self, command_runs):
         out_dir, _ = command_runs["quantum"]
         hist = cli.read_histogram_csv(os.path.join(out_dir, "quantum_workdist.csv"))
-        spec = quantum.load_spectra(os.path.join(out_dir, "spectra.bin"))
+        spec = load_spectra(os.path.join(out_dir, "spectra.bin"))
         direct = quantum_spike_density(spec, 0.3, hist.w_values, hist.broadening)
         assert np.abs(hist.density - direct).max() < 1e-9
         assert abs(hist.total_mass - 1.0) < 1e-12

