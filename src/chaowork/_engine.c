@@ -32,8 +32,12 @@
  * A flight's set-up is lane-major: each bump holds its four lanes side by
  * side, so the call's exp_n runs over 4n values and its erf_n over the 8n
  * erf arguments of both ends of the four flights, whose durations are known
- * before set-up.  A checkpoint inside a flight takes one more erf over n,
- * lane by lane.  segment_integrals goes through the same set-up and total,
+ * before set-up.  The checkpoints inside the four flights are then filled
+ * together: each fill's n erf arguments go into one buffer of up to
+ * FILL_BATCH fills, one erf_n call takes them all, and each fill is folded
+ * over the bumps in the order of flights_total.  erf_n is elementwise, so a
+ * fill has the bits it would have alone; a still flight's fills take no erf.
+ * segment_integrals goes through the same set-up and total,
  * four flights at a time.  On x86_64 with glibc 2.35 or later (the #if
  * below, __GLIBC_PREREQ(2, 35) spelled out), trace and segment_integrals
  * check once per call, with __builtin_cpu_supports("avx2"), whether the
@@ -46,8 +50,10 @@
  *
  * A trace reads one ascending array of checkpoint times, the union of the
  * times of every request that shares the rays, so a time two requests share
- * is filled once.
+ * is filled once.  It knows nothing of requests: phase_sums, a separate
+ * entry, reads one request's columns of the traced integrals.
  */
+#define _GNU_SOURCE /* sincos */
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -221,10 +227,13 @@ INLINE void flight_start(const bumps_t *v, flights_t *f, int k, double x, double
     f->still[k] = -still;
 }
 
+/* Checkpoint fills whose erf arguments one erf_n call takes together. */
+#define FILL_BATCH 64
+
 /* Working memory and the math path of one call.  amp, tau_star, lo and hi
  * hold one vector per bump; lo and hi, the erf at the start and the end of
- * the flights, are one block of 2n vectors.  arg holds one erf argument per
- * bump while a checkpoint inside a flight is filled. */
+ * the flights, are one block of 2n vectors.  arg holds the erf arguments of
+ * up to FILL_BATCH checkpoint fills, n per fill. */
 typedef struct {
     v4d_mem *amp, *tau_star, *lo, *hi;
     double *arg;
@@ -235,7 +244,7 @@ typedef struct {
 INLINE int work_alloc(const bumps_t *v, work_t *g, int lanes)
 {
     const int64_t n = v->n > 0 ? v->n : 1;
-    v4d_mem *buf = aligned_alloc(sizeof(v4d), (size_t)(4 * n + (n + 3) / 4) * sizeof(v4d));
+    v4d_mem *buf = aligned_alloc(sizeof(v4d), (size_t)(4 + FILL_BATCH / 4) * n * sizeof(v4d));
     if (buf == NULL)
         return -1;
     g->amp = buf;
@@ -295,26 +304,58 @@ INLINE void flights_total(const bumps_t *v, const flights_t *f, const work_t *g,
     *total = SELECT(f->still, still, moving);
 }
 
-/* Integral of V over [0, duration] of lane k's set-up flight, for a
- * checkpoint inside it: the same fold as flights_total. */
-INLINE double lane_integral(const bumps_t *v, const flights_t *f, work_t *g, int k,
-                            double duration)
+/* Checkpoint fills of the set-up flights that wait for their erf: fill b
+ * is lane[b]'s integral from the flight's start, acc[b] plus the fold goes
+ * to *out[b], and its erf arguments are g->arg[b * n ..]. */
+typedef struct {
+    int count;
+    int lane[FILL_BATCH];
+    double acc[FILL_BATCH];
+    double *out[FILL_BATCH];
+} fills_t;
+
+/* The queued fills: one erf_n over all their arguments, then per fill the
+ * same fold over the bumps as flights_total. */
+INLINE void fills_flush(const bumps_t *v, const flights_t *f, work_t *g, fills_t *q)
 {
     const int64_t n = v->n;
-    double sum = 0.0;
+    g->erf_n(g->arg, g->arg, q->count * n);
+    for (int b = 0; b < q->count; b++) {
+        const int k = q->lane[b];
+        const double *arg = g->arg + b * n;
+        double sum = 0.0;
+        for (int64_t i = 0; i < n; i++) {
+            const double per = g->amp[i][k] * f->pref[k] * (arg[i] + g->lo[i][k]);
+            sum += per * v->signs[i];
+        }
+        *q->out[b] = q->acc[b] + sum;
+    }
+    q->count = 0;
+}
+
+/* Fill *out with acc plus the integral of V over [0, duration] of lane k's
+ * set-up flight.  A still flight folds at once; a moving one queues its erf
+ * arguments and is folded by fills_flush, which runs when the queue is
+ * full. */
+INLINE void fill(const bumps_t *v, const flights_t *f, work_t *g, fills_t *q, int k,
+                 double acc, double duration, double *out)
+{
+    const int64_t n = v->n;
     if (f->still[k]) {
+        double sum = 0.0;
         for (int64_t i = 0; i < n; i++)
             sum += g->amp[i][k] * duration * v->signs[i];
-        return sum;
+        *out = acc + sum;
+        return;
     }
+    double *arg = g->arg + q->count * n;
     for (int64_t i = 0; i < n; i++)
-        g->arg[i] = f->alpha[k] * (duration - g->tau_star[i][k]);
-    g->erf_n(g->arg, g->arg, n);
-    for (int64_t i = 0; i < n; i++) {
-        const double per = g->amp[i][k] * f->pref[k] * (g->arg[i] + g->lo[i][k]);
-        sum += per * v->signs[i];
-    }
-    return sum;
+        arg[i] = f->alpha[k] * (duration - g->tau_star[i][k]);
+    q->lane[q->count] = k;
+    q->acc[q->count] = acc;
+    q->out[q->count] = out;
+    if (++q->count == FILL_BATCH)
+        fills_flush(v, f, g, q);
 }
 
 /* out[i] = integral of V over [0, dur[i]] along q0[i] + d[i] s[i] tau. */
@@ -463,6 +504,8 @@ INLINE int trace_lanes(TRACE_PARAMS, int lanes)
     int64_t ray[4], next[4], nseg[4], nbounce[4];
     int64_t started = 0;
     int live = 0;
+    fills_t q;
+    q.count = 0;
     for (int k = 0; k < 4; k++) {
         ray[k] = started < n ? started++ : -1;
         ray_start(v, &f, k, ray[k], qs, ps);
@@ -487,11 +530,11 @@ INLINE int trace_lanes(TRACE_PARAMS, int lanes)
             if (ray[k] < 0 || bad[k])
                 continue;
             double *row = out + ray[k] * m;
-            while (next[k] < m && times[next[k]] <= t_new[k]) {
-                row[next[k]] = acc[k] + lane_integral(v, &f, &g, k, times[next[k]] - elapsed[k]);
-                next[k]++;
-            }
+            for (; next[k] < m && times[next[k]] <= t_new[k]; next[k]++)
+                fill(v, &f, &g, &q, k, acc[k], times[next[k]] - elapsed[k], row + next[k]);
         }
+        if (q.count > 0)
+            fills_flush(v, &f, &g, &q);
 
         v4d total;
         flights_total(v, &f, &g, &total);
@@ -566,4 +609,47 @@ int trace(TRACE_PARAMS)
         return trace_avx2(TRACE_ARGS);
 #endif
     return trace_baseline(TRACE_ARGS);
+}
+
+/* One request's phase sums over a traced chunk.
+ *
+ * integrals is trace's (rows, m) output; the request reads its k columns,
+ * columns[0 .. k), at the phases integrals[r, columns[j]] * coef.  A row is
+ * good when it is not NaN at columns[k - 1].  sums[0 .. 4k), zeros from
+ * the caller, gets the per-column sums of cos, sin, cos^2 and sin^2 of the
+ * good rows' phases, added in row order: numpy's sum(axis=0) starts from
+ * +0.0 and adds the rows of a C-ordered array in order, so a column of
+ * phases -0.0 sums to +0.0 on both.  cos and sin are glibc's
+ * sincos, which has the bits of its cos and sin.  When functional (2k
+ * values) is not NULL, f[j] gets the j-th good row's functional . [cos;
+ * sin]: a left fold over the cos terms plus one over the sin terms.  Returns
+ * the number of good rows. */
+int64_t phase_sums(int64_t rows, int64_t m, const double *integrals, int64_t k,
+                   const int64_t *columns, double coef, const double *functional,
+                   double *sums, double *f)
+{
+    double *sum_c = sums, *sum_s = sums + k, *sum_c2 = sums + 2 * k, *sum_s2 = sums + 3 * k;
+    int64_t good = 0;
+    for (int64_t r = 0; r < rows; r++) {
+        const double *row = integrals + r * m;
+        if (isnan(row[columns[k - 1]]))
+            continue;
+        double fc = 0.0, fs = 0.0;
+        for (int64_t j = 0; j < k; j++) {
+            double s, c;
+            sincos(row[columns[j]] * coef, &s, &c);
+            sum_c[j] += c;
+            sum_s[j] += s;
+            sum_c2[j] += c * c;
+            sum_s2[j] += s * s;
+            if (functional != NULL) {
+                fc += c * functional[j];
+                fs += s * functional[k + j];
+            }
+        }
+        if (functional != NULL)
+            f[good] = fc + fs;
+        good++;
+    }
+    return good;
 }

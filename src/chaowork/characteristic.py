@@ -36,6 +36,7 @@ parent holds that many chunks' sums at most, whatever the ensemble size.
 from __future__ import annotations
 
 import collections
+import ctypes
 import math
 import multiprocessing
 import os
@@ -53,15 +54,10 @@ from .trajectory import MAX_BOUNCES_DEFAULT
 CHUNK_SIZE = 8192
 PILOT_SAMPLES = 4096
 FAILURE_BUDGET = 1e-3
-# Good rows a request takes its phases for at a time.
-_SUM_ROWS = 1024
-# The most float64 arrays of (rows x checkpoint times) one traced chunk holds
-# at once: the engine's integrals, one array of the chunk's rows, and
-# _BLOCK_ARRAYS of _SUM_ROWS rows for a request's block (its indexed phases,
-# then its cos, sin and their squares).  The tracemalloc peak of one chunk of
-# 8,192 rows at 256 checkpoints is 1.65 arrays of its rows.  The requests'
-# running totals are counted apart from this.
-_BLOCK_ARRAYS = 6
+# Doubles per row that a traced chunk holds beside its integrals: its
+# positions and momenta, the engine's segment and bounce counts, and a
+# request's functional values f and their deviations from the mean.
+_ROW_DOUBLES = 8
 
 
 class ExcessiveFailures(RuntimeError):
@@ -189,35 +185,35 @@ def _request_sums(integrals, columns, coef, functional):
     sums of cos, sin, cos^2 and sin^2 into a (4, k) array, and ``f_moments``
     is ``_merge``'s triple for f = functional . [cos; sin], or (0, 0.0, 0.0)
     without a functional.  A row is good when the ray reached the
-    request's last checkpoint.  The good rows are taken _SUM_ROWS at a time,
-    so the temporaries are five arrays of _SUM_ROWS rows, not of the
-    chunk's, and the sums keep the bits of one sum over every good row.
+    request's last checkpoint.  The engine's ``phase_sums`` takes the phases
+    row by row with glibc's sincos, with the bits of numpy's cos, sin and
+    sum over the good rows, and writes each good row's f into one
+    rows-long vector, whose count, mean and squared deviations numpy takes.
     """
-    failed = np.isnan(integrals[:, columns[-1]])
-    good = np.flatnonzero(~failed)
-    k = columns.size
-    f_moments = (0, 0.0, 0.0)
-    # Rows 1.. of ``block`` hold one block's cos, sin, cos^2 and sin^2 (the
-    # phases wait in the cos^2 rows until cos and sin are taken), and row 0
-    # the sums of the rows before the block.  sum(axis=0) adds a C-ordered
-    # array's rows in order, so each block continues the one-shot sum.
-    block = np.empty((4, min(good.size, _SUM_ROWS) + 1, k))
+    integrals = np.ascontiguousarray(integrals, dtype=float)
+    columns = np.ascontiguousarray(columns, dtype=np.int64)
+    rows, k = integrals.shape[0], columns.size
     sums = np.zeros((4, k))
-    for lo in range(0, good.size, _SUM_ROWS):
-        rows = good[lo : lo + _SUM_ROWS]
-        c, s, c2, s2 = block[:, : rows.size + 1]
-        np.multiply(integrals[np.ix_(rows, columns)], coef, out=c2[1:])
-        np.cos(c2[1:], out=c[1:])
-        np.sin(c2[1:], out=s[1:])
-        if functional is not None:
-            f = c[1:] @ functional[:k] + s[1:] @ functional[k:]
-            f_moments = _merge(f_moments, (f.size, float(f.mean()), float(np.var(f) * f.size)))
-        np.multiply(c[1:], c[1:], out=c2[1:])
-        np.multiply(s[1:], s[1:], out=s2[1:])
-        first = 1 if lo == 0 else 0
-        sums = np.stack([part[first:].sum(axis=0) for part in (c, s, c2, s2)])
-        block[:, 0] = sums
-    return sums, good.size, int(failed.sum()), f_moments
+    f = None
+    if functional is not None:
+        functional = np.ascontiguousarray(functional, dtype=float)
+        f = np.empty(rows)
+    ok = native.load().phase_sums(
+        rows,
+        integrals.shape[1],
+        native.pointer(integrals),
+        k,
+        native.pointer(columns, ctypes.c_int64),
+        coef,
+        None if f is None else native.pointer(functional),
+        native.pointer(sums),
+        None if f is None else native.pointer(f),
+    )
+    f_moments = (0, 0.0, 0.0)
+    if f is not None and ok:
+        f = f[:ok]
+        f_moments = (ok, float(f.mean()), float(np.var(f) * ok))
+    return sums, ok, rows - ok, f_moments
 
 
 def _merge(a, b):
@@ -231,7 +227,7 @@ def _merge(a, b):
 def _chunk_bytes(rows: int, n_times: int) -> int:
     """The most bytes one traced chunk of ``rows`` rays through ``n_times``
     checkpoint times holds at once."""
-    return 8 * (rows + _BLOCK_ARRAYS * min(rows, _SUM_ROWS)) * n_times
+    return 8 * rows * (n_times + _ROW_DOUBLES)
 
 
 def _chunk_phase_sums(args):
@@ -367,9 +363,9 @@ def semiclassical_characteristic(
     times, so a time two requests share is filled once; each request reads
     its own columns and gets the same chunks, sums and failure count as a
     call with that request alone.  A request with a ``functional`` c also
-    sums each good sample's f = c . [cos; sin] and f^2 in the same row
-    blocks, and its grid gets ``functional_stderr``; its G and per-point
-    errors are those of the same request without c.  Each grid's
+    takes each good sample's f = c . [cos; sin] and the mean and squared
+    deviations of f, and its grid gets ``functional_stderr``; its G and
+    per-point errors are those of the same request without c.  Each grid's
     ``metadata["trace"]`` holds what that shared trace did: its total
     segments, the median, 99th percentile and largest bounce count per ray,
     its grazing and corner reflections, and the lanes of its erf and exp.

@@ -18,6 +18,7 @@ in which it cancels.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,8 +56,17 @@ def sample_classical_work(
     return ClassicalWorkSample(values=pot.delta_xi * evaluate(pot, qs))
 
 
-def _gauss_nodes(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+@functools.cache
+def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], read-only and
+    computed once per n: every refinement step of every beta reads them."""
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _gauss_nodes(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = _legendre(n)
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
 

@@ -283,7 +283,6 @@ def config_manifest(cfg: RunConfig, name: str) -> dict:
         "config": body,
         "config_sha256": digest,
         "ignored": ignored,
-        "seed": cfg.seed,
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,

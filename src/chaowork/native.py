@@ -28,6 +28,8 @@ Elsewhere the same loop runs as compiled for the baseline target, with the
 scalar ``erf`` and ``exp`` of the C library.  The geometry is the same on
 both; the integrals differ by a few units in the last place, and the
 library's ``math_lanes()`` returns 4 on the first and 1 on the second.
+Its ``phase_sums``, which takes one request's phase sums of a traced chunk,
+calls glibc's scalar ``sincos`` on both.
 """
 
 from __future__ import annotations
@@ -187,6 +189,18 @@ def open_library(path: str) -> ctypes.CDLL:
         _int64_p,
     ]
     lib.trace.restype = ctypes.c_int
+    lib.phase_sums.argtypes = [
+        ctypes.c_int64,
+        ctypes.c_int64,
+        _double_p,
+        ctypes.c_int64,
+        _int64_p,
+        ctypes.c_double,
+        _double_p,
+        _double_p,
+        _double_p,
+    ]
+    lib.phase_sums.restype = ctypes.c_int64
     lib.math_lanes.argtypes = []
     lib.math_lanes.restype = ctypes.c_int
     return lib

@@ -8,7 +8,8 @@ momentum magnitude, and |p| is conserved exactly across bounces.
 lockstep, one per vector lane, and gives a lane the next ray as soon as
 its own stops.  It reads one ascending array of checkpoint times.  Each
 ray takes its direction and speed; per segment it finds the first wall
-hit, fills every checkpoint up to the segment's end, adds the segment's
+hit, fills every checkpoint up to the segment's end (the four lanes' fills
+take their ``erf`` together, up to 64 fills per call), adds the segment's
 integral of V to one running sum, then moves and reflects, with ``sqrt``
 and ``hypot`` taken on several lanes at once with glibc's bits.  A ray's
 results do not depend on which lane or batch it shares.  It stops at the

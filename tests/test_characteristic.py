@@ -416,18 +416,18 @@ class TestSharedTraces:
 
 
 class TestChunkSums:
-    """One traced chunk's sums: taken in row blocks with the one-shot bits,
-    in the memory the trace guard counts."""
+    """One traced chunk's sums: taken by the engine's phase_sums with the
+    bits of numpy's one-shot sums, in the memory the trace guard counts."""
 
     def test_sums_match_one_shot_sums(self, rng):
-        rows, times = 2 * characteristic._SUM_ROWS + 517, 40
+        rows, times = 2565, 40
         integrals = np.cumsum(rng.standard_normal((rows, times)) * 30.0, axis=1)
         # Rays that stop early read NaN from their last checkpoint on.
         for i, j in zip(rng.choice(rows, 61, replace=False), rng.integers(1, times, 61)):
             integrals[i, j:] = np.nan
         columns = np.arange(3, times, 2)
         good = np.count_nonzero(~np.isnan(integrals[:, columns[-1]]))
-        assert good > 2 * characteristic._SUM_ROWS and good % characteristic._SUM_ROWS
+        assert good == rows - 61
         c = rng.standard_normal(2 * columns.size)
         for functional in (None, c):
             for coef in (0.7, -1.9):
@@ -445,10 +445,52 @@ class TestChunkSums:
                 assert n * mean == pytest.approx(c @ np.concatenate(ref[0][:2]), rel=1e-12)
                 assert dev == pytest.approx(c @ ref[3] @ c - n * mean**2, rel=1e-12)
 
+    # Rows that fail (NaN at the request's last column) with each case's good
+    # rows: gaps between them, one alone, none, and good rows whose integrals
+    # at t = 0 take a negative coef to phases of -0.0, the first good row's
+    # among them: numpy's sum(axis=0) starts from +0.0, so their sin sums to
+    # +0.0, where a sum started from the first good row gives -0.0.
+    GOOD_ROWS = {
+        "gaps": [0, 1, 4, 5, 6, 11, 17, 18],
+        "one": [9],
+        "none": [],
+        "minus zero first": [2, 3, 7, 12],
+    }
+
+    @pytest.mark.parametrize("case", list(GOOD_ROWS))
+    @pytest.mark.parametrize("coef", [0.7, -1.9])
+    def test_engine_sums_have_the_numpy_bits(self, rng, case, coef):
+        rows, times = 19, 12
+        integrals = np.cumsum(rng.standard_normal((rows, times)) * 30.0, axis=1)
+        good = self.GOOD_ROWS[case]
+        for i in set(range(rows)) - set(good):
+            integrals[i, rng.integers(1, times) :] = np.nan
+        if case == "minus zero first":
+            integrals[good, :3] = 0.0
+        columns = np.array([0, 1, 2, 4, 7, 8, 11])
+        functional = rng.standard_normal(2 * columns.size)
+        for c in (None, functional):
+            sums, ok, failed, f_moments = characteristic._request_sums(
+                integrals, columns, coef, c
+            )
+            ref = request_sums(integrals, columns, coef, False)
+            assert (ok, failed) == (len(good), rows - len(good)) == ref[1:3]
+            assert sums.tobytes() == ref[0].tobytes()
+            if c is None or not good:
+                assert f_moments == (0, 0.0, 0.0)
+            else:
+                phases = integrals[np.ix_(good, columns)] * coef
+                f = np.concatenate([np.cos(phases), np.sin(phases)], axis=1) @ c
+                assert f_moments[0] == len(good)
+                assert f_moments[1] == pytest.approx(f.mean(), rel=1e-12)
+                assert f_moments[2] == pytest.approx(np.var(f) * f.size, rel=1e-9, abs=1e-12)
+        if case == "minus zero first":
+            assert (sums[1, :3] == 0.0).all() and not np.signbit(sums[1, :3]).any()
+
     def test_functional_error_of_a_narrow_spread(self, rng):
         # f = cos(phi) for phases of 1e-4: a spread of ~1e-8 on a mean of 1,
         # where sum f^2 - (sum f)^2 / n keeps no digit of the variance.
-        rows = 2 * characteristic._SUM_ROWS + 517
+        rows = 2565
         integrals = 1e-4 * rng.standard_normal((rows, 2))
         columns, functional = np.arange(2), np.array([1.0, 0.0, 0.0, 0.0])
         total = characteristic._Total(Request(1.0, UGridPlan(1.0, 2), 1.0, functional))
@@ -476,9 +518,9 @@ class TestChunkSums:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # The engine's integrals and blocks of rows: 5.0 times the integrals
-        # when the phases were taken for the whole chunk, and 7.0 with the
-        # second moment of the phases.
+        # The engine's integrals and vectors of rows: 1.05 times the integrals
+        # (1.07 with the functional), against 5.0 when numpy took the phases
+        # for the whole chunk at once and 7.0 with their second moment.
         assert peak < 2 * 8 * rows * plan.n
         assert peak <= characteristic._chunk_bytes(rows, plan.n)
 
@@ -491,7 +533,7 @@ class TestFunctionalError:
     def test_matches_the_covariance_oracle(self, geom_mod, pot_mod, beta, monkeypatch):
         plan = plan_u_grid(geom_mod, pot_mod, seed=12345, n_u=64)
         req = jarzynski_request(beta, plan)
-        rows = 3 * characteristic._SUM_ROWS + 300
+        rows = 3372
         ens = sampler.sample_ensemble(geom_mod, rows, seed=23)
         # Three rays stop early, inside the failure budget: 3,369 good rows.
         lost = [5, 1500, 3000]
@@ -505,10 +547,10 @@ class TestFunctionalError:
             return integrals, failed, counts
 
         monkeypatch.setattr(characteristic.trajectory, "checkpoint_action_integrals", lossy)
-        kw = {"chunk_size": characteristic._SUM_ROWS}
+        kw = {"chunk_size": 1024}
         [g1] = semiclassical_characteristic(ens, [req], geom_mod, pot_mod, workers=1, **kw)
         [g2] = semiclassical_characteristic(ens, [req], geom_mod, pot_mod, workers=2, **kw)
-        assert g1.n_samples == rows - len(lost) and g1.n_samples % characteristic._SUM_ROWS
+        assert g1.n_samples == rows - len(lost) and g1.n_samples % 1024
 
         grid = characteristic._prepare(req)
         integrals, _, _ = lossy(

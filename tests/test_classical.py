@@ -111,6 +111,27 @@ class TestPartitionRatio:
         assert len(twice) == 2 * len(once) and sum(twice) == 2 * sum(once)
         assert len(once) % 2 == 0 and len(once) >= 4  # rectangle and disk per level
 
+    def test_legendre_nodes_once_per_n(self, geom, pot, monkeypatch):
+        # Every refinement step of every beta maps the same n-point rule onto
+        # its intervals; the rule is computed once per n and cannot be written.
+        leggauss, calls = np.polynomial.legendre.leggauss, []
+
+        def counted(n):
+            calls.append(n)
+            return leggauss(n)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+        classical._legendre.cache_clear()
+        for beta in (2.0**-8, 2.0**-10, 2.0**-12):
+            log_partition_ratio(geom, pot, beta)
+        assert sorted(calls) == sorted(set(calls)) and 32 in calls
+        x, w = classical._gauss_nodes(0.0, 0.5 * math.pi, 32)
+        x0, w0 = leggauss(32)
+        assert x.tobytes() == (0.25 * math.pi * (x0 + 1.0)).tobytes()
+        assert w.tobytes() == (0.25 * math.pi * w0).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            classical._legendre(32)[0][0] = 0.0
+
     def test_nonconvergence_is_loud(self, geom, pot):
         with pytest.raises(classical.QuadratureNonConvergence):
             log_partition_ratio(geom, pot, 2.0**-8, rel_tol=0.0, max_nodes=64)

@@ -176,6 +176,16 @@ class TestManifest:
             "ea42350e652c08dc0b59b2d682126a57f3cd5b72892f20eb165212fdbfb047eb"
         )
 
+    def test_seed_is_recorded_only_where_it_is_read(self):
+        # quantum reads no seed: a seed set in its file is listed as ignored,
+        # not written beside its config as if it had been used.
+        cfg = validate_config(tiny_text(seed="3"))
+        quantum_run = cli.config_manifest(cfg, "quantum")
+        assert "seed" not in quantum_run and "seed" not in quantum_run["config"]
+        assert "seed" in quantum_run["ignored"]
+        traced = cli.config_manifest(cfg, "semiclassical")
+        assert "seed" not in traced and traced["config"]["seed"] == 3
+
     def test_scipy_absent_is_recorded_as_null(self, monkeypatch):
         # Only a partial quantum spectrum imports scipy, so a run may go without it.
         def absent(package):
@@ -679,9 +689,10 @@ class TestSubcommands:
             assert not any(files for _, _, files in os.walk(out))
 
     def test_trace_refused_beyond_physical_memory(self, tmp_path, capsys, monkeypatch):
-        # One chunk of 1,200 rays through 64 checkpoints needs a few MB; the
-        # machine has 1 MB for the trace, and enough for fig2's dense solve.
-        monkeypatch.setattr(characteristic, "physical_memory", lambda: 1_000_000)
+        # One chunk of 1,200 rays through 64 checkpoints needs about 0.7 MB,
+        # its integrals and per-row vectors; the machine has 0.5 MB for the
+        # trace, and enough for the inversion.
+        monkeypatch.setattr(characteristic, "physical_memory", lambda: 500_000)
         cfgp = tmp_path / "c.cfg"
         cfgp.write_text(tiny_text(beta_list="0.3", hbar_list="1.0"))
         for command in (["semiclassical"], ["scenario", "fig2"]):
@@ -916,7 +927,7 @@ class TestSubcommands:
         m1 = json.loads((tmp_path / "s1" / "manifest.json").read_text())
         m2 = json.loads((tmp_path / "s2" / "manifest.json").read_text())
         assert m1["config_sha256"] != m2["config_sha256"]
-        assert m1["seed"] == 1 and m2["seed"] == 2
+        assert m1["config"]["seed"] == 1 and m2["config"]["seed"] == 2
 
 
 _CMD_CONFIG = tiny_text(n_samples="400", hbar_list="1.0", dump_ensemble="true")

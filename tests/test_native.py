@@ -282,21 +282,26 @@ def test_engine_maps_libmvec():
     assert proc.returncode == 0, err.decode()
 
 
-def test_baseline_build_traces_the_same_rays(tmp_path, monkeypatch):
-    # The engine source with its AVX2 path compiled out: the lane loop built
-    # for the baseline target, with the scalar erf and exp.  Its geometry is
-    # the same arithmetic, so flights, bounces and events are identical, and
-    # the integrals differ only by the math path's last-place rounding.
+@pytest.fixture(scope="module")
+def baseline(tmp_path_factory):
+    """The engine source with its AVX2 path compiled out: the lane loop built
+    for the baseline target, with the scalar erf and exp."""
     source = native._source().decode()
     lines = source.splitlines(keepends=True)
     gate = [i for i, line in enumerate(lines) if line.startswith("#if defined(__x86_64__)")]
     assert len(gate) == 1
     lines[gate[0]] = "#if 0\n"
-    target = str(tmp_path / "_engine.baseline.so")
+    target = str(tmp_path_factory.mktemp("baseline") / "_engine.baseline.so")
     native.build(native.find_compiler(), "".join(lines).encode(), target)
-    baseline = native.open_library(target)
-    assert baseline.math_lanes() == 1
+    lib = native.open_library(target)
+    assert lib.math_lanes() == 1
+    return lib
 
+
+def test_baseline_build_traces_the_same_rays(baseline, monkeypatch):
+    # Its geometry is the same arithmetic, so flights, bounces and events are
+    # identical, and the integrals differ only by the math path's last-place
+    # rounding.
     # 2,048 rays of sc-single: beta = 2^-12, 256 checkpoints, seed 7.
     geom, pot = geometry.BilliardGeometry(), potential.QuenchPotential()
     plan = characteristic.plan_u_grid(geom, pot, 7, n_u=256)
@@ -310,6 +315,44 @@ def test_baseline_build_traces_the_same_rays(tmp_path, monkeypatch):
     assert (counts.grazing, counts.corner) == (ref.grazing, ref.corner)
     assert np.array_equal(failed, want_failed)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("bumps", [4, 3])
+@pytest.mark.parametrize("max_bounces", [2, trajectory.MAX_BOUNCES_DEFAULT])
+@pytest.mark.parametrize("build", ["loaded", "baseline"])
+def test_batched_fills_have_the_bits_of_one_checkpoint(
+    baseline, monkeypatch, build, max_bounces, bumps
+):
+    # A segment's checkpoint fills take their erf in one call over up to 64
+    # fills.  Each fill must keep the bits it has as a trace's only
+    # checkpoint, the end of the ray's last flight, whatever other fills,
+    # lanes or rays share the call.  Three bumps put fills across the
+    # four-lane erf's blocks.  Ray 0 is slow: its first flight holds all 200
+    # checkpoints after t = 0, three full batches and a part.  Ray 1 is still
+    # and fills beside moving lanes.  The others bounce at several speeds, and
+    # with the bounce cap at 2 most stop early, so lanes take new rays while
+    # others fill.
+    if build == "baseline":
+        monkeypatch.setattr(native, "load", lambda: baseline)
+    geom = geometry.BilliardGeometry()
+    pot = potential.QuenchPotential(
+        centers=potential.DEFAULT_CENTERS[:bumps], signs=potential.DEFAULT_SIGNS[:bumps]
+    )
+    ens = sampler.sample_ensemble(geom, 14, seed=29)
+    speeds = np.array([0.02, 0.0, 0.5, 1.0, 1.0, 2.0, 3.0, 5.0, 8.0, 10.0, 20.0, 1.0, 4.0, 6.0])
+    qs, ps = ens.qs.copy(), ens.z * speeds[:, None]
+    qs[0] = (0.6, 0.5)
+    times = np.linspace(0.0, 0.5, 201)
+    dense, failed, counts = trajectory.checkpoint_action_integrals(
+        qs, ps, times, geom, pot, max_bounces
+    )
+    assert counts.segments[0] == 1 and counts.bounces[1] == 0
+    assert (max_bounces == 2) == failed.any()
+    for j, t in enumerate(times):
+        one, _, _ = trajectory.checkpoint_action_integrals(
+            qs, ps, times[j : j + 1], geom, pot, max_bounces
+        )
+        assert np.array_equal(dense[:, j], one[:, 0], equal_nan=True), (j, t)
 
 
 
