@@ -9,17 +9,19 @@ Hamiltonian is a ``Stencil``: the diagonal, the table of lattice neighbours
 and the hopping scale, from which its dense form, its products and its row
 sums are taken.
 
-The full spectrum is ``numpy.linalg.eigh`` of the dense H, LAPACK's
-divide-and-conquer ``syevd``; a partial one is scipy's shift-invert Lanczos
-on the CSR matrix built from the stencil, the only code path that imports
-scipy.  From the two eigenbases the module builds the two-point-measurement
-characteristic function G(u) and the free-energy identity check.  The work
-distribution is ``spectra.invert`` of that G, the same transform every other
-route uses.
+The full spectrum is LAPACK's divide-and-conquer ``syevd`` run in place on
+the dense H, through the LAPACK numpy itself links (``numpy.linalg.eigh``
+only where numpy exports no ``syevd``); a partial one is scipy's
+shift-invert Lanczos on the CSR matrix built from the stencil, the only code
+path that imports scipy.  From the two eigenbases the module builds the
+two-point-measurement characteristic function G(u) and the free-energy
+identity check.  The work distribution is ``spectra.invert`` of that G, the
+same transform every other route uses.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import os
@@ -61,19 +63,43 @@ class TooManyStates(ValueError):
 
 
 # n x n float64 arrays the dense path can hold at once: while H(xi_f) is
-# solved, the first eigenvector block, the dense H, numpy.linalg.eigh's copy
-# of it (which evd overwrites with its eigenvectors), evd's workspace of two
-# and the eigenvector block eigh returns; then the residual and its temporary.
-# The copy and the workspace are allocated where tracemalloc does not see
-# them: it reads 4.0 of them at 1,057 and 2,772 sites, while ru_maxrss above
-# baseline, spike_support included, reads 6.4 and 6.2.
-_DENSE_ARRAYS = 8
+# solved, the first eigenvector block, the dense H (which syevd overwrites
+# with its eigenvectors) and syevd's workspace of two; then the residual and
+# its temporary beside both eigenvector blocks.  ru_maxrss above the
+# imported baseline, spike_support included, reads 4.9 of them at 1,057
+# sites and 4.3 at 2,772; the count leaves a margin of at least 2.
+_DENSE_ARRAYS = 7
 # Largest accepted eigen-residual, relative to the Gershgorin bound on |H|,
 # and largest entry of V^T V - I.
 RESIDUAL_TOL = 1e-8
 ORTHO_TOL = 1e-10
 # Most Boltzmann weight the top decile of retained states may carry.
 TRUNCATION_THRESHOLD = 0.01
+
+
+def _numpy_dsyevd():
+    """LAPACKE's ``dsyevd`` from the OpenBLAS numpy links, or None.
+
+    numpy's wheels bundle scipy-openblas built with 64-bit integers, whose
+    LAPACKE exports ``scipy_LAPACKE_dsyevd64_``, a wrapper of the same
+    ``dsyevd`` that ``numpy.linalg.eigh`` calls.  A numpy linked to another
+    LAPACK has no such symbol.
+    """
+    from numpy.linalg import _umath_linalg
+
+    try:
+        fn = ctypes.CDLL(_umath_linalg.__file__).scipy_LAPACKE_dsyevd64_
+    except (OSError, AttributeError):
+        return None
+    # (layout, jobz, uplo, n, a, lda, w) -> info
+    fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
+                   ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+    fn.restype = ctypes.c_int64
+    return fn
+
+
+_DSYEVD = _numpy_dsyevd()
+_LAPACK_COL_MAJOR = 102
 
 
 @dataclass(frozen=True)
@@ -242,14 +268,16 @@ def eigensolve(
     """Lowest n_states eigenpairs, verified against the RESIDUAL_TOL and
     ORTHO_TOL bounds.
 
-    Full-dimension requests use ``numpy.linalg.eigh``, LAPACK's dense
-    divide-and-conquer solver (``syevd``), refused with InsufficientMemory
-    before it allocates when its estimated footprint exceeds physical
-    memory; partial ones use scipy's shift-invert Lanczos from below the
-    Gershgorin lower bound, the only use of scipy in the package.  The third
-    item records the solver and the achieved defects: the worst residual
-    norm relative to the Gershgorin bound on |H|, and the largest entry of
-    V^T V - I.
+    Full-dimension requests run LAPACK's dense divide-and-conquer solver
+    (``syevd``) in place on the dense H, through numpy's own LAPACK, so the
+    bits are those of ``numpy.linalg.eigh`` without its copy of H;
+    ``numpy.linalg.eigh`` itself only where numpy exports no ``syevd``.
+    They are refused with InsufficientMemory before H is formed when the
+    estimated footprint exceeds physical memory.  Partial ones use scipy's
+    shift-invert Lanczos from below the Gershgorin lower bound, the only use
+    of scipy in the package.  The third item records the solver and the
+    achieved defects: the worst residual norm relative to the Gershgorin
+    bound on |H|, and the largest entry of V^T V - I.
     """
     dim = ham.shape[0]
     if n_states > dim:
@@ -267,7 +295,19 @@ def eigensolve(
         # Divide and conquer rather than MRRR (evr), which slows down on the
         # near-degenerate pairs these grids have.
         solver = "dense evd"
-        vals, vecs = np.linalg.eigh(ham.toarray())
+        dense = ham.toarray()
+        if _DSYEVD is None:
+            vals, vecs = np.linalg.eigh(dense)
+        else:
+            # Column-major 'L' of the symmetric H reads what eigh's copy
+            # holds; syevd leaves eigenvector k in row k of the C array.
+            vals = np.empty(dim)
+            info = _DSYEVD(_LAPACK_COL_MAJOR, b"V", b"L", dim, dense.ctypes.data, dim,
+                           vals.ctypes.data)
+            if info:
+                raise ConvergenceFailure(f"syevd returned info {info}")
+            vecs = np.ascontiguousarray(dense.T)
+        del dense
     else:
         from scipy import sparse
         from scipy.sparse.linalg import eigsh
@@ -467,9 +507,10 @@ def save_spectra(path, spec: QuenchSpectra) -> None:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        fh.write(spec.e0.astype("<f8").tobytes())
-        fh.write(spec.ef.astype("<f8").tobytes())
-        fh.write(spec.transition.astype("<f8").tobytes())
+        # On a little-endian machine each array is written from its own
+        # memory, without a copy.
+        for arr in (spec.e0, spec.ef, spec.transition):
+            fh.write(np.ascontiguousarray(arr, "<f8").data)
 
 
 def export_spectra_csv(directory, spec: QuenchSpectra, manifest_hash: str) -> list[str]:

@@ -1,5 +1,6 @@
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -164,6 +165,37 @@ class TestEigensolve:
         h0, _, _ = build_hamiltonians(geom, pot, hbar=1.0, h=0.08)
         with pytest.raises(ValueError):
             eigensolve(h0, h0.shape[0] + 1)
+
+
+class TestInPlaceDenseSolve:
+    """The full spectrum keeps numpy.linalg.eigh's bits, in place or not."""
+
+    @pytest.fixture(scope="class")
+    def hamiltonians(self):
+        h0, hf, _ = build_hamiltonians(
+            geometry.BilliardGeometry(), QuenchPotential(), hbar=1.0, h=0.055
+        )
+        # The square of test_dense_path_on_exactly_degenerate_spectrum: its
+        # kinetic spectrum has exact (m, n)/(n, m) pairs.
+        square, _, _ = build_hamiltonians(
+            Rectangle(1.0, 1.0), QuenchPotential(xi_f=0.0), hbar=1.0, h=0.05
+        )
+        return {"billiard initial": h0, "billiard final": hf, "degenerate square": square}
+
+    @pytest.mark.parametrize("fallback", [False, True], ids=["syevd", "eigh"])
+    @pytest.mark.parametrize("name", ["billiard initial", "billiard final", "degenerate square"])
+    def test_bits_of_numpy_eigh(self, hamiltonians, name, fallback, monkeypatch):
+        ham = hamiltonians[name]
+        if fallback:
+            monkeypatch.setattr(quantum, "_DSYEVD", None)
+        elif quantum._DSYEVD is None:
+            pytest.skip("this numpy exports no LAPACKE dsyevd")
+        vals, vecs, info = eigensolve(ham, ham.shape[0])
+        expect_vals, expect_vecs = np.linalg.eigh(ham.toarray())
+        assert vals.tobytes() == expect_vals.tobytes()
+        assert vecs.tobytes() == expect_vecs.tobytes()
+        assert vecs.flags.c_contiguous
+        assert info["solver"] == "dense evd"
 
 
 class TestTransitionMatrix:
@@ -353,6 +385,12 @@ class TestPersistence:
         assert back.hbar == small_spec.hbar
         assert back.h == small_spec.h
         assert back.n_sites == small_spec.n_sites
+        # The payload is each array's little-endian float64 bytes in turn.
+        data = p.read_bytes()
+        start = len(quantum._MAGIC) + 4
+        (hlen,) = struct.unpack("<I", data[start - 4 : start])
+        arrays = (small_spec.e0, small_spec.ef, small_spec.transition)
+        assert data[start + hlen :] == b"".join(a.astype("<f8").tobytes() for a in arrays)
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.bin"
