@@ -784,6 +784,31 @@ class TestSubcommands:
             assert payload["message"].startswith("u_points = 64: "), command
             assert not any(files for _, _, files in os.walk(out))
 
+    def test_quantum_g_refused_beyond_physical_memory(self, tmp_path, capsys, monkeypatch):
+        # The exact G(u) holds a few (64 x sites) blocks; the machine has room
+        # for the inversion's 127-bin arrays and half of those blocks.
+        sites = quantum.build_grid(validate_config(TINY).geometry(), 0.08).n_sites
+        need = cli._QUANTUM_G_ARRAYS * 8 * 64 * sites
+        assert cli._INVERSION_ARRAYS * 8 * 127 < need // 2
+        monkeypatch.setattr(cli, "physical_memory", lambda: need // 2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an eigensolve ran")
+
+        monkeypatch.setattr(quantum, "eigensolve", refuse)
+        cfgp = tmp_path / "c.cfg"
+        cfgp.write_text(tiny_text(beta_list="0.3"))
+        for command in (["quantum"], ["scenario", "fig2"]):
+            out = tmp_path / command[-1]
+            rc = self.run_main([*command, "--config", str(cfgp), "--out", str(out)])
+            assert rc == 1
+            payload = json.loads(capsys.readouterr().err.strip())
+            assert payload["error"] == "InsufficientMemory"
+            assert payload["message"].startswith(f"u_points = 64: the exact G(u) over {sites} ")
+            for key in ("quantum_h", "quantum_n_initial", "quantum_n_final"):
+                assert key in payload["message"]
+            assert not any(files for _, _, files in os.walk(out))
+
     def test_compare_command(self, tmp_path, capsys):
         cfgp = tmp_path / "c.cfg"
         cfgp.write_text(tiny_text(hbar_list="0.3,1.0"))

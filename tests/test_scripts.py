@@ -55,3 +55,15 @@ def test_plot_results_reads_the_jarzynski_sweep(tmp_path):
     else:
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+
+def test_peak_memory_cases_load_and_the_harness_runs(tmp_path):
+    script = _load_script("peak_memory")
+    cfgp = tmp_path / "case.cfg"
+    for argv, _, _, config in script.CASES.values():
+        cfgp.write_text(config or "")
+        cli._load_config(cli.build_parser().parse_args([*argv, "--config", str(cfgp)]))
+    # No limit is asserted: RSS depends on the host's BLAS thread count.
+    argv, _, _, config = script.CASES["semiclassical at 4096 u points"]
+    rc, peak_mb, result = script.measure(argv, config)
+    assert rc == 0 and peak_mb > 0.0 and result["files"]
