@@ -24,21 +24,25 @@ def _bad_rows(report):
 
 # name: (argv, limit in MB, check of the report, config text or None for the command's defaults)
 CASES = {
-    # fig3-sweep's sizes: about 72 MB now that no default command imports scipy, 95 MB when
-    # every run did, 105 with a whole-chunk phase covariance, 230 with full-size temporaries.
-    "scenario fig3": (["scenario", "fig3"], 120, None,
+    # fig3-sweep's sizes: about 59 MB, its peak the Jarzynski average's one buffer beside W,
+    # with the draw taken a block of positions at a time; 72 MB when the draw held every
+    # position and V, 95 MB when every run imported scipy, 105 with a whole-chunk phase
+    # covariance, 230 with full-size temporaries.
+    "scenario fig3": (["scenario", "fig3"], 65, None,
                       "beta_list = 2^-8, 2^-10, 2^-12\nhbar_list = 1\nn_samples = 16384\n"
                       "n_classical = 1000000\nworkers = 1\nseed = 7\n"),
-    # sc-single's sizes; the peak is a pool worker with its chunk's 8,192 x 256 integrals and
-    # per-row vectors: about 45 MB, 55.6 MB when it took the phases in numpy blocks of 1,024 rows.
-    "semiclassical at sc-single sizes": (["semiclassical"], 50, None,
+    # sc-single's sizes; the peak is a pool worker tracing its chunk in sub-blocks of 1,024 x 256
+    # integrals: about 42 MB, 45 MB with the whole chunk's 8,192 x 256 integrals at once, 55.6 MB
+    # when it took the phases in numpy blocks of 1,024 rows.
+    "semiclassical at sc-single sizes": (["semiclassical"], 46, None,
                                          "beta_list = 2^-12\nhbar_list = 1\nu_points = 256\n"
                                          "n_samples = 16384\nworkers = 2\nseed = 7\n"),
-    # About 113 MB (175 MB when first bounded, with the free-energy error summed per sample),
-    # 582 MB when each temperature held a (2048 x 2048) phase second moment.  Every report row
-    # must carry a finite semiclassical estimate with a positive error, as benchmarks/checks.py
-    # asks of fig3-sweep.
-    "jarzynski": (["jarzynski"], 300, _bad_rows,
+    # About 77 MB with a chunk traced in sub-blocks of 1,024 rays, 113 MB with the whole
+    # chunk's integrals at once (175 MB when first bounded, with the free-energy error summed
+    # per sample), 582 MB when each temperature held a (2048 x 2048) phase second moment.
+    # Every report row must carry a finite semiclassical estimate with a positive error, as
+    # benchmarks/checks.py asks of fig3-sweep.
+    "jarzynski": (["jarzynski"], 100, _bad_rows,
                   "u_points = 1024\nn_samples = 2048\nn_classical = 20000\nworkers = 1\n"
                   "seed = 7\n"),
     # About 56 MB (120 MB when first bounded) with the inversion as FFTs over 2 u_points - 1

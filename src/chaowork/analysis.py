@@ -29,7 +29,12 @@ class DegenerateMean(RuntimeError):
 
 
 def jarzynski_from_samples(values, beta: float) -> tuple[float, float]:
-    """Free-energy estimate -ln<exp(-beta W)>/beta with delta-method stderr."""
+    """Free-energy estimate -ln<exp(-beta W)>/beta with delta-method stderr.
+
+    exp(-beta (W - min W)) and then its squared deviations from their mean
+    are taken in one buffer of the sample's length; the mean and the
+    standard deviation have the bits of numpy's ``mean`` and ``std(ddof=1)``.
+    """
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("need at least one work sample")
@@ -37,13 +42,17 @@ def jarzynski_from_samples(values, beta: float) -> tuple[float, float]:
         raise ValueError(f"beta must be positive, got {beta}")
     # Shift by the minimum for overflow safety; the shift cancels in the log.
     shift = values.min()
-    expw = np.exp(-beta * (values - shift))
-    mean = float(expw.mean())
+    buf = np.subtract(values, shift)
+    buf *= -beta
+    np.exp(buf, out=buf)
+    mean = float(buf.mean())
     if mean <= 0.0:
         raise DegenerateMean(f"mean exp(-beta W) = {mean}")
     est = shift - math.log(mean) / beta
     if values.size > 1:
-        se_mean = float(expw.std(ddof=1)) / math.sqrt(values.size)
+        # numpy's std: the squares of the deviations from the mean, summed.
+        np.square(np.subtract(buf, mean, out=buf), out=buf)
+        se_mean = math.sqrt(float(buf.sum()) / (values.size - 1)) / math.sqrt(values.size)
     else:
         se_mean = 0.0
     return est, se_mean / (beta * mean)

@@ -27,10 +27,17 @@ last checkpoint (lost boundary, bounce cap) is a failed sample of that
 request only.  Each request gets the same numbers as a call with that
 request alone.
 
-Each request keeps one running total, and each chunk's sums are added to
-it in chunk order, so results are bit-identical for any worker count.  A
-pool has at most two chunks per worker submitted and not yet added, so the
-parent holds that many chunks' sums at most, whatever the ensemble size.
+The ensemble is cut into chunks of CHUNK_SIZE rays, a pool's unit of work.
+A chunk is traced SUB_BLOCK rays at a time, and each sub-block's integrals
+are added into the chunk's sums of every request, in row order, before the
+next sub-block is traced; so a chunk holds one sub-block's integrals, and
+its sums have the bits of one whole-chunk trace.  Each request keeps one
+running total, and each chunk's sums are added to it in chunk order, so
+results are bit-identical for any worker count.  A pool has at most two
+chunks per worker submitted and not yet added, so the parent holds that
+many chunks' sums at most, whatever the ensemble size.
+``check_trace_memory`` bounds all of that before a trace starts, and
+refuses one that would not fit in physical memory.
 """
 
 from __future__ import annotations
@@ -52,11 +59,14 @@ from .sampler import ThermalEnsemble
 from .trajectory import MAX_BOUNCES_DEFAULT
 
 CHUNK_SIZE = 8192
+# Rays a chunk traces at once: it holds the integrals of this many rows.
+SUB_BLOCK = 1024
 PILOT_SAMPLES = 4096
 FAILURE_BUDGET = 1e-3
 # Doubles per row that a traced chunk holds beside its integrals: its
-# positions and momenta, the engine's segment and bounce counts, and a
-# request's functional values f and their deviations from the mean.
+# positions and momenta, the engine's segment and bounce counts and its
+# failure flags, and the deviations of a functional's values from their
+# mean; each request with a functional holds one more, its values f.
 _ROW_DOUBLES = 8
 
 
@@ -178,42 +188,60 @@ class Request:
     functional: np.ndarray | None = None
 
 
-def _request_sums(integrals, columns, coef, functional):
-    """Phase sums of one request over its good rows in a traced chunk.
+class _ChunkSums:
+    """One request's phase sums over the good rows of a traced chunk, added
+    one sub-block of the chunk's integrals at a time, in row order.
 
-    Returns (sums, ok, failed, f_moments): ``sums`` stacks the per-column
-    sums of cos, sin, cos^2 and sin^2 into a (4, k) array, and ``f_moments``
-    is ``_merge``'s triple for f = functional . [cos; sin], or (0, 0.0, 0.0)
-    without a functional.  A row is good when the ray reached the
-    request's last checkpoint.  The engine's ``phase_sums`` takes the phases
-    row by row with glibc's sincos, with the bits of numpy's cos, sin and
-    sum over the good rows, and writes each good row's f into one
-    rows-long vector, whose count, mean and squared deviations numpy takes.
+    ``result`` gives (sums, ok, failed, f_moments): ``sums`` stacks the
+    per-column sums of cos, sin, cos^2 and sin^2 into a (4, k) array, and
+    ``f_moments`` is ``_merge``'s triple for f = functional . [cos; sin], or
+    (0, 0.0, 0.0) without a functional.  A row is good when the ray reached
+    the request's last checkpoint.  The engine's ``phase_sums`` takes the
+    phases row by row with glibc's sincos and adds them into the same sums,
+    so they have the bits of numpy's cos, sin and sum over the chunk's good
+    rows however the chunk is cut.  It writes each good row's f into one
+    chunk-long vector at the count of good rows before it, and numpy takes
+    the count, mean and squared deviations of that vector.
     """
-    integrals = np.ascontiguousarray(integrals, dtype=float)
-    columns = np.ascontiguousarray(columns, dtype=np.int64)
-    rows, k = integrals.shape[0], columns.size
-    sums = np.zeros((4, k))
-    f = None
-    if functional is not None:
-        functional = np.ascontiguousarray(functional, dtype=float)
-        f = np.empty(rows)
-    ok = native.load().phase_sums(
-        rows,
-        integrals.shape[1],
-        native.pointer(integrals),
-        k,
-        native.pointer(columns, ctypes.c_int64),
-        coef,
-        None if f is None else native.pointer(functional),
-        native.pointer(sums),
-        None if f is None else native.pointer(f),
-    )
-    f_moments = (0, 0.0, 0.0)
-    if f is not None and ok:
-        f = f[:ok]
-        f_moments = (ok, float(f.mean()), float(np.var(f) * ok))
-    return sums, ok, rows - ok, f_moments
+
+    def __init__(self, rows: int, columns, coef: float, functional):
+        self.columns = np.ascontiguousarray(columns, dtype=np.int64)
+        self.coef = coef
+        self.functional = self.f = None
+        if functional is not None:
+            self.functional = np.ascontiguousarray(functional, dtype=float)
+            self.f = np.empty(rows)
+        self.sums = np.zeros((4, self.columns.size))
+        self.rows = rows
+        self.seen = 0  # rows added so far
+        self.ok = 0  # good rows among them
+
+    def add(self, integrals):
+        """Add the next rows of the chunk: one sub-block's integrals."""
+        integrals = np.ascontiguousarray(integrals, dtype=float)
+        rows = integrals.shape[0]
+        if self.seen + rows > self.rows:
+            raise ValueError(f"{self.seen + rows} rows added to sums of a {self.rows}-row chunk")
+        with_f = self.f is not None
+        self.ok += native.load().phase_sums(
+            rows,
+            integrals.shape[1],
+            native.pointer(integrals),
+            self.columns.size,
+            native.pointer(self.columns, ctypes.c_int64),
+            self.coef,
+            native.pointer(self.functional) if with_f else None,
+            native.pointer(self.sums),
+            native.pointer(self.f[self.ok :]) if with_f else None,
+        )
+        self.seen += rows
+
+    def result(self):
+        f_moments = (0, 0.0, 0.0)
+        if self.f is not None and self.ok:
+            f = self.f[: self.ok]
+            f_moments = (self.ok, float(f.mean()), float(np.var(f) * self.ok))
+        return self.sums, self.ok, self.seen - self.ok, f_moments
 
 
 def _merge(a, b):
@@ -224,10 +252,47 @@ def _merge(a, b):
     return (n, ma + d * nb / n, qa + qb + d * d * na * nb / n) if nb else a
 
 
-def _chunk_bytes(rows: int, n_times: int) -> int:
+def _chunk_bytes(rows: int, n_times: int, n_functionals: int) -> int:
     """The most bytes one traced chunk of ``rows`` rays through ``n_times``
-    checkpoint times holds at once."""
-    return 8 * rows * (n_times + _ROW_DOUBLES)
+    checkpoint times holds at once: one sub-block's integrals and the
+    chunk's vectors of rows, with ``n_functionals`` requests' f."""
+    return 8 * (min(rows, SUB_BLOCK) * n_times + rows * (_ROW_DOUBLES + n_functionals))
+
+
+def _pool(workers: int, n_chunks: int) -> tuple[int, int]:
+    """The workers a trace of ``n_chunks`` chunks uses, and the chunk results
+    the parent holds until it folds them: up to 2 x workers taken from the
+    pool in chunk order, or the one chunk just traced."""
+    workers = min(workers, n_chunks)
+    return workers, 2 * workers if workers > 1 else 1
+
+
+def check_trace_memory(
+    n_rows: int, n_times: int, u_points, n_functionals: int, workers: int,
+    chunk_size: int = CHUNK_SIZE,
+) -> None:
+    """Refuse with InsufficientMemory a trace that would not fit in physical memory.
+
+    The trace is of ``n_rows`` rays in chunks of ``chunk_size`` on
+    ``workers`` processes, through ``n_times`` checkpoint times, for one
+    request per entry of ``u_points`` (its number of u points),
+    ``n_functionals`` of them with a functional.  It holds the chunks in
+    flight, one per worker, and each request's total and the sums of the
+    chunks taken from the pool and not yet added.
+    """
+    workers, window = _pool(workers, -(-n_rows // chunk_size))
+    in_flight = max(workers, 1)  # a worker holds one chunk at a time
+    rows = min(chunk_size, n_rows)
+    chunk = _chunk_bytes(rows, n_times, n_functionals)
+    # Per request, the total and each held chunk's (4, k) sums.
+    need = in_flight * chunk + 8 * (1 + window) * 4 * sum(u_points)
+    have = physical_memory()
+    if need > have:
+        raise InsufficientMemory(
+            f"tracing {in_flight} chunks of {rows} rays at once through {n_times}"
+            f" checkpoint times and summing {len(u_points)} requests needs about"
+            f" {need / 1e9:.1f} GB, more than the {have / 1e9:.1f} GB of physical memory"
+        )
 
 
 def _chunk_phase_sums(args):
@@ -236,18 +301,30 @@ def _chunk_phase_sums(args):
     Module-level so worker pools can pickle it.  ``times`` is the ascending
     union of every request's checkpoints on the unit-temperature rays, and
     ``spec`` holds per request (the columns of its own times in ``times``,
-    delta_xi / (hbar * c), functional or None).  Returns the list of their
-    ``_request_sums`` in the same order, and the chunk's ``TraceCounts``.
+    delta_xi / (hbar * c), functional or None).  The chunk is traced
+    SUB_BLOCK rays at a time, and each sub-block's integrals are added to
+    every request's ``_ChunkSums`` before the next is traced.  Returns the
+    list of their results in request order, and the ``TraceCounts`` of the
+    sub-blocks in row order.
     """
     (qs, z, times, geom, pot, max_bounces, spec) = args
-    integrals, _, counts = trajectory.checkpoint_action_integrals(
-        qs, z, times, geom, pot, max_bounces
-    )
-    return [_request_sums(integrals, *m) for m in spec], counts
+    rows = qs.shape[0]
+    sums = [_ChunkSums(rows, *m) for m in spec]
+    counts = []
+    for lo in range(0, rows, SUB_BLOCK):
+        hi = lo + SUB_BLOCK
+        integrals, _, sub_counts = trajectory.checkpoint_action_integrals(
+            qs[lo:hi], z[lo:hi], times, geom, pot, max_bounces
+        )
+        for request_sums in sums:
+            request_sums.add(integrals)
+        counts.append(sub_counts)
+        del integrals  # before the next sub-block's are made
+    return [request_sums.result() for request_sums in sums], counts
 
 
 def _trace_summary(counts) -> dict:
-    """What the shared trace did, from its chunks' ``TraceCounts`` in chunk order.
+    """What the shared trace did, from its sub-blocks' ``TraceCounts`` in row order.
 
     ``lanes`` is the engine's math path, ``math_lanes``: its G differs from
     the other path's at the rounding level.
@@ -369,13 +446,14 @@ def semiclassical_characteristic(
     ``metadata["trace"]`` holds what that shared trace did: its total
     segments, the median, 99th percentile and largest bounce count per ray,
     its grazing and corner reflections, and the lanes of its erf and exp.
-    Each request keeps one running total, and each chunk's sums are added
-    to it in chunk order.  Chunks go to a pool at most 2 x workers ahead of
-    the next one to add, so the reduction holds one total per request and
-    at most that many chunks' sums (one without a pool), whatever the
-    ensemble size.  A trace whose
-    chunks in flight and those sums would not fit in physical memory is
-    refused with InsufficientMemory before it starts.  Errored samples are
+    A chunk is traced SUB_BLOCK rays at a time, so it holds the integrals
+    of one sub-block, not its own.  Each request keeps one running total,
+    and each chunk's sums are added to it in chunk order.  Chunks go to a
+    pool at most 2 x workers ahead of the next one to add, so the reduction
+    holds one total per request and at most that many chunks' sums (one
+    without a pool), whatever the ensemble size.  A trace whose chunks in
+    flight and those sums would not fit in physical memory is refused with
+    InsufficientMemory before it starts (``check_trace_memory``).  Errored samples are
     dropped and counted per request; a request aborts with ExcessiveFailures
     if more than FAILURE_BUDGET of its samples fail before its last
     checkpoint, since silent rejection would bias the Boltzmann weighting.
@@ -399,23 +477,10 @@ def semiclassical_characteristic(
     for lo in range(0, len(ens), chunk_size):
         hi = lo + chunk_size
         tasks.append((ens.qs[lo:hi], ens.z[lo:hi], times, geom, pot, max_bounces, spec))
-    workers = min(workers, len(tasks))
-    in_flight = max(workers, 1)  # a worker holds one chunk at a time
-    # Chunk results the parent holds until it folds them: up to 2 x workers
-    # taken from the pool in chunk order, or the one chunk just traced.
-    window = 2 * workers if workers > 1 else 1
-    rows = min(chunk_size, len(ens))
-    chunk = _chunk_bytes(rows, times.size)
-    # Per request, the total and each held chunk's (4, k) sums.
-    sums_size = sum(4 * req.u_grid.n for req in requests)
-    need = in_flight * chunk + 8 * (1 + window) * sums_size
-    have = physical_memory()
-    if need > have:
-        raise InsufficientMemory(
-            f"tracing {in_flight} chunks of {rows} rays at once through {times.size}"
-            f" checkpoint times and summing {len(requests)} requests needs about"
-            f" {need / 1e9:.1f} GB, more than the {have / 1e9:.1f} GB of physical memory"
-        )
+    n_functionals = sum(req.functional is not None for req in requests)
+    u_points = [req.u_grid.n for req in requests]
+    check_trace_memory(len(ens), times.size, u_points, n_functionals, workers, chunk_size)
+    workers, window = _pool(workers, len(tasks))
     totals = [_Total(req) for req in requests]
     counts = []
 
@@ -423,7 +488,7 @@ def semiclassical_characteristic(
         sums, chunk_counts = result
         for total, request_sums in zip(totals, sums):
             total.add(*request_sums)
-        counts.append(chunk_counts)
+        counts.extend(chunk_counts)
 
     # Load (and on first use build) the engine before forking, so workers
     # inherit it and never build it at the same time.

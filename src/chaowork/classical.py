@@ -4,7 +4,8 @@ For an instantaneous parameter change the work of a sample is just the
 energy jump at its initial point, W = (xi_f - xi_0) V(q0), because the state
 has no time to move.  Positions are uniform over the billiard (the
 unperturbed Hamiltonian is purely kinetic), which makes the classical work
-distribution independent of temperature.
+distribution independent of temperature.  The sample is drawn one block of
+positions at a time, so W is the only array of the sample's length.
 
 Partition-function ratios are computed by deterministic tensor-grid
 Gauss-Legendre quadrature on a rectangle + polar-quarter-disk decomposition
@@ -48,12 +49,24 @@ def sample_classical_work(
     """n work values from Boltzmann-drawn phase points, at any temperature.
 
     W depends on the position alone, so only positions are drawn: the same
-    ones ``sampler.sample_ensemble`` draws for (n, seed).
+    ones ``sampler.sample_ensemble`` draws for (n, seed).  They are drawn
+    and evaluated one ``sampler.SAMPLE_BLOCK`` at a time into the one array
+    of W, so no other array has the sample's length; W has the bits of
+    ``delta_xi * evaluate`` over every position at once.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    qs = sampler._ensemble_positions(geom, n, seed)
-    return ClassicalWorkSample(values=pot.delta_xi * evaluate(pot, qs))
+    values = np.empty(n)
+    for lo, qs in sampler._position_blocks(geom, n, seed):
+        if lo and len(qs) == 1:
+            # evaluate takes a lone row in another summation order and never
+            # cuts one off: the last row joins the block before it, as in one
+            # evaluate of every position.
+            lo, qs = lo - len(last), np.concatenate([last, qs])
+        values[lo : lo + len(qs)] = evaluate(pot, qs)
+        last = qs
+    values *= pot.delta_xi
+    return ClassicalWorkSample(values=values)
 
 
 @functools.cache

@@ -19,6 +19,7 @@ the worker count, the output directory or the keys the command ignores.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import importlib.metadata
 import json
@@ -35,6 +36,7 @@ from .characteristic import (
     CharacteristicGrid,
     InsufficientMemory,
     Request,
+    check_trace_memory,
     physical_memory,
     plan_from_window,
     plan_u_grid,
@@ -519,17 +521,24 @@ def _solve_quench(cfg, geom, pot, hbar):
         ) from None
 
 
-def _semiclassical_grids(cfg, geom, pot, requests):
-    """Every request in one engine call on the run's ensemble, so all share one trace."""
-    ens = sampler.sample_ensemble(geom, cfg.n_samples, cfg.seed)
+@contextlib.contextmanager
+def _trace_keys():
+    """A trace's memory refusal, with the keys that shrink it."""
     try:
-        grids = semiclassical_characteristic(
-            ens, requests, geom, pot, workers=cfg.resolved_workers(), max_bounces=cfg.max_bounces
-        )
+        yield
     except InsufficientMemory as exc:
         raise InsufficientMemory(
             f"{exc}; lower u_points or workers, or sweep fewer beta_list or hbar_list entries"
         ) from None
+
+
+def _semiclassical_grids(cfg, geom, pot, requests):
+    """Every request in one engine call on the run's ensemble, so all share one trace."""
+    ens = sampler.sample_ensemble(geom, cfg.n_samples, cfg.seed)
+    with _trace_keys():
+        grids = semiclassical_characteristic(
+            ens, requests, geom, pot, workers=cfg.resolved_workers(), max_bounces=cfg.max_bounces
+        )
     return ens, grids
 
 
@@ -660,6 +669,12 @@ def run_fig2(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
     betas, [hbar] = cfg.beta_list, cfg.hbar_list
     geom, pot = cfg.geometry(), cfg.potential()
     w_all = _plan(cfg, geom, pot).w_values
+    # Each beta's plan waits for the solve, but the trace is bounded before
+    # it: u_points times per beta, the first, 0, shared by all.
+    with _trace_keys():
+        u_points = [cfg.u_points] * len(betas)
+        n_times = 1 + len(betas) * (cfg.u_points - 1)
+        check_trace_memory(cfg.n_samples, n_times, u_points, 0, cfg.resolved_workers())
     spec = _solve_quench(cfg, geom, pot, hbar)
 
     requests = []

@@ -155,9 +155,11 @@ def build_grid(domain, h: float) -> GridSpec:
     if isinstance(domain, BilliardGeometry):
         inside = geometry.contains_many(domain, pts)
         # Strict interior: drop sites on (or numerically at) the boundary.
-        on_edge = (
-            (np.abs(pts[:, 1] - domain.r) < 1e-12)
-            | (np.abs((pts[:, 0] - domain.l) ** 2 + pts[:, 1] ** 2 - domain.r**2) < 1e-12)
+        # Only the circle's arc at x >= l is a wall; where it crosses the
+        # rectangle its lattice points are interior sites.
+        on_edge = (np.abs(pts[:, 1] - domain.r) < 1e-12) | (
+            (pts[:, 0] >= domain.l)
+            & (np.abs((pts[:, 0] - domain.l) ** 2 + pts[:, 1] ** 2 - domain.r**2) < 1e-12)
         )
         inside &= ~on_edge
     else:

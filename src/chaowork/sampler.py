@@ -97,21 +97,21 @@ def sample_positions(
     return out
 
 
-def _ensemble_positions(geom: BilliardGeometry, n: int, seed: int) -> np.ndarray:
-    """The n positions of the ensemble drawn from seed."""
-    qs = np.empty((n, 2))
-    for block in range(0, n, SAMPLE_BLOCK):
-        hi = min(block + SAMPLE_BLOCK, n)
-        rng = block_generator(seed, STREAM_POSITION, block // SAMPLE_BLOCK)
-        qs[block:hi] = sample_positions(geom, rng, hi - block)
-    return qs
+def _position_blocks(geom: BilliardGeometry, n: int, seed: int):
+    """The ensemble's n positions for seed, one SAMPLE_BLOCK at a time, as
+    (first row, positions) pairs."""
+    for lo in range(0, n, SAMPLE_BLOCK):
+        rng = block_generator(seed, STREAM_POSITION, lo // SAMPLE_BLOCK)
+        yield lo, sample_positions(geom, rng, min(SAMPLE_BLOCK, n - lo))
 
 
 def sample_ensemble(geom: BilliardGeometry, n: int, seed: int) -> ThermalEnsemble:
     """n independent phase points for every beta, reproducible from seed alone."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    qs = _ensemble_positions(geom, n, seed)
+    qs = np.empty((n, 2))
+    for lo, block in _position_blocks(geom, n, seed):
+        qs[lo : lo + len(block)] = block
     z = np.empty((n, 2))
     for block in range(0, n, SAMPLE_BLOCK):
         hi = min(block + SAMPLE_BLOCK, n)

@@ -20,8 +20,8 @@ readable paths:
 - ``evaluate_whole``: V on every point at once, the unblocked formula
   ``potential.evaluate`` must match bit for bit;
 - ``request_sums``: one request's phase sums over every good row of a
-  chunk at once, the one-shot form ``characteristic._request_sums`` must
-  match bit for bit, with the second moment of the phase vectors, from
+  chunk at once, which ``characteristic._ChunkSums``, taking them a
+  sub-block at a time, must match bit for bit, with the second moment of the phase vectors, from
   which ``covariance_stderr`` propagates the error of a linear functional
   of G through the full (2k x 2k) covariance;
 - ``jarzynski_histogram_sum``: the free energy summed over ``invert``'s

@@ -63,6 +63,18 @@ class TestJarzynskiFromSamples:
         with pytest.raises(ValueError):
             jarzynski_from_samples(np.array([]), 1.0)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 1001, 65537])
+    @pytest.mark.parametrize("beta", [2.0**-12, 0.3, 100.0])
+    def test_bits_of_the_numpy_formula(self, rng, n, beta):
+        # The estimate in one buffer against numpy's mean and std(ddof=1)
+        # over a separate array of exp(-beta (W - min W)).
+        w = 40.0 * rng.standard_normal(n) - 5.0
+        expw = np.exp(-beta * (w - w.min()))
+        mean = float(expw.mean())
+        se = float(expw.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+        ref = (w.min() - math.log(mean) / beta, se / (beta * mean))
+        assert jarzynski_from_samples(w, beta) == ref
+
 
 def exact_grid(plan, g_values, beta, eps):
     """A noise-free characteristic grid on a plan, carrying the Jarzynski

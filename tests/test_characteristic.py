@@ -25,6 +25,17 @@ def jarzynski_request(beta, plan, hbar=1.0):
     return Request(beta, plan, hbar, functional=c)
 
 
+def chunk_sums(integrals, columns, coef, functional, block=None):
+    """One request's ``_ChunkSums`` result over a chunk's integrals, added
+    ``block`` rows at a time (all at once by default)."""
+    rows = integrals.shape[0]
+    block = block or max(rows, 1)
+    sums = characteristic._ChunkSums(rows, columns, coef, functional)
+    for lo in range(0, rows, block):
+        sums.add(integrals[lo : lo + block])
+    return sums.result()
+
+
 @pytest.fixture(scope="module")
 def plan(geom_mod, pot_mod):
     return plan_u_grid(geom_mod, pot_mod, seed=12345, n_u=512)
@@ -431,7 +442,7 @@ class TestChunkSums:
         c = rng.standard_normal(2 * columns.size)
         for functional in (None, c):
             for coef in (0.7, -1.9):
-                got = characteristic._request_sums(integrals.copy(), columns, coef, functional)
+                got = chunk_sums(integrals.copy(), columns, coef, functional)
                 ref = request_sums(integrals.copy(), columns, coef, True)
                 assert got[1:3] == ref[1:3]
                 assert got[0].tobytes() == ref[0].tobytes()
@@ -469,10 +480,9 @@ class TestChunkSums:
             integrals[good, :3] = 0.0
         columns = np.array([0, 1, 2, 4, 7, 8, 11])
         functional = rng.standard_normal(2 * columns.size)
-        for c in (None, functional):
-            sums, ok, failed, f_moments = characteristic._request_sums(
-                integrals, columns, coef, c
-            )
+        # Whole, and in sub-blocks of 4 rows that leave a 3-row tail.
+        for c, block in ((None, None), (functional, None), (None, 4), (functional, 4)):
+            sums, ok, failed, f_moments = chunk_sums(integrals, columns, coef, c, block)
             ref = request_sums(integrals, columns, coef, False)
             assert (ok, failed) == (len(good), rows - len(good)) == ref[1:3]
             assert sums.tobytes() == ref[0].tobytes()
@@ -495,11 +505,36 @@ class TestChunkSums:
         columns, functional = np.arange(2), np.array([1.0, 0.0, 0.0, 0.0])
         total = characteristic._Total(Request(1.0, UGridPlan(1.0, 2), 1.0, functional))
         for chunk in (integrals[:700], integrals[700:]):
-            total.add(*characteristic._request_sums(chunk.copy(), columns, 1.0, functional))
+            total.add(*chunk_sums(chunk.copy(), columns, 1.0, functional))
         f = np.cos(integrals[:, 0])
         assert total.f_moments[0] == rows
         assert total.f_moments[1] == pytest.approx(f.mean(), rel=1e-15)
         assert total.f_moments[2] == pytest.approx(((f - f.mean()) ** 2).sum(), rel=1e-9, abs=0.0)
+
+    def test_sub_blocks_keep_the_bits_of_one_trace(self, geom_mod, pot_mod, monkeypatch):
+        # 2,085 rays, two sub-blocks and a 37-row tail, with a bounce cap
+        # that fails some of them, for a request with a functional and one
+        # without: the same sums, f moments and counts as one whole trace.
+        plan = plan_u_grid(geom_mod, pot_mod, seed=12345, n_u=64)
+        rows = 2 * characteristic.SUB_BLOCK + 37
+        ens = sampler.sample_ensemble(geom_mod, rows, seed=41)
+        req = jarzynski_request(BETA_COLD, plan)
+        grid = characteristic._prepare(req)
+        coef = pot_mod.delta_xi / grid.scale
+        spec = [(np.arange(plan.n), coef, req.functional), (np.arange(plan.n // 2), coef, None)]
+        args = (ens.qs, ens.z, grid.times, geom_mod, pot_mod, 300, spec)
+        sums, counts = characteristic._chunk_phase_sums(args)
+        assert len(counts) == 3
+        monkeypatch.setattr(characteristic, "SUB_BLOCK", rows)
+        whole_sums, [whole] = characteristic._chunk_phase_sums(args)
+        assert 0 < whole_sums[0][2] < 0.2 * rows
+        for got, ref in zip(sums, whole_sums):
+            assert got[0].tobytes() == ref[0].tobytes()
+            assert got[1:] == ref[1:]
+        assert np.concatenate([c.segments for c in counts]).tobytes() == whole.segments.tobytes()
+        assert np.concatenate([c.bounces for c in counts]).tobytes() == whole.bounces.tobytes()
+        assert sum(c.grazing for c in counts) == whole.grazing
+        assert sum(c.corner for c in counts) == whole.corner
 
     @pytest.mark.parametrize("functional", [False, True])
     def test_chunk_peak_within_the_guard(self, geom_mod, pot_mod, functional):
@@ -518,11 +553,12 @@ class TestChunkSums:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # The engine's integrals and vectors of rows: 1.05 times the integrals
-        # (1.07 with the functional), against 5.0 when numpy took the phases
-        # for the whole chunk at once and 7.0 with their second moment.
-        assert peak < 2 * 8 * rows * plan.n
-        assert peak <= characteristic._chunk_bytes(rows, plan.n)
+        # One sub-block's integrals and the chunk's vectors of rows: 1.43
+        # (1.48 with the functional) times one sub-block's integrals, 0.18 of
+        # the whole chunk's; 1.05 of the whole chunk's when it was traced at
+        # once, 5.0 when numpy took its phases and 7.0 with their second moment.
+        assert peak < 2 * 8 * characteristic.SUB_BLOCK * plan.n
+        assert peak <= characteristic._chunk_bytes(rows, plan.n, int(functional))
 
 
 class TestFunctionalError:

@@ -38,8 +38,9 @@ class TestSampleClassicalWork:
         assert pvalue > 0.001
 
     def test_million_points_in_bounded_memory(self, geom, pot):
-        # The positions (16 MB), V and W (8 MB each) and blocks of V's
-        # temporaries; 177 MB when V's (n, 4) temporaries were full size.
+        # W (8 MB), one block of positions and its proposals, and blocks of
+        # V's temporaries: 12.8 MB.  35.2 MB when every position and V were
+        # held at once, 177 MB when V's (n, 4) temporaries were full size.
         tracemalloc.start()
         try:
             s = sample_classical_work(geom, pot, 1_000_000, seed=7)
@@ -47,7 +48,18 @@ class TestSampleClassicalWork:
         finally:
             tracemalloc.stop()
         assert s.n == 1_000_000
-        assert peak < 40e6
+        assert peak < 16e6
+
+    @pytest.mark.parametrize("n", [300, sampler.SAMPLE_BLOCK, sampler.SAMPLE_BLOCK + 1, 1_000_000])
+    def test_streamed_draw_keeps_the_bits_of_one_evaluate(self, geom, pot, n):
+        # Seed 5 puts a point at row 65,536 whose value alone differs from
+        # its value among others, so evaluating a one-row last block alone
+        # would show at n = 65,537.
+        qs = sampler.sample_ensemble(geom, n, seed=5).qs
+        if n == sampler.SAMPLE_BLOCK + 1:
+            assert evaluate(pot, qs[-1:])[0] != evaluate(pot, qs)[-1]
+        s = sample_classical_work(geom, pot, n, seed=5)
+        assert s.values.tobytes() == (pot.delta_xi * evaluate(pot, qs)).tobytes()
 
     def test_momentum_does_not_enter(self, geom, pot):
         s = sample_classical_work(geom, pot, 300, seed=4)

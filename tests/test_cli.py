@@ -689,10 +689,16 @@ class TestSubcommands:
             assert not any(files for _, _, files in os.walk(out))
 
     def test_trace_refused_beyond_physical_memory(self, tmp_path, capsys, monkeypatch):
-        # One chunk of 1,200 rays through 64 checkpoints needs about 0.7 MB,
-        # its integrals and per-row vectors; the machine has 0.5 MB for the
-        # trace, and enough for the inversion.
+        # One chunk of 1,200 rays through 64 checkpoints needs about 0.6 MB,
+        # one sub-block's integrals and the chunk's per-row vectors; the
+        # machine has 0.5 MB for the trace, and enough for the inversion.
+        # fig2 refuses before either eigensolve.
         monkeypatch.setattr(characteristic, "physical_memory", lambda: 500_000)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an eigensolve ran")
+
+        monkeypatch.setattr(quantum, "eigensolve", refuse)
         cfgp = tmp_path / "c.cfg"
         cfgp.write_text(tiny_text(beta_list="0.3", hbar_list="1.0"))
         for command in (["semiclassical"], ["scenario", "fig2"]):
@@ -708,14 +714,14 @@ class TestSubcommands:
     def test_trace_refused_when_sums_do_not_fit(self, tmp_path, capsys, monkeypatch):
         # Each beta of jarzynski holds (4, 64) sums as its total and as the
         # arriving chunk's.  The machine has room for the chunk in flight,
-        # not for those sums as well.
+        # with each beta's functional values, not for those sums as well.
         text = tiny_text(beta_list="2^-7,2^-9,2^-11", hbar_list="1.0")
         cfg = validate_config(text)
         geom, pot = cfg.geometry(), cfg.potential()
         plan = plan_u_grid(geom, pot, cfg.seed, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
         grids = [characteristic._prepare(characteristic.Request(b, plan, 1.0)) for b in cfg.beta_list]
         times = np.unique(np.concatenate([grid.times for grid in grids]))
-        chunk = characteristic._chunk_bytes(cfg.n_samples, times.size)
+        chunk = characteristic._chunk_bytes(cfg.n_samples, times.size, len(grids))
         monkeypatch.setattr(characteristic, "physical_memory", lambda: chunk + 1)
         cfgp = tmp_path / "c.cfg"
         cfgp.write_text(text)
@@ -729,7 +735,13 @@ class TestSubcommands:
         assert not any(files for _, _, files in os.walk(out))
 
     def test_state_count_beyond_the_grid_names_its_key(self, tmp_path, capsys, monkeypatch):
-        # quantum_h = 0.1 has 155 sites; both counts are checked before either solve.
+        # quantum_h = 0.1 puts sites at (i, j) / 10 for 0 < j < 10 with
+        # i <= 10, or (i - 10)^2 + j^2 < 100 on the quarter disk; both counts
+        # are checked before either solve.
+        lattice = [(i, j) for i in range(1, 20) for j in range(1, 10)]
+        sites = sum(i <= 10 or (i - 10) ** 2 + j * j < 100 for i, j in lattice)
+        assert sites == 157
+
         def refuse(*args, **kwargs):
             raise AssertionError("an eigensolve ran")
 
@@ -748,7 +760,7 @@ class TestSubcommands:
                 assert rc == 1
                 payload = json.loads(capsys.readouterr().err.strip())
                 message = payload["message"]
-                assert message.startswith(f"{key}: requested 5000 states from dimension 155")
+                assert message.startswith(f"{key}: requested 5000 states from dimension {sites}")
                 assert not any(files for _, _, files in os.walk(out))
 
     def test_inversion_refused_beyond_physical_memory(self, tmp_path, capsys, monkeypatch):

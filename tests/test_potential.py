@@ -55,10 +55,11 @@ class TestEvaluate:
         for i, q in enumerate(qs):
             assert batch[i] == pytest.approx(evaluate(pot, q), rel=1e-14, abs=1e-15)
 
-    @pytest.mark.parametrize("rows", [potential._BLOCK_ROWS + 1, 2 * potential._BLOCK_ROWS + 3])
+    @pytest.mark.parametrize("rows", [65537, 131075])
     def test_blocks_keep_the_bits_of_one_pass(self, pot, rng, rows):
         # A one-row tail is never cut off (a one-row ``@`` sums in another
-        # order); two full blocks and a three-row tail are.
+        # order); full blocks and a three-row tail are.
+        assert rows % potential._BLOCK_ROWS == (1 if rows == 65537 else 3)
         qs = rng.random((rows, 2)) * [2.0, 1.0]
         # End on a point whose value alone differs from its value among
         # others, where this BLAS has one, so a cut one-row tail would show.

@@ -107,6 +107,16 @@ class TestGridAndHamiltonians:
         assert (grid.coords > 0.0).all()
         assert (grid.coords[:, 1] < geom.r).all()
 
+    @pytest.mark.parametrize("h", [0.1, 0.05, 0.04, 0.025])
+    def test_no_holes_where_the_circle_crosses_the_rectangle(self, geom, h):
+        # The circle about (l, 0) is a wall only at x >= l.  At these steps
+        # it meets lattice points inside the rectangle, (0.4, 0.8) among
+        # them, and each is a site.
+        grid = quantum.build_grid(geom, h)
+        sites = {(round(x / h), round(y / h)) for x, y in grid.coords}
+        nx, ny = round(geom.l / h), round(geom.r / h)
+        assert {(i, j) for i in range(1, nx) for j in range(1, ny)} <= sites
+
 
 class TestStencilAgainstSparseOracle:
     """The 5-point stencil is the CSR matrix of ``reference.sparse_hamiltonians``
