@@ -24,10 +24,10 @@ def _bad_rows(report):
 
 # name: (argv, limit in MB, check of the report, config text or None for the command's defaults)
 CASES = {
-    # fig3-sweep's sizes: about 59 MB, its peak the Jarzynski average's one buffer beside W,
-    # with the draw taken a block of positions at a time; 72 MB when the draw held every
-    # position and V, 95 MB when every run imported scipy, 105 with a whole-chunk phase
-    # covariance, 230 with full-size temporaries.
+    # fig3-sweep's sizes: about 58 MB, its peak the Jarzynski average's one buffer beside W,
+    # drawn after the trace a block of positions at a time; 59 MB when W was held through
+    # the trace, 72 MB when the draw held every position and V, 95 MB when every run
+    # imported scipy, 105 with a whole-chunk phase covariance, 230 with full-size temporaries.
     "scenario fig3": (["scenario", "fig3"], 65, None,
                       "beta_list = 2^-8, 2^-10, 2^-12\nhbar_list = 1\nn_samples = 16384\n"
                       "n_classical = 1000000\nworkers = 1\nseed = 7\n"),

@@ -39,8 +39,8 @@
  * fill has the bits it would have alone; a still flight's fills take no erf.
  * segment_integrals goes through the same set-up and total,
  * four flights at a time.  On x86_64 with glibc 2.35 or later (the #if
- * below, __GLIBC_PREREQ(2, 35) spelled out), trace and segment_integrals
- * check once per call, with __builtin_cpu_supports("avx2"), whether the
+ * below, __GLIBC_PREREQ(2, 35) spelled out), trace, segment_integrals and
+ * phase_sums check once per call, with __builtin_cpu_supports("avx2"), whether the
  * CPU has AVX2; if so they call libmvec's four-lane _ZGVdN4v_erf and
  * _ZGVdN4v_exp, which -lm links through libm.so's AS_NEEDED libmvec, and
  * trace runs its loop compiled for AVX2.  Otherwise the same loop runs as
@@ -51,7 +51,9 @@
  * A trace reads one ascending array of checkpoint times, the union of the
  * times of every request that shares the rays, so a time two requests share
  * is filled once.  It knows nothing of requests: phase_sums, a separate
- * entry, reads one request's columns of the traced integrals.
+ * entry, reads one request's columns of the traced integrals.  It takes
+ * the phases' cos and sin on the same math path as erf and exp: libmvec's
+ * four-lane _ZGVdN4v_cos and _ZGVdN4v_sin, or glibc's scalar sincos.
  */
 #define _GNU_SOURCE /* sincos */
 #include <math.h>
@@ -75,6 +77,16 @@ static void exp_scalar(const double *x, double *y, int64_t n)
 {
     for (int64_t i = 0; i < n; i++)
         y[i] = exp(x[i]);
+}
+
+/* c[i] = cos(x[i]) and s[i] = sin(x[i]) for i < n, the same contract for
+ * the phases of phase_sums; glibc's sincos has the bits of its cos and sin. */
+typedef void (*sincos_fn)(const double *x, double *c, double *s, int64_t n);
+
+static void sincos_scalar(const double *x, double *c, double *s, int64_t n)
+{
+    for (int64_t i = 0; i < n; i++)
+        sincos(x[i], &s[i], &c[i]);
 }
 
 #if defined(__x86_64__) && defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 35)
@@ -104,6 +116,15 @@ static void lanes4(__m256d (*f)(__m256d), const double *x, double *y, int64_t n)
 
 static void erf_lanes4(const double *x, double *y, int64_t n) { lanes4(_ZGVdN4v_erf, x, y, n); }
 static void exp_lanes4(const double *x, double *y, int64_t n) { lanes4(_ZGVdN4v_exp, x, y, n); }
+
+__m256d _ZGVdN4v_sin(__m256d x);
+__m256d _ZGVdN4v_cos(__m256d x);
+
+static void sincos_lanes4(const double *x, double *c, double *s, int64_t n)
+{
+    lanes4(_ZGVdN4v_cos, x, c, n);
+    lanes4(_ZGVdN4v_sin, x, s, n);
+}
 #pragma GCC pop_options
 #endif
 
@@ -611,6 +632,9 @@ int trace(TRACE_PARAMS)
     return trace_baseline(TRACE_ARGS);
 }
 
+/* Phases of one row that one sincos_n call takes. */
+#define PHASE_BLOCK 64
+
 /* One request's phase sums over a traced chunk.
  *
  * integrals is trace's (rows, m) output; the request reads its k columns,
@@ -619,32 +643,46 @@ int trace(TRACE_PARAMS)
  * the caller, gets the per-column sums of cos, sin, cos^2 and sin^2 of the
  * good rows' phases, added in row order: numpy's sum(axis=0) starts from
  * +0.0 and adds the rows of a C-ordered array in order, so a column of
- * phases -0.0 sums to +0.0 on both.  cos and sin are glibc's
- * sincos, which has the bits of its cos and sin.  When functional (2k
- * values) is not NULL, f[j] gets the j-th good row's functional . [cos;
- * sin]: a left fold over the cos terms plus one over the sin terms.  Returns
- * the number of good rows. */
+ * phases -0.0 sums to +0.0 on both.  A row's phases are taken PHASE_BLOCK
+ * columns at a time: with libmvec's four-lane _ZGVdN4v_cos and
+ * _ZGVdN4v_sin where the engine takes its erf and exp four lanes at a time
+ * (math_lanes), a short last group padded with 0, and otherwise with
+ * glibc's sincos, which has the bits of its cos and sin, and so of numpy's.
+ * The two paths differ by a few units in the last place.  When functional
+ * (2k values) is not NULL, f[j] gets the j-th good row's functional .
+ * [cos; sin]: a left fold over the cos terms plus one over the sin terms.
+ * Returns the number of good rows. */
 int64_t phase_sums(int64_t rows, int64_t m, const double *integrals, int64_t k,
                    const int64_t *columns, double coef, const double *functional,
                    double *sums, double *f)
 {
+    sincos_fn sincos_n = sincos_scalar;
+#ifdef HAVE_LANES4
+    if (math_lanes() == 4)
+        sincos_n = sincos_lanes4;
+#endif
     double *sum_c = sums, *sum_s = sums + k, *sum_c2 = sums + 2 * k, *sum_s2 = sums + 3 * k;
+    double x[PHASE_BLOCK], c[PHASE_BLOCK], s[PHASE_BLOCK];
     int64_t good = 0;
     for (int64_t r = 0; r < rows; r++) {
         const double *row = integrals + r * m;
         if (isnan(row[columns[k - 1]]))
             continue;
         double fc = 0.0, fs = 0.0;
-        for (int64_t j = 0; j < k; j++) {
-            double s, c;
-            sincos(row[columns[j]] * coef, &s, &c);
-            sum_c[j] += c;
-            sum_s[j] += s;
-            sum_c2[j] += c * c;
-            sum_s2[j] += s * s;
-            if (functional != NULL) {
-                fc += c * functional[j];
-                fs += s * functional[k + j];
+        for (int64_t j0 = 0; j0 < k; j0 += PHASE_BLOCK) {
+            const int64_t len = k - j0 < PHASE_BLOCK ? k - j0 : PHASE_BLOCK;
+            for (int64_t j = 0; j < len; j++)
+                x[j] = row[columns[j0 + j]] * coef;
+            sincos_n(x, c, s, len);
+            for (int64_t j = 0; j < len; j++) {
+                sum_c[j0 + j] += c[j];
+                sum_s[j0 + j] += s[j];
+                sum_c2[j0 + j] += c[j] * c[j];
+                sum_s2[j0 + j] += s[j] * s[j];
+                if (functional != NULL) {
+                    fc += c[j] * functional[j0 + j];
+                    fs += s[j] * functional[k + j0 + j];
+                }
             }
         }
         if (functional != NULL)

@@ -197,9 +197,12 @@ class _ChunkSums:
     ``f_moments`` is ``_merge``'s triple for f = functional . [cos; sin], or
     (0, 0.0, 0.0) without a functional.  A row is good when the ray reached
     the request's last checkpoint.  The engine's ``phase_sums`` takes the
-    phases row by row with glibc's sincos and adds them into the same sums,
-    so they have the bits of numpy's cos, sin and sum over the chunk's good
-    rows however the chunk is cut.  It writes each good row's f into one
+    phases row by row and adds them into the same sums in row order, so
+    they have the same bits however the chunk is cut.  Its cos and sin are
+    libmvec's four-lane ones on the engine's four-lane math path, within a
+    few units in the last place of numpy's, and glibc's sincos otherwise,
+    whose sums have the bits of numpy's cos, sin and sum over the chunk's
+    good rows.  It writes each good row's f into one
     chunk-long vector at the count of good rows before it, and numpy takes
     the count, mean and squared deviations of that vector.
     """

@@ -296,6 +296,9 @@ def config_manifest(cfg: RunConfig, name: str) -> dict:
             "platform": "-".join(filter(None, system)),
             "cpu_count": os.cpu_count(),
             "engine": _engine_key(),
+            # The quantum route's bytes hold only at the same OpenBLAS core
+            # and thread count.
+            **quantum.numpy_blas(),
         },
     }
 
@@ -542,6 +545,21 @@ def _semiclassical_grids(cfg, geom, pot, requests):
     return ens, grids
 
 
+def _references(geom, pot, betas):
+    """Each beta's quadrature free energy, taken before any draw or trace, so
+    that a beta whose quadrature does not converge is refused before work."""
+    refs = []
+    for beta in betas:
+        try:
+            refs.append(classical.classical_free_energy_difference(geom, pot, beta))
+        except classical.QuadratureNonConvergence as exc:
+            raise RangeError(
+                "beta_list",
+                f"beta = {beta:g} is too cold for the classical reference: {exc}; lower beta",
+            ) from None
+    return refs
+
+
 def _classical_histogram(cfg, geom, pot, plan, beta):
     sample = classical.sample_classical_work(geom, pot, cfg.n_classical, cfg.seed)
     meta = {"beta": beta, "source": "classical_mc"}
@@ -567,8 +585,8 @@ def run_classical(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
     [beta] = cfg.beta_list
     geom, pot = cfg.geometry(), cfg.potential()
     plan = _plan(cfg, geom, pot)
+    [ref] = _references(geom, pot, [beta])
     sample, hist = _classical_histogram(cfg, geom, pot, plan, beta)
-    ref = classical.classical_free_energy_difference(geom, pot, beta)
     est, se = analysis.jarzynski_from_samples(sample.values, beta)
     write_histogram_csv(out.path("classical_workdist.csv"), hist, out.hash)
     if cfg.dump_ensemble:
@@ -644,18 +662,19 @@ def run_fig3(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
     plan = _plan(cfg, geom, pot)
     eps = _broadening(cfg, plan)
     _check_broadening_correction(cfg, plan, betas, eps)
+    refs = _references(geom, pot, betas)
 
-    # The classical work does not depend on beta, so one sample serves every row.
-    sample = classical.sample_classical_work(geom, pot, cfg.n_classical, cfg.seed)
     functionals = analysis.jarzynski_functionals(plan, betas, eps)
     requests = [Request(beta, plan, hbar, c) for beta, c in zip(betas, functionals)]
     _, grids = _semiclassical_grids(cfg, geom, pot, requests)
+    # The classical work does not depend on beta, so one sample serves every
+    # row.  It is drawn after the trace, so W and the trace never share memory.
+    sample = classical.sample_classical_work(geom, pot, cfg.n_classical, cfg.seed)
+    mcs = [analysis.jarzynski_from_samples(sample.values, beta) for beta in betas]
     names = ("beta", "delta_f_reference", "delta_f_classical_mc", "stderr_classical_mc")
     names += ("delta_f_semiclassical", "stderr_semiclassical")
     rows = []
-    for beta, grid in zip(betas, grids):
-        ref = classical.classical_free_energy_difference(geom, pot, beta)
-        mc = analysis.jarzynski_from_samples(sample.values, beta)
+    for beta, ref, mc, grid in zip(betas, refs, mcs, grids):
         sc = analysis.jarzynski_from_characteristic(grid, beta, eps)
         rows.append(dict(zip(names, (beta, ref, *mc, *sc))))
 

@@ -52,8 +52,11 @@ class BilliardGeometry:
 
 def contains_many(geom: BilliardGeometry, qs: np.ndarray) -> np.ndarray:
     """Vectorized closed-region membership for an (n, 2) array of points."""
-    x = qs[..., 0]
-    y = qs[..., 1]
+    return contains_xy(geom, qs[..., 0], qs[..., 1])
+
+
+def contains_xy(geom: BilliardGeometry, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Closed-region membership of the points (x, y), given as two arrays."""
     inside_band = (x >= 0.0) & (y >= 0.0) & (y <= geom.r)
     dx = x - geom.l
     in_cap = dx * dx + y * y <= geom.r * geom.r

@@ -60,33 +60,49 @@ def evaluate(pot: QuenchPotential, q) -> float | np.ndarray:
     """Unit-amplitude signed Gaussian sum V(q); accepts (..., 2) arrays.
 
     Points are taken _BLOCK_ROWS at a time into one output array, so each
-    (rows, bumps) temporary stays at 256 kB with four bumps, whatever the
-    number of points.  A first call on a million points took 0.04 s, against
-    0.10 s in blocks of 65,536 (2 vCPUs, numpy 2.4).  Each row's value does
-    not depend on the block it is in, except that a block of one row takes
-    another summation order in ``@``; so no block of one row is ever cut
-    off a larger array.
+    (bumps, rows) temporary stays at 256 kB with four bumps, whatever the
+    number of points.  Within a block, the offsets from the bumps and their
+    exponentials are formed bump by bump along the rows, and the sum over
+    the bumps is ``@`` of the C-ordered (rows, bumps) exponentials against
+    the signs.  Each row's value does not depend on the block it is in,
+    except that a block of one row takes another summation order in ``@``;
+    so no block of one row is ever cut off a larger array.  A million
+    points took 0.026-0.037 s, against 0.042-0.065 s with (rows, bumps)
+    temporaries throughout, with the same bits (medians of three
+    alternating sets of 7 calls, 2 vCPUs, numpy 2.4).
     """
     q = np.asarray(q, dtype=float)
     if q.ndim == 1:
-        return float(_bump_sum(pot, q))
+        return float(_bump_sum(pot, q[0], q[1]))
     rows = q.reshape(-1, q.shape[-1])
     n = rows.shape[0]
     out = np.empty(n)
     lo = 0
     for hi in [*range(_BLOCK_ROWS, n - 1, _BLOCK_ROWS), n]:
-        out[lo:hi] = _bump_sum(pot, rows[lo:hi])
+        block = rows[lo:hi]
+        out[lo:hi] = _bump_sum(pot, block[:, 0], block[:, 1])
         lo = hi
     return out.reshape(q.shape[:-1])
 
 
-def _bump_sum(pot: QuenchPotential, q: np.ndarray):
-    """V at one point (2,) or at each row of an (n, 2) block."""
-    dx = q[..., None, 0] - pot.centers[:, 0]
-    dy = q[..., None, 1] - pot.centers[:, 1]
+def _bump_sum(pot: QuenchPotential, x, y):
+    """V at one point, x and y scalars, or at each point of the (rows,)
+    columns x and y; the exponentials of the rows reach ``@`` as a
+    C-ordered (rows, bumps) array."""
+    cx, cy = pot.centers[:, 0], pot.centers[:, 1]
+    if np.ndim(x):
+        cx, cy = cx[:, None], cy[:, None]
+    dx = x - cx
+    dy = y - cy
     inv = 1.0 / (2.0 * pot.sigma * pot.sigma)
-    arg = (dx * dx + dy * dy) * inv
-    return np.exp(-arg) @ pot.signs
+    # exp(-(dx^2 + dy^2) inv), in place in dx
+    dx *= dx
+    dy *= dy
+    dx += dy
+    dx *= inv
+    np.negative(dx, out=dx)
+    np.exp(dx, out=dx)
+    return np.ascontiguousarray(dx.T) @ pot.signs
 
 
 class _SegmentConstants:

@@ -102,6 +102,34 @@ _DSYEVD = _numpy_dsyevd()
 _LAPACK_COL_MAJOR = 102
 
 
+def numpy_blas() -> dict:
+    """The thread count and build string of the OpenBLAS numpy links.
+
+    The dense eigensolve's bits depend on both: the same H gave other
+    eigenvalue and eigenvector bytes on 1 and on 2 OpenBLAS threads.  They
+    are read from scipy-openblas's ``scipy_openblas_get_num_threads64_`` and
+    ``scipy_openblas_get_config64_``, resolved as ``_DSYEVD`` is; each is
+    None where its symbol is absent.
+    """
+    from numpy.linalg import _umath_linalg
+
+    found = {"blas_threads": None, "blas_config": None}
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return found
+    for key, name, restype in (
+        ("blas_threads", "scipy_openblas_get_num_threads64_", ctypes.c_int),
+        ("blas_config", "scipy_openblas_get_config64_", ctypes.c_char_p),
+    ):
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], restype
+            value = fn()
+            found[key] = value.decode() if isinstance(value, bytes) else value
+    return found
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Lattice sites strictly inside the domain, spacing h, row-major index."""

@@ -72,7 +72,13 @@ def block_generator(seed: int, stream: int, block: int) -> np.random.Generator:
 def sample_positions(
     geom: BilliardGeometry, rng: np.random.Generator, n: int
 ) -> np.ndarray:
-    """n positions uniform over the billiard, by bounding-box rejection."""
+    """n positions uniform over the billiard, by bounding-box rejection.
+
+    Each round draws its proposals as one (m, 2) array of uniforms, so the
+    stream is read in (x, y) pairs; x and y are then scaled, tested and
+    compressed as two contiguous columns, and the accepted pairs fill the
+    next rows in order.
+    """
     w, h = geom.bounding_box
     out = np.empty((n, 2))
     filled = 0
@@ -80,10 +86,11 @@ def sample_positions(
     while filled < n:
         m = n - filled
         props = rng.random((m, 2))
-        props[:, 0] *= w
-        props[:, 1] *= h
-        good = geometry.contains_many(geom, props)
-        k = int(good.sum())
+        x = props[:, 0] * w
+        y = props[:, 1] * h
+        good = geometry.contains_xy(geom, x, y)
+        x = x[good]
+        k = x.size
         if k == 0:
             rounds_without_progress += 1
             if rounds_without_progress * m >= _MAX_PROPOSALS:
@@ -92,7 +99,8 @@ def sample_positions(
                 )
             continue
         rounds_without_progress = 0
-        out[filled : filled + k] = props[good]
+        out[filled : filled + k, 0] = x
+        out[filled : filled + k, 1] = y[good]
         filled += k
     return out
 

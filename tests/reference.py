@@ -17,13 +17,17 @@ readable paths:
 - ``propagate``/``action_difference``: one phase point through its bounces;
 - ``segment_integral``: one flight segment in closed form, and
   ``_segment_simpson``, the composite quadrature it is checked against;
-- ``evaluate_whole``: V on every point at once, the unblocked formula
-  ``potential.evaluate`` must match bit for bit;
+- ``evaluate_whole``: V on every point at once, the unblocked row-major
+  formula ``potential.evaluate`` must match bit for bit;
+- ``sample_positions_rowwise``: the rejection draw on (m, 2) rows, whose
+  bits and stream ``sampler.sample_positions`` must keep;
 - ``request_sums``: one request's phase sums over every good row of a
   chunk at once, which ``characteristic._ChunkSums``, taking them a
   sub-block at a time, must match bit for bit, with the second moment of the phase vectors, from
   which ``covariance_stderr`` propagates the error of a linear functional
-  of G through the full (2k x 2k) covariance;
+  of G through the full (2k x 2k) covariance.  It takes numpy's cos and
+  sin, which have the bits of glibc's sincos, or with ``engine_cos_sin``
+  the engine's own, libmvec's on its four-lane path;
 - ``jarzynski_histogram_sum``: the free energy summed over ``invert``'s
   histogram of G, with the error of independent bins, which the estimate
   c . G must equal and whose error the functional's must not exceed;
@@ -56,6 +60,7 @@ readable paths:
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import struct
@@ -67,7 +72,7 @@ import numpy as np
 from scipy import sparse
 from scipy.special import erf
 
-from chaowork import classical, geometry, potential, quantum, sampler, spectra
+from chaowork import classical, geometry, native, potential, quantum, sampler, spectra
 from chaowork.characteristic import (
     FAILURE_BUDGET,
     CharacteristicGrid,
@@ -347,7 +352,11 @@ def action_difference(
 
 
 def evaluate_whole(pot: QuenchPotential, q) -> np.ndarray:
-    """V at every row of an (n, 2) array in one pass of full-size temporaries."""
+    """V at every row of an (n, 2) array in one pass of full-size temporaries.
+
+    The row-major statement ``potential._bump_sum`` had before it formed its
+    temporaries along the rows: (rows, bumps) offsets and exponentials.
+    """
     q = np.asarray(q, dtype=float)
     dx = q[..., None, 0] - pot.centers[:, 0]
     dy = q[..., None, 1] - pot.centers[:, 1]
@@ -356,18 +365,44 @@ def evaluate_whole(pot: QuenchPotential, q) -> np.ndarray:
     return np.exp(-arg) @ pot.signs
 
 
-def request_sums(integrals, columns, coef, want_cov):
+def numpy_cos_sin(phases):
+    """numpy's cos and sin of an array of phases."""
+    return np.cos(phases), np.sin(phases)
+
+
+def engine_cos_sin(lib, phases):
+    """The cos and sin a compiled engine ``lib``'s ``phase_sums`` takes of
+    each phase of a 2-D array, read back one row at a time: the sums of one
+    good row are its own cos and sin (a sin of -0.0 reads +0.0, as it adds
+    into any sum that starts from +0.0)."""
+    phases = np.ascontiguousarray(phases, dtype=float)
+    rows, k = phases.shape
+    columns = np.arange(k, dtype=np.int64)
+    c, s = np.empty_like(phases), np.empty_like(phases)
+    for r in range(rows):
+        sums = np.zeros((4, k))
+        ok = lib.phase_sums(
+            1, k, native.pointer(phases[r]), k, native.pointer(columns, ctypes.c_int64), 1.0,
+            None, native.pointer(sums), None,
+        )
+        assert ok == 1
+        c[r], s[r] = sums[0], sums[1]
+    return c, s
+
+
+def request_sums(integrals, columns, coef, want_cov, cos_sin=numpy_cos_sin):
     """(sums, ok, failed, moment) of one request over every good row at once.
 
     ``moment`` is the (2k, 2k) second moment v.T @ v of the per-sample phase
-    vectors v = [cos; sin] when ``want_cov``, else None.
+    vectors v = [cos; sin] when ``want_cov``, else None.  ``cos_sin`` takes
+    the cos and sin of the good rows' phases: numpy's, or the engine's own
+    through ``engine_cos_sin``.
     """
     failed = np.isnan(integrals[:, columns[-1]])
     good = ~failed
     phases = integrals[np.ix_(good, columns)]
     phases *= coef
-    c = np.cos(phases)
-    s = np.sin(phases)
+    c, s = cos_sin(phases)
     if want_cov:
         v = np.concatenate([c, s], axis=1)
         moment = v.T @ v
@@ -665,6 +700,24 @@ def checkpoint_action_integrals_numpy(
 
 # Its sampler stream tag, disjoint from the program's own (sampler.STREAM_*).
 STREAM_SHELL = 2
+
+
+def sample_positions_rowwise(geom: BilliardGeometry, rng, n: int) -> np.ndarray:
+    """``sampler.sample_positions`` as it was stated on (m, 2) rows: the
+    proposals scaled in place, tested as rows and compressed with a row
+    mask.  The column-wise form must match it bit for bit."""
+    w, h = geom.bounding_box
+    out = np.empty((n, 2))
+    filled = 0
+    while filled < n:
+        props = rng.random((n - filled, 2))
+        props[:, 0] *= w
+        props[:, 1] *= h
+        good = geometry.contains_many(geom, props)
+        k = int(good.sum())
+        out[filled : filled + k] = props[good]
+        filled += k
+    return out
 
 
 def sample_shell(

@@ -14,7 +14,13 @@ from chaowork.characteristic import (
 )
 from chaowork.potential import QuenchPotential
 
-from reference import covariance_stderr, request_sums, shell_characteristic
+from reference import (
+    covariance_stderr,
+    engine_cos_sin,
+    numpy_cos_sin,
+    request_sums,
+    shell_characteristic,
+)
 
 BETA_COLD = 2.0**-12
 
@@ -23,6 +29,14 @@ def jarzynski_request(beta, plan, hbar=1.0):
     """A request carrying the Jarzynski functional at two bins of broadening."""
     [c] = analysis.jarzynski_functionals(plan, [beta], 2.0 * plan.dw)
     return Request(beta, plan, hbar, functional=c)
+
+
+def oracle_cos_sin():
+    """The cos and sin ``request_sums`` takes for the engine ``native.load``
+    gives: numpy's, whose bits glibc's sincos has, or on the four-lane path
+    the engine's own libmvec values."""
+    lib = native.load()
+    return numpy_cos_sin if lib.math_lanes() == 1 else lambda x: engine_cos_sin(lib, x)
 
 
 def chunk_sums(integrals, columns, coef, functional, block=None):
@@ -428,7 +442,9 @@ class TestSharedTraces:
 
 class TestChunkSums:
     """One traced chunk's sums: taken by the engine's phase_sums with the
-    bits of numpy's one-shot sums, in the memory the trace guard counts."""
+    bits of numpy's one-shot sums, in the memory the trace guard counts.
+    On the four-lane path the one-shot sums take the engine's own cos and
+    sin, so row order, -0.0 and sub-blocks are still held to the bit."""
 
     def test_sums_match_one_shot_sums(self, rng):
         rows, times = 2565, 40
@@ -443,7 +459,7 @@ class TestChunkSums:
         for functional in (None, c):
             for coef in (0.7, -1.9):
                 got = chunk_sums(integrals.copy(), columns, coef, functional)
-                ref = request_sums(integrals.copy(), columns, coef, True)
+                ref = request_sums(integrals.copy(), columns, coef, True, oracle_cos_sin())
                 assert got[1:3] == ref[1:3]
                 assert got[0].tobytes() == ref[0].tobytes()
                 if functional is None:
@@ -483,14 +499,14 @@ class TestChunkSums:
         # Whole, and in sub-blocks of 4 rows that leave a 3-row tail.
         for c, block in ((None, None), (functional, None), (None, 4), (functional, 4)):
             sums, ok, failed, f_moments = chunk_sums(integrals, columns, coef, c, block)
-            ref = request_sums(integrals, columns, coef, False)
+            ref = request_sums(integrals, columns, coef, False, oracle_cos_sin())
             assert (ok, failed) == (len(good), rows - len(good)) == ref[1:3]
             assert sums.tobytes() == ref[0].tobytes()
             if c is None or not good:
                 assert f_moments == (0, 0.0, 0.0)
             else:
                 phases = integrals[np.ix_(good, columns)] * coef
-                f = np.concatenate([np.cos(phases), np.sin(phases)], axis=1) @ c
+                f = np.concatenate(oracle_cos_sin()(phases), axis=1) @ c
                 assert f_moments[0] == len(good)
                 assert f_moments[1] == pytest.approx(f.mean(), rel=1e-12)
                 assert f_moments[2] == pytest.approx(np.var(f) * f.size, rel=1e-9, abs=1e-12)
@@ -506,10 +522,26 @@ class TestChunkSums:
         total = characteristic._Total(Request(1.0, UGridPlan(1.0, 2), 1.0, functional))
         for chunk in (integrals[:700], integrals[700:]):
             total.add(*chunk_sums(chunk.copy(), columns, 1.0, functional))
-        f = np.cos(integrals[:, 0])
+        f = oracle_cos_sin()(integrals[:, :1])[0][:, 0]
         assert total.f_moments[0] == rows
         assert total.f_moments[1] == pytest.approx(f.mean(), rel=1e-15)
         assert total.f_moments[2] == pytest.approx(((f - f.mean()) ** 2).sum(), rel=1e-9, abs=0.0)
+
+    def test_baseline_build_sums_have_the_numpy_bits(self, baseline, monkeypatch):
+        # The three tests above on the build without the four-lane path,
+        # whose glibc sincos gives numpy's cos and sin: the oracle takes
+        # numpy's, as it did before the engine took libmvec's.
+        monkeypatch.setattr(native, "load", lambda: baseline)
+        assert oracle_cos_sin() is numpy_cos_sin
+
+        def rng():
+            return np.random.default_rng(20240817)
+
+        self.test_sums_match_one_shot_sums(rng())
+        for case in self.GOOD_ROWS:
+            for coef in (0.7, -1.9):
+                self.test_engine_sums_have_the_numpy_bits(rng(), case, coef)
+        self.test_functional_error_of_a_narrow_spread(rng())
 
     def test_sub_blocks_keep_the_bits_of_one_trace(self, geom_mod, pot_mod, monkeypatch):
         # 2,085 rays, two sub-blocks and a 37-row tail, with a bounce cap

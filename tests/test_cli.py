@@ -7,6 +7,7 @@ import platform
 import shutil
 import subprocess
 import sys
+import textwrap
 import time
 from dataclasses import fields
 
@@ -175,6 +176,37 @@ class TestManifest:
         assert m["config_sha256"] == (
             "ea42350e652c08dc0b59b2d682126a57f3cd5b72892f20eb165212fdbfb047eb"
         )
+
+    def test_blas_threads_and_core_are_recorded(self):
+        # The quantum route's bytes depend on OpenBLAS's core and thread
+        # count, so the manifest names both, as OpenBLAS reports them.
+        code = """
+            import json
+            from chaowork import cli
+            print(json.dumps(cli.config_manifest(cli.validate_config(""), "quantum")["versions"]))
+        """
+        here = quantum.numpy_blas()
+        if here["blas_threads"] is None:
+            pytest.skip("numpy's BLAS exports no scipy-openblas thread count")
+        for threads in (1, 2):
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+            env["OPENBLAS_NUM_THREADS"] = str(threads)
+            argv = [sys.executable, "-c", textwrap.dedent(code)]
+            v = json.loads(subprocess.run(argv, env=env, capture_output=True, check=True).stdout)
+            assert v["blas_threads"] == threads
+            assert v["blas_config"] == here["blas_config"]
+            assert v["blas_config"].startswith("OpenBLAS ")
+
+    def test_blas_without_its_symbols_is_recorded_as_null(self, monkeypatch):
+        monkeypatch.setattr(quantum.ctypes, "CDLL", lambda path: object())
+        v = cli.config_manifest(validate_config(TINY), "semiclassical")["versions"]
+        assert (v["blas_threads"], v["blas_config"]) == (None, None)
+
+        def unloadable(path):
+            raise OSError(path)
+
+        monkeypatch.setattr(quantum.ctypes, "CDLL", unloadable)
+        assert quantum.numpy_blas() == {"blas_threads": None, "blas_config": None}
 
     def test_seed_is_recorded_only_where_it_is_read(self):
         # quantum reads no seed: a seed set in its file is listed as ignored,
@@ -655,8 +687,8 @@ class TestSubcommands:
                 {"hbar_list": "0.5,1.0", "broadening_bins": "0.25"},
                 "AliasingSuspect",
             ),
-            # The quadrature runs after the classical histogram is binned.
-            (["classical"], {}, "QuadratureNonConvergence"),
+            # The quadrature reference runs first and is refused, naming beta_list.
+            (["classical"], {}, "RangeError"),
         )
         for i, (command, overrides, error) in enumerate(cases):
             cfgp = tmp_path / f"c{i}.cfg"
@@ -670,6 +702,38 @@ class TestSubcommands:
                 # It names the keys that change the retained basis or the temperature.
                 for key in ("quantum_n_initial", "quantum_n_final", "quantum_h", "beta_list"):
                     assert key in payload["message"], key
+            if error == "RangeError":
+                assert payload["message"].startswith("beta_list: ")
+            run_dir = out / command[1] if command[0] == "scenario" else out
+            assert os.listdir(run_dir) == [], command
+
+    def test_unconverged_reference_refused_before_the_draw_and_trace(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A beta whose quadrature reference does not converge (beta = 100 on
+        # a plan fine enough for the broadening check) is refused, naming
+        # beta_list, before the classical draw or the trace runs.
+        def no_quadrature(geom, pot, beta):
+            raise classical.QuadratureNonConvergence(
+                "partition ratio did not converge to 1e-08 by 2048 nodes"
+            )
+
+        def never(*args, **kwargs):
+            raise AssertionError("the draw or the trace ran before the refusal")
+
+        monkeypatch.setattr(classical, "classical_free_energy_difference", no_quadrature)
+        monkeypatch.setattr(classical, "sample_classical_work", never)
+        monkeypatch.setattr(cli, "semiclassical_characteristic", never)
+        cfgp = tmp_path / "c.cfg"
+        cfgp.write_text(TINY)
+        for command in (["classical"], ["scenario", "fig3"], ["jarzynski"]):
+            out = tmp_path / command[-1]
+            rc = self.run_main([*command, "--config", str(cfgp), "--out", str(out)])
+            assert rc == 1, command
+            payload = json.loads(capsys.readouterr().err.strip())
+            assert payload["error"] == "RangeError", command
+            assert payload["message"].startswith("beta_list: beta = 0.00390625"), command
+            assert "2048 nodes" in payload["message"]
             run_dir = out / command[1] if command[0] == "scenario" else out
             assert os.listdir(run_dir) == [], command
 

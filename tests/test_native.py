@@ -12,6 +12,8 @@ import pytest
 
 from chaowork import characteristic, geometry, native, potential, sampler, trajectory
 
+from reference import engine_cos_sin
+
 SRC = os.path.dirname(native.PACKAGE_DIR)
 
 
@@ -269,33 +271,24 @@ def _cpu_has_avx2() -> bool:
     reason="libmvec's four-lane erf and exp are linked on x86_64 with glibc 2.35 or later",
 )
 def test_engine_maps_libmvec():
-    # The four-lane path runs wherever the CPU has AVX2, the scalar one elsewhere.
+    # The four-lane path runs wherever the CPU has AVX2, the scalar one
+    # elsewhere.  The engine names libmvec's four-lane cos and sin of
+    # phase_sums beside its erf and exp.
     code = """
         import sys
         from chaowork import native
-        assert native.load().math_lanes() == int(sys.argv[1])
+        lib = native.load()
+        assert lib.math_lanes() == int(sys.argv[1])
         with open("/proc/self/maps") as fh:
             assert "libmvec" in fh.read()
+        with open(lib._name, "rb") as fh:
+            image = fh.read()
+        for name in ("erf", "exp", "sin", "cos"):
+            assert f"_ZGVdN4v_{name}\\0".encode() in image, name
     """
     proc = python(code, "4" if _cpu_has_avx2() else "1", stderr=subprocess.PIPE)
     _, err = proc.communicate(timeout=300)
     assert proc.returncode == 0, err.decode()
-
-
-@pytest.fixture(scope="module")
-def baseline(tmp_path_factory):
-    """The engine source with its AVX2 path compiled out: the lane loop built
-    for the baseline target, with the scalar erf and exp."""
-    source = native._source().decode()
-    lines = source.splitlines(keepends=True)
-    gate = [i for i, line in enumerate(lines) if line.startswith("#if defined(__x86_64__)")]
-    assert len(gate) == 1
-    lines[gate[0]] = "#if 0\n"
-    target = str(tmp_path_factory.mktemp("baseline") / "_engine.baseline.so")
-    native.build(native.find_compiler(), "".join(lines).encode(), target)
-    lib = native.open_library(target)
-    assert lib.math_lanes() == 1
-    return lib
 
 
 def test_baseline_build_traces_the_same_rays(baseline, monkeypatch):
@@ -315,6 +308,28 @@ def test_baseline_build_traces_the_same_rays(baseline, monkeypatch):
     assert (counts.grazing, counts.corner) == (ref.grazing, ref.corner)
     assert np.array_equal(failed, want_failed)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("build", ["loaded", "baseline"])
+def test_phase_cos_and_sin_lie_within_4_ulp_of_numpy(baseline, build):
+    # phase_sums' cos and sin, read back from one row: glibc's sincos on the
+    # baseline build has numpy's bits; libmvec's four-lane cos and sin lie
+    # within a few units in the last place of them.  Phases span fig2's and
+    # fig3's, up to 1e5, with zeros of either sign and a short last group.
+    lib = baseline if build == "baseline" else native.load()
+    rng = np.random.default_rng(31)
+    x = np.concatenate([
+        [0.0, -0.0, np.pi / 2, np.pi, -np.pi / 4],
+        *(rng.uniform(-a, a, 20_000) for a in (1.0, 100.0, 1e5)),
+        rng.uniform(-1e-4, 1e-4, 3),
+    ])
+    c, s = engine_cos_sin(lib, x[None])
+    for got, want in ((c[0], np.cos(x)), (s[0], np.sin(x))):
+        if lib.math_lanes() == 1:
+            assert np.array_equal(got, want)
+        else:
+            assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+            assert not np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("bumps", [4, 3])

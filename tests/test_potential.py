@@ -69,6 +69,19 @@ class TestEvaluate:
             qs[-1] = qs[differs[0]]
         assert evaluate(pot, qs).tobytes() == evaluate_whole(pot, qs).tobytes()
 
+    @pytest.mark.parametrize("rows", [1, 2, 8191, 8192, 8193, 65537, 1_000_000])
+    def test_long_axis_keeps_the_bits_of_the_row_major_formula(self, pot, rng, rows):
+        # The offsets and exponentials are formed along the rows; the sum
+        # over the bumps sees the same C-ordered (rows, bumps) bytes.
+        qs = rng.random((rows, 2)) * [2.0, 1.0]
+        assert evaluate(pot, qs).tobytes() == evaluate_whole(pot, qs).tobytes()
+
+    def test_lone_point_keeps_the_bits_of_the_row_major_formula(self, pot, rng):
+        for q in rng.random((50, 2)) * [2.0, 1.0]:
+            got = evaluate(pot, q)
+            assert isinstance(got, float)
+            assert np.float64(got).tobytes() == np.float64(evaluate_whole(pot, q)).tobytes()
+
     def test_stacked_points_keep_their_shape(self, pot, rng):
         qs = rng.random((3, 5, 2))
         got = evaluate(pot, qs)

@@ -6,7 +6,7 @@ from scipy import stats
 
 from chaowork import geometry, sampler
 
-from reference import area, contains, phase_point, sample_shell
+from reference import area, contains, phase_point, sample_positions_rowwise, sample_shell
 
 
 def cell_area_exact(geom, x0, x1, y0, y1):
@@ -89,6 +89,39 @@ class TestSamplePosition:
         expected = n * areas[keep] / areas[keep].sum()
         _, pvalue = stats.chisquare(counts[keep], expected)
         assert pvalue > 0.001
+
+
+class TestColumnRejection:
+    """The rejection draw by columns keeps the bits and the stream of the
+    row-wise statement in ``tests/reference.py``."""
+
+    GEOMS = [geometry.BilliardGeometry(), geometry.BilliardGeometry(r=0.5, l=2.0)]
+
+    @pytest.mark.parametrize("g", GEOMS)
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, sampler.SAMPLE_BLOCK])
+    @pytest.mark.parametrize("seed", [1, 901, 5004])
+    def test_matches_the_row_wise_draw(self, g, n, seed):
+        rng, ref_rng = (sampler.block_generator(seed, sampler.STREAM_POSITION, 3) for _ in "ab")
+        got = sampler.sample_positions(g, rng, n)
+        assert got.tobytes() == sample_positions_rowwise(g, ref_rng, n).tobytes()
+        # Both read the same proposals from the stream.
+        assert rng.random() == ref_rng.random()
+
+    def test_a_first_round_that_rejects_everything(self, geom):
+        # One position whose first proposal falls outside: the round accepts
+        # nothing and the next round draws again.
+        w, h = geom.bounding_box
+        seed = next(
+            s
+            for s in range(1000)
+            if not geometry.contains_many(
+                geom, sampler.block_generator(s, 0, 0).random((1, 2)) * [w, h]
+            )[0]
+        )
+        got = sampler.sample_positions(geom, sampler.block_generator(seed, 0, 0), 1)
+        ref = sample_positions_rowwise(geom, sampler.block_generator(seed, 0, 0), 1)
+        assert got.tobytes() == ref.tobytes()
+        assert geometry.contains_many(geom, got).all()
 
 
 class TestSampleMomentum:
