@@ -24,11 +24,12 @@ def _bad_rows(report):
 
 # name: (argv, limit in MB, check of the report, config text or None for the command's defaults)
 CASES = {
-    # fig3-sweep's sizes: about 58 MB, its peak the Jarzynski average's one buffer beside W,
-    # drawn after the trace a block of positions at a time; 59 MB when W was held through
+    # fig3-sweep's sizes: about 53 MB with W drawn after the trace and every reader of it
+    # holding block-length temporaries (with PYTHONPATH relative or absolute); 58 MB when the
+    # Jarzynski average held one more array of W's length, 59 MB when W was held through
     # the trace, 72 MB when the draw held every position and V, 95 MB when every run
     # imported scipy, 105 with a whole-chunk phase covariance, 230 with full-size temporaries.
-    "scenario fig3": (["scenario", "fig3"], 65, None,
+    "scenario fig3": (["scenario", "fig3"], 60, None,
                       "beta_list = 2^-8, 2^-10, 2^-12\nhbar_list = 1\nn_samples = 16384\n"
                       "n_classical = 1000000\nworkers = 1\nseed = 7\n"),
     # sc-single's sizes; the peak is a pool worker tracing its chunk in sub-blocks of 1,024 x 256
@@ -53,9 +54,9 @@ CASES = {
     # Its own defaults (beta 0.3, quantum_h 0.04, the full spectrum) once exited 1.  The dense
     # solve at them: about 78 MB with syevd in place on H, 94 MB when numpy.linalg.eigh copied H.
     "quantum": (["quantum"], 90, None, None),
-    # The largest command, about 299 MB, mostly bin_spikes' temporaries of the sample's length;
-    # ROADMAP item 3 aims at 150 MB.
-    "classical": (["classical"], 360, None, None),
+    # Its 4 M samples: about 76 MB with W binned by gridded Gaussians a block at a time,
+    # 299 MB when bin_spikes formed temporaries of the sample's length for each bin offset.
+    "classical": (["classical"], 100, None, None),
 }
 
 _CHILD = """

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import spectra as spectra_mod
 from .characteristic import CharacteristicGrid, UGridPlan
+from .sampler import SAMPLE_BLOCK
 from .spectra import GridMismatch, WorkHistogram
 
 
@@ -28,31 +29,57 @@ class DegenerateMean(RuntimeError):
     """Nonpositive mean of exp(-beta W): impossible for real W, data corrupt."""
 
 
+def _pairwise_sum(n: int, leaf) -> float:
+    """numpy's pairwise sum of n terms, cut at leaves of at most SAMPLE_BLOCK
+    terms: ``leaf(lo, hi)`` is ``np.add.reduce`` of terms lo to hi.  Above
+    128 terms numpy splits at n2 = n // 2 - (n // 2) % 8 and adds the left
+    half's sum to the right half's, so the leaves' sums, combined up the same
+    tree onto 0.0, have the bits of ``np.add.reduce`` over all n terms."""
+
+    def tree(lo: int, m: int) -> float:
+        if m <= SAMPLE_BLOCK:
+            return float(leaf(lo, lo + m))
+        half = m // 2 - (m // 2) % 8
+        return tree(lo, half) + tree(lo + half, m - half)
+
+    return 0.0 + tree(0, n)
+
+
 def jarzynski_from_samples(values, beta: float) -> tuple[float, float]:
     """Free-energy estimate -ln<exp(-beta W)>/beta with delta-method stderr.
 
-    exp(-beta (W - min W)) and then its squared deviations from their mean
-    are taken in one buffer of the sample's length; the mean and the
-    standard deviation have the bits of numpy's ``mean`` and ``std(ddof=1)``.
+    exp(-beta (W - min W)) is formed one leaf of ``_pairwise_sum`` at a time
+    in a buffer of at most SAMPLE_BLOCK terms, and formed again for its
+    squared deviations from their mean, so nothing of the sample's length is
+    held beside W.  The mean and the standard deviation have the bits of
+    numpy's ``mean`` and ``std(ddof=1)`` over the whole array of terms.
     """
     values = np.asarray(values, dtype=float)
-    if values.size == 0:
+    n = values.size
+    if n == 0:
         raise ValueError("need at least one work sample")
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     # Shift by the minimum for overflow safety; the shift cancels in the log.
     shift = values.min()
-    buf = np.subtract(values, shift)
-    buf *= -beta
-    np.exp(buf, out=buf)
-    mean = float(buf.mean())
+    buf = np.empty(min(n, SAMPLE_BLOCK))
+
+    def terms(lo: int, hi: int) -> np.ndarray:
+        b = np.subtract(values[lo:hi], shift, out=buf[: hi - lo])
+        b *= -beta
+        return np.exp(b, out=b)
+
+    mean = _pairwise_sum(n, lambda lo, hi: np.add.reduce(terms(lo, hi))) / n
     if mean <= 0.0:
         raise DegenerateMean(f"mean exp(-beta W) = {mean}")
     est = shift - math.log(mean) / beta
-    if values.size > 1:
+    if n > 1:
         # numpy's std: the squares of the deviations from the mean, summed.
-        np.square(np.subtract(buf, mean, out=buf), out=buf)
-        se_mean = math.sqrt(float(buf.sum()) / (values.size - 1)) / math.sqrt(values.size)
+        def squares(lo: int, hi: int) -> float:
+            b = np.subtract(terms(lo, hi), mean, out=buf[: hi - lo])
+            return np.add.reduce(np.square(b, out=b))
+
+        se_mean = math.sqrt(_pairwise_sum(n, squares) / (n - 1)) / math.sqrt(n)
     else:
         se_mean = 0.0
     return est, se_mean / (beta * mean)

@@ -26,6 +26,8 @@ from . import geometry
 from .geometry import BilliardGeometry
 
 SAMPLE_BLOCK = 65536
+# (x, y) proposal pairs a rejection round tests at once.
+PROPOSAL_PIECE = 8192
 
 # Stream tags keep different draw purposes on disjoint substreams.
 STREAM_POSITION = 0
@@ -74,10 +76,12 @@ def sample_positions(
 ) -> np.ndarray:
     """n positions uniform over the billiard, by bounding-box rejection.
 
-    Each round draws its proposals as one (m, 2) array of uniforms, so the
-    stream is read in (x, y) pairs; x and y are then scaled, tested and
-    compressed as two contiguous columns, and the accepted pairs fill the
-    next rows in order.
+    Each round proposes as many points as are still missing.  It reads them
+    from the stream in pieces of PROPOSAL_PIECE (x, y) pairs, the stream an
+    (m, 2) array of uniforms would take; each piece's x and y are scaled,
+    tested and compressed as two contiguous columns, and its accepted pairs
+    fill the next rows in order.  So a round holds no temporary longer than
+    a piece, and the draw has the bits of one (m, 2) read per round.
     """
     w, h = geom.bounding_box
     out = np.empty((n, 2))
@@ -85,23 +89,22 @@ def sample_positions(
     rounds_without_progress = 0
     while filled < n:
         m = n - filled
-        props = rng.random((m, 2))
-        x = props[:, 0] * w
-        y = props[:, 1] * h
-        good = geometry.contains_xy(geom, x, y)
-        x = x[good]
-        k = x.size
-        if k == 0:
-            rounds_without_progress += 1
-            if rounds_without_progress * m >= _MAX_PROPOSALS:
-                raise RejectionStall(
-                    f"no acceptance in {rounds_without_progress * m} proposals"
-                )
+        for lo in range(0, m, PROPOSAL_PIECE):
+            props = rng.random((min(PROPOSAL_PIECE, m - lo), 2))
+            x = props[:, 0] * w
+            y = props[:, 1] * h
+            good = geometry.contains_xy(geom, x, y)
+            x = x[good]
+            k = x.size
+            out[filled : filled + k, 0] = x
+            out[filled : filled + k, 1] = y[good]
+            filled += k
+        if filled > n - m:
+            rounds_without_progress = 0
             continue
-        rounds_without_progress = 0
-        out[filled : filled + k, 0] = x
-        out[filled : filled + k, 1] = y[good]
-        filled += k
+        rounds_without_progress += 1
+        if rounds_without_progress * m >= _MAX_PROPOSALS:
+            raise RejectionStall(f"no acceptance in {rounds_without_progress * m} proposals")
     return out
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .characteristic import CharacteristicGrid, UGridPlan
+from .sampler import SAMPLE_BLOCK
 
 logger = logging.getLogger(__name__)
 
@@ -166,6 +167,14 @@ def bin_spikes(
     ``plan.dw``, and each carries its standard error.  Weighted point masses
     (an exact spectrum) take the other route: their characteristic function
     through ``invert``.
+
+    The Gaussians are gridded fast (Greengard & Lee, SIAM Review 2004),
+    ``SAMPLE_BLOCK`` samples at a time, so that every temporary has block
+    length.  Each sample takes four exp: its Gaussian at the two nearest
+    bins and, in each direction away from it, the ratio of the next bin's
+    Gaussian to that bin's.  Moving on by one bin multiplies the Gaussian by
+    the ratio and the ratio by exp(-d^2), d = dw / eps; every ratio is at
+    most 1, so nothing overflows at any eps.
     """
     samples = np.asarray(samples, dtype=float).ravel()
     n = samples.size
@@ -175,20 +184,40 @@ def bin_spikes(
     eps = float(broadening)
     if not eps > 0.0:
         raise ValueError(f"broadening must be positive, got {broadening}")
+    if n == 0:
+        raise ValueError("need at least one sample")
     density = np.zeros(n_bins)
     sumsq = np.zeros(n_bins)
     halfwidth = int(math.ceil(8.0 * eps / dw))
-    base = np.floor((samples - w_values[0]) / dw).astype(np.intp)
-    norm = 1.0 / (eps * math.sqrt(2.0 * math.pi))
-    for off in range(-halfwidth, halfwidth + 2):
-        j = base + off
-        ok = (j >= 0) & (j < n_bins)
-        if not ok.any():
-            continue
-        z = (w_values[j[ok]] - samples[ok]) / eps
-        contrib = (1.0 / n) * norm * np.exp(-0.5 * z * z)
-        density += np.bincount(j[ok], weights=contrib, minlength=n_bins)
-        sumsq += np.bincount(j[ok], weights=contrib * contrib, minlength=n_bins)
+    d = dw / eps
+    step = math.exp(-d * d)
+    weight = (1.0 / n) / (eps * math.sqrt(2.0 * math.pi))
+    # A sample in bin b (b = floor((w - w_0) / dw)) feeds bins b - halfwidth
+    # through b + halfwidth + 1; the bincounts index it by b + halfwidth + 1.
+    length = n_bins + 2 * halfwidth + 1
+    for lo in range(0, n, SAMPLE_BLOCK):
+        s = samples[lo : lo + SAMPLE_BLOCK]
+        base = np.floor((s - w_values[0]) / dw)
+        near = (base >= -halfwidth - 1) & (base < n_bins + halfwidth)
+        if not near.all():
+            s, base = s[near], base[near]
+        at = (base + (halfwidth + 1)).astype(np.intp)
+        sq = np.empty(s.size)
+        # Bins b, b - 1, ... with the ratio leftward; b + 1, b + 2, ... rightward.
+        for first, toward in ((0, -1), (1, 1)):
+            # The bin's center by the formula of plan.w_values.
+            z = (plan.w_center + (base + (first - (plan.n - 1))) * dw - s) / eps
+            g = np.exp(-0.5 * z * z)
+            g *= weight
+            ratio = np.exp(-toward * d * z - 0.5 * d * d)
+            for off in range(first, first + toward * (halfwidth + 1), toward):
+                if off != first:
+                    g *= ratio
+                    ratio *= step
+                skip = halfwidth + 1 - off
+                density += np.bincount(at, g, length)[skip : skip + n_bins]
+                np.multiply(g, g, out=sq)
+                sumsq += np.bincount(at, sq, length)[skip : skip + n_bins]
     # density is the sample mean of per-sample kernels phi_s (weights 1/n),
     # so se^2 = (n * sum(contrib^2) - density^2) / (n - 1).
     var = np.maximum(sumsq * n - density * density, 0.0) / max(n - 1, 1)

@@ -48,6 +48,9 @@ readable paths:
 - ``sparse_hamiltonians``: H(xi_0) and H(xi_f) as scipy CSR matrices,
   whose dense form, products with a block of vectors and |H| row sums the
   5-point ``quantum.Stencil`` must match bit for bit;
+- ``bin_spikes_per_offset``: Monte Carlo samples binned with one exp per
+  sample and bin offset, the statement ``spectra.bin_spikes``' gridded
+  Gaussians must match within rounding;
 - ``bin_weighted_spikes`` and ``quantum_spike_density``: the quantum work
   distribution binned straight from its weighted spikes, the direct route
   that ``invert`` of the exact quantum G is checked against;
@@ -978,6 +981,35 @@ def bin_weighted_spikes(
         contrib = masses[ok] * norm * np.exp(-0.5 * z * z)
         density += np.bincount(j[ok], weights=contrib, minlength=n_bins)
     return density
+
+
+def bin_spikes_per_offset(samples, plan: UGridPlan, broadening: float) -> WorkHistogram:
+    """``spectra.bin_spikes`` as it was stated before its Gaussians were
+    gridded: one exp per sample and bin offset, over the whole sample at
+    once, each Gaussian taken from the bin's own center.  The gridded form
+    must match it within rounding."""
+    samples = np.asarray(samples, dtype=float).ravel()
+    n = samples.size
+    w_values = plan.w_values
+    n_bins = w_values.size
+    dw = plan.dw
+    eps = float(broadening)
+    density = np.zeros(n_bins)
+    sumsq = np.zeros(n_bins)
+    halfwidth = int(math.ceil(8.0 * eps / dw))
+    base = np.floor((samples - w_values[0]) / dw).astype(np.intp)
+    norm = 1.0 / (eps * math.sqrt(2.0 * math.pi))
+    for off in range(-halfwidth, halfwidth + 2):
+        j = base + off
+        ok = (j >= 0) & (j < n_bins)
+        if not ok.any():
+            continue
+        z = (w_values[j[ok]] - samples[ok]) / eps
+        contrib = (1.0 / n) * norm * np.exp(-0.5 * z * z)
+        density += np.bincount(j[ok], weights=contrib, minlength=n_bins)
+        sumsq += np.bincount(j[ok], weights=contrib * contrib, minlength=n_bins)
+    var = np.maximum(sumsq * n - density * density, 0.0) / max(n - 1, 1)
+    return WorkHistogram(w_values, density, np.sqrt(var), dw, eps, float(density.sum() * dw))
 
 
 def quantum_spike_density(

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,10 +64,15 @@ class TestJarzynskiFromSamples:
         with pytest.raises(ValueError):
             jarzynski_from_samples(np.array([]), 1.0)
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 1001, 65537])
+    # Around numpy's 128-term pairwise block and the SAMPLE_BLOCK leaves:
+    # 131,072 terms make two whole leaves, 131,089 four leaves of 32,768 to
+    # 32,777 terms, and 1,000,003 sixteen of 62,496 to 62,507.
+    @pytest.mark.parametrize(
+        "n", [1, 2, 7, 127, 128, 129, 1001, 65535, 65536, 65537, 131072, 131089, 1_000_003]
+    )
     @pytest.mark.parametrize("beta", [2.0**-12, 0.3, 100.0])
     def test_bits_of_the_numpy_formula(self, rng, n, beta):
-        # The estimate in one buffer against numpy's mean and std(ddof=1)
+        # The estimate a leaf at a time against numpy's mean and std(ddof=1)
         # over a separate array of exp(-beta (W - min W)).
         w = 40.0 * rng.standard_normal(n) - 5.0
         expw = np.exp(-beta * (w - w.min()))
@@ -74,6 +80,18 @@ class TestJarzynskiFromSamples:
         se = float(expw.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
         ref = (w.min() - math.log(mean) / beta, se / (beta * mean))
         assert jarzynski_from_samples(w, beta) == ref
+
+    def test_million_samples_in_bounded_memory(self, rng):
+        # One SAMPLE_BLOCK buffer (0.5 MB) beside W; 8 MB more when the
+        # terms were formed over the whole sample at once.
+        w = rng.normal(size=1_000_000)
+        tracemalloc.start()
+        try:
+            jarzynski_from_samples(w, 0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 def exact_grid(plan, g_values, beta, eps):

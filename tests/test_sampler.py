@@ -98,13 +98,23 @@ class TestColumnRejection:
     GEOMS = [geometry.BilliardGeometry(), geometry.BilliardGeometry(r=0.5, l=2.0)]
 
     @pytest.mark.parametrize("g", GEOMS)
-    @pytest.mark.parametrize("n", [1, 2, 7, 1000, sampler.SAMPLE_BLOCK])
+    @pytest.mark.parametrize(
+        "n", [1, 2, 7, 1000, sampler.PROPOSAL_PIECE + 1, 3 * sampler.PROPOSAL_PIECE, sampler.SAMPLE_BLOCK]
+    )
     @pytest.mark.parametrize("seed", [1, 901, 5004])
     def test_matches_the_row_wise_draw(self, g, n, seed):
         rng, ref_rng = (sampler.block_generator(seed, sampler.STREAM_POSITION, 3) for _ in "ab")
         got = sampler.sample_positions(g, rng, n)
         assert got.tobytes() == sample_positions_rowwise(g, ref_rng, n).tobytes()
         # Both read the same proposals from the stream.
+        assert rng.random() == ref_rng.random()
+
+    def test_a_million_positions_read_in_pieces(self, geom):
+        # The first round reads 123 pieces, the last of 579 pairs; later
+        # rounds read what is still missing, again in pieces.
+        rng, ref_rng = (sampler.block_generator(11, sampler.STREAM_POSITION, 0) for _ in "ab")
+        got = sampler.sample_positions(geom, rng, 1_000_003)
+        assert got.tobytes() == sample_positions_rowwise(geom, ref_rng, 1_000_003).tobytes()
         assert rng.random() == ref_rng.random()
 
     def test_a_first_round_that_rejects_everything(self, geom):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from chaowork.potential import evaluate
 from chaowork.spectra import AliasingSuspect, bin_spikes, invert
 
 from reference import (
+    bin_spikes_per_offset,
     bin_weighted_spikes,
     dense_functional_coefficients,
     dense_invert,
@@ -175,6 +177,37 @@ class TestBinSpikes:
         assert np.argmax(dens) == 40
         assert np.array_equal(err, np.zeros_like(dens))
 
+    @pytest.mark.parametrize(
+        "n, eps_bins",
+        [(n, e) for n in (1, 65535, 65536, 65537) for e in (0.05, 2.0, 16.0)]
+        + [(1_000_001, 0.05), (1_000_001, 2.0)],
+    )
+    def test_gridding_matches_the_per_offset_oracle(self, plan, n, eps_bins):
+        # Samples spread past both ends of the window, so that blocks hold
+        # samples whose kernels are cut by an edge or miss the window.
+        w = plan.w_values
+        samples = np.random.default_rng(n).uniform(w[0] - 20.0 * plan.dw, w[-1] + 20.0 * plan.dw, n)
+        eps = eps_bins * plan.dw
+        h = bin_spikes(samples, plan, eps)
+        ref = bin_spikes_per_offset(samples, plan, eps)
+        assert np.isfinite(h.density).all() and np.isfinite(h.error).all()
+        peak = ref.density.max()
+        assert np.abs(h.density - ref.density).max() <= 1e-12 * peak
+        assert np.abs(h.error - ref.error).max() <= 1e-12 * peak
+
+    def test_million_samples_in_bounded_memory(self, plan):
+        # One block's temporaries: 4.8 MB (65,536 doubles are 0.5 MB); 196 MB
+        # at 4 M samples with temporaries of the sample's length for every
+        # bin offset.
+        samples = np.random.default_rng(3).normal(0.0, 3.0, 1_000_000)
+        tracemalloc.start()
+        try:
+            bin_spikes(samples, plan, 2.0 * plan.dw)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
     def test_matches_inversion_route(self, plan, onesided, rng, unguarded):
         # Spikes binned directly vs the characteristic-function route: equal
         # weights through bin_spikes, random weights through the oracle.
@@ -211,6 +244,10 @@ class TestBinSpikes:
         for eps in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError, match="broadening"):
                 bin_spikes(np.array([plan.w_values[10]]), plan, eps)
+
+    def test_no_samples_refused(self, plan):
+        with pytest.raises(ValueError, match="at least one sample"):
+            bin_spikes(np.array([]), plan, 2.0 * plan.dw)
 
     def test_sample_errors_returned(self, plan, rng):
         dw = plan.dw
