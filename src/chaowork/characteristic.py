@@ -83,6 +83,17 @@ def physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def require_memory(need: float, what: str) -> None:
+    """Refuse ``what`` with InsufficientMemory when the ``need`` bytes it holds
+    exceed physical memory: the package's one memory check."""
+    have = physical_memory()
+    if need > have:
+        raise InsufficientMemory(
+            f"{what} needs about {need / 1e9:.1f} GB, more than the {have / 1e9:.1f} GB of"
+            " physical memory"
+        )
+
+
 @dataclass(frozen=True)
 class UGridPlan:
     """One-sided uniform u grid u_k = k * du, k = 0 .. n-1, and its dual work
@@ -288,14 +299,11 @@ def check_trace_memory(
     rows = min(chunk_size, n_rows)
     chunk = _chunk_bytes(rows, n_times, n_functionals)
     # Per request, the total and each held chunk's (4, k) sums.
-    need = in_flight * chunk + 8 * (1 + window) * 4 * sum(u_points)
-    have = physical_memory()
-    if need > have:
-        raise InsufficientMemory(
-            f"tracing {in_flight} chunks of {rows} rays at once through {n_times}"
-            f" checkpoint times and summing {len(u_points)} requests needs about"
-            f" {need / 1e9:.1f} GB, more than the {have / 1e9:.1f} GB of physical memory"
-        )
+    require_memory(
+        in_flight * chunk + 8 * (1 + window) * 4 * sum(u_points),
+        f"tracing {in_flight} chunks of {rows} rays at once through {n_times} checkpoint"
+        f" times and summing {len(u_points)} requests",
+    )
 
 
 def _chunk_phase_sums(args):

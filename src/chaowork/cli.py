@@ -37,9 +37,9 @@ from .characteristic import (
     InsufficientMemory,
     Request,
     check_trace_memory,
-    physical_memory,
     plan_from_window,
     plan_u_grid,
+    require_memory,
     semiclassical_characteristic,
 )
 from .geometry import BilliardGeometry
@@ -455,19 +455,41 @@ def _broadening(cfg, plan):
 _INVERSION_ARRAYS = 16  # float64 (2 u_points - 1)-arrays; invert's peak: 10.5-11.5
 
 
-def _check_inversion(cfg):
-    """Refuse, before any work, a u_points whose inversion would not fit in memory."""
-    need, have = _INVERSION_ARRAYS * 8 * (2 * cfg.u_points - 1), physical_memory()
-    if need > have:
-        raise InsufficientMemory(
-            f"u_points = {cfg.u_points}: inverting G needs about {need / 1e9:.1f} GB, more than"
-            f" the {have / 1e9:.1f} GB of physical memory; lower u_points"
-        )
+@contextlib.contextmanager
+def _keys(advice: str):
+    """A memory refusal raised inside, followed by ``advice``: the keys that shrink it."""
+    try:
+        yield
+    except InsufficientMemory as exc:
+        raise InsufficientMemory(f"{exc}; {advice}") from None
 
 
-def _plan(cfg, geom, pot):
-    """The pilot u plan on u_points, whose inversion is checked to fit in memory."""
-    _check_inversion(cfg)
+# Per key: the doubles a run holds at its value v on a W grid of ``bins``
+# bins, what holds them (the ensemble: positions and momenta; binning: one
+# bincount of W's histogram, its bins and both kernel tails) and the keys
+# that shrink them.
+_SIZES = {
+    "u_points": (lambda v, bins: _INVERSION_ARRAYS * bins, "inverting G", "u_points"),
+    "n_samples": (lambda v, bins: 4 * v, "the ensemble", "n_samples"),
+    "n_classical": (lambda v, bins: v, "the work sample", "n_classical"),
+    "broadening_bins": (lambda v, bins: bins + 2 * math.ceil(8 * v) + 1, "binning W",
+                        "broadening_bins or u_points"),
+}
+
+
+def _check_memory(cfg, *keys):
+    """Refuse, before any work, a run whose inversion, or an array one of
+    ``keys`` sizes, would not fit in memory."""
+    for key in ("u_points", *keys):
+        doubles, what, shrink = _SIZES[key]
+        value = getattr(cfg, key)
+        with _keys(f"lower {shrink}"):
+            require_memory(8 * doubles(value, 2 * cfg.u_points - 1), f"{key} = {value}: {what}")
+
+
+def _plan(cfg, geom, pot, *keys):
+    """The pilot u plan on u_points, after ``_check_memory(cfg, *keys)``."""
+    _check_memory(cfg, *keys)
     return plan_u_grid(geom, pot, cfg.seed, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
 
 
@@ -500,45 +522,35 @@ _QUANTUM_G_ARRAYS = 6
 
 def _solve_quench(cfg, geom, pot, hbar):
     """Quantum spectra on the configured grid; a state count of 0 keeps all.
-    A u_points whose exact G(u) would not fit in memory is refused first."""
-    sites = quantum.build_grid(geom, cfg.quantum_h).n_sites
-    n = max(cfg.quantum_n_initial or sites, cfg.quantum_n_final or sites)
-    need, have = _QUANTUM_G_ARRAYS * 8 * cfg.u_points * n, physical_memory()
-    if need > have:
-        raise InsufficientMemory(
-            f"u_points = {cfg.u_points}: the exact G(u) over {n} states at quantum_h ="
-            f" {cfg.quantum_h:g} needs about {need / 1e9:.1f} GB, more than the"
-            f" {have / 1e9:.1f} GB of physical memory; lower u_points, raise quantum_h, or"
-            " set quantum_n_initial and quantum_n_final to keep fewer states"
-        )
-    n0 = cfg.quantum_n_initial or None
-    nf = cfg.quantum_n_final or None
+    A quantum_h with too few lattice sites, a state count above them and a
+    u_points whose exact G(u) would not fit in memory are refused first."""
+    h = cfg.quantum_h
     try:
-        return quantum.solve_quench(geom, pot, hbar, cfg.quantum_h, n0, nf)
-    except quantum.TooManyStates as exc:
-        raise RangeError(f"quantum_{exc.count}", f"{exc} at quantum_h = {cfg.quantum_h:g}") from None
-    except InsufficientMemory as exc:
-        raise InsufficientMemory(
-            f"quantum_h = {cfg.quantum_h:g}: {exc}; raise quantum_h, or set quantum_n_initial"
-            " and quantum_n_final to keep part of the spectrum"
-        ) from None
+        sites = quantum.build_grid(geom, h).n_sites
+    except quantum.GridTooCoarse as exc:
+        raise RangeError("quantum_h", f"{exc}; lower quantum_h") from None
+    for key in ("quantum_n_initial", "quantum_n_final"):
+        if getattr(cfg, key) > sites:
+            states = f"{getattr(cfg, key)} states from dimension {sites}"
+            raise RangeError(key, f"requested {states} at quantum_h = {h:g}")
+    n0, nf = cfg.quantum_n_initial or sites, cfg.quantum_n_final or sites
+    n, u = max(n0, nf), cfg.u_points
+    fewer = "or set quantum_n_initial and quantum_n_final to keep fewer states"
+    with _keys(f"lower u_points, raise quantum_h, {fewer}"):
+        what = f"u_points = {u}: the exact G(u) over {n} states at quantum_h = {h:g}"
+        require_memory(_QUANTUM_G_ARRAYS * 8 * u * n, what)
+    with _keys(f"raise quantum_h from {h:g}, {fewer}"):
+        return quantum.solve_quench(geom, pot, hbar, h, n0, nf)
 
 
-@contextlib.contextmanager
-def _trace_keys():
-    """A trace's memory refusal, with the keys that shrink it."""
-    try:
-        yield
-    except InsufficientMemory as exc:
-        raise InsufficientMemory(
-            f"{exc}; lower u_points or workers, or sweep fewer beta_list or hbar_list entries"
-        ) from None
+# The keys that shrink a trace's memory.
+_TRACE_KEYS = "lower u_points or workers, or sweep fewer beta_list or hbar_list entries"
 
 
 def _semiclassical_grids(cfg, geom, pot, requests):
     """Every request in one engine call on the run's ensemble, so all share one trace."""
     ens = sampler.sample_ensemble(geom, cfg.n_samples, cfg.seed)
-    with _trace_keys():
+    with _keys(_TRACE_KEYS):
         grids = semiclassical_characteristic(
             ens, requests, geom, pot, workers=cfg.resolved_workers(), max_bounces=cfg.max_bounces
         )
@@ -571,7 +583,7 @@ def run_semiclassical(cfg: RunConfig, out: _Output) -> None:
     """One (beta, hbar): semiclassical G(u) and its inverted work distribution."""
     [beta], [hbar] = cfg.beta_list, cfg.hbar_list
     geom, pot = cfg.geometry(), cfg.potential()
-    plan = _plan(cfg, geom, pot)
+    plan = _plan(cfg, geom, pot, "n_samples")
     ens, [grid] = _semiclassical_grids(cfg, geom, pot, [Request(beta, plan, hbar)])
     hist = spectra.invert(grid, broadening=_broadening(cfg, plan))
     if cfg.dump_ensemble:
@@ -584,7 +596,7 @@ def run_classical(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
     """One beta: classical work sample, its histogram and the free energy."""
     [beta] = cfg.beta_list
     geom, pot = cfg.geometry(), cfg.potential()
-    plan = _plan(cfg, geom, pot)
+    plan = _plan(cfg, geom, pot, "n_classical", "broadening_bins")
     [ref] = _references(geom, pot, [beta])
     sample, hist = _classical_histogram(cfg, geom, pot, plan, beta)
     est, se = analysis.jarzynski_from_samples(sample.values, beta)
@@ -607,9 +619,9 @@ def run_quantum(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
     """One (beta, hbar): grid spectra, quantum P(W), G(u) and the free-energy identity."""
     [beta], [hbar] = cfg.beta_list, cfg.hbar_list
     geom, pot = cfg.geometry(), cfg.potential()
-    _check_inversion(cfg)
+    _check_memory(cfg)
     spec = _solve_quench(cfg, geom, pot, hbar)
-    lo, hi = quantum.spike_support(spec, beta, mass_tol=1e-10)
+    lo, hi = quantum.spike_support(spec, beta)
     plan = plan_from_window(lo, hi, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
     # Truncation and aliasing both raise here, before any file is written.
     try:
@@ -637,7 +649,7 @@ def run_fig4(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
     """Classical-limit sweep: fixed beta, shrinking hbar, L1 against classical."""
     [beta], hbars = cfg.beta_list, cfg.hbar_list
     geom, pot = cfg.geometry(), cfg.potential()
-    plan = _plan(cfg, geom, pot)
+    plan = _plan(cfg, geom, pot, "n_classical", "broadening_bins", "n_samples")
 
     _, clhist = _classical_histogram(cfg, geom, pot, plan, beta)
     ens, grids = _semiclassical_grids(cfg, geom, pot, [Request(beta, plan, h) for h in hbars])
@@ -659,7 +671,7 @@ def run_fig3(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
     """Free-energy sweep: quadrature reference vs classical MC vs semiclassical."""
     betas, [hbar] = cfg.beta_list, cfg.hbar_list
     geom, pot = cfg.geometry(), cfg.potential()
-    plan = _plan(cfg, geom, pot)
+    plan = _plan(cfg, geom, pot, "n_samples", "n_classical")
     eps = _broadening(cfg, plan)
     _check_broadening_correction(cfg, plan, betas, eps)
     refs = _references(geom, pot, betas)
@@ -687,10 +699,10 @@ def run_fig2(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
     """Quantum vs semiclassical work distributions across temperatures."""
     betas, [hbar] = cfg.beta_list, cfg.hbar_list
     geom, pot = cfg.geometry(), cfg.potential()
-    w_all = _plan(cfg, geom, pot).w_values
+    w_all = _plan(cfg, geom, pot, "n_samples").w_values
     # Each beta's plan waits for the solve, but the trace is bounded before
     # it: u_points times per beta, the first, 0, shared by all.
-    with _trace_keys():
+    with _keys(_TRACE_KEYS):
         u_points = [cfg.u_points] * len(betas)
         n_times = 1 + len(betas) * (cfg.u_points - 1)
         check_trace_memory(cfg.n_samples, n_times, u_points, 0, cfg.resolved_workers())
@@ -700,7 +712,7 @@ def run_fig2(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
     for beta in betas:
         try:
             quantum.check_truncation(spec.e0, beta)
-            lo_q, hi_q = quantum.spike_support(spec, beta, mass_tol=1e-10)
+            lo_q, hi_q = quantum.spike_support(spec, beta)
         except quantum.TruncationDominates:
             lo_q, hi_q = w_all[0], w_all[-1]
         lo, hi = min(w_all[0], lo_q), max(w_all[-1], hi_q)

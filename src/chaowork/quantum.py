@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .characteristic import CharacteristicGrid, InsufficientMemory, UGridPlan, physical_memory
+from .characteristic import CharacteristicGrid, UGridPlan, require_memory
 from .geometry import BilliardGeometry
 from .potential import QuenchPotential, evaluate
 
@@ -54,14 +54,6 @@ class TruncationDominates(RuntimeError):
     """The retained basis is too small for this temperature."""
 
 
-class TooManyStates(ValueError):
-    """More states requested than the grid has sites; ``count`` names the argument."""
-
-    def __init__(self, count: str, requested: int, dim: int):
-        self.count = count
-        super().__init__(f"requested {requested} states from dimension {dim}")
-
-
 # n x n float64 arrays the dense path can hold at once: while H(xi_f) is
 # solved, the first eigenvector block, the dense H (which syevd overwrites
 # with its eigenvectors) and syevd's workspace of two; then the residual and
@@ -75,30 +67,30 @@ RESIDUAL_TOL = 1e-8
 ORTHO_TOL = 1e-10
 # Most Boltzmann weight the top decile of retained states may carry.
 TRUNCATION_THRESHOLD = 0.01
+# Work-spike mass ``spike_support`` leaves outside its range at each end.
+SPIKE_MASS_TOL = 1e-10
 
 
-def _numpy_dsyevd():
-    """LAPACKE's ``dsyevd`` from the OpenBLAS numpy links, or None.
-
-    numpy's wheels bundle scipy-openblas built with 64-bit integers, whose
-    LAPACKE exports ``scipy_LAPACKE_dsyevd64_``, a wrapper of the same
-    ``dsyevd`` that ``numpy.linalg.eigh`` calls.  A numpy linked to another
-    LAPACK has no such symbol.
-    """
+def _numpy_openblas():
+    """The library numpy's linear algebra links, or None where it cannot be
+    opened: in numpy's wheels, scipy-openblas built with 64-bit integers."""
     from numpy.linalg import _umath_linalg
 
     try:
-        fn = ctypes.CDLL(_umath_linalg.__file__).scipy_LAPACKE_dsyevd64_
-    except (OSError, AttributeError):
+        return ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
         return None
+
+
+_OPENBLAS = _numpy_openblas()
+# LAPACKE's wrapper of the ``dsyevd`` that ``numpy.linalg.eigh`` calls; None
+# where numpy links another LAPACK.
+_DSYEVD = getattr(_OPENBLAS, "scipy_LAPACKE_dsyevd64_", None)
+if _DSYEVD is not None:
     # (layout, jobz, uplo, n, a, lda, w) -> info
-    fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
-                   ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
-    fn.restype = ctypes.c_int64
-    return fn
-
-
-_DSYEVD = _numpy_dsyevd()
+    _DSYEVD.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
+                        ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+    _DSYEVD.restype = ctypes.c_int64
 _LAPACK_COL_MAJOR = 102
 
 
@@ -108,21 +100,15 @@ def numpy_blas() -> dict:
     The dense eigensolve's bits depend on both: the same H gave other
     eigenvalue and eigenvector bytes on 1 and on 2 OpenBLAS threads.  They
     are read from scipy-openblas's ``scipy_openblas_get_num_threads64_`` and
-    ``scipy_openblas_get_config64_``, resolved as ``_DSYEVD`` is; each is
-    None where its symbol is absent.
+    ``scipy_openblas_get_config64_`` in ``_OPENBLAS``; each is None where
+    its symbol is absent.
     """
-    from numpy.linalg import _umath_linalg
-
     found = {"blas_threads": None, "blas_config": None}
-    try:
-        lib = ctypes.CDLL(_umath_linalg.__file__)
-    except OSError:
-        return found
     for key, name, restype in (
         ("blas_threads", "scipy_openblas_get_num_threads64_", ctypes.c_int),
         ("blas_config", "scipy_openblas_get_config64_", ctypes.c_char_p),
     ):
-        fn = getattr(lib, name, None)
+        fn = getattr(_OPENBLAS, name, None)
         if fn is not None:
             fn.argtypes, fn.restype = [], restype
             value = fn()
@@ -314,14 +300,7 @@ def eigensolve(
         raise ValueError(f"requested {n_states} states from dimension {dim}")
     row_sums = ham.abs_row_sums()
     if n_states == dim:
-        need = _DENSE_ARRAYS * 8 * dim * dim
-        have = physical_memory()
-        if need > have:
-            raise InsufficientMemory(
-                f"a dense eigensolve of dimension {dim} needs about {need / 1e9:.1f} GB,"
-                f" more than the {have / 1e9:.1f} GB of physical memory"
-            )
-
+        require_memory(_DENSE_ARRAYS * 8 * dim * dim, f"a dense eigensolve of dimension {dim}")
         # Divide and conquer rather than MRRR (evr), which slows down on the
         # near-degenerate pairs these grids have.
         solver = "dense evd"
@@ -391,17 +370,17 @@ def solve_quench(
     """Diagonalize both Hamiltonians and assemble the transition matrix.
 
     None for either count keeps the full grid spectrum (dense solve).  A
-    count above the number of sites raises TooManyStates before either
-    solve.  The metadata records, for each Hamiltonian, the solver and the
-    residual and orthogonality defects ``eigensolve`` achieved.
+    count above the number of sites raises ValueError before either solve.
+    The metadata records, for each Hamiltonian, the solver and the residual
+    and orthogonality defects ``eigensolve`` achieved.
     """
     h0, hf, grid = build_hamiltonians(geom_or_domain, pot, hbar, h)
     dim = grid.n_sites
     n0 = dim if n_initial is None else n_initial
     nf = dim if n_final is None else n_final
-    for count, n in (("n_initial", n0), ("n_final", nf)):
+    for n in (n0, nf):
         if n > dim:
-            raise TooManyStates(count, n, dim)
+            raise ValueError(f"requested {n} states from dimension {dim}")
     e0, v0, solve0 = eigensolve(h0, n0)
     ef, vf, solvef = eigensolve(hf, nf)
     t = transition_matrix(v0, vf)
@@ -501,7 +480,7 @@ def quantum_jarzynski(spec: QuenchSpectra, beta: float) -> tuple[float, float]:
 
 
 def spike_support(
-    spec: QuenchSpectra, beta: float, mass_tol: float = 1e-12
+    spec: QuenchSpectra, beta: float, mass_tol: float = SPIKE_MASS_TOL
 ) -> tuple[float, float]:
     """Weighted quantile range of the work spikes containing all but mass_tol."""
     e0, ef = spec.e0, spec.ef

@@ -198,7 +198,8 @@ class TestManifest:
             assert v["blas_config"].startswith("OpenBLAS ")
 
     def test_blas_without_its_symbols_is_recorded_as_null(self, monkeypatch):
-        monkeypatch.setattr(quantum.ctypes, "CDLL", lambda path: object())
+        # The library is opened once, at import; both readers share that handle.
+        monkeypatch.setattr(quantum, "_OPENBLAS", object())
         v = cli.config_manifest(validate_config(TINY), "semiclassical")["versions"]
         assert (v["blas_threads"], v["blas_config"]) == (None, None)
 
@@ -206,6 +207,8 @@ class TestManifest:
             raise OSError(path)
 
         monkeypatch.setattr(quantum.ctypes, "CDLL", unloadable)
+        monkeypatch.setattr(quantum, "_OPENBLAS", quantum._numpy_openblas())
+        assert quantum._OPENBLAS is None
         assert quantum.numpy_blas() == {"blas_threads": None, "blas_config": None}
 
     def test_seed_is_recorded_only_where_it_is_read(self):
@@ -739,7 +742,7 @@ class TestSubcommands:
 
     def test_dense_solve_refused_beyond_physical_memory(self, tmp_path, capsys, monkeypatch):
         # This grid's dense solve needs a few MB; pretend the machine has 1 MB.
-        monkeypatch.setattr(quantum, "physical_memory", lambda: 1_000_000)
+        monkeypatch.setattr(characteristic, "physical_memory", lambda: 1_000_000)
         cfgp = tmp_path / "c.cfg"
         cfgp.write_text(tiny_text(beta_list="0.3"))
         for command in (["quantum"], ["scenario", "fig2"]):
@@ -832,7 +835,7 @@ class TestSubcommands:
         # 127 doubles, 16 kB; the machine has 10 kB for it.  Every command
         # refuses before it samples, plans, traces or solves anything.
         assert cli._INVERSION_ARRAYS * 8 * 127 > 10_000
-        monkeypatch.setattr(cli, "physical_memory", lambda: 10_000)
+        monkeypatch.setattr(characteristic, "physical_memory", lambda: 10_000)
 
         def refuse(*args, **kwargs):
             raise AssertionError("work started before the inversion was checked")
@@ -862,11 +865,13 @@ class TestSubcommands:
 
     def test_quantum_g_refused_beyond_physical_memory(self, tmp_path, capsys, monkeypatch):
         # The exact G(u) holds a few (64 x sites) blocks; the machine has room
-        # for the inversion's 127-bin arrays and half of those blocks.
+        # for all but one byte of them, so for the inversion's 127-bin arrays,
+        # the ensemble and fig2's trace of 1,200 rays through 64 times.
         sites = quantum.build_grid(validate_config(TINY).geometry(), 0.08).n_sites
         need = cli._QUANTUM_G_ARRAYS * 8 * 64 * sites
-        assert cli._INVERSION_ARRAYS * 8 * 127 < need // 2
-        monkeypatch.setattr(cli, "physical_memory", lambda: need // 2)
+        monkeypatch.setattr(characteristic, "physical_memory", lambda: need - 1)
+        assert cli._INVERSION_ARRAYS * 8 * 127 < 32 * 1200 < need - 1
+        characteristic.check_trace_memory(1200, 64, [64], 0, 1)
 
         def refuse(*args, **kwargs):
             raise AssertionError("an eigensolve ran")
@@ -884,6 +889,83 @@ class TestSubcommands:
             for key in ("quantum_h", "quantum_n_initial", "quantum_n_final"):
                 assert key in payload["message"]
             assert not any(files for _, _, files in os.walk(out))
+
+    def refused_before_work(self, tmp_path, capsys, monkeypatch, text, commands):
+        """Each command's error payload on config ``text`` with 1 MB of memory,
+        each run checked to exit 1 and write nothing before any draw,
+        quadrature, solve or trace, which are all made to fail."""
+        monkeypatch.setattr(characteristic, "physical_memory", lambda: 1_000_000)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the refusal")
+
+        monkeypatch.setattr(sampler, "sample_ensemble", refuse)
+        monkeypatch.setattr(classical, "sample_classical_work", refuse)
+        monkeypatch.setattr(classical, "classical_free_energy_difference", refuse)
+        monkeypatch.setattr(quantum, "eigensolve", refuse)
+        monkeypatch.setattr(cli, "semiclassical_characteristic", refuse)
+        cfgp = tmp_path / "c.cfg"
+        cfgp.write_text(text)
+        payloads = []
+        for command in commands:
+            out = tmp_path / "_".join(command)
+            rc = self.run_main([*command, "--config", str(cfgp), "--out", str(out)])
+            assert rc == 1, command
+            payloads.append(json.loads(capsys.readouterr().err.strip()))
+            assert not any(files for _, _, files in os.walk(out)), command
+        return payloads
+
+    def test_ensemble_refused_before_work(self, tmp_path, capsys, monkeypatch):
+        # 100,000 positions and momenta take 3.2 MB, held through the trace,
+        # whose own check counts 0.1 MB at 8 u points.  Every run once drew
+        # the ensemble and, without the test's patches, wrote its files.
+        text = tiny_text(n_samples="100000", u_points="8")
+        commands = (["semiclassical"], ["jarzynski"], ["scenario", "fig2"])
+        commands += (["scenario", "fig3"], ["scenario", "fig4"])
+        for command, payload in zip(
+            commands, self.refused_before_work(tmp_path, capsys, monkeypatch, text, commands)
+        ):
+            assert payload["error"] == "InsufficientMemory", command
+            assert payload["message"].startswith("n_samples = 100000: the ensemble"), command
+            assert payload["message"].endswith("; lower n_samples"), command
+
+    def test_work_sample_refused_before_work(self, tmp_path, capsys, monkeypatch):
+        # 200,000 work values take 1.6 MB, refused before the quadrature
+        # reference and the draw.
+        text = tiny_text(n_classical="200000", u_points="8")
+        commands = (["classical"], ["jarzynski"], ["scenario", "fig3"], ["scenario", "fig4"])
+        for command, payload in zip(
+            commands, self.refused_before_work(tmp_path, capsys, monkeypatch, text, commands)
+        ):
+            assert payload["error"] == "InsufficientMemory", command
+            assert payload["message"].startswith("n_classical = 200000: the work sample"), command
+            assert payload["message"].endswith("; lower n_classical"), command
+
+    def test_binning_grid_refused_before_work(self, tmp_path, capsys, monkeypatch):
+        # A kernel of 8 x 1e5 bins each side makes each bincount of the
+        # histogram 31 + 1,600,001 doubles, 12.8 MB.  At broadening_bins = 1e9
+        # such a run once drew its sample, then failed to allocate 119 GiB.
+        text = tiny_text(n_classical="1000", u_points="16", broadening_bins="1e5")
+        commands = (["classical"], ["scenario", "fig4"])
+        for command, payload in zip(
+            commands, self.refused_before_work(tmp_path, capsys, monkeypatch, text, commands)
+        ):
+            assert payload["error"] == "InsufficientMemory", command
+            assert payload["message"].startswith("broadening_bins = 100000.0: binning W"), command
+            assert payload["message"].endswith("; lower broadening_bins or u_points"), command
+
+    def test_coarse_lattice_names_quantum_h(self, tmp_path, capsys, monkeypatch):
+        # At quantum_h = 0.5 the billiard holds 3 lattice sites.  The error
+        # once named the lattice step h but not the key that sets it.
+        text = tiny_text(beta_list="0.3", quantum_h="0.5")
+        commands = (["quantum"], ["scenario", "fig2"])
+        for command, payload in zip(
+            commands, self.refused_before_work(tmp_path, capsys, monkeypatch, text, commands)
+        ):
+            assert payload["error"] == "RangeError", command
+            assert payload["message"] == (
+                "quantum_h: only 3 interior sites at h=0.5; lower quantum_h"
+            ), command
 
     def test_compare_command(self, tmp_path, capsys):
         cfgp = tmp_path / "c.cfg"
