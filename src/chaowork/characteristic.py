@@ -21,11 +21,17 @@ scale-invariant: the ray at c * z reaches at time t the point the ray at z
 reaches at c * t, and its integral of V is the one along z divided by c.
 So the rays are traced at z, a request reads them at c * u * hbar and
 takes the phase delta_xi / (hbar * c) times the integral there.  The engine
-gets one ascending array, the union of every request's times, and each
-request reads its own columns of it; a ray that stops before a request's
-last checkpoint (lost boundary, bounce cap) is a failed sample of that
-request only.  Each request gets the same numbers as a call with that
-request alone.
+gets one ascending array, the union of every request's times
+(``plan_trace``), and each request reads its own columns of it; a ray that
+stops before a request's last checkpoint (lost boundary, bounce cap) is a
+failed sample of that request only.  Each request gets the same numbers as
+a call with that request alone.
+
+A request that names the broadening its G will be inverted at traces only
+the leading u points where the Gaussian kernel exp(-(eps u)^2 / 2) is at
+least KERNEL_TOL; its G is 0 past them.  The inversion would multiply G
+there by less than KERNEL_TOL, and the checkpoint times, so the cost of a
+ray, grow with u.
 
 The ensemble is cut into chunks of CHUNK_SIZE rays, a pool's unit of work.
 A chunk is traced SUB_BLOCK rays at a time, and each sub-block's integrals
@@ -63,6 +69,12 @@ CHUNK_SIZE = 8192
 SUB_BLOCK = 1024
 PILOT_SAMPLES = 4096
 FAILURE_BUDGET = 1e-3
+# A request traces only the leading u points where the broadening's kernel
+# exp(-(eps u)^2 / 2) is at least this.  As |G| <= 1 and (2n - 1) dw du =
+# 2 pi, dropping the rest moves the L1 of P(W) by at most twice the sum of
+# the dropped kernel values: 3e-6 at 64 u points and 3.1e-5 at 512, below
+# the sampling error of an L1 between routes (4-9e-4).
+KERNEL_TOL = 1e-6
 # Doubles per row that a traced chunk holds beside its integrals: its
 # positions and momenta, the engine's segment and bounce counts and its
 # failure flags, and the deviations of a functional's values from their
@@ -120,6 +132,19 @@ class UGridPlan:
     @property
     def w_values(self) -> np.ndarray:
         return self.w_center + (np.arange(2 * self.n - 1) - (self.n - 1)) * self.dw
+
+    def kernel(self, eps: float, k=None):
+        """exp(-(eps u_k)^2 / 2) on every u_k, or on u_k alone for an index
+        ``k``: a Gaussian of width eps in W, as the factor it puts on G(u_k).
+        One point's value is taken on its own, as numpy's exp of one value
+        can differ in the last bit from the same value's in an array."""
+        u = self.u_values if k is None else self.u_values[k]
+        return np.exp(-0.5 * (eps * u) ** 2)
+
+    def kept(self, eps: float) -> int:
+        """How many leading u points have a kernel of at least KERNEL_TOL at
+        eps; the kernel falls with u, so the rest are all below it."""
+        return int(np.count_nonzero(self.kernel(eps) >= KERNEL_TOL))
 
 
 @dataclass
@@ -185,18 +210,32 @@ def plan_from_window(
 
 @dataclass(frozen=True)
 class Request:
-    """One G(u) to estimate: beta, a u plan, hbar and an optional functional.
+    """One G(u) to estimate: beta, a u plan, hbar, an optional functional and
+    the broadening its G will be inverted at.
 
     ``functional`` is a vector c of length 2 n, the coefficients of Re G(u_k)
     then those of Im G(u_k).  With it, each sample's f = c . [cos; sin] of
     its phases is summed with its square, and the grid gets the standard
     error of c . [Re G; Im G], the sample mean of f.
+
+    With a ``broadening`` eps, only the leading ``u_traced`` points, where
+    the plan's kernel at eps is at least KERNEL_TOL, are traced, and G and
+    its errors are 0 past them; f takes only their coefficients.  Without
+    one, every u point is traced.
     """
 
     beta: float
     u_grid: UGridPlan
     hbar: float
     functional: np.ndarray | None = None
+    broadening: float | None = None
+
+    @property
+    def u_traced(self) -> int:
+        """The leading u points the request traces."""
+        if self.broadening is None:
+            return self.u_grid.n
+        return self.u_grid.kept(self.broadening)
 
 
 class _ChunkSums:
@@ -289,7 +328,7 @@ def check_trace_memory(
 
     The trace is of ``n_rows`` rays in chunks of ``chunk_size`` on
     ``workers`` processes, through ``n_times`` checkpoint times, for one
-    request per entry of ``u_points`` (its number of u points),
+    request per entry of ``u_points`` (its number of traced u points),
     ``n_functionals`` of them with a functional.  It holds the chunks in
     flight, one per worker, and each request's total and the sums of the
     chunks taken from the pool and not yet added.
@@ -368,7 +407,36 @@ def _prepare(req: Request) -> _Grid:
     c, k = req.functional, req.u_grid.n
     if c is not None and (np.shape(c) != (2 * k,) or not np.isfinite(c).all()):
         raise ValueError(f"functional must be {2 * k} finite numbers, got shape {np.shape(c)}")
-    return _Grid(req.u_grid.u_values * (req.hbar * scale), scale)
+    eps = req.broadening
+    if eps is not None and not (eps >= 0.0 and math.isfinite(eps)):
+        raise ValueError(f"broadening must be nonnegative and finite, got {eps}")
+    return _Grid(req.u_grid.u_values[: req.u_traced] * (req.hbar * scale), scale)
+
+
+def plan_trace(requests, n_rows: int, workers: int, chunk_size: int = CHUNK_SIZE):
+    """Each request's validated checkpoint grid and the ascending union of
+    their times, the one array the shared trace runs through.
+
+    A trace of ``n_rows`` rays through that union on ``workers`` processes
+    that would not fit in physical memory is refused with
+    InsufficientMemory (``check_trace_memory``), so a caller can refuse it
+    before any work, with the count the trace itself makes.
+    """
+    grids = [_prepare(req) for req in requests]
+    # Sorted, with repeats dropped: np.unique would import numpy.ma.
+    times = np.sort(np.concatenate([grid.times for grid in grids]))
+    times = times[np.concatenate(([True], times[1:] != times[:-1]))]
+    n_functionals = sum(req.functional is not None for req in requests)
+    u_points = [req.u_traced for req in requests]
+    check_trace_memory(n_rows, times.size, u_points, n_functionals, workers, chunk_size)
+    return grids, times
+
+
+def _traced_coefficients(req: Request):
+    """The functional's coefficients of the traced u points: those of Re G,
+    then those of Im G; None without a functional."""
+    c, n, k = req.functional, req.u_grid.n, req.u_traced
+    return None if c is None else np.concatenate([c[:k], c[n : n + k]])
 
 
 class _Total:
@@ -376,7 +444,7 @@ class _Total:
 
     def __init__(self, req: Request):
         # Zeros first, so a -0.0 chunk sum still totals +0.0.
-        self.sums = np.zeros((4, req.u_grid.n))
+        self.sums = np.zeros((4, req.u_traced))
         self.f_moments = (0, 0.0, 0.0)  # _merge's count, mean, deviations
         self.ok = 0
         self.failed = 0
@@ -389,14 +457,18 @@ class _Total:
 
 
 def _reduce(ens: ThermalEnsemble, req: Request, total: _Total, trace: dict) -> CharacteristicGrid:
-    """One request's G(u) from its total over every chunk.
+    """One request's G(u) from its total over every chunk, with G and its
+    errors 0 past the u points it traced.
 
-    ``trace`` is the shared trace's summary, kept in the grid's metadata.
+    ``trace`` is the shared trace's summary, kept in the grid's metadata
+    with the kernel tolerance and the count of traced u points.
     """
     plan = req.u_grid
     n = len(ens)
     k = plan.n
-    sum_c, sum_s, sum_c2, sum_s2 = total.sums
+    sums = np.zeros((4, k))
+    sums[:, : req.u_traced] = total.sums
+    sum_c, sum_s, sum_c2, sum_s2 = sums
     n_ok = total.ok
     n_failed = total.failed
 
@@ -428,7 +500,13 @@ def _reduce(ens: ThermalEnsemble, req: Request, total: _Total, trace: dict) -> C
         hbar=float(req.hbar),
         beta=float(req.beta),
         n_failed=n_failed,
-        metadata={"seed": ens.seed, "estimator": "boltzmann", "trace": dict(trace)},
+        metadata={
+            "seed": ens.seed,
+            "estimator": "boltzmann",
+            "trace": dict(trace),
+            "kernel_tol": None if req.broadening is None else KERNEL_TOL,
+            "u_traced": req.u_traced,
+        },
         functional=req.functional,
         functional_stderr=f_stderr,
     )
@@ -450,8 +528,12 @@ def semiclassical_characteristic(
     unit-temperature momenta, through the union of all requests' checkpoint
     times, so a time two requests share is filled once; each request reads
     its own columns and gets the same chunks, sums and failure count as a
-    call with that request alone.  A request with a ``functional`` c also
-    takes each good sample's f = c . [cos; sin] and the mean and squared
+    call with that request alone.  A request with a ``broadening`` traces
+    only its ``u_traced`` leading u points, and its grid holds G = 0 with
+    errors 0 past them; a failure past them does not count against it.
+    Its metadata records ``kernel_tol`` and ``u_traced``.  A request with
+    a ``functional`` c also takes each good sample's f = c . [cos; sin],
+    over the traced u points only, and the mean and squared
     deviations of f, and its grid gets ``functional_stderr``; its G and
     per-point errors are those of the same request without c.  Each grid's
     ``metadata["trace"]`` holds what that shared trace did: its total
@@ -472,15 +554,12 @@ def semiclassical_characteristic(
     requests = list(requests)
     if not requests:
         return []
-    grids = [_prepare(req) for req in requests]
-    # Sorted, with repeats dropped: np.unique would import numpy.ma.
-    times = np.sort(np.concatenate([grid.times for grid in grids]))
-    times = times[np.concatenate(([True], times[1:] != times[:-1]))]
+    grids, times = plan_trace(requests, len(ens), workers, chunk_size)
     spec = [
         (
             np.searchsorted(times, grid.times),
             pot.delta_xi / (req.hbar * grid.scale),
-            req.functional,
+            _traced_coefficients(req),
         )
         for req, grid in zip(requests, grids)
     ]
@@ -488,9 +567,6 @@ def semiclassical_characteristic(
     for lo in range(0, len(ens), chunk_size):
         hi = lo + chunk_size
         tasks.append((ens.qs[lo:hi], ens.z[lo:hi], times, geom, pot, max_bounces, spec))
-    n_functionals = sum(req.functional is not None for req in requests)
-    u_points = [req.u_grid.n for req in requests]
-    check_trace_memory(len(ens), times.size, u_points, n_functionals, workers, chunk_size)
     workers, window = _pool(workers, len(tasks))
     totals = [_Total(req) for req in requests]
     counts = []

@@ -38,6 +38,7 @@ from .characteristic import (
     Request,
     check_trace_memory,
     plan_from_window,
+    plan_trace,
     plan_u_grid,
     require_memory,
     semiclassical_characteristic,
@@ -342,13 +343,16 @@ def _write_ensemble_csv(path, ens, beta: float, manifest_hash: str) -> None:
 
 
 def write_characteristic_csv(path, grid: CharacteristicGrid, manifest_hash: str) -> None:
+    """G(u) and its errors, up to the last traced u point when the grid
+    records one (``u_traced``): the zeros past it were not measured."""
     plan = grid.plan
+    k = grid.metadata.get("u_traced", plan.n)
     columns = {
-        "u": plan.u_values,
-        "re_g": grid.g_values.real,
-        "im_g": grid.g_values.imag,
-        "stderr_re": grid.stderr_re,
-        "stderr_im": grid.stderr_im,
+        "u": plan.u_values[:k],
+        "re_g": grid.g_values.real[:k],
+        "im_g": grid.g_values.imag[:k],
+        "stderr_re": grid.stderr_re[:k],
+        "stderr_im": grid.stderr_im[:k],
     }
     meta = {
         "n_samples": grid.n_samples,
@@ -522,13 +526,16 @@ _QUANTUM_G_ARRAYS = 6
 
 def _solve_quench(cfg, geom, pot, hbar):
     """Quantum spectra on the configured grid; a state count of 0 keeps all.
-    A quantum_h with too few lattice sites, a state count above them and a
-    u_points whose exact G(u) would not fit in memory are refused first."""
+    A quantum_h whose lattice would not fit in memory or has too few sites,
+    a state count above them and a u_points whose exact G(u) would not fit
+    in memory are refused first.  The lattice is built once."""
     h = cfg.quantum_h
     try:
-        sites = quantum.build_grid(geom, h).n_sites
+        with _keys(f"raise quantum_h from {h:g}"):
+            grid = quantum.build_grid(geom, h)
     except quantum.GridTooCoarse as exc:
         raise RangeError("quantum_h", f"{exc}; lower quantum_h") from None
+    sites = grid.n_sites
     for key in ("quantum_n_initial", "quantum_n_final"):
         if getattr(cfg, key) > sites:
             states = f"{getattr(cfg, key)} states from dimension {sites}"
@@ -540,20 +547,28 @@ def _solve_quench(cfg, geom, pot, hbar):
         what = f"u_points = {u}: the exact G(u) over {n} states at quantum_h = {h:g}"
         require_memory(_QUANTUM_G_ARRAYS * 8 * u * n, what)
     with _keys(f"raise quantum_h from {h:g}, {fewer}"):
-        return quantum.solve_quench(geom, pot, hbar, h, n0, nf)
+        return quantum.solve_quench(geom, pot, hbar, h, n0, nf, grid)
 
 
 # The keys that shrink a trace's memory.
 _TRACE_KEYS = "lower u_points or workers, or sweep fewer beta_list or hbar_list entries"
 
 
-def _semiclassical_grids(cfg, geom, pot, requests):
-    """Every request in one engine call on the run's ensemble, so all share one trace."""
-    ens = sampler.sample_ensemble(geom, cfg.n_samples, cfg.seed)
+def _check_trace(cfg, requests):
+    """Refuse, before any draw, reference or trace, a trace of ``requests``
+    over the run's ensemble that would not fit in memory: the engine's own
+    count, over the same union of times."""
     with _keys(_TRACE_KEYS):
-        grids = semiclassical_characteristic(
-            ens, requests, geom, pot, workers=cfg.resolved_workers(), max_bounces=cfg.max_bounces
-        )
+        plan_trace(requests, cfg.n_samples, cfg.resolved_workers())
+
+
+def _semiclassical_grids(cfg, geom, pot, requests):
+    """Every request in one engine call on the run's ensemble, so all share
+    one trace; ``_check_trace`` has counted it."""
+    ens = sampler.sample_ensemble(geom, cfg.n_samples, cfg.seed)
+    grids = semiclassical_characteristic(
+        ens, requests, geom, pot, workers=cfg.resolved_workers(), max_bounces=cfg.max_bounces
+    )
     return ens, grids
 
 
@@ -584,8 +599,11 @@ def run_semiclassical(cfg: RunConfig, out: _Output) -> None:
     [beta], [hbar] = cfg.beta_list, cfg.hbar_list
     geom, pot = cfg.geometry(), cfg.potential()
     plan = _plan(cfg, geom, pot, "n_samples")
-    ens, [grid] = _semiclassical_grids(cfg, geom, pot, [Request(beta, plan, hbar)])
-    hist = spectra.invert(grid, broadening=_broadening(cfg, plan))
+    eps = _broadening(cfg, plan)
+    requests = [Request(beta, plan, hbar, broadening=eps)]
+    _check_trace(cfg, requests)
+    ens, [grid] = _semiclassical_grids(cfg, geom, pot, requests)
+    hist = spectra.invert(grid, broadening=eps)
     if cfg.dump_ensemble:
         _write_ensemble_csv(out.path("ensemble.csv"), ens, beta, out.hash)
     write_characteristic_csv(out.path("semiclassical_g.csv"), grid, out.hash)
@@ -650,10 +668,13 @@ def run_fig4(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
     [beta], hbars = cfg.beta_list, cfg.hbar_list
     geom, pot = cfg.geometry(), cfg.potential()
     plan = _plan(cfg, geom, pot, "n_classical", "broadening_bins", "n_samples")
+    eps = _broadening(cfg, plan)
+    requests = [Request(beta, plan, h, broadening=eps) for h in hbars]
+    _check_trace(cfg, requests)
 
     _, clhist = _classical_histogram(cfg, geom, pot, plan, beta)
-    ens, grids = _semiclassical_grids(cfg, geom, pot, [Request(beta, plan, h) for h in hbars])
-    hists = [spectra.invert(grid, broadening=clhist.broadening) for grid in grids]
+    ens, grids = _semiclassical_grids(cfg, geom, pot, requests)
+    hists = [spectra.invert(grid, broadening=eps) for grid in grids]
     table = [{"hbar": h, **analysis.compare_histograms(x, clhist)} for h, x in zip(hbars, hists)]
 
     write_histogram_csv(out.path("classical_workdist.csv"), clhist, out.hash)
@@ -674,10 +695,11 @@ def run_fig3(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
     plan = _plan(cfg, geom, pot, "n_samples", "n_classical")
     eps = _broadening(cfg, plan)
     _check_broadening_correction(cfg, plan, betas, eps)
+    functionals = analysis.jarzynski_functionals(plan, betas, eps)
+    requests = [Request(beta, plan, hbar, c, eps) for beta, c in zip(betas, functionals)]
+    _check_trace(cfg, requests)
     refs = _references(geom, pot, betas)
 
-    functionals = analysis.jarzynski_functionals(plan, betas, eps)
-    requests = [Request(beta, plan, hbar, c) for beta, c in zip(betas, functionals)]
     _, grids = _semiclassical_grids(cfg, geom, pot, requests)
     # The classical work does not depend on beta, so one sample serves every
     # row.  It is drawn after the trace, so W and the trace never share memory.
@@ -717,13 +739,13 @@ def run_fig2(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
             lo_q, hi_q = w_all[0], w_all[-1]
         lo, hi = min(w_all[0], lo_q), max(w_all[-1], hi_q)
         plan = plan_from_window(lo, hi, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
-        requests.append(Request(beta, plan, hbar))
+        requests.append(Request(beta, plan, hbar, broadening=_broadening(cfg, plan)))
     _, grids = _semiclassical_grids(cfg, geom, pot, requests)
 
     # Per beta: the semiclassical and, when available, the quantum (grid, hist).
     rows, warnings, curves = [], [], []
     for beta, req, grid_sc in zip(betas, requests, grids):
-        eps = _broadening(cfg, req.u_grid)
+        eps = req.broadening
         hist_sc = spectra.invert(grid_sc, broadening=eps)
         curve = {"semiclassical": (grid_sc, hist_sc)}
         row = {"beta": beta}

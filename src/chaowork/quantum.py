@@ -61,6 +61,13 @@ class TruncationDominates(RuntimeError):
 # imported baseline, spike_support included, reads 4.9 of them at 1,057
 # sites and 4.3 at 2,772; the count leaves a margin of at least 2.
 _DENSE_ARRAYS = 7
+
+# float64 values per point of the nx x ny lattice box that build_grid holds
+# at once: its meshgrid, the stacked points, the membership tests'
+# temporaries and the kept sites.  tracemalloc reads 7.1-8.2 at 4,851 to
+# 79,401 points.
+_LATTICE_DOUBLES = 10
+
 # Largest accepted eigen-residual, relative to the Gershgorin bound on |H|,
 # and largest entry of V^T V - I.
 RESIDUAL_TOL = 1e-8
@@ -153,7 +160,8 @@ def build_grid(domain, h: float) -> GridSpec:
 
     ``domain`` is the billiard or any object with ``contains`` and
     ``bounding_box``; tests substitute a rectangle to compare against
-    analytic spectra.
+    analytic spectra.  A lattice box whose points would not fit in physical
+    memory is refused with InsufficientMemory before any is formed.
     """
     if not h > 0.0:
         raise ValueError(f"grid spacing must be positive, got {h}")
@@ -162,6 +170,7 @@ def build_grid(domain, h: float) -> GridSpec:
     ny = int(math.ceil(hgt / h)) - 1
     if nx < 1 or ny < 1:
         raise GridTooCoarse(f"no interior sites at h={h}")
+    require_memory(_LATTICE_DOUBLES * 8 * nx * ny, f"a {nx} x {ny} lattice at h = {h:g}")
     xs = (np.arange(1, nx + 1)) * h
     ys = (np.arange(1, ny + 1)) * h
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
@@ -255,9 +264,13 @@ def build_hamiltonians(
     pot: QuenchPotential,
     hbar: float,
     h: float,
+    grid: GridSpec | None = None,
 ) -> tuple[Stencil, Stencil, GridSpec]:
-    """Symmetric 5-point H(xi_0) and H(xi_f) on the interior lattice."""
-    grid = build_grid(geom_or_domain, h)
+    """Symmetric 5-point H(xi_0) and H(xi_f) on the interior lattice:
+    ``grid``, the one ``build_grid(geom_or_domain, h)`` gives, when the
+    caller has built it already."""
+    if grid is None:
+        grid = build_grid(geom_or_domain, h)
     n = grid.n_sites
     ij = np.rint(grid.coords / h).astype(np.int64)
     # Sites are in ascending key order, so a sorted search finds each neighbour.
@@ -366,15 +379,17 @@ def solve_quench(
     h: float,
     n_initial: int | None = None,
     n_final: int | None = None,
+    grid: GridSpec | None = None,
 ) -> QuenchSpectra:
     """Diagonalize both Hamiltonians and assemble the transition matrix.
 
     None for either count keeps the full grid spectrum (dense solve).  A
     count above the number of sites raises ValueError before either solve.
-    The metadata records, for each Hamiltonian, the solver and the residual
-    and orthogonality defects ``eigensolve`` achieved.
+    ``grid`` is ``build_grid(geom_or_domain, h)`` when the caller has built
+    it already.  The metadata records, for each Hamiltonian, the solver and
+    the residual and orthogonality defects ``eigensolve`` achieved.
     """
-    h0, hf, grid = build_hamiltonians(geom_or_domain, pot, hbar, h)
+    h0, hf, grid = build_hamiltonians(geom_or_domain, pot, hbar, h, grid)
     dim = grid.n_sites
     n0 = dim if n_initial is None else n_initial
     nf = dim if n_final is None else n_final

@@ -79,7 +79,7 @@ def check_aliasing(g: CharacteristicGrid, broadening: float) -> tuple[float, flo
     if eps < 0.0:
         raise ValueError("broadening must be nonnegative")
     tail_raw = abs(g.g_values[-1])
-    tail = abs(g.g_values[-1] * np.exp(-0.5 * (eps * g.plan.u_values[-1]) ** 2))
+    tail = abs(g.g_values[-1] * g.plan.kernel(eps, -1))
     if tail_raw > ALIAS_TOLERANCE:
         logger.debug(
             "raw |G(u_max)| = %.3f (a work atom keeps it finite; the broadened "
@@ -104,7 +104,7 @@ def invert(g: CharacteristicGrid, broadening: float) -> WorkHistogram:
     eps = float(broadening)
     tail_raw, tail = check_aliasing(g, eps)
     plan = g.plan
-    b = np.exp(-0.5 * (eps * plan.u_values) ** 2)
+    b = plan.kernel(eps)
     scale = plan.du / (2.0 * math.pi)
     gb = vals * b
 
@@ -149,7 +149,7 @@ def functional_coefficients(plan: UGridPlan, broadening: float, kernels) -> list
     sin(u_k w_j), the conjugate FFT of the kernel rolled to start at the
     window center, times invert's weights."""
     u = plan.u_values
-    weight = plan.du / (2.0 * math.pi) * np.exp(-0.5 * (broadening * u) ** 2)
+    weight = plan.du / (2.0 * math.pi) * plan.kernel(broadening)
     weight[1:] *= 2.0
     center = np.exp(1j * u * plan.w_center)
     sums = (center * np.fft.fft(np.roll(k, 1 - plan.n))[: plan.n].conj() for k in kernels)
@@ -174,7 +174,12 @@ def bin_spikes(
     bins and, in each direction away from it, the ratio of the next bin's
     Gaussian to that bin's.  Moving on by one bin multiplies the Gaussian by
     the ratio and the ratio by exp(-d^2), d = dw / eps; every ratio is at
-    most 1, so nothing overflows at any eps.
+    most 1, so nothing overflows at any eps.  A block takes only the bin
+    offsets that reach a bin of the window for one of its samples, and
+    starts the recurrence at the first of them: a block whose samples span
+    m bins takes at most m plus the window's bins, however wide the kernel.
+    A kernel that fits inside the window is summed as it would be over
+    every offset, as those that reach no bin of the window add nothing.
     """
     samples = np.asarray(samples, dtype=float).ravel()
     n = samples.size
@@ -201,17 +206,27 @@ def bin_spikes(
         near = (base >= -halfwidth - 1) & (base < n_bins + halfwidth)
         if not near.all():
             s, base = s[near], base[near]
+        if not s.size:
+            continue
         at = (base + (halfwidth + 1)).astype(np.intp)
         sq = np.empty(s.size)
+        # Offsets off whose bin b + off is in the window for some sample.
+        reach_lo, reach_hi = -int(base.max()), n_bins - 1 - int(base.min())
         # Bins b, b - 1, ... with the ratio leftward; b + 1, b + 2, ... rightward.
-        for first, toward in ((0, -1), (1, 1)):
+        for first, last, toward in ((0, -halfwidth, -1), (1, halfwidth + 1, 1)):
+            lo_off = max(min(first, last), reach_lo)
+            hi_off = min(max(first, last), reach_hi)
+            if lo_off > hi_off:
+                continue
+            # The recurrence starts at the first offset that reaches the window.
+            start, stop = (lo_off, hi_off) if toward > 0 else (hi_off, lo_off)
             # The bin's center by the formula of plan.w_values.
-            z = (plan.w_center + (base + (first - (plan.n - 1))) * dw - s) / eps
+            z = (plan.w_center + (base + (start - (plan.n - 1))) * dw - s) / eps
             g = np.exp(-0.5 * z * z)
             g *= weight
             ratio = np.exp(-toward * d * z - 0.5 * d * d)
-            for off in range(first, first + toward * (halfwidth + 1), toward):
-                if off != first:
+            for off in range(start, stop + toward, toward):
+                if off != start:
                     g *= ratio
                     ratio *= step
                 skip = halfwidth + 1 - off

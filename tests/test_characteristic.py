@@ -1,10 +1,20 @@
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from chaowork import analysis, characteristic, geometry, native, potential, sampler, trajectory
+from chaowork import (
+    analysis,
+    characteristic,
+    geometry,
+    native,
+    potential,
+    sampler,
+    spectra,
+    trajectory,
+)
 from chaowork.characteristic import (
     Request,
     UGridPlan,
@@ -263,6 +273,73 @@ class TestSemiclassicalEstimator:
             semiclassical_characteristic(ens, [Request(1.0, plan, 0.0)], geom_mod, pot_mod)
 
 
+class TestKernelCut:
+    """A request that names its broadening traces only the leading u points
+    whose kernel is at least KERNEL_TOL; at the tests' tiny config (64 u,
+    1,200 samples, beta 2^-8, hbar 0.5, two bins of broadening)."""
+
+    @pytest.fixture(scope="class")
+    def tiny(self, geom_mod, pot_mod):
+        plan = plan_u_grid(geom_mod, pot_mod, seed=777, n_u=64)
+        ens = sampler.sample_ensemble(geom_mod, 1200, seed=777)
+        eps = 2.0 * plan.dw
+        [c] = analysis.jarzynski_functionals(plan, [2.0**-8], eps)
+        k = plan.kept(eps)
+        # The same functional with the coefficients of the cut u points zeroed.
+        c0 = c.copy()
+        c0[k : plan.n] = c0[plan.n + k :] = 0.0
+        cut = Request(2.0**-8, plan, 0.5, c, eps)
+        [g_cut] = semiclassical_characteristic(ens, [cut], geom_mod, pot_mod)
+        [g_all] = semiclassical_characteristic(
+            ens, [Request(2.0**-8, plan, 0.5, c0)], geom_mod, pot_mod
+        )
+        return plan, eps, g_cut, g_all
+
+    def test_kept_prefix_has_the_uncut_bits(self, tiny):
+        plan, eps, g_cut, g_all = tiny
+        k = g_cut.metadata["u_traced"]
+        kernel = plan.kernel(eps)
+        assert kernel[k - 1] >= characteristic.KERNEL_TOL > kernel[k]
+        assert 1 < k < plan.n
+        assert g_cut.n_failed == g_all.n_failed == 0
+        for name in ("g_values", "stderr_re", "stderr_im"):
+            cut, full = getattr(g_cut, name), getattr(g_all, name)
+            assert cut[:k].tobytes() == full[:k].tobytes(), name
+            assert not cut[k:].any(), name
+        # f takes the kept coefficients only, as if the others were 0.
+        assert g_cut.functional_stderr == g_all.functional_stderr
+        assert g_cut.metadata["kernel_tol"] == characteristic.KERNEL_TOL
+        assert g_all.metadata["kernel_tol"] is None
+        assert g_all.metadata["u_traced"] == plan.n
+
+    def test_density_moves_within_the_kernel_bound(self, tiny):
+        # |G| <= 1 and (2n - 1) dw du = 2 pi: the L1 change is at most twice
+        # the sum of the dropped kernel values.
+        plan, eps, g_cut, g_all = tiny
+        k = g_cut.metadata["u_traced"]
+        cut, full = spectra.invert(g_cut, eps), spectra.invert(g_all, eps)
+        bound = 2.0 * plan.kernel(eps)[k:].sum()
+        assert 0.0 < analysis.l1_distance(cut, full) <= bound < 1e-5
+
+    def test_trace_segments_fall(self, tiny):
+        _, _, g_cut, g_all = tiny
+        assert g_cut.metadata["trace"]["segments"] < g_all.metadata["trace"]["segments"]
+
+    def test_aliasing_fires_where_nothing_is_cut(self, geom_mod, plan):
+        # Half a bin of broadening leaves the kernel at u_max near 0.3, far
+        # above KERNEL_TOL, so every u is traced and the null quench's
+        # G = 1 there trips the guard.
+        pot0 = QuenchPotential(xi_f=0.0, xi_0=0.0)
+        ens = sampler.sample_ensemble(geom_mod, 200, seed=4)
+        eps = 0.5 * plan.dw
+        req = Request(1.0, plan, 1.0, broadening=eps)
+        assert req.u_traced == plan.n
+        [g] = semiclassical_characteristic(ens, [req], geom_mod, pot0)
+        assert g.metadata["u_traced"] == plan.n
+        with pytest.raises(spectra.AliasingSuspect):
+            spectra.invert(g, eps)
+
+
 class TestShellEstimator:
     def test_single_shell_at_zero(self, geom_mod, pot_mod):
         u = UGridPlan(0.3, 8)
@@ -327,6 +404,11 @@ class TestSharedTraces:
             for k in (8, 10, 12)
             for hbar in (0.5, 1.0)
             for plan in (plan_a, plan_b)
+        ]
+        # Two requests traced only where their kernel is at least KERNEL_TOL.
+        reqs += [
+            Request(2.0**-9, plan_b, 1.0, broadening=2.0 * plan_b.dw),
+            replace(jarzynski_request(2.0**-10, plan_a, 0.5), broadening=2.0 * plan_a.dw),
         ]
         # Momenta sqrt 2 apart from the others: inside the same trace too.
         return reqs + [jarzynski_request(2.0**-11, plan_a)]
@@ -431,6 +513,8 @@ class TestSharedTraces:
             Request(1.0, plan, 0.0),
             Request(1.0, plan, 1.0, functional=short),
             Request(1.0, plan, 1.0, functional=nan),
+            Request(1.0, plan, 1.0, broadening=-1.0),
+            Request(1.0, plan, 1.0, broadening=float("nan")),
         ):
             with pytest.raises(ValueError):
                 semiclassical_characteristic(ens, [good, good, bad], geom_mod, pot_mod)

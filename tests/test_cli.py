@@ -756,19 +756,30 @@ class TestSubcommands:
             assert not any(files for _, _, files in os.walk(out))
 
     def test_trace_refused_beyond_physical_memory(self, tmp_path, capsys, monkeypatch):
-        # One chunk of 1,200 rays through 64 checkpoints needs about 0.6 MB,
-        # one sub-block's integrals and the chunk's per-row vectors; the
-        # machine has 0.5 MB for the trace, and enough for the inversion.
-        # fig2 refuses before either eigensolve.
+        # One chunk of 1,200 rays through the 54 checkpoints that two bins
+        # of broadening keep of 64 needs about 0.52 MB, one sub-block's
+        # integrals and the chunk's per-row vectors (fig2 counts all 64, 0.6
+        # MB); the machine has 0.5 MB for the trace, and enough for the
+        # inversion, the ensemble and the classical sample.  Every command
+        # refuses before it draws, takes a reference or solves.
         monkeypatch.setattr(characteristic, "physical_memory", lambda: 500_000)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("an eigensolve ran")
+            raise AssertionError("work started before the trace was checked")
 
         monkeypatch.setattr(quantum, "eigensolve", refuse)
+        monkeypatch.setattr(sampler, "sample_ensemble", refuse)
+        monkeypatch.setattr(classical, "sample_classical_work", refuse)
+        monkeypatch.setattr(classical, "classical_free_energy_difference", refuse)
         cfgp = tmp_path / "c.cfg"
         cfgp.write_text(tiny_text(beta_list="0.3", hbar_list="1.0"))
-        for command in (["semiclassical"], ["scenario", "fig2"]):
+        for command in (
+            ["semiclassical"],
+            ["jarzynski"],
+            ["scenario", "fig2"],
+            ["scenario", "fig3"],
+            ["scenario", "fig4"],
+        ):
             out = tmp_path / command[-1]
             rc = self.run_main([*command, "--config", str(cfgp), "--out", str(out)])
             assert rc == 1
@@ -779,17 +790,22 @@ class TestSubcommands:
             assert not any(files for _, _, files in os.walk(out))
 
     def test_trace_refused_when_sums_do_not_fit(self, tmp_path, capsys, monkeypatch):
-        # Each beta of jarzynski holds (4, 64) sums as its total and as the
-        # arriving chunk's.  The machine has room for the chunk in flight,
-        # with each beta's functional values, not for those sums as well.
+        # Each beta of jarzynski holds (4, k) sums over its k traced u points
+        # as its total and as the arriving chunk's.  The machine has room for
+        # the chunk in flight, with each beta's functional values, and for
+        # all but one byte of those sums as well.
         text = tiny_text(beta_list="2^-7,2^-9,2^-11", hbar_list="1.0")
         cfg = validate_config(text)
         geom, pot = cfg.geometry(), cfg.potential()
         plan = plan_u_grid(geom, pot, cfg.seed, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
-        grids = [characteristic._prepare(characteristic.Request(b, plan, 1.0)) for b in cfg.beta_list]
+        eps = cli._broadening(cfg, plan)
+        requests = [characteristic.Request(b, plan, 1.0, broadening=eps) for b in cfg.beta_list]
+        assert all(req.u_traced < cfg.u_points for req in requests)
+        grids = [characteristic._prepare(req) for req in requests]
         times = np.unique(np.concatenate([grid.times for grid in grids]))
         chunk = characteristic._chunk_bytes(cfg.n_samples, times.size, len(grids))
-        monkeypatch.setattr(characteristic, "physical_memory", lambda: chunk + 1)
+        sums = 8 * 2 * 4 * sum(req.u_traced for req in requests)
+        monkeypatch.setattr(characteristic, "physical_memory", lambda: chunk + sums - 1)
         cfgp = tmp_path / "c.cfg"
         cfgp.write_text(text)
         out = tmp_path / "o"
@@ -800,6 +816,43 @@ class TestSubcommands:
         for key in ("u_points", "workers", "beta_list", "hbar_list"):
             assert key in payload["message"]
         assert not any(files for _, _, files in os.walk(out))
+
+    def test_lattice_refused_before_it_is_built(self, tmp_path, capsys, monkeypatch):
+        # quantum_h = 0.005 puts 399 x 199 points in the bounding box, 6.4 MB
+        # by the lattice's count; the machine has 1 MB, enough for fig2's
+        # trace.  No point of the lattice is formed.
+        monkeypatch.setattr(characteristic, "physical_memory", lambda: 1_000_000)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the lattice was formed")
+
+        monkeypatch.setattr(quantum.np, "meshgrid", refuse)
+        cfgp = tmp_path / "c.cfg"
+        cfgp.write_text(tiny_text(beta_list="0.3", quantum_h="0.005"))
+        for command in (["quantum"], ["scenario", "fig2"]):
+            out = tmp_path / command[-1]
+            rc = self.run_main([*command, "--config", str(cfgp), "--out", str(out)])
+            assert rc == 1
+            payload = json.loads(capsys.readouterr().err.strip())
+            assert payload["error"] == "InsufficientMemory", payload
+            assert "a 399 x 199 lattice at h = 0.005" in payload["message"]
+            assert "raise quantum_h from 0.005" in payload["message"]
+            assert not any(files for _, _, files in os.walk(out))
+
+    def test_lattice_built_once_per_solve(self, tmp_path, monkeypatch):
+        built = []
+        build = quantum.build_grid
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(quantum, "build_grid", counted)
+        cfgp = tmp_path / "c.cfg"
+        cfgp.write_text(tiny_text(beta_list="0.3"))
+        rc = self.run_main(["quantum", "--config", str(cfgp), "--out", str(tmp_path / "q")])
+        assert rc == 0
+        assert len(built) == 1
 
     def test_state_count_beyond_the_grid_names_its_key(self, tmp_path, capsys, monkeypatch):
         # quantum_h = 0.1 puts sites at (i, j) / 10 for 0 < j < 10 with
@@ -1179,13 +1232,21 @@ class TestRunCommands:
 
     def test_g_sidecar_records_the_trace(self, command_runs):
         out_dir, _ = command_runs["semiclassical"]
-        with open(os.path.join(out_dir, "semiclassical_g.csv.meta.json")) as fh:
-            trace = json.load(fh)["trace"]
+        path = os.path.join(out_dir, "semiclassical_g.csv")
+        with open(path + ".meta.json") as fh:
+            meta = json.load(fh)
+        trace = meta["trace"]
         cfg = validate_config(_CMD_CONFIG)
         geom, pot = cfg.geometry(), cfg.potential()
         ens = sampler.sample_ensemble(geom, cfg.n_samples, cfg.seed)
         plan = plan_u_grid(geom, pot, cfg.seed, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
-        req = characteristic.Request(cfg.beta_list[0], plan, cfg.hbar_list[0])
+        eps = cli._broadening(cfg, plan)
+        req = characteristic.Request(cfg.beta_list[0], plan, cfg.hbar_list[0], broadening=eps)
+        # The run records its cut, and its CSV stops there.
+        assert meta["kernel_tol"] == characteristic.KERNEL_TOL
+        assert meta["u_traced"] == req.u_traced < meta["n_u"] == cfg.u_points
+        data = np.genfromtxt(path, delimiter=",", names=True, skip_header=1)
+        assert np.array_equal(data["u"], plan.u_values[: req.u_traced])
         _, _, counts = trajectory.checkpoint_action_integrals(
             ens.qs, ens.z, characteristic._prepare(req).times, geom, pot, cfg.max_bounces
         )

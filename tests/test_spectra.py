@@ -180,7 +180,7 @@ class TestBinSpikes:
     @pytest.mark.parametrize(
         "n, eps_bins",
         [(n, e) for n in (1, 65535, 65536, 65537) for e in (0.05, 2.0, 16.0)]
-        + [(1_000_001, 0.05), (1_000_001, 2.0)],
+        + [(1_000_001, 0.05), (1_000_001, 2.0), (65537, 300.0)],
     )
     def test_gridding_matches_the_per_offset_oracle(self, plan, n, eps_bins):
         # Samples spread past both ends of the window, so that blocks hold
@@ -191,6 +191,34 @@ class TestBinSpikes:
         h = bin_spikes(samples, plan, eps)
         ref = bin_spikes_per_offset(samples, plan, eps)
         assert np.isfinite(h.density).all() and np.isfinite(h.error).all()
+        peak = ref.density.max()
+        assert np.abs(h.density - ref.density).max() <= 1e-12 * peak
+        assert np.abs(h.error - ref.error).max() <= 1e-12 * peak
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_wide_kernel_takes_only_offsets_that_reach_the_window(self, plan, side, monkeypatch):
+        # A kernel of 2,400 bins each way on a 255-bin window, from samples
+        # 100 to 120 bins past one edge: each direction's recurrence starts
+        # at the first offset that reaches a bin, and no block takes more
+        # offsets than its samples' 20-bin span plus the window, two
+        # bincounts each, of the kernel's 4,802 offsets.
+        w, dw = plan.w_values, plan.dw
+        edge = w[0] - 100.0 * dw if side < 0 else w[-1] + 100.0 * dw
+        samples = edge + side * np.random.default_rng(5).uniform(0.0, 20.0 * dw, 70_000)
+        eps = 300.0 * dw
+        counts = []
+        bincount = np.bincount
+
+        def counted(*args, **kwargs):
+            counts.append(1)
+            return bincount(*args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", counted)
+        h = bin_spikes(samples, plan, eps)
+        monkeypatch.undo()
+        blocks = -(-samples.size // sampler.SAMPLE_BLOCK)
+        assert len(counts) <= blocks * 2 * (20 + 1 + w.size)
+        ref = bin_spikes_per_offset(samples, plan, eps)
         peak = ref.density.max()
         assert np.abs(h.density - ref.density).max() <= 1e-12 * peak
         assert np.abs(h.error - ref.error).max() <= 1e-12 * peak
