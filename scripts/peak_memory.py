@@ -5,7 +5,7 @@
 
 Prints one line per case and exits 1 if a run fails or exceeds its bound.  The
 peak is ru_maxrss (tracemalloc sees neither BLAS buffers nor the engine), the
-larger of the interpreter's and of its largest child's, as a pool worker's.
+larger of the interpreter's, with its threads, and of its largest child's.
 """
 
 import json
@@ -32,18 +32,20 @@ CASES = {
     "scenario fig3": (["scenario", "fig3"], 60, None,
                       "beta_list = 2^-8, 2^-10, 2^-12\nhbar_list = 1\nn_samples = 16384\n"
                       "n_classical = 1000000\nworkers = 1\nseed = 7\n"),
-    # sc-single's sizes; the peak is a pool worker tracing its chunk in sub-blocks of 1,024 x 256
-    # integrals: about 42 MB, 45 MB with the whole chunk's 8,192 x 256 integrals at once, 55.6 MB
-    # when it took the phases in numpy blocks of 1,024 rows.
+    # sc-single's sizes; the peak is the one process, its two threads each tracing a chunk of
+    # 512 x 256 integrals: about 43 MB (42 MB in the parent of a process pool whose workers
+    # traced 8,192-ray chunks in sub-blocks of 1,024 rays), 45 MB with a whole 8,192-ray chunk's
+    # integrals at once, 55.6 MB when a worker took the phases in numpy blocks of 1,024 rows.
     "semiclassical at sc-single sizes": (["semiclassical"], 46, None,
                                          "beta_list = 2^-12\nhbar_list = 1\nu_points = 256\n"
                                          "n_samples = 16384\nworkers = 2\nseed = 7\n"),
-    # About 77 MB with a chunk traced in sub-blocks of 1,024 rays, 113 MB with the whole
-    # chunk's integrals at once (175 MB when first bounded, with the free-energy error summed
-    # per sample), 582 MB when each temperature held a (2048 x 2048) phase second moment.
-    # Every report row must carry a finite semiclassical estimate with a positive error, as
-    # benchmarks/checks.py asks of fig3-sweep.
-    "jarzynski": (["jarzynski"], 100, _bad_rows,
+    # About 57 MB in one process tracing 512-ray chunks, 72-77 MB with 8,192-ray chunks traced
+    # in sub-blocks of 1,024 rays, 113 MB with the whole chunk's integrals at once (175 MB when
+    # first bounded, with the free-energy error summed per sample), 582 MB when each
+    # temperature held a (2048 x 2048) phase second moment.  Every report row must carry a
+    # finite semiclassical estimate with a positive error, as benchmarks/checks.py asks of
+    # fig3-sweep.
+    "jarzynski": (["jarzynski"], 62, _bad_rows,
                   "u_points = 1024\nn_samples = 2048\nn_classical = 20000\nworkers = 1\n"
                   "seed = 7\n"),
     # About 56 MB (120 MB when first bounded) with the inversion as FFTs over 2 u_points - 1

@@ -33,15 +33,15 @@ least KERNEL_TOL; its G is 0 past them.  The inversion would multiply G
 there by less than KERNEL_TOL, and the checkpoint times, so the cost of a
 ray, grow with u.
 
-The ensemble is cut into chunks of CHUNK_SIZE rays, a pool's unit of work.
-A chunk is traced SUB_BLOCK rays at a time, and each sub-block's integrals
-are added into the chunk's sums of every request, in row order, before the
-next sub-block is traced; so a chunk holds one sub-block's integrals, and
-its sums have the bits of one whole-chunk trace.  Each request keeps one
+The ensemble is cut into chunks of CHUNK_SIZE rays, the trace's one unit:
+one task of a thread pool, one engine call and one block of each request's
+sums.  ctypes releases the GIL inside the engine's ``trace`` and
+``phase_sums``, and the engine keeps no global state, so a pool's threads
+trace their chunks side by side in one process.  Each request keeps one
 running total, and each chunk's sums are added to it in chunk order, so
 results are bit-identical for any worker count.  A pool has at most two
-chunks per worker submitted and not yet added, so the parent holds that
-many chunks' sums at most, whatever the ensemble size.
+chunks per worker submitted and not yet added, so the run holds that many
+chunks' sums at most, whatever the ensemble size.
 ``check_trace_memory`` bounds all of that before a trace starts, and
 refuses one that would not fit in physical memory.
 """
@@ -51,8 +51,8 @@ from __future__ import annotations
 import collections
 import ctypes
 import math
-import multiprocessing
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -64,9 +64,7 @@ from .potential import QuenchPotential, evaluate
 from .sampler import ThermalEnsemble
 from .trajectory import MAX_BOUNCES_DEFAULT
 
-CHUNK_SIZE = 8192
-# Rays a chunk traces at once: it holds the integrals of this many rows.
-SUB_BLOCK = 1024
+CHUNK_SIZE = 512
 PILOT_SAMPLES = 4096
 FAILURE_BUDGET = 1e-3
 # A request traces only the leading u points where the broadening's kernel
@@ -238,63 +236,42 @@ class Request:
         return self.u_grid.kept(self.broadening)
 
 
-class _ChunkSums:
-    """One request's phase sums over the good rows of a traced chunk, added
-    one sub-block of the chunk's integrals at a time, in row order.
+def _request_sums(integrals, columns, coef: float, functional):
+    """One request's phase sums over the good rows of a traced chunk, from
+    one engine call: (sums, ok, failed, f_moments).  The engine takes the
+    chunk's ``integrals``, the request's ``columns`` of them (int64) and its
+    ``functional`` as C-contiguous arrays.
 
-    ``result`` gives (sums, ok, failed, f_moments): ``sums`` stacks the
-    per-column sums of cos, sin, cos^2 and sin^2 into a (4, k) array, and
-    ``f_moments`` is ``_merge``'s triple for f = functional . [cos; sin], or
-    (0, 0.0, 0.0) without a functional.  A row is good when the ray reached
-    the request's last checkpoint.  The engine's ``phase_sums`` takes the
-    phases row by row and adds them into the same sums in row order, so
-    they have the same bits however the chunk is cut.  Its cos and sin are
-    libmvec's four-lane ones on the engine's four-lane math path, within a
-    few units in the last place of numpy's, and glibc's sincos otherwise,
-    whose sums have the bits of numpy's cos, sin and sum over the chunk's
-    good rows.  It writes each good row's f into one
-    chunk-long vector at the count of good rows before it, and numpy takes
-    the count, mean and squared deviations of that vector.
+    ``sums`` stacks the per-column sums of cos, sin, cos^2 and sin^2 into a
+    (4, k) array, and ``f_moments`` is ``_merge``'s triple for f =
+    functional . [cos; sin], or (0, 0.0, 0.0) without a functional.  A row
+    is good when the ray reached the request's last checkpoint.  The
+    engine's ``phase_sums`` takes the phases row by row and adds them into
+    zero sums in row order.  Its cos and sin are libmvec's four-lane ones on
+    the engine's four-lane math path, within a few units in the last place
+    of numpy's, and glibc's sincos otherwise, whose sums have the bits of
+    numpy's cos, sin and sum over the chunk's good rows.  It writes each
+    good row's f into one chunk-long vector at the count of good rows before
+    it, and numpy takes the count, mean and squared deviations of that vector.
     """
-
-    def __init__(self, rows: int, columns, coef: float, functional):
-        self.columns = np.ascontiguousarray(columns, dtype=np.int64)
-        self.coef = coef
-        self.functional = self.f = None
-        if functional is not None:
-            self.functional = np.ascontiguousarray(functional, dtype=float)
-            self.f = np.empty(rows)
-        self.sums = np.zeros((4, self.columns.size))
-        self.rows = rows
-        self.seen = 0  # rows added so far
-        self.ok = 0  # good rows among them
-
-    def add(self, integrals):
-        """Add the next rows of the chunk: one sub-block's integrals."""
-        integrals = np.ascontiguousarray(integrals, dtype=float)
-        rows = integrals.shape[0]
-        if self.seen + rows > self.rows:
-            raise ValueError(f"{self.seen + rows} rows added to sums of a {self.rows}-row chunk")
-        with_f = self.f is not None
-        self.ok += native.load().phase_sums(
-            rows,
-            integrals.shape[1],
-            native.pointer(integrals),
-            self.columns.size,
-            native.pointer(self.columns, ctypes.c_int64),
-            self.coef,
-            native.pointer(self.functional) if with_f else None,
-            native.pointer(self.sums),
-            native.pointer(self.f[self.ok :]) if with_f else None,
-        )
-        self.seen += rows
-
-    def result(self):
-        f_moments = (0, 0.0, 0.0)
-        if self.f is not None and self.ok:
-            f = self.f[: self.ok]
-            f_moments = (self.ok, float(f.mean()), float(np.var(f) * self.ok))
-        return self.sums, self.ok, self.seen - self.ok, f_moments
+    rows = integrals.shape[0]
+    sums = np.zeros((4, columns.size))
+    f = None if functional is None else np.empty(rows)
+    ok = native.load().phase_sums(
+        rows,
+        integrals.shape[1],
+        native.pointer(integrals),
+        columns.size,
+        native.pointer(columns, ctypes.c_int64),
+        coef,
+        None if f is None else native.pointer(functional),
+        native.pointer(sums),
+        None if f is None else native.pointer(f),
+    )
+    f_moments = (0, 0.0, 0.0)
+    if f is not None and ok:
+        f_moments = (ok, float(f[:ok].mean()), float(np.var(f[:ok]) * ok))
+    return sums, ok, rows - ok, f_moments
 
 
 def _merge(a, b):
@@ -307,15 +284,15 @@ def _merge(a, b):
 
 def _chunk_bytes(rows: int, n_times: int, n_functionals: int) -> int:
     """The most bytes one traced chunk of ``rows`` rays through ``n_times``
-    checkpoint times holds at once: one sub-block's integrals and the
-    chunk's vectors of rows, with ``n_functionals`` requests' f."""
-    return 8 * (min(rows, SUB_BLOCK) * n_times + rows * (_ROW_DOUBLES + n_functionals))
+    checkpoint times holds at once: its integrals and its vectors of rows,
+    with ``n_functionals`` requests' f."""
+    return 8 * rows * (n_times + _ROW_DOUBLES + n_functionals)
 
 
 def _pool(workers: int, n_chunks: int) -> tuple[int, int]:
-    """The workers a trace of ``n_chunks`` chunks uses, and the chunk results
-    the parent holds until it folds them: up to 2 x workers taken from the
-    pool in chunk order, or the one chunk just traced."""
+    """The threads a trace of ``n_chunks`` chunks uses, and the chunk results
+    the run holds until it folds them: up to 2 x workers submitted to the
+    pool and folded in chunk order, or the one chunk just traced."""
     workers = min(workers, n_chunks)
     return workers, 2 * workers if workers > 1 else 1
 
@@ -327,14 +304,14 @@ def check_trace_memory(
     """Refuse with InsufficientMemory a trace that would not fit in physical memory.
 
     The trace is of ``n_rows`` rays in chunks of ``chunk_size`` on
-    ``workers`` processes, through ``n_times`` checkpoint times, for one
+    ``workers`` threads, through ``n_times`` checkpoint times, for one
     request per entry of ``u_points`` (its number of traced u points),
     ``n_functionals`` of them with a functional.  It holds the chunks in
-    flight, one per worker, and each request's total and the sums of the
-    chunks taken from the pool and not yet added.
+    flight, one per thread, and each request's total and the sums of the
+    chunks submitted to the pool and not yet added.
     """
     workers, window = _pool(workers, -(-n_rows // chunk_size))
-    in_flight = max(workers, 1)  # a worker holds one chunk at a time
+    in_flight = max(workers, 1)  # a thread holds one chunk at a time
     rows = min(chunk_size, n_rows)
     chunk = _chunk_bytes(rows, n_times, n_functionals)
     # Per request, the total and each held chunk's (4, k) sums.
@@ -348,41 +325,31 @@ def check_trace_memory(
 def _chunk_phase_sums(args):
     """Trace one chunk of the ensemble once; phase sums for each request.
 
-    Module-level so worker pools can pickle it.  ``times`` is the ascending
-    union of every request's checkpoints on the unit-temperature rays, and
-    ``spec`` holds per request (the columns of its own times in ``times``,
-    delta_xi / (hbar * c), functional or None).  The chunk is traced
-    SUB_BLOCK rays at a time, and each sub-block's integrals are added to
-    every request's ``_ChunkSums`` before the next is traced.  Returns the
-    list of their results in request order, and the ``TraceCounts`` of the
-    sub-blocks in row order.
+    ``times`` is the ascending union of every request's checkpoints on the
+    unit-temperature rays, and ``spec`` holds per request (the columns of
+    its own times in ``times``, delta_xi / (hbar * c), functional or None).
+    Returns the list of ``_request_sums`` results in request order, and the
+    chunk's ``TraceCounts``.
     """
     (qs, z, times, geom, pot, max_bounces, spec) = args
-    rows = qs.shape[0]
-    sums = [_ChunkSums(rows, *m) for m in spec]
-    counts = []
-    for lo in range(0, rows, SUB_BLOCK):
-        hi = lo + SUB_BLOCK
-        integrals, _, sub_counts = trajectory.checkpoint_action_integrals(
-            qs[lo:hi], z[lo:hi], times, geom, pot, max_bounces
-        )
-        for request_sums in sums:
-            request_sums.add(integrals)
-        counts.append(sub_counts)
-        del integrals  # before the next sub-block's are made
-    return [request_sums.result() for request_sums in sums], counts
+    integrals, _, counts = trajectory.checkpoint_action_integrals(
+        qs, z, times, geom, pot, max_bounces
+    )
+    return [_request_sums(integrals, *m) for m in spec], counts
 
 
 def _trace_summary(counts) -> dict:
-    """What the shared trace did, from its sub-blocks' ``TraceCounts`` in row order.
+    """What the shared trace did, from its chunks' ``TraceCounts`` in row
+    order, each with its flights summed to their total.
 
     ``lanes`` is the engine's math path, ``math_lanes``: its G differs from
     the other path's at the rounding level.
     """
     bounces = np.concatenate([c.bounces for c in counts])
-    p50, p99 = np.quantile(bounces, [0.5, 0.99], method="inverted_cdf")
+    # In place: the joined copy is this summary's own.
+    p50, p99 = np.quantile(bounces, [0.5, 0.99], method="inverted_cdf", overwrite_input=True)
     return {
-        "segments": sum(int(c.segments.sum()) for c in counts),
+        "segments": sum(int(c.segments) for c in counts),
         "bounce_p50": int(p50),
         "bounce_p99": int(p99),
         "bounce_max": int(bounces.max()),
@@ -417,7 +384,7 @@ def plan_trace(requests, n_rows: int, workers: int, chunk_size: int = CHUNK_SIZE
     """Each request's validated checkpoint grid and the ascending union of
     their times, the one array the shared trace runs through.
 
-    A trace of ``n_rows`` rays through that union on ``workers`` processes
+    A trace of ``n_rows`` rays through that union on ``workers`` threads
     that would not fit in physical memory is refused with
     InsufficientMemory (``check_trace_memory``), so a caller can refuse it
     before any work, with the count the trace itself makes.
@@ -434,9 +401,9 @@ def plan_trace(requests, n_rows: int, workers: int, chunk_size: int = CHUNK_SIZE
 
 def _traced_coefficients(req: Request):
     """The functional's coefficients of the traced u points: those of Re G,
-    then those of Im G; None without a functional."""
+    then those of Im G, as one float array; None without a functional."""
     c, n, k = req.functional, req.u_grid.n, req.u_traced
-    return None if c is None else np.concatenate([c[:k], c[n : n + k]])
+    return None if c is None else np.concatenate([c[:k], c[n : n + k]], dtype=float)
 
 
 class _Total:
@@ -539,14 +506,14 @@ def semiclassical_characteristic(
     ``metadata["trace"]`` holds what that shared trace did: its total
     segments, the median, 99th percentile and largest bounce count per ray,
     its grazing and corner reflections, and the lanes of its erf and exp.
-    A chunk is traced SUB_BLOCK rays at a time, so it holds the integrals
-    of one sub-block, not its own.  Each request keeps one running total,
-    and each chunk's sums are added to it in chunk order.  Chunks go to a
-    pool at most 2 x workers ahead of the next one to add, so the reduction
-    holds one total per request and at most that many chunks' sums (one
-    without a pool), whatever the ensemble size.  A trace whose chunks in
-    flight and those sums would not fit in physical memory is refused with
-    InsufficientMemory before it starts (``check_trace_memory``).  Errored samples are
+    Each request keeps one running total, and each chunk's sums are added
+    to it in chunk order.  Chunks go to a pool of ``workers`` threads at
+    most 2 x workers ahead of the next one to add, so the reduction holds
+    one total per request and at most that many chunks' sums (one without
+    a pool), whatever the ensemble size; on an error the chunks not yet
+    started are cancelled.  A trace whose chunks in flight and those sums
+    would not fit in physical memory is refused with InsufficientMemory
+    before it starts (``check_trace_memory``).  Errored samples are
     dropped and counted per request; a request aborts with ExcessiveFailures
     if more than FAILURE_BUDGET of its samples fail before its last
     checkpoint, since silent rejection would bias the Boltzmann weighting.
@@ -575,20 +542,22 @@ def semiclassical_characteristic(
         sums, chunk_counts = result
         for total, request_sums in zip(totals, sums):
             total.add(*request_sums)
-        counts.extend(chunk_counts)
+        # Of the flights the summary needs only their total.
+        counts.append(chunk_counts._replace(segments=chunk_counts.segments.sum()))
 
-    # Load (and on first use build) the engine before forking, so workers
-    # inherit it and never build it at the same time.
-    native.load()
+    native.load()  # built, on first use, before two threads could build it
     if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
+        pool = ThreadPoolExecutor(workers)
+        try:
             pending = collections.deque()
             for task in tasks:
                 if len(pending) == window:
-                    fold(pending.popleft().get())
-                pending.append(pool.apply_async(_chunk_phase_sums, (task,)))
+                    fold(pending.popleft().result())
+                pending.append(pool.submit(_chunk_phase_sums, task))
             while pending:
-                fold(pending.popleft().get())
+                fold(pending.popleft().result())
+        finally:
+            pool.shutdown(cancel_futures=True)
     else:
         for task in tasks:
             fold(_chunk_phase_sums(task))

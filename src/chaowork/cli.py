@@ -469,12 +469,13 @@ def _keys(advice: str):
 
 
 # Per key: the doubles a run holds at its value v on a W grid of ``bins``
-# bins, what holds them (the ensemble: positions and momenta; binning: one
-# bincount of W's histogram, its bins and both kernel tails) and the keys
-# that shrink them.
+# bins, what holds them (the ensemble: positions and momenta, and each ray's
+# bounce count, kept per chunk and joined once for its quantiles; binning:
+# one bincount of W's histogram, its bins and both kernel tails) and the
+# keys that shrink them.
 _SIZES = {
     "u_points": (lambda v, bins: _INVERSION_ARRAYS * bins, "inverting G", "u_points"),
-    "n_samples": (lambda v, bins: 4 * v, "the ensemble", "n_samples"),
+    "n_samples": (lambda v, bins: 6 * v, "the ensemble", "n_samples"),
     "n_classical": (lambda v, bins: v, "the work sample", "n_classical"),
     "broadening_bins": (lambda v, bins: bins + 2 * math.ceil(8 * v) + 1, "binning W",
                         "broadening_bins or u_points"),

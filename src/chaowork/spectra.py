@@ -30,6 +30,10 @@ from .sampler import SAMPLE_BLOCK
 logger = logging.getLogger(__name__)
 
 ALIAS_TOLERANCE = 0.01
+# bin_spikes' recurrence takes a fresh exp pair every this many bin offsets,
+# so its rounding drift stays bounded however wide the kernel; a kernel of
+# up to 17 offsets each way (broadening_bins = 2) is never restarted.
+RESTART_OFFSETS = 32
 
 
 class AliasingSuspect(RuntimeError):
@@ -174,10 +178,12 @@ def bin_spikes(
     bins and, in each direction away from it, the ratio of the next bin's
     Gaussian to that bin's.  Moving on by one bin multiplies the Gaussian by
     the ratio and the ratio by exp(-d^2), d = dw / eps; every ratio is at
-    most 1, so nothing overflows at any eps.  A block takes only the bin
-    offsets that reach a bin of the window for one of its samples, and
-    starts the recurrence at the first of them: a block whose samples span
-    m bins takes at most m plus the window's bins, however wide the kernel.
+    most 1, so nothing overflows at any eps.  Every RESTART_OFFSETS offsets
+    the pair is taken afresh, so rounding does not build up.  A block takes
+    only the bin offsets that reach a bin of the window for one of its
+    samples, and starts the recurrence at the first of them: a block whose
+    samples span m bins takes at most m plus the window's bins, however
+    wide the kernel.
     A kernel that fits inside the window is summed as it would be over
     every offset, as those that reach no bin of the window add nothing.
     """
@@ -220,15 +226,16 @@ def bin_spikes(
                 continue
             # The recurrence starts at the first offset that reaches the window.
             start, stop = (lo_off, hi_off) if toward > 0 else (hi_off, lo_off)
-            # The bin's center by the formula of plan.w_values.
-            z = (plan.w_center + (base + (start - (plan.n - 1))) * dw - s) / eps
-            g = np.exp(-0.5 * z * z)
-            g *= weight
-            ratio = np.exp(-toward * d * z - 0.5 * d * d)
             for off in range(start, stop + toward, toward):
-                if off != start:
+                if (off - start) % RESTART_OFFSETS:
                     g *= ratio
                     ratio *= step
+                else:
+                    # The bin's center by the formula of plan.w_values.
+                    z = (plan.w_center + (base + (off - (plan.n - 1))) * dw - s) / eps
+                    g = np.exp(-0.5 * z * z)
+                    g *= weight
+                    ratio = np.exp(-toward * d * z - 0.5 * d * d)
                 skip = halfwidth + 1 - off
                 density += np.bincount(at, g, length)[skip : skip + n_bins]
                 np.multiply(g, g, out=sq)

@@ -22,8 +22,8 @@ readable paths:
 - ``sample_positions_rowwise``: the rejection draw on (m, 2) rows, whose
   bits and stream ``sampler.sample_positions`` must keep;
 - ``request_sums``: one request's phase sums over every good row of a
-  chunk at once, which ``characteristic._ChunkSums``, taking them a
-  sub-block at a time, must match bit for bit, with the second moment of the phase vectors, from
+  chunk at once, which ``characteristic._request_sums``, taking them in
+  one engine call, must match bit for bit, with the second moment of the phase vectors, from
   which ``covariance_stderr`` propagates the error of a linear functional
   of G through the full (2k x 2k) covariance.  It takes numpy's cos and
   sin, which have the bits of glibc's sincos, or with ``engine_cos_sin``

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -49,15 +50,10 @@ def oracle_cos_sin():
     return numpy_cos_sin if lib.math_lanes() == 1 else lambda x: engine_cos_sin(lib, x)
 
 
-def chunk_sums(integrals, columns, coef, functional, block=None):
-    """One request's ``_ChunkSums`` result over a chunk's integrals, added
-    ``block`` rows at a time (all at once by default)."""
-    rows = integrals.shape[0]
-    block = block or max(rows, 1)
-    sums = characteristic._ChunkSums(rows, columns, coef, functional)
-    for lo in range(0, rows, block):
-        sums.add(integrals[lo : lo + block])
-    return sums.result()
+def chunk_sums(integrals, columns, coef, functional):
+    """One request's ``_request_sums`` over a chunk's integrals."""
+    c = None if functional is None else np.asarray(functional, dtype=float)
+    return characteristic._request_sums(integrals, np.asarray(columns, dtype=np.int64), coef, c)
 
 
 @pytest.fixture(scope="module")
@@ -84,35 +80,33 @@ def small_grid(geom_mod, pot_mod, plan):
 
 @pytest.fixture
 def serial_pool(monkeypatch):
-    """characteristic's multiprocessing.Pool replaced by one that runs each
-    task in this process when its result is taken.  The record holds the pool
-    sizes asked for and the most results submitted and not yet taken."""
-    record = SimpleNamespace(processes=[], outstanding=0, most_outstanding=0)
+    """characteristic's ThreadPoolExecutor replaced by one that runs each
+    task in the calling thread when its result is taken.  The record holds
+    the pool sizes asked for and the most results submitted and not yet
+    taken."""
+    record = SimpleNamespace(workers=[], outstanding=0, most_outstanding=0)
 
-    class Result:
+    class Future:
         def __init__(self, func, args):
             self.call = lambda: func(*args)
             record.outstanding += 1
             record.most_outstanding = max(record.most_outstanding, record.outstanding)
 
-        def get(self):
+        def result(self):
             record.outstanding -= 1
             return self.call()
 
     class SerialPool:
-        def __init__(self, processes):
-            record.processes.append(processes)
+        def __init__(self, workers):
+            record.workers.append(workers)
 
-        def __enter__(self):
-            return self
+        def submit(self, func, *args):
+            return Future(func, args)
 
-        def __exit__(self, *exc):
-            return False
+        def shutdown(self, cancel_futures=False):
+            pass
 
-        def apply_async(self, func, args):
-            return Result(func, args)
-
-    monkeypatch.setattr(characteristic.multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(characteristic, "ThreadPoolExecutor", SerialPool)
     return record
 
 
@@ -205,11 +199,21 @@ class TestSemiclassicalEstimator:
         [g1] = semiclassical_characteristic(
             ens, [req], geom_mod, pot_mod, workers=1, chunk_size=256
         )
-        assert np.array_equal(g1.g_values, g2.g_values)
-        assert np.array_equal(g1.stderr_re, g2.stderr_re)
+        # Three threads, more than a 2-vCPU runner's cores, switching every microsecond.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            [g3] = semiclassical_characteristic(
+                ens, [req], geom_mod, pot_mod, workers=3, chunk_size=256
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        for g in (g2, g3):
+            assert np.array_equal(g1.g_values, g.g_values)
+            assert np.array_equal(g1.stderr_re, g.stderr_re)
         # The four chunks' trace counts, merged, are the whole ensemble's.
         trace = g1.metadata["trace"]
-        assert g2.metadata["trace"] == trace
+        assert g2.metadata["trace"] == g3.metadata["trace"] == trace
         times = characteristic._prepare(req).times
         _, _, counts = trajectory.checkpoint_action_integrals(
             ens.qs, ens.z, times, geom_mod, pot_mod
@@ -229,7 +233,7 @@ class TestSemiclassicalEstimator:
         [g1] = semiclassical_characteristic(
             ens, [req], geom_mod, pot_mod, workers=1, chunk_size=256
         )
-        assert serial_pool.processes == [3]
+        assert serial_pool.workers == [3]
         assert np.array_equal(g64.g_values, g1.g_values)
         assert np.array_equal(g64.stderr_re, g1.stderr_re)
         assert np.array_equal(g64.stderr_im, g1.stderr_im)
@@ -243,7 +247,7 @@ class TestSemiclassicalEstimator:
         kw = {"chunk_size": 32}
         [g2] = semiclassical_characteristic(ens, [req], geom_mod, pot_mod, workers=2, **kw)
         [g1] = semiclassical_characteristic(ens, [req], geom_mod, pot_mod, workers=1, **kw)
-        assert serial_pool.processes == [2]
+        assert serial_pool.workers == [2]
         assert serial_pool.most_outstanding == 4
         assert serial_pool.outstanding == 0
         assert np.array_equal(g2.g_values, g1.g_values)
@@ -528,7 +532,7 @@ class TestChunkSums:
     """One traced chunk's sums: taken by the engine's phase_sums with the
     bits of numpy's one-shot sums, in the memory the trace guard counts.
     On the four-lane path the one-shot sums take the engine's own cos and
-    sin, so row order, -0.0 and sub-blocks are still held to the bit."""
+    sin, so row order and -0.0 are still held to the bit."""
 
     def test_sums_match_one_shot_sums(self, rng):
         rows, times = 2565, 40
@@ -580,9 +584,8 @@ class TestChunkSums:
             integrals[good, :3] = 0.0
         columns = np.array([0, 1, 2, 4, 7, 8, 11])
         functional = rng.standard_normal(2 * columns.size)
-        # Whole, and in sub-blocks of 4 rows that leave a 3-row tail.
-        for c, block in ((None, None), (functional, None), (None, 4), (functional, 4)):
-            sums, ok, failed, f_moments = chunk_sums(integrals, columns, coef, c, block)
+        for c in (None, functional):
+            sums, ok, failed, f_moments = chunk_sums(integrals, columns, coef, c)
             ref = request_sums(integrals, columns, coef, False, oracle_cos_sin())
             assert (ok, failed) == (len(good), rows - len(good)) == ref[1:3]
             assert sums.tobytes() == ref[0].tobytes()
@@ -627,31 +630,6 @@ class TestChunkSums:
                 self.test_engine_sums_have_the_numpy_bits(rng(), case, coef)
         self.test_functional_error_of_a_narrow_spread(rng())
 
-    def test_sub_blocks_keep_the_bits_of_one_trace(self, geom_mod, pot_mod, monkeypatch):
-        # 2,085 rays, two sub-blocks and a 37-row tail, with a bounce cap
-        # that fails some of them, for a request with a functional and one
-        # without: the same sums, f moments and counts as one whole trace.
-        plan = plan_u_grid(geom_mod, pot_mod, seed=12345, n_u=64)
-        rows = 2 * characteristic.SUB_BLOCK + 37
-        ens = sampler.sample_ensemble(geom_mod, rows, seed=41)
-        req = jarzynski_request(BETA_COLD, plan)
-        grid = characteristic._prepare(req)
-        coef = pot_mod.delta_xi / grid.scale
-        spec = [(np.arange(plan.n), coef, req.functional), (np.arange(plan.n // 2), coef, None)]
-        args = (ens.qs, ens.z, grid.times, geom_mod, pot_mod, 300, spec)
-        sums, counts = characteristic._chunk_phase_sums(args)
-        assert len(counts) == 3
-        monkeypatch.setattr(characteristic, "SUB_BLOCK", rows)
-        whole_sums, [whole] = characteristic._chunk_phase_sums(args)
-        assert 0 < whole_sums[0][2] < 0.2 * rows
-        for got, ref in zip(sums, whole_sums):
-            assert got[0].tobytes() == ref[0].tobytes()
-            assert got[1:] == ref[1:]
-        assert np.concatenate([c.segments for c in counts]).tobytes() == whole.segments.tobytes()
-        assert np.concatenate([c.bounces for c in counts]).tobytes() == whole.bounces.tobytes()
-        assert sum(c.grazing for c in counts) == whole.grazing
-        assert sum(c.corner for c in counts) == whole.corner
-
     @pytest.mark.parametrize("functional", [False, True])
     def test_chunk_peak_within_the_guard(self, geom_mod, pot_mod, functional):
         plan = plan_u_grid(geom_mod, pot_mod, seed=12345, n_u=64)
@@ -662,18 +640,18 @@ class TestChunkSums:
         c = req.functional if functional else None
         spec = [(np.arange(plan.n), pot_mod.delta_xi / grid.scale, c)]
         args = (ens.qs, ens.z, grid.times, geom_mod, pot_mod, trajectory.MAX_BOUNCES_DEFAULT, spec)
-        native.load()
+        # Build the engine and import what its first call imports, untraced.
+        characteristic._chunk_phase_sums((ens.qs[:4], ens.z[:4], *args[2:]))
         tracemalloc.start()
         try:
             characteristic._chunk_phase_sums(args)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # One sub-block's integrals and the chunk's vectors of rows: 1.43
-        # (1.48 with the functional) times one sub-block's integrals, 0.18 of
-        # the whole chunk's; 1.05 of the whole chunk's when it was traced at
-        # once, 5.0 when numpy took its phases and 7.0 with their second moment.
-        assert peak < 2 * 8 * characteristic.SUB_BLOCK * plan.n
+        # The chunk's integrals and its vectors of rows: 1.07 (1.10 with the
+        # functional) times its integrals; 5.0 when numpy took its phases
+        # and 7.0 with their second moment.
+        assert peak < 2 * 8 * rows * plan.n
         assert peak <= characteristic._chunk_bytes(rows, plan.n, int(functional))
 
 

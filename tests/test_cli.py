@@ -1,6 +1,7 @@
 import contextlib
 import importlib.metadata
 import io
+import itertools
 import json
 import os
 import platform
@@ -8,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from dataclasses import fields
 
@@ -296,12 +298,12 @@ class TestDeterminism:
 
 class TestWorkerCount:
     def test_outputs_independent_of_worker_count(self, tmp_path):
-        # 9,000 samples are two chunks, so --workers 2 traces them in a pool.
+        # 9,000 samples are 18 chunks, so --workers 2 and 3 trace them on a pool.
         cfgp = tmp_path / "c.cfg"
         cfgp.write_text(tiny_text(n_samples="9000", u_points="16", hbar_list="0.5,1.0"))
         path = [os.path.dirname(native.PACKAGE_DIR), *filter(None, [os.environ.get("PYTHONPATH")])]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-        for workers in ("1", "2"):
+        for workers in ("1", "2", "3"):
             for command in (["semiclassical"], ["scenario", "fig3"], ["scenario", "fig4"]):
                 out = tmp_path / f"w{workers}" / command[-1]
                 argv = [*command, "--config", str(cfgp), "--out", str(out), "--workers", workers]
@@ -317,14 +319,40 @@ class TestWorkerCount:
                 assert proc.returncode == 0, proc.stderr
         # Only the manifests record the worker count.
         trees = []
-        for workers in ("1", "2"):
+        for workers in ("1", "2", "3"):
             root = tmp_path / f"w{workers}"
             files = [p for p in root.rglob("*") if p.is_file() and p.name != "manifest.json"]
             trees.append({p.relative_to(root): p.read_bytes() for p in files})
         assert len(trees[0]) > 10
-        assert trees[0].keys() == trees[1].keys()
-        for name, data in trees[0].items():
-            assert data == trees[1][name], name
+        for tree in trees[1:]:
+            assert trees[0].keys() == tree.keys()
+            for name, data in trees[0].items():
+                assert data == tree[name], name
+
+    def test_engine_error_stops_the_pool(self, tmp_path, capsys, monkeypatch):
+        # 4,096 samples are 8 chunks on 2 threads, 4 of them submitted ahead:
+        # the third chunk's trace raises, the run exits 1 with that error and
+        # writes nothing, and the pool's threads are gone.
+        engine = trajectory.checkpoint_action_integrals
+        calls = itertools.count(1)
+
+        def third_fails(*args):
+            if next(calls) == 3:
+                raise RuntimeError("engine fault on the third chunk")
+            return engine(*args)
+
+        monkeypatch.setattr(trajectory, "checkpoint_action_integrals", third_fails)
+        cfgp = tmp_path / "c.cfg"
+        cfgp.write_text(tiny_text(n_samples="4096", u_points="16", workers="2"))
+        out = tmp_path / "o"
+        threads = threading.active_count()
+        rc = cli.main(["semiclassical", "--config", str(cfgp), "--out", str(out)])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload == {"error": "RuntimeError", "message": "engine fault on the third chunk"}
+        assert not any(files for _, _, files in os.walk(out))
+        assert threading.active_count() == threads
+        assert next(calls) < 9  # the chunks after the error were not traced
 
 
 class TestOutputIdentity:
@@ -756,13 +784,16 @@ class TestSubcommands:
             assert not any(files for _, _, files in os.walk(out))
 
     def test_trace_refused_beyond_physical_memory(self, tmp_path, capsys, monkeypatch):
-        # One chunk of 1,200 rays through the 54 checkpoints that two bins
-        # of broadening keep of 64 needs about 0.52 MB, one sub-block's
-        # integrals and the chunk's per-row vectors (fig2 counts all 64, 0.6
-        # MB); the machine has 0.5 MB for the trace, and enough for the
-        # inversion, the ensemble and the classical sample.  Every command
-        # refuses before it draws, takes a reference or solves.
-        monkeypatch.setattr(characteristic, "physical_memory", lambda: 500_000)
+        # One 512-ray chunk of the 1,200 rays through the 54 checkpoints that
+        # two bins of broadening keep of 64 needs about 0.25 MB, its
+        # integrals and per-row vectors (fig2 counts all 64, 0.29 MB); the
+        # machine has 0.2 MB for the trace, and enough for the inversion, the
+        # ensemble and the 0.16 MB classical sample.  (With 8,192-ray chunks
+        # traced in 1,024-ray sub-blocks the trace needed 0.52 MB and the
+        # machine had 0.5 MB.)  Every command refuses before it draws, takes
+        # a reference or solves.
+        assert 8 * 20_000 < 200_000 < characteristic._chunk_bytes(512, 54, 0)
+        monkeypatch.setattr(characteristic, "physical_memory", lambda: 200_000)
 
         def refuse(*args, **kwargs):
             raise AssertionError("work started before the trace was checked")
@@ -792,8 +823,9 @@ class TestSubcommands:
     def test_trace_refused_when_sums_do_not_fit(self, tmp_path, capsys, monkeypatch):
         # Each beta of jarzynski holds (4, k) sums over its k traced u points
         # as its total and as the arriving chunk's.  The machine has room for
-        # the chunk in flight, with each beta's functional values, and for
-        # all but one byte of those sums as well.
+        # the 512-ray chunk in flight (of 1,200 rays; the whole 1,200 when
+        # chunks were 8,192 rays), with each beta's functional values, and
+        # for all but one byte of those sums as well.
         text = tiny_text(beta_list="2^-7,2^-9,2^-11", hbar_list="1.0")
         cfg = validate_config(text)
         geom, pot = cfg.geometry(), cfg.potential()
@@ -803,7 +835,8 @@ class TestSubcommands:
         assert all(req.u_traced < cfg.u_points for req in requests)
         grids = [characteristic._prepare(req) for req in requests]
         times = np.unique(np.concatenate([grid.times for grid in grids]))
-        chunk = characteristic._chunk_bytes(cfg.n_samples, times.size, len(grids))
+        assert cfg.n_samples > characteristic.CHUNK_SIZE == 512
+        chunk = characteristic._chunk_bytes(characteristic.CHUNK_SIZE, times.size, len(grids))
         sums = 8 * 2 * 4 * sum(req.u_traced for req in requests)
         monkeypatch.setattr(characteristic, "physical_memory", lambda: chunk + sums - 1)
         cfgp = tmp_path / "c.cfg"
@@ -923,7 +956,7 @@ class TestSubcommands:
         sites = quantum.build_grid(validate_config(TINY).geometry(), 0.08).n_sites
         need = cli._QUANTUM_G_ARRAYS * 8 * 64 * sites
         monkeypatch.setattr(characteristic, "physical_memory", lambda: need - 1)
-        assert cli._INVERSION_ARRAYS * 8 * 127 < 32 * 1200 < need - 1
+        assert cli._INVERSION_ARRAYS * 8 * 127 < 48 * 1200 < need - 1
         characteristic.check_trace_memory(1200, 64, [64], 0, 1)
 
         def refuse(*args, **kwargs):
@@ -943,11 +976,13 @@ class TestSubcommands:
                 assert key in payload["message"]
             assert not any(files for _, _, files in os.walk(out))
 
-    def refused_before_work(self, tmp_path, capsys, monkeypatch, text, commands):
-        """Each command's error payload on config ``text`` with 1 MB of memory,
-        each run checked to exit 1 and write nothing before any draw,
-        quadrature, solve or trace, which are all made to fail."""
-        monkeypatch.setattr(characteristic, "physical_memory", lambda: 1_000_000)
+    def refused_before_work(
+        self, tmp_path, capsys, monkeypatch, text, commands, memory=1_000_000
+    ):
+        """Each command's error payload on config ``text`` with ``memory``
+        bytes of memory (1 MB), each run checked to exit 1 and write nothing
+        before any draw, quadrature, solve or trace, which are all made to fail."""
+        monkeypatch.setattr(characteristic, "physical_memory", lambda: memory)
 
         def refuse(*args, **kwargs):
             raise AssertionError("work started before the refusal")
@@ -981,6 +1016,22 @@ class TestSubcommands:
             assert payload["error"] == "InsufficientMemory", command
             assert payload["message"].startswith("n_samples = 100000: the ensemble"), command
             assert payload["message"].endswith("; lower n_samples"), command
+
+    def test_ensemble_counts_the_bounces_it_keeps(self, tmp_path, capsys, monkeypatch):
+        # Beside its 3.2 MB of positions and momenta, the trace keeps each
+        # ray's bounce count per chunk and joins them once for the quantiles:
+        # 4.8 MB at 100,000 samples.  A machine of 4 MB once let the run
+        # draw the ensemble, as only the positions and momenta were counted.
+        text = tiny_text(n_samples="100000", u_points="8")
+        memory = 4_000_000
+        assert 8 * 4 * 100_000 < memory < 8 * 6 * 100_000
+        commands = (["semiclassical"],)
+        [payload] = self.refused_before_work(
+            tmp_path, capsys, monkeypatch, text, commands, memory=memory
+        )
+        assert payload["error"] == "InsufficientMemory"
+        assert payload["message"].startswith("n_samples = 100000: the ensemble")
+        assert payload["message"].endswith("; lower n_samples")
 
     def test_work_sample_refused_before_work(self, tmp_path, capsys, monkeypatch):
         # 200,000 work values take 1.6 MB, refused before the quadrature

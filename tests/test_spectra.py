@@ -195,16 +195,24 @@ class TestBinSpikes:
         assert np.abs(h.density - ref.density).max() <= 1e-12 * peak
         assert np.abs(h.error - ref.error).max() <= 1e-12 * peak
 
-    @pytest.mark.parametrize("side", [-1, 1])
-    def test_wide_kernel_takes_only_offsets_that_reach_the_window(self, plan, side, monkeypatch):
+    @pytest.mark.parametrize(
+        "side,span",
+        [(-1, 20), (1, 20), (-1, 300), (1, 300)],
+        ids=["-1", "1", "-1-span300", "1-span300"],
+    )
+    def test_wide_kernel_takes_only_offsets_that_reach_the_window(
+        self, plan, side, span, monkeypatch
+    ):
         # A kernel of 2,400 bins each way on a 255-bin window, from samples
-        # 100 to 120 bins past one edge: each direction's recurrence starts
-        # at the first offset that reaches a bin, and no block takes more
-        # offsets than its samples' 20-bin span plus the window, two
-        # bincounts each, of the kernel's 4,802 offsets.
+        # 100 to 100 + span bins past one edge: each direction's recurrence
+        # starts at the first offset that reaches a bin, and no block takes
+        # more offsets than its samples' span plus the window, two bincounts
+        # each, of the kernel's 4,802 offsets.  Over a 300-bin span the
+        # recurrence runs some 550 offsets, which drifted by 1.3e-12 of the
+        # peak before it was restarted every RESTART_OFFSETS offsets.
         w, dw = plan.w_values, plan.dw
         edge = w[0] - 100.0 * dw if side < 0 else w[-1] + 100.0 * dw
-        samples = edge + side * np.random.default_rng(5).uniform(0.0, 20.0 * dw, 70_000)
+        samples = edge + side * np.random.default_rng(5).uniform(0.0, span * dw, 70_000)
         eps = 300.0 * dw
         counts = []
         bincount = np.bincount
@@ -217,7 +225,7 @@ class TestBinSpikes:
         h = bin_spikes(samples, plan, eps)
         monkeypatch.undo()
         blocks = -(-samples.size // sampler.SAMPLE_BLOCK)
-        assert len(counts) <= blocks * 2 * (20 + 1 + w.size)
+        assert len(counts) <= blocks * 2 * (span + 1 + w.size)
         ref = bin_spikes_per_offset(samples, plan, eps)
         peak = ref.density.max()
         assert np.abs(h.density - ref.density).max() <= 1e-12 * peak
