@@ -297,22 +297,19 @@ def _pool(workers: int, n_chunks: int) -> tuple[int, int]:
     return workers, 2 * workers if workers > 1 else 1
 
 
-def check_trace_memory(
-    n_rows: int, n_times: int, u_points, n_functionals: int, workers: int,
-    chunk_size: int = CHUNK_SIZE,
-) -> None:
+def check_trace_memory(n_rows: int, n_times: int, u_points, n_functionals: int, workers: int):
     """Refuse with InsufficientMemory a trace that would not fit in physical memory.
 
-    The trace is of ``n_rows`` rays in chunks of ``chunk_size`` on
+    The trace is of ``n_rows`` rays in chunks of ``CHUNK_SIZE`` on
     ``workers`` threads, through ``n_times`` checkpoint times, for one
     request per entry of ``u_points`` (its number of traced u points),
     ``n_functionals`` of them with a functional.  It holds the chunks in
     flight, one per thread, and each request's total and the sums of the
     chunks submitted to the pool and not yet added.
     """
-    workers, window = _pool(workers, -(-n_rows // chunk_size))
+    workers, window = _pool(workers, -(-n_rows // CHUNK_SIZE))
     in_flight = max(workers, 1)  # a thread holds one chunk at a time
-    rows = min(chunk_size, n_rows)
+    rows = min(CHUNK_SIZE, n_rows)
     chunk = _chunk_bytes(rows, n_times, n_functionals)
     # Per request, the total and each held chunk's (4, k) sums.
     require_memory(
@@ -380,7 +377,7 @@ def _prepare(req: Request) -> _Grid:
     return _Grid(req.u_grid.u_values[: req.u_traced] * (req.hbar * scale), scale)
 
 
-def plan_trace(requests, n_rows: int, workers: int, chunk_size: int = CHUNK_SIZE):
+def plan_trace(requests, n_rows: int, workers: int):
     """Each request's validated checkpoint grid and the ascending union of
     their times, the one array the shared trace runs through.
 
@@ -395,7 +392,7 @@ def plan_trace(requests, n_rows: int, workers: int, chunk_size: int = CHUNK_SIZE
     times = times[np.concatenate(([True], times[1:] != times[:-1]))]
     n_functionals = sum(req.functional is not None for req in requests)
     u_points = [req.u_traced for req in requests]
-    check_trace_memory(n_rows, times.size, u_points, n_functionals, workers, chunk_size)
+    check_trace_memory(n_rows, times.size, u_points, n_functionals, workers)
     return grids, times
 
 
@@ -485,7 +482,6 @@ def semiclassical_characteristic(
     geom: BilliardGeometry,
     pot: QuenchPotential,
     workers: int = 1,
-    chunk_size: int = CHUNK_SIZE,
     max_bounces: int = MAX_BOUNCES_DEFAULT,
 ) -> list[CharacteristicGrid]:
     """Monte Carlo G(u) for each request: sample mean of the dephasing phases.
@@ -521,7 +517,7 @@ def semiclassical_characteristic(
     requests = list(requests)
     if not requests:
         return []
-    grids, times = plan_trace(requests, len(ens), workers, chunk_size)
+    grids, times = plan_trace(requests, len(ens), workers)
     spec = [
         (
             np.searchsorted(times, grid.times),
@@ -531,8 +527,8 @@ def semiclassical_characteristic(
         for req, grid in zip(requests, grids)
     ]
     tasks = []
-    for lo in range(0, len(ens), chunk_size):
-        hi = lo + chunk_size
+    for lo in range(0, len(ens), CHUNK_SIZE):
+        hi = lo + CHUNK_SIZE
         tasks.append((ens.qs[lo:hi], ens.z[lo:hi], times, geom, pot, max_bounces, spec))
     workers, window = _pool(workers, len(tasks))
     totals = [_Total(req) for req in requests]

@@ -719,44 +719,47 @@ def run_fig3(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
 
 
 def run_fig2(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
-    """Quantum vs semiclassical work distributions across temperatures."""
+    """Quantum vs semiclassical P(W) across temperatures, on one u plan: the pilot
+    window joined with the spike support of every beta the basis covers."""
     betas, [hbar] = cfg.beta_list, cfg.hbar_list
     geom, pot = cfg.geometry(), cfg.potential()
     w_all = _plan(cfg, geom, pot, "n_samples").w_values
-    # Each beta's plan waits for the solve, but the trace is bounded before
-    # it: u_points times per beta, the first, 0, shared by all.
+    # The plan waits for the solve, but the trace is bounded before it:
+    # u_points times per beta, the first, 0, shared by all.
     with _keys(_TRACE_KEYS):
         u_points = [cfg.u_points] * len(betas)
         n_times = 1 + len(betas) * (cfg.u_points - 1)
         check_trace_memory(cfg.n_samples, n_times, u_points, 0, cfg.resolved_workers())
     spec = _solve_quench(cfg, geom, pot, hbar)
 
-    requests = []
+    lo, hi = w_all[0], w_all[-1]
+    covered, warnings = set(), []
     for beta in betas:
         try:
             quantum.check_truncation(spec.e0, beta)
-            lo_q, hi_q = quantum.spike_support(spec, beta)
-        except quantum.TruncationDominates:
-            lo_q, hi_q = w_all[0], w_all[-1]
-        lo, hi = min(w_all[0], lo_q), max(w_all[-1], hi_q)
-        plan = plan_from_window(lo, hi, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
-        requests.append(Request(beta, plan, hbar, broadening=_broadening(cfg, plan)))
+        except quantum.TruncationDominates as exc:
+            warnings.append(f"beta={beta:g}: {exc}; {_TRUNCATION_CAVEAT}")
+            continue
+        lo_q, hi_q = quantum.spike_support(spec, beta)
+        lo, hi = min(lo, lo_q), max(hi, hi_q)
+        covered.add(beta)
+    plan = plan_from_window(lo, hi, n_u=cfg.u_points, pad_frac=cfg.pad_frac)
+    eps = _broadening(cfg, plan)
+    requests = [Request(beta, plan, hbar, broadening=eps) for beta in betas]
     _, grids = _semiclassical_grids(cfg, geom, pot, requests)
 
-    # Per beta: the semiclassical and, when available, the quantum (grid, hist).
-    rows, warnings, curves = [], [], []
-    for beta, req, grid_sc in zip(betas, requests, grids):
-        eps = req.broadening
+    # Per beta: the semiclassical and, when covered, the quantum (grid, hist).
+    rows, curves = [], []
+    for beta, grid_sc in zip(betas, grids):
         hist_sc = spectra.invert(grid_sc, broadening=eps)
         curve = {"semiclassical": (grid_sc, hist_sc)}
         row = {"beta": beta}
-        try:
-            grid_q = quantum.quantum_characteristic(spec, beta, req.u_grid)
+        if beta in covered:
+            grid_q = quantum.quantum_characteristic(spec, beta, plan)
             hist_q = spectra.invert(grid_q, broadening=eps)
             curve["quantum"] = (grid_q, hist_q)
             row.update(analysis.compare_histograms(hist_q, hist_sc))
-        except quantum.TruncationDominates as exc:
-            warnings.append(f"beta={beta:g}: {exc}; {_TRUNCATION_CAVEAT}")
+        else:
             row["quantum"] = "unavailable"
         rows.append(row)
         curves.append(curve)
@@ -768,7 +771,7 @@ def run_fig2(cfg: RunConfig, out: _Output) -> tuple[str, dict]:
             write_characteristic_csv(out.path(f"{route}_g_beta{tag}.csv"), grid, out.hash)
             write_histogram_csv(out.path(f"{route}_workdist_beta{tag}.csv"), hist, out.hash)
 
-    return "fig2_report.json", {"hbar": hbar, "rows": rows, "warnings": warnings}
+    return "fig2_report.json", {"hbar": hbar, "rows": rows, "warnings": warnings, "broadening": eps}
 
 
 # Every command reads the system, its temperatures and the u plan, and the

@@ -56,6 +56,7 @@ CACHE_DIR = os.path.join(PACKAGE_DIR, "__pycache__")
 
 _double_p = ctypes.POINTER(ctypes.c_double)
 _int64_p = ctypes.POINTER(ctypes.c_int64)
+_DTYPES = {ctypes.c_double: np.dtype(np.float64), ctypes.c_int64: np.dtype(np.int64)}
 
 
 class BuildError(RuntimeError):
@@ -210,6 +211,6 @@ def open_library(path: str) -> ctypes.CDLL:
 
 def pointer(a: np.ndarray, ctype=ctypes.c_double):
     """Typed pointer into a C-contiguous array the caller keeps alive."""
-    if np.ctypeslib.as_ctypes_type(a.dtype) is not ctype or not a.flags.c_contiguous:
+    if a.dtype != _DTYPES[ctype] or not a.flags.c_contiguous:
         raise ValueError(f"engine arrays must be C-contiguous {ctype.__name__}, got {a.dtype}")
     return a.ctypes.data_as(ctypes.POINTER(ctype))

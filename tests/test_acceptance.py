@@ -256,19 +256,19 @@ def test_criterion_6_quantum_vs_semiclassical_trend(geom, pot):
 
     betas = (2.0**-3, 2.0**-4, 2.0**-5)
     tops = [quantum.check_truncation(spec.e0, beta) for beta in betas]  # raise if dominated
-    plans = []
-    for beta in betas:
-        lo_q, hi_q = quantum.spike_support(spec, beta, mass_tol=1e-9)
-        plans.append(
-            plan_from_window(min(lo_q, -110.0), max(hi_q, 110.0), n_u=64, pad_frac=0.1)
-        )
+    # One plan for every beta, as fig2 plans: the classical window joined
+    # with each beta's spike support.
+    supports = [quantum.spike_support(spec, beta, mass_tol=1e-9) for beta in betas]
+    lo = min(-110.0, *(lo_q for lo_q, _ in supports))
+    hi = max(110.0, *(hi_q for _, hi_q in supports))
+    plan = plan_from_window(lo, hi, n_u=64, pad_frac=0.1)
+    eps = 2.0 * plan.dw
     ens = sampler.sample_ensemble(geom, 90_000, SEED)
-    requests = [Request(beta, plan, hbar) for beta, plan in zip(betas, plans)]
+    requests = [Request(beta, plan, hbar) for beta in betas]
     grids = semiclassical_characteristic(ens, requests, geom, pot)
     table = []
     ok = True
-    for beta, top, plan, g in zip(betas, tops, plans, grids):
-        eps = 2.0 * plan.dw
+    for beta, top, g in zip(betas, tops, grids):
         hq = spectra.invert(quantum.quantum_characteristic(spec, beta, plan), broadening=eps)
         ok &= abs(hq.total_mass - 1.0) < 1e-6
         hsc = spectra.invert(g, broadening=eps)

@@ -190,22 +190,17 @@ class TestSemiclassicalEstimator:
             ratio = ses[a] / ses[b]
             assert ratio == pytest.approx(np.sqrt(10.0), rel=0.2)
 
-    def test_worker_count_invariance(self, geom_mod, pot_mod, plan, small_grid):
+    def test_worker_count_invariance(self, geom_mod, pot_mod, plan, small_grid, monkeypatch):
+        monkeypatch.setattr(characteristic, "CHUNK_SIZE", 256)
         ens = sampler.sample_ensemble(geom_mod, 1000, seed=12345)
         req = Request(BETA_COLD, plan, 1.0)
-        [g2] = semiclassical_characteristic(
-            ens, [req], geom_mod, pot_mod, workers=2, chunk_size=256
-        )
-        [g1] = semiclassical_characteristic(
-            ens, [req], geom_mod, pot_mod, workers=1, chunk_size=256
-        )
+        [g2] = semiclassical_characteristic(ens, [req], geom_mod, pot_mod, workers=2)
+        [g1] = semiclassical_characteristic(ens, [req], geom_mod, pot_mod, workers=1)
         # Three threads, more than a 2-vCPU runner's cores, switching every microsecond.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            [g3] = semiclassical_characteristic(
-                ens, [req], geom_mod, pot_mod, workers=3, chunk_size=256
-            )
+            [g3] = semiclassical_characteristic(ens, [req], geom_mod, pot_mod, workers=3)
         finally:
             sys.setswitchinterval(interval)
         for g in (g2, g3):
@@ -224,29 +219,28 @@ class TestSemiclassicalEstimator:
         assert trace["bounce_max"] == counts.bounces.max()
         assert (trace["grazing"], trace["corner"]) == (counts.grazing, counts.corner)
 
-    def test_pool_no_larger_than_chunk_count(self, geom_mod, pot_mod, plan, serial_pool):
+    def test_pool_no_larger_than_chunk_count(
+        self, geom_mod, pot_mod, plan, serial_pool, monkeypatch
+    ):
+        monkeypatch.setattr(characteristic, "CHUNK_SIZE", 256)
         ens = sampler.sample_ensemble(geom_mod, 600, seed=12345)
         req = Request(BETA_COLD, plan, 1.0)
-        [g64] = semiclassical_characteristic(
-            ens, [req], geom_mod, pot_mod, workers=64, chunk_size=256
-        )
-        [g1] = semiclassical_characteristic(
-            ens, [req], geom_mod, pot_mod, workers=1, chunk_size=256
-        )
+        [g64] = semiclassical_characteristic(ens, [req], geom_mod, pot_mod, workers=64)
+        [g1] = semiclassical_characteristic(ens, [req], geom_mod, pot_mod, workers=1)
         assert serial_pool.workers == [3]
         assert np.array_equal(g64.g_values, g1.g_values)
         assert np.array_equal(g64.stderr_re, g1.stderr_re)
         assert np.array_equal(g64.stderr_im, g1.stderr_im)
 
-    def test_pool_results_taken_in_a_window(self, geom_mod, pot_mod, serial_pool):
+    def test_pool_results_taken_in_a_window(self, geom_mod, pot_mod, serial_pool, monkeypatch):
         # 24 chunks on 2 workers: a straggler may leave later chunks' results
         # waiting, but never more than 2 x workers of them.
         plan = plan_u_grid(geom_mod, pot_mod, seed=12345, n_u=16)
         ens = sampler.sample_ensemble(geom_mod, 24 * 32, seed=12345)
         req = jarzynski_request(BETA_COLD, plan)
-        kw = {"chunk_size": 32}
-        [g2] = semiclassical_characteristic(ens, [req], geom_mod, pot_mod, workers=2, **kw)
-        [g1] = semiclassical_characteristic(ens, [req], geom_mod, pot_mod, workers=1, **kw)
+        monkeypatch.setattr(characteristic, "CHUNK_SIZE", 32)
+        [g2] = semiclassical_characteristic(ens, [req], geom_mod, pot_mod, workers=2)
+        [g1] = semiclassical_characteristic(ens, [req], geom_mod, pot_mod, workers=1)
         assert serial_pool.workers == [2]
         assert serial_pool.most_outstanding == 4
         assert serial_pool.outstanding == 0
@@ -419,13 +413,13 @@ class TestSharedTraces:
 
     @pytest.mark.parametrize("workers,chunk_size", [(1, characteristic.CHUNK_SIZE), (2, 256)])
     def test_batch_matches_one_request_calls(
-        self, geom_mod, pot_mod, ens, requests, workers, chunk_size
+        self, geom_mod, pot_mod, ens, requests, workers, chunk_size, monkeypatch
     ):
-        kw = {"workers": workers, "chunk_size": chunk_size}
-        grids = semiclassical_characteristic(ens, requests, geom_mod, pot_mod, **kw)
+        monkeypatch.setattr(characteristic, "CHUNK_SIZE", chunk_size)
+        grids = semiclassical_characteristic(ens, requests, geom_mod, pot_mod, workers=workers)
         assert len(grids) == len(requests)
         for req, g in zip(requests, grids):
-            [one] = semiclassical_characteristic(ens, [req], geom_mod, pot_mod, **kw)
+            [one] = semiclassical_characteristic(ens, [req], geom_mod, pot_mod, workers=workers)
             assert np.array_equal(g.u_values, one.u_values)
             assert np.array_equal(g.g_values, one.g_values)
             assert np.array_equal(g.stderr_re, one.stderr_re)
@@ -453,8 +447,9 @@ class TestSharedTraces:
             return engine(qs, ps, times, *rest)
 
         monkeypatch.setattr(characteristic.trajectory, "checkpoint_action_integrals", counted)
+        monkeypatch.setattr(characteristic, "CHUNK_SIZE", 256)
         requests = [Request(2.0**-k, plan, 1.0) for k in (8, 10, 12)]
-        semiclassical_characteristic(ens, requests, geom_mod, pot_mod, chunk_size=256)
+        semiclassical_characteristic(ens, requests, geom_mod, pot_mod)
         own = [characteristic._prepare(req).times for req in requests]
         assert sum(t.size for t in own) == 192
         assert len(calls) == 3
@@ -482,7 +477,7 @@ class TestSharedTraces:
             assert shared[1:3] == alone[1:3]
             assert np.array_equal(shared[0], alone[0])
 
-    def test_reduction_holds_one_chunk_at_a_time(self, geom_mod, pot_mod):
+    def test_reduction_holds_one_chunk_at_a_time(self, geom_mod, pot_mod, monkeypatch):
         # Seven requests with a functional over 128 chunks: each chunk brings
         # (4, 128) sums per request, 3.7 MB over all chunks.  The fold peaks
         # at 0.5 MB (1.6 MB in a fresh process); keeping every chunk's sums
@@ -490,11 +485,10 @@ class TestSharedTraces:
         plan = plan_u_grid(geom_mod, pot_mod, seed=12345, n_u=128)
         requests = [jarzynski_request(2.0**-k, plan) for k in range(7, 14)]
         ens = sampler.sample_ensemble(geom_mod, 2048, seed=12345)
+        monkeypatch.setattr(characteristic, "CHUNK_SIZE", 16)
         tracemalloc.start()
         try:
-            grids = semiclassical_characteristic(
-                ens, requests, geom_mod, pot_mod, workers=1, chunk_size=16
-            )
+            grids = semiclassical_characteristic(ens, requests, geom_mod, pot_mod, workers=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -677,9 +671,9 @@ class TestFunctionalError:
             return integrals, failed, counts
 
         monkeypatch.setattr(characteristic.trajectory, "checkpoint_action_integrals", lossy)
-        kw = {"chunk_size": 1024}
-        [g1] = semiclassical_characteristic(ens, [req], geom_mod, pot_mod, workers=1, **kw)
-        [g2] = semiclassical_characteristic(ens, [req], geom_mod, pot_mod, workers=2, **kw)
+        monkeypatch.setattr(characteristic, "CHUNK_SIZE", 1024)
+        [g1] = semiclassical_characteristic(ens, [req], geom_mod, pot_mod, workers=1)
+        [g2] = semiclassical_characteristic(ens, [req], geom_mod, pot_mod, workers=2)
         assert g1.n_samples == rows - len(lost) and g1.n_samples % 1024
 
         grid = characteristic._prepare(req)

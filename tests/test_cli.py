@@ -624,6 +624,35 @@ class TestScenarioFig2:
             assert meta["du"] == plan.du, beta
             assert meta["w_center"] == plan.w_center, beta
 
+    def test_one_plan_and_one_broadening_for_every_beta(self, tmp_path):
+        # 0.35 has a quantum curve and 2^-8 is truncated: both requests still
+        # share the plan that 0.35's spike support widens, and one broadening.
+        cfg = validate_config(
+            tiny_text(out_dir=str(tmp_path), beta_list="0.35, 2^-8", n_samples="400")
+        )
+        report = cli.run(cfg, "fig2")["report"]
+        [warning] = report["warnings"]
+        assert warning.startswith("beta=0.00390625: ") and "too hot" in warning
+        assert "quantum" not in report["rows"][0]
+        assert report["rows"][1]["quantum"] == "unavailable"
+        out = tmp_path / "fig2"
+        plans = set()
+        for tag in ("0p35", "2e-8"):
+            with open(out / f"semiclassical_g_beta{tag}.csv.meta.json") as fh:
+                meta = json.load(fh)
+            plans.add((meta["du"], meta["w_center"], meta["n_u"]))
+        assert len(plans) == 1
+        # The covered beta's support reaches past the classical window alone.
+        w_all = plan_u_grid(
+            cfg.geometry(), cfg.potential(), cfg.seed, n_u=cfg.u_points, pad_frac=cfg.pad_frac
+        ).w_values
+        pilot = plan_from_window(w_all[0], w_all[-1], n_u=cfg.u_points, pad_frac=cfg.pad_frac)
+        assert plans != {(pilot.du, pilot.w_center, pilot.n)}
+        histograms = sorted(out.glob("*_workdist_beta*.csv"))
+        assert len(histograms) == 3
+        for path in histograms:
+            assert cli.read_histogram_csv(path).broadening == report["broadening"], path.name
+
     def test_quantum_and_semiclassical_written_when_covered(self, tmp_path):
         cfg = validate_config(
             tiny_text(out_dir=str(tmp_path), beta_list="0.35", hbar_list="1.0", n_samples="400")

@@ -56,6 +56,19 @@ def test_loaded_library_is_the_cached_build():
     assert os.path.dirname(lib._name) == native.CACHE_DIR
 
 
+def test_pointer_refuses_a_wrong_dtype_or_layout():
+    good = np.zeros((512, 10))
+    assert native.pointer(good).contents.value == 0.0
+    assert native.pointer(np.arange(3), ctypes.c_int64).contents.value == 0
+    for bad, ctype in (
+        (good.astype(np.float32), ctypes.c_double),
+        (np.arange(3, dtype=np.int32), ctypes.c_int64),
+        (good[:, ::2], ctypes.c_double),
+    ):
+        with pytest.raises(ValueError, match=f"C-contiguous {ctype.__name__}, got {bad.dtype}"):
+            native.pointer(bad, ctype)
+
+
 def test_new_build_removes_stale_libraries(tmp_path, monkeypatch):
     monkeypatch.setattr(native, "CACHE_DIR", str(tmp_path))
     for name in ("_engine.0123abcd.so", ".build-inflight.so", "other.so"):

@@ -1,6 +1,7 @@
 """Smoke tests of the scripts under ``scripts/``."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -67,3 +68,31 @@ def test_peak_memory_cases_load_and_the_harness_runs(tmp_path):
     argv, _, _, config = script.CASES["semiclassical at 4096 u points"]
     rc, peak_mb, result = script.measure(argv, config)
     assert rc == 0 and peak_mb > 0.0 and result["files"]
+
+
+def test_compare_outputs_names_each_difference(tmp_path, capsys):
+    script = _load_script("compare_outputs")
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root in (a, b):
+        (root / "sub").mkdir(parents=True)
+        (root / "sub" / "g.csv").write_text("# manifest_sha256=x\nu,re_g\n0.0,1.0\n0.5,0.25\n")
+        (root / "report.json").write_text(json.dumps({"rows": [{"l1": 0.5, "beta": 2.0}]}))
+        manifest = {"config": {"out_dir": str(root), "seed": 1}, "versions": {"engine": str(root)}}
+        (root / "manifest.json").write_text(json.dumps(manifest))
+    assert script.main([str(a), str(b)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "3 files: 3 identical, 0 differ, 0 only in A, 0 only in B"
+    )
+
+    (b / "sub" / "g.csv").write_text("# manifest_sha256=x\nu,re_g\n0.0,1.0\n0.5,0.5\n")
+    (b / "report.json").write_text(json.dumps({"rows": [{"l1": 0.375, "beta": 2.0}]}))
+    (a / "spectra.bin").write_bytes(b"\x00")
+    assert script.main([str(a), str(b)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "manifest.json: identical",
+        "report.json: rows.0.l1 abs 0.125 rel 0.25",
+        "spectra.bin: only in A",
+        os.path.join("sub", "g.csv") + ": re_g abs 0.25 rel 0.5",
+        "4 files: 1 identical, 2 differ, 1 only in A, 0 only in B",
+    ]
